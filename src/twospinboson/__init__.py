@@ -4,11 +4,16 @@ Two qubits coupled through sigma_1^z + sigma_2^z to a single harmonic mode or
 to a gapped Ohmic bath evolve exactly: the environment both mediates an
 effective qubit-qubit coupling and decoheres the collective sectors.  This
 package computes the reduced two-qubit state in closed form, cross-checks it
-against brute-force truncated-Fock propagation, evaluates the bath
-decoherence integrals by oscillation-aware quadrature, and drives the
-parameter sweeps behind the headline results (commensurate entanglement
-revivals, power-law coherence decay, gap-protected steady-state
-entanglement).
+against brute-force truncated-Fock propagation, and drives the parameter
+sweeps behind the headline results (commensurate entanglement revivals,
+power-law coherence decay, gap-protected steady-state entanglement).
+
+The bath decoherence exponents gamma_R(t), gamma_I(t) are closed forms over
+a whole time grid except for a gapped spectrum at T > 0: log1p/arctan for a
+gapless bath at T = 0, Re ln Gamma (recurrence plus Stirling series) for a
+gapless bath at T > 0, and the complex exponential integral E1 (power series
+or continued fraction) for a gapped bath at T = 0.  A gapped bath at T > 0
+is integrated per time point by oscillation-aware Gauss-Legendre quadrature.
 """
 
 __version__ = "0.1.0"
@@ -52,6 +57,7 @@ from .bath import (
     spectral_density,
     thermal_kernel,
     effective_coupling,
+    bath_exponents,
     gamma_R,
     gamma_I,
     gamma_R_infinity,
@@ -109,6 +115,7 @@ __all__ = [
     "spectral_density",
     "thermal_kernel",
     "effective_coupling",
+    "bath_exponents",
     "gamma_R",
     "gamma_I",
     "gamma_R_infinity",

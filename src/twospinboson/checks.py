@@ -229,19 +229,26 @@ def bath_checks() -> list[CheckResult]:
     """Closed-form limits, asymptotics and consistency of the bath integrals."""
     results = []
 
-    worst = 0.0
-    for alpha in (0.25, 0.5):
-        spec = bath.OhmicGapSpectrum(alpha=alpha)
-        for t in (0.1, 1.0, 10.0, 100.0):
-            exact_r = 2.0 * alpha * math.log1p(t * t)
-            exact_i = 4.0 * alpha * math.atan(t)
-            worst = max(worst,
-                        abs(bath.gamma_R(spec, t) / exact_r - 1.0),
-                        abs(bath.gamma_I(spec, t) / exact_i - 1.0))
-        worst = max(worst, abs(bath.effective_coupling(spec) / (2.0 * alpha) - 1.0))
+    # The closed forms against their defining integrals by quadrature.
+    times = (0.1, 1.0, 10.0, 100.0)
+    worst_rel = 0.0
+    worst_abs = 0.0
+    for spec in (bath.OhmicGapSpectrum(alpha=0.25), bath.OhmicGapSpectrum(alpha=0.5),
+                 bath.OhmicGapSpectrum(alpha=0.25, temperature=0.5),
+                 bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)):
+        gamma_rs, gamma_is, _ = bath.bath_exponents(spec, times)
+        for t, g_r, g_i in zip(times, gamma_rs, gamma_is):
+            quad_r, quad_i, _ = bath._quadrature_exponents(spec, t)
+            if spec.omega0 == 0.0 and spec.temperature == 0.0:
+                worst_rel = max(worst_rel, abs(g_r / quad_r - 1.0), abs(g_i / quad_i - 1.0))
+            else:
+                worst_abs = max(worst_abs, abs(g_r - quad_r), abs(g_i - quad_i))
     results.append(CheckResult(
-        "gapless closed forms", worst <= 1e-6,
-        f"worst relative error {worst:.2e} against 2a ln(1+t^2), 4a atan(t), 2a"))
+        "gapless closed forms", worst_rel <= 1e-6,
+        f"worst relative error {worst_rel:.2e} of 2a ln(1+t^2), 4a atan(t) against quadrature"))
+    results.append(CheckResult(
+        "thermal and gapped closed forms", worst_abs <= 1e-9,
+        f"worst absolute error {worst_abs:.2e} of the ln Gamma and E1 forms against quadrature"))
 
     spec = bath.OhmicGapSpectrum(alpha=0.25)
     ts = np.geomspace(100.0, 1000.0, 9)
@@ -257,13 +264,15 @@ def bath_checks() -> list[CheckResult]:
         "gamma_I saturation", rel <= 1e-3,
         f"gamma_I(1000) = {sat:.6f}, 2 pi alpha = {2.0 * math.pi * spec.alpha:.6f}"))
 
-    gapped = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
-    g1, e1 = bath._gamma_r_with_error(gapped, 7.3)
-    g2, _ = bath._gamma_r_with_error(gapped, 7.3, abs_tol=0.5e-10)
+    thermal = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
+    g_r1, g_i1, e1 = bath._quadrature_exponents(thermal, 7.3)
+    g_r2, g_i2, _ = bath._quadrature_exponents(thermal, 7.3, abs_tol=0.5e-10)
+    moved = abs(g_r2 - g_r1) + abs(g_i2 - g_i1)
     results.append(CheckResult(
-        "quadrature self-consistency", abs(g2 - g1) <= e1 + 1e-14,
-        f"tolerance halving moved gamma_R by {abs(g2 - g1):.2e}, estimate {e1:.2e}"))
+        "quadrature self-consistency", moved <= e1 + 1e-14,
+        f"tolerance halving moved gamma_R, gamma_I by {moved:.2e}, estimate {e1:.2e}"))
 
+    gapped = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
     omegas, couplings_sq = bath.discretize_modes(gapped)
     worst_disc = 0.0
     for t in (0.5, 2.0, 5.0, 10.0):

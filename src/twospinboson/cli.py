@@ -1,7 +1,8 @@
 """Command-line front end: parameter parsing, CSV emission, verification runner.
 
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
-2 on argument or validation errors (with a one-line reason on stderr).
+2 on argument or validation errors, 3 on a numerical failure such as a
+quadrature that does not converge (2 and 3 with a one-line reason on stderr).
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

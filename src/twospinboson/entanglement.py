@@ -74,8 +74,10 @@ class QubitAmplitudes:
 
     @classmethod
     def normalized(cls, a, b, c, d) -> "QubitAmplitudes":
-        """Build amplitudes rescaled to unit norm.  Rejects the zero vector."""
+        """Build amplitudes rescaled to unit norm.  Rejects the zero vector and NaN/inf."""
         vec = np.array([a, b, c, d], dtype=complex)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"amplitudes must be finite, got {a}, {b}, {c}, {d}")
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero amplitude vector")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bath import (
     OhmicGapSpectrum,
-    bath_gamma,
+    bath_exponents,
     effective_coupling,
     gamma_R_infinity,
     steady_state_stats,
@@ -130,8 +130,7 @@ def overlap_table(t_grid, pairs=DEFAULT_BATH_PAIRS, omega_c: float = 1.0,
     for gap, alpha in pairs:
         spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, omega_c=omega_c,
                                 temperature=temperature)
-        overlaps = np.array([math.exp(-bath_gamma(spec, tk).gamma_r) for tk in t])
-        table[_pair_label(gap, alpha)] = overlaps
+        table[_pair_label(gap, alpha)] = np.exp(-bath_exponents(spec, t)[0])
     return table
 
 
@@ -146,9 +145,7 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     t = _validate_time_grid(t_grid)
     theta = effective_coupling(spec)
 
-    gammas = [bath_gamma(spec, tk) for tk in t]
-    gamma_rs = np.array([g.gamma_r for g in gammas])
-    gamma_is = np.array([g.gamma_i for g in gammas])
+    gamma_rs, gamma_is, _ = bath_exponents(spec, t)
     theta_ts = theta * t
 
     rhos = _density_from_phases(vec, theta_ts, gamma_rs, gamma_is)

@@ -1,12 +1,9 @@
 """Gapped Ohmic environment tests.
 
-Oracles: the gapless spectrum has closed forms
-
-    effective_coupling = 2 alpha omega_c
-    gamma_R(t) = 2 alpha ln(1 + (omega_c t)^2)        (T = 0)
-    gamma_I(t) = 4 alpha arctan(omega_c t) -> 2 pi alpha
-
-and the gapped integrals are cross-checked against a dense trapezoid rule, a
+Oracles: the gapless exponents, which production evaluates in closed form,
+are compared with their defining integrals evaluated by adaptive quadrature;
+gamma_I saturates at 2 pi alpha and the overlap decays as t^(-4 alpha).  The
+gapped integrals are cross-checked against a dense trapezoid rule, a
 discrete-mode sum, and the long-time plateau evaluated two independent ways.
 """
 
@@ -15,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from twospinboson import bath
 from twospinboson.bath import (
     OhmicGapSpectrum,
+    bath_exponents,
     bath_gamma,
     bath_reduced_density,
     discretize_modes,
@@ -52,6 +51,10 @@ class TestSpectrum:
             OhmicGapSpectrum(alpha=0.1, omega_c=0.0)
         with pytest.raises(ValueError, match="temperature"):
             OhmicGapSpectrum(alpha=0.1, temperature=-0.5)
+        for name in ("alpha", "omega0", "omega_c", "temperature"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    OhmicGapSpectrum(**{"alpha": 0.1, name: value})
 
     def test_zero_at_and_below_gap(self):
         spec = OhmicGapSpectrum(alpha=0.3, omega0=0.5)
@@ -129,19 +132,26 @@ class TestEffectiveCoupling:
 
 
 class TestGaplessClosedForms:
+    # bath._quadrature_exponents evaluates the defining integrals.
+    TIMES = (0.1, 0.5, 1.0, 3.0, 10.0)
+
     def test_gamma_r(self):
-        for t in (0.1, 0.5, 1.0, 3.0, 10.0):
-            expected = 2.0 * 0.25 * math.log1p(t * t)
+        gamma_rs = bath_exponents(GAPLESS, self.TIMES)[0]
+        for t, value in zip(self.TIMES, gamma_rs):
+            expected = bath._quadrature_exponents(GAPLESS, t)[0]
+            np.testing.assert_allclose(value, expected, rtol=1e-6)
             np.testing.assert_allclose(gamma_R(GAPLESS, t), expected, rtol=1e-6)
 
     def test_gamma_i(self):
-        for t in (0.1, 0.5, 1.0, 3.0, 10.0):
-            expected = 4.0 * 0.25 * math.atan(t)
+        gamma_is = bath_exponents(GAPLESS, self.TIMES)[1]
+        for t, value in zip(self.TIMES, gamma_is):
+            expected = bath._quadrature_exponents(GAPLESS, t)[1]
+            np.testing.assert_allclose(value, expected, rtol=1e-6)
             np.testing.assert_allclose(gamma_I(GAPLESS, t), expected, rtol=1e-6)
 
     def test_gamma_i_saturates(self):
         # gamma_I approaches 2 pi alpha; at omega_c t = 1000 the residual
-        # 4 alpha / t dominates the quadrature error.
+        # 4 alpha / t is 1e-3 of the limit.
         np.testing.assert_allclose(gamma_I(GAPLESS, 1000.0),
                                    2.0 * math.pi * 0.25, rtol=1e-3)
 
@@ -260,7 +270,9 @@ class TestBathDensity:
 
     def test_error_estimate_is_small(self):
         result = bath_gamma(GAPPED, 3.0)
-        assert 0.0 <= result.quadrature_error_estimate < 1e-8
+        assert 0.0 <= result.error_estimate < 1e-8
+        hot = bath_gamma(OhmicGapSpectrum(alpha=0.25, omega0=0.25, temperature=0.5), 3.0)
+        assert 0.0 <= hot.error_estimate < 1e-8
 
     def test_entropy_grows_then_entanglement_dies(self):
         # Gapless bath: by omega_c t = 100 the corner coherences are gone

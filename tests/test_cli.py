@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 
-from twospinboson import csvio
+from twospinboson import bath, csvio
 from twospinboson.cli import main
+from twospinboson.quadrature import QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +114,30 @@ class TestBathSeries:
         code, _, err = run_cli(capsys, "bath-series", "--alpha", "0.25",
                                "--t-max", "0")
         assert code == 2
+
+    def test_rejects_nonfinite_parameters(self, capsys):
+        for extra, reason in ((("--alpha", "nan"), "alpha must be finite"),
+                              (("--alpha", "inf"), "alpha must be finite"),
+                              (("--alpha", "0.25", "--temperature", "nan"),
+                               "temperature must be finite"),
+                              (("--alpha", "0.25", "--amplitudes", "1,0,0,nan"),
+                               "amplitudes must be finite")):
+            code, out, err = run_cli(capsys, "bath-series", *extra, "--t-max", "5")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and reason in err
+            assert len(err.splitlines()) == 1
+
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch):
+        # Gapped T > 0 is the path that still integrates numerically.
+        def fail(*args, **kwargs):
+            raise QuadratureError(1e-3, 1e-10, 4096)
+
+        monkeypatch.setattr(bath, "integrate_decaying", fail)
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "0.1",
+                                 "--temperature", "0.5", "--t-max", "5", "--points", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: quadrature did not converge")
+        assert len(err.splitlines()) == 1
 
 
 class TestSteadySweep:

@@ -171,6 +171,11 @@ class TestPureConcurrence:
         with pytest.raises(ValueError, match="zero"):
             QubitAmplitudes.normalized(0, 0, 0, 0)
 
+    def test_normalized_rejects_nonfinite(self):
+        for bad in (float("nan"), float("inf"), complex(0.0, float("nan"))):
+            with pytest.raises(ValueError, match="finite"):
+                QubitAmplitudes.normalized(1.0, 0.0, 0.0, bad)
+
 
 class TestEntropy:
     def test_pure_projector(self):
