@@ -14,126 +14,27 @@ gapless bath at T = 0, Re ln Gamma (recurrence plus Stirling series) for a
 gapless bath at T > 0, and the complex exponential integral E1 (power series
 or continued fraction) for a gapped bath at T = 0.  A gapped bath at T > 0
 is integrated per time point by oscillation-aware Gauss-Legendre quadrature.
+
+The package re-exports the public names of its numerical modules; each
+module's ``__all__`` is the one list of what it makes public.
 """
 
 __version__ = "0.1.0"
 
-from .entanglement import (
-    QubitAmplitudes,
-    DensityCheck,
-    InvalidDensityMatrixError,
-    validate_density,
-    require_valid_density,
-    concurrence,
-    pure_concurrence,
-    von_neumann_entropy,
-    purity,
-    entanglement_measures,
-)
-from .single_mode import (
-    SingleModeParams,
-    GammaValue,
-    PeriodStats,
-    TimePoint,
-    gamma_single_mode,
-    coherent_amplitude,
-    reduced_density,
-    ideal_concurrence,
-    time_series,
-    period_stats,
-)
-from .fock import (
-    FockConfig,
-    TruncationError,
-    initial_cutoff,
-    evolve_truncated,
-    evolve_auto,
-    trace_distance,
-)
-from .bath import (
-    OhmicGapSpectrum,
-    BathGammaResult,
-    SteadyStateStats,
-    spectral_density,
-    thermal_kernel,
-    effective_coupling,
-    bath_exponents,
-    gamma_R,
-    gamma_I,
-    gamma_R_infinity,
-    saturation_time,
-    bath_gamma,
-    bath_reduced_density,
-    steady_state_stats,
-    discretize_modes,
-)
-from .quadrature import QuadratureError, integrate_decaying
-from .sweeps import (
-    DEFAULT_BATH_PAIRS,
-    DEFAULT_N_RANGE,
-    NO_STEADY_STATE,
-    default_steady_grid,
-    default_temperature_grid,
-    commensurability_table,
-    overlap_table,
-    state_series,
-    steady_state_table,
-    thermal_overlap_table,
-)
+from . import bath, entanglement, fock, quadrature, single_mode, sweeps
+from .entanglement import *
+from .single_mode import *
+from .fock import *
+from .bath import *
+from .quadrature import *
+from .sweeps import *
 
 __all__ = [
     "__version__",
-    "QubitAmplitudes",
-    "DensityCheck",
-    "InvalidDensityMatrixError",
-    "validate_density",
-    "require_valid_density",
-    "concurrence",
-    "pure_concurrence",
-    "von_neumann_entropy",
-    "purity",
-    "entanglement_measures",
-    "SingleModeParams",
-    "GammaValue",
-    "PeriodStats",
-    "TimePoint",
-    "gamma_single_mode",
-    "coherent_amplitude",
-    "reduced_density",
-    "ideal_concurrence",
-    "time_series",
-    "period_stats",
-    "FockConfig",
-    "TruncationError",
-    "initial_cutoff",
-    "evolve_truncated",
-    "evolve_auto",
-    "trace_distance",
-    "OhmicGapSpectrum",
-    "BathGammaResult",
-    "SteadyStateStats",
-    "spectral_density",
-    "thermal_kernel",
-    "effective_coupling",
-    "bath_exponents",
-    "gamma_R",
-    "gamma_I",
-    "gamma_R_infinity",
-    "saturation_time",
-    "bath_gamma",
-    "bath_reduced_density",
-    "steady_state_stats",
-    "discretize_modes",
-    "QuadratureError",
-    "integrate_decaying",
-    "DEFAULT_BATH_PAIRS",
-    "DEFAULT_N_RANGE",
-    "NO_STEADY_STATE",
-    "default_steady_grid",
-    "default_temperature_grid",
-    "commensurability_table",
-    "overlap_table",
-    "state_series",
-    "steady_state_table",
-    "thermal_overlap_table",
+    *entanglement.__all__,
+    *single_mode.__all__,
+    *fock.__all__,
+    *bath.__all__,
+    *quadrature.__all__,
+    *sweeps.__all__,
 ]

@@ -23,7 +23,6 @@ from .entanglement import (
     purity,
     validate_density,
     von_neumann_entropy,
-    _SPIN_FLIP,
 )
 from .single_mode import SingleModeParams, gamma_single_mode
 
@@ -40,6 +39,11 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
+
+# sigma_y (x) sigma_y, built here from sigma_y so that the reference route
+# below shares nothing with the kernel's sign pattern.
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 # Equivalence grid: weak through strong coupling crossed with phases up to a
 # full revival.

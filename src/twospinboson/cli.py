@@ -68,20 +68,12 @@ def _base_metadata(subcommand: str, **params) -> dict[str, object]:
 def _cmd_single_mode(args) -> int:
     params = SingleModeParams.from_ratio(args.omega_over_lambda)
     psi0 = _parse_amplitudes(args.amplitudes)
-    if not args.theta_t_max > 0.0:
-        raise ValueError(f"theta-t-max must be positive, got {args.theta_t_max}")
+    if not (math.isfinite(args.theta_t_max) and args.theta_t_max > 0.0):
+        raise ValueError(f"theta-t-max must be positive and finite, got {args.theta_t_max}")
     if args.points < 2:
         raise ValueError(f"points must be at least 2, got {args.points}")
     theta_ts = np.linspace(0.0, args.theta_t_max, args.points)
-    points = time_series(params, psi0, theta_ts / params.theta)
-    columns = {
-        "t": np.array([p.t for p in points]),
-        "theta_t": np.array([p.theta_t for p in points]),
-        "concurrence": np.array([p.concurrence for p in points]),
-        "ideal_concurrence": np.array([p.ideal_concurrence for p in points]),
-        "entropy": np.array([p.entropy for p in points]),
-        "overlap": np.array([p.overlap for p in points]),
-    }
+    columns = time_series(params, psi0, theta_ts / params.theta)
     meta = _base_metadata(
         "single-mode",
         omega_over_lambda=csvio.format_value(args.omega_over_lambda),
@@ -115,8 +107,8 @@ def _cmd_bath_series(args) -> int:
     spec = OhmicGapSpectrum(alpha=args.alpha, omega0=args.gap,
                             temperature=args.temperature)
     psi0 = _parse_amplitudes(args.amplitudes)
-    if not args.t_max > 0.0:
-        raise ValueError(f"t-max must be positive, got {args.t_max}")
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
     if args.points < 2:
         raise ValueError(f"points must be at least 2, got {args.points}")
     t_grid = np.linspace(0.0, args.t_max, args.points)

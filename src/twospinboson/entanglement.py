@@ -2,6 +2,13 @@
 
 The computational basis is ordered {|00>, |01>, |10>, |11>} everywhere in
 this package.  Entropies are reported in bits (log base 2).
+
+Every measure of a matrix comes from one Hermitian eigendecomposition
+rho = V diag(p) V^+: the eigenvalues p give the positivity check and the
+entropy, and sqrt(rho) = V diag(sqrt p) V^+.  The spin-flipped state
+rho~ = S rho* S, with S = sigma_y (x) sigma_y, then has the square root
+S sqrt(rho)* S without a second decomposition, and the Wootters r_i are the
+singular values of sqrt(rho) sqrt(rho~) (Wootters, PRL 80, 2245 (1998)).
 """
 
 from __future__ import annotations
@@ -41,15 +48,10 @@ NORMALIZATION_TOL = 1e-9
 # Eigenvalues below this are treated as exact zeros in entropy sums.
 _ENTROPY_CLIP = 1e-14
 
-# sigma_y (x) sigma_y in the basis above; real because the i's pair up.
-_SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+# sigma_y (x) sigma_y in the basis above is the real anti-diagonal
+# (-1, 1, 1, -1), so S A S reverses both axes of A and multiplies entry
+# (i, j) by the product of the i-th and j-th of those signs.
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,8 @@ class DensityCheck:
 
     @property
     def valid(self) -> bool:
-        return (
-            self.hermiticity_defect <= HERMITICITY_TOL
-            and self.trace_defect <= TRACE_TOL
-            and self.min_eigenvalue >= MIN_EIGENVALUE_TOL
-        )
+        return bool(_within_tolerances(self.hermiticity_defect, self.trace_defect,
+                                       self.min_eigenvalue))
 
     def describe(self) -> str:
         return (
@@ -110,11 +109,45 @@ class DensityCheck:
 
 
 class InvalidDensityMatrixError(ValueError):
-    """Raised when an operation receives a matrix that fails validation."""
+    """Raised when an operation receives a matrix that fails validation.
 
-    def __init__(self, check: DensityCheck):
-        super().__init__(f"invalid density matrix: {check.describe()}")
+    ``index`` is the position of the first failing matrix in the flattened
+    batch, or None when a single matrix was given.
+    """
+
+    def __init__(self, check: DensityCheck, index: int | None = None):
+        where = "" if index is None else f" at batch index {index}"
+        super().__init__(f"invalid density matrix{where}: {check.describe()}")
         self.check = check
+        self.index = index
+
+
+def _within_tolerances(herm, trace, min_eigenvalue):
+    """The package tolerances, elementwise on arrays; NaN fails every one."""
+    return ((herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL)
+            & (min_eigenvalue >= MIN_EIGENVALUE_TOL))
+
+
+def _spectra(flat: np.ndarray):
+    """Defects and eigendecomposition of an (n, 4, 4) stack.
+
+    Returns the hermiticity defect, the trace defect, and the ascending
+    eigenvalues and eigenvectors of the Hermitian part.  For a nearly
+    Hermitian input the eigenvalues differ from the matrix's own by less
+    than the hermiticity defect already reported.  A matrix with a NaN or
+    inf entry is not decomposed; its defects and eigenvalues are NaN, which
+    fails every tolerance.
+    """
+    bad = ~np.isfinite(flat).all(axis=(1, 2))
+    if bad.any():
+        flat = np.where(bad[:, None, None], 0.0, flat)
+    adjoint = flat.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(flat - adjoint), axis=(1, 2))
+    trace = np.abs(np.einsum("kii->k", flat) - 1.0)
+    evals, evecs = np.linalg.eigh(0.5 * (flat + adjoint))
+    herm[bad] = trace[bad] = np.nan
+    evals[bad] = np.nan
+    return herm, trace, evals, evecs
 
 
 def _as_state_matrix(rho) -> np.ndarray:
@@ -138,13 +171,8 @@ def validate_density(rho) -> DensityCheck:
         Measured defects; ``.valid`` applies the package tolerances
         (hermiticity and trace within 1e-12, eigenvalues above -1e-10).
     """
-    rho = _as_state_matrix(rho)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = abs(complex(np.trace(rho)) - 1.0)
-    # Eigenvalues of the symmetrized matrix; for a nearly Hermitian input the
-    # difference is below the hermiticity defect already reported.
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return DensityCheck(herm, trace, float(eigs[0]))
+    herm, trace, evals, _ = _spectra(_as_state_matrix(rho)[None])
+    return DensityCheck(float(herm[0]), float(trace[0]), float(evals[0, 0]))
 
 
 def require_valid_density(rho) -> np.ndarray:
@@ -167,27 +195,6 @@ def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
     return psi.vector()
 
 
-def _sqrtm_psd(matrices: np.ndarray) -> np.ndarray:
-    """Principal square root of a stack of Hermitian PSD matrices."""
-    evals, evecs = np.linalg.eigh(matrices)
-    roots = np.sqrt(np.clip(evals, 0.0, None))
-    return (evecs * roots[..., None, :]) @ evecs.conj().swapaxes(-2, -1)
-
-
-def _wootters_r(flat: np.ndarray) -> np.ndarray:
-    """Descending Wootters r_i for a stack of density matrices.
-
-    The r_i^2 are the eigenvalues of rho (sigma_y x sigma_y) rho*
-    (sigma_y x sigma_y); they are computed here without squaring, as the
-    singular values of sqrt(rho) sqrt(rho_tilde), which keeps the small r_i
-    at absolute machine accuracy instead of sqrt(eps).
-    """
-    flipped = _SPIN_FLIP[None, :, :] @ flat.conj() @ _SPIN_FLIP[None, :, :]
-    product = _sqrtm_psd(0.5 * (flat + flat.conj().swapaxes(-2, -1))) \
-        @ _sqrtm_psd(0.5 * (flipped + flipped.conj().swapaxes(-2, -1)))
-    return np.linalg.svd(product, compute_uv=False)
-
-
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
@@ -200,9 +207,7 @@ def concurrence(rho) -> float:
     InvalidDensityMatrixError
         If ``rho`` fails the validity check.
     """
-    rho = require_valid_density(rho)
-    r = _wootters_r(rho[None, :, :])[0]
-    return float(max(0.0, r[0] - r[1] - r[2] - r[3]))
+    return float(entanglement_measures(_as_state_matrix(rho))[0])
 
 
 def pure_concurrence(psi: QubitAmplitudes) -> float:
@@ -214,13 +219,10 @@ def pure_concurrence(psi: QubitAmplitudes) -> float:
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
-    Eigenvalues below 1e-14 are clamped to zero before taking logs, so pure
-    states return exactly 0.
+    Eigenvalues below 1e-14 are clamped to zero and those above 1 to one
+    before taking logs, so pure states return exactly 0.
     """
-    rho = require_valid_density(rho)
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    eigs = eigs[eigs > _ENTROPY_CLIP]
-    return float(-np.sum(eigs * np.log2(eigs)))
+    return float(entanglement_measures(_as_state_matrix(rho))[1])
 
 
 def purity(rho) -> float:
@@ -236,7 +238,7 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     ----------
     rhos : array_like, shape (..., 4, 4)
         Batch of density matrices.  Every matrix is validated; the first
-        failure aborts with its index in the message.
+        failure aborts with its index in the flattened batch in the message.
 
     Returns
     -------
@@ -245,22 +247,27 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.shape[-2:] != (4, 4):
         raise ValueError(f"expected shape (..., 4, 4), got {rhos.shape}")
-    flat = rhos.reshape(-1, 4, 4)
-
-    herm = np.max(np.abs(flat - flat.conj().transpose(0, 2, 1)), axis=(1, 2))
-    trace = np.abs(np.einsum("kii->k", flat) - 1.0)
-    sym = 0.5 * (flat + flat.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(sym)
-    for k in range(flat.shape[0]):
-        check = DensityCheck(float(herm[k]), float(trace[k]), float(eigs[k, 0]))
-        if not check.valid:
-            raise InvalidDensityMatrixError(check)
-
-    clipped = np.where(eigs > _ENTROPY_CLIP, eigs, 1.0)
-    entropy = -np.sum(np.where(eigs > _ENTROPY_CLIP, eigs * np.log2(clipped), 0.0), axis=1)
-
-    r = _wootters_r(flat)
-    conc = np.maximum(0.0, r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3])
-
     shape = rhos.shape[:-2]
+    herm, trace, evals, evecs = _spectra(rhos.reshape(-1, 4, 4))
+    ok = _within_tolerances(herm, trace, evals[:, 0])
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InvalidDensityMatrixError(
+            DensityCheck(float(herm[k]), float(trace[k]), float(evals[k, 0])),
+            k if shape else None)
+
+    # A valid spectrum lies in [0, 1]; without the upper clamp a pure state's
+    # eigenvalue 1 + eps would give the entropy -eps.
+    p = np.minimum(evals, 1.0)
+    kept = p > _ENTROPY_CLIP
+    entropy = -np.sum(np.where(kept, p * np.log2(np.where(kept, p, 1.0)), 0.0), axis=1)
+
+    roots = np.sqrt(np.clip(evals, 0.0, None))
+    sqrt_rho = (evecs * roots[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    sqrt_flipped = _FLIP_SIGNS * sqrt_rho[:, ::-1, ::-1].conj()
+    # Singular values rather than eigenvalues of the product: the r_i come out
+    # without squaring, so the small ones keep absolute machine accuracy
+    # instead of sqrt(eps).
+    r = np.linalg.svd(sqrt_rho @ sqrt_flipped, compute_uv=False)
+    conc = np.maximum(0.0, r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3])
     return conc.reshape(shape), entropy.reshape(shape)

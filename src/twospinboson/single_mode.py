@@ -26,7 +26,6 @@ __all__ = [
     "SingleModeParams",
     "GammaValue",
     "PeriodStats",
-    "TimePoint",
     "gamma_single_mode",
     "coherent_amplitude",
     "reduced_density",
@@ -41,16 +40,17 @@ class SingleModeParams:
     """Oscillator frequency and qubit-oscillator coupling (hbar = 1).
 
     ``coupling`` may be zero (decoupled qubits); ``omega`` must be positive.
+    Both must be finite.
     """
 
     omega: float
     coupling: float = 1.0
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.coupling < 0.0:
-            raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
+            raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
 
     @property
     def theta(self) -> float:
@@ -81,18 +81,6 @@ class GammaValue:
 
 
 @dataclass(frozen=True)
-class TimePoint:
-    """One sample of the reduced-state observables."""
-
-    t: float
-    theta_t: float
-    concurrence: float
-    ideal_concurrence: float
-    entropy: float
-    overlap: float
-
-
-@dataclass(frozen=True)
 class PeriodStats:
     """Extrema and trapezoid averages of C and S over theta*t in [0, pi/2].
 
@@ -115,10 +103,16 @@ def gamma_single_mode(params: SingleModeParams, t: float) -> GammaValue:
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    x = params.omega * t
+    gamma_r, gamma_i = _gammas(params, t)
+    return GammaValue(float(gamma_r), float(gamma_i))
+
+
+def _gammas(params: SingleModeParams, t):
+    """gamma_r and gamma_i at a scalar or an array of times."""
+    x = params.omega * np.asarray(t, dtype=float)
     pref = (2.0 * params.coupling / params.omega) ** 2
     # 2 sin^2(x/2) instead of 1 - cos x: immune to cancellation at small x.
-    return GammaValue(pref * 2.0 * math.sin(0.5 * x) ** 2, pref * math.sin(x))
+    return pref * 2.0 * np.sin(0.5 * x) ** 2, pref * np.sin(x)
 
 
 def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
@@ -188,27 +182,25 @@ def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) ->
     return _density_from_phases(vec, float(theta_t), gamma.gamma_r, gamma.gamma_i)
 
 
-def ideal_concurrence(psi0: QubitAmplitudes, theta_t: float) -> float:
+def ideal_concurrence(psi0: QubitAmplitudes, theta_t) -> float | np.ndarray:
     """Concurrence 2|a d e^{4 i theta t} - b c| of the decoherence-free evolution.
 
     This is the concurrence the induced coupling alone would produce; the
     exact dynamics returns to it whenever gamma_r vanishes.  For the uniform
-    initial state it reduces to |sin(2 theta t)|.
+    initial state it reduces to |sin(2 theta t)|.  ``theta_t`` may be a
+    scalar or an array.
     """
     a, b, c, d = _require_amplitudes(psi0)
-    return 2.0 * abs(a * d * np.exp(4j * theta_t) - b * c)
-
-
-def _ideal_many(psi0, theta_ts) -> np.ndarray:
-    a, b, c, d = psi0
-    return 2.0 * np.abs(a * d * np.exp(4j * np.asarray(theta_ts, dtype=float)) - b * c)
+    return 2.0 * np.abs(a * d * np.exp(4j * np.asarray(theta_t, dtype=float)) - b * c)
 
 
 def _validate_time_grid(t_grid) -> np.ndarray:
-    """Coerce to a nonempty, nonnegative, strictly increasing 1-D float array."""
+    """Coerce to a nonempty, finite, nonnegative, strictly increasing 1-D float array."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid entries must be finite")
     if t[0] < 0.0:
         raise ValueError("t_grid entries must be nonnegative")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
@@ -216,31 +208,29 @@ def _validate_time_grid(t_grid) -> np.ndarray:
     return t
 
 
-def time_series(params: SingleModeParams, psi0: QubitAmplitudes, t_grid) -> list[TimePoint]:
-    """Observables on a strictly increasing grid of nonnegative times.
+def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
+                t_grid) -> dict[str, np.ndarray]:
+    """Observables on a strictly increasing grid of finite nonnegative times.
 
-    Returns one :class:`TimePoint` per grid entry with the concurrence, the
-    decoherence-free concurrence, the entropy in bits and exp(-gamma_r).
+    Columns: t, theta_t, concurrence, ideal_concurrence (the
+    decoherence-free concurrence), entropy in bits and overlap
+    (exp(-gamma_r)), one entry per grid time.
     """
     vec = _require_amplitudes(psi0)
     t = _validate_time_grid(t_grid)
-
-    x = params.omega * t
-    pref = (2.0 * params.coupling / params.omega) ** 2
-    gamma_rs = pref * 2.0 * np.sin(0.5 * x) ** 2
-    gamma_is = pref * np.sin(x)
+    gamma_rs, gamma_is = _gammas(params, t)
     theta_ts = params.theta * t
 
     rhos = _density_from_phases(vec, theta_ts, gamma_rs, gamma_is)
     conc, entropy = entanglement_measures(rhos)
-    ideal = _ideal_many(vec, theta_ts)
-    overlap = np.exp(-gamma_rs)
-
-    return [
-        TimePoint(float(t[k]), float(theta_ts[k]), float(conc[k]), float(ideal[k]),
-                  float(entropy[k]), float(overlap[k]))
-        for k in range(t.size)
-    ]
+    return {
+        "t": t,
+        "theta_t": theta_ts,
+        "concurrence": conc,
+        "ideal_concurrence": ideal_concurrence(psi0, theta_ts),
+        "entropy": entropy,
+        "overlap": np.exp(-gamma_rs),
+    }
 
 
 def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
@@ -258,11 +248,7 @@ def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
         return PeriodStats(0.0, 0.0, 0.0, 0.0, degenerate=True)
 
     theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
-    t = theta_ts / params.theta
-    x = params.omega * t
-    pref = (2.0 * params.coupling / params.omega) ** 2
-    gamma_rs = pref * 2.0 * np.sin(0.5 * x) ** 2
-    gamma_is = pref * np.sin(x)
+    gamma_rs, gamma_is = _gammas(params, theta_ts / params.theta)
 
     rhos = _density_from_phases(vec, theta_ts, gamma_rs, gamma_is)
     conc, entropy = entanglement_measures(rhos)

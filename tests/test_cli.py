@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -15,6 +16,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_rejected_quietly(capsys, argv, reason):
+    """Exit 2 with a one-line reason and no warning along the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.splitlines()) == 1
 
 
 class TestSingleMode:
@@ -69,6 +80,14 @@ class TestSingleMode:
     def test_missing_required_argument(self, capsys):
         code, _, _ = run_cli(capsys, "single-mode")
         assert code == 2
+
+    def test_rejects_nonfinite_parameters(self, capsys):
+        for extra, reason in ((("--omega-over-lambda", "inf"), "omega must be positive and finite"),
+                              (("--omega-over-lambda", "4", "--theta-t-max", "inf"),
+                               "theta-t-max must be positive and finite"),
+                              (("--omega-over-lambda", "4", "--theta-t-max", "nan"),
+                               "theta-t-max must be positive and finite")):
+            assert_rejected_quietly(capsys, ("single-mode", *extra), reason)
 
 
 class TestPeriodStats:
@@ -126,6 +145,11 @@ class TestBathSeries:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and reason in err
             assert len(err.splitlines()) == 1
+
+    def test_rejects_infinite_t_max(self, capsys):
+        assert_rejected_quietly(
+            capsys, ("bath-series", "--alpha", "0.25", "--t-max", "inf", "--points", "3"),
+            "t-max must be positive and finite")
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         # Gapped T > 0 is the path that still integrates numerically.

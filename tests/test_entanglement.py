@@ -76,6 +76,14 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="4x4"):
             validate_density(np.eye(3))
 
+    def test_nonfinite_matrix_is_invalid(self):
+        for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
+            check = validate_density(bad)
+            assert not check.valid
+            assert np.isnan(check.min_eigenvalue)
+            with pytest.raises(InvalidDensityMatrixError, match="nan"):
+                concurrence(bad)
+
 
 class TestConcurrence:
     def test_bell_state(self):
@@ -209,6 +217,32 @@ class TestBatchMeasures:
         rhos = np.array([MIXED, 1.1 * MIXED])
         with pytest.raises(InvalidDensityMatrixError):
             entanglement_measures(rhos)
+
+    def test_error_names_first_bad_index(self):
+        rhos = np.array([MIXED, BELL, np.diag([1.2, 0.1, -0.3, 0.0]), DECOHERED])
+        with pytest.raises(InvalidDensityMatrixError, match="at batch index 2:") as excinfo:
+            entanglement_measures(rhos)
+        assert excinfo.value.index == 2
+        np.testing.assert_allclose(excinfo.value.check.min_eigenvalue, -0.3, atol=1e-14)
+        with pytest.raises(InvalidDensityMatrixError) as single:
+            entanglement_measures(rhos[2])
+        assert single.value.index is None and "index" not in str(single.value)
+
+    def test_nonfinite_member_rejected(self):
+        rhos = np.array([MIXED, BELL, np.full((4, 4), np.nan), DECOHERED])
+        with pytest.raises(InvalidDensityMatrixError, match="at batch index 2:") as excinfo:
+            entanglement_measures(rhos)
+        assert not excinfo.value.check.valid
+
+    def test_pure_states_have_zero_entropy(self):
+        # A pure state's top eigenvalue can come out as 1 + eps; the entropy
+        # must still be nonnegative and at rounding level.
+        rng = np.random.default_rng(41)
+        vecs = [random_pure(rng).vector() for _ in range(50)]
+        rhos = np.array([np.outer(v, v.conj()) for v in vecs])
+        _, entropy = entanglement_measures(rhos)
+        assert np.all(entropy >= 0.0)
+        assert np.all(entropy <= 1e-14)
 
     def test_purity(self):
         assert abs(purity(BELL) - 1.0) <= 1e-12

@@ -59,6 +59,15 @@ class TestParams:
         with pytest.raises(ValueError, match="omega"):
             SingleModeParams.from_ratio(-4.0)
 
+    def test_rejects_nonfinite_values(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega must be positive and finite"):
+                SingleModeParams(omega=bad, coupling=1.0)
+            with pytest.raises(ValueError, match="coupling must be nonnegative and finite"):
+                SingleModeParams(omega=1.0, coupling=bad)
+            with pytest.raises(ValueError, match="omega"):
+                SingleModeParams.from_ratio(bad)
+
 
 class TestGamma:
     def test_zero_time(self):
@@ -167,10 +176,13 @@ class TestReducedDensity:
 
 class TestIdealConcurrence:
     def test_uniform_sine_law(self):
-        for theta_t in np.linspace(0.0, math.pi, 17):
+        theta_ts = np.linspace(0.0, math.pi, 17)
+        for theta_t in theta_ts:
             expected = abs(math.sin(2.0 * theta_t))
             np.testing.assert_allclose(ideal_concurrence(UNIFORM, theta_t),
                                        expected, atol=1e-12)
+        np.testing.assert_allclose(ideal_concurrence(UNIFORM, theta_ts),
+                                   np.abs(np.sin(2.0 * theta_ts)), atol=1e-12)
 
     def test_bell_is_stationary_in_magnitude(self):
         for theta_t in (0.0, 0.3, math.pi / 4.0):
@@ -197,17 +209,32 @@ class TestTimeSeries:
         params = SingleModeParams.from_ratio(4.0)
         t_grid = np.linspace(0.0, 8.0, 33)
         series = time_series(params, UNIFORM, t_grid)
-        assert len(series) == 33
-        for point in (series[0], series[7], series[-1]):
-            rho = evolve(params, UNIFORM, point.t)
-            np.testing.assert_allclose(point.concurrence, concurrence(rho),
+        assert list(series) == ["t", "theta_t", "concurrence", "ideal_concurrence",
+                                "entropy", "overlap"]
+        assert all(column.shape == (33,) for column in series.values())
+        np.testing.assert_array_equal(series["t"], t_grid)
+        for k in (0, 7, -1):
+            t = series["t"][k]
+            rho = evolve(params, UNIFORM, t)
+            np.testing.assert_allclose(series["concurrence"][k], concurrence(rho),
                                        atol=1e-12)
-            np.testing.assert_allclose(point.entropy, von_neumann_entropy(rho),
+            np.testing.assert_allclose(series["entropy"][k], von_neumann_entropy(rho),
                                        atol=1e-12)
-            np.testing.assert_allclose(point.theta_t, params.theta * point.t,
+            np.testing.assert_allclose(series["theta_t"][k], params.theta * t,
                                        atol=1e-12)
-            g = gamma_single_mode(params, point.t)
-            np.testing.assert_allclose(point.overlap, g.overlap, atol=1e-12)
+            np.testing.assert_allclose(series["ideal_concurrence"][k],
+                                       ideal_concurrence(UNIFORM, params.theta * t),
+                                       atol=1e-12)
+            g = gamma_single_mode(params, t)
+            np.testing.assert_allclose(series["overlap"][k], g.overlap, atol=1e-12)
+
+    def test_initial_entropy_is_exactly_zero(self):
+        # The t = 0 state is a projector.  For the second state the top
+        # eigenvalue comes out as 1 + eps, which must give entropy 0, not -eps.
+        params = SingleModeParams.from_ratio(4.5)
+        for psi in (UNIFORM, QubitAmplitudes(0.5, 0.5j, -0.5, -0.5j)):
+            series = time_series(params, psi, np.linspace(0.0, 5.0, 11))
+            assert series["entropy"][0] == 0.0
 
     def test_commensurate_ratio_exact_maximum(self):
         # omega/lambda = 4 sqrt(3): the theta t = pi/4 maximum lands on a
@@ -215,8 +242,8 @@ class TestTimeSeries:
         params = SingleModeParams.from_ratio(4.0 * math.sqrt(3.0))
         t_quarter = math.pi / (4.0 * params.theta)
         series = time_series(params, UNIFORM, np.array([t_quarter]))
-        np.testing.assert_allclose(series[0].concurrence, 1.0, atol=1e-9)
-        np.testing.assert_allclose(series[0].ideal_concurrence, 1.0, atol=1e-12)
+        np.testing.assert_allclose(series["concurrence"][0], 1.0, atol=1e-9)
+        np.testing.assert_allclose(series["ideal_concurrence"][0], 1.0, atol=1e-12)
 
     def test_weak_coupling_tracks_ideal_curve(self):
         # omega/lambda = 100: the reduced dynamics stays within a few parts
@@ -224,8 +251,8 @@ class TestTimeSeries:
         params = SingleModeParams.from_ratio(100.0)
         t_grid = np.linspace(0.0, math.pi / (2.0 * params.theta), 401)
         series = time_series(params, UNIFORM, t_grid)
-        gap = max(abs(p.concurrence - p.ideal_concurrence) for p in series)
-        max_entropy = max(p.entropy for p in series)
+        gap = np.max(np.abs(series["concurrence"] - series["ideal_concurrence"]))
+        max_entropy = np.max(series["entropy"])
         assert gap <= 5e-3
         assert max_entropy <= 0.02
 
@@ -235,6 +262,9 @@ class TestTimeSeries:
             time_series(params, UNIFORM, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             time_series(params, UNIFORM, np.array([-1.0, 0.0, 1.0]))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                time_series(params, UNIFORM, np.array([0.0, bad]))
 
 
 class TestPeriodStats:
