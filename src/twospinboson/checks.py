@@ -239,7 +239,8 @@ def bath_checks() -> list[CheckResult]:
     worst_abs = 0.0
     for spec in (bath.OhmicGapSpectrum(alpha=0.25), bath.OhmicGapSpectrum(alpha=0.5),
                  bath.OhmicGapSpectrum(alpha=0.25, temperature=0.5),
-                 bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)):
+                 bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1),
+                 bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)):
         gamma_rs, gamma_is, _ = bath.bath_exponents(spec, times)
         for t, g_r, g_i in zip(times, gamma_rs, gamma_is):
             quad_r, quad_i, _ = bath._quadrature_exponents(spec, t)
@@ -252,7 +253,8 @@ def bath_checks() -> list[CheckResult]:
         f"worst relative error {worst_rel:.2e} of 2a ln(1+t^2), 4a atan(t) against quadrature"))
     results.append(CheckResult(
         "thermal and gapped closed forms", worst_abs <= 1e-9,
-        f"worst absolute error {worst_abs:.2e} of the ln Gamma and E1 forms against quadrature"))
+        f"worst absolute error {worst_abs:.2e} of the ln Gamma, E1 and Bose-series forms "
+        "against quadrature"))
 
     spec = bath.OhmicGapSpectrum(alpha=0.25)
     ts = np.geomspace(100.0, 1000.0, 9)

@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
 2 on argument or validation errors, 3 on a numerical failure such as a
-quadrature that does not converge (2 and 3 with a one-line reason on stderr).
+quadrature that does not converge or a gapped T > 0 ``bath-series`` whose
+Bose series would exceed its work cap (e.g. ``--gap 1e-5 --temperature 2``),
+a refusal made before any evaluation (2 and 3 with a one-line reason on
+stderr).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ def _parse_axis(text: str) -> np.ndarray:
         raise ValueError(f"could not parse axis {text!r}") from None
     if points < 2:
         raise ValueError(f"axis {text!r} needs at least 2 points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"axis {text!r} needs a finite min and max")
     if not lo < hi:
         raise ValueError(f"axis {text!r} needs min < max")
     return np.linspace(lo, hi, points)

@@ -9,7 +9,9 @@ splits into four oscillator blocks
 one per basis state |00>, |01>, |10>, |11>.  Each block is diagonalized
 exactly (dense symmetric eigendecomposition, no time stepping) and applied to
 the oscillator vacuum; the reduced matrix follows from the branch overlaps.
-Truncation is monitored through the population of the top two Fock levels.
+Truncation is monitored through the population of the top two Fock levels,
+and the cutoff never exceeds :data:`MAX_N_CUT`, so that no dense block larger
+than (MAX_N_CUT + 1)^2 is ever built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .entanglement import QubitAmplitudes, _require_amplitudes, require_valid_de
 from .single_mode import SingleModeParams
 
 __all__ = [
+    "MAX_N_CUT",
     "FockConfig",
     "TruncationError",
     "BRANCH_SHIFTS",
@@ -36,7 +39,10 @@ __all__ = [
 # Eigenvalue of sigma_1^z + sigma_2^z on |00>, |01>, |10>, |11>.
 BRANCH_SHIFTS = (2, 0, 0, -2)
 
-_MAX_DOUBLINGS = 12
+# Ceiling on the truncation level: one dense (MAX_N_CUT + 1)^2 eigh block is
+# about 8 MB.  The oracle grid needs at most 48; the largest initial cutoff
+# the tests compute is 528.
+MAX_N_CUT = 1024
 
 
 @dataclass(frozen=True)
@@ -47,20 +53,24 @@ class FockConfig:
     leak_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_cut < 8:
-            raise ValueError(f"n_cut must be at least 8, got {self.n_cut}")
+        if not 8 <= self.n_cut <= MAX_N_CUT:
+            raise ValueError(f"n_cut must lie in [8, {MAX_N_CUT}], got {self.n_cut}")
         if not 0.0 < self.leak_tol < 1.0:
             raise ValueError(f"leak_tol must lie in (0, 1), got {self.leak_tol}")
 
 
 class TruncationError(RuntimeError):
-    """Truncated propagation leaked too much population into the top levels."""
+    """Truncated propagation leaked too much population into the top levels.
 
-    def __init__(self, leak: float, n_cut: int):
-        super().__init__(
+    Also raised, with ``leak`` NaN, when the coupling needs a cutoff above
+    :data:`MAX_N_CUT` before anything is propagated.
+    """
+
+    def __init__(self, leak: float, n_cut: int, message: str | None = None):
+        super().__init__(message or (
             f"population {leak:.3e} in the top two Fock levels at n_cut={n_cut}; "
             f"increase n_cut (e.g. to {2 * n_cut})"
-        )
+        ))
         self.leak = leak
         self.n_cut = n_cut
 
@@ -141,22 +151,28 @@ def evolve_auto(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
                 leak_tol: float = 1e-10) -> tuple[np.ndarray, FockConfig]:
     """Propagate with automatic cutoff escalation.
 
-    Starts from :func:`initial_cutoff` and doubles ``n_cut`` until the leak
-    drops below ``leak_tol``.  Returns the density matrix and the accepted
-    configuration; re-raises :class:`TruncationError` if doubling
-    ``_MAX_DOUBLINGS`` times is still not enough.
+    Starts from :func:`initial_cutoff` and doubles ``n_cut``, at most up to
+    :data:`MAX_N_CUT`, until the leak drops below ``leak_tol``.  Returns the
+    density matrix and the accepted configuration.  Raises
+    :class:`TruncationError` without propagating when the initial cutoff is
+    above the ceiling, and when the leak is still too large at the ceiling.
     """
     n_cut = initial_cutoff(params)
-    last = None
-    for _ in range(_MAX_DOUBLINGS + 1):
+    if n_cut > MAX_N_CUT:
+        raise TruncationError(math.nan, n_cut, (
+            f"omega/coupling = {params.omega / params.coupling:g} needs n_cut={n_cut}, "
+            f"above the ceiling MAX_N_CUT={MAX_N_CUT}"))
+    while True:
         config = FockConfig(n_cut=n_cut, leak_tol=leak_tol)
         try:
             rho, _ = evolve_truncated(params, psi0, t, config)
             return rho, config
         except TruncationError as err:
-            last = err
-            n_cut *= 2
-    raise last
+            if n_cut == MAX_N_CUT:
+                raise TruncationError(err.leak, n_cut, (
+                    f"population {err.leak:.3e} in the top two Fock levels at the "
+                    f"ceiling n_cut={MAX_N_CUT}")) from None
+            n_cut = min(2 * n_cut, MAX_N_CUT)
 
 
 def trace_distance(rho1, rho2) -> float:

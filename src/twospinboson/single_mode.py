@@ -71,6 +71,9 @@ class GammaValue:
     gamma_i: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma_r) and math.isfinite(self.gamma_i)):
+            raise ValueError(
+                f"gamma_r and gamma_i must be finite, got {self.gamma_r}, {self.gamma_i}")
         if self.gamma_r < 0.0:
             raise ValueError(f"gamma_r must be nonnegative, got {self.gamma_r}")
 
@@ -101,10 +104,14 @@ def gamma_single_mode(params: SingleModeParams, t: float) -> GammaValue:
     gamma_r = (2 coupling / omega)**2 (1 - cos omega t), gamma_i the matching
     sine term.  Both vanish at every full period omega t = 2 pi k.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _require_time(t)
     gamma_r, gamma_i = _gammas(params, t)
     return GammaValue(float(gamma_r), float(gamma_i))
+
+
+def _require_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
 
 
 def _gammas(params: SingleModeParams, t):
@@ -121,8 +128,7 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
     The |00> branch drags the mode to +amplitude, the |11> branch to
     -amplitude; |amplitude|^2 equals 2 * gamma_r at all times.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _require_time(t)
     x = params.omega * t
     return (2.0 * params.coupling / params.omega) * (np.exp(-1j * x) - 1.0)
 

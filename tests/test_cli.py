@@ -9,7 +9,6 @@ import numpy as np
 
 from twospinboson import bath, csvio
 from twospinboson.cli import main
-from twospinboson.quadrature import QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -152,15 +151,18 @@ class TestBathSeries:
             "t-max must be positive and finite")
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
-        # Gapped T > 0 is the path that still integrates numerically.
+        # At gap 1e-5, T = 2 the Bose series needs N = 8583054 terms, so three
+        # times ask for 4N > 2^25 E1 values: the work cap refuses the grid
+        # before anything is evaluated.
         def fail(*args, **kwargs):
-            raise QuadratureError(1e-3, 1e-10, 4096)
+            raise AssertionError("the series was evaluated")
 
-        monkeypatch.setattr(bath, "integrate_decaying", fail)
-        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "0.1",
-                                 "--temperature", "0.5", "--t-max", "5", "--points", "3")
+        monkeypatch.setattr(bath, "_gap_transform", fail)
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "1e-5",
+                                 "--temperature", "2", "--t-max", "5", "--points", "3")
         assert code == 3 and out == ""
-        assert err.startswith("error: quadrature did not converge")
+        assert err.startswith("error: Bose series at gap 1e-05, temperature 2 needs N = 8583054")
+        assert "work cap" in err
         assert len(err.splitlines()) == 1
 
 
@@ -207,6 +209,13 @@ class TestSteadySweep:
                                "--alpha-grid", "1:0.05:8")
         assert code == 2
         assert "min < max" in err
+
+    def test_rejects_nonfinite_axis(self, capsys):
+        for axis in ("0.1:inf:3", "-inf:1:3", "nan:1:3", "0.1:nan:3"):
+            assert_rejected_quietly(
+                capsys, ("steady-sweep", f"--alpha-grid={axis}", "--gap-grid", "0:0.5:2",
+                         "--temperature-grid", "0:1:2"),
+                "needs a finite min and max")
 
 
 class TestChecks:

@@ -15,7 +15,9 @@ from twospinboson.entanglement import (
     QubitAmplitudes,
     validate_density,
 )
+from twospinboson import fock
 from twospinboson.fock import (
+    MAX_N_CUT,
     FockConfig,
     TruncationError,
     evolve_auto,
@@ -140,6 +142,40 @@ class TestEvolveAuto:
             rho, _ = evolve_auto(params, UNIFORM, t)
             exact = closed_form(params, UNIFORM, t)
             assert trace_distance(rho, exact) < 1e-8
+
+
+    def test_refuses_cutoff_above_ceiling_before_eigh(self, monkeypatch):
+        # omega/lambda = 0.05 starts at n_cut = 12816, a dense 12817^2 block.
+        def fail(*args, **kwargs):
+            raise AssertionError("eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        params = SingleModeParams.from_ratio(0.05)
+        assert initial_cutoff(params) == 12816 > MAX_N_CUT
+        with pytest.raises(TruncationError, match="above the ceiling") as excinfo:
+            evolve_auto(params, UNIFORM, 1.0)
+        assert excinfo.value.n_cut == 12816
+        with pytest.raises(ValueError, match="n_cut"):
+            FockConfig(n_cut=MAX_N_CUT + 1)
+
+    def test_escalation_stops_at_ceiling(self, monkeypatch):
+        # The ceiling is tried once, not doubled past; a leak tolerance of
+        # 1e-300 cannot be met, so the last attempt is at the ceiling itself.
+        monkeypatch.setattr(fock, "MAX_N_CUT", 24)
+        params = SingleModeParams(omega=4.0, coupling=1.0)
+        assert initial_cutoff(params) == 18
+        tried = []
+        real_branch = fock.oscillator_branch
+
+        def spy(params, shift, t, dim):
+            tried.append(dim - 1)
+            return real_branch(params, shift, t, dim)
+
+        monkeypatch.setattr(fock, "oscillator_branch", spy)
+        with pytest.raises(TruncationError, match="ceiling n_cut=24") as excinfo:
+            evolve_auto(params, UNIFORM, 1.0, leak_tol=1e-300)
+        assert excinfo.value.n_cut == 24
+        assert sorted(set(tried)) == [18, 24]
 
 
 class TestTraceDistance:

@@ -113,6 +113,20 @@ class TestGamma:
         with pytest.raises(ValueError, match="gamma_r"):
             GammaValue(gamma_r=-0.1, gamma_i=0.0)
 
+    def test_rejects_nonfinite_time(self):
+        params = SingleModeParams(1.0, 0.5)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                gamma_single_mode(params, bad)
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                coherent_amplitude(params, bad)
+
+    def test_gamma_value_rejects_nonfinite(self):
+        for gamma_r, gamma_i in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
+                                 (0.5, -math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                GammaValue(gamma_r=gamma_r, gamma_i=gamma_i)
+
     def test_coherent_amplitude_magnitude(self):
         # |alpha(t)|^2 equals 2 gamma_r at every time, and vanishes at t = 0.
         params = SingleModeParams(omega=1.0, coupling=0.3)
