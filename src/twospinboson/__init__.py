@@ -11,12 +11,12 @@ power-law coherence decay, gap-protected steady-state entanglement).
 The bath decoherence exponents gamma_R(t), gamma_I(t) are evaluated over a
 whole time grid without quadrature: log1p/arctan for a gapless bath at
 T = 0, Re ln Gamma (recurrence plus Stirling series) for a gapless bath at
-T > 0, and the complex exponential integral E1 (power series or continued
-fraction) for a gapped bath at T = 0.  A gapped bath at T > 0 uses the Bose
-series coth(w/2T) = 1 + 2 sum_n e^{-n w/T}, a weighted sum of the same E1
-form, truncated where a proven tail bound falls below 1e-16 and refused
-before evaluation above a fixed work cap.  Oscillation-aware Gauss-Legendre
-quadrature remains the test oracle and computes gamma_R(infinity) at T > 0.
+T > 0, and for a gapped bath the Bose series coth(w/2T) = 1 + 2 sum_n
+e^{-n w/T}, a weighted sum of complex exponential integrals E1 (power series
+or continued fraction), which is its n = 0 term alone at T = 0.  The series
+is truncated where a proven tail bound falls below 1e-16 and refused before
+evaluation above a fixed work cap; its plateau is gamma_R(infinity).
+Oscillation-aware Gauss-Legendre quadrature remains only as the test oracle.
 
 The package re-exports the public names of its numerical modules; each
 module's ``__all__`` is the one list of what it makes public.

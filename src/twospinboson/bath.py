@@ -20,22 +20,21 @@ once.  The method depends on the gap and the temperature:
 - gapless, T = 0: 2 alpha ln(1 + (omega_c t)^2) and 4 alpha arctan(omega_c t);
 - gapless, T > 0: the same gamma_I, and gamma_R through Re ln Gamma of a
   complex argument (recurrence, then the Stirling series);
-- gapped, T = 0: the exponential integral E1 of a complex argument (power
-  series for |z| <= 1, continued fraction above);
-- gapped, T > 0: the Bose series coth(omega/2T) = 1 + 2 sum_n e^{-n omega/T}.
-  Each term is the T = 0 E1 form with the decay rate 1 + n T/omega_c in
-  place of 1, so gamma_R is a weighted sum of E1 closed forms; gamma_I does
-  not depend on T and is the T = 0 closed form.  The series stops at the
-  first N whose proven tail bound is below 1e-16, and a grid whose
-  N * (points + 1) exceeds a fixed work cap is refused before evaluation.
+- gapped, any T: the Bose series coth(omega/2T) = 1 + 2 sum_n e^{-n omega/T}.
+  Each term is the exponential integral E1 of a complex argument (power
+  series for |z| <= 1, continued fraction above) with the decay rate
+  1 + n omega_c/T in place of 1, so gamma_R is a weighted sum of E1 closed
+  forms; gamma_I does not depend on T and is the n = 0 term.  At T = 0 the
+  series is that one term.  It stops at the first N whose proven tail bound
+  is below 1e-16, and a grid whose N * (points + 1) exceeds a fixed work cap
+  is refused before evaluation.
 
-The effective coupling is a closed form through E1 for every spectrum.  The
-long-time limit gamma_R(inf) is a closed form at T = 0 and a (non-oscillatory)
-adaptive Gauss-Legendre quadrature (:mod:`twospinboson.quadrature`) at T > 0,
-in the scaled variable u = (omega - omega0)/omega_c on [0, 40], where the
-envelope exp(-u) has decayed below 5e-18.  The same quadrature of the
-defining integrals, :func:`_quadrature_exponents`, is the reference the
-closed forms and the series are checked against.
+The effective coupling is a closed form through E1 for every spectrum, and
+the long-time limit gamma_R(inf) is the plateau of the Bose series.  No
+evaluation path integrates: the adaptive Gauss-Legendre quadrature
+(:mod:`twospinboson.quadrature`) of the defining integrals,
+:func:`_quadrature_exponents`, is the reference the closed forms and the
+series are checked against.
 """
 
 from __future__ import annotations
@@ -75,10 +74,10 @@ X_MAX = 40.0
 # helpers are tested against 30-digit references at this level).
 _CLOSED_FORM_RTOL = 1e-13
 
-# Bose series of a gapped bath at T > 0: terms are added until the tail bound
-# of _bose_log_tail is at most _SERIES_TAIL_TOL, they are evaluated in blocks
-# of at most _SERIES_CHUNK_TERMS terms by _SERIES_CHUNK_TIMES times (about
-# 1 MB per complex temporary), and a grid whose term count times (points + 1)
+# Bose series of a gapped bath: terms are added until the tail bound of
+# _bose_log_tail is at most _SERIES_TAIL_TOL, they are evaluated in blocks of
+# at most _SERIES_CHUNK_TERMS terms by _SERIES_CHUNK_TIMES times (about 1 MB
+# per complex temporary), and a grid whose term count times (points + 1)
 # exceeds _SERIES_MAX_WORK is refused before any evaluation.  The cap admits
 # gap >= 1e-3 at T <= 2 on 400 points (N = 77052).
 _SERIES_TAIL_TOL = 1e-16
@@ -165,7 +164,8 @@ def thermal_kernel(omega, temperature: float):
     if temperature == 0.0:
         out = np.ones_like(omega)
         return float(out) if out.ndim == 0 else out
-    y = omega / (2.0 * temperature)
+    with np.errstate(over="ignore"):  # a subnormal T: y = inf, which the guard takes
+        y = omega / (2.0 * temperature)
     out = np.empty_like(y)
     small = y < 1e-8
     large = y > 30.0
@@ -261,8 +261,10 @@ def _bose_log_tail(n_terms: int, x0: float, tau: float) -> float:
     is 2 e^{-n r} Re(F_X(0) - F_X(s/b_n)) at X = b_n x0, and
     0 <= Re(F_X(0) - F_X(sigma)) <= 2 F_X(0) <= 2/X^2.  The terms after N
     therefore sum to at most 4 e^{-(N+1) r} / ((b_{N+1} x0)^2 (1 - e^{-r})),
-    which decreases in N.
+    which decreases in N.  At T = 0 there are no such terms.
     """
+    if tau == 0.0:
+        return -math.inf
     r = x0 / tau
     return (math.log(4.0) - (n_terms + 1) * r
             - 2.0 * math.log((1.0 + (n_terms + 1) / tau) * x0) - math.log(-math.expm1(-r)))
@@ -272,10 +274,10 @@ def _bose_terms(x0: float, tau: float) -> int | None:
     """Smallest N whose Bose-series tail bound is at most _SERIES_TAIL_TOL.
 
     Found by doubling and bisection over integers, O(log N) scalar
-    evaluations; None when N would exceed _SERIES_MAX_WORK, which no grid
-    admits.
+    evaluations; 0 at T = 0; None when N would exceed _SERIES_MAX_WORK,
+    which no grid admits.
     """
-    if x0 / tau == 0.0:
+    if tau > 0.0 and x0 / tau == 0.0:
         return None
     target = math.log(_SERIES_TAIL_TOL)
     if _bose_log_tail(0, x0, tau) <= target:
@@ -294,31 +296,57 @@ def _bose_terms(x0: float, tau: float) -> int | None:
     return high
 
 
+def _checked_terms(spec: OhmicGapSpectrum, points: int) -> int:
+    """Bose-series term count N of a gapped ``spec`` for ``points`` times and the plateau.
+
+    Raises ``RuntimeError`` when N * (points + 1) E1 values would exceed
+    _SERIES_MAX_WORK, before anything is evaluated.
+    """
+    n_terms = _bose_terms(spec.omega0 / spec.omega_c, spec.temperature / spec.omega_c)
+    if n_terms is None or n_terms * (points + 1) > _SERIES_MAX_WORK:
+        needs = f"more than {_SERIES_MAX_WORK}" if n_terms is None else f"N = {n_terms}"
+        raise RuntimeError(
+            f"Bose series at gap {spec.omega0:g}, temperature {spec.temperature:g} "
+            f"needs {needs} terms for {points} times and the plateau, above the work "
+            f"cap of {_SERIES_MAX_WORK} E1 evaluations")
+    return n_terms
+
+
+def _bose_table(x0, tau, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decay rates b_n, arguments X = b_n x0 and weights c_n e^{-n r} of Bose terms n.
+
+    b_n = 1 + n/tau, r = x0/tau, c_0 = 1 and c_n = 2 for n >= 1; the
+    arguments broadcast.  The n = 0 term (b_0 = 1, weight 1) is the only one
+    at T = 0 and does not depend on tau, so tau = 0 is read as 1; at a
+    subnormal tau, r overflows to inf and the weights of n >= 1 to 0.
+    """
+    tau = np.where(tau > 0.0, tau, 1.0)
+    b = 1.0 + n / tau
+    with np.errstate(over="ignore"):
+        weight = np.where(n > 0, 2.0 * np.exp(-(x0 / tau) * np.maximum(n, 1)), 1.0)
+    return b, b * x0, weight
+
+
 def _bose_series(x0: float, tau: float, n_terms: int,
                  s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bose series of a gapped bath at T > 0 on scaled times s > 0.
+    """Bose series of a gapped bath on scaled times s > 0.
 
-    Returns sum_n c_n e^{-n r} Re[F_X(0) - F_X(s/b_n)] with X = b_n x0,
-    c_0 = 1 and c_n = 2 for n >= 1, which is gamma_R / (4 alpha); the n = 0
-    column F_{x0}(s), whose imaginary part is gamma_I / (4 alpha); and the
-    plateau sum sum_n c_n e^{-n r} F_X(0).  Each term is the substitution
-    v = b_n u of the n-th Bose term, i.e. the T = 0 form at decay rate b_n.
+    Returns sum_n c_n e^{-n r} Re[F_X(0) - F_X(s/b_n)] over the terms of
+    :func:`_bose_table`, which is gamma_R / (4 alpha); the n = 0 column
+    F_{x0}(s), whose imaginary part is gamma_I / (4 alpha); and the plateau
+    sum sum_n c_n e^{-n r} F_X(0).  Each term is the substitution v = b_n u
+    of the n-th Bose term, i.e. the T = 0 form at decay rate b_n.
 
     The times x terms grid of E1 values is built in blocks with the term axis
     last and contiguous, and the blocks split terms at fixed offsets, so every
     time point is summed in the same order whatever the length of the grid.
     """
-    r = x0 / tau
     damping = np.zeros(s.size)
     first = np.empty(s.size, dtype=complex)
     plateau = 0.0
     for start in range(0, n_terms + 1, _SERIES_CHUNK_TERMS):
         n = np.arange(start, min(start + _SERIES_CHUNK_TERMS, n_terms + 1))
-        b = 1.0 + n / tau
-        x = b * x0
-        weight = 2.0 * np.exp(-r * np.maximum(n, 1))
-        if start == 0:
-            weight[0] = 1.0
+        b, x, weight = _bose_table(x0, tau, n)
         f0 = _gap_transform(x, 0.0).real
         plateau += float(np.sum(weight * f0))
         for low in range(0, s.size, _SERIES_CHUNK_TIMES):
@@ -328,6 +356,39 @@ def _bose_series(x0: float, tau: float, n_terms: int,
                 first[rows] = f[:, 0]
             damping[rows] += np.sum(weight * (f0 - f.real), axis=1)
     return damping, first, plateau
+
+
+def _plateaus(specs) -> np.ndarray:
+    """:func:`gamma_R_infinity` of each spectrum, the gapped ones in one Bose-series pass.
+
+    Each gapped spectrum's terms fill whole zero-padded rows of
+    _SERIES_CHUNK_TERMS, the rows of all spectra are evaluated in blocks of
+    _SERIES_CHUNK_TIMES rows, and each spectrum sums its own row sums, so its
+    value does not depend on the other spectra in the batch.
+    """
+    out = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
+    gapped = [k for k, spec in enumerate(specs) if spec.alpha > 0.0 and spec.omega0 > 0.0]
+    cells = [specs[k] for k in gapped]
+    n_terms = np.array([_checked_terms(spec, 0) for spec in cells], dtype=int)
+    x0 = np.array([spec.omega0 / spec.omega_c for spec in cells])
+    tau = np.array([spec.temperature / spec.omega_c for spec in cells])
+    rows = n_terms // _SERIES_CHUNK_TERMS + 1
+    first_row = np.cumsum(rows) - rows
+    cell = np.repeat(np.arange(len(cells)), rows)
+    row_start = (np.arange(cell.size) - first_row[cell]) * _SERIES_CHUNK_TERMS
+    row_sums = np.empty(cell.size)
+    for low in range(0, cell.size, _SERIES_CHUNK_TIMES):
+        block = slice(low, low + _SERIES_CHUNK_TIMES)
+        n = row_start[block, None] + np.arange(_SERIES_CHUNK_TERMS)
+        live = n <= n_terms[cell[block, None]]
+        k = np.broadcast_to(cell[block, None], n.shape)[live]
+        _, x, weight = _bose_table(x0[k], tau[k], n[live])
+        terms = np.zeros(n.shape)
+        terms[live] = weight * _gap_transform(x, 0.0).real
+        row_sums[block] = np.sum(terms, axis=1)
+    sums = np.array([np.sum(row_sums[a:a + m]) for a, m in zip(first_row, rows)])
+    out[gapped] = 4.0 * np.array([spec.alpha for spec in cells]) * sums
+    return out
 
 
 def effective_coupling(spec: OhmicGapSpectrum) -> float:
@@ -346,9 +407,8 @@ def _quadrature_exponents(spec: OhmicGapSpectrum, t: float,
                           abs_tol: float = DEFAULT_ABS_TOL) -> tuple[float, float, float]:
     """gamma_R, gamma_I and error estimate at one time t > 0 from the defining integrals.
 
-    Adaptive quadrature, used for a gapped spectrum at T > 0 where no closed
-    form exists; valid for any spectrum, which makes it the reference the
-    closed forms are tested against.
+    Adaptive quadrature, valid for any spectrum: the oracle the closed forms
+    and the Bose series are tested against, called by no evaluation path.
     """
     scale = 4.0 * spec.alpha * spec.omega_c**2
 
@@ -381,11 +441,11 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     - gapless, T > 0: gamma_R = 4 alpha [ln(1 + s^2)/2 + 2 ln Gamma(1 + tau)
       - 2 Re ln Gamma(1 + tau + i tau s)] (Palma, Suominen & Ekert, Proc. R.
       Soc. A 452, 567 (1996)), gamma_I as at T = 0;
-    - gapped, T = 0: the exponential-integral form of :func:`_gap_transform`;
-    - gapped, T > 0: the Bose series of :func:`_bose_series`, a weighted sum
-      of the T = 0 form at decay rates 1 + n/tau, truncated at the first N
-      whose tail bound (:func:`_bose_log_tail`) is at most 1e-16; gamma_I is
-      the T = 0 closed form, since it does not depend on T.
+    - gapped: the Bose series of :func:`_bose_series`, a weighted sum of the
+      exponential-integral form of :func:`_gap_transform` at decay rates
+      1 + n/tau, truncated at the first N whose tail bound
+      (:func:`_bose_log_tail`) is at most 1e-16, which is N = 0 at T = 0;
+      gamma_I is the n = 0 term, since it does not depend on T.
 
     The error estimate is the rounding bound 1e-13 times the magnitude of the
     terms combined, plus 4 alpha times the tail bound for the Bose series.
@@ -411,21 +471,14 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     tau = spec.temperature / spec.omega_c
     tail = 0.0
 
-    if x0 > 0.0 and tau > 0.0:
-        n_terms = _bose_terms(x0, tau)
-        if n_terms is None or n_terms * (t.size + 1) > _SERIES_MAX_WORK:
-            needs = (f"more than {_SERIES_MAX_WORK}" if n_terms is None
-                     else f"N = {n_terms}")
-            raise RuntimeError(
-                f"Bose series at gap {spec.omega0:g}, temperature {spec.temperature:g} "
-                f"needs {needs} terms for {t.size} times, above the work cap of "
-                f"{_SERIES_MAX_WORK} E1 evaluations")
+    if x0 > 0.0:
+        n_terms = _checked_terms(spec, t.size)
         damping, f, plateau = _bose_series(x0, tau, n_terms, s)
         gamma_r[live] = a4 * damping
         gamma_i[live] = a4 * f.imag
         magnitude = a4 * (2.0 * plateau + np.abs(f))
         tail = a4 * math.exp(_bose_log_tail(n_terms, x0, tau))
-    elif x0 == 0.0:
+    else:
         log_term = 0.5 * np.log1p(s * s)
         gamma_i[live] = a4 * np.arctan(s)
         if tau == 0.0:
@@ -437,11 +490,6 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
             lg = _re_lngamma(1.0 + tau + 1j * tau * np.append(s, 0.0))
             gamma_r[live] = a4 * (log_term + 2.0 * (lg[-1] - lg[:-1]))
             magnitude = a4 * (log_term + 2.0 * (abs(lg[-1]) + np.abs(lg[:-1]))) + gamma_i[live]
-    else:
-        f = _gap_transform(x0, np.append(s, 0.0))
-        gamma_r[live] = a4 * (f[-1].real - f[:-1].real)
-        gamma_i[live] = a4 * f[:-1].imag
-        magnitude = a4 * (f[-1].real + np.abs(f[:-1]))
     error[live] = _CLOSED_FORM_RTOL * magnitude + tail
     return np.maximum(gamma_r, 0.0), gamma_i, error
 
@@ -462,25 +510,11 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     Returns ``math.inf`` when the limit diverges, which happens exactly for a
     gapless spectrum with nonzero coupling: the integrand then behaves as
     1/omega at the origin and the oscillatory term never stops contributing.
-    A gapped spectrum at T = 0 has the closed form 4 alpha F(0) of
-    :func:`_gap_transform`, since F(s) -> 0; at T > 0 the limit is integrated.
+    A gapped limit is the plateau 4 alpha sum_n c_n e^{-n r} F_X(0) of the
+    Bose series of :func:`bath_exponents` (F_X(s) -> 0), with the same term
+    count, tail bound and work cap as a grid with no times.
     """
-    if spec.alpha == 0.0:
-        return 0.0
-    if spec.omega0 == 0.0:
-        return math.inf
-    if spec.temperature == 0.0:
-        return 4.0 * spec.alpha * float(_gap_transform(spec.omega0 / spec.omega_c,
-                                                       np.zeros(1)).real[0])
-    scale = 4.0 * spec.alpha * spec.omega_c**2
-
-    def integrand(u):
-        w = spec.omega0 + spec.omega_c * u
-        return u * np.exp(-u) * thermal_kernel(w, spec.temperature) / w**2
-
-    value, _ = integrate_decaying(integrand, upper=X_MAX,
-                                  abs_tol=DEFAULT_ABS_TOL / max(scale, 1.0))
-    return scale * value
+    return float(_plateaus([spec])[0])
 
 
 def saturation_time(spec: OhmicGapSpectrum, t_start: float = 100.0,

@@ -124,8 +124,8 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
         If the leak exceeds ``config.leak_tol``.
     """
     vec = _require_amplitudes(psi0)
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     dim = config.n_cut + 1
 
     branches = {}

@@ -13,9 +13,9 @@ import numpy as np
 
 from .bath import (
     OhmicGapSpectrum,
+    _plateaus,
     bath_exponents,
     effective_coupling,
-    gamma_R_infinity,
     steady_state_stats,
 )
 from .entanglement import QubitAmplitudes, _require_amplitudes, entanglement_measures
@@ -178,32 +178,16 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     if psi0 is None:
         psi0 = QubitAmplitudes.uniform()
 
-    rows_alpha = []
-    rows_gap = []
-    flags = []
-    c_col = []
-    s_col = []
-    for gap in gaps:
-        for alpha in alphas:
-            spec = OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap),
-                                    omega_c=omega_c, temperature=temperature)
-            stats = steady_state_stats(spec, psi0, phase_points)
-            rows_alpha.append(float(alpha))
-            rows_gap.append(float(gap))
-            if stats is None:
-                flags.append(0)
-                c_col.append(NO_STEADY_STATE)
-                s_col.append(NO_STEADY_STATE)
-            else:
-                flags.append(1)
-                c_col.append(stats.c_max)
-                s_col.append(stats.entropy)
+    stats = [steady_state_stats(OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap),
+                                                 omega_c=omega_c, temperature=temperature),
+                                psi0, phase_points)
+             for gap in gaps for alpha in alphas]
     return {
-        "alpha": np.array(rows_alpha),
-        "omega0": np.array(rows_gap),
-        "has_steady_state": np.array(flags, dtype=float),
-        "c_max_steady": np.array(c_col),
-        "s_steady": np.array(s_col),
+        "alpha": np.tile(alphas, gaps.size),
+        "omega0": np.repeat(gaps, alphas.size),
+        "has_steady_state": np.array([s is not None for s in stats], dtype=float),
+        "c_max_steady": np.array([NO_STEADY_STATE if s is None else s.c_max for s in stats]),
+        "s_steady": np.array([NO_STEADY_STATE if s is None else s.entropy for s in stats]),
     }
 
 
@@ -213,7 +197,8 @@ def thermal_overlap_table(temperatures=None, gaps=None, alpha: float = 0.25,
 
     Temperature enters gamma_R through the thermal occupation of the bath;
     raising it can only suppress the plateau further.  Gapless cells have no
-    plateau and carry the -1 sentinel with ``has_steady_state = 0``.
+    plateau and carry the -1 sentinel with ``has_steady_state = 0``.  One
+    Bose-series pass gives every plateau, each bitwise ``gamma_R_infinity``.
     """
     if temperatures is None:
         temperatures = default_temperature_grid()
@@ -221,29 +206,14 @@ def thermal_overlap_table(temperatures=None, gaps=None, alpha: float = 0.25,
         gaps = default_steady_grid()[1]
     temperatures = _validate_grid(temperatures, "temperatures")
     gaps = _validate_grid(gaps, "gaps")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
 
-    rows_t = []
-    rows_gap = []
-    flags = []
-    overlap_col = []
-    for gap in gaps:
-        for temp in temperatures:
-            spec = OhmicGapSpectrum(alpha=alpha, omega0=float(gap), omega_c=omega_c,
-                                    temperature=float(temp))
-            g_inf = gamma_R_infinity(spec)
-            rows_t.append(float(temp))
-            rows_gap.append(float(gap))
-            if math.isinf(g_inf):
-                flags.append(0)
-                overlap_col.append(NO_STEADY_STATE)
-            else:
-                flags.append(1)
-                overlap_col.append(math.exp(-g_inf))
+    g_inf = _plateaus([
+        OhmicGapSpectrum(alpha=alpha, omega0=float(gap), omega_c=omega_c, temperature=float(temp))
+        for gap in gaps for temp in temperatures])
     return {
-        "temperature": np.array(rows_t),
-        "omega0": np.array(rows_gap),
-        "has_steady_state": np.array(flags, dtype=float),
-        "overlap_infinity": np.array(overlap_col),
+        "temperature": np.tile(temperatures, gaps.size),
+        "omega0": np.repeat(gaps, temperatures.size),
+        "has_steady_state": np.isfinite(g_inf).astype(float),
+        "overlap_infinity": np.array([NO_STEADY_STATE if math.isinf(g) else math.exp(-g)
+                                      for g in g_inf]),
     }

@@ -85,6 +85,8 @@ class TestThermalKernel:
     def test_large_argument_clamps_to_one(self):
         # omega/2T = 35 > 30: the guard returns exactly 1.
         assert thermal_kernel(70.0, 1.0) == 1.0
+        # At a subnormal T, omega/2T overflows to inf, with no numpy warning.
+        assert thermal_kernel(1.0, 5e-324) == 1.0
 
     def test_small_argument_expansion(self):
         # y = 5e-9 < 1e-8: kernel = 1/y + y/3 (the y/3 term is negligible).

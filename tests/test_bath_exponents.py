@@ -2,16 +2,18 @@
 
 Oracles: 30-digit mpmath for the E1 and ln Gamma helpers and for the defining
 integrals of a gapped bath at T > 0, and the defining integrals evaluated by
-the adaptive quadrature of ``bath._quadrature_exponents``, run at a tolerance
-of 1e-13.
+the adaptive quadrature of ``bath._quadrature_exponents`` (and, for the
+plateau gamma_R(inf), of ``integrate_decaying``), run at a tolerance of 1e-13.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twospinboson import bath
+from twospinboson import bath, quadrature, sweeps
 from twospinboson.bath import (
     OhmicGapSpectrum,
     bath_exponents,
@@ -143,21 +145,111 @@ class TestBoseSeries:
         # Nothing to evaluate on an all-zero grid, so nothing is refused.
         assert np.all(bath_exponents(cold, [0.0])[0] == 0.0)
 
+    def test_subnormal_temperature_is_the_zero_temperature_series(self):
+        # r = x0/tau overflows to inf, which leaves the n = 0 term alone.
+        cold = OhmicGapSpectrum(alpha=0.25, omega0=2.0)
+        tiny = OhmicGapSpectrum(alpha=0.25, omega0=2.0, temperature=5e-324)
+        for got, expected in zip(bath_exponents(tiny, TIMES)[:2], bath_exponents(cold, TIMES)[:2]):
+            assert np.array_equal(got, expected)
+        assert gamma_R_infinity(tiny) == gamma_R_infinity(cold)
+
     def test_no_quadrature_calls(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return integrate_decaying(*args, **kwargs)
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(bath, "integrate_decaying", counting)
+        monkeypatch.setattr(bath, "integrate_decaying", counting(integrate_decaying))
+        monkeypatch.setattr(quadrature, "composite_gauss", counting(quadrature.composite_gauss))
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         bath_exponents(spec, np.linspace(0.0, 300.0, 20))
+        gamma_R_infinity(spec)
+        sweeps.thermal_overlap_table(np.linspace(0.0, 2.0, 3), np.linspace(0.0, 0.5, 3))
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], temperature=0.5, phase_points=16)
         assert calls == []
 
     def test_saturation_time(self):
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         assert bath.saturation_time(spec) == 25600.0
+
+
+def _quadrature_plateau(x0, tau):
+    """int_0^inf u e^{-u} coth((x0 + u)/2 tau) / (x0 + u)^2 du, with coth = 1 at T = 0."""
+    def integrand(u):
+        w = x0 + u
+        with np.errstate(over="ignore"):  # w/2tau = inf at a subnormal tau: coth = 1
+            coth = 1.0 / np.tanh(w / (2.0 * tau)) if tau > 0.0 else 1.0
+        return u * np.exp(-u) * coth / w**2
+
+    return integrate_decaying(integrand, upper=bath.X_MAX, abs_tol=1e-13)[0]
+
+
+class TestPlateau:
+    @pytest.mark.parametrize("temperature", (0.5, 2.0))
+    @pytest.mark.parametrize("gap", (0.01, 0.1, 0.5))
+    def test_against_quadrature(self, gap, temperature):
+        spec = OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=temperature)
+        np.testing.assert_allclose(gamma_R_infinity(spec), _quadrature_plateau(gap, temperature),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_against_mpmath_at_small_gap(self):
+        # N = 77052 terms; the quadrature of the seed did not converge here.
+        with mpmath.workdps(30):
+            x0, tau = mpmath.mpf("1e-3"), mpmath.mpf(2)
+            integral = mpmath.quad(
+                lambda u: u * mpmath.exp(-u) * mpmath.coth((x0 + u) / (2 * tau)) / (x0 + u) ** 2,
+                [0, x0, 10 * x0, 100 * x0, 1, 10, 40, mpmath.inf])
+        spec = OhmicGapSpectrum(alpha=0.25, omega0=1e-3, temperature=2.0)
+        np.testing.assert_allclose(gamma_R_infinity(spec), float(integral), rtol=1e-13, atol=0.0)
+
+    def test_work_cap_refuses_before_evaluation(self, monkeypatch):
+        # At gap 1e-6, T = 2 the series needs more than 2^25 terms even with no times.
+        def fail(*args, **kwargs):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(bath, "_gap_transform", fail)
+        hot = OhmicGapSpectrum(alpha=0.25, omega0=1e-6, temperature=2.0)
+        message = (r"^Bose series at gap 1e-06, temperature 2 needs more than 33554432 terms "
+                   r"for 0 times and the plateau, above the work cap")
+        with pytest.raises(RuntimeError, match=message):
+            gamma_R_infinity(hot)
+        with pytest.raises(RuntimeError, match=message):
+            sweeps.thermal_overlap_table([0.0, 2.0], [1e-6, 0.1])
+
+    @pytest.mark.parametrize("temperatures,gaps", (
+        (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.5, 4)),
+        # Gap 1e-3 at T = 2 alone fills 301 rows of 256 terms, more than one
+        # block of 2^16 terms, and the other cells follow it in the same pass.
+        ([0.0, 0.5, 2.0], [1e-3, 0.01, 0.1])))
+    def test_table_cells_equal_scalar_plateau(self, temperatures, gaps):
+        alpha = 0.25
+        table = sweeps.thermal_overlap_table(temperatures, gaps, alpha=alpha)
+        k = 0
+        for gap in gaps:
+            for temperature in temperatures:
+                g = gamma_R_infinity(OhmicGapSpectrum(alpha=alpha, omega0=gap,
+                                                      temperature=temperature))
+                expected = -1.0 if math.isinf(g) else math.exp(-g)
+                assert table["overlap_infinity"][k] == expected
+                k += 1
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(x0=st.floats(0.01, 2.0), tau=st.floats(0.0, 2.0),
+           dx=st.floats(1e-3, 0.5), dtau=st.floats(1e-3, 0.5))
+    def test_properties(self, x0, tau, dx, dtau):
+        # Heating raises the plateau, widening the gap lowers it, and it is
+        # the defining integral (alpha = 1/4 makes 4 alpha = 1).
+        def plateau(gap, temperature):
+            return gamma_R_infinity(OhmicGapSpectrum(alpha=0.25, omega0=gap,
+                                                     temperature=temperature))
+
+        value = plateau(x0, tau)
+        assert plateau(x0, min(tau + dtau, 2.0)) >= value
+        assert plateau(min(x0 + dx, 2.0), tau) <= value
+        assert abs(value - _quadrature_plateau(x0, tau)) <= 1e-11
 
 
 class TestClosedFormsAgainstQuadrature:
@@ -178,8 +270,8 @@ class TestClosedFormsAgainstQuadrature:
     @pytest.mark.parametrize("gap", (0.01, 0.1, 0.5, 3.0))
     def test_plateau_and_coupling(self, gap):
         spec = OhmicGapSpectrum(alpha=0.25, omega0=gap)
-        # coth(omega/2T) is exactly 1 for omega/2T > 30, so this T takes the
-        # quadrature path of gamma_R(inf) with the T = 0 integrand.
+        # At T = gap/100 the first thermal term, 2 e^{-100} F, is below the
+        # series' tail tolerance, so the series keeps only the n = 0 term.
         cold = OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=gap / 100.0)
         np.testing.assert_allclose(gamma_R_infinity(spec), gamma_R_infinity(cold),
                                    rtol=0.0, atol=1e-12)

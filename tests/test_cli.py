@@ -204,6 +204,35 @@ class TestSteadySweep:
             texts.append((tmp_path / f"{name}_entanglement.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_small_gap_at_high_temperature(self, capsys, tmp_path):
+        # gamma_R(inf) at gap 1e-3, T = 2 needs 77052 Bose-series terms; the
+        # quadrature it replaced did not converge there and the command exited 3.
+        prefix = str(tmp_path / "sweep")
+        code, _, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
+                               "--gap-grid", "0.001:0.5:2", "--temperature-grid", "0:2:2",
+                               "--output-prefix", prefix)
+        assert code == 0 and err == ""
+        thermal, _ = csvio.parse_table((tmp_path / "sweep_thermal.csv").read_text())
+        assert np.all(thermal["has_steady_state"] == 1.0)
+        # exp(-1976.7) at gap 1e-3, T = 2 underflows to 0.
+        overlap = thermal["overlap_infinity"]
+        assert np.all(np.isfinite(overlap) & (overlap >= 0.0) & (overlap < 1.0))
+
+    def test_work_cap_exits_3_before_evaluation(self, capsys, tmp_path, monkeypatch):
+        # At gap 1e-6, T = 2 the plateau alone needs more than 2^25 terms.
+        def fail(*args, **kwargs):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(bath, "_gap_transform", fail)
+        prefix = str(tmp_path / "sweep")
+        code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
+                                 "--gap-grid", "1e-6:0.5:2", "--temperature", "2",
+                                 "--temperature-grid", "0:2:2", "--output-prefix", prefix)
+        assert code == 3 and out == ""
+        assert err.startswith("error: Bose series at gap 1e-06, temperature 2 needs more than")
+        assert "work cap" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_reversed_axis(self, capsys):
         code, _, err = run_cli(capsys, "steady-sweep",
                                "--alpha-grid", "1:0.05:8")

@@ -6,6 +6,7 @@ route and the behavior of the truncation guard.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ from twospinboson.single_mode import (
 )
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
+
+
+def assert_time_rejected_before_eigh(monkeypatch, evolve, *extra):
+    # A NaN or infinite time is refused with one line, before any eigh and
+    # without a numpy warning.
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    params = SingleModeParams(omega=4.0, coupling=1.0)
+    for t in (math.nan, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be finite and nonnegative") as excinfo:
+                evolve(params, UNIFORM, t, *extra)
+        assert len(str(excinfo.value).splitlines()) == 1
 
 
 def closed_form(params, psi, t):
@@ -126,6 +143,9 @@ class TestEvolveTruncated:
             assert leak < config.leak_tol
             assert validate_density(rho).valid
 
+    def test_rejects_nonfinite_time(self, monkeypatch):
+        assert_time_rejected_before_eigh(monkeypatch, evolve_truncated, FockConfig(n_cut=16))
+
 
 class TestEvolveAuto:
     def test_escalates_until_converged(self):
@@ -143,6 +163,8 @@ class TestEvolveAuto:
             exact = closed_form(params, UNIFORM, t)
             assert trace_distance(rho, exact) < 1e-8
 
+    def test_rejects_nonfinite_time(self, monkeypatch):
+        assert_time_rejected_before_eigh(monkeypatch, evolve_auto)
 
     def test_refuses_cutoff_above_ceiling_before_eigh(self, monkeypatch):
         # omega/lambda = 0.05 starts at n_cut = 12816, a dense 12817^2 block.
