@@ -328,14 +328,14 @@ def _bose_table(x0, tau, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _bose_series(x0: float, tau: float, n_terms: int,
-                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bose series of a gapped bath on scaled times s > 0.
 
     Returns sum_n c_n e^{-n r} Re[F_X(0) - F_X(s/b_n)] over the terms of
-    :func:`_bose_table`, which is gamma_R / (4 alpha); the n = 0 column
-    F_{x0}(s), whose imaginary part is gamma_I / (4 alpha); and the plateau
-    sum sum_n c_n e^{-n r} F_X(0).  Each term is the substitution v = b_n u
-    of the n-th Bose term, i.e. the T = 0 form at decay rate b_n.
+    :func:`_bose_table`, which is gamma_R / (4 alpha), and the n = 0 column
+    F_{x0}(s), whose imaginary part is gamma_I / (4 alpha).  Each term is the
+    substitution v = b_n u of the n-th Bose term, i.e. the T = 0 form at
+    decay rate b_n.
 
     The times x terms grid of E1 values is built in blocks with the term axis
     last and contiguous, and the blocks split terms at fixed offsets, so every
@@ -343,33 +343,41 @@ def _bose_series(x0: float, tau: float, n_terms: int,
     """
     damping = np.zeros(s.size)
     first = np.empty(s.size, dtype=complex)
-    plateau = 0.0
     for start in range(0, n_terms + 1, _SERIES_CHUNK_TERMS):
         n = np.arange(start, min(start + _SERIES_CHUNK_TERMS, n_terms + 1))
         b, x, weight = _bose_table(x0, tau, n)
         f0 = _gap_transform(x, 0.0).real
-        plateau += float(np.sum(weight * f0))
         for low in range(0, s.size, _SERIES_CHUNK_TIMES):
             rows = slice(low, low + _SERIES_CHUNK_TIMES)
             f = _gap_transform(x, s[rows, None] / b)
             if start == 0:
                 first[rows] = f[:, 0]
             damping[rows] += np.sum(weight * (f0 - f.real), axis=1)
-    return damping, first, plateau
+    return damping, first
 
 
 def _plateaus(specs) -> np.ndarray:
     """:func:`gamma_R_infinity` of each spectrum, the gapped ones in one Bose-series pass.
 
-    Each gapped spectrum's terms fill whole zero-padded rows of
+    This is the one place the plateau sum sum_n c_n e^{-n r} F_X(0) is
+    formed.  Each gapped spectrum's terms fill whole zero-padded rows of
     _SERIES_CHUNK_TERMS, the rows of all spectra are evaluated in blocks of
     _SERIES_CHUNK_TIMES rows, and each spectrum sums its own row sums, so its
     value does not depend on the other spectra in the batch.
+
+    Raises ``RuntimeError`` before any evaluation when one spectrum fails the
+    work cap of :func:`_checked_terms`, or when all of them together need more
+    than _SERIES_MAX_WORK terms.
     """
     out = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
     gapped = [k for k, spec in enumerate(specs) if spec.alpha > 0.0 and spec.omega0 > 0.0]
     cells = [specs[k] for k in gapped]
     n_terms = np.array([_checked_terms(spec, 0) for spec in cells], dtype=int)
+    total = int(np.sum(n_terms + 1))
+    if total > _SERIES_MAX_WORK:
+        raise RuntimeError(
+            f"Bose series of {len(cells)} gapped spectra need {total} terms together "
+            f"for their plateaus, above the work cap of {_SERIES_MAX_WORK} E1 evaluations")
     x0 = np.array([spec.omega0 / spec.omega_c for spec in cells])
     tau = np.array([spec.temperature / spec.omega_c for spec in cells])
     rows = n_terms // _SERIES_CHUNK_TERMS + 1
@@ -473,10 +481,10 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
 
     if x0 > 0.0:
         n_terms = _checked_terms(spec, t.size)
-        damping, f, plateau = _bose_series(x0, tau, n_terms, s)
+        damping, f = _bose_series(x0, tau, n_terms, s)
         gamma_r[live] = a4 * damping
         gamma_i[live] = a4 * f.imag
-        magnitude = a4 * (2.0 * plateau + np.abs(f))
+        magnitude = 2.0 * _plateaus([spec])[0] + a4 * np.abs(f)
         tail = a4 * math.exp(_bose_log_tail(n_terms, x0, tau))
     else:
         log_term = 0.5 * np.log1p(s * s)
@@ -571,30 +579,37 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.
     """
+    return _steady_states([spec], psi0, phase_points)[0]
+
+
+def _steady_states(specs, psi0: QubitAmplitudes, phase_points: int) -> list:
+    """:func:`steady_state_stats` of each spectrum, the plateaus from one :func:`_plateaus` call."""
     vec = _require_amplitudes(psi0)
     if phase_points < 4:
         raise ValueError(f"phase_points must be at least 4, got {phase_points}")
-    g_inf = gamma_R_infinity(spec)
-    if math.isinf(g_inf):
-        return None
-
     theta_ts = np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
-    rhos = _density_from_phases(vec, theta_ts,
-                                np.full_like(theta_ts, g_inf),
-                                np.zeros_like(theta_ts))
-    conc, entropy = entanglement_measures(rhos)
-    variation = float(np.max(entropy) - np.min(entropy))
-    if variation > 1e-6:
-        raise RuntimeError(
-            f"entropy varied by {variation:.3e} over the steady-state phase scan; "
-            "it should be phase independent"
-        )
-    return SteadyStateStats(
-        gamma_r_inf=g_inf,
-        c_max=float(np.max(conc)),
-        entropy=float(np.mean(entropy)),
-        entropy_variation=variation,
-    )
+    out = []
+    for g_inf in _plateaus(specs):
+        if math.isinf(g_inf):
+            out.append(None)
+            continue
+        rhos = _density_from_phases(vec, theta_ts,
+                                    np.full_like(theta_ts, g_inf),
+                                    np.zeros_like(theta_ts))
+        conc, entropy = entanglement_measures(rhos)
+        variation = float(np.max(entropy) - np.min(entropy))
+        if variation > 1e-6:
+            raise RuntimeError(
+                f"entropy varied by {variation:.3e} over the steady-state phase scan; "
+                "it should be phase independent"
+            )
+        out.append(SteadyStateStats(
+            gamma_r_inf=float(g_inf),
+            c_max=float(np.max(conc)),
+            entropy=float(np.mean(entropy)),
+            entropy_variation=variation,
+        ))
+    return out
 
 
 def discretize_modes(spec: OhmicGapSpectrum, n_modes: int = 200,

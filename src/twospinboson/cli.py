@@ -62,22 +62,22 @@ def _emit(columns, metadata, output) -> None:
 
 
 def _base_metadata(subcommand: str, **params) -> dict[str, object]:
-    return {"tool": f"twospinboson {__version__}", "subcommand": subcommand, **params}
-
-
-def _time_grid(name: str, end: float, points: int) -> np.ndarray:
-    """``points`` equally spaced values on [0, end], with a one-line reason if invalid."""
-    if not (math.isfinite(end) and end > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {end}")
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
-    return np.linspace(0.0, end, points)
+    meta: dict[str, object] = {
+        "tool": f"twospinboson {__version__}",
+        "subcommand": subcommand,
+    }
+    meta.update(params)
+    return meta
 
 
 def _cmd_single_mode(args) -> int:
     params = SingleModeParams.from_ratio(args.omega_over_lambda)
     psi0 = _parse_amplitudes(args.amplitudes)
-    theta_ts = _time_grid("theta-t-max", args.theta_t_max, args.points)
+    if not (math.isfinite(args.theta_t_max) and args.theta_t_max > 0.0):
+        raise ValueError(f"theta-t-max must be positive and finite, got {args.theta_t_max}")
+    if args.points < 2:
+        raise ValueError(f"points must be at least 2, got {args.points}")
+    theta_ts = np.linspace(0.0, args.theta_t_max, args.points)
     columns = time_series(params, psi0, theta_ts / params.theta)
     meta = _base_metadata(
         "single-mode",
@@ -112,7 +112,11 @@ def _cmd_bath_series(args) -> int:
     spec = OhmicGapSpectrum(alpha=args.alpha, omega0=args.gap,
                             temperature=args.temperature)
     psi0 = _parse_amplitudes(args.amplitudes)
-    t_grid = _time_grid("t-max", args.t_max, args.points)
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
+    if args.points < 2:
+        raise ValueError(f"points must be at least 2, got {args.points}")
+    t_grid = np.linspace(0.0, args.t_max, args.points)
     table = sweeps.state_series(spec, psi0, t_grid)
     meta = _base_metadata(
         "bath-series",

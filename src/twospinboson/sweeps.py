@@ -14,9 +14,9 @@ import numpy as np
 from .bath import (
     OhmicGapSpectrum,
     _plateaus,
+    _steady_states,
     bath_exponents,
     effective_coupling,
-    steady_state_stats,
 )
 from .entanglement import QubitAmplitudes, _require_amplitudes, entanglement_measures
 from .single_mode import (
@@ -167,7 +167,8 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
 
     One row per cell, alpha varying fastest.  Cells without a steady state
     (gapless with coupling) carry ``has_steady_state = 0`` and the sentinel
-    -1 in the c_max_steady and s_steady columns.
+    -1 in the c_max_steady and s_steady columns.  One Bose-series pass gives
+    every plateau, each bitwise ``gamma_R_infinity``.
     """
     if alphas is None or gaps is None:
         default_alphas, default_gaps = default_steady_grid()
@@ -178,16 +179,27 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     if psi0 is None:
         psi0 = QubitAmplitudes.uniform()
 
-    stats = [steady_state_stats(OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap),
-                                                 omega_c=omega_c, temperature=temperature),
-                                psi0, phase_points)
+    specs = [OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap),
+                              omega_c=omega_c, temperature=temperature)
              for gap in gaps for alpha in alphas]
+    flags = []
+    c_col = []
+    s_col = []
+    for stats in _steady_states(specs, psi0, phase_points):
+        if stats is None:
+            flags.append(0)
+            c_col.append(NO_STEADY_STATE)
+            s_col.append(NO_STEADY_STATE)
+        else:
+            flags.append(1)
+            c_col.append(stats.c_max)
+            s_col.append(stats.entropy)
     return {
-        "alpha": np.tile(alphas, gaps.size),
-        "omega0": np.repeat(gaps, alphas.size),
-        "has_steady_state": np.array([s is not None for s in stats], dtype=float),
-        "c_max_steady": np.array([NO_STEADY_STATE if s is None else s.c_max for s in stats]),
-        "s_steady": np.array([NO_STEADY_STATE if s is None else s.entropy for s in stats]),
+        "alpha": np.array([spec.alpha for spec in specs]),
+        "omega0": np.array([spec.omega0 for spec in specs]),
+        "has_steady_state": np.array(flags, dtype=float),
+        "c_max_steady": np.array(c_col),
+        "s_steady": np.array(s_col),
     }
 
 

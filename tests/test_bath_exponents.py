@@ -188,8 +188,8 @@ def _quadrature_plateau(x0, tau):
 
 
 class TestPlateau:
-    @pytest.mark.parametrize("temperature", (0.5, 2.0))
-    @pytest.mark.parametrize("gap", (0.01, 0.1, 0.5))
+    @pytest.mark.parametrize("temperature", (0.0, 0.5, 2.0))
+    @pytest.mark.parametrize("gap", (0.01, 0.1, 0.5, 3.0))
     def test_against_quadrature(self, gap, temperature):
         spec = OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=temperature)
         np.testing.assert_allclose(gamma_R_infinity(spec), _quadrature_plateau(gap, temperature),
@@ -218,6 +218,20 @@ class TestPlateau:
             gamma_R_infinity(hot)
         with pytest.raises(RuntimeError, match=message):
             sweeps.thermal_overlap_table([0.0, 2.0], [1e-6, 0.1])
+
+    def test_work_cap_covers_a_whole_table(self, monkeypatch):
+        # Each cell near T = 2 passes on its own (N = 8583054 at gap 1e-5,
+        # T = 2), but the six cells of each table need more than 2^25 terms.
+        def fail(*args, **kwargs):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(bath, "_gap_transform", fail)
+        message = (r"^Bose series of 6 gapped spectra need \d+ terms together for "
+                   r"their plateaus, above the work cap of 33554432 E1 evaluations$")
+        with pytest.raises(RuntimeError, match=message):
+            sweeps.thermal_overlap_table([1.9, 1.95, 2.0], [1e-5, 1.1e-5])
+        with pytest.raises(RuntimeError, match=message):
+            sweeps.steady_state_table([0.25, 0.5, 0.75], [1e-5, 1.1e-5], temperature=2.0)
 
     @pytest.mark.parametrize("temperatures,gaps", (
         (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.5, 4)),
@@ -271,10 +285,13 @@ class TestClosedFormsAgainstQuadrature:
     def test_plateau_and_coupling(self, gap):
         spec = OhmicGapSpectrum(alpha=0.25, omega0=gap)
         # At T = gap/100 the first thermal term, 2 e^{-100} F, is below the
-        # series' tail tolerance, so the series keeps only the n = 0 term.
+        # series' tail tolerance, so the series keeps only the n = 0 term;
+        # both plateaus are checked against the quadrature of the T = 0
+        # integrand (alpha = 1/4 makes 4 alpha = 1).
         cold = OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=gap / 100.0)
-        np.testing.assert_allclose(gamma_R_infinity(spec), gamma_R_infinity(cold),
-                                   rtol=0.0, atol=1e-12)
+        reference = _quadrature_plateau(gap, 0.0)
+        for plateau in (gamma_R_infinity(spec), gamma_R_infinity(cold)):
+            np.testing.assert_allclose(plateau, reference, rtol=0.0, atol=1e-12)
         value, _ = integrate_decaying(lambda u: u * np.exp(-u) / (gap + u), upper=bath.X_MAX,
                                       abs_tol=1e-14)
         np.testing.assert_allclose(effective_coupling(spec), 0.5 * value, rtol=0.0, atol=1e-12)

@@ -233,6 +233,23 @@ class TestSteadySweep:
         assert "work cap" in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_whole_table_work_cap_exits_3_before_evaluation(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # Each of the six cells at T = 2 passes the work cap on its own
+        # (N = 8583054 at gap 1e-5); together they need more than 2^25 terms.
+        def fail(*args, **kwargs):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(bath, "_gap_transform", fail)
+        prefix = str(tmp_path / "sweep")
+        code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.75:3",
+                                 "--gap-grid", "1e-5:1.1e-5:2", "--temperature", "2",
+                                 "--temperature-grid", "0:2:2", "--output-prefix", prefix)
+        assert code == 3 and out == ""
+        assert err.startswith("error: Bose series of 6 gapped spectra need ")
+        assert "work cap" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_reversed_axis(self, capsys):
         code, _, err = run_cli(capsys, "steady-sweep",
                                "--alpha-grid", "1:0.05:8")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity
+from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity, steady_state_stats
 from twospinboson.entanglement import QubitAmplitudes
 from twospinboson.sweeps import (
     DEFAULT_BATH_PAIRS,
@@ -167,6 +167,22 @@ class TestSteadyStateTable:
         second = steady_state_table(**kwargs)
         for key in first:
             assert np.array_equal(first[key], second[key])
+
+    def test_cells_equal_steady_state_stats(self):
+        # The batched plateaus give each cell exactly the single-spectrum figures.
+        alphas, gaps = np.array([0.25, 0.5]), np.array([0.0, 1e-3, 0.1])
+        table = steady_state_table(alphas, gaps, UNIFORM, temperature=0.5, phase_points=64)
+        k = 0
+        for gap in gaps:
+            for alpha in alphas:
+                stats = steady_state_stats(OhmicGapSpectrum(alpha=alpha, omega0=gap,
+                                                            temperature=0.5), UNIFORM, 64)
+                if stats is None:
+                    assert table["has_steady_state"][k] == 0.0
+                else:
+                    assert table["c_max_steady"][k] == stats.c_max
+                    assert table["s_steady"][k] == stats.entropy
+                k += 1
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="increasing"):
