@@ -19,6 +19,7 @@ from . import bath, fock, single_mode, sweeps
 from .entanglement import (
     QubitAmplitudes,
     concurrence,
+    entanglement_measures,
     pure_concurrence,
     purity,
     validate_density,
@@ -311,14 +312,46 @@ def bath_checks() -> list[CheckResult]:
 
     stats = bath.steady_state_stats(gapped, QubitAmplitudes.uniform())
     gapless_stats = bath.steady_state_stats(spec, QubitAmplitudes.uniform())
-    ok = (stats is not None and stats.entropy_variation < 1e-6 and stats.c_max > 0.0
+    scan_defect = _steady_scan_defect()
+    results.append(CheckResult(
+        "steady-state scan oracle", scan_defect <= 1e-12,
+        f"max |C| and |S| difference {scan_defect:.2e} between the Gram/Uhlmann scan and "
+        "the 4x4 kernel at 256 phases, 4 plateaus and 4 amplitude sets (tol 1e-12)"))
+    ok = (stats is not None and stats.c_max > 0.0 and scan_defect <= 1e-12
           and gapless_stats is None)
     detail = "gapless reports no steady state; "
     if stats is not None:
         detail += (f"gapped c_max={stats.c_max:.4f}, "
-                   f"entropy variation {stats.entropy_variation:.2e}")
+                   f"scan agrees with the kernel to {scan_defect:.2e}")
     results.append(CheckResult("steady-state detection", ok, detail))
     return results
+
+
+def _steady_scan_defect() -> float:
+    """Worst per-phase difference of C and S between the steady scan and the kernel.
+
+    The structured scan of ``bath._steady_scan`` against
+    ``entanglement_measures`` of the 4x4 states it stands for, on the uniform
+    amplitudes, seeded complex amplitudes, an a = d = 0 and a b = c = 0 state,
+    each at the plateaus 0, 0.05, 1.2 (alpha 0.25, gap 0.1) and 4.
+    """
+    rng = np.random.default_rng(DEFAULT_SEED + 3)
+    theta_ts = np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False)
+    gamma_rs = np.array([0.0, 0.05, 1.2, 4.0])
+    b, c, a, d = rng.normal(size=4) + 1j * rng.normal(size=4)
+    worst = 0.0
+    for psi in (QubitAmplitudes.uniform(), _random_pure(rng),
+                QubitAmplitudes.normalized(0.0, b, c, 0.0),
+                QubitAmplitudes.normalized(a, 0.0, 0.0, d)):
+        vec = psi.vector()
+        conc, entropy = bath._steady_scan(vec, gamma_rs, theta_ts)
+        for k, gamma_r in enumerate(gamma_rs):
+            rhos = single_mode._density_from_phases(
+                vec, theta_ts, np.full_like(theta_ts, gamma_r), np.zeros_like(theta_ts))
+            c_ref, s_ref = entanglement_measures(rhos)
+            worst = max(worst, float(np.max(np.abs(conc[k] - c_ref))),
+                        float(np.max(np.abs(entropy[k] - s_ref))))
+    return worst
 
 
 def sweep_checks() -> list[CheckResult]:

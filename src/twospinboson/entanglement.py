@@ -150,6 +150,22 @@ def _spectra(flat: np.ndarray):
     return herm, trace, evals, evecs
 
 
+def _valid_spectra(flat: np.ndarray, batched: bool = True):
+    """Ascending eigenvalues and eigenvectors of an (n, 4, 4) stack of valid states.
+
+    Raises ``InvalidDensityMatrixError`` for the first matrix that fails the
+    package tolerances, naming its index in the stack when ``batched``.
+    """
+    herm, trace, evals, evecs = _spectra(flat)
+    ok = _within_tolerances(herm, trace, evals[:, 0])
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InvalidDensityMatrixError(
+            DensityCheck(float(herm[k]), float(trace[k]), float(evals[k, 0])),
+            k if batched else None)
+    return evals, evecs
+
+
 def _as_state_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -231,6 +247,15 @@ def purity(rho) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
+def _entropy_bits(evals: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis of a stack of density-matrix spectra."""
+    # A valid spectrum lies in [0, 1]; without the upper clamp a pure state's
+    # eigenvalue 1 + eps would give the entropy -eps.
+    p = np.minimum(evals, 1.0)
+    kept = p > _ENTROPY_CLIP
+    return -np.sum(np.where(kept, p * np.log2(np.where(kept, p, 1.0)), 0.0), axis=-1)
+
+
 def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence and entropy for a stack of density matrices.
 
@@ -248,20 +273,8 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     if rhos.shape[-2:] != (4, 4):
         raise ValueError(f"expected shape (..., 4, 4), got {rhos.shape}")
     shape = rhos.shape[:-2]
-    herm, trace, evals, evecs = _spectra(rhos.reshape(-1, 4, 4))
-    ok = _within_tolerances(herm, trace, evals[:, 0])
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise InvalidDensityMatrixError(
-            DensityCheck(float(herm[k]), float(trace[k]), float(evals[k, 0])),
-            k if shape else None)
-
-    # A valid spectrum lies in [0, 1]; without the upper clamp a pure state's
-    # eigenvalue 1 + eps would give the entropy -eps.
-    p = np.minimum(evals, 1.0)
-    kept = p > _ENTROPY_CLIP
-    entropy = -np.sum(np.where(kept, p * np.log2(np.where(kept, p, 1.0)), 0.0), axis=1)
-
+    evals, evecs = _valid_spectra(rhos.reshape(-1, 4, 4), bool(shape))
+    entropy = _entropy_bits(evals)
     roots = np.sqrt(np.clip(evals, 0.0, None))
     sqrt_rho = (evecs * roots[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     sqrt_flipped = _FLIP_SIGNS * sqrt_rho[:, ::-1, ::-1].conj()

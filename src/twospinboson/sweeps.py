@@ -168,7 +168,10 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     One row per cell, alpha varying fastest.  Cells without a steady state
     (gapless with coupling) carry ``has_steady_state = 0`` and the sentinel
     -1 in the c_max_steady and s_steady columns.  One Bose-series pass gives
-    every plateau, each bitwise ``gamma_R_infinity``.
+    every plateau, each bitwise ``gamma_R_infinity``, and every cell is
+    bitwise :func:`~twospinboson.bath.steady_state_stats`: its state at zero
+    phase is validated, its entropy is one 3x3 Gram ``eigh`` and its
+    concurrence the maximum of Uhlmann's form over ``phase_points`` phases.
     """
     if alphas is None or gaps is None:
         default_alphas, default_gaps = default_steady_grid()

@@ -165,21 +165,28 @@ def test_criterion_6_gap_protects_steady_state():
     gapless = steady_state_stats(OhmicGapSpectrum(alpha=0.25), UNIFORM)
 
     finite = stats is not None and math.isfinite(stats.gamma_r_inf)
+    # Revalidate the steady-state family of density matrices explicitly, and
+    # measure its entropy with the 4x4 kernel: phase independent, and equal
+    # to the structured figure.
+    spread = deviation = math.inf
+    if finite:
+        g = GammaValue(stats.gamma_r_inf, 0.0)
+        entropies = [von_neumann_entropy(_track(reduced_density(UNIFORM, float(theta_t), g)))
+                     for theta_t in np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)]
+        spread = max(entropies) - min(entropies)
+        deviation = max(abs(s - stats.entropy) for s in entropies)
     passed = (finite
               and math.exp(-stats.gamma_r_inf) > 0.0
               and stats.c_max > 0.0
-              and stats.entropy_variation < 1e-6
+              and spread < 1e-6
+              and deviation <= 1e-12
               and gapless is None)
-    # Revalidate the steady-state family of density matrices explicitly.
-    if finite:
-        g = GammaValue(stats.gamma_r_inf, 0.0)
-        for theta_t in np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False):
-            _track(reduced_density(UNIFORM, float(theta_t), g))
     detail = "gapped pipeline returned no steady state"
     if finite:
         detail = (f"gamma_R(inf) = {stats.gamma_r_inf:.4f}, overlap = "
                   f"{math.exp(-stats.gamma_r_inf):.4f}, C_max = {stats.c_max:.4f}, "
-                  f"S variation = {stats.entropy_variation:.1e} (tol 1e-6); "
+                  f"kernel S spread over 64 phases = {spread:.1e} (tol 1e-6), "
+                  f"max |S_kernel - S| = {deviation:.1e} (tol 1e-12); "
                   f"gapless reports none: {gapless is None}")
     _criterion(6, passed, detail)
 

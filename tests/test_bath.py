@@ -31,10 +31,11 @@ from twospinboson.bath import (
 from twospinboson.entanglement import (
     QubitAmplitudes,
     concurrence,
+    entanglement_measures,
     validate_density,
     von_neumann_entropy,
 )
-from twospinboson.single_mode import GammaValue, reduced_density
+from twospinboson.single_mode import GammaValue, _density_from_phases, reduced_density
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 GAPLESS = OhmicGapSpectrum(alpha=0.25)
@@ -300,7 +301,14 @@ class TestSteadyState:
                                    rtol=1e-12)
         assert 0.0 < stats.c_max < 1.0
         assert 0.0 < stats.entropy < 2.0
-        assert stats.entropy_variation < 1e-6
+        # The 4x4 kernel on the same phase grid: S is phase independent and
+        # equal to the structured figure, and the scan's maximum is its maximum.
+        theta_ts = np.linspace(0.0, 0.5 * math.pi, 2048, endpoint=False)
+        conc, entropy = entanglement_measures(_density_from_phases(
+            UNIFORM.vector(), theta_ts, np.full(2048, stats.gamma_r_inf), np.zeros(2048)))
+        assert np.ptp(entropy) < 1e-6
+        np.testing.assert_allclose(entropy, stats.entropy, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(stats.c_max, np.max(conc), rtol=0.0, atol=1e-12)
 
     def test_deeper_gap_keeps_more_entanglement(self):
         shallow = steady_state_stats(

@@ -46,6 +46,21 @@ class TestRenderAndParse:
         np.testing.assert_allclose(parsed["t"], columns["t"], rtol=1e-11)
         assert meta["tool"] == "demo"
 
+    @pytest.mark.parametrize("block", [4096, 3])
+    def test_rows_render_as_format_value(self, monkeypatch, block):
+        # Signed zeros, infinities, nan, the smallest subnormals and the
+        # extremes print exactly as format_value prints each value, also
+        # when the rows are split across several blocks.
+        monkeypatch.setattr(csvio, "_ROW_BLOCK", block)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            1e308, -1e308, np.pi, 1e-300, 123456789012345.0])
+        columns = {"x": special, "y": special[::-1], "z": -special}
+        expected = "".join(
+            ",".join(csvio.format_value(columns[name][k]) for name in columns) + "\n"
+            for k in range(special.size))
+        text = csvio.render_table(columns, {})
+        assert text == "x,y,z\n" + expected
+
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError, match="at least one column"):
             csvio.render_table({}, {})
