@@ -37,11 +37,9 @@ evaluation path integrates: the adaptive Gauss-Legendre quadrature
 series are checked against.
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
-induced phase without the general 4x4 kernel: the phase acts as a diagonal
-unitary, so :func:`_steady_scan` takes the entropy from one 3x3 Gram ``eigh``
-per cell and the concurrence from Uhlmann's form of the Wootters formula,
-one 3x3 ``svd`` per phase.  Each cell's state at zero phase is validated with
-the kernel's checks.
+induced phase by the 3x3 Gram route of
+:func:`~twospinboson.single_mode._model_measures`: one ``eigh`` per cell,
+one ``svd`` per phase.
 """
 
 from __future__ import annotations
@@ -51,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import QubitAmplitudes, _entropy_bits, _require_amplitudes, _valid_spectra
+from .entanglement import QubitAmplitudes, _require_amplitudes
 from .quadrature import DEFAULT_ABS_TOL, integrate_decaying
-from .single_mode import GammaValue, _density_from_phases, reduced_density
+from .single_mode import GammaValue, _model_measures, reduced_density
 
 __all__ = [
     "X_MAX",
@@ -91,10 +89,6 @@ _SERIES_TAIL_TOL = 1e-16
 _SERIES_CHUNK_TERMS = 256
 _SERIES_CHUNK_TIMES = 256
 _SERIES_MAX_WORK = 1 << 25
-
-# The steady-state phase scan decomposes at most this many 3x3 matrices at a
-# time (0.6 MB per complex temporary, two cells of the default 2048 phases).
-_SCAN_BLOCK = 1 << 12
 
 _E1_SERIES_TERMS = 20
 _LENTZ_MAX_TERMS = 1000
@@ -584,11 +578,9 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     In the steady state gamma_R is pinned at its long-time limit and gamma_I
     has decayed to zero; only the induced phase theta*t keeps advancing.  The
     concurrence is scanned over ``phase_points`` values of theta*t in
-    [0, pi/2) (its full period up to local unitaries) by the Gram/Uhlmann
-    route of :func:`_steady_scan`, one 3x3 ``svd`` per phase; the entropy is
-    exactly phase independent and comes from one 3x3 ``eigh``.  The state at
-    theta*t = 0 is validated like every input of the 4x4 kernel, which covers
-    every phase since rho(theta) = U rho(0) U+.
+    [0, pi/2) (its full period up to local unitaries) by
+    :func:`~twospinboson.single_mode._model_measures`; the entropy is
+    exactly phase independent.
 
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.
@@ -596,52 +588,10 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     return _steady_states([spec], psi0, phase_points)[0]
 
 
-def _steady_scan(vec: np.ndarray, gamma_rs: np.ndarray,
-                 theta_ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrence (cells, phases) and entropy (cells) of steady states at plateaus gamma_rs.
-
-    The reduced state is rho(theta) = M G(theta) M+.  M = [a e00, b e01 + c e10,
-    d e11] has orthogonal columns, M+ M = D = diag(|a|^2, |b|^2 + |c|^2,
-    |d|^2), and G is the Gram matrix of the (+, 0, -) oscillator branches of
-    :func:`~twospinboson.single_mode._density_from_phases`: 1 on the
-    diagonal, f = e^{-gamma} e^{2i theta} beside it and e^{-4 gamma} in the
-    corners.  With gamma_I = 0 the phase is the diagonal unitary
-    V = diag(e^{2i theta}, 1, e^{2i theta}) on G, so the spectrum of rho is
-    that of the real symmetric H = D^{1/2} G(0) D^{1/2} = W Lambda W^T at
-    every phase, and X = W Lambda^{1/2} is a square root of rho(0) in the
-    orthonormal columns of M.  The Wootters r_i are then the singular values
-    of the complex symmetric tau(theta) = X^T K(theta) X = T0 + e^{4i theta} T2
-    (Uhlmann's form; Wootters, PRL 80, 2245 (1998)), where with x_j row j of X
-    T0 = k_0 x_1 x_1^T, k_0 = 2bc / (|b|^2 + |c|^2), and
-    T2 = k_2 (x_0 x_2^T + x_2 x_0^T), k_2 = -ad / (|a| |d|); a coefficient is 0
-    when its denominator is.  Every model state has rank at most 3, so
-    C = max(0, r_1 - r_2 - r_3).  The phases cost one batched 3x3 ``svd``.
-    """
-    a, b, c, d = vec
-    root = np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)])
-    f = np.exp(-gamma_rs)
-    gram = np.ones(gamma_rs.shape + (3, 3))
-    gram[:, 0, 1] = gram[:, 1, 0] = gram[:, 1, 2] = gram[:, 2, 1] = f
-    gram[:, 0, 2] = gram[:, 2, 0] = np.exp(-4.0 * gamma_rs)
-    evals, evecs = np.linalg.eigh(root[:, None] * gram * root)
-    x = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
-    k_0 = 2.0 * b * c / root[1] ** 2 if root[1] > 0.0 else 0.0
-    k_2 = -a * d / (root[0] * root[2]) if root[0] * root[2] > 0.0 else 0.0
-    t0 = k_0 * x[:, 1, :, None] * x[:, 1, None, :]
-    cross = x[:, 0, :, None] * x[:, 2, None, :]
-    t2 = k_2 * (cross + cross.transpose(0, 2, 1))
-    tau = t0[:, None] + np.exp(4j * theta_ts)[:, None, None] * t2[:, None]
-    r = np.linalg.svd(tau, compute_uv=False)
-    return np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2]), _entropy_bits(evals)
-
-
 def _steady_states(specs, psi0: QubitAmplitudes, phase_points: int) -> list:
     """:func:`steady_state_stats` of each spectrum, the plateaus from one :func:`_plateaus` call.
 
-    The state at theta*t = 0 of every cell with a plateau is validated in one
-    batch (the error names its index among those cells); the phase scans run
-    in blocks of at most _SCAN_BLOCK matrices, one cell per block when the
-    scan alone is longer, so memory does not grow with the grid.
+    An invalid state is named by its index among the cells with a plateau.
     """
     vec = _require_amplitudes(psi0)
     if phase_points < 4:
@@ -649,15 +599,11 @@ def _steady_states(specs, psi0: QubitAmplitudes, phase_points: int) -> list:
     theta_ts = np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
     g_inf = _plateaus(specs)
     live = np.flatnonzero(np.isfinite(g_inf))
-    zeros = np.zeros(live.size)
-    _valid_spectra(_density_from_phases(vec, zeros, g_inf[live], zeros))
+    conc, entropy = _model_measures(
+        vec, g_inf[live], np.broadcast_to(2.0 * theta_ts, (live.size, phase_points)))
     out = [None] * len(specs)
-    step = max(1, _SCAN_BLOCK // phase_points)
-    for low in range(0, live.size, step):
-        cells = live[low:low + step]
-        conc, entropy = _steady_scan(vec, g_inf[cells], theta_ts)
-        for k, c_max, s in zip(cells, np.max(conc, axis=1), entropy):
-            out[k] = SteadyStateStats(float(g_inf[k]), float(c_max), float(s))
+    for k, c_max, s in zip(live, np.max(conc, axis=1), entropy):
+        out[k] = SteadyStateStats(float(g_inf[k]), float(c_max), float(s))
     return out
 
 

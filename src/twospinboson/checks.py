@@ -312,11 +312,11 @@ def bath_checks() -> list[CheckResult]:
 
     stats = bath.steady_state_stats(gapped, QubitAmplitudes.uniform())
     gapless_stats = bath.steady_state_stats(spec, QubitAmplitudes.uniform())
-    scan_defect = _steady_scan_defect()
+    scan_defect = _model_measures_defect()
     results.append(CheckResult(
         "steady-state scan oracle", scan_defect <= 1e-12,
-        f"max |C| and |S| difference {scan_defect:.2e} between the Gram/Uhlmann scan and "
-        "the 4x4 kernel at 256 phases, 4 plateaus and 4 amplitude sets (tol 1e-12)"))
+        f"max |C| and |S| difference {scan_defect:.2e} from the 4x4 kernel, 4 amplitude sets at "
+        "256 phases x 4 plateaus and 256 series times with gamma_I != 0 (tol 1e-12)"))
     ok = (stats is not None and stats.c_max > 0.0 and scan_defect <= 1e-12
           and gapless_stats is None)
     detail = "gapless reports no steady state; "
@@ -327,31 +327,36 @@ def bath_checks() -> list[CheckResult]:
     return results
 
 
-def _steady_scan_defect() -> float:
-    """Worst per-phase difference of C and S between the steady scan and the kernel.
+def _model_measures_defect() -> float:
+    """Worst difference of C and S between the Gram/Uhlmann route and the kernel.
 
-    The structured scan of ``bath._steady_scan`` against
-    ``entanglement_measures`` of the 4x4 states it stands for, on the uniform
-    amplitudes, seeded complex amplitudes, an a = d = 0 and a b = c = 0 state,
-    each at the plateaus 0, 0.05, 1.2 (alpha 0.25, gap 0.1) and 4.
+    ``single_mode._model_measures`` against ``entanglement_measures`` of the
+    4x4 states it stands for, on the uniform amplitudes, seeded complex
+    amplitudes, an a = d = 0 and a b = c = 0 state: as a steady-state scan of
+    256 phases at the plateaus 0, 0.05, 1.2 (alpha 0.25, gap 0.1) and 4, and
+    through ``time_series`` on 256 times at omega/lambda = 2.3 (gamma_I != 0).
     """
     rng = np.random.default_rng(DEFAULT_SEED + 3)
-    theta_ts = np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0])
+    theta_ts = np.broadcast_to(np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False), (4, 256))
+    params = SingleModeParams.from_ratio(2.3)
+    series_ts = np.linspace(0.0, 12.0, 256)
     b, c, a, d = rng.normal(size=4) + 1j * rng.normal(size=4)
     worst = 0.0
     for psi in (QubitAmplitudes.uniform(), _random_pure(rng),
                 QubitAmplitudes.normalized(0.0, b, c, 0.0),
                 QubitAmplitudes.normalized(a, 0.0, 0.0, d)):
         vec = psi.vector()
-        conc, entropy = bath._steady_scan(vec, gamma_rs, theta_ts)
-        for k, gamma_r in enumerate(gamma_rs):
-            rhos = single_mode._density_from_phases(
-                vec, theta_ts, np.full_like(theta_ts, gamma_r), np.zeros_like(theta_ts))
-            c_ref, s_ref = entanglement_measures(rhos)
-            worst = max(worst, float(np.max(np.abs(conc[k] - c_ref))),
-                        float(np.max(np.abs(entropy[k] - s_ref))))
-    return worst
+        conc, entropy = single_mode._model_measures(vec, gamma_rs, 2.0 * theta_ts)
+        c_ref, s_ref = entanglement_measures(
+            single_mode._density_from_phases(vec, theta_ts, gamma_rs[:, None], 0.0))
+        series = single_mode.time_series(params, psi, series_ts)
+        c_series, s_series = entanglement_measures(single_mode._density_from_phases(
+            vec, series["theta_t"], *single_mode._gammas(params, series_ts)))
+        worst = max(worst, np.max(np.abs(conc - c_ref)), np.max(np.abs(entropy[:, None] - s_ref)),
+                    np.max(np.abs(series["concurrence"] - c_series)),
+                    np.max(np.abs(series["entropy"] - s_series)))
+    return float(worst)
 
 
 def sweep_checks() -> list[CheckResult]:

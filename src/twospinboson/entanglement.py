@@ -9,6 +9,10 @@ entropy, and sqrt(rho) = V diag(sqrt p) V^+.  The spin-flipped state
 rho~ = S rho* S, with S = sigma_y (x) sigma_y, then has the square root
 S sqrt(rho)* S without a second decomposition, and the Wootters r_i are the
 singular values of sqrt(rho) sqrt(rho~) (Wootters, PRL 80, 2245 (1998)).
+
+This kernel is the public API and the oracle; the model's own states (every
+series, scan and period statistic) take the 3x3 Gram route of
+:func:`twospinboson.single_mode._model_measures` instead.
 """
 
 from __future__ import annotations
@@ -150,22 +154,6 @@ def _spectra(flat: np.ndarray):
     return herm, trace, evals, evecs
 
 
-def _valid_spectra(flat: np.ndarray, batched: bool = True):
-    """Ascending eigenvalues and eigenvectors of an (n, 4, 4) stack of valid states.
-
-    Raises ``InvalidDensityMatrixError`` for the first matrix that fails the
-    package tolerances, naming its index in the stack when ``batched``.
-    """
-    herm, trace, evals, evecs = _spectra(flat)
-    ok = _within_tolerances(herm, trace, evals[:, 0])
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise InvalidDensityMatrixError(
-            DensityCheck(float(herm[k]), float(trace[k]), float(evals[k, 0])),
-            k if batched else None)
-    return evals, evecs
-
-
 def _as_state_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -273,14 +261,20 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     if rhos.shape[-2:] != (4, 4):
         raise ValueError(f"expected shape (..., 4, 4), got {rhos.shape}")
     shape = rhos.shape[:-2]
-    evals, evecs = _valid_spectra(rhos.reshape(-1, 4, 4), bool(shape))
+    herm, trace, evals, evecs = _spectra(rhos.reshape(-1, 4, 4))
+    ok = _within_tolerances(herm, trace, evals[:, 0])
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InvalidDensityMatrixError(
+            DensityCheck(float(herm[k]), float(trace[k]), float(evals[k, 0])),
+            k if shape else None)
     entropy = _entropy_bits(evals)
     roots = np.sqrt(np.clip(evals, 0.0, None))
     sqrt_rho = (evecs * roots[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     sqrt_flipped = _FLIP_SIGNS * sqrt_rho[:, ::-1, ::-1].conj()
     # Singular values rather than eigenvalues of the product: the r_i come out
-    # without squaring, so the small ones keep absolute machine accuracy
-    # instead of sqrt(eps).
+    # without squaring, but only as accurately as sqrt(rho), which for a
+    # rank-deficient rho puts ~1e-8 on the null direction (C errs up to ~1e-8).
     r = np.linalg.svd(sqrt_rho @ sqrt_flipped, compute_uv=False)
     conc = np.maximum(0.0, r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3])
     return conc.reshape(shape), entropy.reshape(shape)

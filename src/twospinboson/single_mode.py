@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import QubitAmplitudes, _require_amplitudes, entanglement_measures
+from .entanglement import (MIN_EIGENVALUE_TOL, TRACE_TOL, DensityCheck, InvalidDensityMatrixError,
+                           QubitAmplitudes, _entropy_bits, _require_amplitudes)
 
 __all__ = [
     "SingleModeParams",
@@ -133,6 +134,9 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
     return (2.0 * params.coupling / params.omega) * (np.exp(-1j * x) - 1.0)
 
 
+_BLOCK = 1 << 12  # 3x3 matrices per block of _model_measures, 0.6 MB per temporary
+
+
 def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
     """Stack of reduced density matrices for arrays of phases and exponents."""
     a, b, c, d = psi0
@@ -161,6 +165,63 @@ def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
         for j in range(i):
             rho[..., i, j] = np.conj(rho[..., j, i])
     return rho
+
+
+def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
+                    phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence (n, m) and entropy (n,) of the model states at gamma_rs and phases.
+
+    Row k holds the states of :func:`_density_from_phases` at gamma_rs[k] and
+    phases[k, j] = 2 theta t - gamma_i: rho = M V G0 V+ M+ with M = [a e00,
+    b e01 + c e10, d e11] (orthogonal columns, M+ M = D = diag(|a|^2,
+    |b|^2 + |c|^2, |d|^2)), V = diag(e^{i phi}, 1, e^{i phi}) and G0 the real
+    Gram matrix of the (+, 0, -) oscillator branches (e^{-gamma_r} beside the
+    unit diagonal, e^{-4 gamma_r} in the corners).  So rho has the spectrum
+    of H = D^{1/2} G0 D^{1/2} = W Lambda W^T plus an exact 0, and with
+    X = W Lambda^{1/2} (rows x_j) the Wootters r_i are the singular values of
+    tau = k_0 x_1 x_1^T + e^{2i phi} k_2 (x_0 x_2^T + x_2 x_0^T), with
+    k_0 = 2bc / (|b|^2 + |c|^2) and k_2 = -ad / (|a| |d|) (0 when the
+    denominator is): Uhlmann's form (Wootters, PRL 80, 2245 (1998)).  So C =
+    max(0, r_1 - r_2 - r_3) costs one 3x3 ``eigh`` per row and ``svd`` per phase.
+
+    Validation makes the 4x4 kernel's decision and names its index (the row):
+    hermiticity holds by construction; the amplitudes' trace defect is checked
+    before any decomposition (the eigenvalue is then reported as NaN); the
+    smallest eigenvalue is H's; a non-finite gamma_r or phase gives NaN defects.
+    """
+    n, m = phases.shape
+    trace = abs(float(np.sum(np.abs(vec) ** 2)) - 1.0)
+    if n and not trace <= TRACE_TOL:
+        raise InvalidDensityMatrixError(DensityCheck(0.0, trace, math.nan), 0)
+    a, b, c, d = vec
+    root = np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)])
+    k_0 = 2.0 * b * c / root[1] ** 2 if root[1] > 0.0 else 0.0
+    k_2 = -a * d / (root[0] * root[2]) if root[0] * root[2] > 0.0 else 0.0
+    conc, entropy = np.empty((n, m)), np.empty(n)
+    step = max(1, _BLOCK // m)
+    for low in range(0, n, step):
+        rows = slice(low, low + step)
+        finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & np.isfinite(phases[rows]).all(1)
+        gamma = np.where(finite, gamma_rs[rows], 0.0)
+        gram = np.ones(gamma.shape + (3, 3))
+        gram[:, 0, 1] = gram[:, 1, 0] = gram[:, 1, 2] = gram[:, 2, 1] = np.exp(-gamma)
+        gram[:, 0, 2] = gram[:, 2, 0] = np.exp(-4.0 * gamma)
+        evals, evecs = np.linalg.eigh(root[:, None] * gram * root)
+        evals[~finite] = np.nan
+        failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
+        if failed.any():
+            k = int(np.argmax(failed))
+            defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
+            raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), low + k)
+        x = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+        t0 = k_0 * x[:, 1, :, None] * x[:, 1, None, :]
+        cross = x[:, 0, :, None] * x[:, 2, None, :]
+        t2 = k_2 * (cross + cross.transpose(0, 2, 1))
+        tau = t0[:, None] + np.exp(2j * phases[rows])[..., None, None] * t2[:, None]
+        r = np.linalg.svd(tau, compute_uv=False)
+        conc[rows] = np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2])
+        entropy[rows] = _entropy_bits(evals)
+    return conc, entropy
 
 
 def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) -> np.ndarray:
@@ -220,19 +281,19 @@ def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
 
     Columns: t, theta_t, concurrence, ideal_concurrence (the
     decoherence-free concurrence), entropy in bits and overlap
-    (exp(-gamma_r)), one entry per grid time.
+    (exp(-gamma_r)), one entry per grid time.  C and S come from the 3x3
+    Gram route of :func:`_model_measures`.
     """
     vec = _require_amplitudes(psi0)
     t = _validate_time_grid(t_grid)
     gamma_rs, gamma_is = _gammas(params, t)
     theta_ts = params.theta * t
 
-    rhos = _density_from_phases(vec, theta_ts, gamma_rs, gamma_is)
-    conc, entropy = entanglement_measures(rhos)
+    conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
     return {
         "t": t,
         "theta_t": theta_ts,
-        "concurrence": conc,
+        "concurrence": conc[:, 0],
         "ideal_concurrence": ideal_concurrence(psi0, theta_ts),
         "entropy": entropy,
         "overlap": np.exp(-gamma_rs),
@@ -244,8 +305,9 @@ def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
     """Max and average of C(t) and S(t) over one half period of the induced phase.
 
     The grid covers theta*t in [0, pi/2] with ``samples_per_period``
-    trapezoid intervals (at least 100).  With zero coupling the phase never
-    advances; the statistics are returned as zeros with ``degenerate=True``.
+    trapezoid intervals (at least 100), C and S from :func:`_model_measures`.
+    With zero coupling the phase never advances; the statistics are returned
+    as zeros with ``degenerate=True``.
     """
     vec = _require_amplitudes(psi0)
     if samples_per_period < 100:
@@ -256,12 +318,11 @@ def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
     theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
     gamma_rs, gamma_is = _gammas(params, theta_ts / params.theta)
 
-    rhos = _density_from_phases(vec, theta_ts, gamma_rs, gamma_is)
-    conc, entropy = entanglement_measures(rhos)
+    conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
     span = theta_ts[-1] - theta_ts[0]
     return PeriodStats(
         c_max=float(np.max(conc)),
-        c_avg=float(np.trapezoid(conc, theta_ts) / span),
+        c_avg=float(np.trapezoid(conc[:, 0], theta_ts) / span),
         s_max=float(np.max(entropy)),
         s_avg=float(np.trapezoid(entropy, theta_ts) / span),
     )

@@ -18,13 +18,8 @@ from .bath import (
     bath_exponents,
     effective_coupling,
 )
-from .entanglement import QubitAmplitudes, _require_amplitudes, entanglement_measures
-from .single_mode import (
-    SingleModeParams,
-    _density_from_phases,
-    _validate_time_grid,
-    period_stats,
-)
+from .entanglement import QubitAmplitudes, _require_amplitudes
+from .single_mode import SingleModeParams, _model_measures, _validate_time_grid, period_stats
 
 __all__ = [
     "DEFAULT_BATH_PAIRS",
@@ -139,7 +134,8 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
 
     Columns: t, theta_t, concurrence, entropy, entropy_scaled, overlap.
     ``entropy_scaled`` is 2S/3, which saturates at 1 when the uniform initial
-    state is fully decohered; ``overlap`` is exp(-gamma_R).
+    state is fully decohered; ``overlap`` is exp(-gamma_R).  C and S come from
+    the 3x3 Gram route of :func:`~twospinboson.single_mode._model_measures`.
     """
     vec = _require_amplitudes(psi0)
     t = _validate_time_grid(t_grid)
@@ -148,12 +144,11 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     gamma_rs, gamma_is, _ = bath_exponents(spec, t)
     theta_ts = theta * t
 
-    rhos = _density_from_phases(vec, theta_ts, gamma_rs, gamma_is)
-    conc, entropy = entanglement_measures(rhos)
+    conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
     return {
         "t": t,
         "theta_t": theta_ts,
-        "concurrence": conc,
+        "concurrence": conc[:, 0],
         "entropy": entropy,
         "entropy_scaled": 2.0 * entropy / 3.0,
         "overlap": np.exp(-gamma_rs),
@@ -169,9 +164,8 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     (gapless with coupling) carry ``has_steady_state = 0`` and the sentinel
     -1 in the c_max_steady and s_steady columns.  One Bose-series pass gives
     every plateau, each bitwise ``gamma_R_infinity``, and every cell is
-    bitwise :func:`~twospinboson.bath.steady_state_stats`: its state at zero
-    phase is validated, its entropy is one 3x3 Gram ``eigh`` and its
-    concurrence the maximum of Uhlmann's form over ``phase_points`` phases.
+    bitwise :func:`~twospinboson.bath.steady_state_stats`, one 3x3 Gram
+    ``eigh`` and ``phase_points`` 3x3 ``svd``.
     """
     if alphas is None or gaps is None:
         default_alphas, default_gaps = default_steady_grid()

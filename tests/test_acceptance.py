@@ -7,9 +7,10 @@ Each test prints one machine-greppable line
 
 before asserting (run pytest with ``-s`` to see the lines).  Every density
 matrix constructed in criteria 1-8 is funneled through ``_track``, which
-validates it and feeds the tally asserted by criterion 9.  Matrices built
-inside the sweep pipelines are additionally validated upstream by
-``entanglement_measures``, which raises on the first invalid state.
+validates it and feeds the tally asserted by criterion 9.  States inside the
+sweep pipelines are additionally validated upstream by
+``single_mode._model_measures``, which raises on the first invalid state
+with the decision and index of ``entanglement_measures``.
 """
 
 import math

@@ -1,9 +1,12 @@
-"""Structured steady-state scan against the 4x4 kernel and 40-digit mpmath.
+"""Model-state measures by the Gram route against the 4x4 kernel and 40-digit mpmath.
 
-``bath._steady_scan`` computes the steady-state concurrence at every phase
-from one 3x3 Gram ``eigh`` and a 3x3 ``svd`` per phase.  Oracles: the general
-kernel ``entanglement_measures`` applied to the 4x4 states the scan stands
-for, and, where that kernel loses accuracy, the Wootters formula at 40 digits.
+``single_mode._model_measures`` computes the concurrence and entropy of every
+model state from one 3x3 Gram ``eigh`` per damping value and one 3x3 ``svd``
+per phase; the steady-state scan, ``time_series``, ``period_stats`` and
+``state_series`` all go through it.  Oracles: the general kernel
+``entanglement_measures`` applied to the 4x4 states the helper stands for
+(values and validation decisions), and, where that kernel loses accuracy,
+the Wootters formula at 40 digits.
 """
 
 import math
@@ -14,18 +17,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twospinboson import bath, entanglement, sweeps
+from twospinboson import bath, entanglement, single_mode, sweeps
 from twospinboson.bath import OhmicGapSpectrum, steady_state_stats
 from twospinboson.entanglement import (
     InvalidDensityMatrixError,
     QubitAmplitudes,
     entanglement_measures,
 )
-from twospinboson.single_mode import _density_from_phases
+from twospinboson.single_mode import (
+    SingleModeParams,
+    _density_from_phases,
+    _model_measures,
+    period_stats,
+    time_series,
+)
+from twospinboson.sweeps import state_series
 
 mpmath = pytest.importorskip("mpmath")
 
 PHASES = np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)
+GAPPED = OhmicGapSpectrum(alpha=0.25, omega0=0.1)
 
 
 def _kernel(vec, gamma_r, theta_ts):
@@ -34,11 +45,19 @@ def _kernel(vec, gamma_r, theta_ts):
         vec, theta_ts, np.full_like(theta_ts, gamma_r), np.zeros_like(theta_ts)))
 
 
-def _mp_concurrence(vec, gamma_r, theta_t):
-    """Wootters concurrence of the steady state at 40 digits: sqrt of the eigenvalues of rho rho~."""
+def _scan(vec, gamma_rs, theta_ts):
+    """Steady-state scan: every plateau in gamma_rs at every phase theta_t."""
+    gamma_rs = np.asarray(gamma_rs, dtype=float)
+    return _model_measures(vec, gamma_rs,
+                           np.broadcast_to(2.0 * theta_ts, (gamma_rs.size, theta_ts.size)))
+
+
+def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
+    """Wootters concurrence of the model state at 40 digits: sqrt of the eigenvalues of rho rho~."""
     with mpmath.workdps(40):
         a, b, c, d = (mpmath.mpc(complex(z)) for z in vec)
-        f = mpmath.exp(-mpmath.mpf(gamma_r) + 2j * mpmath.mpf(theta_t))
+        phase = 2 * mpmath.mpf(theta_t) - mpmath.mpf(gamma_i)
+        f = mpmath.exp(-mpmath.mpf(gamma_r) + 1j * phase)
         g = mpmath.exp(-4 * mpmath.mpf(gamma_r))
         cj = mpmath.conj
         rho = mpmath.matrix([
@@ -55,25 +74,56 @@ def _mp_concurrence(vec, gamma_r, theta_t):
         return float(max(r[0] - r[1] - r[2] - r[3], 0))
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls to ``entanglement_measures`` made through any ``twospinboson`` module."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return entanglement_measures(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("twospinboson")
+                and getattr(module, "entanglement_measures", None) is entanglement_measures):
+            monkeypatch.setattr(module, "entanglement_measures", counting)
+    assert entanglement.entanglement_measures is counting
+    return calls
+
+
 # Moduli are 0 or at least 0.1.  When one of b, c is much smaller than the
 # other the kernel's concurrence errs by about 2e-16 times the ratio of the
 # larger to the smaller (2e-12 at a ratio of 1e4, up to 2.5e-8 when exactly
 # one is zero), so those states are checked against mpmath instead, in
-# test_scan_matches_mpmath_where_one_of_b_c_vanishes.
+# test_scan_matches_mpmath_where_one_of_b_c_vanishes and
+# test_series_match_mpmath_where_one_of_b_c_vanishes.
 _modulus = st.just(0.0) | st.floats(0.1, 1.0)
 _phase = st.floats(0.0, 2.0 * math.pi)
+_moduli = st.tuples(_modulus, _modulus, _modulus, _modulus)
+_phases = st.tuples(_phase, _phase, _phase, _phase)
+
+
+def _state(moduli, phases):
+    assume(any(moduli) and (moduli[1] == 0.0) == (moduli[2] == 0.0))
+    return QubitAmplitudes.normalized(*(m * np.exp(1j * p) for m, p in zip(moduli, phases)))
+
+
+# Exactly one of b, c is 0 or 1e-9, where the kernel's concurrence errs by up
+# to ~1e-8; the last state is one where it was seen 6.9e-9 off.
+_ONE_OF_B_C_VANISHES = [
+    (0.4 + 0.3j, 0.6 - 0.2j, 0.0, -0.5 + 0.1j),
+    (0.4 + 0.3j, 0.0, -0.3 + 0.5j, -0.5 + 0.1j),
+    (0.4 + 0.3j, 0.6 - 0.2j, 1e-9j, -0.5 + 0.1j),
+    (0.0410 + 0.1847j, 0.4376 - 0.1576j, 0.0, -0.8127 + 0.2956j),
+]
 
 
 class TestSteadyScan:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(moduli=st.tuples(_modulus, _modulus, _modulus, _modulus),
-           phases=st.tuples(_phase, _phase, _phase, _phase),
-           gamma_r=st.floats(0.0, 50.0))
+    @given(moduli=_moduli, phases=_phases, gamma_r=st.floats(0.0, 50.0))
     def test_scan_matches_kernel(self, moduli, phases, gamma_r):
-        assume(any(moduli) and (moduli[1] == 0.0) == (moduli[2] == 0.0))
-        psi = QubitAmplitudes.normalized(*(m * np.exp(1j * p) for m, p in zip(moduli, phases)))
-        vec = psi.vector()
-        conc, entropy = bath._steady_scan(vec, np.array([gamma_r]), PHASES)
+        vec = _state(moduli, phases).vector()
+        conc, entropy = _scan(vec, [gamma_r], PHASES)
         c_ref, s_ref = _kernel(vec, gamma_r, PHASES)
         np.testing.assert_allclose(conc[0], c_ref, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(entropy[0], s_ref, rtol=0.0, atol=1e-12)
@@ -84,36 +134,135 @@ class TestSteadyScan:
         vec = QubitAmplitudes.normalized(0.4 + 0.3j, b, c, -0.5 + 0.1j).vector()
         theta_ts = PHASES[::8]
         gamma_rs = np.array([0.0, 0.3, 2.0])
-        conc, _ = bath._steady_scan(vec, gamma_rs, theta_ts)
+        conc, _ = _scan(vec, gamma_rs, theta_ts)
         exact = [[_mp_concurrence(vec, g, th) for th in theta_ts] for g in gamma_rs]
         np.testing.assert_allclose(conc, exact, rtol=0.0, atol=1e-12)
 
-    def test_table_and_stats_never_call_the_kernel(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return entanglement_measures(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("twospinboson")
-                    and getattr(module, "entanglement_measures", None) is entanglement_measures):
-                monkeypatch.setattr(module, "entanglement_measures", counting)
-        assert entanglement.entanglement_measures is counting
+    def test_table_and_stats_never_call_the_kernel(self, kernel_calls):
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], temperature=0.5, phase_points=16)
-        steady_state_stats(OhmicGapSpectrum(alpha=0.25, omega0=0.1), QubitAmplitudes.uniform())
-        assert calls == []
+        steady_state_stats(GAPPED, QubitAmplitudes.uniform())
+        assert kernel_calls == []
 
     def test_invalid_state_is_refused(self):
         # A norm defect of 1e-10 passes the amplitude check (1e-9) but leaves
         # rho(0) with a trace defect above 1e-12.
         psi = QubitAmplitudes(0.5, 0.5, 0.5, 0.5 * (1.0 + 4e-10))
         with pytest.raises(InvalidDensityMatrixError, match="trace defect"):
-            steady_state_stats(OhmicGapSpectrum(alpha=0.25, omega0=0.1), psi)
+            steady_state_stats(GAPPED, psi)
 
     def test_blocks_do_not_change_cells(self, monkeypatch):
         specs = [OhmicGapSpectrum(alpha=alpha, omega0=0.1) for alpha in (0.1, 0.3, 0.7)]
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         whole = bath._steady_states(specs, psi, 64)
-        monkeypatch.setattr(bath, "_SCAN_BLOCK", 1)
+        monkeypatch.setattr(single_mode, "_BLOCK", 1)
         assert bath._steady_states(specs, psi, 64) == whole
+
+
+class TestModelMeasures:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(moduli=_moduli, phases=_phases,
+           points=st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(-5.0, 5.0),
+                                     st.floats(0.0, 20.0)), min_size=1, max_size=8))
+    def test_series_match_kernel(self, moduli, phases, points):
+        vec = _state(moduli, phases).vector()
+        gamma_rs, gamma_is, theta_ts = (np.array(v) for v in zip(*points))
+        conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
+        c_ref, s_ref = entanglement_measures(
+            _density_from_phases(vec, theta_ts, gamma_rs, gamma_is))
+        np.testing.assert_allclose(conc[:, 0], c_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(entropy, s_ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("amplitudes", _ONE_OF_B_C_VANISHES)
+    def test_series_match_mpmath_where_one_of_b_c_vanishes(self, amplitudes):
+        psi = QubitAmplitudes.normalized(*amplitudes)
+        params = SingleModeParams.from_ratio(2.3)
+        t = np.linspace(0.0, 9.0, 13)
+        series = time_series(params, psi, t)
+        gamma_rs, gamma_is = single_mode._gammas(params, t)
+        exact = [_mp_concurrence(psi.vector(), g_r, th, g_i)
+                 for g_r, g_i, th in zip(gamma_rs, gamma_is, series["theta_t"])]
+        np.testing.assert_allclose(series["concurrence"], exact, rtol=0.0, atol=1e-14)
+
+    def test_series_never_call_the_kernel(self, kernel_calls):
+        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
+        params = SingleModeParams.from_ratio(4.5)
+        time_series(params, psi, np.linspace(0.0, 3.0, 20))
+        period_stats(params, psi, 100)
+        state_series(GAPPED, psi, np.linspace(0.0, 3.0, 20))
+        assert kernel_calls == []
+
+    def test_blocks_do_not_change_series(self, monkeypatch):
+        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
+        params = SingleModeParams.from_ratio(4.5)
+        t = np.linspace(0.0, 40.0, 1000)
+        whole = time_series(params, psi, t)
+        monkeypatch.setattr(single_mode, "_BLOCK", 3)
+        blocked = time_series(params, psi, t)
+        for name in ("concurrence", "entropy"):
+            assert blocked[name].tobytes() == whole[name].tobytes()
+
+
+# Norm defect 4e-10: accepted as amplitudes (1e-9), but every state built
+# from them has a trace defect above 1e-12.
+_OFF_NORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5 * math.sqrt(1.0 + 1.6e-9))
+_PARAMS = SingleModeParams.from_ratio(4.5)
+_TIMES = np.linspace(0.0, 3.0, 8)
+_SERIES_CALLS = {
+    "time_series": lambda psi: time_series(_PARAMS, psi, _TIMES),
+    "period_stats": lambda psi: period_stats(_PARAMS, psi, 100),
+    "state_series": lambda psi: state_series(GAPPED, psi, _TIMES),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("call", [*_SERIES_CALLS.values(),
+                                      lambda psi: steady_state_stats(GAPPED, psi)],
+                             ids=[*_SERIES_CALLS, "steady_state_stats"])
+    def test_trace_defect_is_refused_before_any_decomposition(self, monkeypatch, call):
+        assert 3e-10 < _OFF_NORM.norm_defect() < 1e-9
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("decomposed an invalid state")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(InvalidDensityMatrixError, match="trace defect 4.0") as err:
+            call(_OFF_NORM)
+        assert err.value.index == 0
+
+    @pytest.mark.parametrize("name", _SERIES_CALLS)
+    def test_nan_exponent_is_refused_at_its_index(self, monkeypatch, name):
+        gammas = single_mode._gammas
+        exponents = sweeps.bath_exponents
+
+        def nan_at_3(values):
+            values = np.array(values)
+            values[3] = math.nan
+            return values
+
+        monkeypatch.setattr(single_mode, "_gammas",
+                            lambda *args: (nan_at_3(gammas(*args)[0]), gammas(*args)[1]))
+        monkeypatch.setattr(sweeps, "bath_exponents",
+                            lambda *args: (nan_at_3(exponents(*args)[0]),
+                                           *exponents(*args)[1:]))
+        with pytest.raises(InvalidDensityMatrixError, match="nan") as err:
+            _SERIES_CALLS[name](QubitAmplitudes.uniform())
+        assert err.value.index == 3
+        assert math.isnan(err.value.check.trace_defect)
+
+    @pytest.mark.parametrize("gamma_rs, phases", [
+        ([0.1, 0.2, -0.5, 0.3], [0.0, 1.0, 2.0, 3.0]),
+        ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, math.inf, 3.0]),
+        ([0.1, -1e3, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0]),
+    ])
+    def test_same_decision_and_index_as_the_kernel(self, gamma_rs, phases):
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        gamma_rs, phases = np.array(gamma_rs), np.array(phases)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidDensityMatrixError) as ours:
+                _model_measures(vec, gamma_rs, phases[:, None])
+            with pytest.raises(InvalidDensityMatrixError) as kernel:
+                entanglement_measures(_density_from_phases(
+                    vec, 0.5 * phases, gamma_rs, np.zeros_like(phases)))
+        assert ours.value.index == kernel.value.index
+        np.testing.assert_allclose(ours.value.check.min_eigenvalue,
+                                   kernel.value.check.min_eigenvalue, rtol=1e-9)
