@@ -16,20 +16,21 @@ e^{-n w/T}, a weighted sum of complex exponential integrals E1 (power series
 or continued fraction), which is its n = 0 term alone at T = 0.  The series
 is truncated where a proven tail bound falls below 1e-16 and refused before
 evaluation above a fixed work cap; its plateau is gamma_R(infinity).
-Oscillation-aware Gauss-Legendre quadrature remains only as the test oracle.
 
 The package re-exports the public names of its numerical modules; each
-module's ``__all__`` is the one list of what it makes public.
+module's ``__all__`` is the one list of what it makes public.  The
+oscillation-aware Gauss-Legendre quadrature the closed forms are checked
+against is the oracle module :mod:`twospinboson.quadrature`: it is not
+re-exported, and importing the package does not load it.
 """
 
 __version__ = "0.1.0"
 
-from . import bath, entanglement, fock, quadrature, single_mode, sweeps
+from . import bath, entanglement, fock, single_mode, sweeps
 from .entanglement import *
 from .single_mode import *
 from .fock import *
 from .bath import *
-from .quadrature import *
 from .sweeps import *
 
 __all__ = [
@@ -38,6 +39,5 @@ __all__ = [
     *single_mode.__all__,
     *fock.__all__,
     *bath.__all__,
-    *quadrature.__all__,
     *sweeps.__all__,
 ]

@@ -31,10 +31,9 @@ once.  The method depends on the gap and the temperature:
 
 The effective coupling is a closed form through E1 for every spectrum, and
 the long-time limit gamma_R(inf) is the plateau of the Bose series.  No
-evaluation path integrates: the adaptive Gauss-Legendre quadrature
-(:mod:`twospinboson.quadrature`) of the defining integrals,
-:func:`_quadrature_exponents`, is the reference the closed forms and the
-series are checked against.
+evaluation path integrates; the quadrature of the defining integrals that
+the closed forms and the series are checked against is the oracle module
+:mod:`twospinboson.quadrature`, which this module does not import.
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
 induced phase by the 3x3 Gram route of
@@ -50,16 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitAmplitudes, _require_amplitudes
-from .quadrature import DEFAULT_ABS_TOL, integrate_decaying
 from .single_mode import GammaValue, _model_measures, reduced_density
 
 __all__ = [
-    "X_MAX",
     "OhmicGapSpectrum",
     "BathGammaResult",
     "SteadyStateStats",
     "spectral_density",
-    "thermal_kernel",
     "effective_coupling",
     "bath_exponents",
     "gamma_R",
@@ -69,11 +65,7 @@ __all__ = [
     "bath_gamma",
     "bath_reduced_density",
     "steady_state_stats",
-    "discretize_modes",
 ]
-
-# Truncation of the scaled integration variable; exp(-40) < 5e-18.
-X_MAX = 40.0
 
 # Relative accuracy of the special-function closed forms (the E1 and ln Gamma
 # helpers are tested against 30-digit references at this level).
@@ -153,31 +145,6 @@ def spectral_density(spec: OhmicGapSpectrum, omega):
     x = (omega - spec.omega0) / spec.omega_c
     dens = spec.alpha * (omega - spec.omega0) * np.exp(-np.clip(x, 0.0, None))
     out = np.where(omega > spec.omega0, dens, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def thermal_kernel(omega, temperature: float):
-    """coth(omega / 2T), with the T = 0 limit equal to 1.
-
-    Guards: arguments above 30 return exactly 1, arguments below 1e-8 use the
-    small-argument expansion 1/y + y/3.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
-    if temperature == 0.0:
-        out = np.ones_like(omega)
-        return float(out) if out.ndim == 0 else out
-    with np.errstate(over="ignore"):  # a subnormal T: y = inf, which the guard takes
-        y = omega / (2.0 * temperature)
-    out = np.empty_like(y)
-    small = y < 1e-8
-    large = y > 30.0
-    mid = ~(small | large)
-    with np.errstate(divide="ignore"):
-        out[small] = 1.0 / y[small] + y[small] / 3.0
-    out[large] = 1.0
-    out[mid] = 1.0 / np.tanh(y[mid])
     return float(out) if out.ndim == 0 else out
 
 
@@ -415,33 +382,6 @@ def effective_coupling(spec: OhmicGapSpectrum) -> float:
     return 2.0 * spec.alpha * spec.omega_c * (1.0 - x0 * float(_exp_e1(np.array([x0])).real[0]))
 
 
-def _quadrature_exponents(spec: OhmicGapSpectrum, t: float,
-                          abs_tol: float = DEFAULT_ABS_TOL) -> tuple[float, float, float]:
-    """gamma_R, gamma_I and error estimate at one time t > 0 from the defining integrals.
-
-    Adaptive quadrature, valid for any spectrum: the oracle the closed forms
-    and the Bose series are tested against, called by no evaluation path.
-    """
-    scale = 4.0 * spec.alpha * spec.omega_c**2
-
-    def damping(u):
-        w = spec.omega0 + spec.omega_c * u
-        # 2 sin^2(w t / 2) = 1 - cos(w t) without cancellation at small w t.
-        osc = 2.0 * np.sin(0.5 * w * t) ** 2
-        return u * np.exp(-u) * thermal_kernel(w, spec.temperature) * osc / w**2
-
-    def phase(u):
-        w = spec.omega0 + spec.omega_c * u
-        return u * np.exp(-u) * np.sin(w * t) / w**2
-
-    tol = abs_tol / max(scale, 1.0)
-    g_r, err_r = integrate_decaying(damping, upper=X_MAX, osc_rate=spec.omega_c * t,
-                                    abs_tol=tol)
-    g_i, err_i = integrate_decaying(phase, upper=X_MAX, osc_rate=spec.omega_c * t,
-                                    abs_tol=tol)
-    return max(scale * g_r, 0.0), scale * g_i, scale * (err_r + err_i)
-
-
 def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """gamma_R(t), gamma_I(t) and an absolute error estimate on a grid of times.
 
@@ -605,28 +545,3 @@ def _steady_states(specs, psi0: QubitAmplitudes, phase_points: int) -> list:
     for k, c_max, s in zip(live, np.max(conc, axis=1), entropy):
         out[k] = SteadyStateStats(float(g_inf[k]), float(c_max), float(s))
     return out
-
-
-def discretize_modes(spec: OhmicGapSpectrum, n_modes: int = 200,
-                     upper: float = 12.0) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-mode stand-in for the continuum: frequencies and couplings squared.
-
-    Places modes at the abscissas of a composite 8-point Gauss rule on the
-    scaled interval [0, upper] and assigns lambda_j^2 = J(omega_j) * weight,
-    so that sums like 4 * sum lambda_j^2 sin(omega_j t)/omega_j^2 approximate
-    the corresponding continuum integrals.  ``n_modes`` must be a multiple
-    of 8.
-    """
-    if n_modes < 8 or n_modes % 8 != 0:
-        raise ValueError(f"n_modes must be a positive multiple of 8, got {n_modes}")
-    if upper <= 0.0:
-        raise ValueError(f"upper must be positive, got {upper}")
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    n_panels = n_modes // 8
-    h = upper / n_panels
-    left = h * np.arange(n_panels, dtype=float)[:, None]
-    u = (left + 0.5 * h * (nodes + 1.0)[None, :]).ravel()
-    du = (np.broadcast_to(0.5 * h * weights, (n_panels, 8))).ravel()
-    omegas = spec.omega0 + spec.omega_c * u
-    couplings_sq = spectral_density(spec, omegas) * spec.omega_c * du
-    return omegas, couplings_sq

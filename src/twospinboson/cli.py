@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace-distance bound per grid case (default 1e-7)")
     p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("verify", help="re-run every property suite")
+    p = sub.add_parser("verify", help="re-run every property suite and the acceptance criteria")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -192,7 +192,7 @@ def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
     if not isinstance(psi, QubitAmplitudes):
         psi = QubitAmplitudes(*(complex(z) for z in np.asarray(psi).ravel()))
     defect = psi.norm_defect()
-    if defect > NORMALIZATION_TOL:
+    if not defect <= NORMALIZATION_TOL:  # also refuses a NaN defect
         raise ValueError(
             f"amplitudes are not normalized: defect {defect:.3e} exceeds {NORMALIZATION_TOL:.0e}"
         )

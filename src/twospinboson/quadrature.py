@@ -1,11 +1,17 @@
-"""Composite Gauss-Legendre quadrature for decaying oscillatory integrands.
+"""The bath oracle: Gauss-Legendre quadrature of the defining bath integrals.
 
-The bath integrals all have the form integral_0^inf f(x) dx with f a smooth
+No evaluation path imports this module.  :func:`bath_exponents` integrates
+the definitions of gamma_R(t) and gamma_I(t) (with :func:`thermal_kernel`
+for coth(omega/2T)) at one time, and :func:`discretize_modes` replaces the
+continuum by finite Gauss modes; the closed forms and the Bose series of
+:mod:`twospinboson.bath` are checked against both.
+
+The integrals all have the form integral_0^inf f(x) dx with f a smooth
 exponentially decaying envelope times cos(x * rate) or sin(x * rate).  The
-domain is truncated where the envelope is negligible and tiled with panels
-narrow enough to resolve the oscillation (at most a tenth of a half period).
-The result is confirmed by doubling the panel count until two successive
-values agree; the last change is reported as the error estimate.
+domain is truncated at ``X_MAX``, where the envelope is negligible, and tiled
+with panels narrow enough to resolve the oscillation (at most a tenth of a
+half period).  The result is confirmed by doubling the panel count until two
+successive values agree; the last change is reported as the error estimate.
 """
 
 from __future__ import annotations
@@ -14,7 +20,13 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadratureError", "panel_width", "composite_gauss", "integrate_decaying"]
+from .bath import OhmicGapSpectrum, spectral_density
+
+__all__ = ["X_MAX", "QuadratureError", "panel_width", "composite_gauss", "integrate_decaying",
+           "thermal_kernel", "bath_exponents", "discretize_modes"]
+
+# Truncation of the scaled integration variable; exp(-40) < 5e-18.
+X_MAX = 40.0
 
 DEFAULT_ABS_TOL = 1e-10
 _BASE_WIDTH = 0.05
@@ -112,3 +124,80 @@ def integrate_decaying(f, upper: float, osc_rate: float = 0.0,
             return current, change
         previous = current
     raise QuadratureError(change, abs_tol, n_panels)
+
+
+def thermal_kernel(omega, temperature: float):
+    """coth(omega / 2T), with the T = 0 limit equal to 1.
+
+    Guards: arguments above 30 return exactly 1, arguments below 1e-8 use the
+    small-argument expansion 1/y + y/3.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if temperature < 0.0:
+        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    if temperature == 0.0:
+        out = np.ones_like(omega)
+        return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):  # a subnormal T: y = inf, which the guard takes
+        y = omega / (2.0 * temperature)
+    out = np.empty_like(y)
+    small = y < 1e-8
+    large = y > 30.0
+    mid = ~(small | large)
+    with np.errstate(divide="ignore"):
+        out[small] = 1.0 / y[small] + y[small] / 3.0
+    out[large] = 1.0
+    out[mid] = 1.0 / np.tanh(y[mid])
+    return float(out) if out.ndim == 0 else out
+
+
+def bath_exponents(spec: OhmicGapSpectrum, t: float,
+                   abs_tol: float = DEFAULT_ABS_TOL) -> tuple[float, float, float]:
+    """gamma_R, gamma_I and error estimate at one time t > 0 from the defining integrals.
+
+    Adaptive quadrature, valid for any spectrum: the reference for
+    :func:`twospinboson.bath.bath_exponents`.
+    """
+    scale = 4.0 * spec.alpha * spec.omega_c**2
+
+    def damping(u):
+        w = spec.omega0 + spec.omega_c * u
+        # 2 sin^2(w t / 2) = 1 - cos(w t) without cancellation at small w t.
+        osc = 2.0 * np.sin(0.5 * w * t) ** 2
+        return u * np.exp(-u) * thermal_kernel(w, spec.temperature) * osc / w**2
+
+    def phase(u):
+        w = spec.omega0 + spec.omega_c * u
+        return u * np.exp(-u) * np.sin(w * t) / w**2
+
+    tol = abs_tol / max(scale, 1.0)
+    g_r, err_r = integrate_decaying(damping, upper=X_MAX, osc_rate=spec.omega_c * t,
+                                    abs_tol=tol)
+    g_i, err_i = integrate_decaying(phase, upper=X_MAX, osc_rate=spec.omega_c * t,
+                                    abs_tol=tol)
+    return max(scale * g_r, 0.0), scale * g_i, scale * (err_r + err_i)
+
+
+def discretize_modes(spec: OhmicGapSpectrum, n_modes: int = 200,
+                     upper: float = 12.0) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-mode stand-in for the continuum: frequencies and couplings squared.
+
+    Places modes at the abscissas of a composite 8-point Gauss rule on the
+    scaled interval [0, upper] and assigns lambda_j^2 = J(omega_j) * weight,
+    so that sums like 4 * sum lambda_j^2 sin(omega_j t)/omega_j^2 approximate
+    the corresponding continuum integrals.  ``n_modes`` must be a multiple
+    of 8.
+    """
+    if n_modes < 8 or n_modes % 8 != 0:
+        raise ValueError(f"n_modes must be a positive multiple of 8, got {n_modes}")
+    if upper <= 0.0:
+        raise ValueError(f"upper must be positive, got {upper}")
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    n_panels = n_modes // 8
+    h = upper / n_panels
+    left = h * np.arange(n_panels, dtype=float)[:, None]
+    u = (left + 0.5 * h * (nodes + 1.0)[None, :]).ravel()
+    du = (np.broadcast_to(0.5 * h * weights, (n_panels, 8))).ravel()
+    omegas = spec.omega0 + spec.omega_c * u
+    couplings_sq = spectral_density(spec, omegas) * spec.omega_c * du
+    return omegas, couplings_sq

@@ -1,4 +1,14 @@
-"""Echo acceptance-criterion result lines even while output capture is on."""
+"""Shared fixtures; echo acceptance-criterion result lines even while output capture is on."""
+
+import pytest
+
+from twospinboson import checks
+
+
+@pytest.fixture(scope="session")
+def all_suites():
+    """Every suite of the check registry, run once per session."""
+    return checks.all_checks()
 
 
 def pytest_runtest_logreport(report):

@@ -12,13 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from twospinboson import bath
+from twospinboson import quadrature
 from twospinboson.bath import (
     OhmicGapSpectrum,
     bath_exponents,
     bath_gamma,
     bath_reduced_density,
-    discretize_modes,
     effective_coupling,
     gamma_I,
     gamma_R,
@@ -26,7 +25,6 @@ from twospinboson.bath import (
     saturation_time,
     spectral_density,
     steady_state_stats,
-    thermal_kernel,
 )
 from twospinboson.entanglement import (
     QubitAmplitudes,
@@ -35,6 +33,7 @@ from twospinboson.entanglement import (
     validate_density,
     von_neumann_entropy,
 )
+from twospinboson.quadrature import discretize_modes, thermal_kernel
 from twospinboson.single_mode import GammaValue, _density_from_phases, reduced_density
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
@@ -135,20 +134,20 @@ class TestEffectiveCoupling:
 
 
 class TestGaplessClosedForms:
-    # bath._quadrature_exponents evaluates the defining integrals.
+    # quadrature.bath_exponents evaluates the defining integrals.
     TIMES = (0.1, 0.5, 1.0, 3.0, 10.0)
 
     def test_gamma_r(self):
         gamma_rs = bath_exponents(GAPLESS, self.TIMES)[0]
         for t, value in zip(self.TIMES, gamma_rs):
-            expected = bath._quadrature_exponents(GAPLESS, t)[0]
+            expected = quadrature.bath_exponents(GAPLESS, t)[0]
             np.testing.assert_allclose(value, expected, rtol=1e-6)
             np.testing.assert_allclose(gamma_R(GAPLESS, t), expected, rtol=1e-6)
 
     def test_gamma_i(self):
         gamma_is = bath_exponents(GAPLESS, self.TIMES)[1]
         for t, value in zip(self.TIMES, gamma_is):
-            expected = bath._quadrature_exponents(GAPLESS, t)[1]
+            expected = quadrature.bath_exponents(GAPLESS, t)[1]
             np.testing.assert_allclose(value, expected, rtol=1e-6)
             np.testing.assert_allclose(gamma_I(GAPLESS, t), expected, rtol=1e-6)
 

@@ -2,7 +2,7 @@
 
 Oracles: 30-digit mpmath for the E1 and ln Gamma helpers and for the defining
 integrals of a gapped bath at T > 0, and the defining integrals evaluated by
-the adaptive quadrature of ``bath._quadrature_exponents`` (and, for the
+the adaptive quadrature of ``quadrature.bath_exponents`` (and, for the
 plateau gamma_R(inf), of ``integrate_decaying``), run at a tolerance of 1e-13.
 """
 
@@ -162,7 +162,7 @@ class TestBoseSeries:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(bath, "integrate_decaying", counting(integrate_decaying))
+        monkeypatch.setattr(quadrature, "integrate_decaying", counting(integrate_decaying))
         monkeypatch.setattr(quadrature, "composite_gauss", counting(quadrature.composite_gauss))
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         bath_exponents(spec, np.linspace(0.0, 300.0, 20))
@@ -184,7 +184,7 @@ def _quadrature_plateau(x0, tau):
             coth = 1.0 / np.tanh(w / (2.0 * tau)) if tau > 0.0 else 1.0
         return u * np.exp(-u) * coth / w**2
 
-    return integrate_decaying(integrand, upper=bath.X_MAX, abs_tol=1e-13)[0]
+    return integrate_decaying(integrand, upper=quadrature.X_MAX, abs_tol=1e-13)[0]
 
 
 class TestPlateau:
@@ -275,7 +275,7 @@ class TestClosedFormsAgainstQuadrature:
         spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
         gamma_r, gamma_i, error = bath_exponents(spec, TIMES)
         for k, t in enumerate(TIMES[1:], start=1):
-            ref_r, ref_i, ref_err = bath._quadrature_exponents(spec, float(t), abs_tol=1e-13)
+            ref_r, ref_i, ref_err = quadrature.bath_exponents(spec, float(t), abs_tol=1e-13)
             np.testing.assert_allclose(gamma_r[k], ref_r, rtol=1e-15, atol=1e-12)
             np.testing.assert_allclose(gamma_i[k], ref_i, rtol=1e-15, atol=1e-12)
             # The reported estimate covers the actual deviation.
@@ -292,7 +292,7 @@ class TestClosedFormsAgainstQuadrature:
         reference = _quadrature_plateau(gap, 0.0)
         for plateau in (gamma_R_infinity(spec), gamma_R_infinity(cold)):
             np.testing.assert_allclose(plateau, reference, rtol=0.0, atol=1e-12)
-        value, _ = integrate_decaying(lambda u: u * np.exp(-u) / (gap + u), upper=bath.X_MAX,
+        value, _ = integrate_decaying(lambda u: u * np.exp(-u) / (gap + u), upper=quadrature.X_MAX,
                                       abs_tol=1e-14)
         np.testing.assert_allclose(effective_coupling(spec), 0.5 * value, rtol=0.0, atol=1e-12)
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from twospinboson import bath, csvio
+from twospinboson import bath, checks, csvio
 from twospinboson.cli import main
 
 
@@ -276,10 +276,15 @@ class TestChecks:
         assert code == 1
         assert "FAIL" in out
 
-    def test_verify_runs_all_suites(self, capsys):
+    def test_verify_runs_all_suites(self, capsys, monkeypatch, all_suites):
+        # The suites themselves run once per session (conftest); this checks
+        # that verify reports each of them.
+        monkeypatch.setattr(checks, "all_checks", lambda: all_suites)
         code, out, _ = run_cli(capsys, "verify")
+        total = sum(len(results) for results in all_suites.values())
         assert code == 0
-        assert "== state-algebra ==" in out
+        assert all(f"== {suite} ==" in out for suite in all_suites)
+        assert out.endswith(f"{total}/{total} checks passed\n")
         assert "FAIL" not in out
 
 

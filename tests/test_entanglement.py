@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from twospinboson import bath, single_mode
 from twospinboson.entanglement import (
     InvalidDensityMatrixError,
     QubitAmplitudes,
@@ -171,6 +172,19 @@ class TestPureConcurrence:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             pure_concurrence(QubitAmplitudes(1.0, 1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("call", [
+        pure_concurrence,
+        lambda psi: single_mode.reduced_density(psi, 0.3, single_mode.GammaValue(0.1, 0.2)),
+        lambda psi: single_mode.ideal_concurrence(psi, 0.3),
+        lambda psi: single_mode.time_series(single_mode.SingleModeParams(4.0), psi, [0.0, 1.0]),
+        lambda psi: bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1), psi),
+    ], ids=["pure_concurrence", "reduced_density", "ideal_concurrence", "time_series",
+            "steady_state_stats"])
+    def test_rejects_nan_amplitudes(self, call):
+        # A NaN norm defect fails every comparison, so it must be refused, not passed.
+        with pytest.raises(ValueError, match="not normalized"):
+            call(QubitAmplitudes(math.nan, 0.5, 0.5, 0.5))
 
     def test_normalized_constructor(self):
         psi = QubitAmplitudes.normalized(1.0, 1.0, 1.0, 1.0)

@@ -1,6 +1,8 @@
 """Composite Gauss-Legendre integrator tests against analytic integrals."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,3 +89,18 @@ class TestPanelWidth:
         rates = [0.0, 10.0, 100.0, 1000.0, 10000.0]
         widths = [panel_width(r) for r in rates]
         assert all(w1 >= w2 for w1, w2 in zip(widths, widths[1:]))
+
+
+class TestOracleModule:
+    def test_package_import_leaves_the_oracle_unloaded(self):
+        # No evaluation path integrates: importing the package and its sweeps
+        # loads no quadrature, and the oracle's names stay out of the package.
+        script = (
+            "import sys, twospinboson, twospinboson.sweeps\n"
+            "names = ('X_MAX', 'thermal_kernel', 'discretize_modes', 'QuadratureError',\n"
+            "         'panel_width', 'composite_gauss', 'integrate_decaying')\n"
+            "print('twospinboson.quadrature' in sys.modules,\n"
+            "      [n for n in names if hasattr(twospinboson, n)])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False []\n"
