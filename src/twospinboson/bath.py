@@ -30,9 +30,13 @@ once.  The method depends on the gap and the temperature:
   is refused before evaluation.
 
 The effective coupling is a closed form through E1 for every spectrum, and
-the long-time limit gamma_R(inf) is the plateau of the Bose series.  No
-evaluation path integrates; the quadrature of the defining integrals that
-the closed forms and the series are checked against is the oracle module
+the long-time limit gamma_R(inf) is the plateau of the Bose series.  One
+private pass, :func:`_bose_pass`, evaluates every Bose-series term: over a
+list of spectra it finds each N once, applies the work cap, evaluates each
+plateau term once and returns the plateaus and, on a time grid, the damping
+sums, the n = 0 column and the tail bound.  No evaluation path integrates;
+the quadrature of the defining integrals that the closed forms and the
+series are checked against is the oracle module
 :mod:`twospinboson.quadrature`, which this module does not import.
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
@@ -228,7 +232,7 @@ def _gap_transform(x0, s: np.ndarray) -> np.ndarray:
 def _bose_log_tail(n_terms: int, x0: float, tau: float) -> float:
     """ln of a bound on the Bose-series terms after the first ``n_terms + 1``.
 
-    With r = x0/tau and b_n = 1 + n/tau, term n >= 1 of :func:`_bose_series`
+    With r = x0/tau and b_n = 1 + n/tau, damping term n >= 1 of :func:`_bose_pass`
     is 2 e^{-n r} Re(F_X(0) - F_X(s/b_n)) at X = b_n x0, and
     0 <= Re(F_X(0) - F_X(sigma)) <= 2 F_X(0) <= 2/X^2.  The terms after N
     therefore sum to at most 4 e^{-(N+1) r} / ((b_{N+1} x0)^2 (1 - e^{-r})),
@@ -267,22 +271,6 @@ def _bose_terms(x0: float, tau: float) -> int | None:
     return high
 
 
-def _checked_terms(spec: OhmicGapSpectrum, points: int) -> int:
-    """Bose-series term count N of a gapped ``spec`` for ``points`` times and the plateau.
-
-    Raises ``RuntimeError`` when N * (points + 1) E1 values would exceed
-    _SERIES_MAX_WORK, before anything is evaluated.
-    """
-    n_terms = _bose_terms(spec.omega0 / spec.omega_c, spec.temperature / spec.omega_c)
-    if n_terms is None or n_terms * (points + 1) > _SERIES_MAX_WORK:
-        needs = f"more than {_SERIES_MAX_WORK}" if n_terms is None else f"N = {n_terms}"
-        raise RuntimeError(
-            f"Bose series at gap {spec.omega0:g}, temperature {spec.temperature:g} "
-            f"needs {needs} terms for {points} times and the plateau, above the work "
-            f"cap of {_SERIES_MAX_WORK} E1 evaluations")
-    return n_terms
-
-
 def _bose_table(x0, tau, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decay rates b_n, arguments X = b_n x0 and weights c_n e^{-n r} of Bose terms n.
 
@@ -298,76 +286,79 @@ def _bose_table(x0, tau, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, b * x0, weight
 
 
-def _bose_series(x0: float, tau: float, n_terms: int,
-                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bose series of a gapped bath on scaled times s > 0.
+def _bose_pass(specs, s=None):
+    """Plateaus of ``specs`` and, on scaled times ``s`` = omega_c t, their Bose series.
 
-    Returns sum_n c_n e^{-n r} Re[F_X(0) - F_X(s/b_n)] over the terms of
-    :func:`_bose_table`, which is gamma_R / (4 alpha), and the n = 0 column
-    F_{x0}(s), whose imaginary part is gamma_I / (4 alpha).  Each term is the
-    substitution v = b_n u of the n-th Bose term, i.e. the T = 0 form at
-    decay rate b_n.
+    ``plateaus`` holds :func:`gamma_R_infinity` of every spectrum: 0 at
+    alpha = 0, inf when gapless with coupling, else 4 alpha sum_n c_n e^{-n r}
+    F_X(0) over the terms of :func:`_bose_table`.  Row k of ``damping``,
+    ``first`` and ``tail`` belongs to the k-th gapped spectrum with coupling:
+    sum_n c_n e^{-n r} Re[F_X(0) - F_X(s/b_n)] = gamma_R / (4 alpha), the
+    n = 0 column F_{x0}(s) with Im = gamma_I / (4 alpha), and the bound of
+    :func:`_bose_log_tail` on the terms left out.  Term n is the T = 0 form
+    at decay rate b_n (the substitution v = b_n u), and each F_X(0) is
+    evaluated once.
 
-    The times x terms grid of E1 values is built in blocks with the term axis
-    last and contiguous, and the blocks split terms at fixed offsets, so every
-    time point is summed in the same order whatever the length of the grid.
+    The terms fill zero-padded rows of _SERIES_CHUNK_TERMS, evaluated in
+    blocks of _SERIES_CHUNK_TIMES rows.  A plateau sums its own padded row
+    sums, so it does not depend on the other spectra; the damping adds each
+    row's live terms on blocks of _SERIES_CHUNK_TIMES times, so every time
+    point is summed in the same order whatever the length of the grid.
+
+    Raises ``RuntimeError`` before any evaluation when one spectrum needs
+    more than _SERIES_MAX_WORK E1 values, N * (s.size + 1), or all of them
+    together more than _SERIES_MAX_WORK terms for their plateaus.
     """
-    damping = np.zeros(s.size)
-    first = np.empty(s.size, dtype=complex)
-    for start in range(0, n_terms + 1, _SERIES_CHUNK_TERMS):
-        n = np.arange(start, min(start + _SERIES_CHUNK_TERMS, n_terms + 1))
-        b, x, weight = _bose_table(x0, tau, n)
-        f0 = _gap_transform(x, 0.0).real
-        for low in range(0, s.size, _SERIES_CHUNK_TIMES):
-            rows = slice(low, low + _SERIES_CHUNK_TIMES)
-            f = _gap_transform(x, s[rows, None] / b)
-            if start == 0:
-                first[rows] = f[:, 0]
-            damping[rows] += np.sum(weight * (f0 - f.real), axis=1)
-    return damping, first
-
-
-def _plateaus(specs) -> np.ndarray:
-    """:func:`gamma_R_infinity` of each spectrum, the gapped ones in one Bose-series pass.
-
-    This is the one place the plateau sum sum_n c_n e^{-n r} F_X(0) is
-    formed.  Each gapped spectrum's terms fill whole zero-padded rows of
-    _SERIES_CHUNK_TERMS, the rows of all spectra are evaluated in blocks of
-    _SERIES_CHUNK_TIMES rows, and each spectrum sums its own row sums, so its
-    value does not depend on the other spectra in the batch.
-
-    Raises ``RuntimeError`` before any evaluation when one spectrum fails the
-    work cap of :func:`_checked_terms`, or when all of them together need more
-    than _SERIES_MAX_WORK terms.
-    """
-    out = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
+    s = np.empty(0) if s is None else s
+    plateaus = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
     gapped = [k for k, spec in enumerate(specs) if spec.alpha > 0.0 and spec.omega0 > 0.0]
     cells = [specs[k] for k in gapped]
-    n_terms = np.array([_checked_terms(spec, 0) for spec in cells], dtype=int)
-    total = int(np.sum(n_terms + 1))
+    x0 = [spec.omega0 / spec.omega_c for spec in cells]
+    tau = [spec.temperature / spec.omega_c for spec in cells]
+    n_terms = [_bose_terms(*args) for args in zip(x0, tau)]
+    for spec, n in zip(cells, n_terms):
+        if n is None or n * (s.size + 1) > _SERIES_MAX_WORK:
+            needs = f"more than {_SERIES_MAX_WORK}" if n is None else f"N = {n}"
+            raise RuntimeError(
+                f"Bose series at gap {spec.omega0:g}, temperature {spec.temperature:g} "
+                f"needs {needs} terms for {s.size} times and the plateau, above the work "
+                f"cap of {_SERIES_MAX_WORK} E1 evaluations")
+    total = sum(n_terms) + len(n_terms)
     if total > _SERIES_MAX_WORK:
         raise RuntimeError(
             f"Bose series of {len(cells)} gapped spectra need {total} terms together "
             f"for their plateaus, above the work cap of {_SERIES_MAX_WORK} E1 evaluations")
-    x0 = np.array([spec.omega0 / spec.omega_c for spec in cells])
-    tau = np.array([spec.temperature / spec.omega_c for spec in cells])
+    tail = np.array([math.exp(_bose_log_tail(*args)) for args in zip(n_terms, x0, tau)])
+    n_terms, x0, tau = np.array(n_terms, dtype=int), np.array(x0), np.array(tau)
     rows = n_terms // _SERIES_CHUNK_TERMS + 1
     first_row = np.cumsum(rows) - rows
     cell = np.repeat(np.arange(len(cells)), rows)
     row_start = (np.arange(cell.size) - first_row[cell]) * _SERIES_CHUNK_TERMS
     row_sums = np.empty(cell.size)
+    damping = np.zeros((len(cells), s.size))
+    first = np.empty((len(cells), s.size), dtype=complex)
     for low in range(0, cell.size, _SERIES_CHUNK_TIMES):
         block = slice(low, low + _SERIES_CHUNK_TIMES)
         n = row_start[block, None] + np.arange(_SERIES_CHUNK_TERMS)
         live = n <= n_terms[cell[block, None]]
         k = np.broadcast_to(cell[block, None], n.shape)[live]
-        _, x, weight = _bose_table(x0[k], tau[k], n[live])
+        b, x, weight = _bose_table(x0[k], tau[k], n[live])
+        f0 = _gap_transform(x, 0.0).real
         terms = np.zeros(n.shape)
-        terms[live] = weight * _gap_transform(x, 0.0).real
+        terms[live] = weight * f0
         row_sums[block] = np.sum(terms, axis=1)
+        counts = np.count_nonzero(live, axis=1)
+        for row, stop, count in zip(range(low, cell.size), np.cumsum(counts), counts):
+            part = slice(stop - count, stop)
+            for start in range(0, s.size, _SERIES_CHUNK_TIMES):
+                times = slice(start, start + _SERIES_CHUNK_TIMES)
+                f = _gap_transform(x[part], s[times, None] / b[part])
+                if row_start[row] == 0:
+                    first[cell[row], times] = f[:, 0]
+                damping[cell[row], times] += np.sum(weight[part] * (f0[part] - f.real), axis=1)
     sums = np.array([np.sum(row_sums[a:a + m]) for a, m in zip(first_row, rows)])
-    out[gapped] = 4.0 * np.array([spec.alpha for spec in cells]) * sums
-    return out
+    plateaus[gapped] = 4.0 * np.array([spec.alpha for spec in cells]) * sums
+    return plateaus, damping, first, tail
 
 
 def effective_coupling(spec: OhmicGapSpectrum) -> float:
@@ -393,14 +384,16 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     - gapless, T > 0: gamma_R = 4 alpha [ln(1 + s^2)/2 + 2 ln Gamma(1 + tau)
       - 2 Re ln Gamma(1 + tau + i tau s)] (Palma, Suominen & Ekert, Proc. R.
       Soc. A 452, 567 (1996)), gamma_I as at T = 0;
-    - gapped: the Bose series of :func:`_bose_series`, a weighted sum of the
-      exponential-integral form of :func:`_gap_transform` at decay rates
-      1 + n/tau, truncated at the first N whose tail bound
-      (:func:`_bose_log_tail`) is at most 1e-16, which is N = 0 at T = 0;
-      gamma_I is the n = 0 term, since it does not depend on T.
+    - gapped: the Bose series, a weighted sum of the exponential-integral
+      form of :func:`_gap_transform` at decay rates 1 + n/tau, truncated at
+      the first N whose tail bound (:func:`_bose_log_tail`) is at most 1e-16,
+      which is N = 0 at T = 0; gamma_I is the n = 0 term, since it does not
+      depend on T.  One call of :func:`_bose_pass` gives the series, the
+      plateau and the tail bound.
 
     The error estimate is the rounding bound 1e-13 times the magnitude of the
-    terms combined, plus 4 alpha times the tail bound for the Bose series.
+    terms combined (twice the plateau plus the n = 0 term for the Bose
+    series), plus 4 alpha times the tail bound for the Bose series.
 
     Raises ``RuntimeError`` before any evaluation when the Bose series would
     need more than 2^25 E1 values, N * (len(t_grid) + 1).
@@ -417,20 +410,19 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     live = np.flatnonzero(t > 0.0) if spec.alpha > 0.0 else np.empty(0, dtype=int)
     if not live.size:
         return gamma_r, gamma_i, error
-    s = spec.omega_c * t[live]
     a4 = 4.0 * spec.alpha
     x0 = spec.omega0 / spec.omega_c
     tau = spec.temperature / spec.omega_c
     tail = 0.0
 
     if x0 > 0.0:
-        n_terms = _checked_terms(spec, t.size)
-        damping, f = _bose_series(x0, tau, n_terms, s)
-        gamma_r[live] = a4 * damping
-        gamma_i[live] = a4 * f.imag
-        magnitude = 2.0 * _plateaus([spec])[0] + a4 * np.abs(f)
-        tail = a4 * math.exp(_bose_log_tail(n_terms, x0, tau))
+        plateau, damping, first, bound = _bose_pass([spec], spec.omega_c * t)
+        gamma_r[live] = a4 * damping[0, live]
+        gamma_i[live] = a4 * first[0, live].imag
+        magnitude = 2.0 * plateau[0] + a4 * np.abs(first[0, live])
+        tail = a4 * bound[0]
     else:
+        s = spec.omega_c * t[live]
         log_term = 0.5 * np.log1p(s * s)
         gamma_i[live] = a4 * np.arctan(s)
         if tau == 0.0:
@@ -466,7 +458,7 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     Bose series of :func:`bath_exponents` (F_X(s) -> 0), with the same term
     count, tail bound and work cap as a grid with no times.
     """
-    return float(_plateaus([spec])[0])
+    return float(_bose_pass([spec])[0][0])
 
 
 def saturation_time(spec: OhmicGapSpectrum, t_start: float = 100.0,
@@ -525,23 +517,26 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.
     """
-    return _steady_states([spec], psi0, phase_points)[0]
+    g_inf, c_max, entropy = (float(v[0]) for v in _steady_states([spec], psi0, phase_points))
+    return None if math.isinf(g_inf) else SteadyStateStats(g_inf, c_max, entropy)
 
 
-def _steady_states(specs, psi0: QubitAmplitudes, phase_points: int) -> list:
-    """:func:`steady_state_stats` of each spectrum, the plateaus from one :func:`_plateaus` call.
+def _steady_states(specs, psi0: QubitAmplitudes,
+                   phase_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns gamma_R(inf), c_max and entropy of :func:`steady_state_stats` over ``specs``.
 
-    An invalid state is named by its index among the cells with a plateau.
+    The plateaus come from one :func:`_bose_pass`; c_max and the entropy are
+    NaN where the plateau is infinite.  An invalid state is named by its
+    index among the cells with a plateau.
     """
     vec = _require_amplitudes(psi0)
     if phase_points < 4:
         raise ValueError(f"phase_points must be at least 4, got {phase_points}")
     theta_ts = np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
-    g_inf = _plateaus(specs)
-    live = np.flatnonzero(np.isfinite(g_inf))
-    conc, entropy = _model_measures(
-        vec, g_inf[live], np.broadcast_to(2.0 * theta_ts, (live.size, phase_points)))
-    out = [None] * len(specs)
-    for k, c_max, s in zip(live, np.max(conc, axis=1), entropy):
-        out[k] = SteadyStateStats(float(g_inf[k]), float(c_max), float(s))
-    return out
+    g_inf = _bose_pass(specs)[0]
+    live = np.isfinite(g_inf)
+    c_max, entropy = np.full(len(specs), math.nan), np.full(len(specs), math.nan)
+    conc, entropy[live] = _model_measures(
+        vec, g_inf[live], np.broadcast_to(2.0 * theta_ts, (np.count_nonzero(live), phase_points)))
+    c_max[live] = np.max(conc, axis=1)
+    return g_inf, c_max, entropy

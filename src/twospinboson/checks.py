@@ -532,6 +532,14 @@ def _criterion_8(track: _Tally, seed: int) -> CheckResult:
         f"omega to t = 50: max S = {worst_s:.2e}, max |purity - 1| = {worst_p:.2e} (tol 1e-10)")
 
 
+def _guarded(name: str, run) -> list[CheckResult]:
+    """``run()``, or one FAIL entry ``name`` carrying the exception when it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return [CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")]
+
+
 def acceptance_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The nine acceptance criteria, ``criterion 1`` to ``criterion 9``, in order.
 
@@ -545,11 +553,7 @@ def acceptance_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for k, criterion in enumerate((_criterion_1, _criterion_2, _criterion_3, _criterion_4,
                                    _criterion_5, _criterion_6, _criterion_7, _criterion_8),
                                   start=1):
-        try:
-            results.append(criterion(track, seed))
-        except Exception as exc:
-            results.append(CheckResult(f"criterion {k}", False,
-                                       f"raised {type(exc).__name__}: {exc}"))
+        results += _guarded(f"criterion {k}", lambda: [criterion(track, seed)])
     failures = track.failures
     results.append(CheckResult(
         "criterion 9", track.count > 0 and not failures,
@@ -559,12 +563,13 @@ def acceptance_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def all_checks(seed: int = DEFAULT_SEED) -> dict[str, list[CheckResult]]:
-    """Every suite, keyed by the name ``verify`` prints."""
-    return {
-        "state-algebra": state_algebra_checks(seed),
-        "single-mode": single_mode_checks(seed),
-        "fock-oracle": oracle_checks(seed=seed),
-        "bath": bath_checks(),
-        "sweeps": sweep_checks(),
-        "acceptance": acceptance_checks(seed),
+    """Every suite, keyed by the name ``verify`` prints; a suite that raises fails alone."""
+    suites = {
+        "state-algebra": lambda: state_algebra_checks(seed),
+        "single-mode": lambda: single_mode_checks(seed),
+        "fock-oracle": lambda: oracle_checks(seed=seed),
+        "bath": bath_checks,
+        "sweeps": sweep_checks,
+        "acceptance": lambda: acceptance_checks(seed),
     }
+    return {name: _guarded(name, run) for name, run in suites.items()}

@@ -25,7 +25,6 @@ __all__ = [
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "MIN_EIGENVALUE_TOL",
-    "NORMALIZATION_TOL",
     "BASIS_LABELS",
     "QubitAmplitudes",
     "DensityCheck",
@@ -45,9 +44,6 @@ BASIS_LABELS = ("00", "01", "10", "11")
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 MIN_EIGENVALUE_TOL = -1e-10
-
-# Normalization defect accepted from caller-supplied pure-state amplitudes.
-NORMALIZATION_TOL = 1e-9
 
 # Eigenvalues below this are treated as exact zeros in entropy sums.
 _ENTROPY_CLIP = 1e-14
@@ -192,9 +188,10 @@ def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
     if not isinstance(psi, QubitAmplitudes):
         psi = QubitAmplitudes(*(complex(z) for z in np.asarray(psi).ravel()))
     defect = psi.norm_defect()
-    if not defect <= NORMALIZATION_TOL:  # also refuses a NaN defect
+    # Every state built from the amplitudes has this trace defect; a NaN is refused too.
+    if not defect <= TRACE_TOL:
         raise ValueError(
-            f"amplitudes are not normalized: defect {defect:.3e} exceeds {NORMALIZATION_TOL:.0e}"
+            f"amplitudes are not normalized: defect {defect:.3e} exceeds {TRACE_TOL:.0e}"
         )
     return psi.vector()
 

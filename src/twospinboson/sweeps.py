@@ -13,7 +13,7 @@ import numpy as np
 
 from .bath import (
     OhmicGapSpectrum,
-    _plateaus,
+    _bose_pass,
     _steady_states,
     bath_exponents,
     effective_coupling,
@@ -179,24 +179,14 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     specs = [OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap),
                               omega_c=omega_c, temperature=temperature)
              for gap in gaps for alpha in alphas]
-    flags = []
-    c_col = []
-    s_col = []
-    for stats in _steady_states(specs, psi0, phase_points):
-        if stats is None:
-            flags.append(0)
-            c_col.append(NO_STEADY_STATE)
-            s_col.append(NO_STEADY_STATE)
-        else:
-            flags.append(1)
-            c_col.append(stats.c_max)
-            s_col.append(stats.entropy)
+    g_inf, c_max, entropy = _steady_states(specs, psi0, phase_points)
+    steady = np.isfinite(g_inf)
     return {
         "alpha": np.array([spec.alpha for spec in specs]),
         "omega0": np.array([spec.omega0 for spec in specs]),
-        "has_steady_state": np.array(flags, dtype=float),
-        "c_max_steady": np.array(c_col),
-        "s_steady": np.array(s_col),
+        "has_steady_state": steady.astype(float),
+        "c_max_steady": np.where(steady, c_max, NO_STEADY_STATE),
+        "s_steady": np.where(steady, entropy, NO_STEADY_STATE),
     }
 
 
@@ -216,9 +206,9 @@ def thermal_overlap_table(temperatures=None, gaps=None, alpha: float = 0.25,
     temperatures = _validate_grid(temperatures, "temperatures")
     gaps = _validate_grid(gaps, "gaps")
 
-    g_inf = _plateaus([
+    g_inf = _bose_pass([
         OhmicGapSpectrum(alpha=alpha, omega0=float(gap), omega_c=omega_c, temperature=float(temp))
-        for gap in gaps for temp in temperatures])
+        for gap in gaps for temp in temperatures])[0]
     return {
         "temperature": np.tile(temperatures, gaps.size),
         "omega0": np.repeat(gaps, temperatures.size),

@@ -171,6 +171,34 @@ class TestBoseSeries:
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], temperature=0.5, phase_points=16)
         assert calls == []
 
+    def test_one_pass_evaluates_each_plateau_term_once(self, monkeypatch):
+        # gamma_R, gamma_I, the error estimate's plateau and its tail bound
+        # all come from one pass: N = 164 is found once, and each of the
+        # N + 1 plateau terms F_X(0) is evaluated once.
+        calls = {"_bose_pass": [], "_bose_terms": [], "plateau terms": []}
+
+        def counting(name):
+            real = getattr(bath, name)
+
+            def wrapper(*args):
+                calls[name].append(args)
+                return real(*args)
+            return wrapper
+
+        def counting_transform(x, s, real=bath._gap_transform):
+            if np.ndim(s) == 0 and s == 0.0:
+                calls["plateau terms"].append(np.size(x))
+            return real(x, s)
+
+        monkeypatch.setattr(bath, "_bose_pass", counting("_bose_pass"))
+        monkeypatch.setattr(bath, "_bose_terms", counting("_bose_terms"))
+        monkeypatch.setattr(bath, "_gap_transform", counting_transform)
+        spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
+        bath_exponents(spec, np.linspace(0.0, 300.0, 20))
+        assert len(calls["_bose_pass"]) == 1
+        assert len(calls["_bose_terms"]) == 1
+        assert sum(calls["plateau terms"]) == 165
+
     def test_saturation_time(self):
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         assert bath.saturation_time(spec) == 25600.0

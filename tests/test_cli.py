@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from twospinboson import bath, checks, csvio
+from twospinboson import bath, checks, csvio, entanglement
 from twospinboson.cli import main
 
 
@@ -286,6 +286,31 @@ class TestChecks:
         assert all(f"== {suite} ==" in out for suite in all_suites)
         assert out.endswith(f"{total}/{total} checks passed\n")
         assert "FAIL" not in out
+
+    def test_verify_reports_a_raising_suite_and_runs_the_rest(self, capsys, monkeypatch,
+                                                              all_suites):
+        # The other suites return their session results; the single-mode
+        # suite raises as an invalid state would.
+        for suite, name in (("state-algebra", "state_algebra_checks"),
+                            ("fock-oracle", "oracle_checks"), ("bath", "bath_checks"),
+                            ("sweeps", "sweep_checks"), ("acceptance", "acceptance_checks")):
+            monkeypatch.setattr(checks, name, lambda *args, suite=suite, **kwargs:
+                                all_suites[suite])
+
+        def broken(*args, **kwargs):
+            raise entanglement.InvalidDensityMatrixError(
+                entanglement.DensityCheck(0.0, 2e-10, 0.5), 7)
+
+        monkeypatch.setattr(checks, "single_mode_checks", broken)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1 and err == ""
+        assert all(f"== {suite} ==" in out for suite in all_suites)
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL single-mode: raised InvalidDensityMatrixError: ")
+        total = sum(len(results) for suite, results in all_suites.items()
+                    if suite != "single-mode") + 1
+        assert out.endswith(f"{total - 1}/{total} checks passed\n")
 
 
 class TestTopLevel:

@@ -144,10 +144,10 @@ class TestSteadyScan:
         assert kernel_calls == []
 
     def test_invalid_state_is_refused(self):
-        # A norm defect of 1e-10 passes the amplitude check (1e-9) but leaves
-        # rho(0) with a trace defect above 1e-12.
+        # A norm defect of 4e-10 would leave rho(0) with a trace defect above
+        # 1e-12, so the amplitude check refuses it.
         psi = QubitAmplitudes(0.5, 0.5, 0.5, 0.5 * (1.0 + 4e-10))
-        with pytest.raises(InvalidDensityMatrixError, match="trace defect"):
+        with pytest.raises(ValueError, match="amplitudes are not normalized"):
             steady_state_stats(GAPPED, psi)
 
     def test_blocks_do_not_change_cells(self, monkeypatch):
@@ -155,7 +155,8 @@ class TestSteadyScan:
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         whole = bath._steady_states(specs, psi, 64)
         monkeypatch.setattr(single_mode, "_BLOCK", 1)
-        assert bath._steady_states(specs, psi, 64) == whole
+        blocked = bath._steady_states(specs, psi, 64)
+        assert [v.tobytes() for v in blocked] == [v.tobytes() for v in whole]
 
 
 class TestModelMeasures:
@@ -202,8 +203,8 @@ class TestModelMeasures:
             assert blocked[name].tobytes() == whole[name].tobytes()
 
 
-# Norm defect 4e-10: accepted as amplitudes (1e-9), but every state built
-# from them has a trace defect above 1e-12.
+# Norm defect 4e-10: every state built from these amplitudes would have a
+# trace defect above 1e-12, so they are refused as amplitudes.
 _OFF_NORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5 * math.sqrt(1.0 + 1.6e-9))
 _PARAMS = SingleModeParams.from_ratio(4.5)
 _TIMES = np.linspace(0.0, 3.0, 8)
@@ -225,8 +226,15 @@ class TestValidation:
             raise AssertionError("decomposed an invalid state")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        with pytest.raises(InvalidDensityMatrixError, match="trace defect 4.0") as err:
+        with pytest.raises(ValueError, match="amplitudes are not normalized: defect 4.0"):
             call(_OFF_NORM)
+
+    def test_model_measures_checks_the_trace(self, monkeypatch):
+        # The helper's own check, reached only by a caller that skips the
+        # amplitude check, refuses the state before any decomposition.
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: 1 / 0)
+        with pytest.raises(InvalidDensityMatrixError, match="trace defect 4.0") as err:
+            _model_measures(_OFF_NORM.vector(), np.array([0.1]), np.zeros((1, 3)))
         assert err.value.index == 0
 
     @pytest.mark.parametrize("name", _SERIES_CALLS)
