@@ -41,8 +41,9 @@ series are checked against is the oracle module
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
 induced phase by the 3x3 Gram route of
-:func:`~twospinboson.single_mode._model_measures`: one ``eigh`` per cell,
-one ``svd`` per phase.
+:func:`~twospinboson.single_mode._model_measures`: one real ``eigvalsh`` per
+cell for the entropy, and per phase one complex ``eigvalsh`` for the largest
+Wootters value plus closed-form invariants for the other two.
 """
 
 from __future__ import annotations
@@ -511,8 +512,9 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     has decayed to zero; only the induced phase theta*t keeps advancing.  The
     concurrence is scanned over ``phase_points`` values of theta*t in
     [0, pi/2) (its full period up to local unitaries) by
-    :func:`~twospinboson.single_mode._model_measures`; the entropy is
-    exactly phase independent.
+    :func:`~twospinboson.single_mode._model_measures`, one 3x3 ``eigvalsh``
+    per phase; the entropy is exactly phase independent and takes one real
+    3x3 ``eigvalsh`` per cell.
 
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.

@@ -287,10 +287,13 @@ def bath_checks() -> list[CheckResult]:
         f"gamma_R(inf) over omega0 = 0.01, 0.05, 0.1, 0.2: {[f'{p:.4f}' for p in by_gap]}"))
 
     scan_defect = _model_measures_defect()
+    closed_defect = _model_measures_closed_form_defect()
     results.append(CheckResult(
-        "steady-state scan oracle", scan_defect <= 1e-12,
+        "steady-state scan oracle", scan_defect <= 1e-12 and closed_defect <= 1e-15,
         f"max |C| and |S| difference {scan_defect:.2e} from the 4x4 kernel, 4 amplitude sets at "
-        "256 phases x 4 plateaus and 256 series times with gamma_I != 0 (tol 1e-12)"))
+        "256 phases x 4 plateaus and 256 series times with gamma_I != 0 (tol 1e-12); "
+        f"max |C| difference {closed_defect:.2e} from the closed forms 2|ad| e^(-4 gamma_R) "
+        "(b = c = 0), 2|bc| (a = d = 0) and ideal_concurrence (gamma_R = 0) (tol 1e-15)"))
     return results
 
 
@@ -323,6 +326,34 @@ def _model_measures_defect() -> float:
         worst = max(worst, np.max(np.abs(conc - c_ref)), np.max(np.abs(entropy[:, None] - s_ref)),
                     np.max(np.abs(series["concurrence"] - c_series)),
                     np.max(np.abs(series["entropy"] - s_series)))
+    return float(worst)
+
+
+def _model_measures_closed_form_defect() -> float:
+    """Worst difference of C between the Gram/Uhlmann route and closed forms.
+
+    No 4x4 kernel is involved: with b = c = 0 the state lives on {|00>, |11>}
+    and C = 2|ad| e^{-4 gamma_R}; with a = d = 0 it lives on {|01>, |10>},
+    untouched by the environment, and C = 2|bc|; at gamma_R = 0 it is pure
+    and C = ``ideal_concurrence``.  Each at 256 phases, the first two at the
+    plateaus 0, 0.05, 1.2, 4 and 12.
+    """
+    rng = np.random.default_rng(DEFAULT_SEED + 4)
+    gamma_rs = np.array([0.0, 0.05, 1.2, 4.0, 12.0])
+    theta_ts = np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False)
+    phases = np.broadcast_to(2.0 * theta_ts, (gamma_rs.size, theta_ts.size))
+    b, c, a, d = rng.normal(size=4) + 1j * rng.normal(size=4)
+    worst = 0.0
+    for psi, closed in ((QubitAmplitudes.normalized(a, 0.0, 0.0, d),
+                         lambda v: 2.0 * abs(v[0] * v[3]) * np.exp(-4.0 * gamma_rs)[:, None]),
+                        (QubitAmplitudes.normalized(0.0, b, c, 0.0),
+                         lambda v: np.full(phases.shape, 2.0 * abs(v[1] * v[2])))):
+        vec = psi.vector()
+        conc, _ = single_mode._model_measures(vec, gamma_rs, phases)
+        worst = max(worst, np.max(np.abs(conc - closed(vec))))
+    for psi in (_UNIFORM, _random_pure(rng)):
+        conc, _ = single_mode._model_measures(psi.vector(), np.zeros(1), 2.0 * theta_ts[None])
+        worst = max(worst, np.max(np.abs(conc[0] - single_mode.ideal_concurrence(psi, theta_ts))))
     return float(worst)
 
 

@@ -177,12 +177,33 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     |b|^2 + |c|^2, |d|^2)), V = diag(e^{i phi}, 1, e^{i phi}) and G0 the real
     Gram matrix of the (+, 0, -) oscillator branches (e^{-gamma_r} beside the
     unit diagonal, e^{-4 gamma_r} in the corners).  So rho has the spectrum
-    of H = D^{1/2} G0 D^{1/2} = W Lambda W^T plus an exact 0, and with
-    X = W Lambda^{1/2} (rows x_j) the Wootters r_i are the singular values of
-    tau = k_0 x_1 x_1^T + e^{2i phi} k_2 (x_0 x_2^T + x_2 x_0^T), with
-    k_0 = 2bc / (|b|^2 + |c|^2) and k_2 = -ad / (|a| |d|) (0 when the
-    denominator is): Uhlmann's form (Wootters, PRL 80, 2245 (1998)).  So C =
-    max(0, r_1 - r_2 - r_3) costs one 3x3 ``eigh`` per row and ``svd`` per phase.
+    of H = D^{1/2} G0 D^{1/2} plus an exact 0: one real 3x3 ``eigvalsh`` per
+    row gives the entropy and the smallest eigenvalue for validation.
+
+    Concurrence.  With e = e^{-gamma_r} and s = sqrt(1 - e^2) (from ``expm1``),
+    G0 = L L^T for the exact Cholesky factor
+
+        L = [[1, 0, 0], [e, s, 0], [e^4, e (1 + e^2) s, s^2 sqrt(1 + e^2)]],
+
+    so rho = X X+ with X = M V L, and the Wootters r_i are the singular
+    values of tau = X^T (sigma_y x sigma_y) X = L^T N L, where N has 2bc in
+    the middle and A = -ad e^{2i phi} in the corners (Uhlmann's form;
+    Wootters, PRL 80, 2245 (1998)).  tau is complex symmetric and sparse:
+
+        tau = [[2bc e^2 + 2A e^4, (2bc + A (1 + e^2)) e s, A s^2 sqrt(1 + e^2)],
+               [.,                2bc s^2,                 0],
+               [.,                0,                       0]].
+
+    r_1^2 is the largest eigenvalue of tau+ tau, from one batched complex
+    ``eigvalsh``; it is accurate relative to itself.  The small values never
+    come from an eigenvalue, which would square them: r_2 r_3 = |det tau| / r_1
+    and r_2^2 + r_3^2 = (||adj tau||_F^2 - (r_2 r_3)^2) / r_1^2 from the exact
+    products |det tau| = |2bc| |A|^2 s^6 (1 + e^2) and ||adj tau||_F^2 =
+    |tau_02|^2 (|tau_02|^2 + 2 |tau_11|^2 + 2 |tau_01|^2)
+    + e^4 s^4 |A|^2 |4bc + A (1 + e^2)^2|^2, in which no 2x2 minor cancels.
+    Then C = max(0, r_1 - sqrt(r_2^2 + r_3^2 + 2 r_2 r_3)), and C = 0 where
+    tau = 0.  r_1 is not taken from the invariants alone: where r_1 ~ r_2 the
+    largest root of the characteristic cubic is only ~sqrt(eps) accurate.
 
     Validation makes the 4x4 kernel's decision and names its index (the row):
     hermiticity holds by construction; the amplitudes' trace defect is checked
@@ -195,33 +216,58 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
         raise InvalidDensityMatrixError(DensityCheck(0.0, trace, math.nan), 0)
     a, b, c, d = vec
     root = np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)])
-    k_0 = 2.0 * b * c / root[1] ** 2 if root[1] > 0.0 else 0.0
-    k_2 = -a * d / (root[0] * root[2]) if root[0] * root[2] > 0.0 else 0.0
+    bc2, ad = 2.0 * b * c, a * d
     conc, entropy = np.empty((n, m)), np.empty(n)
     step = max(1, _BLOCK // m)
     for low in range(0, n, step):
         rows = slice(low, low + step)
         finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & np.isfinite(phases[rows]).all(1)
         gamma = np.where(finite, gamma_rs[rows], 0.0)
+        e, e4 = np.exp(-gamma), np.exp(-4.0 * gamma)
         gram = np.ones(gamma.shape + (3, 3))
-        gram[:, 0, 1] = gram[:, 1, 0] = gram[:, 1, 2] = gram[:, 2, 1] = np.exp(-gamma)
-        gram[:, 0, 2] = gram[:, 2, 0] = np.exp(-4.0 * gamma)
-        evals, evecs = np.linalg.eigh(root[:, None] * gram * root)
+        gram[:, 0, 1] = gram[:, 1, 0] = gram[:, 1, 2] = gram[:, 2, 1] = e
+        gram[:, 0, 2] = gram[:, 2, 0] = e4
+        evals = np.linalg.eigvalsh(root[:, None] * gram * root)
         evals[~finite] = np.nan
         failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
         if failed.any():
             k = int(np.argmax(failed))
             defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
             raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), low + k)
-        x = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
-        t0 = k_0 * x[:, 1, :, None] * x[:, 1, None, :]
-        cross = x[:, 0, :, None] * x[:, 2, None, :]
-        t2 = k_2 * (cross + cross.transpose(0, 2, 1))
-        tau = t0[:, None] + np.exp(2j * phases[rows])[..., None, None] * t2[:, None]
-        r = np.linalg.svd(tau, compute_uv=False)
-        conc[rows] = np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2])
         entropy[rows] = _entropy_bits(evals)
+        conc[rows] = _uhlmann_concurrence(bc2, ad, gamma, phases[rows])
     return conc, entropy
+
+
+def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """C = max(0, r_1 - r_2 - r_3) of the sparse tau of :func:`_model_measures`."""
+    # A validated gamma_r is >= 0 up to rounding; s^2 = 1 - e^{-2 gamma_r} needs it >= 0.
+    gamma = np.maximum(gamma, 0.0)[:, None]
+    e, e4, s2 = np.exp(-gamma), np.exp(-4.0 * gamma), -np.expm1(-2.0 * gamma)
+    e2 = e * e
+    big_a = -ad * np.exp(2j * phases)
+    t00 = bc2 * e2 + 2.0 * big_a * e4
+    t01 = (bc2 + big_a * (1.0 + e2)) * (e * np.sqrt(s2))
+    t02 = big_a * (s2 * np.sqrt(1.0 + e2))
+    t11 = bc2 * s2
+    # tau+ tau is Hermitian; its lower triangle is all eigvalsh reads.
+    herm = np.zeros(t00.shape + (3, 3), dtype=complex)
+    sq01, sq02, sq11 = abs(t01) ** 2, abs(t02) ** 2, abs(t11) ** 2
+    herm[..., 0, 0] = abs(t00) ** 2 + sq01 + sq02
+    herm[..., 1, 0] = t00 * t01.conj() + t01 * t11.conj()
+    herm[..., 2, 0] = t00 * t02.conj()
+    herm[..., 1, 1] = sq01 + sq11
+    herm[..., 2, 1] = t01 * t02.conj()
+    herm[..., 2, 2] = sq02
+    r1_sq = np.linalg.eigvalsh(herm)[..., 2]
+    adj_sq = (sq02 * (sq02 + 2.0 * sq11 + 2.0 * sq01)
+              + e4 * s2 ** 2 * abs(big_a) ** 2 * abs(2.0 * bc2 + big_a * (1.0 + e2) ** 2) ** 2)
+    live = r1_sq > 0.0
+    r1_sq = np.where(live, r1_sq, 1.0)
+    r1 = np.sqrt(r1_sq)
+    r23 = abs(t11) * sq02 / r1  # |det tau| / r_1
+    small = np.sqrt(np.maximum((adj_sq - r23 ** 2) / r1_sq + 2.0 * r23, 0.0))
+    return np.where(live, np.maximum(0.0, r1 - small), 0.0)
 
 
 def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) -> np.ndarray:

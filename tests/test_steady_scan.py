@@ -1,12 +1,15 @@
 """Model-state measures by the Gram route against the 4x4 kernel and 40-digit mpmath.
 
 ``single_mode._model_measures`` computes the concurrence and entropy of every
-model state from one 3x3 Gram ``eigh`` per damping value and one 3x3 ``svd``
-per phase; the steady-state scan, ``time_series``, ``period_stats`` and
-``state_series`` all go through it.  Oracles: the general kernel
-``entanglement_measures`` applied to the 4x4 states the helper stands for
-(values and validation decisions), and, where that kernel loses accuracy,
-the Wootters formula at 40 digits.
+model state from one real 3x3 ``eigvalsh`` of the Gram form H per damping
+value and, per phase, one complex 3x3 ``eigvalsh`` of tau+ tau for the
+largest Wootters value plus closed-form invariants of the sparse tau for the
+other two; no ``eigh`` and no ``svd``.  The steady-state scan, ``time_series``,
+``period_stats`` and ``state_series`` all go through it.  Oracles: the
+general kernel ``entanglement_measures`` applied to the 4x4 states the helper
+stands for (values and validation decisions), and, where that kernel loses
+accuracy or the state is nearly pure or nearly unentangled, the Wootters
+formula at 40 digits.
 """
 
 import math
@@ -72,6 +75,32 @@ def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
         lam = mpmath.eig(rho * flip * rho.apply(cj) * flip, left=False, right=False)
         r = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in lam), reverse=True)
         return float(max(r[0] - r[1] - r[2] - r[3], 0))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the ``np.linalg`` decompositions called, eigvalsh split by dtype."""
+    calls = []
+
+    def counting(name, func):
+        def wrapper(a, *args, **kwargs):
+            kind = "complex " if np.iscomplexobj(a) else "real "
+            calls.append((kind if name == "eigvalsh" else "") + name)
+            return func(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def _forbid_decompositions(monkeypatch):
+    """Make every ``np.linalg`` decomposition the Gram route could call fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed an invalid state")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
 
 
 @pytest.fixture
@@ -184,6 +213,37 @@ class TestModelMeasures:
                  for g_r, g_i, th in zip(gamma_rs, gamma_is, series["theta_t"])]
         np.testing.assert_allclose(series["concurrence"], exact, rtol=0.0, atol=1e-14)
 
+    def test_one_real_and_one_complex_eigvalsh_per_block(self, lapack_calls):
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        n, m = 3, 64
+        assert n * m <= single_mode._BLOCK
+        _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (n, 1)))
+        assert sorted(lapack_calls) == ["complex eigvalsh", "real eigvalsh"]
+        lapack_calls.clear()
+        # Four gapped cells of 16 phases are one block; the gapless cells have no plateau.
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], phase_points=16)
+        assert sorted(lapack_calls) == ["complex eigvalsh", "real eigvalsh"]
+
+    # Nearly pure, nearly unentangled and rank-deficient states, where the
+    # small Wootters values must not be taken from an eigenvalue: uniform;
+    # b = c = 0 (C = 2|ad| e^{-4 gamma_R}, r_1 ~ r_2 at large gamma_R); a = d = 0;
+    # b tiny; a tiny; and the product state, where tau = 0.
+    @pytest.mark.parametrize("amplitudes", [
+        (0.5, 0.5, 0.5, 0.5),
+        (0.4 + 0.3j, 0.0, 0.0, -0.5 + 0.1j),
+        (0.0, 0.6 - 0.2j, -0.3 + 0.5j, 0.0),
+        (0.5, 1.2e-7, 0.5, 0.5),
+        (1e-8, 0.5, 0.5j, 0.5),
+        (1.0, 0.0, 0.0, 0.0),
+    ], ids=["uniform", "b=c=0", "a=d=0", "b=1.2e-7", "a=1e-8", "product"])
+    def test_edge_cases_match_mpmath(self, amplitudes):
+        vec = QubitAmplitudes.normalized(*amplitudes).vector()
+        gamma_rs = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.5, 2.0, 5.0, 12.0])
+        phases = np.array([0.0, 0.7, 2.0])
+        conc, _ = _model_measures(vec, gamma_rs, np.broadcast_to(phases, (gamma_rs.size, 3)))
+        exact = [[_mp_concurrence(vec, g, 0.5 * phi) for phi in phases] for g in gamma_rs]
+        np.testing.assert_allclose(conc, exact, rtol=0.0, atol=1e-15)
+
     def test_series_never_call_the_kernel(self, kernel_calls):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         params = SingleModeParams.from_ratio(4.5)
@@ -221,18 +281,14 @@ class TestValidation:
                              ids=[*_SERIES_CALLS, "steady_state_stats"])
     def test_trace_defect_is_refused_before_any_decomposition(self, monkeypatch, call):
         assert 3e-10 < _OFF_NORM.norm_defect() < 1e-9
-
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("decomposed an invalid state")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        _forbid_decompositions(monkeypatch)
         with pytest.raises(ValueError, match="amplitudes are not normalized: defect 4.0"):
             call(_OFF_NORM)
 
     def test_model_measures_checks_the_trace(self, monkeypatch):
         # The helper's own check, reached only by a caller that skips the
         # amplitude check, refuses the state before any decomposition.
-        monkeypatch.setattr(np.linalg, "eigh", lambda *args: 1 / 0)
+        _forbid_decompositions(monkeypatch)
         with pytest.raises(InvalidDensityMatrixError, match="trace defect 4.0") as err:
             _model_measures(_OFF_NORM.vector(), np.array([0.1]), np.zeros((1, 3)))
         assert err.value.index == 0
