@@ -15,7 +15,8 @@ so the reduced density matrix has the same structure as in the single-mode
 model and is delegated to :func:`twospinboson.single_mode.reduced_density`.
 
 :func:`bath_exponents` evaluates gamma_R and gamma_I on a whole time grid at
-once.  The method depends on the gap and the temperature:
+once; every caller in the package takes them from it.  The method depends on
+the gap and the temperature:
 
 - gapless, T = 0: 2 alpha ln(1 + (omega_c t)^2) and 4 alpha arctan(omega_c t);
 - gapless, T > 0: the same gamma_I, and gamma_R through Re ln Gamma of a
@@ -63,10 +64,7 @@ __all__ = [
     "spectral_density",
     "effective_coupling",
     "bath_exponents",
-    "gamma_R",
-    "gamma_I",
     "gamma_R_infinity",
-    "saturation_time",
     "bath_gamma",
     "bath_reduced_density",
     "steady_state_stats",
@@ -439,16 +437,6 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     return np.maximum(gamma_r, 0.0), gamma_i, error
 
 
-def gamma_R(spec: OhmicGapSpectrum, t: float) -> float:
-    """Damping exponent gamma_R(t); zero at t = 0, nonnegative always."""
-    return float(bath_exponents(spec, [t])[0][0])
-
-
-def gamma_I(spec: OhmicGapSpectrum, t: float) -> float:
-    """Phase exponent gamma_I(t); independent of temperature."""
-    return float(bath_exponents(spec, [t])[1][0])
-
-
 def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     """Long-time limit of gamma_R.
 
@@ -462,33 +450,10 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     return float(_bose_pass([spec])[0][0])
 
 
-def saturation_time(spec: OhmicGapSpectrum, t_start: float = 100.0,
-                    tol: float = 1e-6, max_doublings: int = 12) -> float:
-    """Time at which gamma_R has measurably saturated, for reporting.
-
-    Doubles t from ``t_start`` until |gamma_R(2t) - gamma_R(t)| < tol and
-    returns the first such 2t.  Returns ``math.inf`` for spectra without a
-    plateau (gapless with coupling) without evaluating anything.
-    """
-    if t_start <= 0.0:
-        raise ValueError(f"t_start must be positive, got {t_start}")
-    if spec.alpha == 0.0:
-        return 0.0
-    if spec.omega0 == 0.0:
-        return math.inf
-    t = t_start
-    current = gamma_R(spec, t)
-    for _ in range(max_doublings):
-        ahead = gamma_R(spec, 2.0 * t)
-        if abs(ahead - current) < tol:
-            return 2.0 * t
-        t, current = 2.0 * t, ahead
-    raise RuntimeError(
-        f"gamma_R not saturated to {tol:g} after doubling to t = {t:g}")
-
-
 def bath_gamma(spec: OhmicGapSpectrum, t: float) -> BathGammaResult:
     """gamma_R and gamma_I at time ``t`` with the error estimate of :func:`bath_exponents`."""
+    # No module of the package calls this one-point view; it stays only
+    # because the benchmark traces it (ROADMAP item 7 deletes it after item 1).
     return BathGammaResult(*(float(v[0]) for v in bath_exponents(spec, [t])))
 
 
@@ -499,9 +464,9 @@ def bath_reduced_density(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t: float
     the effective coupling and the decoherence exponents by the bath
     integrals.
     """
-    result = bath_gamma(spec, t)
+    gamma_r, gamma_i, _ = bath_exponents(spec, [t])
     theta_t = effective_coupling(spec) * t
-    return reduced_density(psi0, theta_t, GammaValue(result.gamma_r, result.gamma_i))
+    return reduced_density(psi0, theta_t, GammaValue(float(gamma_r[0]), float(gamma_i[0])))
 
 
 def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,

@@ -235,22 +235,19 @@ def bath_checks() -> list[CheckResult]:
 
     # The thermal and gapped closed forms against their defining integrals by
     # quadrature; the gapless T = 0 forms are criterion 4.
-    times = (0.1, 1.0, 10.0, 100.0)
     worst_abs = 0.0
     for spec in (bath.OhmicGapSpectrum(alpha=0.25, temperature=0.5),
                  bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1),
                  bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)):
-        gamma_rs, gamma_is, _ = bath.bath_exponents(spec, times)
-        for t, g_r, g_i in zip(times, gamma_rs, gamma_is):
-            quad_r, quad_i, _ = quadrature.bath_exponents(spec, t)
-            worst_abs = max(worst_abs, abs(g_r - quad_r), abs(g_i - quad_i))
+        closed, quad = _closed_form_and_quadrature(spec)
+        worst_abs = max(worst_abs, np.max(np.abs(closed - quad)))
     results.append(CheckResult(
         "thermal and gapped closed forms", worst_abs <= 1e-9,
         f"worst absolute error {worst_abs:.2e} of the ln Gamma, E1 and Bose-series forms "
         "against quadrature"))
 
     spec = bath.OhmicGapSpectrum(alpha=0.25)
-    sat = bath.gamma_I(spec, 1000.0)
+    sat = bath.bath_exponents(spec, [1000.0])[1][0]
     rel = abs(sat / (2.0 * math.pi * spec.alpha) - 1.0)
     results.append(CheckResult(
         "gamma_I saturation", rel <= 1e-3,
@@ -266,16 +263,16 @@ def bath_checks() -> list[CheckResult]:
 
     gapped = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
     omegas, couplings_sq = quadrature.discretize_modes(gapped)
-    worst_disc = 0.0
-    for t in (0.5, 2.0, 5.0, 10.0):
-        discrete = 4.0 * float(np.sum(couplings_sq * np.sin(omegas * t) / omegas**2))
-        worst_disc = max(worst_disc, abs(discrete / bath.gamma_I(gapped, t) - 1.0))
+    times = np.array([0.5, 2.0, 5.0, 10.0])
+    discrete = 4.0 * np.sum(couplings_sq * np.sin(omegas * times[:, None]) / omegas**2, axis=1)
+    worst_disc = np.max(np.abs(discrete / bath.bath_exponents(gapped, times)[1] - 1.0))
     results.append(CheckResult(
         "200-mode discretization", worst_disc <= 1e-3,
         f"worst relative gamma_I mismatch {worst_disc:.2e} for t <= 10"))
 
     cold = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=1e-6)
-    rel_cold = abs(bath.gamma_R(cold, 5.0) / bath.gamma_R(gapped, 5.0) - 1.0)
+    rel_cold = abs(bath.bath_exponents(cold, [5.0])[0][0]
+                   / bath.bath_exponents(gapped, [5.0])[0][0] - 1.0)
     results.append(CheckResult(
         "cold bath matches zero temperature", rel_cold <= 1e-4,
         f"relative difference {rel_cold:.2e} at T = 1e-6"))
@@ -295,6 +292,14 @@ def bath_checks() -> list[CheckResult]:
         f"max |C| difference {closed_defect:.2e} from the closed forms 2|ad| e^(-4 gamma_R) "
         "(b = c = 0), 2|bc| (a = d = 0) and ideal_concurrence (gamma_R = 0) (tol 1e-15)"))
     return results
+
+
+def _closed_form_and_quadrature(spec: bath.OhmicGapSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma_R, gamma_I) rows of the closed forms and of their quadrature at t = 0.1 to 100."""
+    times = (0.1, 1.0, 10.0, 100.0)
+    closed = np.array(bath.bath_exponents(spec, times)[:2])
+    quad = np.array([quadrature.bath_exponents(spec, t)[:2] for t in times]).T
+    return closed, quad
 
 
 def _model_measures_defect() -> float:
@@ -452,13 +457,9 @@ def _criterion_4(track: _Tally, seed: int) -> CheckResult:
     # Closed-form gamma_R = 2 alpha ln(1 + t^2) and gamma_I = 4 alpha arctan t
     # against their defining integrals by adaptive quadrature, relative 1e-6.
     worst = 0.0
-    times = (0.1, 1.0, 10.0, 100.0)
     for alpha in (0.25, 0.5):
-        spec = bath.OhmicGapSpectrum(alpha=alpha)
-        gamma_rs, gamma_is, _ = bath.bath_exponents(spec, times)
-        for t, g_r, g_i in zip(times, gamma_rs, gamma_is):
-            quad_r, quad_i, _ = quadrature.bath_exponents(spec, t)
-            worst = max(worst, abs(g_r - quad_r) / quad_r, abs(g_i - quad_i) / quad_i)
+        closed, quad = _closed_form_and_quadrature(bath.OhmicGapSpectrum(alpha=alpha))
+        worst = max(worst, np.max(np.abs(closed - quad) / quad))
     return CheckResult(
         "criterion 4", worst <= 1e-6,
         f"alpha in {{0.25, 0.5}}, t in {{0.1, 1, 10, 100}}: worst relative "
@@ -471,8 +472,7 @@ def _criterion_5(track: _Tally, seed: int) -> CheckResult:
     worst_rel = 0.0
     times = np.geomspace(100.0, 1000.0, 9)
     for alpha in (0.25, 0.5):
-        spec = bath.OhmicGapSpectrum(alpha=alpha)
-        gammas = np.array([bath.gamma_R(spec, t) for t in times])
+        gammas = bath.bath_exponents(bath.OhmicGapSpectrum(alpha=alpha), times)[0]
         slope = np.polyfit(np.log(times), -gammas, 1)[0]
         worst_rel = max(worst_rel, abs(slope + 4.0 * alpha) / (4.0 * alpha))
     return CheckResult(
@@ -537,8 +537,10 @@ def _criterion_8(track: _Tally, seed: int) -> CheckResult:
     params = SingleModeParams(omega=1.0, coupling=1.0)
     bath_spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
     theta = bath.effective_coupling(bath_spec)
-    bath_states = [(theta * t, bath.bath_gamma(bath_spec, t))
-                   for t in rng.uniform(0.1, 20.0, size=10).tolist()]
+    ts = rng.uniform(0.1, 20.0, size=10)
+    gamma_rs, gamma_is, _ = bath.bath_exponents(bath_spec, ts)
+    bath_states = [(theta * float(t), GammaValue(float(g_r), float(g_i)))
+                   for t, g_r, g_i in zip(ts, gamma_rs, gamma_is)]
 
     def dfs_state():
         b, c = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -549,8 +551,7 @@ def _criterion_8(track: _Tally, seed: int) -> CheckResult:
         psi = dfs_state()
         rhos.append(track(_single_mode_rho(params, psi, float(rng.uniform(0.0, 20.0)))))
         theta_t, g = bath_states[k % 10]
-        rhos.append(track(single_mode.reduced_density(psi, theta_t,
-                                                      GammaValue(g.gamma_r, g.gamma_i))))
+        rhos.append(track(single_mode.reduced_density(psi, theta_t, g)))
     for _ in range(25):
         random_params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         t = float(rng.uniform(0.0, 50.0))

@@ -138,8 +138,11 @@ def _cmd_steady_sweep(args) -> int:
     temperatures = _parse_axis(args.temperature_grid)
     psi0 = _parse_amplitudes(args.amplitudes)
 
+    # Both tables are computed before either file is written, so a refused
+    # table leaves no output behind.
     entanglement = sweeps.steady_state_table(alphas, gaps, psi0,
                                              temperature=args.temperature)
+    thermal = sweeps.thermal_overlap_table(temperatures, gaps, alpha=args.thermal_alpha)
     meta = _base_metadata(
         "steady-sweep",
         alpha_grid=args.alpha_grid,
@@ -149,9 +152,6 @@ def _cmd_steady_sweep(args) -> int:
         sentinel="-1 where has_steady_state = 0",
         units="omega0 and temperature in omega_c; entropy in bits",
     )
-    csvio.write_table(f"{args.output_prefix}_entanglement.csv", entanglement, meta)
-
-    thermal = sweeps.thermal_overlap_table(temperatures, gaps, alpha=args.thermal_alpha)
     meta_thermal = _base_metadata(
         "steady-sweep",
         temperature_grid=args.temperature_grid,
@@ -160,6 +160,7 @@ def _cmd_steady_sweep(args) -> int:
         sentinel="-1 where has_steady_state = 0",
         units="omega0 and temperature in omega_c",
     )
+    csvio.write_table(f"{args.output_prefix}_entanglement.csv", entanglement, meta)
     csvio.write_table(f"{args.output_prefix}_thermal.csv", thermal, meta_thermal)
     print(f"wrote {args.output_prefix}_entanglement.csv and {args.output_prefix}_thermal.csv")
     return 0

@@ -1,10 +1,12 @@
 """Gapped Ohmic environment tests.
 
-Oracles: the gapless exponents, which production evaluates in closed form,
-are compared with their defining integrals evaluated by adaptive quadrature;
-gamma_I saturates at 2 pi alpha and the overlap decays as t^(-4 alpha).  The
-gapped integrals are cross-checked against a dense trapezoid rule, a
-discrete-mode sum, and the long-time plateau evaluated two independent ways.
+``bath_exponents`` on a time grid is the one evaluation path of gamma_R and
+gamma_I (``bath_gamma`` reads one point of it).  Oracles: the gapless
+exponents, which production evaluates in closed form, are compared with
+their defining integrals evaluated by adaptive quadrature; gamma_I saturates
+at 2 pi alpha and the overlap decays as t^(-4 alpha).  The gapped integrals
+are cross-checked against a dense trapezoid rule, a discrete-mode sum, and
+the long-time plateau evaluated two independent ways.
 """
 
 import math
@@ -19,10 +21,7 @@ from twospinboson.bath import (
     bath_gamma,
     bath_reduced_density,
     effective_coupling,
-    gamma_I,
-    gamma_R,
     gamma_R_infinity,
-    saturation_time,
     spectral_density,
     steady_state_stats,
 )
@@ -139,48 +138,43 @@ class TestGaplessClosedForms:
 
     def test_gamma_r(self):
         gamma_rs = bath_exponents(GAPLESS, self.TIMES)[0]
-        for t, value in zip(self.TIMES, gamma_rs):
-            expected = quadrature.bath_exponents(GAPLESS, t)[0]
-            np.testing.assert_allclose(value, expected, rtol=1e-6)
-            np.testing.assert_allclose(gamma_R(GAPLESS, t), expected, rtol=1e-6)
+        expected = [quadrature.bath_exponents(GAPLESS, t)[0] for t in self.TIMES]
+        np.testing.assert_allclose(gamma_rs, expected, rtol=1e-6)
 
     def test_gamma_i(self):
         gamma_is = bath_exponents(GAPLESS, self.TIMES)[1]
-        for t, value in zip(self.TIMES, gamma_is):
-            expected = quadrature.bath_exponents(GAPLESS, t)[1]
-            np.testing.assert_allclose(value, expected, rtol=1e-6)
-            np.testing.assert_allclose(gamma_I(GAPLESS, t), expected, rtol=1e-6)
+        expected = [quadrature.bath_exponents(GAPLESS, t)[1] for t in self.TIMES]
+        np.testing.assert_allclose(gamma_is, expected, rtol=1e-6)
 
     def test_gamma_i_saturates(self):
         # gamma_I approaches 2 pi alpha; at omega_c t = 1000 the residual
         # 4 alpha / t is 1e-3 of the limit.
-        np.testing.assert_allclose(gamma_I(GAPLESS, 1000.0),
+        np.testing.assert_allclose(bath_exponents(GAPLESS, [1000.0])[1],
                                    2.0 * math.pi * 0.25, rtol=1e-3)
 
     def test_cutoff_scaling(self):
         # Closed forms depend on t only through omega_c * t.
         fast = OhmicGapSpectrum(alpha=0.25, omega_c=4.0)
-        np.testing.assert_allclose(gamma_R(fast, 0.5), gamma_R(GAPLESS, 2.0),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(bath_exponents(fast, [0.5])[0],
+                                   bath_exponents(GAPLESS, [2.0])[0], rtol=1e-6)
 
     def test_overlap_power_law(self):
         # exp(-gamma_R) ~ t^{-4 alpha}: the log-log slope over a decade of
         # late times is -1 for alpha = 1/4 to within two percent.
         times = np.geomspace(100.0, 1000.0, 9)
-        gammas = np.array([gamma_R(GAPLESS, t) for t in times])
+        gammas = bath_exponents(GAPLESS, times)[0]
         slope = np.polyfit(np.log(times), -gammas, 1)[0]
         np.testing.assert_allclose(slope, -4.0 * 0.25, rtol=0.02)
 
     def test_zero_time_and_zero_coupling(self):
-        assert gamma_R(GAPLESS, 0.0) == 0.0
-        assert gamma_I(GAPLESS, 0.0) == 0.0
-        off = OhmicGapSpectrum(alpha=0.0)
-        assert gamma_R(off, 5.0) == 0.0
-        assert gamma_I(off, 5.0) == 0.0
+        gamma_r, gamma_i, _ = bath_exponents(GAPLESS, [0.0, 1.0])
+        assert gamma_r[0] == 0.0 and gamma_i[0] == 0.0
+        for values in bath_exponents(OhmicGapSpectrum(alpha=0.0), [0.0, 5.0]):
+            assert np.all(values == 0.0)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            gamma_R(GAPLESS, -1.0)
+            bath_exponents(GAPLESS, [1.0, -1.0])
 
 
 class TestTemperature:
@@ -188,25 +182,25 @@ class TestTemperature:
         # T = 1e-6 engages the thermal kernel everywhere but must reproduce
         # the T = 0 integral to a few parts in 1e4.
         cold = OhmicGapSpectrum(alpha=0.25, temperature=1e-6)
-        for t in (0.5, 2.0, 10.0):
-            np.testing.assert_allclose(gamma_R(cold, t), gamma_R(GAPLESS, t),
-                                       rtol=1e-4)
+        times = (0.5, 2.0, 10.0)
+        np.testing.assert_allclose(bath_exponents(cold, times)[0],
+                                   bath_exponents(GAPLESS, times)[0], rtol=1e-4)
 
     def test_heating_is_monotone(self):
-        values = [gamma_R(OhmicGapSpectrum(alpha=0.25, omega0=0.25,
-                                           temperature=temp), 5.0)
+        values = [bath_exponents(OhmicGapSpectrum(alpha=0.25, omega0=0.25,
+                                                  temperature=temp), [5.0])[0][0]
                   for temp in (0.0, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_gamma_i_ignores_temperature(self):
         hot = OhmicGapSpectrum(alpha=0.25, omega0=0.25, temperature=2.0)
-        np.testing.assert_allclose(gamma_I(hot, 3.0), gamma_I(GAPPED, 3.0),
-                                   rtol=1e-10)
+        np.testing.assert_allclose(bath_exponents(hot, [3.0])[1],
+                                   bath_exponents(GAPPED, [3.0])[1], rtol=1e-10)
 
 
 class TestGapped:
     def test_gap_slows_decoherence(self):
-        values = [gamma_R(OhmicGapSpectrum(alpha=0.25, omega0=g), 5.0)
+        values = [bath_exponents(OhmicGapSpectrum(alpha=0.25, omega0=g), [5.0])[0][0]
                   for g in (0.01, 0.05, 0.1, 0.2)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -215,7 +209,7 @@ class TestGapped:
         # value at omega_c t = 1e4.
         plateau = gamma_R_infinity(GAPPED)
         np.testing.assert_allclose(plateau, 0.6761068060392414, rtol=1e-6)
-        np.testing.assert_allclose(gamma_R(GAPPED, 1e4), plateau, rtol=1e-3)
+        np.testing.assert_allclose(bath_exponents(GAPPED, [1e4])[0], plateau, rtol=1e-3)
         shallower = OhmicGapSpectrum(alpha=0.25, omega0=0.1)
         np.testing.assert_allclose(gamma_R_infinity(shallower),
                                    1.2161067991792966, rtol=1e-6)
@@ -224,14 +218,6 @@ class TestGapped:
         assert gamma_R_infinity(OhmicGapSpectrum(alpha=0.0)) == 0.0
         assert math.isinf(gamma_R_infinity(GAPLESS))
 
-    def test_saturation_time(self):
-        assert saturation_time(OhmicGapSpectrum(alpha=0.0)) == 0.0
-        assert math.isinf(saturation_time(GAPLESS))
-        t_sat = saturation_time(GAPPED, tol=1e-4)
-        assert t_sat == 800.0
-        # The plateau really is flat at that point within the tolerance.
-        assert abs(gamma_R(GAPPED, 2.0 * t_sat) - gamma_R(GAPPED, t_sat)) < 1e-4
-
     def test_discrete_modes_reproduce_integrals(self):
         # A 200-mode discretization of the continuum reproduces gamma_R
         # and gamma_I to better than 1e-3 at moderate times.
@@ -239,13 +225,13 @@ class TestGapped:
         assert omegas.shape == (200,) and couplings_sq.shape == (200,)
         assert np.all(omegas > GAPPED.omega0)
         assert np.all(couplings_sq >= 0.0)
-        for t in (0.5, 2.0, 5.0, 10.0):
-            g_r_sum = 4.0 * np.sum(
-                couplings_sq / omegas**2 * (1.0 - np.cos(omegas * t)))
-            g_i_sum = 4.0 * np.sum(
-                couplings_sq / omegas**2 * np.sin(omegas * t))
-            np.testing.assert_allclose(g_r_sum, gamma_R(GAPPED, t), atol=1e-3)
-            np.testing.assert_allclose(g_i_sum, gamma_I(GAPPED, t), atol=1e-3)
+        times = np.array([0.5, 2.0, 5.0, 10.0])
+        gamma_rs, gamma_is, _ = bath_exponents(GAPPED, times)
+        phases = omegas * times[:, None]
+        g_r_sum = 4.0 * np.sum(couplings_sq / omegas**2 * (1.0 - np.cos(phases)), axis=1)
+        g_i_sum = 4.0 * np.sum(couplings_sq / omegas**2 * np.sin(phases), axis=1)
+        np.testing.assert_allclose(g_r_sum, gamma_rs, atol=1e-3)
+        np.testing.assert_allclose(g_i_sum, gamma_is, atol=1e-3)
 
     def test_discretize_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="multiple of 8"):

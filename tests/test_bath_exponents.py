@@ -199,10 +199,6 @@ class TestBoseSeries:
         assert len(calls["_bose_terms"]) == 1
         assert sum(calls["plateau terms"]) == 165
 
-    def test_saturation_time(self):
-        spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
-        assert bath.saturation_time(spec) == 25600.0
-
 
 def _quadrature_plateau(x0, tau):
     """int_0^inf u e^{-u} coth((x0 + u)/2 tau) / (x0 + u)^2 du, with coth = 1 at T = 0."""

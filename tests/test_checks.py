@@ -1,6 +1,7 @@
 """The built-in verification suites must pass on a correct build."""
 
-from twospinboson import checks
+from twospinboson import bath, checks
+from twospinboson.entanglement import QubitAmplitudes, validate_density
 
 
 class TestCheckResult:
@@ -53,3 +54,17 @@ class TestSuites:
     def test_oracle_checks_fail_at_impossible_tolerance(self):
         results = checks.oracle_checks(tolerance=1e-18)
         assert any(not r.passed for r in results)
+
+    def test_checks_never_use_the_one_point_bath_view(self, monkeypatch):
+        # Every bath exponent in the registry comes from a whole-grid
+        # bath_exponents call; bath_gamma is kept only for outside callers.
+        def refuse(*args, **kwargs):
+            raise AssertionError("bath.bath_gamma was called")
+
+        monkeypatch.setattr(bath, "bath_gamma", refuse)
+        failed = [r.line() for r in checks.bath_checks() + checks.acceptance_checks()
+                  if not r.passed]
+        assert failed == []
+        rho = bath.bath_reduced_density(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1),
+                                        QubitAmplitudes.uniform(), 2.0)
+        assert validate_density(rho).valid

@@ -250,6 +250,17 @@ class TestSteadySweep:
         assert "work cap" in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_refused_thermal_table_writes_neither_file(self, capsys, tmp_path):
+        # The entanglement table at T = 0 succeeds; the thermal table then
+        # refuses gap 1e-6 at T = 2, and no file may be left behind.
+        prefix = str(tmp_path / "sweep")
+        code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
+                                 "--gap-grid", "1e-6:0.5:2", "--temperature-grid", "0:2:2",
+                                 "--output-prefix", prefix)
+        assert code == 3 and out == ""
+        assert "work cap" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_reversed_axis(self, capsys):
         code, _, err = run_cli(capsys, "steady-sweep",
                                "--alpha-grid", "1:0.05:8")

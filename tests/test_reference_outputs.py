@@ -4,11 +4,14 @@ The benchmark's correctness gate (``perfbench/workloads.py``) fails a run
 whose CSV output leaves the stored reference files at 12 significant digits
 (rtol 1e-11, atol 1e-12, every stride-th row).  These tests run the same
 argv at the reference seed through ``cli.main`` and apply that gate, so a
-drift shows in the test suite before the benchmark runs.  The workloads
-module is loaded read-only from its file; nothing under ``perfbench/`` is
-written.
+drift shows in the test suite before the benchmark runs.  The benchmark's
+tracer (``perfbench/tracer.py``) times the package functions it names; a
+test checks that each name still resolves, since a missing one only nulls
+its metrics.  Both modules are loaded read-only from their files; nothing
+under ``perfbench/`` is written.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,14 +20,15 @@ import pytest
 
 from twospinboson import cli
 
-_WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    if not _WORKLOADS_FILE.is_file():
-        pytest.skip("perfbench/workloads.py is not in this checkout")
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", _WORKLOADS_FILE)
+def _load_perfbench(name):
+    """Yield ``perfbench/<name>.py`` as a module, loaded from its file."""
+    path = _PERFBENCH / f"{name}.py"
+    if not path.is_file():
+        pytest.skip(f"perfbench/{name}.py is not in this checkout")
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve string annotations through sys.modules.
     sys.modules[spec.name] = module
@@ -35,6 +39,16 @@ def workloads():
         del sys.modules[spec.name]
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _load_perfbench("workloads")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _load_perfbench("tracer")
+
+
 @pytest.mark.parametrize("name", ["steady_sweep", "single_mode_long"])
 def test_output_matches_reference(workloads, name, tmp_path, capsys):
     workload = workloads.WORKLOADS[name]
@@ -43,3 +57,14 @@ def test_output_matches_reference(workloads, name, tmp_path, capsys):
     problems, _ = workloads.check_outputs(workload, "full", tmp_path, compare_reference=True)
     assert problems == []
     assert workloads.REF_RTOL == 1e-11 and workloads.REF_ATOL == 1e-12
+
+
+def test_traced_names_resolve(tracer):
+    # Each TRACED key "module.function" names a callable of twospinboson.<module>.
+    missing = []
+    for name in tracer.TRACED:
+        module_name, function = name.split(".")
+        module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        if not callable(getattr(module, function, None)):
+            missing.append(name)
+    assert missing == []

@@ -56,7 +56,13 @@ def _scan(vec, gamma_rs, theta_ts):
 
 
 def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
-    """Wootters concurrence of the model state at 40 digits: sqrt of the eigenvalues of rho rho~."""
+    """Wootters concurrence of the model state at 40 digits, by Hermitian routines only.
+
+    The Wootters values are the singular values of sqrt(rho) sqrt(rho~), with
+    sqrt(rho) from the Hermitian eigensolver and sqrt(rho~) its spin flip.
+    The general eigensolver on the non-Hermitian rho rho~ fails to converge
+    when the entries of rho span many decades.
+    """
     with mpmath.workdps(40):
         a, b, c, d = (mpmath.mpc(complex(z)) for z in vec)
         phase = 2 * mpmath.mpf(theta_t) - mpmath.mpf(gamma_i)
@@ -72,8 +78,11 @@ def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
             for j in range(i):
                 rho[i, j] = cj(rho[j, i])
         flip = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-        lam = mpmath.eig(rho * flip * rho.apply(cj) * flip, left=False, right=False)
-        r = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in lam), reverse=True)
+        eigvals, eigvecs = mpmath.eighe(rho)
+        root = eigvecs * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in eigvals]) \
+            * eigvecs.transpose_conj()
+        r = sorted(mpmath.svd_c(root * flip * root.apply(cj) * flip, compute_uv=False),
+                   reverse=True)
         return float(max(r[0] - r[1] - r[2] - r[3], 0))
 
 
@@ -243,6 +252,16 @@ class TestModelMeasures:
         conc, _ = _model_measures(vec, gamma_rs, np.broadcast_to(phases, (gamma_rs.size, 3)))
         exact = [[_mp_concurrence(vec, g, 0.5 * phi) for phi in phases] for g in gamma_rs]
         np.testing.assert_allclose(conc, exact, rtol=0.0, atol=1e-15)
+
+    def test_far_plateau_matches_mpmath(self):
+        # The uniform state at a plateau of a `steady-sweep --temperature 0.5`
+        # cell (alpha 0.816, gap 0.0161), phase index 269 of 2048, where the
+        # entries of rho span about 160 decades.
+        vec = QubitAmplitudes.uniform().vector()
+        gamma_r, theta_t = 91.84395449700425, 0.20632041597061873
+        conc, _ = _model_measures(vec, np.array([gamma_r]), np.array([[2.0 * theta_t]]))
+        np.testing.assert_allclose(conc[0, 0], _mp_concurrence(vec, gamma_r, theta_t),
+                                   rtol=0.0, atol=1e-15)
 
     def test_series_never_call_the_kernel(self, kernel_calls):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
