@@ -41,10 +41,10 @@ series are checked against is the oracle module
 :mod:`twospinboson.quadrature`, which this module does not import.
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
-induced phase by the 3x3 Gram route of
-:func:`~twospinboson.single_mode._model_measures`: one real ``eigvalsh`` per
-cell for the entropy, and per phase one complex ``eigvalsh`` for the largest
-Wootters value plus closed-form invariants for the other two.
+induced phase by :func:`~twospinboson.single_mode._model_measures`: one real
+3x3 ``eigvalsh`` per cell for the entropy, and per phase the closed form of
+the Wootters values that the index-flip symmetry of the model state gives,
+with no decomposition.
 """
 
 from __future__ import annotations
@@ -318,10 +318,11 @@ def _bose_pass(specs, s=None):
     for spec, n in zip(cells, n_terms):
         if n is None or n * (s.size + 1) > _SERIES_MAX_WORK:
             needs = f"more than {_SERIES_MAX_WORK}" if n is None else f"N = {n}"
+            target = f"{s.size} times and the plateau" if s.size else "its plateau"
             raise RuntimeError(
                 f"Bose series at gap {spec.omega0:g}, temperature {spec.temperature:g} "
-                f"needs {needs} terms for {s.size} times and the plateau, above the work "
-                f"cap of {_SERIES_MAX_WORK} E1 evaluations")
+                f"needs {needs} terms for {target}, above the work cap of "
+                f"{_SERIES_MAX_WORK} E1 evaluations")
     total = sum(n_terms) + len(n_terms)
     if total > _SERIES_MAX_WORK:
         raise RuntimeError(
@@ -477,9 +478,9 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     has decayed to zero; only the induced phase theta*t keeps advancing.  The
     concurrence is scanned over ``phase_points`` values of theta*t in
     [0, pi/2) (its full period up to local unitaries) by
-    :func:`~twospinboson.single_mode._model_measures`, one 3x3 ``eigvalsh``
-    per phase; the entropy is exactly phase independent and takes one real
-    3x3 ``eigvalsh`` per cell.
+    :func:`~twospinboson.single_mode._model_measures`, in closed form with no
+    decomposition per phase; the entropy is exactly phase independent and
+    takes one real 3x3 ``eigvalsh`` per cell.
 
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.

@@ -303,13 +303,15 @@ def _closed_form_and_quadrature(spec: bath.OhmicGapSpectrum) -> tuple[np.ndarray
 
 
 def _model_measures_defect() -> float:
-    """Worst difference of C and S between the Gram/Uhlmann route and the kernel.
+    """Worst difference of C and S between the model-state closed form and the kernel.
 
-    ``single_mode._model_measures`` against ``entanglement_measures`` of the
-    4x4 states it stands for, on the uniform amplitudes, seeded complex
-    amplitudes, an a = d = 0 and a b = c = 0 state: as a steady-state scan of
-    256 phases at the plateaus 0, 0.05, 1.2 (alpha 0.25, gap 0.1) and 4, and
-    through ``time_series`` on 256 times at omega/lambda = 2.3 (gamma_I != 0).
+    ``single_mode._model_measures`` (S from one real 3x3 ``eigvalsh`` per
+    row, C from the closed form of the index-flip symmetry) against
+    ``entanglement_measures`` of the 4x4 states it stands for, on the
+    uniform amplitudes, seeded complex amplitudes, an a = d = 0 and a
+    b = c = 0 state: as a steady-state scan of 256 phases at the plateaus 0,
+    0.05, 1.2 (alpha 0.25, gap 0.1) and 4, and through ``time_series`` on 256
+    times at omega/lambda = 2.3 (gamma_I != 0).
     """
     rng = np.random.default_rng(DEFAULT_SEED + 3)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0])
@@ -335,13 +337,14 @@ def _model_measures_defect() -> float:
 
 
 def _model_measures_closed_form_defect() -> float:
-    """Worst difference of C between the Gram/Uhlmann route and closed forms.
+    """Worst difference of C between the flip-symmetry closed form and special cases.
 
-    No 4x4 kernel is involved: with b = c = 0 the state lives on {|00>, |11>}
-    and C = 2|ad| e^{-4 gamma_R}; with a = d = 0 it lives on {|01>, |10>},
-    untouched by the environment, and C = 2|bc|; at gamma_R = 0 it is pure
-    and C = ``ideal_concurrence``.  Each at 256 phases, the first two at the
-    plateaus 0, 0.05, 1.2, 4 and 12.
+    No 4x4 kernel is involved, and each case leaves the 2x2 block of the
+    closed form with rank one (sigma_2 = 0): with b = c = 0 the state lives
+    on {|00>, |11>} and C = 2|ad| e^{-4 gamma_R}; with a = d = 0 it lives on
+    {|01>, |10>}, untouched by the environment, and C = 2|bc|; at
+    gamma_R = 0 it is pure and C = ``ideal_concurrence``.  Each at 256
+    phases, the first two at the plateaus 0, 0.05, 1.2, 4 and 12.
     """
     rng = np.random.default_rng(DEFAULT_SEED + 4)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0, 12.0])

@@ -11,8 +11,9 @@ S sqrt(rho)* S without a second decomposition, and the Wootters r_i are the
 singular values of sqrt(rho) sqrt(rho~) (Wootters, PRL 80, 2245 (1998)).
 
 This kernel is the public API and the oracle; the model's own states (every
-series, scan and period statistic) take the 3x3 Gram route of
-:func:`twospinboson.single_mode._model_measures` instead.
+series, scan and period statistic) take the 3x3 Gram route and the
+closed-form concurrence of :func:`twospinboson.single_mode._model_measures`
+instead.
 """
 
 from __future__ import annotations

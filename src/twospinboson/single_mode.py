@@ -134,7 +134,7 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
     return (2.0 * params.coupling / params.omega) * (np.exp(-1j * x) - 1.0)
 
 
-_BLOCK = 1 << 12  # 3x3 matrices per block of _model_measures, 0.6 MB per temporary
+_BLOCK = 1 << 12  # phases per block of _model_measures, 64 kB per complex temporary
 
 
 def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
@@ -180,30 +180,22 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     of H = D^{1/2} G0 D^{1/2} plus an exact 0: one real 3x3 ``eigvalsh`` per
     row gives the entropy and the smallest eigenvalue for validation.
 
-    Concurrence.  With e = e^{-gamma_r} and s = sqrt(1 - e^2) (from ``expm1``),
-    G0 = L L^T for the exact Cholesky factor
+    Concurrence.  The Wootters r_i (PRL 80, 2245 (1998)) are the singular
+    values of Uhlmann's tau = G0^{1/2} N G0^{1/2} (PRA 62, 032307 (2000)),
+    where N has 2bc in the middle and A = -ad e^{2i phi} in the corners.
+    The index flip F = antidiag(1, 1, 1) commutes with G0 and with N, so in
+    the basis (e0 + e2)/sqrt2, e1, (e0 - e2)/sqrt2 tau splits into a 1x1
+    block sigma_odd = |ad| (1 - e^4) and the 2x2 block
+    B = G_e^{1/2} diag(A, 2bc) G_e^{1/2}, G_e = [[1 + e^4, sqrt2 e], [sqrt2 e, 1]],
+    with e = e^{-gamma_r}.  From ||B||_F^2 and |det B| = (1 - e^2)^2 |ad| |2bc|,
 
-        L = [[1, 0, 0], [e, s, 0], [e^4, e (1 + e^2) s, s^2 sqrt(1 + e^2)]],
+        (sigma_1 - sigma_2)^2 = ((1 + e^4) |ad| - |2bc|)^2 + 4 e^2 (|z| + Re z),
+        (sigma_1 + sigma_2)^2 = (sigma_1 - sigma_2)^2 + 4 (1 - e^2)^2 |ad| |2bc|,
 
-    so rho = X X+ with X = M V L, and the Wootters r_i are the singular
-    values of tau = X^T (sigma_y x sigma_y) X = L^T N L, where N has 2bc in
-    the middle and A = -ad e^{2i phi} in the corners (Uhlmann's form;
-    Wootters, PRL 80, 2245 (1998)).  tau is complex symmetric and sparse:
-
-        tau = [[2bc e^2 + 2A e^4, (2bc + A (1 + e^2)) e s, A s^2 sqrt(1 + e^2)],
-               [.,                2bc s^2,                 0],
-               [.,                0,                       0]].
-
-    r_1^2 is the largest eigenvalue of tau+ tau, from one batched complex
-    ``eigvalsh``; it is accurate relative to itself.  The small values never
-    come from an eigenvalue, which would square them: r_2 r_3 = |det tau| / r_1
-    and r_2^2 + r_3^2 = (||adj tau||_F^2 - (r_2 r_3)^2) / r_1^2 from the exact
-    products |det tau| = |2bc| |A|^2 s^6 (1 + e^2) and ||adj tau||_F^2 =
-    |tau_02|^2 (|tau_02|^2 + 2 |tau_11|^2 + 2 |tau_01|^2)
-    + e^4 s^4 |A|^2 |4bc + A (1 + e^2)^2|^2, in which no 2x2 minor cancels.
-    Then C = max(0, r_1 - sqrt(r_2^2 + r_3^2 + 2 r_2 r_3)), and C = 0 where
-    tau = 0.  r_1 is not taken from the invariants alone: where r_1 ~ r_2 the
-    largest root of the characteristic cubic is only ~sqrt(eps) accurate.
+    with z = A conj(2bc): sums of nonnegative terms, the factors 1 - e^k
+    from ``expm1`` and |z| + Re z as Im(z)^2 / (|z| - Re z) where Re z < 0.
+    Then C = max(0, (sigma_1 - sigma_2) - sigma_odd, sigma_odd - (sigma_1 +
+    sigma_2)): no decomposition per phase.
 
     Validation makes the 4x4 kernel's decision and names its index (the row):
     hermiticity holds by construction; the amplitudes' trace defect is checked
@@ -240,34 +232,26 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
 
 
 def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """C = max(0, r_1 - r_2 - r_3) of the sparse tau of :func:`_model_measures`."""
-    # A validated gamma_r is >= 0 up to rounding; s^2 = 1 - e^{-2 gamma_r} needs it >= 0.
+    """C = max(0, r_1 - r_2 - r_3) by the flip-symmetry form of :func:`_model_measures`."""
+    # A validated gamma_r is >= 0 up to rounding; 1 - e^{-k gamma_r} needs it >= 0.
     gamma = np.maximum(gamma, 0.0)[:, None]
-    e, e4, s2 = np.exp(-gamma), np.exp(-4.0 * gamma), -np.expm1(-2.0 * gamma)
-    e2 = e * e
-    big_a = -ad * np.exp(2j * phases)
-    t00 = bc2 * e2 + 2.0 * big_a * e4
-    t01 = (bc2 + big_a * (1.0 + e2)) * (e * np.sqrt(s2))
-    t02 = big_a * (s2 * np.sqrt(1.0 + e2))
-    t11 = bc2 * s2
-    # tau+ tau is Hermitian; its lower triangle is all eigvalsh reads.
-    herm = np.zeros(t00.shape + (3, 3), dtype=complex)
-    sq01, sq02, sq11 = abs(t01) ** 2, abs(t02) ** 2, abs(t11) ** 2
-    herm[..., 0, 0] = abs(t00) ** 2 + sq01 + sq02
-    herm[..., 1, 0] = t00 * t01.conj() + t01 * t11.conj()
-    herm[..., 2, 0] = t00 * t02.conj()
-    herm[..., 1, 1] = sq01 + sq11
-    herm[..., 2, 1] = t01 * t02.conj()
-    herm[..., 2, 2] = sq02
-    r1_sq = np.linalg.eigvalsh(herm)[..., 2]
-    adj_sq = (sq02 * (sq02 + 2.0 * sq11 + 2.0 * sq01)
-              + e4 * s2 ** 2 * abs(big_a) ** 2 * abs(2.0 * bc2 + big_a * (1.0 + e2) ** 2) ** 2)
-    live = r1_sq > 0.0
-    r1_sq = np.where(live, r1_sq, 1.0)
-    r1 = np.sqrt(r1_sq)
-    r23 = abs(t11) * sq02 / r1  # |det tau| / r_1
-    small = np.sqrt(np.maximum((adj_sq - r23 ** 2) / r1_sq + 2.0 * r23, 0.0))
-    return np.where(live, np.maximum(0.0, r1 - small), 0.0)
+    mod_a, mod_bc = abs(ad), abs(bc2)
+    # z = |w| u e^{2i phi} with the unit u = w/|w|, rotated in real arithmetic:
+    # adding arg(w) to a large phase would round it.
+    w = -ad * np.conj(bc2)
+    mod_w = abs(w)
+    u = w / mod_w if mod_w else 0.0
+    rot = np.exp(2j * phases)
+    cos_z = u.real * rot.real - u.imag * rot.imag
+    sin_z = u.real * rot.imag + u.imag * rot.real
+    # |z| + Re z = |z| (1 + cos), as |z| sin^2 / (1 - cos) where cos < 0.
+    cross = mod_w * np.where(cos_z < 0.0, sin_z * sin_z / (1.0 + abs(cos_z)), 1.0 + cos_z)
+    diff_sq = (((1.0 + np.exp(-4.0 * gamma)) * mod_a - mod_bc) ** 2
+               + 4.0 * np.exp(-2.0 * gamma) * cross)
+    diff = np.sqrt(diff_sq)
+    total = np.sqrt(diff_sq + 4.0 * np.expm1(-2.0 * gamma) ** 2 * (mod_a * mod_bc))
+    odd = -mod_a * np.expm1(-4.0 * gamma)
+    return np.maximum(0.0, np.maximum(diff - odd, odd - total))
 
 
 def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) -> np.ndarray:

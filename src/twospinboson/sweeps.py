@@ -136,8 +136,8 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     ``entropy_scaled`` is 2S/3, which saturates at 1 when the uniform initial
     state is fully decohered; ``overlap`` is exp(-gamma_R).  C and S come from
     the 3x3 Gram route of :func:`~twospinboson.single_mode._model_measures`:
-    two 3x3 ``eigvalsh`` per time point (the Gram form for S, tau+ tau for
-    the largest Wootters value) and closed-form invariants for the others.
+    one real 3x3 ``eigvalsh`` per time point for S, and C in the closed form
+    of the index-flip symmetry, with no decomposition.
     """
     vec = _require_amplitudes(psi0)
     t = _validate_time_grid(t_grid)
@@ -167,8 +167,8 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     -1 in the c_max_steady and s_steady columns.  One Bose-series pass gives
     every plateau, each bitwise ``gamma_R_infinity``, and every cell is
     bitwise :func:`~twospinboson.bath.steady_state_stats`: one real 3x3
-    ``eigvalsh`` of the Gram form and ``phase_points`` complex 3x3
-    ``eigvalsh`` for the largest Wootters value, no ``eigh`` and no ``svd``.
+    ``eigvalsh`` of the Gram form, and ``phase_points`` concurrences in the
+    closed form of the index-flip symmetry, no other decomposition.
     """
     if alphas is None or gaps is None:
         default_alphas, default_gaps = default_steady_grid()

@@ -237,7 +237,7 @@ class TestPlateau:
         monkeypatch.setattr(bath, "_gap_transform", fail)
         hot = OhmicGapSpectrum(alpha=0.25, omega0=1e-6, temperature=2.0)
         message = (r"^Bose series at gap 1e-06, temperature 2 needs more than 33554432 terms "
-                   r"for 0 times and the plateau, above the work cap")
+                   r"for its plateau, above the work cap")
         with pytest.raises(RuntimeError, match=message):
             gamma_R_infinity(hot)
         with pytest.raises(RuntimeError, match=message):

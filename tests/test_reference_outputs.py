@@ -49,7 +49,8 @@ def tracer():
     yield from _load_perfbench("tracer")
 
 
-@pytest.mark.parametrize("name", ["steady_sweep", "single_mode_long"])
+@pytest.mark.parametrize("name", ["steady_sweep", "bath_gapless", "bath_gapped_thermal",
+                                  "single_mode_long"])
 def test_output_matches_reference(workloads, name, tmp_path, capsys):
     workload = workloads.WORKLOADS[name]
     argv = workload.argv("full", workloads.draw_amplitudes(workloads.DEFAULT_SEED), tmp_path)

@@ -1,15 +1,16 @@
 """Model-state measures by the Gram route against the 4x4 kernel and 40-digit mpmath.
 
-``single_mode._model_measures`` computes the concurrence and entropy of every
-model state from one real 3x3 ``eigvalsh`` of the Gram form H per damping
-value and, per phase, one complex 3x3 ``eigvalsh`` of tau+ tau for the
-largest Wootters value plus closed-form invariants of the sparse tau for the
-other two; no ``eigh`` and no ``svd``.  The steady-state scan, ``time_series``,
-``period_stats`` and ``state_series`` all go through it.  Oracles: the
-general kernel ``entanglement_measures`` applied to the 4x4 states the helper
-stands for (values and validation decisions), and, where that kernel loses
-accuracy or the state is nearly pure or nearly unentangled, the Wootters
-formula at 40 digits.
+``single_mode._model_measures`` computes the entropy of every model state
+from one real 3x3 ``eigvalsh`` of the Gram form H per damping value, and the
+concurrence in closed form: the index flip splits Uhlmann's tau into a 1x1
+and a 2x2 block, whose singular values are sums of nonnegative terms.  No
+other ``eigvalsh``, no ``eigh`` and no ``svd`` is called.  The steady-state
+scan, ``time_series``, ``period_stats`` and ``state_series`` all go through
+it.  Oracles: the general kernel ``entanglement_measures`` applied to the
+4x4 states the helper stands for (values and validation decisions), and,
+where that kernel loses accuracy, where the state is nearly pure or nearly
+unentangled, or where the closed form could cancel or round its phase, the
+Wootters formula at 40 digits.
 """
 
 import math
@@ -222,16 +223,43 @@ class TestModelMeasures:
                  for g_r, g_i, th in zip(gamma_rs, gamma_is, series["theta_t"])]
         np.testing.assert_allclose(series["concurrence"], exact, rtol=0.0, atol=1e-14)
 
-    def test_one_real_and_one_complex_eigvalsh_per_block(self, lapack_calls):
+    def test_one_real_eigvalsh_per_block(self, lapack_calls):
         vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
         n, m = 3, 64
         assert n * m <= single_mode._BLOCK
         _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (n, 1)))
-        assert sorted(lapack_calls) == ["complex eigvalsh", "real eigvalsh"]
+        assert lapack_calls == ["real eigvalsh"]
         lapack_calls.clear()
         # Four gapped cells of 16 phases are one block; the gapless cells have no plateau.
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], phase_points=16)
-        assert sorted(lapack_calls) == ["complex eigvalsh", "real eigvalsh"]
+        assert lapack_calls == ["real eigvalsh"]
+
+    def test_cross_term_does_not_cancel(self):
+        # w = -ad conj(2bc) = -1/8, so at phase 1e-9 |z| + Re z = |w| (1 - cos 2 phi)
+        # is about 1e-19, and near gamma_R = 0 it alone sets sigma_1 - sigma_2 ~ 1e-9.
+        # Taken as |w| + Re z it rounds to 0 and C errs by about 1e-9.
+        vec = QubitAmplitudes.normalized(0.5, 0.5, 0.5 * np.exp(0.3j),
+                                         0.5 * np.exp(0.3j)).vector()
+        gamma_rs = np.array([0.0, 1e-12, 1e-8, 1e-4])
+        phase = 1e-9
+        conc, _ = _model_measures(vec, gamma_rs, np.full((gamma_rs.size, 1), phase))
+        exact = [_mp_concurrence(vec, g, 0.5 * phase) for g in gamma_rs]
+        np.testing.assert_allclose(conc[:, 0], exact, rtol=0.0, atol=1e-15)
+
+    def test_long_series_phase_is_not_rounded(self):
+        # The single_mode_long benchmark series (theta t to 50): phases reach
+        # about 100, where adding arg(w) to the phase before the exponential
+        # would round it and move C by up to ~3e-15.  The oracle is given the
+        # very float phase 2 theta t - gamma_I that the code uses.
+        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
+        params = SingleModeParams.from_ratio(4.5)
+        t = np.linspace(0.0, 50.0, 30000) / params.theta
+        conc = time_series(params, psi, t)["concurrence"]
+        gamma_rs, gamma_is = single_mode._gammas(params, t)
+        phases = 2.0 * (params.theta * t) - gamma_is
+        rows = np.arange(0, t.size, 750)
+        exact = [_mp_concurrence(psi.vector(), gamma_rs[k], 0.5 * phases[k]) for k in rows]
+        np.testing.assert_allclose(conc[rows], exact, rtol=0.0, atol=1e-15)
 
     # Nearly pure, nearly unentangled and rank-deficient states, where the
     # small Wootters values must not be taken from an eigenvalue: uniform;
