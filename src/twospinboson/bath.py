@@ -423,7 +423,8 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
         tail = a4 * bound[0]
     else:
         s = spec.omega_c * t[live]
-        log_term = 0.5 * np.log1p(s * s)
+        with np.errstate(over="ignore"):  # s * s = inf past 1e154: gamma_R = inf is the limit
+            log_term = 0.5 * np.log1p(s * s)
         gamma_i[live] = a4 * np.arctan(s)
         if tau == 0.0:
             gamma_r[live] = a4 * log_term

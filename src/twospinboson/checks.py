@@ -369,8 +369,8 @@ def sweep_checks() -> list[CheckResult]:
     """Determinism and sentinel policy of the sweep tables."""
     results = []
 
-    t1 = sweeps.commensurability_table(1.0, 3.0, 3, samples_per_period=400)
-    t2 = sweeps.commensurability_table(1.0, 3.0, 3, samples_per_period=400)
+    t1 = sweeps.commensurability_table([1.0, 2.0, 3.0], samples_per_period=400)
+    t2 = sweeps.commensurability_table([1.0, 2.0, 3.0], samples_per_period=400)
     identical = all(np.array_equal(t1[k], t2[k]) for k in t1)
     results.append(CheckResult(
         "sweep determinism", identical,

@@ -1,11 +1,15 @@
 """Command-line front end: parameter parsing, CSV emission, verification runner.
 
+The parser holds the paper's default grids, and :func:`_axis` is the one
+place a (min, max, points) range becomes a grid; the library tables take
+their grids as arrays.
+
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
-2 on argument or validation errors, 3 on a numerical failure such as a
-gapped T > 0 Bose series that would exceed its work cap (e.g.
-``bath-series --gap 1e-5 --temperature 2``, or a ``steady-sweep`` cell at
-gap 1e-6 and temperature 2), a refusal made before any evaluation (2 and 3
-with a one-line reason on stderr).
+2 on argument or validation errors and on an output path that cannot be
+written, 3 on a numerical failure such as a gapped T > 0 Bose series that
+would exceed its work cap (e.g. ``bath-series --gap 1e-5 --temperature 2``,
+or a ``steady-sweep`` cell at gap 1e-6 and temperature 2), a refusal made
+before any evaluation (2 and 3 with a one-line reason on stderr).
 """
 
 from __future__ import annotations
@@ -35,23 +39,28 @@ def _parse_amplitudes(text: str) -> QubitAmplitudes:
     return QubitAmplitudes.normalized(*values)
 
 
-def _parse_axis(text: str) -> np.ndarray:
+def _axis(lo: float, hi: float, points: int, name: str) -> np.ndarray:
+    """The one grid builder: ``points`` >= 2 evenly spaced values from lo to hi < inf."""
+    if points < 2:
+        raise ValueError(f"{name} needs at least 2 points, got {points}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} needs a finite min and max, got {lo:g} and {hi:g}")
+    if not lo < hi:
+        raise ValueError(f"{name} needs min < max, got {lo:g} and {hi:g}")
+    return np.linspace(lo, hi, points)
+
+
+def _parse_axis(text: str, name: str) -> np.ndarray:
     """Parse a linear sweep axis given as min:max:points."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"axis {text!r} must have the form min:max:points")
+        raise ValueError(f"{name} {text!r} must have the form min:max:points")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         points = int(parts[2])
     except ValueError:
-        raise ValueError(f"could not parse axis {text!r}") from None
-    if points < 2:
-        raise ValueError(f"axis {text!r} needs at least 2 points")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"axis {text!r} needs a finite min and max")
-    if not lo < hi:
-        raise ValueError(f"axis {text!r} needs min < max")
-    return np.linspace(lo, hi, points)
+        raise ValueError(f"could not parse {name} {text!r}") from None
+    return _axis(lo, hi, points, name)
 
 
 def _emit(columns, metadata, output) -> None:
@@ -73,11 +82,7 @@ def _base_metadata(subcommand: str, **params) -> dict[str, object]:
 def _cmd_single_mode(args) -> int:
     params = SingleModeParams.from_ratio(args.omega_over_lambda)
     psi0 = _parse_amplitudes(args.amplitudes)
-    if not (math.isfinite(args.theta_t_max) and args.theta_t_max > 0.0):
-        raise ValueError(f"theta-t-max must be positive and finite, got {args.theta_t_max}")
-    if args.points < 2:
-        raise ValueError(f"points must be at least 2, got {args.points}")
-    theta_ts = np.linspace(0.0, args.theta_t_max, args.points)
+    theta_ts = _axis(0.0, args.theta_t_max, args.points, "theta-t grid")
     columns = time_series(params, psi0, theta_ts / params.theta)
     meta = _base_metadata(
         "single-mode",
@@ -93,8 +98,8 @@ def _cmd_single_mode(args) -> int:
 
 def _cmd_period_stats(args) -> int:
     psi0 = _parse_amplitudes(args.amplitudes)
-    table = sweeps.commensurability_table(args.n_min, args.n_max, args.n_points,
-                                          psi0, args.samples)
+    n_grid = _axis(args.n_min, args.n_max, args.n_points, "n grid")
+    table = sweeps.commensurability_table(n_grid, psi0, args.samples)
     meta = _base_metadata(
         "period-stats",
         n_min=csvio.format_value(args.n_min),
@@ -112,11 +117,7 @@ def _cmd_bath_series(args) -> int:
     spec = OhmicGapSpectrum(alpha=args.alpha, omega0=args.gap,
                             temperature=args.temperature)
     psi0 = _parse_amplitudes(args.amplitudes)
-    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
-        raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
-    if args.points < 2:
-        raise ValueError(f"points must be at least 2, got {args.points}")
-    t_grid = np.linspace(0.0, args.t_max, args.points)
+    t_grid = _axis(0.0, args.t_max, args.points, "t grid")
     table = sweeps.state_series(spec, psi0, t_grid)
     meta = _base_metadata(
         "bath-series",
@@ -133,9 +134,9 @@ def _cmd_bath_series(args) -> int:
 
 
 def _cmd_steady_sweep(args) -> int:
-    alphas = _parse_axis(args.alpha_grid)
-    gaps = _parse_axis(args.gap_grid)
-    temperatures = _parse_axis(args.temperature_grid)
+    alphas = _parse_axis(args.alpha_grid, "alpha grid")
+    gaps = _parse_axis(args.gap_grid, "gap grid")
+    temperatures = _parse_axis(args.temperature_grid, "temperature grid")
     psi0 = _parse_amplitudes(args.amplitudes)
 
     # Both tables are computed before either file is written, so a refused
@@ -215,9 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period-stats",
                        help="C/S extrema and averages versus n = (omega/4 lambda)^2")
-    p.add_argument("--n-min", type=float, default=sweeps.DEFAULT_N_RANGE[0])
-    p.add_argument("--n-max", type=float, default=sweeps.DEFAULT_N_RANGE[1])
-    p.add_argument("--n-points", type=int, default=sweeps.DEFAULT_N_RANGE[2])
+    p.add_argument("--n-min", type=float, default=0.5, help="first n (default 0.5)")
+    p.add_argument("--n-max", type=float, default=12.0, help="last n (default 12)")
+    p.add_argument("--n-points", type=int, default=47,
+                   help="grid points (default 47: steps of 0.25)")
     p.add_argument("--samples", type=int, default=2000,
                    help="trapezoid samples per period (default 2000)")
     p.add_argument("--amplitudes", default="0.5,0.5,0.5,0.5")
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -239,7 +239,8 @@ def _entropy_bits(evals: np.ndarray) -> np.ndarray:
     # eigenvalue 1 + eps would give the entropy -eps.
     p = np.minimum(evals, 1.0)
     kept = p > _ENTROPY_CLIP
-    return -np.sum(np.where(kept, p * np.log2(np.where(kept, p, 1.0)), 0.0), axis=-1)
+    # Summing the negated terms gives a pure state +0, not -0; negation is exact.
+    return np.sum(np.where(kept, -p * np.log2(np.where(kept, p, 1.0)), 0.0), axis=-1)
 
 
 def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitAmplitudes, _require_amplitudes, require_valid_density
-from .single_mode import SingleModeParams
+from .single_mode import SingleModeParams, _require_time
 
 __all__ = [
     "MAX_N_CUT",
@@ -124,8 +124,7 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
         If the leak exceeds ``config.leak_tol``.
     """
     vec = _require_amplitudes(psi0)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    _require_time(t)
     dim = config.n_cut + 1
 
     branches = {}

@@ -16,6 +16,7 @@ All phases and decoherence exponents are expressed through
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ class SingleModeParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
             raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
+        # Products, not powers: a float power raises OverflowError where these give inf.
+        scale = 2.0 * self.coupling / self.omega
+        if not (math.isfinite(scale * scale)
+                and math.isfinite(2.0 * self.coupling * self.coupling / self.omega)):
+            raise ValueError(f"omega {self.omega:g} and coupling {self.coupling:g} overflow "
+                             f"theta = 2 coupling^2 / omega or (2 coupling / omega)^2")
 
     @property
     def theta(self) -> float:
@@ -134,6 +141,7 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
     return (2.0 * params.coupling / params.omega) * (np.exp(-1j * x) - 1.0)
 
 
+_MAX_FLOAT = sys.float_info.max
 _BLOCK = 1 << 12  # phases per block of _model_measures, 64 kB per complex temporary
 
 
@@ -213,7 +221,8 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     step = max(1, _BLOCK // m)
     for low in range(0, n, step):
         rows = slice(low, low + step)
-        finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & np.isfinite(phases[rows]).all(1)
+        peak = np.abs(phases[rows]).max(1)  # NaN where a phase is NaN
+        finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & (peak <= _MAX_FLOAT)
         gamma = np.where(finite, gamma_rs[rows], 0.0)
         e, e4 = np.exp(-gamma), np.exp(-4.0 * gamma)
         gram = np.ones(gamma.shape + (3, 3))
@@ -227,12 +236,17 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
             defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
             raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), low + k)
         entropy[rows] = _entropy_bits(evals)
-        conc[rows] = _uhlmann_concurrence(bc2, ad, gamma, phases[rows])
+        conc[rows] = _uhlmann_concurrence(bc2, ad, gamma, phases[rows], peak > 0.5 * _MAX_FLOAT)
     return conc, entropy
 
 
-def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """C = max(0, r_1 - r_2 - r_3) by the flip-symmetry form of :func:`_model_measures`."""
+def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray,
+                         huge: np.ndarray) -> np.ndarray:
+    """C = max(0, r_1 - r_2 - r_3) by the flip-symmetry form of :func:`_model_measures`.
+
+    ``huge`` marks the rows holding a phase above half the largest float,
+    where 2 phi overflows; their e^{2i phi} is (e^{i phi})^2, equal to rounding.
+    """
     # A validated gamma_r is >= 0 up to rounding; 1 - e^{-k gamma_r} needs it >= 0.
     gamma = np.maximum(gamma, 0.0)[:, None]
     mod_a, mod_bc = abs(ad), abs(bc2)
@@ -241,7 +255,13 @@ def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray) -> np.n
     w = -ad * np.conj(bc2)
     mod_w = abs(w)
     u = w / mod_w if mod_w else 0.0
-    rot = np.exp(2j * phases)
+    if huge.any():
+        rot = np.empty(phases.shape, dtype=complex)
+        rot[~huge] = np.exp(2j * phases[~huge])
+        half = np.exp(1j * phases[huge])
+        rot[huge] = half * half
+    else:
+        rot = np.exp(2j * phases)
     cos_z = u.real * rot.real - u.imag * rot.imag
     sin_z = u.real * rot.imag + u.imag * rot.real
     # |z| + Re z = |z| (1 + cos), as |z| sin^2 / (1 - cos) where cos < 0.
@@ -291,18 +311,21 @@ def ideal_concurrence(psi0: QubitAmplitudes, theta_t) -> float | np.ndarray:
     return 2.0 * np.abs(a * d * np.exp(4j * np.asarray(theta_t, dtype=float)) - b * c)
 
 
-def _validate_time_grid(t_grid) -> np.ndarray:
-    """Coerce to a nonempty, finite, nonnegative, strictly increasing 1-D float array."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t_grid entries must be finite")
-    if t[0] < 0.0:
-        raise ValueError("t_grid entries must be nonnegative")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise ValueError("t_grid must be strictly increasing")
-    return t
+def _require_grid(values, name: str = "t_grid") -> np.ndarray:
+    """Coerce to a nonempty, finite, nonnegative, strictly increasing 1-D float array.
+
+    The one check of every grid a table takes: times, n, alpha, gap, temperature.
+    """
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D array")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} entries must be finite")
+    if grid[0] < 0.0:
+        raise ValueError(f"{name} entries must be nonnegative")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
 
 
 def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
@@ -315,7 +338,7 @@ def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
     Gram route of :func:`_model_measures`.
     """
     vec = _require_amplitudes(psi0)
-    t = _validate_time_grid(t_grid)
+    t = _require_grid(t_grid)
     gamma_rs, gamma_is = _gammas(params, t)
     theta_ts = params.theta * t
 

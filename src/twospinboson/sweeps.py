@@ -1,5 +1,12 @@
 """Parameter sweeps over the single-mode and bath models.
 
+Every table takes its grids as required arrays, each checked by
+:func:`~twospinboson.single_mode._require_grid`: nonempty, 1-D, finite,
+nonnegative and strictly increasing.  No table has a default grid; the
+paper's default grids are the command-line defaults.  Bath quantities are in
+units of the cutoff (omega_c = 1): gaps and temperatures in omega_c, times in
+1/omega_c.
+
 Every function returns an ordered ``dict`` of equal-length numpy columns,
 ready for CSV emission.  The sweeps are deterministic: the same inputs
 produce bitwise identical tables.
@@ -19,14 +26,11 @@ from .bath import (
     effective_coupling,
 )
 from .entanglement import QubitAmplitudes, _require_amplitudes
-from .single_mode import SingleModeParams, _model_measures, _validate_time_grid, period_stats
+from .single_mode import SingleModeParams, _model_measures, _require_grid, period_stats
 
 __all__ = [
     "DEFAULT_BATH_PAIRS",
-    "DEFAULT_N_RANGE",
     "NO_STEADY_STATE",
-    "default_steady_grid",
-    "default_temperature_grid",
     "commensurability_table",
     "overlap_table",
     "state_series",
@@ -48,46 +52,18 @@ DEFAULT_BATH_PAIRS = (
 NO_STEADY_STATE = -1.0
 
 
-DEFAULT_N_RANGE = (0.5, 12.0, 47)  # n from 0.5 to 12 in steps of 0.25
-
-
-def default_steady_grid() -> tuple[np.ndarray, np.ndarray]:
-    """32 couplings alpha in [0.05, 1] by 32 gaps omega0 in [0, 0.5]."""
-    return np.linspace(0.05, 1.0, 32), np.linspace(0.0, 0.5, 32)
-
-
-def default_temperature_grid() -> np.ndarray:
-    """33 temperatures from 0 to 2 (units of omega_c)."""
-    return np.linspace(0.0, 2.0, 33)
-
-
-def _validate_grid(values, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D array")
-    if values.size > 1 and not np.all(np.diff(values) > 0.0):
-        raise ValueError(f"{name} must be strictly increasing")
-    return values
-
-
-def commensurability_table(n_min: float = DEFAULT_N_RANGE[0],
-                           n_max: float = DEFAULT_N_RANGE[1],
-                           n_points: int = DEFAULT_N_RANGE[2],
-                           psi0: QubitAmplitudes | None = None,
+def commensurability_table(n_grid, psi0: QubitAmplitudes | None = None,
                            samples_per_period: int = 2000) -> dict[str, np.ndarray]:
     """Period statistics versus the commensuration index n, omega/lambda = 4 sqrt(n).
 
     At integer n the oscillator period and the induced half-period of the
     phase coincide, so the concurrence recovers its decoherence-free maximum.
+    ``n_grid`` is a strictly increasing grid with every n >= 0.25.
     Columns: n, omega_over_lambda, c_max, c_avg, s_max, s_avg.
     """
-    if n_min < 0.25:
-        raise ValueError(f"n_min must be at least 0.25, got {n_min}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if not n_min < n_max:
-        raise ValueError(f"n range is degenerate: [{n_min}, {n_max}]")
-    n_grid = np.linspace(n_min, n_max, n_points)
+    n_grid = _require_grid(n_grid, "n_grid")
+    if n_grid[0] < 0.25:
+        raise ValueError(f"n_grid entries must be at least 0.25, got {n_grid[0]:g}")
     if psi0 is None:
         psi0 = QubitAmplitudes.uniform()
 
@@ -110,21 +86,21 @@ def _pair_label(gap: float, alpha: float) -> str:
     return f"overlap_gap{gap:g}_alpha{alpha:g}"
 
 
-def overlap_table(t_grid, pairs=DEFAULT_BATH_PAIRS, omega_c: float = 1.0,
+def overlap_table(t_grid, pairs=DEFAULT_BATH_PAIRS,
                   temperature: float = 0.0) -> dict[str, np.ndarray]:
     """Coherence suppression exp(-gamma_R(t)) for several (gap, alpha) pairs.
 
-    One column per pair, labelled ``overlap_gap{gap}_alpha{alpha}``.  A
-    gapped environment levels off at a nonzero plateau; a gapless one decays
-    as a power law without saturating.
+    ``t_grid`` is in 1/omega_c and ``temperature`` in omega_c.  One column
+    per pair, labelled ``overlap_gap{gap}_alpha{alpha}``.  A gapped
+    environment levels off at a nonzero plateau; a gapless one decays as a
+    power law without saturating.
     """
-    t = _validate_time_grid(t_grid)
+    t = _require_grid(t_grid)
     if len(pairs) == 0:
         raise ValueError("pairs must be nonempty")
     table: dict[str, np.ndarray] = {"t": t}
     for gap, alpha in pairs:
-        spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, omega_c=omega_c,
-                                temperature=temperature)
+        spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
         table[_pair_label(gap, alpha)] = np.exp(-bath_exponents(spec, t)[0])
     return table
 
@@ -140,7 +116,7 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     of the index-flip symmetry, with no decomposition.
     """
     vec = _require_amplitudes(psi0)
-    t = _validate_time_grid(t_grid)
+    t = _require_grid(t_grid)
     theta = effective_coupling(spec)
 
     gamma_rs, gamma_is, _ = bath_exponents(spec, t)
@@ -157,30 +133,26 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     }
 
 
-def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = None,
-                       omega_c: float = 1.0, temperature: float = 0.0,
+def steady_state_table(alphas, gaps, psi0: QubitAmplitudes | None = None,
+                       temperature: float = 0.0,
                        phase_points: int = 2048) -> dict[str, np.ndarray]:
     """Steady-state concurrence and entropy over a (alpha, omega0) grid.
 
-    One row per cell, alpha varying fastest.  Cells without a steady state
-    (gapless with coupling) carry ``has_steady_state = 0`` and the sentinel
-    -1 in the c_max_steady and s_steady columns.  One Bose-series pass gives
+    ``alphas`` and ``gaps`` (omega0 in omega_c) are required grids.  One row
+    per cell, alpha varying fastest.  Cells without a steady state (gapless
+    with coupling) carry ``has_steady_state = 0`` and the sentinel -1 in the
+    c_max_steady and s_steady columns.  One Bose-series pass gives
     every plateau, each bitwise ``gamma_R_infinity``, and every cell is
     bitwise :func:`~twospinboson.bath.steady_state_stats`: one real 3x3
     ``eigvalsh`` of the Gram form, and ``phase_points`` concurrences in the
     closed form of the index-flip symmetry, no other decomposition.
     """
-    if alphas is None or gaps is None:
-        default_alphas, default_gaps = default_steady_grid()
-        alphas = default_alphas if alphas is None else alphas
-        gaps = default_gaps if gaps is None else gaps
-    alphas = _validate_grid(alphas, "alphas")
-    gaps = _validate_grid(gaps, "gaps")
+    alphas = _require_grid(alphas, "alphas")
+    gaps = _require_grid(gaps, "gaps")
     if psi0 is None:
         psi0 = QubitAmplitudes.uniform()
 
-    specs = [OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap),
-                              omega_c=omega_c, temperature=temperature)
+    specs = [OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap), temperature=temperature)
              for gap in gaps for alpha in alphas]
     g_inf, c_max, entropy = _steady_states(specs, psi0, phase_points)
     steady = np.isfinite(g_inf)
@@ -193,24 +165,20 @@ def steady_state_table(alphas=None, gaps=None, psi0: QubitAmplitudes | None = No
     }
 
 
-def thermal_overlap_table(temperatures=None, gaps=None, alpha: float = 0.25,
-                          omega_c: float = 1.0) -> dict[str, np.ndarray]:
+def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, np.ndarray]:
     """Saturated coherence exp(-gamma_R(inf)) over a (temperature, gap) grid.
 
-    Temperature enters gamma_R through the thermal occupation of the bath;
-    raising it can only suppress the plateau further.  Gapless cells have no
-    plateau and carry the -1 sentinel with ``has_steady_state = 0``.  One
-    Bose-series pass gives every plateau, each bitwise ``gamma_R_infinity``.
+    ``temperatures`` and ``gaps`` are required grids in omega_c.  Temperature
+    enters gamma_R through the thermal occupation of the bath; raising it can
+    only suppress the plateau further.  Gapless cells have no plateau and
+    carry the -1 sentinel with ``has_steady_state = 0``.  One Bose-series
+    pass gives every plateau, each bitwise ``gamma_R_infinity``.
     """
-    if temperatures is None:
-        temperatures = default_temperature_grid()
-    if gaps is None:
-        gaps = default_steady_grid()[1]
-    temperatures = _validate_grid(temperatures, "temperatures")
-    gaps = _validate_grid(gaps, "gaps")
+    temperatures = _require_grid(temperatures, "temperatures")
+    gaps = _require_grid(gaps, "gaps")
 
     g_inf = _bose_pass([
-        OhmicGapSpectrum(alpha=alpha, omega0=float(gap), omega_c=omega_c, temperature=float(temp))
+        OhmicGapSpectrum(alpha=alpha, omega0=float(gap), temperature=float(temp))
         for gap in gaps for temp in temperatures])[0]
     return {
         "temperature": np.tile(temperatures, gaps.size),

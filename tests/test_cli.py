@@ -7,8 +7,8 @@ import warnings
 
 import numpy as np
 
-from twospinboson import bath, checks, csvio, entanglement
-from twospinboson.cli import main
+from twospinboson import bath, checks, cli, csvio, entanglement
+from twospinboson.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -80,12 +80,27 @@ class TestSingleMode:
         code, _, _ = run_cli(capsys, "single-mode")
         assert code == 2
 
+    def test_rejects_too_few_points(self, capsys):
+        for argv, reason in ((("single-mode", "--omega-over-lambda", "4", "--points", "1"),
+                              "theta-t grid needs at least 2 points, got 1"),
+                             (("period-stats", "--n-points", "1"),
+                              "n grid needs at least 2 points, got 1"),
+                             (("bath-series", "--alpha", "0.25", "--t-max", "5", "--points", "0"),
+                              "t grid needs at least 2 points, got 0")):
+            assert_rejected_quietly(capsys, argv, reason)
+
+    def test_rejects_overflowing_ratio(self, capsys):
+        assert_rejected_quietly(
+            capsys, ("single-mode", "--omega-over-lambda", "1e-200", "--points", "5"),
+            "omega 1e-200 and coupling 1 overflow theta = 2 coupling^2 / omega "
+            "or (2 coupling / omega)^2")
+
     def test_rejects_nonfinite_parameters(self, capsys):
         for extra, reason in ((("--omega-over-lambda", "inf"), "omega must be positive and finite"),
                               (("--omega-over-lambda", "4", "--theta-t-max", "inf"),
-                               "theta-t-max must be positive and finite"),
+                               "theta-t grid needs a finite min and max, got 0 and inf"),
                               (("--omega-over-lambda", "4", "--theta-t-max", "nan"),
-                               "theta-t-max must be positive and finite")):
+                               "theta-t grid needs a finite min and max, got 0 and nan")):
             assert_rejected_quietly(capsys, ("single-mode", *extra), reason)
 
 
@@ -105,7 +120,7 @@ class TestPeriodStats:
     def test_rejects_small_n(self, capsys):
         code, _, err = run_cli(capsys, "period-stats", "--n-min", "0.1")
         assert code == 2
-        assert "n_min" in err
+        assert "n_grid entries must be at least 0.25, got 0.1" in err
 
 
 class TestBathSeries:
@@ -148,7 +163,18 @@ class TestBathSeries:
     def test_rejects_infinite_t_max(self, capsys):
         assert_rejected_quietly(
             capsys, ("bath-series", "--alpha", "0.25", "--t-max", "inf", "--points", "3"),
-            "t-max must be positive and finite")
+            "t grid needs a finite min and max, got 0 and inf")
+
+    def test_huge_t_max_gives_finite_measures_quietly(self, capsys):
+        # At t = 1e308 the phase exceeds half the largest float and s * s overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25",
+                                     "--t-max", "1e308", "--points", "3")
+        assert code == 0 and err == ""
+        columns, _ = csvio.parse_table(out)
+        assert list(columns["concurrence"]) == [0.0, 0.0, 0.0]
+        assert list(columns["overlap"]) == [1.0, 0.0, 0.0]
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         # At gap 1e-5, T = 2 the Bose series needs N = 8583054 terms, so three
@@ -324,7 +350,60 @@ class TestChecks:
         assert out.endswith(f"{total - 1}/{total} checks passed\n")
 
 
+class TestGrids:
+    def test_parser_defaults_are_the_paper_grids(self):
+        parser = build_parser()
+        sweep = parser.parse_args(["steady-sweep"])
+        stats = parser.parse_args(["period-stats"])
+        grids = {
+            "alpha": cli._parse_axis(sweep.alpha_grid, "alpha grid"),
+            "gap": cli._parse_axis(sweep.gap_grid, "gap grid"),
+            "temperature": cli._parse_axis(sweep.temperature_grid, "temperature grid"),
+            "n": cli._axis(stats.n_min, stats.n_max, stats.n_points, "n grid"),
+        }
+        for name, (points, lo, hi) in {"alpha": (32, 0.05, 1.0), "gap": (32, 0.0, 0.5),
+                                       "temperature": (33, 0.0, 2.0),
+                                       "n": (47, 0.5, 12.0)}.items():
+            grid = grids[name]
+            assert (grid.size, grid[0], grid[-1]) == (points, lo, hi), name
+        np.testing.assert_allclose(np.diff(grids["n"]), 0.25, rtol=1e-12)
+
+    def test_every_grid_comes_from_the_one_axis(self, capsys, tmp_path, monkeypatch,
+                                                grid_checks):
+        built = []
+        axis = cli._axis
+
+        def recording(lo, hi, points, name):
+            built.append(name)
+            return axis(lo, hi, points, name)
+
+        monkeypatch.setattr(cli, "_axis", recording)
+        for argv in (("single-mode", "--omega-over-lambda", "4", "--points", "3"),
+                     ("period-stats", "--n-min", "1", "--n-max", "2", "--n-points", "2",
+                      "--samples", "100"),
+                     ("bath-series", "--alpha", "0.25", "--t-max", "1", "--points", "2"),
+                     ("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.1:2",
+                      "--temperature-grid", "0:1:2", "--output-prefix", str(tmp_path / "s"))):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert built == ["theta-t grid", "n grid", "t grid",
+                         "alpha grid", "gap grid", "temperature grid"]
+        assert grid_checks == ["t_grid", "n_grid", "t_grid",
+                               "alphas", "gaps", "temperatures", "gaps"]
+
+
 class TestTopLevel:
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        for argv in (("single-mode", "--omega-over-lambda", "4", "--points", "5",
+                      "--output", str(missing / "x.csv")),
+                     ("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.1:2",
+                      "--temperature-grid", "0:1:2", "--output-prefix", str(missing / "p"))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: [Errno 2] No such file or directory: ")
+            assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0

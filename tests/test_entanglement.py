@@ -206,6 +206,12 @@ class TestEntropy:
     def test_maximally_mixed(self):
         np.testing.assert_allclose(von_neumann_entropy(MIXED), 2.0, atol=1e-12)
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        product = np.zeros((4, 4))
+        product[0, 0] = 1.0
+        _, entropy = entanglement_measures(np.array([BELL, product]))
+        assert np.all(entropy == 0.0) and not np.any(np.signbit(entropy))
+
     def test_decohered_uniform_limit(self):
         # Frozen: eigenvalues {1/2, 1/4, 1/4, 0} give 0.5 + 2*(0.25*2) bits.
         eigs = np.sort(np.linalg.eigvalsh(DECOHERED))

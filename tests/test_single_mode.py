@@ -68,6 +68,19 @@ class TestParams:
             with pytest.raises(ValueError, match="omega"):
                 SingleModeParams.from_ratio(bad)
 
+    def test_rejects_overflowing_scales(self):
+        # A float power raises OverflowError where the check compares products.
+        for omega, coupling, shown in ((1.0, 1e200, "omega 1 and coupling 1e+200"),
+                                       (1e-200, 1.0, "omega 1e-200 and coupling 1"),
+                                       (1e-300, 1e-100, "omega 1e-300 and coupling 1e-100")):
+            with pytest.raises(ValueError) as err:
+                SingleModeParams(omega, coupling)
+            assert str(err.value) == (f"{shown} overflow theta = 2 coupling^2 / omega "
+                                      f"or (2 coupling / omega)^2")
+        params = SingleModeParams.from_ratio(1e-150)
+        assert math.isfinite(params.theta)
+        assert math.isfinite(gamma_single_mode(params, 1.0).gamma_r)
+
 
 class TestGamma:
     def test_zero_time(self):
@@ -249,6 +262,14 @@ class TestTimeSeries:
         for psi in (UNIFORM, QubitAmplitudes(0.5, 0.5j, -0.5, -0.5j)):
             series = time_series(params, psi, np.linspace(0.0, 5.0, 11))
             assert series["entropy"][0] == 0.0
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        # At omega t = 2 pi k the state is pure: S is +0, which prints as 0, not -0.
+        params = SingleModeParams.from_ratio(4.0)
+        t = 2.0 * math.pi * np.arange(4) / params.omega
+        for psi in (UNIFORM, QubitAmplitudes(0.5, 0.5j, -0.5, -0.5j)):
+            entropy = time_series(params, psi, t)["entropy"]
+            assert np.all(entropy == 0.0) and not np.any(np.signbit(entropy))
 
     def test_commensurate_ratio_exact_maximum(self):
         # omega/lambda = 4 sqrt(3): the theta t = pi/4 maximum lands on a

@@ -15,6 +15,7 @@ Wootters formula at 40 digits.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,22 @@ class TestModelMeasures:
         conc, _ = _model_measures(vec, np.array([gamma_r]), np.array([[2.0 * theta_t]]))
         np.testing.assert_allclose(conc[0, 0], _mp_concurrence(vec, gamma_r, theta_t),
                                    rtol=0.0, atol=1e-15)
+
+    def test_phase_past_half_the_largest_float_matches_the_kernel(self):
+        # 2 phi overflows above 8.99e307; such rows take e^{2i phi} as (e^{i phi})^2.
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        gamma_rs = np.array([0.3, 0.3, 0.3, 0.3, 0.0])
+        phases = np.array([0.7, 1e308, -1.5e308, 2.5e15, 1e308])[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            conc, entropy = _model_measures(vec, gamma_rs, phases)
+            kernel = entanglement_measures(_density_from_phases(
+                vec, 0.5 * phases[:, 0], gamma_rs, np.zeros_like(gamma_rs)))
+        np.testing.assert_allclose(conc[:, 0], kernel[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(entropy, kernel[1], rtol=0.0, atol=1e-12)
+        # Ordinary phases in the same block keep their bits.
+        ordinary, _ = _model_measures(vec, gamma_rs[[0, 3]], phases[[0, 3]])
+        assert conc[[0, 3]].tobytes() == ordinary.tobytes()
 
     def test_series_never_call_the_kernel(self, kernel_calls):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)

@@ -7,12 +7,11 @@ import pytest
 
 from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity, steady_state_stats
 from twospinboson.entanglement import QubitAmplitudes
+from twospinboson.single_mode import SingleModeParams, time_series
 from twospinboson.sweeps import (
     DEFAULT_BATH_PAIRS,
     NO_STEADY_STATE,
     commensurability_table,
-    default_steady_grid,
-    default_temperature_grid,
     overlap_table,
     state_series,
     steady_state_table,
@@ -24,8 +23,7 @@ UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 
 class TestCommensurabilityTable:
     def test_integer_n_recovers_full_entanglement(self):
-        table = commensurability_table(n_min=1.0, n_max=4.0, n_points=13,
-                                       samples_per_period=2000)
+        table = commensurability_table(np.linspace(1.0, 4.0, 13), samples_per_period=2000)
         np.testing.assert_allclose(table["omega_over_lambda"],
                                    4.0 * np.sqrt(table["n"]), rtol=1e-12)
         for n_int in (1.0, 2.0, 3.0, 4.0):
@@ -33,8 +31,7 @@ class TestCommensurabilityTable:
             np.testing.assert_allclose(table["c_max"][idx], 1.0, atol=1e-6)
 
     def test_between_integers_dips(self):
-        table = commensurability_table(n_min=1.0, n_max=2.0, n_points=5,
-                                       samples_per_period=1000)
+        table = commensurability_table(np.linspace(1.0, 2.0, 5), samples_per_period=1000)
         # n = 1.25 sits between revivals; its peak concurrence is lower.
         assert table["c_max"][1] < table["c_max"][0] - 1e-3
         assert np.all(table["c_max"] <= 1.0 + 1e-12)
@@ -42,30 +39,53 @@ class TestCommensurabilityTable:
     def test_residual_entropy_shrinks_with_n(self):
         # Larger n means weaker relative coupling, hence less mixing at the
         # concurrence maxima and smaller average entropy.
-        table = commensurability_table(n_min=1.0, n_max=9.0, n_points=3,
-                                       samples_per_period=1000)
+        table = commensurability_table(np.linspace(1.0, 9.0, 3), samples_per_period=1000)
         assert table["s_avg"][2] < table["s_avg"][0]
 
     def test_all_columns_same_length(self):
-        table = commensurability_table(n_min=0.5, n_max=2.0, n_points=4,
-                                       samples_per_period=200)
+        table = commensurability_table(np.linspace(0.5, 2.0, 4), samples_per_period=200)
         lengths = {len(col) for col in table.values()}
         assert lengths == {4}
 
     def test_deterministic(self):
-        kwargs = dict(n_min=1.0, n_max=3.0, n_points=3, samples_per_period=400)
+        kwargs = dict(n_grid=np.linspace(1.0, 3.0, 3), samples_per_period=400)
         first = commensurability_table(**kwargs)
         second = commensurability_table(**kwargs)
         for key in first:
             assert np.array_equal(first[key], second[key])
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError, match="n_min"):
-            commensurability_table(n_min=0.1)
-        with pytest.raises(ValueError, match="n_points"):
-            commensurability_table(n_points=1)
-        with pytest.raises(ValueError, match="degenerate"):
-            commensurability_table(n_min=2.0, n_max=2.0)
+        with pytest.raises(ValueError, match=r"^n_grid entries must be at least 0\.25, got 0\.1$"):
+            commensurability_table(np.linspace(0.1, 12.0, 47))
+        with pytest.raises(ValueError, match="^n_grid must be a nonempty 1-D array$"):
+            commensurability_table([])
+        with pytest.raises(ValueError, match="^n_grid must be strictly increasing$"):
+            commensurability_table([2.0, 2.0])
+
+
+class TestGrids:
+    def test_every_table_checks_its_grids_with_the_one_validator(self, grid_checks):
+        t = [0.0, 1.0]
+        time_series(SingleModeParams.from_ratio(4.0), UNIFORM, t)
+        state_series(OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM, t)
+        overlap_table(t, pairs=((0.1, 0.25),))
+        commensurability_table([1.0, 2.0], samples_per_period=100)
+        steady_state_table([0.25], [0.1], phase_points=16)
+        thermal_overlap_table([0.0], [0.1])
+        assert grid_checks == ["t_grid", "t_grid", "t_grid", "n_grid",
+                               "alphas", "gaps", "temperatures", "gaps"]
+
+    @pytest.mark.parametrize("name, call", [
+        ("t_grid", lambda grid: overlap_table(grid)),
+        ("n_grid", lambda grid: commensurability_table(grid)),
+        ("alphas", lambda grid: steady_state_table(grid, [0.1])),
+        ("gaps", lambda grid: steady_state_table([0.25], grid)),
+        ("temperatures", lambda grid: thermal_overlap_table(grid, [0.1])),
+        ("gaps", lambda grid: thermal_overlap_table([0.0], grid)),
+    ])
+    def test_every_table_refuses_a_nonfinite_grid(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            call([0.5, math.inf])
 
 
 class TestOverlapTable:
@@ -154,12 +174,6 @@ class TestSteadyStateTable:
         assert table["c_max_steady"][0] > table["c_max_steady"][1]
         assert table["s_steady"][0] < table["s_steady"][1]
 
-    def test_default_grids_shape(self):
-        alphas, gaps = default_steady_grid()
-        assert alphas.shape == (32,) and gaps.shape == (32,)
-        assert alphas[0] == 0.05 and alphas[-1] == 1.0
-        assert gaps[0] == 0.0 and gaps[-1] == 0.5
-
     def test_deterministic(self):
         kwargs = dict(alphas=np.array([0.3]), gaps=np.array([0.0, 0.3]),
                       phase_points=128)
@@ -213,8 +227,3 @@ class TestThermalOverlapTable:
                                                                omega0=0.25)))
         np.testing.assert_allclose(table["overlap_infinity"][0], expected,
                                    rtol=1e-9)
-
-    def test_default_temperature_grid(self):
-        grid = default_temperature_grid()
-        assert grid.shape == (33,)
-        assert grid[0] == 0.0 and grid[-1] == 2.0
