@@ -41,10 +41,10 @@ series are checked against is the oracle module
 :mod:`twospinboson.quadrature`, which this module does not import.
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
-induced phase by :func:`~twospinboson.single_mode._model_measures`: one real
-3x3 ``eigvalsh`` per cell for the entropy, and per phase the closed form of
-the Wootters values that the index-flip symmetry of the model state gives,
-with no decomposition.
+induced phase by :func:`~twospinboson.single_mode._model_measures`: the
+entropy from the exact invariants of the Gram form, and per phase the closed
+form of the Wootters values that the index-flip symmetry of the model state
+gives, with no decomposition on ordinary inputs.
 """
 
 from __future__ import annotations
@@ -117,6 +117,17 @@ class OhmicGapSpectrum:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
+        # The scales every closed form multiplies by: the plateau's 4 alpha, the
+        # induced coupling's 2 alpha omega_c, x0 and tau.
+        scales = {"4 alpha": 4.0 * self.alpha,
+                  "2 alpha omega_c": 2.0 * self.alpha * self.omega_c,
+                  "x0 = omega0 / omega_c": self.omega0 / self.omega_c,
+                  "tau = temperature / omega_c": self.temperature / self.omega_c}
+        for name, value in scales.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} overflows at alpha {self.alpha:g}, omega0 "
+                                 f"{self.omega0:g}, omega_c {self.omega_c:g}, "
+                                 f"temperature {self.temperature:g}")
 
 
 @dataclass(frozen=True)
@@ -481,7 +492,7 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     [0, pi/2) (its full period up to local unitaries) by
     :func:`~twospinboson.single_mode._model_measures`, in closed form with no
     decomposition per phase; the entropy is exactly phase independent and
-    takes one real 3x3 ``eigvalsh`` per cell.
+    comes from the exact invariants of the cell's 3x3 Gram form.
 
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.

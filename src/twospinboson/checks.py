@@ -305,8 +305,8 @@ def _closed_form_and_quadrature(spec: bath.OhmicGapSpectrum) -> tuple[np.ndarray
 def _model_measures_defect() -> float:
     """Worst difference of C and S between the model-state closed form and the kernel.
 
-    ``single_mode._model_measures`` (S from one real 3x3 ``eigvalsh`` per
-    row, C from the closed form of the index-flip symmetry) against
+    ``single_mode._model_measures`` (S from the certified invariant spectrum
+    of the Gram form, C from the closed form of the index-flip symmetry) against
     ``entanglement_measures`` of the 4x4 states it stands for, on the
     uniform amplitudes, seeded complex amplitudes, an a = d = 0 and a
     b = c = 0 state: as a steady-state scan of 256 phases at the plateaus 0,

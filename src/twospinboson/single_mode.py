@@ -143,6 +143,10 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
 
 _MAX_FLOAT = sys.float_info.max
 _BLOCK = 1 << 12  # phases per block of _model_measures, 64 kB per complex temporary
+_EPS = sys.float_info.epsilon
+# A row's closed-form lambda_1 is kept when its forward-error bound is at most
+# _SPECTRUM_TOL tr H (256 ulps, the threshold of Kopp's hybrid 3x3 solver).
+_SPECTRUM_TOL = 256.0 * _EPS
 
 
 def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
@@ -185,8 +189,10 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     |b|^2 + |c|^2, |d|^2)), V = diag(e^{i phi}, 1, e^{i phi}) and G0 the real
     Gram matrix of the (+, 0, -) oscillator branches (e^{-gamma_r} beside the
     unit diagonal, e^{-4 gamma_r} in the corners).  So rho has the spectrum
-    of H = D^{1/2} G0 D^{1/2} plus an exact 0: one real 3x3 ``eigvalsh`` per
-    row gives the entropy and the smallest eigenvalue for validation.
+    of H = D^{1/2} G0 D^{1/2} plus an exact 0, which gives the entropy and the
+    smallest eigenvalue for validation.  :func:`_gram_spectrum` takes it, for
+    all n rows at once, from H's exact invariants; only a row whose lambda_1
+    it cannot certify (lambda_1 ~ lambda_2) costs a real 3x3 ``eigvalsh``.
 
     Concurrence.  The Wootters r_i (PRL 80, 2245 (1998)) are the singular
     values of Uhlmann's tau = G0^{1/2} N G0^{1/2} (PRA 62, 032307 (2000)),
@@ -205,39 +211,96 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     Then C = max(0, (sigma_1 - sigma_2) - sigma_odd, sigma_odd - (sigma_1 +
     sigma_2)): no decomposition per phase.
 
-    Validation makes the 4x4 kernel's decision and names its index (the row):
-    hermiticity holds by construction; the amplitudes' trace defect is checked
-    before any decomposition (the eigenvalue is then reported as NaN); the
-    smallest eigenvalue is H's; a non-finite gamma_r or phase gives NaN defects.
+    Validation makes the 4x4 kernel's decision and names its index (the first
+    failing row): hermiticity holds by construction; the amplitudes' trace
+    defect is checked before any arithmetic (the eigenvalue is then reported
+    as NaN); the smallest eigenvalue is H's, lambda_3 = det H / (lambda_1
+    lambda_2) with the sign of det H, or ``eigvalsh``'s on a row that falls
+    back; a non-finite gamma_r or phase gives NaN defects.
     """
     n, m = phases.shape
     trace = abs(float(np.sum(np.abs(vec) ** 2)) - 1.0)
     if n and not trace <= TRACE_TOL:
         raise InvalidDensityMatrixError(DensityCheck(0.0, trace, math.nan), 0)
     a, b, c, d = vec
-    root = np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)])
+    # max |phi| per row without an (n, m) temporary; NaN where a phase is NaN.
+    peak = np.maximum(phases.max(1), -phases.min(1))
+    finite = np.isfinite(np.exp(-4.0 * gamma_rs)) & (peak <= _MAX_FLOAT)
+    gamma = np.where(finite, gamma_rs, 0.0)
+    evals = _gram_spectrum(np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)]), gamma)
+    evals[~finite] = np.nan
+    failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
+    if failed.any():
+        k = int(np.argmax(failed))
+        defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
+        raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), k)
+    entropy = _entropy_bits(evals)
     bc2, ad = 2.0 * b * c, a * d
-    conc, entropy = np.empty((n, m)), np.empty(n)
+    conc = np.empty((n, m))
     step = max(1, _BLOCK // m)
     for low in range(0, n, step):
         rows = slice(low, low + step)
-        peak = np.abs(phases[rows]).max(1)  # NaN where a phase is NaN
-        finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & (peak <= _MAX_FLOAT)
-        gamma = np.where(finite, gamma_rs[rows], 0.0)
-        e, e4 = np.exp(-gamma), np.exp(-4.0 * gamma)
-        gram = np.ones(gamma.shape + (3, 3))
+        conc[rows] = _uhlmann_concurrence(bc2, ad, gamma[rows], phases[rows],
+                                          peak[rows] > 0.5 * _MAX_FLOAT)
+    return conc, entropy
+
+
+def _gram_spectrum(root: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Ascending spectra (n, 3) of H = D^{1/2} G0 D^{1/2}, D = root^2, at gamma_r = gamma.
+
+    H's invariants are exact products: tr H = sum D; with s_k = 1 - e^{-k gamma_r}
+    from ``expm1``, e_2 = (D0 D1 + D1 D2) s_2 + D0 D2 s_8 (its principal 2x2
+    minors) and det H = D0 D1 D2 s_2^2 s_4.  lambda_1 is the trigonometric root
+    q + 2 sqrt(p) cos(phi) of B = H - q, q = tr H / 3 (Kopp, Int. J. Mod.
+    Phys. C 19, 523 (2008), arXiv:physics/0610206), with p = tr B^2 / 6 and
+    det B summed from H's entries, so that p has no cancellation.  Then
+    lambda_2 lambda_3 = det H / lambda_1 and lambda_2 + lambda_3 =
+    (e_2 - det H / lambda_1) / lambda_1, neither of which cancels near a pure
+    state, and the larger root of that quadratic is taken first.
+
+    lambda_1 is only about sqrt(eps) accurate where lambda_1 ~ lambda_2.  A
+    row keeps it when the first-order bound (|P(lambda_1)| + rounding of P) /
+    P'(lambda_1) on its forward error, P the characteristic polynomial, is at
+    most _SPECTRUM_TOL tr H; the other rows, and only they, get one real
+    ``eigvalsh`` of H.
+    """
+    d0, d1, d2 = root * root
+    trace = d0 + d1 + d2
+    # Only a gamma_r <= -88.7 overflows e^{-8 gamma_r}; such a row fails the
+    # bound and falls back to the matrix, which needs only e and e^4.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2, s4, s8 = (-np.expm1(-k * gamma) for k in (2.0, 4.0, 8.0))
+        e_sq, e_8 = np.exp(-2.0 * gamma), np.exp(-8.0 * gamma)
+        e2 = (d0 * d1 + d1 * d2) * s2 + d0 * d2 * s8
+        det = d0 * d1 * d2 * (s2 * s2) * s4
+        q = trace / 3.0
+        x0, x1, x2 = d0 - q, d1 - q, d2 - q
+        h01, h12, h02 = d0 * d1 * e_sq, d1 * d2 * e_sq, d0 * d2 * e_8  # squared off-diagonals
+        p = ((x0 * x0 + x1 * x1 + x2 * x2) + 2.0 * (h01 + h12 + h02)) / 6.0
+        det_b = (x0 * x1 * x2 + 2.0 * d0 * d1 * d2 * (e_sq * e_sq * e_sq)
+                 - x0 * h12 - x1 * h02 - x2 * h01)
+        scale = np.sqrt(p)
+        cos3 = np.minimum(np.maximum(0.5 * det_b / np.where(p > 0.0, p * scale, 1.0), -1.0), 1.0)
+        top = q + 2.0 * scale * np.cos(np.arccos(cos3) / 3.0)
+        residual = ((top - trace) * top + e2) * top - det
+        rounding = 4.0 * _EPS * (top * top * (trace + abs(top - trace)) + abs(e2) * top + abs(det))
+        slope = (3.0 * top - 2.0 * trace) * top + e2 - 4.0 * _EPS * (
+            3.0 * top * top + 2.0 * trace * top + abs(e2))
+        certified = (slope > 0.0) & (abs(residual) + rounding <= _SPECTRUM_TOL * trace * slope)
+    prod = np.where(certified, det, 0.0) / top
+    total = (np.where(certified, e2, 0.0) - prod) / top
+    big = 0.5 * (total + np.copysign(np.sqrt(np.maximum(total * total - 4.0 * prod, 0.0)), total))
+    small = prod / np.where(big != 0.0, big, 1.0)
+    evals = np.empty(gamma.shape + (3,))
+    evals[:, 0], evals[:, 1], evals[:, 2] = np.minimum(big, small), np.maximum(big, small), top
+    fallback = ~certified
+    if fallback.any():
+        e, e4 = np.exp(-gamma[fallback]), np.exp(-4.0 * gamma[fallback])
+        gram = np.ones(e.shape + (3, 3))
         gram[:, 0, 1] = gram[:, 1, 0] = gram[:, 1, 2] = gram[:, 2, 1] = e
         gram[:, 0, 2] = gram[:, 2, 0] = e4
-        evals = np.linalg.eigvalsh(root[:, None] * gram * root)
-        evals[~finite] = np.nan
-        failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
-        if failed.any():
-            k = int(np.argmax(failed))
-            defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
-            raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), low + k)
-        entropy[rows] = _entropy_bits(evals)
-        conc[rows] = _uhlmann_concurrence(bc2, ad, gamma, phases[rows], peak > 0.5 * _MAX_FLOAT)
-    return conc, entropy
+        evals[fallback] = np.linalg.eigvalsh(root[:, None] * gram * root)
+    return evals
 
 
 def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray,
@@ -328,6 +391,18 @@ def _require_grid(values, name: str = "t_grid") -> np.ndarray:
     return grid
 
 
+def _require_product(scale: float, t_max: float, name: str) -> None:
+    """Refuse a grid on which the product ``name`` = scale * t overflows at its last time."""
+    if not math.isfinite(scale * t_max):
+        raise ValueError(f"{name} = {scale:g} * {t_max:g} overflows")
+
+
+def _require_single_mode_grid(params: SingleModeParams, t: np.ndarray) -> None:
+    """Refuse a time grid whose omega t or induced phase 2 theta t overflows."""
+    _require_product(params.omega, float(t[-1]), "omega t")
+    _require_product(2.0 * params.theta, float(t[-1]), "2 theta t")
+
+
 def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
                 t_grid) -> dict[str, np.ndarray]:
     """Observables on a strictly increasing grid of finite nonnegative times.
@@ -335,10 +410,12 @@ def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
     Columns: t, theta_t, concurrence, ideal_concurrence (the
     decoherence-free concurrence), entropy in bits and overlap
     (exp(-gamma_r)), one entry per grid time.  C and S come from the 3x3
-    Gram route of :func:`_model_measures`.
+    Gram route of :func:`_model_measures`.  A grid whose omega t or 2 theta t
+    overflows is refused.
     """
     vec = _require_amplitudes(psi0)
     t = _require_grid(t_grid)
+    _require_single_mode_grid(params, t)
     gamma_rs, gamma_is = _gammas(params, t)
     theta_ts = params.theta * t
 
@@ -360,7 +437,8 @@ def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
     The grid covers theta*t in [0, pi/2] with ``samples_per_period``
     trapezoid intervals (at least 100), C and S from :func:`_model_measures`.
     With zero coupling the phase never advances; the statistics are returned
-    as zeros with ``degenerate=True``.
+    as zeros with ``degenerate=True``.  Parameters whose omega t overflows on
+    that grid are refused.
     """
     vec = _require_amplitudes(psi0)
     if samples_per_period < 100:
@@ -369,7 +447,9 @@ def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
         return PeriodStats(0.0, 0.0, 0.0, 0.0, degenerate=True)
 
     theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
-    gamma_rs, gamma_is = _gammas(params, theta_ts / params.theta)
+    t = theta_ts / params.theta
+    _require_single_mode_grid(params, t)
+    gamma_rs, gamma_is = _gammas(params, t)
 
     conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
     span = theta_ts[-1] - theta_ts[0]

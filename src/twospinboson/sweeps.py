@@ -26,7 +26,8 @@ from .bath import (
     effective_coupling,
 )
 from .entanglement import QubitAmplitudes, _require_amplitudes
-from .single_mode import SingleModeParams, _model_measures, _require_grid, period_stats
+from .single_mode import (SingleModeParams, _model_measures, _require_grid, _require_product,
+                          period_stats)
 
 __all__ = [
     "DEFAULT_BATH_PAIRS",
@@ -112,12 +113,17 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     ``entropy_scaled`` is 2S/3, which saturates at 1 when the uniform initial
     state is fully decohered; ``overlap`` is exp(-gamma_R).  C and S come from
     the 3x3 Gram route of :func:`~twospinboson.single_mode._model_measures`:
-    one real 3x3 ``eigvalsh`` per time point for S, and C in the closed form
-    of the index-flip symmetry, with no decomposition.
+    S from H's exact invariants per time point, and C in the closed form of
+    the index-flip symmetry, with no decomposition on ordinary inputs.  A
+    grid whose omega0 t (x0 s in cutoff units) or 2 theta t overflows is
+    refused.
     """
     vec = _require_amplitudes(psi0)
     t = _require_grid(t_grid)
     theta = effective_coupling(spec)
+    _require_product(spec.omega0 / spec.omega_c, spec.omega_c * float(t[-1]),
+                     "omega0 t (x0 s)")
+    _require_product(2.0 * theta, float(t[-1]), "2 theta t")
 
     gamma_rs, gamma_is, _ = bath_exponents(spec, t)
     theta_ts = theta * t
@@ -143,9 +149,10 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes | None = None,
     with coupling) carry ``has_steady_state = 0`` and the sentinel -1 in the
     c_max_steady and s_steady columns.  One Bose-series pass gives
     every plateau, each bitwise ``gamma_R_infinity``, and every cell is
-    bitwise :func:`~twospinboson.bath.steady_state_stats`: one real 3x3
-    ``eigvalsh`` of the Gram form, and ``phase_points`` concurrences in the
-    closed form of the index-flip symmetry, no other decomposition.
+    bitwise :func:`~twospinboson.bath.steady_state_stats`: the entropy from
+    the exact invariants of the Gram form, and ``phase_points`` concurrences
+    in the closed form of the index-flip symmetry, no decomposition on
+    ordinary inputs.
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")

@@ -10,6 +10,8 @@ the long-time plateau evaluated two independent ways.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +56,18 @@ class TestSpectrum:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     OhmicGapSpectrum(**{"alpha": 0.1, name: value})
+
+    def test_rejects_overflowing_scales(self):
+        # Each scale the closed forms multiply by must be finite.
+        for kwargs, name in (({"alpha": 1e308}, "4 alpha"),
+                             ({"alpha": 1e307, "omega_c": 1e2}, "2 alpha omega_c"),
+                             ({"alpha": 0.25, "omega0": 1e300, "omega_c": 1e-10},
+                              "x0 = omega0 / omega_c"),
+                             ({"alpha": 0.25, "temperature": 1e300, "omega_c": 1e-10},
+                              "tau = temperature / omega_c")):
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} overflows at alpha"):
+                OhmicGapSpectrum(**kwargs)
+        assert OhmicGapSpectrum(alpha=0.25 * sys.float_info.max, omega0=1e300).alpha > 0.0
 
     def test_zero_at_and_below_gap(self):
         spec = OhmicGapSpectrum(alpha=0.3, omega0=0.5)

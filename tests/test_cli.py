@@ -95,6 +95,11 @@ class TestSingleMode:
             "omega 1e-200 and coupling 1 overflow theta = 2 coupling^2 / omega "
             "or (2 coupling / omega)^2")
 
+    def test_rejects_overflowing_omega_t(self, capsys):
+        assert_rejected_quietly(
+            capsys, ("single-mode", "--omega-over-lambda", "1e160", "--points", "5"),
+            "omega t = 1e+160 * 7.85398e+159 overflows")
+
     def test_rejects_nonfinite_parameters(self, capsys):
         for extra, reason in ((("--omega-over-lambda", "inf"), "omega must be positive and finite"),
                               (("--omega-over-lambda", "4", "--theta-t-max", "inf"),
@@ -116,6 +121,10 @@ class TestPeriodStats:
         assert abs(columns["c_max"][0] - 1.0) <= 1e-6
         assert columns["c_max"][1] < columns["c_max"][0]
         assert meta["n_points"] == "3"
+
+    def test_rejects_overflowing_omega_t(self, capsys):
+        assert_rejected_quietly(capsys, ("period-stats", "--n-max", "1e308"),
+                                "omega t = 1.56038e+154 * 1.22552e+154 overflows")
 
     def test_rejects_small_n(self, capsys):
         code, _, err = run_cli(capsys, "period-stats", "--n-min", "0.1")
@@ -164,6 +173,14 @@ class TestBathSeries:
         assert_rejected_quietly(
             capsys, ("bath-series", "--alpha", "0.25", "--t-max", "inf", "--points", "3"),
             "t grid needs a finite min and max, got 0 and inf")
+
+    def test_rejects_overflowing_scales(self, capsys):
+        for extra, reason in (
+                (("--alpha", "1e308", "--t-max", "5"),
+                 "4 alpha overflows at alpha 1e+308, omega0 0, omega_c 1, temperature 0"),
+                (("--alpha", "0.25", "--gap", "1e200", "--t-max", "1e200"),
+                 "omega0 t (x0 s) = 1e+200 * 1e+200 overflows")):
+            assert_rejected_quietly(capsys, ("bath-series", *extra, "--points", "3"), reason)
 
     def test_huge_t_max_gives_finite_measures_quietly(self, capsys):
         # At t = 1e308 the phase exceeds half the largest float and s * s overflows.
@@ -292,6 +309,15 @@ class TestSteadySweep:
                                "--alpha-grid", "1:0.05:8")
         assert code == 2
         assert "min < max" in err
+
+    def test_rejects_overflowing_alpha_before_writing(self, capsys, tmp_path):
+        # The gapped cell (alpha 1e308, omega0 1e300) used to read has_steady_state = 0.
+        prefix = tmp_path / "huge"
+        assert_rejected_quietly(
+            capsys, ("steady-sweep", "--alpha-grid", "0:1e308:2", "--gap-grid", "0:1e300:2",
+                     "--output-prefix", str(prefix)),
+            "4 alpha overflows at alpha 1e+308, omega0 0, omega_c 1, temperature 0")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_nonfinite_axis(self, capsys):
         for axis in ("0.1:inf:3", "-inf:1:3", "nan:1:3", "0.1:nan:3"):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from twospinboson import single_mode
 from twospinboson.entanglement import (
     QubitAmplitudes,
     concurrence,
@@ -34,6 +35,10 @@ DECOHERED_UNIFORM = np.array(
      [0, 1, 1, 0],
      [0, 1, 1, 0],
      [0, 0, 0, 1]], dtype=float) / 4.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("evaluated an overflowing grid")
 
 
 def evolve(params, psi, t):
@@ -301,6 +306,16 @@ class TestTimeSeries:
             with pytest.raises(ValueError, match="finite"):
                 time_series(params, UNIFORM, np.array([0.0, bad]))
 
+    def test_rejects_an_overflowing_grid(self, monkeypatch):
+        monkeypatch.setattr(single_mode, "_gammas", _refuse)
+        with pytest.raises(ValueError) as err:
+            time_series(SingleModeParams(1e160, 1.0), UNIFORM, np.array([0.0, 1e150, 1e155]))
+        assert str(err.value) == "omega t = 1e+160 * 1e+155 overflows"
+        # theta = 2e200 keeps omega t finite but overflows the phase 2 theta t.
+        with pytest.raises(ValueError) as err:
+            time_series(SingleModeParams(1.0, 1e100), UNIFORM, np.array([0.0, 1e108]))
+        assert str(err.value) == "2 theta t = 4e+200 * 1e+108 overflows"
+
 
 class TestPeriodStats:
     def test_commensurate_unit_maximum(self):
@@ -329,6 +344,12 @@ class TestPeriodStats:
         assert stats.degenerate
         assert stats.c_max == 0.0 and stats.c_avg == 0.0
         assert stats.s_max == 0.0 and stats.s_avg == 0.0
+
+    def test_rejects_overflowing_omega_t(self, monkeypatch):
+        # n = 1e308: omega = 4 sqrt(n) and t = (pi/2) / theta reach omega t ~ 2e308.
+        monkeypatch.setattr(single_mode, "_gammas", _refuse)
+        with pytest.raises(ValueError, match=r"^omega t = 4e\+154 \* .* overflows$"):
+            period_stats(SingleModeParams.from_ratio(4e154), UNIFORM, 100)
 
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError, match="samples_per_period"):

@@ -1,10 +1,11 @@
 """Model-state measures by the Gram route against the 4x4 kernel and 40-digit mpmath.
 
 ``single_mode._model_measures`` computes the entropy of every model state
-from one real 3x3 ``eigvalsh`` of the Gram form H per damping value, and the
+from the exact invariants of the Gram form H, with one real 3x3 ``eigvalsh``
+only on the rows whose closed-form top eigenvalue it cannot certify, and the
 concurrence in closed form: the index flip splits Uhlmann's tau into a 1x1
-and a 2x2 block, whose singular values are sums of nonnegative terms.  No
-other ``eigvalsh``, no ``eigh`` and no ``svd`` is called.  The steady-state
+and a 2x2 block, whose singular values are sums of nonnegative terms.  On
+ordinary inputs no ``np.linalg`` function is called.  The steady-state
 scan, ``time_series``, ``period_stats`` and ``state_series`` all go through
 it.  Oracles: the general kernel ``entanglement_measures`` applied to the
 4x4 states the helper stands for (values and validation decisions), and,
@@ -57,13 +58,14 @@ def _scan(vec, gamma_rs, theta_ts):
                            np.broadcast_to(2.0 * theta_ts, (gamma_rs.size, theta_ts.size)))
 
 
-def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
-    """Wootters concurrence of the model state at 40 digits, by Hermitian routines only.
+def _mp_measures(vec, gamma_r, theta_t, gamma_i=0.0):
+    """Wootters concurrence and entropy of the model state at 40 digits, by Hermitian routines.
 
     The Wootters values are the singular values of sqrt(rho) sqrt(rho~), with
     sqrt(rho) from the Hermitian eigensolver and sqrt(rho~) its spin flip.
     The general eigensolver on the non-Hermitian rho rho~ fails to converge
-    when the entries of rho span many decades.
+    when the entries of rho span many decades.  The entropy drops the
+    eigenvalues below ``_ENTROPY_CLIP``, as ``_entropy_bits`` does.
     """
     with mpmath.workdps(40):
         a, b, c, d = (mpmath.mpc(complex(z)) for z in vec)
@@ -85,18 +87,26 @@ def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
             * eigvecs.transpose_conj()
         r = sorted(mpmath.svd_c(root * flip * root.apply(cj) * flip, compute_uv=False),
                    reverse=True)
-        return float(max(r[0] - r[1] - r[2] - r[3], 0))
+        entropy = -sum(x * mpmath.log(x, 2) for x in eigvals if x > entanglement._ENTROPY_CLIP)
+        return float(max(r[0] - r[1] - r[2] - r[3], 0)), float(entropy)
+
+
+def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
+    """Wootters concurrence of the model state at 40 digits."""
+    return _mp_measures(vec, gamma_r, theta_t, gamma_i)[0]
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Names of the ``np.linalg`` decompositions called, eigvalsh split by dtype."""
+    """(name, matrices) of each ``np.linalg`` decomposition called, eigvalsh split by dtype."""
     calls = []
 
     def counting(name, func):
         def wrapper(a, *args, **kwargs):
             kind = "complex " if np.iscomplexobj(a) else "real "
-            calls.append((kind if name == "eigvalsh" else "") + name)
+            a = np.asarray(a)
+            calls.append(((kind if name == "eigvalsh" else "") + name,
+                          a.size // (a.shape[-1] * a.shape[-2])))
             return func(a, *args, **kwargs)
         return wrapper
 
@@ -106,12 +116,27 @@ def lapack_calls(monkeypatch):
 
 
 def _forbid_decompositions(monkeypatch):
-    """Make every ``np.linalg`` decomposition the Gram route could call fail."""
+    """Make every ``np.linalg`` decomposition and the spectrum of H fail."""
     def refuse(*args, **kwargs):
         raise AssertionError("decomposed an invalid state")
 
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(single_mode, "_gram_spectrum", refuse)
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """Row counts of the calls to ``single_mode._gram_spectrum``."""
+    calls = []
+    spectrum = single_mode._gram_spectrum
+
+    def counting(root, gamma):
+        calls.append(gamma.size)
+        return spectrum(root, gamma)
+
+    monkeypatch.setattr(single_mode, "_gram_spectrum", counting)
+    return calls
 
 
 @pytest.fixture
@@ -156,6 +181,14 @@ _ONE_OF_B_C_VANISHES = [
     (0.4 + 0.3j, 0.6 - 0.2j, 1e-9j, -0.5 + 0.1j),
     (0.0410 + 0.1847j, 0.4376 - 0.1576j, 0.0, -0.8127 + 0.2956j),
 ]
+
+
+# |a|^2 = |b|^2 + |c|^2 = 0.4, |d|^2 = 0.2: H has a double top eigenvalue as gamma_R grows.
+_DOUBLE_TOP = (math.sqrt(0.4), math.sqrt(0.2), 1j * math.sqrt(0.2),
+               math.sqrt(0.2) * np.exp(0.3j))
+# The entropy against 40-digit mpmath, on the edge cases and the double-top rows:
+# the invariant route errs by at most 2.5e-16 there, the 4x4 kernel by 1.0e-14.
+ENTROPY_ATOL = 3e-16
 
 
 class TestSteadyScan:
@@ -224,16 +257,35 @@ class TestModelMeasures:
                  for g_r, g_i, th in zip(gamma_rs, gamma_is, series["theta_t"])]
         np.testing.assert_allclose(series["concurrence"], exact, rtol=0.0, atol=1e-14)
 
-    def test_one_real_eigvalsh_per_block(self, lapack_calls):
+    def test_no_lapack_call_on_certified_rows(self, lapack_calls):
         vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
-        n, m = 3, 64
-        assert n * m <= single_mode._BLOCK
-        _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (n, 1)))
-        assert lapack_calls == ["real eigvalsh"]
-        lapack_calls.clear()
-        # Four gapped cells of 16 phases are one block; the gapless cells have no plateau.
+        _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (3, 1)))
+        # Four gapped cells of 16 phases; the gapless cells have no plateau.
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], phase_points=16)
-        assert lapack_calls == ["real eigvalsh"]
+        assert lapack_calls == []
+
+    def test_double_top_rows_fall_back_alone(self, lapack_calls):
+        # |a|^2 = |b|^2 + |c|^2: at large gamma_R, H tends to diag(D) with an
+        # exact double top eigenvalue, where the closed-form lambda_1 is only
+        # sqrt(eps) accurate.  Those rows, and only they, go to eigvalsh.
+        vec = QubitAmplitudes.normalized(*_DOUBLE_TOP).vector()
+        gamma_rs = np.array([0.4, 30.0, 2.0, 12.0, 0.0])
+        phases = np.tile(2.0 * PHASES[:4], (gamma_rs.size, 1))
+        conc, entropy = _model_measures(vec, gamma_rs, phases)
+        assert lapack_calls == [("real eigvalsh", 2)]
+        c_ref, s_ref = entanglement_measures(_density_from_phases(
+            vec, np.tile(PHASES[:4], gamma_rs.size), np.repeat(gamma_rs, 4), np.zeros(4 * gamma_rs.size)))
+        np.testing.assert_allclose(conc.ravel(), c_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(entropy, s_ref[::4], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma_r", [5.0, 12.0, 30.0])
+    def test_double_top_entropy_matches_mpmath(self, gamma_r):
+        vec = QubitAmplitudes.normalized(*_DOUBLE_TOP).vector()
+        phases = np.array([0.0, 0.7, 2.0])
+        conc, entropy = _model_measures(vec, np.array([gamma_r]), phases[None])
+        exact = [_mp_measures(vec, gamma_r, 0.5 * phi) for phi in phases]
+        np.testing.assert_allclose(conc[0], [c for c, _ in exact], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(entropy[0], exact[0][1], rtol=0.0, atol=ENTROPY_ATOL)
 
     def test_cross_term_does_not_cancel(self):
         # w = -ad conj(2bc) = -1/8, so at phase 1e-9 |z| + Re z = |w| (1 - cos 2 phi)
@@ -278,9 +330,14 @@ class TestModelMeasures:
         vec = QubitAmplitudes.normalized(*amplitudes).vector()
         gamma_rs = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.5, 2.0, 5.0, 12.0])
         phases = np.array([0.0, 0.7, 2.0])
-        conc, _ = _model_measures(vec, gamma_rs, np.broadcast_to(phases, (gamma_rs.size, 3)))
-        exact = [[_mp_concurrence(vec, g, 0.5 * phi) for phi in phases] for g in gamma_rs]
-        np.testing.assert_allclose(conc, exact, rtol=0.0, atol=1e-15)
+        conc, entropy = _model_measures(vec, gamma_rs,
+                                        np.broadcast_to(phases, (gamma_rs.size, 3)))
+        exact = np.array([[_mp_measures(vec, g, 0.5 * phi) for phi in phases]
+                          for g in gamma_rs])
+        np.testing.assert_allclose(conc, exact[..., 0], rtol=0.0, atol=1e-15)
+        # The entropy does not depend on the phase.
+        np.testing.assert_allclose(np.broadcast_to(entropy[:, None], (gamma_rs.size, 3)),
+                                   exact[..., 1], rtol=0.0, atol=ENTROPY_ATOL)
 
     def test_far_plateau_matches_mpmath(self):
         # The uniform state at a plateau of a `steady-sweep --temperature 0.5`
@@ -316,7 +373,7 @@ class TestModelMeasures:
         state_series(GAPPED, psi, np.linspace(0.0, 3.0, 20))
         assert kernel_calls == []
 
-    def test_blocks_do_not_change_series(self, monkeypatch):
+    def test_blocks_do_not_change_series(self, monkeypatch, spectrum_calls):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         params = SingleModeParams.from_ratio(4.5)
         t = np.linspace(0.0, 40.0, 1000)
@@ -325,6 +382,23 @@ class TestModelMeasures:
         blocked = time_series(params, psi, t)
         for name in ("concurrence", "entropy"):
             assert blocked[name].tobytes() == whole[name].tobytes()
+        # The spectrum is taken once per call over all rows, not once per block.
+        assert spectrum_calls == [t.size, t.size]
+
+    def test_model_state_paths_call_no_linalg(self, monkeypatch):
+        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called np.linalg")
+
+        for name in dir(np.linalg):
+            if not name.startswith("_") and callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        params = SingleModeParams.from_ratio(4.5)
+        time_series(params, psi, np.linspace(0.0, 40.0, 200))
+        period_stats(params, psi, 100)
+        state_series(GAPPED, psi, np.linspace(0.0, 30.0, 50))
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], psi, phase_points=16)
 
 
 # Norm defect 4e-10: every state built from these amplitudes would have a

@@ -139,6 +139,24 @@ class TestStateSeries:
         np.testing.assert_allclose(table["entropy_scaled"][0], 1.0, atol=0.01)
         assert table["concurrence"][0] < 0.01
 
+    def test_rejects_an_overflowing_grid_before_evaluation(self, monkeypatch):
+        from twospinboson import sweeps
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(sweeps, "bath_exponents", fail)
+        # x0 s = omega0 t and the induced phase 2 theta t, at the last grid time.
+        for spec, t_max, reason in (
+                (OhmicGapSpectrum(alpha=0.25, omega0=1e200), 1e200,
+                 "omega0 t (x0 s) = 1e+200 * 1e+200 overflows"),
+                (OhmicGapSpectrum(alpha=0.25, omega0=1e200, omega_c=1e10), 1e190,
+                 "omega0 t (x0 s) = 1e+190 * 1e+200 overflows"),
+                (OhmicGapSpectrum(alpha=4e307), 5.0, "2 theta t = 1.6e+308 * 5 overflows")):
+            with pytest.raises(ValueError) as err:
+                state_series(spec, UNIFORM, np.array([0.0, t_max]))
+            assert str(err.value) == reason
+
     def test_matches_single_point_evaluation(self):
         from twospinboson.bath import bath_reduced_density
         from twospinboson.entanglement import concurrence, von_neumann_entropy
