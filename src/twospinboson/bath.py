@@ -4,7 +4,9 @@ The spectral density is
 
     J(omega) = alpha * (omega - omega0) * exp(-(omega - omega0)/omega_c)
 
-for omega above the gap omega0 and zero below it (hbar = k_B = 1).  The
+for omega above the gap omega0 and zero below it (hbar = k_B = 1).  Everything
+is in units of the cutoff omega_c: ``omega0`` is x0 = omega0/omega_c, the
+temperature is tau = T/omega_c and times are s = omega_c t.  The
 environment acts on the two qubits only through three numbers:
 
     effective_coupling = 2 * integral J/omega domega       (induced coupling)
@@ -18,13 +20,13 @@ model and is delegated to :func:`twospinboson.single_mode.reduced_density`.
 once; every caller in the package takes them from it.  The method depends on
 the gap and the temperature:
 
-- gapless, T = 0: 2 alpha ln(1 + (omega_c t)^2) and 4 alpha arctan(omega_c t);
+- gapless, T = 0: 2 alpha ln(1 + t^2) and 4 alpha arctan t;
 - gapless, T > 0: the same gamma_I, and gamma_R through Re ln Gamma of a
   complex argument (recurrence, then the Stirling series);
 - gapped, any T: the Bose series coth(omega/2T) = 1 + 2 sum_n e^{-n omega/T}.
   Each term is the exponential integral E1 of a complex argument (power
   series for |z| <= 1, continued fraction above) with the decay rate
-  1 + n omega_c/T in place of 1, so gamma_R is a weighted sum of E1 closed
+  1 + n/T in place of 1, so gamma_R is a weighted sum of E1 closed
   forms; gamma_I does not depend on T and is the n = 0 term.  At T = 0 the
   series is that one term.  It stops at the first N whose proven tail bound
   is below 1e-16, and a grid whose N * (points + 1) exceeds a fixed work cap
@@ -98,36 +100,26 @@ _STIRLING_SHIFT = 10
 
 @dataclass(frozen=True)
 class OhmicGapSpectrum:
-    """Spectral density parameters: strength, gap, cutoff and temperature."""
+    """Spectral density parameters: strength, gap and temperature in units of omega_c."""
 
     alpha: float
     omega0: float = 0.0
-    omega_c: float = 1.0
     temperature: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "omega0", "omega_c", "temperature"):
+        for name in ("alpha", "omega0", "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.omega0 < 0.0:
             raise ValueError(f"omega0 must be nonnegative, got {self.omega0}")
-        if not self.omega_c > 0.0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
-        # The scales every closed form multiplies by: the plateau's 4 alpha, the
-        # induced coupling's 2 alpha omega_c, x0 and tau.
-        scales = {"4 alpha": 4.0 * self.alpha,
-                  "2 alpha omega_c": 2.0 * self.alpha * self.omega_c,
-                  "x0 = omega0 / omega_c": self.omega0 / self.omega_c,
-                  "tau = temperature / omega_c": self.temperature / self.omega_c}
-        for name, value in scales.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} overflows at alpha {self.alpha:g}, omega0 "
-                                 f"{self.omega0:g}, omega_c {self.omega_c:g}, "
-                                 f"temperature {self.temperature:g}")
+        # The plateau's 4 alpha; it bounds the induced coupling's 2 alpha.
+        if not math.isfinite(4.0 * self.alpha):
+            raise ValueError(f"4 alpha overflows at alpha {self.alpha:g}, omega0 "
+                             f"{self.omega0:g}, temperature {self.temperature:g}")
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,8 @@ class SteadyStateStats:
 def spectral_density(spec: OhmicGapSpectrum, omega):
     """J(omega); accepts scalars or arrays, zero at and below the gap."""
     omega = np.asarray(omega, dtype=float)
-    x = (omega - spec.omega0) / spec.omega_c
-    dens = spec.alpha * (omega - spec.omega0) * np.exp(-np.clip(x, 0.0, None))
+    x = omega - spec.omega0
+    dens = spec.alpha * x * np.exp(-np.clip(x, 0.0, None))
     out = np.where(omega > spec.omega0, dens, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -297,7 +289,7 @@ def _bose_table(x0, tau, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _bose_pass(specs, s=None):
-    """Plateaus of ``specs`` and, on scaled times ``s`` = omega_c t, their Bose series.
+    """Plateaus of ``specs`` and, on times ``s``, their Bose series.
 
     ``plateaus`` holds :func:`gamma_R_infinity` of every spectrum: 0 at
     alpha = 0, inf when gapless with coupling, else 4 alpha sum_n c_n e^{-n r}
@@ -323,8 +315,8 @@ def _bose_pass(specs, s=None):
     plateaus = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
     gapped = [k for k, spec in enumerate(specs) if spec.alpha > 0.0 and spec.omega0 > 0.0]
     cells = [specs[k] for k in gapped]
-    x0 = [spec.omega0 / spec.omega_c for spec in cells]
-    tau = [spec.temperature / spec.omega_c for spec in cells]
+    x0 = [spec.omega0 for spec in cells]
+    tau = [spec.temperature for spec in cells]
     n_terms = [_bose_terms(*args) for args in zip(x0, tau)]
     for spec, n in zip(cells, n_terms):
         if n is None or n * (s.size + 1) > _SERIES_MAX_WORK:
@@ -375,21 +367,21 @@ def _bose_pass(specs, s=None):
 def effective_coupling(spec: OhmicGapSpectrum) -> float:
     """Induced qubit-qubit coupling 2 * integral J(omega)/omega domega.
 
-    Closed form 2 alpha omega_c (1 - x0 e^{x0} E1(x0)) with x0 = omega0/omega_c,
-    which is 2 alpha omega_c for a gapless spectrum.
+    Closed form 2 alpha (1 - x0 e^{x0} E1(x0)) with x0 = omega0, which is
+    2 alpha for a gapless spectrum.
     """
     if spec.omega0 == 0.0:
-        return 2.0 * spec.alpha * spec.omega_c
-    x0 = spec.omega0 / spec.omega_c
-    return 2.0 * spec.alpha * spec.omega_c * (1.0 - x0 * float(_exp_e1(np.array([x0])).real[0]))
+        return 2.0 * spec.alpha
+    x0 = spec.omega0
+    return 2.0 * spec.alpha * (1.0 - x0 * float(_exp_e1(np.array([x0])).real[0]))
 
 
 def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """gamma_R(t), gamma_I(t) and an absolute error estimate on a grid of times.
 
     ``t_grid`` is a 1-D array of finite nonnegative times in any order; all
-    three arrays are exactly zero at t = 0 and for alpha = 0.  With
-    s = omega_c t, x0 = omega0/omega_c and tau = T/omega_c:
+    three arrays are exactly zero at t = 0 and for alpha = 0.  In units of
+    omega_c, s = t, x0 = omega0 and tau = T:
 
     - gapless, T = 0: gamma_R = 2 alpha ln(1 + s^2), gamma_I = 4 alpha arctan s;
     - gapless, T > 0: gamma_R = 4 alpha [ln(1 + s^2)/2 + 2 ln Gamma(1 + tau)
@@ -422,18 +414,18 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     if not live.size:
         return gamma_r, gamma_i, error
     a4 = 4.0 * spec.alpha
-    x0 = spec.omega0 / spec.omega_c
-    tau = spec.temperature / spec.omega_c
+    x0 = spec.omega0
+    tau = spec.temperature
     tail = 0.0
 
     if x0 > 0.0:
-        plateau, damping, first, bound = _bose_pass([spec], spec.omega_c * t)
+        plateau, damping, first, bound = _bose_pass([spec], t)
         gamma_r[live] = a4 * damping[0, live]
         gamma_i[live] = a4 * first[0, live].imag
         magnitude = 2.0 * plateau[0] + a4 * np.abs(first[0, live])
         tail = a4 * bound[0]
     else:
-        s = spec.omega_c * t[live]
+        s = t[live]
         with np.errstate(over="ignore"):  # s * s = inf past 1e154: gamma_R = inf is the limit
             log_term = 0.5 * np.log1p(s * s)
         gamma_i[live] = a4 * np.arctan(s)

@@ -181,7 +181,7 @@ def single_mode_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
     worst_comm = 0.0
     for n in range(1, 6):
-        stats = single_mode.period_stats(SingleModeParams.from_ratio(4.0 * math.sqrt(n)), _UNIFORM)
+        stats = single_mode.period_stats(SingleModeParams(4.0 * math.sqrt(n)), _UNIFORM)
         worst_comm = max(worst_comm, abs(stats.c_max - 1.0))
     results.append(CheckResult(
         "commensurate recovery", worst_comm <= 1e-6,
@@ -211,7 +211,7 @@ def oracle_checks(tolerance: float = 1e-7, seed: int = DEFAULT_SEED) -> list[Che
     results = []
     worst = 0.0
     for ratio in ORACLE_GRID_RATIOS:
-        params = SingleModeParams.from_ratio(ratio)
+        params = SingleModeParams(ratio)
         for phase in ORACLE_GRID_PHASES:
             t = phase / params.theta
             for label, psi in (("uniform", _UNIFORM), ("random", _random_pure(rng))):
@@ -316,7 +316,7 @@ def _model_measures_defect() -> float:
     rng = np.random.default_rng(DEFAULT_SEED + 3)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0])
     theta_ts = np.broadcast_to(np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False), (4, 256))
-    params = SingleModeParams.from_ratio(2.3)
+    params = SingleModeParams(2.3)
     series_ts = np.linspace(0.0, 12.0, 256)
     b, c, a, d = rng.normal(size=4) + 1j * rng.normal(size=4)
     worst = 0.0
@@ -410,7 +410,7 @@ def _criterion_1(track: _Tally, seed: int) -> CheckResult:
     # both within 1e-9.
     worst_peak = worst_zero = 0.0
     for n in (1, 2, 3, 4, 5):
-        params = SingleModeParams.from_ratio(4.0 * math.sqrt(n))
+        params = SingleModeParams(4.0 * math.sqrt(n))
         t_quarter = math.pi / (4.0 * params.theta)
         t_half = math.pi / (2.0 * params.theta)
         c_peak = concurrence(track(_single_mode_rho(params, _UNIFORM, t_quarter)))
@@ -426,7 +426,7 @@ def _criterion_1(track: _Tally, seed: int) -> CheckResult:
 def _criterion_2(track: _Tally, seed: int) -> CheckResult:
     # omega/lambda = 100: C tracks the decoherence-free curve and the
     # entropy stays near zero over theta t in [0, pi/2).
-    params = SingleModeParams.from_ratio(100.0)
+    params = SingleModeParams(100.0)
     gap = s_max = 0.0
     for theta_t in np.linspace(0.0, 0.5 * math.pi, 401, endpoint=False):
         rho = track(_single_mode_rho(params, _UNIFORM, theta_t / params.theta))
@@ -443,7 +443,7 @@ def _criterion_3(track: _Tally, seed: int) -> CheckResult:
     # the equivalence grid, with automatic cutoff escalation.
     worst = 0.0
     for ratio in ORACLE_GRID_RATIOS:
-        params = SingleModeParams.from_ratio(ratio)
+        params = SingleModeParams(ratio)
         for theta_t in ORACLE_GRID_PHASES:
             t = theta_t / params.theta
             exact = track(_single_mode_rho(params, _UNIFORM, t))
@@ -511,7 +511,7 @@ def _criterion_6(track: _Tally, seed: int) -> CheckResult:
 
 def _criterion_7(track: _Tally, seed: int) -> CheckResult:
     # Trend 1: averages over a phase period versus integer n.
-    periods = [single_mode.period_stats(SingleModeParams.from_ratio(4.0 * math.sqrt(n)),
+    periods = [single_mode.period_stats(SingleModeParams(4.0 * math.sqrt(n)),
                                         _UNIFORM, samples_per_period=2000)
                for n in range(1, 11)]
     trend_n = _rises([p.c_avg for p in periods]) and _falls([p.s_avg for p in periods])
@@ -537,7 +537,7 @@ def _criterion_8(track: _Tally, seed: int) -> CheckResult:
     # Random states supported on |01>, |10> stay pure: 100 in both pipelines
     # at omega = 1, then 25 single-mode ones at random omega up to t = 50.
     rng = np.random.default_rng(seed)
-    params = SingleModeParams(omega=1.0, coupling=1.0)
+    params = SingleModeParams(omega=1.0)
     bath_spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
     theta = bath.effective_coupling(bath_spec)
     ts = rng.uniform(0.1, 20.0, size=10)

@@ -80,7 +80,7 @@ def _base_metadata(subcommand: str, **params) -> dict[str, object]:
 
 
 def _cmd_single_mode(args) -> int:
-    params = SingleModeParams.from_ratio(args.omega_over_lambda)
+    params = SingleModeParams(args.omega_over_lambda)
     psi0 = _parse_amplitudes(args.amplitudes)
     theta_ts = _axis(0.0, args.theta_t_max, args.points, "theta-t grid")
     columns = time_series(params, psi0, theta_ts / params.theta)

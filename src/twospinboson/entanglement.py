@@ -18,6 +18,7 @@ instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "MIN_EIGENVALUE_TOL",
-    "BASIS_LABELS",
     "QubitAmplitudes",
     "DensityCheck",
     "InvalidDensityMatrixError",
@@ -38,8 +38,6 @@ __all__ = [
     "purity",
     "entanglement_measures",
 ]
-
-BASIS_LABELS = ("00", "01", "10", "11")
 
 # Validity thresholds for a physical 4x4 density matrix.
 HERMITICITY_TOL = 1e-12
@@ -77,14 +75,20 @@ class QubitAmplitudes:
 
     @classmethod
     def normalized(cls, a, b, c, d) -> "QubitAmplitudes":
-        """Build amplitudes rescaled to unit norm.  Rejects the zero vector and NaN/inf."""
+        """Build amplitudes rescaled to unit norm.  Rejects the zero vector and NaN/inf.
+
+        The vector is first scaled by an exact power of two that brings its
+        largest real or imaginary part into [1/2, 1), so that the norm neither
+        overflows nor underflows.
+        """
         vec = np.array([a, b, c, d], dtype=complex)
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"amplitudes must be finite, got {a}, {b}, {c}, {d}")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
+        peak = float(np.max(np.abs(vec.view(float))))
+        if peak == 0.0:
             raise ValueError("cannot normalize the zero amplitude vector")
-        vec = vec / norm
+        vec = np.ldexp(vec.view(float), -math.frexp(peak)[1]).view(complex)
+        vec = vec / float(np.linalg.norm(vec))
         return cls(*(complex(z) for z in vec))
 
 

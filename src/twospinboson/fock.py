@@ -4,9 +4,10 @@ Independent cross-check for the closed-form reduced dynamics: the collective
 coupling operator sigma_1^z + sigma_2^z is diagonal, so the joint Hamiltonian
 splits into four oscillator blocks
 
-    H_s = omega * diag(0..n_cut) + s * coupling * (a + a^dagger),    s in {+2, 0, 0, -2},
+    H_s = omega * diag(0..n_cut) + s * (a + a^dagger),    s in {+2, 0, 0, -2},
 
-one per basis state |00>, |01>, |10>, |11>.  Each block is diagonalized
+one per basis state |00>, |01>, |10>, |11>, in units of the coupling lambda
+as in :mod:`twospinboson.single_mode`.  Each block is diagonalized
 exactly (dense symmetric eigendecomposition, no time stepping) and applied to
 the oscillator vacuum; the reduced matrix follows from the branch overlaps.
 Truncation is monitored through the population of the top two Fock levels,
@@ -62,7 +63,7 @@ class FockConfig:
 class TruncationError(RuntimeError):
     """Truncated propagation leaked too much population into the top levels.
 
-    Also raised, with ``leak`` NaN, when the coupling needs a cutoff above
+    Also raised, with ``leak`` NaN, when omega/lambda needs a cutoff above
     :data:`MAX_N_CUT` before anything is propagated.
     """
 
@@ -76,25 +77,25 @@ class TruncationError(RuntimeError):
 
 
 def initial_cutoff(params: SingleModeParams) -> int:
-    """Starting truncation for the given coupling strength.
+    """Starting truncation for the given omega/lambda.
 
-    The displaced branches hold at most |alpha|^2 = 4 * (2 coupling/omega)^2
+    The displaced branches hold at most |alpha|^2 = 4 * (2/omega)^2
     quanta on average at the far turning point; twice that plus a fixed
     margin keeps the Poisson tail below typical leak tolerances.
     """
-    scale = (2.0 * params.coupling / params.omega) ** 2
+    scale = (2.0 / params.omega) ** 2
     return max(8, math.ceil(8.0 * scale + 16.0))
 
 
 def oscillator_branch(params: SingleModeParams, shift: int, t: float, dim: int) -> np.ndarray:
-    """Vacuum evolved under omega a^dagger a + shift * coupling (a + a^dagger).
+    """Vacuum evolved under omega a^dagger a + shift * (a + a^dagger).
 
     Returns the length-``dim`` Fock-basis vector exp(-i H_s t)|0>, computed
     from the exact eigendecomposition of the tridiagonal block.
     """
     n = np.arange(dim)
     diag = params.omega * n.astype(float)
-    off = shift * params.coupling * np.sqrt(n[1:].astype(float))
+    off = shift * np.sqrt(n[1:].astype(float))
     block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     evals, evecs = np.linalg.eigh(block)
     weights = evecs[0, :].conj()  # <eigenvector|0> for the vacuum start
@@ -159,7 +160,7 @@ def evolve_auto(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
     n_cut = initial_cutoff(params)
     if n_cut > MAX_N_CUT:
         raise TruncationError(math.nan, n_cut, (
-            f"omega/coupling = {params.omega / params.coupling:g} needs n_cut={n_cut}, "
+            f"omega/lambda = {params.omega:g} needs n_cut={n_cut}, "
             f"above the ceiling MAX_N_CUT={MAX_N_CUT}"))
     while True:
         config = FockConfig(n_cut=n_cut, leak_tol=leak_tol)

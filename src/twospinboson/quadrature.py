@@ -25,7 +25,7 @@ from .bath import OhmicGapSpectrum, spectral_density
 __all__ = ["X_MAX", "QuadratureError", "panel_width", "composite_gauss", "integrate_decaying",
            "thermal_kernel", "bath_exponents", "discretize_modes"]
 
-# Truncation of the scaled integration variable; exp(-40) < 5e-18.
+# Truncation of the integration variable u = omega - omega0; exp(-40) < 5e-18.
 X_MAX = 40.0
 
 DEFAULT_ABS_TOL = 1e-10
@@ -155,26 +155,24 @@ def bath_exponents(spec: OhmicGapSpectrum, t: float,
                    abs_tol: float = DEFAULT_ABS_TOL) -> tuple[float, float, float]:
     """gamma_R, gamma_I and error estimate at one time t > 0 from the defining integrals.
 
-    Adaptive quadrature, valid for any spectrum: the reference for
-    :func:`twospinboson.bath.bath_exponents`.
+    Adaptive quadrature in u = omega - omega0, valid for any spectrum: the
+    reference for :func:`twospinboson.bath.bath_exponents`.  Units of omega_c.
     """
-    scale = 4.0 * spec.alpha * spec.omega_c**2
+    scale = 4.0 * spec.alpha
 
     def damping(u):
-        w = spec.omega0 + spec.omega_c * u
+        w = spec.omega0 + u
         # 2 sin^2(w t / 2) = 1 - cos(w t) without cancellation at small w t.
         osc = 2.0 * np.sin(0.5 * w * t) ** 2
         return u * np.exp(-u) * thermal_kernel(w, spec.temperature) * osc / w**2
 
     def phase(u):
-        w = spec.omega0 + spec.omega_c * u
+        w = spec.omega0 + u
         return u * np.exp(-u) * np.sin(w * t) / w**2
 
     tol = abs_tol / max(scale, 1.0)
-    g_r, err_r = integrate_decaying(damping, upper=X_MAX, osc_rate=spec.omega_c * t,
-                                    abs_tol=tol)
-    g_i, err_i = integrate_decaying(phase, upper=X_MAX, osc_rate=spec.omega_c * t,
-                                    abs_tol=tol)
+    g_r, err_r = integrate_decaying(damping, upper=X_MAX, osc_rate=t, abs_tol=tol)
+    g_i, err_i = integrate_decaying(phase, upper=X_MAX, osc_rate=t, abs_tol=tol)
     return max(scale * g_r, 0.0), scale * g_i, scale * (err_r + err_i)
 
 
@@ -182,11 +180,11 @@ def discretize_modes(spec: OhmicGapSpectrum, n_modes: int = 200,
                      upper: float = 12.0) -> tuple[np.ndarray, np.ndarray]:
     """Finite-mode stand-in for the continuum: frequencies and couplings squared.
 
-    Places modes at the abscissas of a composite 8-point Gauss rule on the
-    scaled interval [0, upper] and assigns lambda_j^2 = J(omega_j) * weight,
-    so that sums like 4 * sum lambda_j^2 sin(omega_j t)/omega_j^2 approximate
-    the corresponding continuum integrals.  ``n_modes`` must be a multiple
-    of 8.
+    Places modes at the abscissas of a composite 8-point Gauss rule on
+    omega - omega0 in [0, upper] (units of omega_c) and assigns
+    lambda_j^2 = J(omega_j) * weight, so that sums like
+    4 * sum lambda_j^2 sin(omega_j t)/omega_j^2 approximate the corresponding
+    continuum integrals.  ``n_modes`` must be a multiple of 8.
     """
     if n_modes < 8 or n_modes % 8 != 0:
         raise ValueError(f"n_modes must be a positive multiple of 8, got {n_modes}")
@@ -198,6 +196,6 @@ def discretize_modes(spec: OhmicGapSpectrum, n_modes: int = 200,
     left = h * np.arange(n_panels, dtype=float)[:, None]
     u = (left + 0.5 * h * (nodes + 1.0)[None, :]).ravel()
     du = (np.broadcast_to(0.5 * h * weights, (n_panels, 8))).ravel()
-    omegas = spec.omega0 + spec.omega_c * u
-    couplings_sq = spectral_density(spec, omegas) * spec.omega_c * du
+    omegas = spec.omega0 + u
+    couplings_sq = spectral_density(spec, omegas) * du
     return omegas, couplings_sq

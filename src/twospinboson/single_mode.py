@@ -1,16 +1,17 @@
 """Exact reduced dynamics of two qubits coupled to one harmonic mode.
 
 The model couples the collective operator sigma_1^z + sigma_2^z to a single
-oscillator of frequency ``omega`` with strength ``coupling`` (hbar = 1).
+oscillator of frequency omega with strength lambda (hbar = 1).  Everything is
+in units of lambda: ``omega`` is omega/lambda and times are in 1/lambda.
 Tracing out the oscillator is exact: the |01> and |10> components never
 displace the mode, while |00> and |11> drag it around a circle in phase
 space, returning to the origin at every full oscillator period.
 
 All phases and decoherence exponents are expressed through
 
-    theta      = 2 * coupling**2 / omega      (induced qubit-qubit coupling)
-    gamma_r(t) = (2 coupling / omega)**2 * (1 - cos(omega t))
-    gamma_i(t) = (2 coupling / omega)**2 * sin(omega t)
+    theta      = 2 / omega                (induced qubit-qubit coupling)
+    gamma_r(t) = (2 / omega)**2 * (1 - cos(omega t))
+    gamma_i(t) = (2 / omega)**2 * sin(omega t)
 """
 
 from __future__ import annotations
@@ -39,36 +40,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingleModeParams:
-    """Oscillator frequency and qubit-oscillator coupling (hbar = 1).
+    """Oscillator frequency omega/lambda, in units of the coupling lambda (hbar = 1).
 
-    ``coupling`` may be zero (decoupled qubits); ``omega`` must be positive.
-    Both must be finite.
+    ``omega`` must be positive and finite, and (2 / omega)^2 must not overflow.
     """
 
     omega: float
-    coupling: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
-            raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
-        # Products, not powers: a float power raises OverflowError where these give inf.
-        scale = 2.0 * self.coupling / self.omega
-        if not (math.isfinite(scale * scale)
-                and math.isfinite(2.0 * self.coupling * self.coupling / self.omega)):
-            raise ValueError(f"omega {self.omega:g} and coupling {self.coupling:g} overflow "
-                             f"theta = 2 coupling^2 / omega or (2 coupling / omega)^2")
+        # A product, not a power: a float power raises OverflowError where this gives inf.
+        scale = 2.0 / self.omega
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"omega {self.omega:g} overflows (2 / omega)^2")
 
     @property
     def theta(self) -> float:
-        """Induced qubit-qubit coupling 2 * coupling**2 / omega."""
-        return 2.0 * self.coupling**2 / self.omega
-
-    @classmethod
-    def from_ratio(cls, omega_over_lambda: float) -> "SingleModeParams":
-        """Parameters in units of the coupling: omega = ratio, coupling = 1."""
-        return cls(omega=float(omega_over_lambda), coupling=1.0)
+        """Induced qubit-qubit coupling 2 / omega."""
+        return 2.0 / self.omega
 
 
 @dataclass(frozen=True)
@@ -93,23 +83,18 @@ class GammaValue:
 
 @dataclass(frozen=True)
 class PeriodStats:
-    """Extrema and trapezoid averages of C and S over theta*t in [0, pi/2].
-
-    ``degenerate`` marks the zero-coupling case, where theta*t never advances
-    and the statistics are reported as zeros.
-    """
+    """Extrema and trapezoid averages of C and S over theta*t in [0, pi/2]."""
 
     c_max: float
     c_avg: float
     s_max: float
     s_avg: float
-    degenerate: bool = False
 
 
 def gamma_single_mode(params: SingleModeParams, t: float) -> GammaValue:
     """Decoherence exponent of the single mode at time ``t >= 0``.
 
-    gamma_r = (2 coupling / omega)**2 (1 - cos omega t), gamma_i the matching
+    gamma_r = (2 / omega)**2 (1 - cos omega t), gamma_i the matching
     sine term.  Both vanish at every full period omega t = 2 pi k.
     """
     _require_time(t)
@@ -125,20 +110,20 @@ def _require_time(t: float) -> None:
 def _gammas(params: SingleModeParams, t):
     """gamma_r and gamma_i at a scalar or an array of times."""
     x = params.omega * np.asarray(t, dtype=float)
-    pref = (2.0 * params.coupling / params.omega) ** 2
+    pref = (2.0 / params.omega) ** 2
     # 2 sin^2(x/2) instead of 1 - cos x: immune to cancellation at small x.
     return pref * 2.0 * np.sin(0.5 * x) ** 2, pref * np.sin(x)
 
 
 def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
-    """Oscillator displacement (2 coupling / omega) (e^{-i omega t} - 1).
+    """Oscillator displacement (2 / omega) (e^{-i omega t} - 1).
 
     The |00> branch drags the mode to +amplitude, the |11> branch to
     -amplitude; |amplitude|^2 equals 2 * gamma_r at all times.
     """
     _require_time(t)
     x = params.omega * t
-    return (2.0 * params.coupling / params.omega) * (np.exp(-1j * x) - 1.0)
+    return (2.0 / params.omega) * (np.exp(-1j * x) - 1.0)
 
 
 _MAX_FLOAT = sys.float_info.max
@@ -436,15 +421,11 @@ def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
 
     The grid covers theta*t in [0, pi/2] with ``samples_per_period``
     trapezoid intervals (at least 100), C and S from :func:`_model_measures`.
-    With zero coupling the phase never advances; the statistics are returned
-    as zeros with ``degenerate=True``.  Parameters whose omega t overflows on
-    that grid are refused.
+    Parameters whose omega t overflows on that grid are refused.
     """
     vec = _require_amplitudes(psi0)
     if samples_per_period < 100:
         raise ValueError(f"samples_per_period must be at least 100, got {samples_per_period}")
-    if params.coupling == 0.0:
-        return PeriodStats(0.0, 0.0, 0.0, 0.0, degenerate=True)
 
     theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
     t = theta_ts / params.theta

@@ -3,8 +3,9 @@
 Every table takes its grids as required arrays, each checked by
 :func:`~twospinboson.single_mode._require_grid`: nonempty, 1-D, finite,
 nonnegative and strictly increasing.  No table has a default grid; the
-paper's default grids are the command-line defaults.  Bath quantities are in
-units of the cutoff (omega_c = 1): gaps and temperatures in omega_c, times in
+paper's default grids are the command-line defaults.  Single-mode quantities
+are in units of the coupling lambda (omega as omega/lambda); bath quantities
+are in units of the cutoff omega_c: gaps and temperatures in omega_c, times in
 1/omega_c.
 
 Every function returns an ordered ``dict`` of equal-length numpy columns,
@@ -69,8 +70,7 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes | None = None,
         psi0 = QubitAmplitudes.uniform()
 
     stats = [
-        period_stats(SingleModeParams.from_ratio(4.0 * math.sqrt(n)), psi0,
-                     samples_per_period)
+        period_stats(SingleModeParams(4.0 * math.sqrt(n)), psi0, samples_per_period)
         for n in n_grid
     ]
     return {
@@ -115,14 +115,13 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     the 3x3 Gram route of :func:`~twospinboson.single_mode._model_measures`:
     S from H's exact invariants per time point, and C in the closed form of
     the index-flip symmetry, with no decomposition on ordinary inputs.  A
-    grid whose omega0 t (x0 s in cutoff units) or 2 theta t overflows is
-    refused.
+    grid whose omega0 t (x0 s, equal in cutoff units) or 2 theta t overflows
+    is refused.
     """
     vec = _require_amplitudes(psi0)
     t = _require_grid(t_grid)
     theta = effective_coupling(spec)
-    _require_product(spec.omega0 / spec.omega_c, spec.omega_c * float(t[-1]),
-                     "omega0 t (x0 s)")
+    _require_product(spec.omega0, float(t[-1]), "omega0 t (x0 s)")
     _require_product(2.0 * theta, float(t[-1]), "2 theta t")
 
     gamma_rs, gamma_is, _ = bath_exponents(spec, t)

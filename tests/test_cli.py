@@ -76,6 +76,13 @@ class TestSingleMode:
                                "--amplitudes", "0,0,0,0")
         assert code == 2
 
+    def test_extreme_amplitudes_are_normalized(self, capsys):
+        for text in ("1e160,1e160,0,0", "3e-170,4e-170,0,0"):
+            code, out, err = run_cli(capsys, "single-mode", "--omega-over-lambda", "4",
+                                     "--points", "3", f"--amplitudes={text}")
+            assert code == 0 and err == ""
+            assert f"# amplitudes: {text}" in out
+
     def test_missing_required_argument(self, capsys):
         code, _, _ = run_cli(capsys, "single-mode")
         assert code == 2
@@ -92,8 +99,7 @@ class TestSingleMode:
     def test_rejects_overflowing_ratio(self, capsys):
         assert_rejected_quietly(
             capsys, ("single-mode", "--omega-over-lambda", "1e-200", "--points", "5"),
-            "omega 1e-200 and coupling 1 overflow theta = 2 coupling^2 / omega "
-            "or (2 coupling / omega)^2")
+            "omega 1e-200 overflows (2 / omega)^2")
 
     def test_rejects_overflowing_omega_t(self, capsys):
         assert_rejected_quietly(
@@ -177,7 +183,7 @@ class TestBathSeries:
     def test_rejects_overflowing_scales(self, capsys):
         for extra, reason in (
                 (("--alpha", "1e308", "--t-max", "5"),
-                 "4 alpha overflows at alpha 1e+308, omega0 0, omega_c 1, temperature 0"),
+                 "4 alpha overflows at alpha 1e+308, omega0 0, temperature 0"),
                 (("--alpha", "0.25", "--gap", "1e200", "--t-max", "1e200"),
                  "omega0 t (x0 s) = 1e+200 * 1e+200 overflows")):
             assert_rejected_quietly(capsys, ("bath-series", *extra, "--points", "3"), reason)
@@ -316,7 +322,7 @@ class TestSteadySweep:
         assert_rejected_quietly(
             capsys, ("steady-sweep", "--alpha-grid", "0:1e308:2", "--gap-grid", "0:1e300:2",
                      "--output-prefix", str(prefix)),
-            "4 alpha overflows at alpha 1e+308, omega0 0, omega_c 1, temperature 0")
+            "4 alpha overflows at alpha 1e+308, omega0 0, temperature 0")
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_nonfinite_axis(self, capsys):

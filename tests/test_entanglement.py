@@ -6,6 +6,7 @@ general (non-Hermitian) Wootters eigenvalue route.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ class TestPureConcurrence:
         assert psi.a == 0.5
         with pytest.raises(ValueError, match="zero"):
             QubitAmplitudes.normalized(0, 0, 0, 0)
+
+    def test_normalized_extreme_magnitudes(self):
+        # The norm of these vectors overflows or underflows when squared.
+        for values, expected in (((1e160, 1e160, 0, 0), (1.0, 1.0, 0.0, 0.0)),
+                                 ((3e-170, 4e-170, 0, 0), (0.6, 0.8, 0.0, 0.0)),
+                                 ((1.7e308 + 1.7e308j, 0, 0, 0), (1.0 + 1.0j, 0.0, 0.0, 0.0))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                psi = QubitAmplitudes.normalized(*values)
+            target = np.array(expected) / np.linalg.norm(expected)
+            np.testing.assert_allclose(psi.vector(), target, rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match="cannot normalize the zero amplitude vector"):
+            QubitAmplitudes.normalized(0.0, 0.0j, 0.0, 0.0)
 
     def test_normalized_rejects_nonfinite(self):
         for bad in (float("nan"), float("inf"), complex(0.0, float("nan"))):

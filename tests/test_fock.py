@@ -43,7 +43,7 @@ def assert_time_rejected_before_eigh(monkeypatch, evolve, *extra):
         raise AssertionError("eigh was called")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    params = SingleModeParams(omega=4.0, coupling=1.0)
+    params = SingleModeParams(omega=4.0)
     for t in (math.nan, math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -66,47 +66,47 @@ class TestConfig:
             FockConfig(n_cut=16, leak_tol=0.0)
 
     def test_initial_cutoff_scales_with_coupling(self):
-        weak = initial_cutoff(SingleModeParams(omega=4.0, coupling=1.0))
-        strong = initial_cutoff(SingleModeParams(omega=1.0, coupling=4.0))
+        weak = initial_cutoff(SingleModeParams(omega=4.0))
+        strong = initial_cutoff(SingleModeParams(omega=0.25))
         assert weak >= 8
         assert strong > weak
-        # 8 (2 lam / omega)^2 + 16 with lam/omega = 4 gives 512 + 16.
+        # 8 (2 / omega)^2 + 16 with omega/lambda = 1/4 gives 512 + 16.
         assert strong == 528
 
 
 class TestOscillatorBranch:
     def test_unshifted_branch_stays_in_vacuum(self):
-        params = SingleModeParams(omega=1.0, coupling=0.9)
-        state = oscillator_branch(params, 0, 2.7, 32)
+        params = SingleModeParams(omega=1.0 / 0.9)
+        state = oscillator_branch(params, 0, 0.9 * 2.7, 32)
         np.testing.assert_allclose(abs(state[0]), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(state[1:]), 0.0, atol=1e-12)
 
     def test_unitary_norm(self):
-        params = SingleModeParams(omega=1.0, coupling=0.5)
+        params = SingleModeParams(omega=2.0)
         for shift in (2, 0, -2):
-            state = oscillator_branch(params, shift, 3.1, 48)
+            state = oscillator_branch(params, shift, 0.5 * 3.1, 48)
             np.testing.assert_allclose(np.linalg.norm(state), 1.0, atol=1e-10)
 
     def test_vacuum_overlap_matches_damping_factor(self):
         # |<0|branch>| = exp(-|alpha|^2 / 2) = exp(-gamma_r) for the
-        # displaced branch; at omega t = pi with coupling 1/2, gamma_r = 2.
-        params = SingleModeParams(omega=1.0, coupling=0.5)
-        state = oscillator_branch(params, 2, math.pi, 64)
+        # displaced branch; at omega t = pi with omega/lambda = 2, gamma_r = 2.
+        params = SingleModeParams(omega=2.0)
+        state = oscillator_branch(params, 2, 0.5 * math.pi, 64)
         np.testing.assert_allclose(abs(state[0]), math.exp(-2.0), atol=1e-10)
 
     def test_opposite_shifts_related_by_parity(self):
         # Flipping the displacement sign flips the sign of every odd Fock
         # component and nothing else.
-        params = SingleModeParams(omega=1.0, coupling=0.4)
-        up = oscillator_branch(params, 2, 1.3, 48)
-        down = oscillator_branch(params, -2, 1.3, 48)
+        params = SingleModeParams(omega=1.0 / 0.4)
+        up = oscillator_branch(params, 2, 0.4 * 1.3, 48)
+        down = oscillator_branch(params, -2, 0.4 * 1.3, 48)
         signs = (-1.0) ** np.arange(48)
         np.testing.assert_allclose(down, signs * up, atol=1e-10)
 
 
 class TestEvolveTruncated:
     def test_initial_time_projector(self):
-        params = SingleModeParams(1.0, 0.5)
+        params = SingleModeParams(2.0)
         rho, leak = evolve_truncated(params, UNIFORM, 0.0, FockConfig(n_cut=16))
         vec = UNIFORM.vector()
         np.testing.assert_allclose(rho, np.outer(vec, vec.conj()), atol=1e-12)
@@ -115,7 +115,7 @@ class TestEvolveTruncated:
     def test_matches_closed_form_quarter_phase(self):
         # omega/lambda = 4 at theta t = pi/4 with a generous basis: the two
         # routes agree to well below 1e-8 in trace distance.
-        params = SingleModeParams.from_ratio(4.0)
+        params = SingleModeParams(4.0)
         t = math.pi / (4.0 * params.theta)
         exact = closed_form(params, UNIFORM, t)
         numeric, leak = evolve_truncated(params, UNIFORM, t, FockConfig(n_cut=40))
@@ -124,21 +124,21 @@ class TestEvolveTruncated:
 
     def test_truncation_error_on_tight_basis(self):
         # Strong coupling pushes the displaced packet past a minimal basis.
-        params = SingleModeParams(omega=1.0, coupling=2.0)
+        params = SingleModeParams(omega=0.5)
         with pytest.raises(TruncationError) as excinfo:
-            evolve_truncated(params, UNIFORM, math.pi, FockConfig(n_cut=8))
+            evolve_truncated(params, UNIFORM, 2.0 * math.pi, FockConfig(n_cut=8))
         assert excinfo.value.leak > 1e-10
         assert excinfo.value.n_cut == 8
         assert "n_cut" in str(excinfo.value)
 
     def test_valid_density_on_random_inputs(self):
         rng = np.random.default_rng(41)
-        params = SingleModeParams(omega=1.0, coupling=0.6)
+        params = SingleModeParams(omega=1.0 / 0.6)
         config = FockConfig(n_cut=48)
         for _ in range(10):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi = QubitAmplitudes.normalized(*vec)
-            rho, leak = evolve_truncated(params, psi, rng.uniform(0.0, 12.0),
+            rho, leak = evolve_truncated(params, psi, 0.6 * rng.uniform(0.0, 12.0),
                                          config)
             assert leak < config.leak_tol
             assert validate_density(rho).valid
@@ -149,14 +149,14 @@ class TestEvolveTruncated:
 
 class TestEvolveAuto:
     def test_escalates_until_converged(self):
-        params = SingleModeParams(omega=1.0, coupling=2.0)
-        rho, config = evolve_auto(params, UNIFORM, math.pi)
+        params = SingleModeParams(omega=0.5)
+        rho, config = evolve_auto(params, UNIFORM, 2.0 * math.pi)
         assert config.n_cut >= initial_cutoff(params)
-        exact = closed_form(params, UNIFORM, math.pi)
+        exact = closed_form(params, UNIFORM, 2.0 * math.pi)
         assert trace_distance(rho, exact) < 1e-8
 
     def test_tracks_closed_form_along_a_period(self):
-        params = SingleModeParams.from_ratio(4.0)
+        params = SingleModeParams(4.0)
         for frac in (0.1, 0.3, 0.5, 0.8, 1.0):
             t = frac * 2.0 * math.pi / params.omega
             rho, _ = evolve_auto(params, UNIFORM, t)
@@ -172,7 +172,7 @@ class TestEvolveAuto:
             raise AssertionError("eigh was called")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        params = SingleModeParams.from_ratio(0.05)
+        params = SingleModeParams(0.05)
         assert initial_cutoff(params) == 12816 > MAX_N_CUT
         with pytest.raises(TruncationError, match="above the ceiling") as excinfo:
             evolve_auto(params, UNIFORM, 1.0)
@@ -184,7 +184,7 @@ class TestEvolveAuto:
         # The ceiling is tried once, not doubled past; a leak tolerance of
         # 1e-300 cannot be met, so the last attempt is at the ceiling itself.
         monkeypatch.setattr(fock, "MAX_N_CUT", 24)
-        params = SingleModeParams(omega=4.0, coupling=1.0)
+        params = SingleModeParams(omega=4.0)
         assert initial_cutoff(params) == 18
         tried = []
         real_branch = fock.oscillator_branch

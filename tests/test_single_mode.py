@@ -42,83 +42,71 @@ def _refuse(*args, **kwargs):
 
 
 def evolve(params, psi, t):
-    """Reduced state of the single-mode model at time t."""
+    """Reduced state of the single-mode model at time t (in 1/lambda)."""
     return reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
 
 
 class TestParams:
     def test_theta(self):
-        params = SingleModeParams(omega=1.0, coupling=0.5)
+        # theta = 2 lambda^2 / omega, which is 2 / omega in units of lambda.
+        params = SingleModeParams(omega=4.0)
         np.testing.assert_allclose(params.theta, 0.5, atol=1e-15)
-
-    def test_from_ratio(self):
-        params = SingleModeParams.from_ratio(4.0)
-        np.testing.assert_allclose(params.omega / params.coupling, 4.0)
-        np.testing.assert_allclose(params.theta, 2.0 * params.coupling ** 2 / params.omega)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="omega"):
-            SingleModeParams(omega=0.0, coupling=0.5)
-        with pytest.raises(ValueError, match="coupling"):
-            SingleModeParams(omega=1.0, coupling=-0.5)
+            SingleModeParams(omega=0.0)
         with pytest.raises(ValueError, match="omega"):
-            SingleModeParams.from_ratio(-4.0)
+            SingleModeParams(-4.0)
 
     def test_rejects_nonfinite_values(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="omega must be positive and finite"):
-                SingleModeParams(omega=bad, coupling=1.0)
-            with pytest.raises(ValueError, match="coupling must be nonnegative and finite"):
-                SingleModeParams(omega=1.0, coupling=bad)
-            with pytest.raises(ValueError, match="omega"):
-                SingleModeParams.from_ratio(bad)
+                SingleModeParams(omega=bad)
 
     def test_rejects_overflowing_scales(self):
         # A float power raises OverflowError where the check compares products.
-        for omega, coupling, shown in ((1.0, 1e200, "omega 1 and coupling 1e+200"),
-                                       (1e-200, 1.0, "omega 1e-200 and coupling 1"),
-                                       (1e-300, 1e-100, "omega 1e-300 and coupling 1e-100")):
+        for omega, shown in ((1e-200, "omega 1e-200"), (1e-154, "omega 1e-154")):
             with pytest.raises(ValueError) as err:
-                SingleModeParams(omega, coupling)
-            assert str(err.value) == (f"{shown} overflow theta = 2 coupling^2 / omega "
-                                      f"or (2 coupling / omega)^2")
-        params = SingleModeParams.from_ratio(1e-150)
+                SingleModeParams(omega)
+            assert str(err.value) == f"{shown} overflows (2 / omega)^2"
+        params = SingleModeParams(1e-150)
         assert math.isfinite(params.theta)
         assert math.isfinite(gamma_single_mode(params, 1.0).gamma_r)
 
 
 class TestGamma:
     def test_zero_time(self):
-        g = gamma_single_mode(SingleModeParams(1.0, 0.5), 0.0)
+        g = gamma_single_mode(SingleModeParams(2.0), 0.0)
         assert g.gamma_r == 0.0
         assert g.gamma_i == 0.0
         assert g.overlap == 1.0
 
     def test_half_period_maximum(self):
-        # At omega t = pi: gamma_r = 2 (2 lam/omega)^2, gamma_i = 0.
-        params = SingleModeParams(omega=1.0, coupling=0.5)
-        g = gamma_single_mode(params, math.pi)
+        # At omega t = pi: gamma_r = 2 (2/omega)^2, gamma_i = 0.
+        params = SingleModeParams(omega=2.0)
+        g = gamma_single_mode(params, 0.5 * math.pi)
         np.testing.assert_allclose(g.gamma_r, 2.0, atol=1e-12)
         np.testing.assert_allclose(g.gamma_i, 0.0, atol=1e-12)
 
     def test_full_period_revival(self):
-        params = SingleModeParams(omega=1.0, coupling=0.5)
-        g = gamma_single_mode(params, 2.0 * math.pi)
+        params = SingleModeParams(omega=2.0)
+        g = gamma_single_mode(params, math.pi)
         assert abs(g.gamma_r) <= 1e-12
         assert abs(g.gamma_i) <= 1e-12
 
     def test_quarter_period(self):
-        # omega t = pi/2: 1 - cos = 1 and sin = 1, both gammas (2 lam/omega)^2.
-        params = SingleModeParams(omega=2.0, coupling=0.5)
-        g = gamma_single_mode(params, math.pi / 4.0)
+        # omega t = pi/2: 1 - cos = 1 and sin = 1, both gammas (2/omega)^2.
+        params = SingleModeParams(omega=4.0)
+        g = gamma_single_mode(params, math.pi / 8.0)
         np.testing.assert_allclose(g.gamma_r, 0.25, atol=1e-12)
         np.testing.assert_allclose(g.gamma_i, 0.25, atol=1e-12)
 
     def test_periodicity_and_positivity(self):
-        params = SingleModeParams(omega=1.3, coupling=0.4)
+        # omega = 1.3 at lambda = 0.4, times scaled by lambda.
+        params = SingleModeParams(omega=1.3 / 0.4)
         period = 2.0 * math.pi / params.omega
         rng = np.random.default_rng(23)
-        for t in rng.uniform(0.0, 50.0, size=40):
+        for t in 0.4 * rng.uniform(0.0, 50.0, size=40):
             g = gamma_single_mode(params, t)
             g_shift = gamma_single_mode(params, t + period)
             assert g.gamma_r >= 0.0
@@ -132,7 +120,7 @@ class TestGamma:
             GammaValue(gamma_r=-0.1, gamma_i=0.0)
 
     def test_rejects_nonfinite_time(self):
-        params = SingleModeParams(1.0, 0.5)
+        params = SingleModeParams(2.0)
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError, match="t must be finite and nonnegative"):
                 gamma_single_mode(params, bad)
@@ -147,9 +135,9 @@ class TestGamma:
 
     def test_coherent_amplitude_magnitude(self):
         # |alpha(t)|^2 equals 2 gamma_r at every time, and vanishes at t = 0.
-        params = SingleModeParams(omega=1.0, coupling=0.3)
+        params = SingleModeParams(omega=1.0 / 0.3)
         assert coherent_amplitude(params, 0.0) == 0.0
-        for t in (0.3, 1.0, 2.5, 7.0):
+        for t in 0.3 * np.array([0.3, 1.0, 2.5, 7.0]):
             alpha = coherent_amplitude(params, t)
             g = gamma_single_mode(params, t)
             np.testing.assert_allclose(abs(alpha) ** 2, 2.0 * g.gamma_r,
@@ -158,7 +146,7 @@ class TestGamma:
 
 class TestReducedDensity:
     def test_initial_time_is_projector(self):
-        params = SingleModeParams(1.0, 0.25)
+        params = SingleModeParams(4.0)
         rho = evolve(params, UNIFORM, 0.0)
         vec = UNIFORM.vector()
         np.testing.assert_allclose(rho, np.outer(vec, vec.conj()), atol=1e-12)
@@ -174,15 +162,15 @@ class TestReducedDensity:
 
     def test_always_valid(self):
         rng = np.random.default_rng(29)
-        params = SingleModeParams(1.0, 0.7)
+        params = SingleModeParams(1.0 / 0.7)
         for _ in range(25):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi = QubitAmplitudes.normalized(*vec)
-            rho = evolve(params, psi, rng.uniform(0.0, 20.0))
+            rho = evolve(params, psi, 0.7 * rng.uniform(0.0, 20.0))
             assert validate_density(rho).valid
 
     def test_revival_restores_pure_state(self):
-        params = SingleModeParams(omega=1.0, coupling=0.6)
+        params = SingleModeParams(omega=1.0 / 0.6)
         rng = np.random.default_rng(31)
         for k in (1, 2, 5):
             t = 2.0 * math.pi * k / params.omega
@@ -195,8 +183,8 @@ class TestReducedDensity:
     def test_decoherence_free_pair_untouched(self):
         # States supported on the zero-displacement subspace never decohere.
         psi = QubitAmplitudes.normalized(0.0, 1.0, 1.0j, 0.0)
-        params = SingleModeParams(omega=1.0, coupling=3.0)
-        for t in (0.5, math.pi, 4.0):
+        params = SingleModeParams(omega=1.0 / 3.0)
+        for t in (1.5, 3.0 * math.pi, 12.0):
             rho = evolve(params, psi, t)
             np.testing.assert_allclose(concurrence(rho), 1.0, atol=1e-10)
 
@@ -225,11 +213,11 @@ class TestIdealConcurrence:
         # At omega t = 2 pi k the reduced state is pure and its concurrence
         # must equal the coherent-limit value for arbitrary complex input.
         rng = np.random.default_rng(37)
-        params = SingleModeParams(omega=1.0, coupling=0.45)
+        params = SingleModeParams(omega=1.0 / 0.45)
         for _ in range(20):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi = QubitAmplitudes.normalized(*vec)
-            t = 2.0 * math.pi * rng.integers(1, 6)
+            t = 2.0 * math.pi * rng.integers(1, 6) / params.omega
             rho = evolve(params, psi, t)
             np.testing.assert_allclose(
                 concurrence(rho), ideal_concurrence(psi, params.theta * t),
@@ -238,7 +226,7 @@ class TestIdealConcurrence:
 
 class TestTimeSeries:
     def test_matches_pointwise_ops(self):
-        params = SingleModeParams.from_ratio(4.0)
+        params = SingleModeParams(4.0)
         t_grid = np.linspace(0.0, 8.0, 33)
         series = time_series(params, UNIFORM, t_grid)
         assert list(series) == ["t", "theta_t", "concurrence", "ideal_concurrence",
@@ -263,14 +251,14 @@ class TestTimeSeries:
     def test_initial_entropy_is_exactly_zero(self):
         # The t = 0 state is a projector.  For the second state the top
         # eigenvalue comes out as 1 + eps, which must give entropy 0, not -eps.
-        params = SingleModeParams.from_ratio(4.5)
+        params = SingleModeParams(4.5)
         for psi in (UNIFORM, QubitAmplitudes(0.5, 0.5j, -0.5, -0.5j)):
             series = time_series(params, psi, np.linspace(0.0, 5.0, 11))
             assert series["entropy"][0] == 0.0
 
     def test_pure_state_entropy_is_positive_zero(self):
         # At omega t = 2 pi k the state is pure: S is +0, which prints as 0, not -0.
-        params = SingleModeParams.from_ratio(4.0)
+        params = SingleModeParams(4.0)
         t = 2.0 * math.pi * np.arange(4) / params.omega
         for psi in (UNIFORM, QubitAmplitudes(0.5, 0.5j, -0.5, -0.5j)):
             entropy = time_series(params, psi, t)["entropy"]
@@ -279,7 +267,7 @@ class TestTimeSeries:
     def test_commensurate_ratio_exact_maximum(self):
         # omega/lambda = 4 sqrt(3): the theta t = pi/4 maximum lands on a
         # revival and the concurrence reaches 1 exactly.
-        params = SingleModeParams.from_ratio(4.0 * math.sqrt(3.0))
+        params = SingleModeParams(4.0 * math.sqrt(3.0))
         t_quarter = math.pi / (4.0 * params.theta)
         series = time_series(params, UNIFORM, np.array([t_quarter]))
         np.testing.assert_allclose(series["concurrence"][0], 1.0, atol=1e-9)
@@ -288,7 +276,7 @@ class TestTimeSeries:
     def test_weak_coupling_tracks_ideal_curve(self):
         # omega/lambda = 100: the reduced dynamics stays within a few parts
         # per thousand of the coherent limit over a full phase period.
-        params = SingleModeParams.from_ratio(100.0)
+        params = SingleModeParams(100.0)
         t_grid = np.linspace(0.0, math.pi / (2.0 * params.theta), 401)
         series = time_series(params, UNIFORM, t_grid)
         gap = np.max(np.abs(series["concurrence"] - series["ideal_concurrence"]))
@@ -297,7 +285,7 @@ class TestTimeSeries:
         assert max_entropy <= 0.02
 
     def test_rejects_bad_grid(self):
-        params = SingleModeParams(1.0, 0.5)
+        params = SingleModeParams(2.0)
         with pytest.raises(ValueError, match="increasing"):
             time_series(params, UNIFORM, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
@@ -309,49 +297,40 @@ class TestTimeSeries:
     def test_rejects_an_overflowing_grid(self, monkeypatch):
         monkeypatch.setattr(single_mode, "_gammas", _refuse)
         with pytest.raises(ValueError) as err:
-            time_series(SingleModeParams(1e160, 1.0), UNIFORM, np.array([0.0, 1e150, 1e155]))
+            time_series(SingleModeParams(1e160), UNIFORM, np.array([0.0, 1e150, 1e155]))
         assert str(err.value) == "omega t = 1e+160 * 1e+155 overflows"
-        # theta = 2e200 keeps omega t finite but overflows the phase 2 theta t.
+        # theta = 2e100 keeps omega t finite but overflows the phase 2 theta t.
         with pytest.raises(ValueError) as err:
-            time_series(SingleModeParams(1.0, 1e100), UNIFORM, np.array([0.0, 1e108]))
-        assert str(err.value) == "2 theta t = 4e+200 * 1e+108 overflows"
+            time_series(SingleModeParams(1e-100), UNIFORM, np.array([0.0, 1e208]))
+        assert str(err.value) == "2 theta t = 4e+100 * 1e+208 overflows"
 
 
 class TestPeriodStats:
     def test_commensurate_unit_maximum(self):
-        params = SingleModeParams.from_ratio(4.0)
+        params = SingleModeParams(4.0)
         stats = period_stats(params, UNIFORM, samples_per_period=2000)
-        assert not stats.degenerate
         np.testing.assert_allclose(stats.c_max, 1.0, atol=1e-6)
 
     def test_incommensurate_stays_below_one(self):
         # Frozen regression: omega/lambda = 6 peaks near 0.98481, strictly
         # below the commensurate maximum.
-        params = SingleModeParams.from_ratio(6.0)
+        params = SingleModeParams(6.0)
         stats = period_stats(params, UNIFORM, samples_per_period=2000)
         assert stats.c_max < 0.99
         np.testing.assert_allclose(stats.c_max, 0.9848074809516266, rtol=1e-6)
 
     def test_averages_bounded_by_maxima(self):
-        params = SingleModeParams.from_ratio(5.0)
+        params = SingleModeParams(5.0)
         stats = period_stats(params, UNIFORM, samples_per_period=500)
         assert 0.0 < stats.c_avg < stats.c_max <= 1.0
         assert 0.0 < stats.s_avg < stats.s_max <= 2.0
-
-    def test_uncoupled_is_degenerate(self):
-        stats = period_stats(SingleModeParams(1.0, 0.0), UNIFORM,
-                             samples_per_period=200)
-        assert stats.degenerate
-        assert stats.c_max == 0.0 and stats.c_avg == 0.0
-        assert stats.s_max == 0.0 and stats.s_avg == 0.0
 
     def test_rejects_overflowing_omega_t(self, monkeypatch):
         # n = 1e308: omega = 4 sqrt(n) and t = (pi/2) / theta reach omega t ~ 2e308.
         monkeypatch.setattr(single_mode, "_gammas", _refuse)
         with pytest.raises(ValueError, match=r"^omega t = 4e\+154 \* .* overflows$"):
-            period_stats(SingleModeParams.from_ratio(4e154), UNIFORM, 100)
+            period_stats(SingleModeParams(4e154), UNIFORM, 100)
 
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError, match="samples_per_period"):
-            period_stats(SingleModeParams(1.0, 0.5), UNIFORM,
-                         samples_per_period=50)
+            period_stats(SingleModeParams(2.0), UNIFORM, samples_per_period=50)

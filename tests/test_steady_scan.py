@@ -249,7 +249,7 @@ class TestModelMeasures:
     @pytest.mark.parametrize("amplitudes", _ONE_OF_B_C_VANISHES)
     def test_series_match_mpmath_where_one_of_b_c_vanishes(self, amplitudes):
         psi = QubitAmplitudes.normalized(*amplitudes)
-        params = SingleModeParams.from_ratio(2.3)
+        params = SingleModeParams(2.3)
         t = np.linspace(0.0, 9.0, 13)
         series = time_series(params, psi, t)
         gamma_rs, gamma_is = single_mode._gammas(params, t)
@@ -305,7 +305,7 @@ class TestModelMeasures:
         # would round it and move C by up to ~3e-15.  The oracle is given the
         # very float phase 2 theta t - gamma_I that the code uses.
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-        params = SingleModeParams.from_ratio(4.5)
+        params = SingleModeParams(4.5)
         t = np.linspace(0.0, 50.0, 30000) / params.theta
         conc = time_series(params, psi, t)["concurrence"]
         gamma_rs, gamma_is = single_mode._gammas(params, t)
@@ -367,7 +367,7 @@ class TestModelMeasures:
 
     def test_series_never_call_the_kernel(self, kernel_calls):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-        params = SingleModeParams.from_ratio(4.5)
+        params = SingleModeParams(4.5)
         time_series(params, psi, np.linspace(0.0, 3.0, 20))
         period_stats(params, psi, 100)
         state_series(GAPPED, psi, np.linspace(0.0, 3.0, 20))
@@ -375,7 +375,7 @@ class TestModelMeasures:
 
     def test_blocks_do_not_change_series(self, monkeypatch, spectrum_calls):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-        params = SingleModeParams.from_ratio(4.5)
+        params = SingleModeParams(4.5)
         t = np.linspace(0.0, 40.0, 1000)
         whole = time_series(params, psi, t)
         monkeypatch.setattr(single_mode, "_BLOCK", 3)
@@ -394,7 +394,7 @@ class TestModelMeasures:
         for name in dir(np.linalg):
             if not name.startswith("_") and callable(getattr(np.linalg, name)):
                 monkeypatch.setattr(np.linalg, name, refuse)
-        params = SingleModeParams.from_ratio(4.5)
+        params = SingleModeParams(4.5)
         time_series(params, psi, np.linspace(0.0, 40.0, 200))
         period_stats(params, psi, 100)
         state_series(GAPPED, psi, np.linspace(0.0, 30.0, 50))
@@ -404,7 +404,7 @@ class TestModelMeasures:
 # Norm defect 4e-10: every state built from these amplitudes would have a
 # trace defect above 1e-12, so they are refused as amplitudes.
 _OFF_NORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5 * math.sqrt(1.0 + 1.6e-9))
-_PARAMS = SingleModeParams.from_ratio(4.5)
+_PARAMS = SingleModeParams(4.5)
 _TIMES = np.linspace(0.0, 3.0, 8)
 _SERIES_CALLS = {
     "time_series": lambda psi: time_series(_PARAMS, psi, _TIMES),

@@ -66,7 +66,7 @@ class TestCommensurabilityTable:
 class TestGrids:
     def test_every_table_checks_its_grids_with_the_one_validator(self, grid_checks):
         t = [0.0, 1.0]
-        time_series(SingleModeParams.from_ratio(4.0), UNIFORM, t)
+        time_series(SingleModeParams(4.0), UNIFORM, t)
         state_series(OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM, t)
         overlap_table(t, pairs=((0.1, 0.25),))
         commensurability_table([1.0, 2.0], samples_per_period=100)
@@ -150,7 +150,7 @@ class TestStateSeries:
         for spec, t_max, reason in (
                 (OhmicGapSpectrum(alpha=0.25, omega0=1e200), 1e200,
                  "omega0 t (x0 s) = 1e+200 * 1e+200 overflows"),
-                (OhmicGapSpectrum(alpha=0.25, omega0=1e200, omega_c=1e10), 1e190,
+                (OhmicGapSpectrum(alpha=0.25, omega0=1e190), 1e200,
                  "omega0 t (x0 s) = 1e+190 * 1e+200 overflows"),
                 (OhmicGapSpectrum(alpha=4e307), 5.0, "2 theta t = 1.6e+308 * 5 overflows")):
             with pytest.raises(ValueError) as err:
