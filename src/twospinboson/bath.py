@@ -458,7 +458,7 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
 def bath_gamma(spec: OhmicGapSpectrum, t: float) -> BathGammaResult:
     """gamma_R and gamma_I at time ``t`` with the error estimate of :func:`bath_exponents`."""
     # No module of the package calls this one-point view; it stays only
-    # because the benchmark traces it (ROADMAP item 7 deletes it after item 1).
+    # because the benchmark's tracer (perfbench/tracer.py) names it.
     return BathGammaResult(*(float(v[0]) for v in bath_exponents(spec, [t])))
 
 

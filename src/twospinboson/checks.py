@@ -41,7 +41,7 @@ __all__ = [
     "all_checks",
 ]
 
-DEFAULT_SEED = 20260814
+_SEED = 20260814
 
 # sigma_y (x) sigma_y, built here from sigma_y so that the reference route
 # below shares nothing with the kernel's sign pattern.
@@ -81,9 +81,9 @@ def _single_mode_rho(params: SingleModeParams, psi: QubitAmplitudes, t: float) -
     return single_mode.reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
 
 
-def _rises(values, slack: float = 1e-12) -> bool:
-    """Each value is at least its predecessor, less ``slack``."""
-    return all(b >= a - slack for a, b in zip(values, values[1:]))
+def _rises(values) -> bool:
+    """Each value is at least its predecessor, less 1e-12."""
+    return all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def _falls(values) -> bool:
@@ -100,9 +100,9 @@ def _random_local_unitary(rng) -> np.ndarray:
     return np.kron(out[0], out[1])
 
 
-def state_algebra_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def state_algebra_checks() -> list[CheckResult]:
     """Ranges, invariances and cross-checks of concurrence and entropy."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     results = []
 
     worst_range = 0.0
@@ -151,9 +151,9 @@ def state_algebra_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return results
 
 
-def single_mode_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def single_mode_checks() -> list[CheckResult]:
     """Validity, revivals, commensuration and gamma periodicity."""
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(_SEED + 1)
     results = []
 
     all_valid = True
@@ -203,11 +203,11 @@ def single_mode_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return results
 
 
-def oracle_checks(tolerance: float = 1e-7, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def oracle_checks(tolerance: float = 1e-7) -> list[CheckResult]:
     """Closed form versus truncated-Fock propagation on the equivalence grid."""
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    rng = np.random.default_rng(seed + 2)
+    rng = np.random.default_rng(_SEED + 2)
     results = []
     worst = 0.0
     for ratio in ORACLE_GRID_RATIOS:
@@ -313,7 +313,7 @@ def _model_measures_defect() -> float:
     0.05, 1.2 (alpha 0.25, gap 0.1) and 4, and through ``time_series`` on 256
     times at omega/lambda = 2.3 (gamma_I != 0).
     """
-    rng = np.random.default_rng(DEFAULT_SEED + 3)
+    rng = np.random.default_rng(_SEED + 3)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0])
     theta_ts = np.broadcast_to(np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False), (4, 256))
     params = SingleModeParams(2.3)
@@ -346,7 +346,7 @@ def _model_measures_closed_form_defect() -> float:
     gamma_R = 0 it is pure and C = ``ideal_concurrence``.  Each at 256
     phases, the first two at the plateaus 0, 0.05, 1.2, 4 and 12.
     """
-    rng = np.random.default_rng(DEFAULT_SEED + 4)
+    rng = np.random.default_rng(_SEED + 4)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0, 12.0])
     theta_ts = np.linspace(0.0, 0.5 * math.pi, 256, endpoint=False)
     phases = np.broadcast_to(2.0 * theta_ts, (gamma_rs.size, theta_ts.size))
@@ -405,7 +405,7 @@ class _Tally:
         return rho
 
 
-def _criterion_1(track: _Tally, seed: int) -> CheckResult:
+def _criterion_1(track: _Tally) -> CheckResult:
     # omega/lambda = 4 sqrt(n): C(theta t = pi/4) = 1 and C(pi/2) = 0,
     # both within 1e-9.
     worst_peak = worst_zero = 0.0
@@ -423,7 +423,7 @@ def _criterion_1(track: _Tally, seed: int) -> CheckResult:
         f"max |C(pi/2)| = {worst_zero:.2e} (tol 1e-9)")
 
 
-def _criterion_2(track: _Tally, seed: int) -> CheckResult:
+def _criterion_2(track: _Tally) -> CheckResult:
     # omega/lambda = 100: C tracks the decoherence-free curve and the
     # entropy stays near zero over theta t in [0, pi/2).
     params = SingleModeParams(100.0)
@@ -438,7 +438,7 @@ def _criterion_2(track: _Tally, seed: int) -> CheckResult:
         f"max S = {s_max:.3f} bits (tol 0.02)")
 
 
-def _criterion_3(track: _Tally, seed: int) -> CheckResult:
+def _criterion_3(track: _Tally) -> CheckResult:
     # Closed form versus truncated-Fock propagation of the uniform state over
     # the equivalence grid, with automatic cutoff escalation.
     worst = 0.0
@@ -456,7 +456,7 @@ def _criterion_3(track: _Tally, seed: int) -> CheckResult:
         f"propagation = {worst:.2e} (tol 1e-7)")
 
 
-def _criterion_4(track: _Tally, seed: int) -> CheckResult:
+def _criterion_4(track: _Tally) -> CheckResult:
     # Closed-form gamma_R = 2 alpha ln(1 + t^2) and gamma_I = 4 alpha arctan t
     # against their defining integrals by adaptive quadrature, relative 1e-6.
     worst = 0.0
@@ -469,7 +469,7 @@ def _criterion_4(track: _Tally, seed: int) -> CheckResult:
         f"error of the closed forms vs quadrature = {worst:.2e} (tol 1e-6)")
 
 
-def _criterion_5(track: _Tally, seed: int) -> CheckResult:
+def _criterion_5(track: _Tally) -> CheckResult:
     # log-log slope of exp(-gamma_R) over a late-time decade equals
     # -4 alpha within 2%.
     worst_rel = 0.0
@@ -484,7 +484,7 @@ def _criterion_5(track: _Tally, seed: int) -> CheckResult:
         f"{worst_rel:.3f} over t in [1e2, 1e3] (tol 0.02)")
 
 
-def _criterion_6(track: _Tally, seed: int) -> CheckResult:
+def _criterion_6(track: _Tally) -> CheckResult:
     # (omega0, alpha) = (0.1, 0.25): finite plateau with residual
     # entanglement; the gapless pipeline reports no steady state.
     stats = bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1), _UNIFORM)
@@ -509,7 +509,7 @@ def _criterion_6(track: _Tally, seed: int) -> CheckResult:
         f"gapless reports none: {gapless is None}")
 
 
-def _criterion_7(track: _Tally, seed: int) -> CheckResult:
+def _criterion_7(track: _Tally) -> CheckResult:
     # Trend 1: averages over a phase period versus integer n.
     periods = [single_mode.period_stats(SingleModeParams(4.0 * math.sqrt(n)),
                                         _UNIFORM, samples_per_period=2000)
@@ -533,10 +533,10 @@ def _criterion_7(track: _Tally, seed: int) -> CheckResult:
         f"{trend_alpha}; overlap down in T: {trend_temp}")
 
 
-def _criterion_8(track: _Tally, seed: int) -> CheckResult:
+def _criterion_8(track: _Tally) -> CheckResult:
     # Random states supported on |01>, |10> stay pure: 100 in both pipelines
     # at omega = 1, then 25 single-mode ones at random omega up to t = 50.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     params = SingleModeParams(omega=1.0)
     bath_spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
     theta = bath.effective_coupling(bath_spec)
@@ -575,7 +575,7 @@ def _guarded(name: str, run) -> list[CheckResult]:
         return [CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")]
 
 
-def acceptance_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def acceptance_checks() -> list[CheckResult]:
     """The nine acceptance criteria, ``criterion 1`` to ``criterion 9``, in order.
 
     A criterion that raises fails alone, with the exception as its detail.
@@ -588,7 +588,7 @@ def acceptance_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for k, criterion in enumerate((_criterion_1, _criterion_2, _criterion_3, _criterion_4,
                                    _criterion_5, _criterion_6, _criterion_7, _criterion_8),
                                   start=1):
-        results += _guarded(f"criterion {k}", lambda: [criterion(track, seed)])
+        results += _guarded(f"criterion {k}", lambda: [criterion(track)])
     failures = track.failures
     results.append(CheckResult(
         "criterion 9", track.count > 0 and not failures,
@@ -597,14 +597,14 @@ def acceptance_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return results
 
 
-def all_checks(seed: int = DEFAULT_SEED) -> dict[str, list[CheckResult]]:
+def all_checks() -> dict[str, list[CheckResult]]:
     """Every suite, keyed by the name ``verify`` prints; a suite that raises fails alone."""
     suites = {
-        "state-algebra": lambda: state_algebra_checks(seed),
-        "single-mode": lambda: single_mode_checks(seed),
-        "fock-oracle": lambda: oracle_checks(seed=seed),
+        "state-algebra": state_algebra_checks,
+        "single-mode": single_mode_checks,
+        "fock-oracle": oracle_checks,
         "bath": bath_checks,
         "sweeps": sweep_checks,
-        "acceptance": lambda: acceptance_checks(seed),
+        "acceptance": acceptance_checks,
     }
     return {name: _guarded(name, run) for name, run in suites.items()}

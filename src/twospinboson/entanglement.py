@@ -191,7 +191,7 @@ def require_valid_density(rho) -> np.ndarray:
 
 def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
     if not isinstance(psi, QubitAmplitudes):
-        psi = QubitAmplitudes(*(complex(z) for z in np.asarray(psi).ravel()))
+        raise TypeError(f"amplitudes must be QubitAmplitudes, got {type(psi).__name__}")
     defect = psi.norm_defect()
     # Every state built from the amplitudes has this trace defect; a NaN is refused too.
     if not defect <= TRACE_TOL:

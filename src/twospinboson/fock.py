@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitAmplitudes, _require_amplitudes, require_valid_density
-from .single_mode import SingleModeParams, _require_time
+from .single_mode import SingleModeParams, _mode_scale, _require_time
 
 __all__ = [
     "MAX_N_CUT",
@@ -45,19 +45,19 @@ BRANCH_SHIFTS = (2, 0, 0, -2)
 # the tests compute is 528.
 MAX_N_CUT = 1024
 
+# Accepted population in the top two Fock levels.
+_LEAK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation level and the accepted population in the top two Fock levels."""
+    """Truncation level of the oscillator basis."""
 
     n_cut: int
-    leak_tol: float = 1e-10
 
     def __post_init__(self):
         if not 8 <= self.n_cut <= MAX_N_CUT:
             raise ValueError(f"n_cut must lie in [8, {MAX_N_CUT}], got {self.n_cut}")
-        if not 0.0 < self.leak_tol < 1.0:
-            raise ValueError(f"leak_tol must lie in (0, 1), got {self.leak_tol}")
 
 
 class TruncationError(RuntimeError):
@@ -81,10 +81,9 @@ def initial_cutoff(params: SingleModeParams) -> int:
 
     The displaced branches hold at most |alpha|^2 = 4 * (2/omega)^2
     quanta on average at the far turning point; twice that plus a fixed
-    margin keeps the Poisson tail below typical leak tolerances.
+    margin keeps the Poisson tail below the leak tolerance.
     """
-    scale = (2.0 / params.omega) ** 2
-    return max(8, math.ceil(8.0 * scale + 16.0))
+    return max(8, math.ceil(8.0 * _mode_scale(params.omega) + 16.0))
 
 
 def oscillator_branch(params: SingleModeParams, shift: int, t: float, dim: int) -> np.ndarray:
@@ -111,7 +110,7 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
     params, psi0, t
         Model parameters, normalized initial amplitudes, evolution time.
     config : FockConfig
-        Truncation level and leak tolerance.
+        Truncation level.
 
     Returns
     -------
@@ -122,7 +121,7 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
     Raises
     ------
     TruncationError
-        If the leak exceeds ``config.leak_tol``.
+        If the leak exceeds 1e-10.
     """
     vec = _require_amplitudes(psi0)
     _require_time(t)
@@ -136,7 +135,7 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
     leak = 0.0
     for amp, state in zip(vec, states):
         leak += float(abs(amp) ** 2 * np.sum(np.abs(state[-2:]) ** 2))
-    if leak > config.leak_tol:
+    if leak > _LEAK_TOL:
         raise TruncationError(leak, config.n_cut)
 
     overlap = np.empty((4, 4), dtype=complex)
@@ -147,12 +146,12 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
     return np.outer(vec, vec.conj()) * overlap, leak
 
 
-def evolve_auto(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
-                leak_tol: float = 1e-10) -> tuple[np.ndarray, FockConfig]:
+def evolve_auto(params: SingleModeParams, psi0: QubitAmplitudes,
+                t: float) -> tuple[np.ndarray, FockConfig]:
     """Propagate with automatic cutoff escalation.
 
     Starts from :func:`initial_cutoff` and doubles ``n_cut``, at most up to
-    :data:`MAX_N_CUT`, until the leak drops below ``leak_tol``.  Returns the
+    :data:`MAX_N_CUT`, until the leak drops below 1e-10.  Returns the
     density matrix and the accepted configuration.  Raises
     :class:`TruncationError` without propagating when the initial cutoff is
     above the ceiling, and when the leak is still too large at the ceiling.
@@ -163,7 +162,7 @@ def evolve_auto(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
             f"omega/lambda = {params.omega:g} needs n_cut={n_cut}, "
             f"above the ceiling MAX_N_CUT={MAX_N_CUT}"))
     while True:
-        config = FockConfig(n_cut=n_cut, leak_tol=leak_tol)
+        config = FockConfig(n_cut=n_cut)
         try:
             rho, _ = evolve_truncated(params, psi0, t, config)
             return rho, config

@@ -32,6 +32,11 @@ DEFAULT_ABS_TOL = 1e-10
 _BASE_WIDTH = 0.05
 _ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
+# Panel doublings before integrate_decaying gives up.
+_MAX_REFINEMENTS = 6
+# discretize_modes: 25 panels of the rule, 200 modes, on omega - omega0 in [0, 12].
+_MODE_PANELS = 25
+_MODE_UPPER = 12.0
 # Cap the number of abscissas held in memory at once.
 _CHUNK_PANELS = 1 << 17
 
@@ -86,8 +91,7 @@ def composite_gauss(f, upper: float, n_panels: int) -> float:
 
 
 def integrate_decaying(f, upper: float, osc_rate: float = 0.0,
-                       abs_tol: float = DEFAULT_ABS_TOL,
-                       max_refinements: int = 6) -> tuple[float, float]:
+                       abs_tol: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """Adaptive integral of a decaying (possibly oscillatory) integrand.
 
     Parameters
@@ -109,14 +113,14 @@ def integrate_decaying(f, upper: float, osc_rate: float = 0.0,
     Raises
     ------
     QuadratureError
-        If ``max_refinements`` doublings never agree within ``abs_tol``.
+        If six doublings never agree within ``abs_tol``.
     """
     if abs_tol <= 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     n_panels = max(1, math.ceil(upper / panel_width(osc_rate)))
     previous = composite_gauss(f, upper, n_panels)
     change = math.inf
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         n_panels *= 2
         current = composite_gauss(f, upper, n_panels)
         change = abs(current - previous)
@@ -176,26 +180,19 @@ def bath_exponents(spec: OhmicGapSpectrum, t: float,
     return max(scale * g_r, 0.0), scale * g_i, scale * (err_r + err_i)
 
 
-def discretize_modes(spec: OhmicGapSpectrum, n_modes: int = 200,
-                     upper: float = 12.0) -> tuple[np.ndarray, np.ndarray]:
+def discretize_modes(spec: OhmicGapSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Finite-mode stand-in for the continuum: frequencies and couplings squared.
 
-    Places modes at the abscissas of a composite 8-point Gauss rule on
-    omega - omega0 in [0, upper] (units of omega_c) and assigns
+    Places 200 modes at the abscissas of a composite 8-point Gauss rule on
+    omega - omega0 in [0, 12] (units of omega_c) and assigns
     lambda_j^2 = J(omega_j) * weight, so that sums like
     4 * sum lambda_j^2 sin(omega_j t)/omega_j^2 approximate the corresponding
-    continuum integrals.  ``n_modes`` must be a multiple of 8.
+    continuum integrals.
     """
-    if n_modes < 8 or n_modes % 8 != 0:
-        raise ValueError(f"n_modes must be a positive multiple of 8, got {n_modes}")
-    if upper <= 0.0:
-        raise ValueError(f"upper must be positive, got {upper}")
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    n_panels = n_modes // 8
-    h = upper / n_panels
-    left = h * np.arange(n_panels, dtype=float)[:, None]
-    u = (left + 0.5 * h * (nodes + 1.0)[None, :]).ravel()
-    du = (np.broadcast_to(0.5 * h * weights, (n_panels, 8))).ravel()
+    h = _MODE_UPPER / _MODE_PANELS
+    left = h * np.arange(_MODE_PANELS, dtype=float)[:, None]
+    u = (left + 0.5 * h * (_NODES + 1.0)[None, :]).ravel()
+    du = np.tile(0.5 * h * _WEIGHTS, _MODE_PANELS)
     omegas = spec.omega0 + u
     couplings_sq = spectral_density(spec, omegas) * du
     return omegas, couplings_sq

@@ -50,9 +50,7 @@ class SingleModeParams:
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        # A product, not a power: a float power raises OverflowError where this gives inf.
-        scale = 2.0 / self.omega
-        if not math.isfinite(scale * scale):
+        if not math.isfinite(_mode_scale(self.omega)):
             raise ValueError(f"omega {self.omega:g} overflows (2 / omega)^2")
 
     @property
@@ -91,6 +89,15 @@ class PeriodStats:
     s_avg: float
 
 
+def _mode_scale(omega: float) -> float:
+    """The mode's scale (2 / omega)^2, the prefactor of gamma_r and gamma_i.
+
+    A product, not a power: a float power raises OverflowError where this gives inf.
+    """
+    theta = 2.0 / omega
+    return theta * theta
+
+
 def gamma_single_mode(params: SingleModeParams, t: float) -> GammaValue:
     """Decoherence exponent of the single mode at time ``t >= 0``.
 
@@ -110,7 +117,7 @@ def _require_time(t: float) -> None:
 def _gammas(params: SingleModeParams, t):
     """gamma_r and gamma_i at a scalar or an array of times."""
     x = params.omega * np.asarray(t, dtype=float)
-    pref = (2.0 / params.omega) ** 2
+    pref = _mode_scale(params.omega)
     # 2 sin^2(x/2) instead of 1 - cos x: immune to cancellation at small x.
     return pref * 2.0 * np.sin(0.5 * x) ** 2, pref * np.sin(x)
 
@@ -123,7 +130,7 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
     """
     _require_time(t)
     x = params.omega * t
-    return (2.0 / params.omega) * (np.exp(-1j * x) - 1.0)
+    return params.theta * (np.exp(-1j * x) - 1.0)
 
 
 _MAX_FLOAT = sys.float_info.max

@@ -31,24 +31,12 @@ from .single_mode import (SingleModeParams, _model_measures, _require_grid, _req
                           period_stats)
 
 __all__ = [
-    "DEFAULT_BATH_PAIRS",
     "NO_STEADY_STATE",
     "commensurability_table",
-    "overlap_table",
     "state_series",
     "steady_state_table",
     "thermal_overlap_table",
 ]
-
-# (gap, alpha) pairs spanning weak and moderate coupling with and without a gap.
-DEFAULT_BATH_PAIRS = (
-    (0.0, 0.25),
-    (0.01, 0.25),
-    (0.1, 0.25),
-    (0.0, 0.5),
-    (0.01, 0.5),
-    (0.1, 0.5),
-)
 
 # Sentinel for sweep cells where gamma_R diverges and no steady state exists.
 NO_STEADY_STATE = -1.0
@@ -81,29 +69,6 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes | None = None,
         "s_max": np.array([s.s_max for s in stats]),
         "s_avg": np.array([s.s_avg for s in stats]),
     }
-
-
-def _pair_label(gap: float, alpha: float) -> str:
-    return f"overlap_gap{gap:g}_alpha{alpha:g}"
-
-
-def overlap_table(t_grid, pairs=DEFAULT_BATH_PAIRS,
-                  temperature: float = 0.0) -> dict[str, np.ndarray]:
-    """Coherence suppression exp(-gamma_R(t)) for several (gap, alpha) pairs.
-
-    ``t_grid`` is in 1/omega_c and ``temperature`` in omega_c.  One column
-    per pair, labelled ``overlap_gap{gap}_alpha{alpha}``.  A gapped
-    environment levels off at a nonzero plateau; a gapless one decays as a
-    power law without saturating.
-    """
-    t = _require_grid(t_grid)
-    if len(pairs) == 0:
-        raise ValueError("pairs must be nonempty")
-    table: dict[str, np.ndarray] = {"t": t}
-    for gap, alpha in pairs:
-        spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
-        table[_pair_label(gap, alpha)] = np.exp(-bath_exponents(spec, t)[0])
-    return table
 
 
 def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[str, np.ndarray]:

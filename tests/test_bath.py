@@ -222,7 +222,7 @@ class TestGapped:
     def test_discrete_modes_reproduce_integrals(self):
         # A 200-mode discretization of the continuum reproduces gamma_R
         # and gamma_I to better than 1e-3 at moderate times.
-        omegas, couplings_sq = discretize_modes(GAPPED, n_modes=200)
+        omegas, couplings_sq = discretize_modes(GAPPED)
         assert omegas.shape == (200,) and couplings_sq.shape == (200,)
         assert np.all(omegas > GAPPED.omega0)
         assert np.all(couplings_sq >= 0.0)
@@ -233,10 +233,6 @@ class TestGapped:
         g_i_sum = 4.0 * np.sum(couplings_sq / omegas**2 * np.sin(phases), axis=1)
         np.testing.assert_allclose(g_r_sum, gamma_rs, atol=1e-3)
         np.testing.assert_allclose(g_i_sum, gamma_is, atol=1e-3)
-
-    def test_discretize_rejects_bad_counts(self):
-        with pytest.raises(ValueError, match="multiple of 8"):
-            discretize_modes(GAPPED, n_modes=100)
 
 
 class TestBathDensity:

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twospinboson import bath, single_mode
+from twospinboson import bath, fock, single_mode
 from twospinboson.entanglement import (
     InvalidDensityMatrixError,
     QubitAmplitudes,
@@ -186,6 +186,19 @@ class TestPureConcurrence:
         # A NaN norm defect fails every comparison, so it must be refused, not passed.
         with pytest.raises(ValueError, match="not normalized"):
             call(QubitAmplitudes(math.nan, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("call", [
+        pure_concurrence,
+        lambda psi: single_mode.time_series(single_mode.SingleModeParams(4.0), psi, [0.0, 1.0]),
+        lambda psi: fock.evolve_truncated(single_mode.SingleModeParams(4.0), psi, 1.0,
+                                          fock.FockConfig(n_cut=16)),
+    ], ids=["pure_concurrence", "time_series", "evolve_truncated"])
+    def test_rejects_plain_amplitudes(self, call):
+        # Amplitudes come only as QubitAmplitudes; a list or an array is not converted.
+        for plain, kind in (([0.5, 0.5, 0.5, 0.5], "list"), (np.full(4, 0.5), "ndarray")):
+            with pytest.raises(TypeError) as excinfo:
+                call(plain)
+            assert str(excinfo.value) == f"amplitudes must be QubitAmplitudes, got {kind}"
 
     def test_normalized_constructor(self):
         psi = QubitAmplitudes.normalized(1.0, 1.0, 1.0, 1.0)

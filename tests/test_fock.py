@@ -61,10 +61,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_cut"):
             FockConfig(n_cut=4)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="leak_tol"):
-            FockConfig(n_cut=16, leak_tol=0.0)
-
     def test_initial_cutoff_scales_with_coupling(self):
         weak = initial_cutoff(SingleModeParams(omega=4.0))
         strong = initial_cutoff(SingleModeParams(omega=0.25))
@@ -140,7 +136,7 @@ class TestEvolveTruncated:
             psi = QubitAmplitudes.normalized(*vec)
             rho, leak = evolve_truncated(params, psi, 0.6 * rng.uniform(0.0, 12.0),
                                          config)
-            assert leak < config.leak_tol
+            assert leak < fock._LEAK_TOL
             assert validate_density(rho).valid
 
     def test_rejects_nonfinite_time(self, monkeypatch):
@@ -184,6 +180,7 @@ class TestEvolveAuto:
         # The ceiling is tried once, not doubled past; a leak tolerance of
         # 1e-300 cannot be met, so the last attempt is at the ceiling itself.
         monkeypatch.setattr(fock, "MAX_N_CUT", 24)
+        monkeypatch.setattr(fock, "_LEAK_TOL", 1e-300)
         params = SingleModeParams(omega=4.0)
         assert initial_cutoff(params) == 18
         tried = []
@@ -195,7 +192,7 @@ class TestEvolveAuto:
 
         monkeypatch.setattr(fock, "oscillator_branch", spy)
         with pytest.raises(TruncationError, match="ceiling n_cut=24") as excinfo:
-            evolve_auto(params, UNIFORM, 1.0, leak_tol=1e-300)
+            evolve_auto(params, UNIFORM, 1.0)
         assert excinfo.value.n_cut == 24
         assert sorted(set(tried)) == [18, 24]
 

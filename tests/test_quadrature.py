@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from twospinboson import quadrature
 from twospinboson.quadrature import (
     QuadratureError,
     composite_gauss,
@@ -59,12 +60,13 @@ class TestIntegrateDecaying:
         value, _ = integrate_decaying(lambda x: x * np.exp(-x), 40.0)
         np.testing.assert_allclose(value, 1.0, atol=1e-10)
 
-    def test_failure_raises_with_diagnostics(self):
+    def test_failure_raises_with_diagnostics(self, monkeypatch):
         # A non-integrable spike cannot hit the tolerance; the error object
         # reports the achieved estimate and panel count.
+        monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 3)
         spike = lambda x: 1.0 / np.sqrt(np.abs(x - math.sqrt(2.0)) + 1e-300)
         with pytest.raises(QuadratureError) as excinfo:
-            integrate_decaying(spike, 40.0, abs_tol=1e-13, max_refinements=3)
+            integrate_decaying(spike, 40.0, abs_tol=1e-13)
         assert excinfo.value.achieved > excinfo.value.abs_tol
         assert excinfo.value.n_panels > 0
 

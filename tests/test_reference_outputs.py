@@ -6,13 +6,15 @@ whose CSV output leaves the stored reference files at 12 significant digits
 argv at the reference seed through ``cli.main`` and apply that gate, so a
 drift shows in the test suite before the benchmark runs.  The benchmark's
 tracer (``perfbench/tracer.py``) times the package functions it names; a
-test checks that each name still resolves, since a missing one only nulls
-its metrics.  Both modules are loaded read-only from their files; nothing
+test checks that each name still resolves, and another that each parameter a
+counter reads is still in the function's signature, since a missing one only
+nulls its metrics.  Both modules are loaded read-only from their files; nothing
 under ``perfbench/`` is written.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -69,3 +71,17 @@ def test_traced_names_resolve(tracer):
         if not callable(getattr(module, function, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_traced_counters_read_existing_parameters(tracer):
+    # A counter reads its parameters from the traced function's signature; a
+    # parameter the function lost would only null the counter's metrics.
+    lost = []
+    for name, spec in tracer.TRACED.items():
+        if spec is None:
+            continue
+        module_name, function = name.split(".")
+        module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        parameters = inspect.signature(getattr(module, function)).parameters
+        lost += [f"{name}({param})" for param in spec[0] if param not in parameters]
+    assert lost == []

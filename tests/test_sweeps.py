@@ -9,10 +9,8 @@ from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity, steady_state_s
 from twospinboson.entanglement import QubitAmplitudes
 from twospinboson.single_mode import SingleModeParams, time_series
 from twospinboson.sweeps import (
-    DEFAULT_BATH_PAIRS,
     NO_STEADY_STATE,
     commensurability_table,
-    overlap_table,
     state_series,
     steady_state_table,
     thermal_overlap_table,
@@ -68,15 +66,14 @@ class TestGrids:
         t = [0.0, 1.0]
         time_series(SingleModeParams(4.0), UNIFORM, t)
         state_series(OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM, t)
-        overlap_table(t, pairs=((0.1, 0.25),))
         commensurability_table([1.0, 2.0], samples_per_period=100)
         steady_state_table([0.25], [0.1], phase_points=16)
         thermal_overlap_table([0.0], [0.1])
-        assert grid_checks == ["t_grid", "t_grid", "t_grid", "n_grid",
+        assert grid_checks == ["t_grid", "t_grid", "n_grid",
                                "alphas", "gaps", "temperatures", "gaps"]
 
     @pytest.mark.parametrize("name, call", [
-        ("t_grid", lambda grid: overlap_table(grid)),
+        ("t_grid", lambda grid: state_series(OhmicGapSpectrum(alpha=0.25), UNIFORM, grid)),
         ("n_grid", lambda grid: commensurability_table(grid)),
         ("alphas", lambda grid: steady_state_table(grid, [0.1])),
         ("gaps", lambda grid: steady_state_table([0.25], grid)),
@@ -86,38 +83,6 @@ class TestGrids:
     def test_every_table_refuses_a_nonfinite_grid(self, name, call):
         with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
             call([0.5, math.inf])
-
-
-class TestOverlapTable:
-    def test_gapless_quarter_closed_form(self):
-        # alpha = 1/4 gapless at t = 1: exp(-gamma_R) = 2^{-1/2}.
-        table = overlap_table(np.array([1.0]), pairs=((0.0, 0.25),))
-        np.testing.assert_allclose(table["overlap_gap0_alpha0.25"][0],
-                                   2.0 ** -0.5, rtol=1e-6)
-
-    def test_default_pairs_columns(self):
-        t_grid = np.array([0.5, 1.0, 2.0])
-        table = overlap_table(t_grid)
-        assert len(table) == 1 + len(DEFAULT_BATH_PAIRS)
-        assert "overlap_gap0.1_alpha0.5" in table
-        for col in table.values():
-            assert col.shape == t_grid.shape
-
-    def test_gap_preserves_coherence(self):
-        # At late times the gapped overlap sits at its plateau while the
-        # gapless one keeps falling.
-        t_grid = np.array([200.0, 400.0])
-        table = overlap_table(t_grid, pairs=((0.0, 0.25), (0.1, 0.25)))
-        gapless = table["overlap_gap0_alpha0.25"]
-        gapped = table["overlap_gap0.1_alpha0.25"]
-        assert np.all(gapped > gapless)
-        plateau = math.exp(-gamma_R_infinity(OhmicGapSpectrum(alpha=0.25,
-                                                              omega0=0.1)))
-        np.testing.assert_allclose(gapped[-1], plateau, rtol=1e-2)
-
-    def test_rejects_empty_pairs(self):
-        with pytest.raises(ValueError, match="pairs"):
-            overlap_table(np.array([1.0]), pairs=())
 
 
 class TestStateSeries:
@@ -138,6 +103,18 @@ class TestStateSeries:
         table = state_series(spec, UNIFORM, np.array([200.0]))
         np.testing.assert_allclose(table["entropy_scaled"][0], 1.0, atol=0.01)
         assert table["concurrence"][0] < 0.01
+
+    def test_gap_preserves_coherence(self):
+        # At late times the gapped overlap sits at its plateau while the
+        # gapless one keeps falling.
+        t_grid = np.array([200.0, 400.0])
+        gapless = state_series(OhmicGapSpectrum(alpha=0.25), UNIFORM, t_grid)["overlap"]
+        gapped = state_series(OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM,
+                              t_grid)["overlap"]
+        assert np.all(gapped > gapless)
+        plateau = math.exp(-gamma_R_infinity(OhmicGapSpectrum(alpha=0.25,
+                                                              omega0=0.1)))
+        np.testing.assert_allclose(gapped[-1], plateau, rtol=1e-2)
 
     def test_rejects_an_overflowing_grid_before_evaluation(self, monkeypatch):
         from twospinboson import sweeps
