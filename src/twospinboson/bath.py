@@ -61,8 +61,6 @@ from .single_mode import GammaValue, _model_measures, reduced_density
 
 __all__ = [
     "OhmicGapSpectrum",
-    "BathGammaResult",
-    "SteadyStateStats",
     "spectral_density",
     "effective_coupling",
     "bath_exponents",
@@ -120,29 +118,6 @@ class OhmicGapSpectrum:
         if not math.isfinite(4.0 * self.alpha):
             raise ValueError(f"4 alpha overflows at alpha {self.alpha:g}, omega0 "
                              f"{self.omega0:g}, temperature {self.temperature:g}")
-
-
-@dataclass(frozen=True)
-class BathGammaResult:
-    """Decoherence exponents at one time with their absolute error estimate."""
-
-    gamma_r: float
-    gamma_i: float
-    error_estimate: float
-
-
-@dataclass(frozen=True)
-class SteadyStateStats:
-    """Long-time entanglement figures once gamma_R has saturated.
-
-    ``c_max`` is the maximum concurrence over the residual phase theta*t in
-    [0, pi/2); the entropy is exactly phase independent, since the phase acts
-    on the state as a diagonal unitary.
-    """
-
-    gamma_r_inf: float
-    c_max: float
-    entropy: float
 
 
 def spectral_density(spec: OhmicGapSpectrum, omega):
@@ -455,11 +430,11 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     return float(_bose_pass([spec])[0][0])
 
 
-def bath_gamma(spec: OhmicGapSpectrum, t: float) -> BathGammaResult:
-    """gamma_R and gamma_I at time ``t`` with the error estimate of :func:`bath_exponents`."""
+def bath_gamma(spec: OhmicGapSpectrum, t: float) -> tuple[float, float, float]:
+    """(gamma_R, gamma_I, error estimate) at time ``t``: one row of :func:`bath_exponents`."""
     # No module of the package calls this one-point view; it stays only
     # because the benchmark's tracer (perfbench/tracer.py) names it.
-    return BathGammaResult(*(float(v[0]) for v in bath_exponents(spec, [t])))
+    return tuple(float(v[0]) for v in bath_exponents(spec, [t]))
 
 
 def bath_reduced_density(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t: float) -> np.ndarray:
@@ -475,22 +450,24 @@ def bath_reduced_density(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t: float
 
 
 def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
-                       phase_points: int = 2048):
-    """Entanglement figures in the saturated regime, or None if there is none.
+                       phase_points: int = 2048) -> tuple[float, float, float] | None:
+    """(gamma_R(inf), c_max, entropy) in the saturated regime, or None if there is none.
 
     In the steady state gamma_R is pinned at its long-time limit and gamma_I
-    has decayed to zero; only the induced phase theta*t keeps advancing.  The
-    concurrence is scanned over ``phase_points`` values of theta*t in
-    [0, pi/2) (its full period up to local unitaries) by
-    :func:`~twospinboson.single_mode._model_measures`, in closed form with no
-    decomposition per phase; the entropy is exactly phase independent and
-    comes from the exact invariants of the cell's 3x3 Gram form.
+    has decayed to zero; only the induced phase theta*t keeps advancing.
+    ``c_max`` is the maximum concurrence over ``phase_points`` values of the
+    residual phase theta*t in [0, pi/2) (its full period up to local
+    unitaries), each in closed form by
+    :func:`~twospinboson.single_mode._model_measures` with no decomposition
+    per phase.  The entropy is exactly phase independent, since the phase
+    acts on the state as a diagonal unitary; it comes from the exact
+    invariants of the cell's 3x3 Gram form.
 
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.
     """
     g_inf, c_max, entropy = (float(v[0]) for v in _steady_states([spec], psi0, phase_points))
-    return None if math.isinf(g_inf) else SteadyStateStats(g_inf, c_max, entropy)
+    return None if math.isinf(g_inf) else (g_inf, c_max, entropy)
 
 
 def _steady_states(specs, psi0: QubitAmplitudes,

@@ -179,10 +179,8 @@ def single_mode_checks() -> list[CheckResult]:
         "full-period revival", worst_revival <= 1e-10,
         f"max |C - C_ideal| and S at omega t = 2 pi k: {worst_revival:.2e}"))
 
-    worst_comm = 0.0
-    for n in range(1, 6):
-        stats = single_mode.period_stats(SingleModeParams(4.0 * math.sqrt(n)), _UNIFORM)
-        worst_comm = max(worst_comm, abs(stats.c_max - 1.0))
+    c_max = sweeps.commensurability_table(np.arange(1.0, 6.0), _UNIFORM)["c_max"]
+    worst_comm = float(np.max(np.abs(c_max - 1.0)))
     results.append(CheckResult(
         "commensurate recovery", worst_comm <= 1e-6,
         f"max |c_max - 1| for n = 1..5: {worst_comm:.2e}"))
@@ -369,15 +367,15 @@ def sweep_checks() -> list[CheckResult]:
     """Determinism and sentinel policy of the sweep tables."""
     results = []
 
-    t1 = sweeps.commensurability_table([1.0, 2.0, 3.0], samples_per_period=400)
-    t2 = sweeps.commensurability_table([1.0, 2.0, 3.0], samples_per_period=400)
+    t1 = sweeps.commensurability_table([1.0, 2.0, 3.0], _UNIFORM, samples_per_period=400)
+    t2 = sweeps.commensurability_table([1.0, 2.0, 3.0], _UNIFORM, samples_per_period=400)
     identical = all(np.array_equal(t1[k], t2[k]) for k in t1)
     results.append(CheckResult(
         "sweep determinism", identical,
         "repeated commensurability sweep is bitwise identical"))
 
     table = sweeps.steady_state_table(alphas=np.array([0.2, 0.6]),
-                                      gaps=np.array([0.0, 0.1]),
+                                      gaps=np.array([0.0, 0.1]), psi0=_UNIFORM,
                                       phase_points=256)
     gapless_rows = table["omega0"] == 0.0
     sentinel_ok = (np.all(table["has_steady_state"][gapless_rows] == 0.0)
@@ -489,38 +487,36 @@ def _criterion_6(track: _Tally) -> CheckResult:
     # entanglement; the gapless pipeline reports no steady state.
     stats = bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1), _UNIFORM)
     gapless = bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25), _UNIFORM)
-    if stats is None or not math.isfinite(stats.gamma_r_inf):
+    if stats is None or not math.isfinite(stats[0]):
         return CheckResult("criterion 6", False, "gapped pipeline returned no steady state")
+    g_inf, c_max, entropy = stats
     # The steady-state family measured with the 4x4 kernel: its entropy is
     # phase independent and equal to the structured figure.
-    g = GammaValue(stats.gamma_r_inf, 0.0)
+    g = GammaValue(g_inf, 0.0)
     entropies = [von_neumann_entropy(track(single_mode.reduced_density(_UNIFORM, theta_t, g)))
                  for theta_t in np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)]
     spread = max(entropies) - min(entropies)
-    deviation = max(abs(s - stats.entropy) for s in entropies)
-    overlap = math.exp(-stats.gamma_r_inf)
+    deviation = max(abs(s - entropy) for s in entropies)
+    overlap = math.exp(-g_inf)
     return CheckResult(
         "criterion 6",
-        overlap > 0.0 and stats.c_max > 0.0 and spread < 1e-6 and deviation <= 1e-12
+        overlap > 0.0 and c_max > 0.0 and spread < 1e-6 and deviation <= 1e-12
         and gapless is None,
-        f"gamma_R(inf) = {stats.gamma_r_inf:.4f}, overlap = {overlap:.4f}, "
-        f"C_max = {stats.c_max:.4f}, kernel S spread over 64 phases = {spread:.1e} (tol 1e-6), "
+        f"gamma_R(inf) = {g_inf:.4f}, overlap = {overlap:.4f}, "
+        f"C_max = {c_max:.4f}, kernel S spread over 64 phases = {spread:.1e} (tol 1e-6), "
         f"max |S_kernel - S| = {deviation:.1e} (tol 1e-12); "
         f"gapless reports none: {gapless is None}")
 
 
 def _criterion_7(track: _Tally) -> CheckResult:
     # Trend 1: averages over a phase period versus integer n.
-    periods = [single_mode.period_stats(SingleModeParams(4.0 * math.sqrt(n)),
-                                        _UNIFORM, samples_per_period=2000)
-               for n in range(1, 11)]
-    trend_n = _rises([p.c_avg for p in periods]) and _falls([p.s_avg for p in periods])
+    periods = sweeps.commensurability_table(np.arange(1.0, 11.0), _UNIFORM)
+    trend_n = _rises(periods["c_avg"]) and _falls(periods["s_avg"])
 
     # Trend 2: steady-state entanglement versus coupling at fixed gap.
-    steady = [bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=float(alpha), omega0=0.1),
-                                      _UNIFORM, phase_points=512)
-              for alpha in np.linspace(0.05, 1.0, 8)]
-    trend_alpha = _falls([s.c_max for s in steady]) and _rises([s.entropy for s in steady])
+    steady = sweeps.steady_state_table(np.linspace(0.05, 1.0, 8), [0.1], _UNIFORM,
+                                       phase_points=512)
+    trend_alpha = _falls(steady["c_max_steady"]) and _rises(steady["s_steady"])
 
     # Trend 3: heating lowers the saturated coherence exp(-gamma_R(inf)),
     # compared on gamma_R(inf), whose slack bounds that of the overlap.

@@ -28,13 +28,11 @@ from .entanglement import (MIN_EIGENVALUE_TOL, TRACE_TOL, DensityCheck, InvalidD
 __all__ = [
     "SingleModeParams",
     "GammaValue",
-    "PeriodStats",
     "gamma_single_mode",
     "coherent_amplitude",
     "reduced_density",
     "ideal_concurrence",
     "time_series",
-    "period_stats",
 ]
 
 
@@ -77,16 +75,6 @@ class GammaValue:
     def overlap(self) -> float:
         """exp(-gamma_r), the coherence suppression factor."""
         return math.exp(-self.gamma_r)
-
-
-@dataclass(frozen=True)
-class PeriodStats:
-    """Extrema and trapezoid averages of C and S over theta*t in [0, pi/2]."""
-
-    c_max: float
-    c_avg: float
-    s_max: float
-    s_avg: float
 
 
 def _mode_scale(omega: float) -> float:
@@ -420,30 +408,3 @@ def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
         "entropy": entropy,
         "overlap": np.exp(-gamma_rs),
     }
-
-
-def period_stats(params: SingleModeParams, psi0: QubitAmplitudes,
-                 samples_per_period: int = 2000) -> PeriodStats:
-    """Max and average of C(t) and S(t) over one half period of the induced phase.
-
-    The grid covers theta*t in [0, pi/2] with ``samples_per_period``
-    trapezoid intervals (at least 100), C and S from :func:`_model_measures`.
-    Parameters whose omega t overflows on that grid are refused.
-    """
-    vec = _require_amplitudes(psi0)
-    if samples_per_period < 100:
-        raise ValueError(f"samples_per_period must be at least 100, got {samples_per_period}")
-
-    theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
-    t = theta_ts / params.theta
-    _require_single_mode_grid(params, t)
-    gamma_rs, gamma_is = _gammas(params, t)
-
-    conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
-    span = theta_ts[-1] - theta_ts[0]
-    return PeriodStats(
-        c_max=float(np.max(conc)),
-        c_avg=float(np.trapezoid(conc[:, 0], theta_ts) / span),
-        s_max=float(np.max(entropy)),
-        s_avg=float(np.trapezoid(entropy, theta_ts) / span),
-    )

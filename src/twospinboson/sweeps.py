@@ -27,8 +27,8 @@ from .bath import (
     effective_coupling,
 )
 from .entanglement import QubitAmplitudes, _require_amplitudes
-from .single_mode import (SingleModeParams, _model_measures, _require_grid, _require_product,
-                          period_stats)
+from .single_mode import (SingleModeParams, _gammas, _model_measures, _require_grid,
+                          _require_product, _require_single_mode_grid)
 
 __all__ = [
     "NO_STEADY_STATE",
@@ -42,32 +42,46 @@ __all__ = [
 NO_STEADY_STATE = -1.0
 
 
-def commensurability_table(n_grid, psi0: QubitAmplitudes | None = None,
+def commensurability_table(n_grid, psi0: QubitAmplitudes,
                            samples_per_period: int = 2000) -> dict[str, np.ndarray]:
     """Period statistics versus the commensuration index n, omega/lambda = 4 sqrt(n).
 
     At integer n the oscillator period and the induced half-period of the
     phase coincide, so the concurrence recovers its decoherence-free maximum.
-    ``n_grid`` is a strictly increasing grid with every n >= 0.25.
-    Columns: n, omega_over_lambda, c_max, c_avg, s_max, s_avg.
+    ``n_grid`` is a strictly increasing grid with every n >= 0.25.  Per n, C
+    and S come from :func:`~twospinboson.single_mode._model_measures` on
+    theta*t in [0, pi/2] with ``samples_per_period`` trapezoid intervals (at
+    least 100); an n whose omega t overflows on that grid is refused.
+    Columns: n, omega_over_lambda, c_max, c_avg, s_max, s_avg (extrema and
+    trapezoid averages over the half period).
     """
     n_grid = _require_grid(n_grid, "n_grid")
     if n_grid[0] < 0.25:
         raise ValueError(f"n_grid entries must be at least 0.25, got {n_grid[0]:g}")
-    if psi0 is None:
-        psi0 = QubitAmplitudes.uniform()
+    vec = _require_amplitudes(psi0)
+    if samples_per_period < 100:
+        raise ValueError(f"samples_per_period must be at least 100, got {samples_per_period}")
 
-    stats = [
-        period_stats(SingleModeParams(4.0 * math.sqrt(n)), psi0, samples_per_period)
-        for n in n_grid
-    ]
+    theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
+    span = theta_ts[-1] - theta_ts[0]
+    omegas = 4.0 * np.sqrt(n_grid)
+    c_max, c_avg, s_max, s_avg = (np.empty(n_grid.size) for _ in range(4))
+    for k, omega in enumerate(omegas):
+        params = SingleModeParams(float(omega))
+        t = theta_ts / params.theta
+        _require_single_mode_grid(params, t)
+        gamma_rs, gamma_is = _gammas(params, t)
+        conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
+        c_max[k], s_max[k] = np.max(conc), np.max(entropy)
+        c_avg[k] = np.trapezoid(conc[:, 0], theta_ts) / span
+        s_avg[k] = np.trapezoid(entropy, theta_ts) / span
     return {
         "n": n_grid,
-        "omega_over_lambda": 4.0 * np.sqrt(n_grid),
-        "c_max": np.array([s.c_max for s in stats]),
-        "c_avg": np.array([s.c_avg for s in stats]),
-        "s_max": np.array([s.s_max for s in stats]),
-        "s_avg": np.array([s.s_avg for s in stats]),
+        "omega_over_lambda": omegas,
+        "c_max": c_max,
+        "c_avg": c_avg,
+        "s_max": s_max,
+        "s_avg": s_avg,
     }
 
 
@@ -103,8 +117,7 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     }
 
 
-def steady_state_table(alphas, gaps, psi0: QubitAmplitudes | None = None,
-                       temperature: float = 0.0,
+def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float = 0.0,
                        phase_points: int = 2048) -> dict[str, np.ndarray]:
     """Steady-state concurrence and entropy over a (alpha, omega0) grid.
 
@@ -120,8 +133,6 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes | None = None,
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
-    if psi0 is None:
-        psi0 = QubitAmplitudes.uniform()
 
     specs = [OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap), temperature=temperature)
              for gap in gaps for alpha in alphas]

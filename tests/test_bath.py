@@ -246,18 +246,18 @@ class TestBathDensity:
 
     def test_matches_manual_assembly(self):
         for t in (0.5, 2.0):
-            result = bath_gamma(GAPPED, t)
+            gamma_r, gamma_i, _ = bath_gamma(GAPPED, t)
             manual = reduced_density(
-                UNIFORM, effective_coupling(GAPPED) * t,
-                GammaValue(result.gamma_r, result.gamma_i))
+                UNIFORM, effective_coupling(GAPPED) * t, GammaValue(gamma_r, gamma_i))
             rho = bath_reduced_density(GAPPED, UNIFORM, t)
             np.testing.assert_allclose(rho, manual, atol=1e-12)
 
     def test_error_estimate_is_small(self):
-        result = bath_gamma(GAPPED, 3.0)
-        assert 0.0 <= result.error_estimate < 1e-8
-        hot = bath_gamma(OhmicGapSpectrum(alpha=0.25, omega0=0.25, temperature=0.5), 3.0)
-        assert 0.0 <= hot.error_estimate < 1e-8
+        _, _, error = bath_gamma(GAPPED, 3.0)
+        assert 0.0 <= error < 1e-8
+        _, _, hot_error = bath_gamma(OhmicGapSpectrum(alpha=0.25, omega0=0.25,
+                                                      temperature=0.5), 3.0)
+        assert 0.0 <= hot_error < 1e-8
 
     def test_entropy_grows_then_entanglement_dies(self):
         # Gapless bath: by omega_c t = 100 the corner coherences are gone
@@ -272,33 +272,32 @@ class TestSteadyState:
         assert steady_state_stats(GAPLESS, UNIFORM) is None
 
     def test_uncoupled_stays_pure(self):
-        stats = steady_state_stats(OhmicGapSpectrum(alpha=0.0), UNIFORM)
-        assert stats.gamma_r_inf == 0.0
-        np.testing.assert_allclose(stats.c_max, 1.0, atol=1e-9)
-        assert stats.entropy <= 1e-9
+        g_inf, c_max, entropy = steady_state_stats(OhmicGapSpectrum(alpha=0.0), UNIFORM)
+        assert g_inf == 0.0
+        np.testing.assert_allclose(c_max, 1.0, atol=1e-9)
+        assert entropy <= 1e-9
 
     def test_gapped_residual_entanglement(self):
-        stats = steady_state_stats(GAPPED, UNIFORM)
-        np.testing.assert_allclose(stats.gamma_r_inf, gamma_R_infinity(GAPPED),
-                                   rtol=1e-12)
-        assert 0.0 < stats.c_max < 1.0
-        assert 0.0 < stats.entropy < 2.0
+        g_inf, c_max, s_steady = steady_state_stats(GAPPED, UNIFORM)
+        np.testing.assert_allclose(g_inf, gamma_R_infinity(GAPPED), rtol=1e-12)
+        assert 0.0 < c_max < 1.0
+        assert 0.0 < s_steady < 2.0
         # The 4x4 kernel on the same phase grid: S is phase independent and
         # equal to the structured figure, and the scan's maximum is its maximum.
         theta_ts = np.linspace(0.0, 0.5 * math.pi, 2048, endpoint=False)
         conc, entropy = entanglement_measures(_density_from_phases(
-            UNIFORM.vector(), theta_ts, np.full(2048, stats.gamma_r_inf), np.zeros(2048)))
+            UNIFORM.vector(), theta_ts, np.full(2048, g_inf), np.zeros(2048)))
         assert np.ptp(entropy) < 1e-6
-        np.testing.assert_allclose(entropy, stats.entropy, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(stats.c_max, np.max(conc), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(entropy, s_steady, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(c_max, np.max(conc), rtol=0.0, atol=1e-12)
 
     def test_deeper_gap_keeps_more_entanglement(self):
-        shallow = steady_state_stats(
+        shallow_g, shallow_c, _ = steady_state_stats(
             OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM)
-        deep = steady_state_stats(
+        deep_g, deep_c, _ = steady_state_stats(
             OhmicGapSpectrum(alpha=0.25, omega0=0.5), UNIFORM)
-        assert deep.gamma_r_inf < shallow.gamma_r_inf
-        assert deep.c_max > shallow.c_max
+        assert deep_g < shallow_g
+        assert deep_c > shallow_c
 
     def test_rejects_tiny_phase_scan(self):
         with pytest.raises(ValueError, match="phase_points"):

@@ -23,7 +23,6 @@ from twospinboson.single_mode import (
     coherent_amplitude,
     gamma_single_mode,
     ideal_concurrence,
-    period_stats,
     reduced_density,
     time_series,
 )
@@ -303,34 +302,3 @@ class TestTimeSeries:
         with pytest.raises(ValueError) as err:
             time_series(SingleModeParams(1e-100), UNIFORM, np.array([0.0, 1e208]))
         assert str(err.value) == "2 theta t = 4e+100 * 1e+208 overflows"
-
-
-class TestPeriodStats:
-    def test_commensurate_unit_maximum(self):
-        params = SingleModeParams(4.0)
-        stats = period_stats(params, UNIFORM, samples_per_period=2000)
-        np.testing.assert_allclose(stats.c_max, 1.0, atol=1e-6)
-
-    def test_incommensurate_stays_below_one(self):
-        # Frozen regression: omega/lambda = 6 peaks near 0.98481, strictly
-        # below the commensurate maximum.
-        params = SingleModeParams(6.0)
-        stats = period_stats(params, UNIFORM, samples_per_period=2000)
-        assert stats.c_max < 0.99
-        np.testing.assert_allclose(stats.c_max, 0.9848074809516266, rtol=1e-6)
-
-    def test_averages_bounded_by_maxima(self):
-        params = SingleModeParams(5.0)
-        stats = period_stats(params, UNIFORM, samples_per_period=500)
-        assert 0.0 < stats.c_avg < stats.c_max <= 1.0
-        assert 0.0 < stats.s_avg < stats.s_max <= 2.0
-
-    def test_rejects_overflowing_omega_t(self, monkeypatch):
-        # n = 1e308: omega = 4 sqrt(n) and t = (pi/2) / theta reach omega t ~ 2e308.
-        monkeypatch.setattr(single_mode, "_gammas", _refuse)
-        with pytest.raises(ValueError, match=r"^omega t = 4e\+154 \* .* overflows$"):
-            period_stats(SingleModeParams(4e154), UNIFORM, 100)
-
-    def test_rejects_small_sample_count(self):
-        with pytest.raises(ValueError, match="samples_per_period"):
-            period_stats(SingleModeParams(2.0), UNIFORM, samples_per_period=50)

@@ -6,8 +6,8 @@ only on the rows whose closed-form top eigenvalue it cannot certify, and the
 concurrence in closed form: the index flip splits Uhlmann's tau into a 1x1
 and a 2x2 block, whose singular values are sums of nonnegative terms.  On
 ordinary inputs no ``np.linalg`` function is called.  The steady-state
-scan, ``time_series``, ``period_stats`` and ``state_series`` all go through
-it.  Oracles: the general kernel ``entanglement_measures`` applied to the
+scan, ``time_series``, ``commensurability_table`` and ``state_series`` all
+go through it.  Oracles: the general kernel ``entanglement_measures`` applied to the
 4x4 states the helper stands for (values and validation decisions), and,
 where that kernel loses accuracy, where the state is nearly pure or nearly
 unentangled, or where the closed form could cancel or round its phase, the
@@ -34,10 +34,9 @@ from twospinboson.single_mode import (
     SingleModeParams,
     _density_from_phases,
     _model_measures,
-    period_stats,
     time_series,
 )
-from twospinboson.sweeps import state_series
+from twospinboson.sweeps import commensurability_table, state_series
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -212,7 +211,8 @@ class TestSteadyScan:
         np.testing.assert_allclose(conc, exact, rtol=0.0, atol=1e-12)
 
     def test_table_and_stats_never_call_the_kernel(self, kernel_calls):
-        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], temperature=0.5, phase_points=16)
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], QubitAmplitudes.uniform(),
+                                  temperature=0.5, phase_points=16)
         steady_state_stats(GAPPED, QubitAmplitudes.uniform())
         assert kernel_calls == []
 
@@ -261,7 +261,8 @@ class TestModelMeasures:
         vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
         _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (3, 1)))
         # Four gapped cells of 16 phases; the gapless cells have no plateau.
-        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], phase_points=16)
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], QubitAmplitudes.uniform(),
+                                  phase_points=16)
         assert lapack_calls == []
 
     def test_double_top_rows_fall_back_alone(self, lapack_calls):
@@ -369,7 +370,7 @@ class TestModelMeasures:
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         params = SingleModeParams(4.5)
         time_series(params, psi, np.linspace(0.0, 3.0, 20))
-        period_stats(params, psi, 100)
+        commensurability_table([1.265625], psi, 100)
         state_series(GAPPED, psi, np.linspace(0.0, 3.0, 20))
         assert kernel_calls == []
 
@@ -396,7 +397,7 @@ class TestModelMeasures:
                 monkeypatch.setattr(np.linalg, name, refuse)
         params = SingleModeParams(4.5)
         time_series(params, psi, np.linspace(0.0, 40.0, 200))
-        period_stats(params, psi, 100)
+        commensurability_table([1.265625], psi, 100)
         state_series(GAPPED, psi, np.linspace(0.0, 30.0, 50))
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], psi, phase_points=16)
 
@@ -408,7 +409,8 @@ _PARAMS = SingleModeParams(4.5)
 _TIMES = np.linspace(0.0, 3.0, 8)
 _SERIES_CALLS = {
     "time_series": lambda psi: time_series(_PARAMS, psi, _TIMES),
-    "period_stats": lambda psi: period_stats(_PARAMS, psi, 100),
+    # The period-stats table at n = 1.265625, omega = 4.5.
+    "period_stats": lambda psi: commensurability_table([1.265625], psi, 100),
     "state_series": lambda psi: state_series(GAPPED, psi, _TIMES),
 }
 
@@ -441,8 +443,9 @@ class TestValidation:
             values[3] = math.nan
             return values
 
-        monkeypatch.setattr(single_mode, "_gammas",
-                            lambda *args: (nan_at_3(gammas(*args)[0]), gammas(*args)[1]))
+        for module in (single_mode, sweeps):
+            monkeypatch.setattr(module, "_gammas",
+                                lambda *args: (nan_at_3(gammas(*args)[0]), gammas(*args)[1]))
         monkeypatch.setattr(sweeps, "bath_exponents",
                             lambda *args: (nan_at_3(exponents(*args)[0]),
                                            *exponents(*args)[1:]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity, steady_state_stats
+from twospinboson import sweeps
 from twospinboson.entanglement import QubitAmplitudes
 from twospinboson.single_mode import SingleModeParams, time_series
 from twospinboson.sweeps import (
@@ -19,9 +20,14 @@ from twospinboson.sweeps import (
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("evaluated an overflowing grid")
+
+
 class TestCommensurabilityTable:
     def test_integer_n_recovers_full_entanglement(self):
-        table = commensurability_table(np.linspace(1.0, 4.0, 13), samples_per_period=2000)
+        table = commensurability_table(np.linspace(1.0, 4.0, 13), UNIFORM,
+                                       samples_per_period=2000)
         np.testing.assert_allclose(table["omega_over_lambda"],
                                    4.0 * np.sqrt(table["n"]), rtol=1e-12)
         for n_int in (1.0, 2.0, 3.0, 4.0):
@@ -29,7 +35,7 @@ class TestCommensurabilityTable:
             np.testing.assert_allclose(table["c_max"][idx], 1.0, atol=1e-6)
 
     def test_between_integers_dips(self):
-        table = commensurability_table(np.linspace(1.0, 2.0, 5), samples_per_period=1000)
+        table = commensurability_table(np.linspace(1.0, 2.0, 5), UNIFORM, samples_per_period=1000)
         # n = 1.25 sits between revivals; its peak concurrence is lower.
         assert table["c_max"][1] < table["c_max"][0] - 1e-3
         assert np.all(table["c_max"] <= 1.0 + 1e-12)
@@ -37,16 +43,16 @@ class TestCommensurabilityTable:
     def test_residual_entropy_shrinks_with_n(self):
         # Larger n means weaker relative coupling, hence less mixing at the
         # concurrence maxima and smaller average entropy.
-        table = commensurability_table(np.linspace(1.0, 9.0, 3), samples_per_period=1000)
+        table = commensurability_table(np.linspace(1.0, 9.0, 3), UNIFORM, samples_per_period=1000)
         assert table["s_avg"][2] < table["s_avg"][0]
 
     def test_all_columns_same_length(self):
-        table = commensurability_table(np.linspace(0.5, 2.0, 4), samples_per_period=200)
+        table = commensurability_table(np.linspace(0.5, 2.0, 4), UNIFORM, samples_per_period=200)
         lengths = {len(col) for col in table.values()}
         assert lengths == {4}
 
     def test_deterministic(self):
-        kwargs = dict(n_grid=np.linspace(1.0, 3.0, 3), samples_per_period=400)
+        kwargs = dict(n_grid=np.linspace(1.0, 3.0, 3), psi0=UNIFORM, samples_per_period=400)
         first = commensurability_table(**kwargs)
         second = commensurability_table(**kwargs)
         for key in first:
@@ -54,11 +60,37 @@ class TestCommensurabilityTable:
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError, match=r"^n_grid entries must be at least 0\.25, got 0\.1$"):
-            commensurability_table(np.linspace(0.1, 12.0, 47))
+            commensurability_table(np.linspace(0.1, 12.0, 47), UNIFORM)
         with pytest.raises(ValueError, match="^n_grid must be a nonempty 1-D array$"):
-            commensurability_table([])
+            commensurability_table([], UNIFORM)
         with pytest.raises(ValueError, match="^n_grid must be strictly increasing$"):
-            commensurability_table([2.0, 2.0])
+            commensurability_table([2.0, 2.0], UNIFORM)
+
+    def test_commensurate_unit_maximum(self):
+        table = commensurability_table([1.0], UNIFORM, samples_per_period=2000)
+        np.testing.assert_allclose(table["c_max"][0], 1.0, atol=1e-6)
+
+    def test_incommensurate_stays_below_one(self):
+        # Frozen regression: omega/lambda = 6 (n = 2.25) peaks near 0.98481,
+        # strictly below the commensurate maximum.
+        table = commensurability_table([2.25], UNIFORM, samples_per_period=2000)
+        assert table["c_max"][0] < 0.99
+        np.testing.assert_allclose(table["c_max"][0], 0.9848074809516266, rtol=1e-6)
+
+    def test_averages_bounded_by_maxima(self):
+        table = commensurability_table([1.5625], UNIFORM, samples_per_period=500)
+        assert 0.0 < table["c_avg"][0] < table["c_max"][0] <= 1.0
+        assert 0.0 < table["s_avg"][0] < table["s_max"][0] <= 2.0
+
+    def test_rejects_overflowing_omega_t(self, monkeypatch):
+        # n = 1e308: omega = 4 sqrt(n) and t = (pi/2) / theta reach omega t ~ 2e308.
+        monkeypatch.setattr(sweeps, "_gammas", _refuse)
+        with pytest.raises(ValueError, match=r"^omega t = 4e\+154 \* .* overflows$"):
+            commensurability_table([1e308], UNIFORM, 100)
+
+    def test_rejects_small_sample_count(self):
+        with pytest.raises(ValueError, match="samples_per_period"):
+            commensurability_table([0.25], UNIFORM, samples_per_period=50)
 
 
 class TestGrids:
@@ -66,17 +98,17 @@ class TestGrids:
         t = [0.0, 1.0]
         time_series(SingleModeParams(4.0), UNIFORM, t)
         state_series(OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM, t)
-        commensurability_table([1.0, 2.0], samples_per_period=100)
-        steady_state_table([0.25], [0.1], phase_points=16)
+        commensurability_table([1.0, 2.0], UNIFORM, samples_per_period=100)
+        steady_state_table([0.25], [0.1], UNIFORM, phase_points=16)
         thermal_overlap_table([0.0], [0.1])
         assert grid_checks == ["t_grid", "t_grid", "n_grid",
                                "alphas", "gaps", "temperatures", "gaps"]
 
     @pytest.mark.parametrize("name, call", [
         ("t_grid", lambda grid: state_series(OhmicGapSpectrum(alpha=0.25), UNIFORM, grid)),
-        ("n_grid", lambda grid: commensurability_table(grid)),
-        ("alphas", lambda grid: steady_state_table(grid, [0.1])),
-        ("gaps", lambda grid: steady_state_table([0.25], grid)),
+        ("n_grid", lambda grid: commensurability_table(grid, UNIFORM)),
+        ("alphas", lambda grid: steady_state_table(grid, [0.1], UNIFORM)),
+        ("gaps", lambda grid: steady_state_table([0.25], grid, UNIFORM)),
         ("temperatures", lambda grid: thermal_overlap_table(grid, [0.1])),
         ("gaps", lambda grid: thermal_overlap_table([0.0], grid)),
     ])
@@ -151,7 +183,7 @@ class TestStateSeries:
 class TestSteadyStateTable:
     def test_sentinel_for_gapless_rows(self):
         table = steady_state_table(alphas=np.array([0.25, 0.5]),
-                                   gaps=np.array([0.0, 0.1]),
+                                   gaps=np.array([0.0, 0.1]), psi0=UNIFORM,
                                    phase_points=256)
         assert len(table["alpha"]) == 4
         # alpha varies fastest; the first two rows are the gapless ones.
@@ -164,13 +196,13 @@ class TestSteadyStateTable:
 
     def test_weaker_coupling_retains_more(self):
         table = steady_state_table(alphas=np.array([0.1, 0.8]),
-                                   gaps=np.array([0.2]),
+                                   gaps=np.array([0.2]), psi0=UNIFORM,
                                    phase_points=256)
         assert table["c_max_steady"][0] > table["c_max_steady"][1]
         assert table["s_steady"][0] < table["s_steady"][1]
 
     def test_deterministic(self):
-        kwargs = dict(alphas=np.array([0.3]), gaps=np.array([0.0, 0.3]),
+        kwargs = dict(alphas=np.array([0.3]), gaps=np.array([0.0, 0.3]), psi0=UNIFORM,
                       phase_points=128)
         first = steady_state_table(**kwargs)
         second = steady_state_table(**kwargs)
@@ -189,14 +221,15 @@ class TestSteadyStateTable:
                 if stats is None:
                     assert table["has_steady_state"][k] == 0.0
                 else:
-                    assert table["c_max_steady"][k] == stats.c_max
-                    assert table["s_steady"][k] == stats.entropy
+                    _, c_max, entropy = stats
+                    assert table["c_max_steady"][k] == c_max
+                    assert table["s_steady"][k] == entropy
                 k += 1
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             steady_state_table(alphas=np.array([0.5, 0.1]),
-                               gaps=np.array([0.1]))
+                               gaps=np.array([0.1]), psi0=UNIFORM)
 
 
 class TestThermalOverlapTable:
