@@ -13,9 +13,11 @@ whole time grid without quadrature: log1p/arctan for a gapless bath at
 T = 0, Re ln Gamma (recurrence plus Stirling series) for a gapless bath at
 T > 0, and for a gapped bath the Bose series coth(w/2T) = 1 + 2 sum_n
 e^{-n w/T}, a weighted sum of complex exponential integrals E1 (power series
-or continued fraction), which is its n = 0 term alone at T = 0.  The series
-is truncated where a proven tail bound falls below 1e-16 and refused before
-evaluation above a fixed work cap; its plateau is gamma_R(infinity).
+or the tail of the continued fraction), which is its n = 0 term alone at
+T = 0.  The series is summed directly up to a proven tail bound of 1e-16, or
+by the Euler-Maclaurin formula with a remainder bound of 1e-16 when that
+takes fewer terms, so it costs a fixed number of E1 values per time point;
+its plateau is gamma_R(infinity).
 
 The package re-exports the public names of its numerical modules; each
 module's ``__all__`` is the one list of what it makes public.  The

@@ -25,22 +25,25 @@ the gap and the temperature:
   complex argument (recurrence, then the Stirling series);
 - gapped, any T: the Bose series coth(omega/2T) = 1 + 2 sum_n e^{-n omega/T}.
   Each term is the exponential integral E1 of a complex argument (power
-  series for |z| <= 1, continued fraction above) with the decay rate
-  1 + n/T in place of 1, so gamma_R is a weighted sum of E1 closed
-  forms; gamma_I does not depend on T and is the n = 0 term.  At T = 0 the
-  series is that one term.  It stops at the first N whose proven tail bound
-  is below 1e-16, and a grid whose N * (points + 1) exceeds a fixed work cap
-  is refused before evaluation.
+  series for |z| <= 1, the tail of its continued fraction above) with the
+  decay rate 1 + n/T in place of 1, so gamma_R is a weighted sum of E1
+  closed forms; gamma_I does not depend on T and is the n = 0 term.  At
+  T = 0 the series is that one term.  A plan picks each series' route
+  before anything is evaluated: the direct sum up to the first N whose
+  proven tail bound is below 1e-16, or, when that needs more terms, a few
+  terms plus the Euler-Maclaurin formula, whose integral and derivatives
+  are closed forms and whose remainder bound is also below 1e-16.  Either
+  way a series costs at most nine E1 values per time point, whatever N.
 
 The effective coupling is a closed form through E1 for every spectrum, and
 the long-time limit gamma_R(inf) is the plateau of the Bose series.  One
 private pass, :func:`_bose_pass`, evaluates every Bose-series term: over a
-list of spectra it finds each N once, applies the work cap, evaluates each
-plateau term once and returns the plateaus and, on a time grid, the damping
-sums, the n = 0 column and the tail bound.  No evaluation path integrates;
-the quadrature of the defining integrals that the closed forms and the
-series are checked against is the oracle module
-:mod:`twospinboson.quadrature`, which this module does not import.
+list of spectra it plans each route once, evaluates each plateau term once
+and returns the plateaus and, on a time grid, the damping sums, the n = 0
+column and the remainder bound.  No evaluation path integrates; the
+quadrature of the defining integrals that the closed forms and the series
+are checked against is the oracle module :mod:`twospinboson.quadrature`,
+which this module does not import.
 
 The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
 induced phase by :func:`~twospinboson.single_mode._model_measures`: the
@@ -74,16 +77,23 @@ __all__ = [
 # helpers are tested against 30-digit references at this level).
 _CLOSED_FORM_RTOL = 1e-13
 
-# Bose series of a gapped bath: terms are added until the tail bound of
-# _bose_log_tail is at most _SERIES_TAIL_TOL, they are evaluated in blocks of
-# at most _SERIES_CHUNK_TERMS terms by _SERIES_CHUNK_TIMES times (about 1 MB
-# per complex temporary), and a grid whose term count times (points + 1)
-# exceeds _SERIES_MAX_WORK is refused before any evaluation.  The cap admits
-# gap >= 1e-3 at T <= 2 on 400 points (N = 77052).
+# Bose series of a gapped bath: the remainder of every route (see _bose_plan)
+# is at most _SERIES_TAIL_TOL.  The Euler-Maclaurin route sums at most
+# _EM_MAX_TERMS terms directly and adds at most len(_BERNOULLI) corrections,
+# and the direct route is kept only where it is no longer, so a spectrum costs
+# at most _EM_MAX_TERMS + 1 E1 values per time point whatever its
+# temperature.  Rows of those values are evaluated _SERIES_CHUNK_ROWS at a
+# time (about 0.6 MB per complex temporary).
 _SERIES_TAIL_TOL = 1e-16
-_SERIES_CHUNK_TERMS = 256
-_SERIES_CHUNK_TIMES = 256
-_SERIES_MAX_WORK = 1 << 25
+_EM_MAX_TERMS = 8
+_SERIES_CHUNK_ROWS = 4096
+
+# B_2k/(2k)!, k = 1..12: the Euler-Maclaurin coefficients.  Their moduli are
+# also the remainder constants, |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^(2k).
+_BERNOULLI = (8.333333333333333e-02, -1.388888888888889e-03, 3.306878306878307e-05,
+              -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+              1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+              -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19)
 
 _E1_SERIES_TERMS = 20
 _LENTZ_MAX_TERMS = 1000
@@ -129,53 +139,107 @@ def spectral_density(spec: OhmicGapSpectrum, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def _exp_e1(z: np.ndarray) -> np.ndarray:
-    """e^z E1(z) for an array of complex z with Re z > 0.
+def _e1_power_tail(z):
+    """sum_{k>=1} (-z)^k / (k k!), so that E1(z) = -gamma - ln z - this; |z| <= 1.
 
-    The power series of E1 for |z| <= 1; above that the continued fraction
-    e^z E1(z) = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated by the
-    modified Lentz method.  Scaling by e^z keeps large |z| finite.
+    Twenty terms: at |z| = 1 the 20th is 2e-20.
+    """
+    term = np.ones_like(z)
+    tail = np.zeros_like(z)
+    for k in range(1, _E1_SERIES_TERMS + 1):
+        term = term * (-z) / k
+        tail = tail + term / k
+    return tail
+
+
+def _exp_e1(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three forms of g = e^z E1(z) for an array of complex z with Re z > 0.
+
+    G = (1 + z) g - 1, C = 1 - z g and A = z (1 + z/2) g - (1 + z)/2, which
+    is e^z times A(z) = E1(z) (z + z^2/2) - (1 + z) e^{-z}/2, the
+    antiderivative of e^{-z} G that vanishes at infinity.  For |z| <= 1, g
+    comes from the power series of E1 and the forms from their definitions.
+    Above that the continued fraction g = 1/(z + 1 - h), h = 1/(z + 3 - 4k),
+    k = 1/(z + 5 - 9/(z + 7 - 16/(z + 9 - ...))) is evaluated on its tail k
+    by the modified Lentz method, and the forms are the exact products
+    G = g h, C = g (1 - h) and A = -g h (1 - 2k): no subtraction cancels,
+    though each form falls far below g at large |z|.  Scaling by e^z keeps
+    large |z| finite.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
+    forms = np.empty((3, *z.shape), dtype=complex)
     near = np.abs(z) <= 1.0
 
     zn = z[near]
-    # E1(z) = -gamma - ln z - sum_k (-z)^k / (k k!); at |z| = 1 the 20th term is 2e-20.
-    term = np.ones_like(zn)
-    tail = np.zeros_like(zn)
-    for k in range(1, _E1_SERIES_TERMS + 1):
-        term = term * (-zn) / k
-        tail = tail + term / k
-    out[near] = np.exp(zn) * (-np.euler_gamma - np.log(zn) - tail)
+    g = np.exp(zn) * (-np.euler_gamma - np.log(zn) - _e1_power_tail(zn))
+    forms[:, near] = ((1.0 + zn) * g - 1.0, 1.0 - zn * g, zn * (1.0 + 0.5 * zn) * g - 0.5 * (1.0 + zn))
 
     zf = z[~near]
-    far = np.empty_like(zf)
+    k_tail = np.empty_like(zf)
     # Each point stops at its own convergence and leaves the iteration, so
     # the loop runs only over the points still open.
     pending = np.arange(zf.size)
-    b = zf + 1.0
+    b = zf + 5.0
     c = np.full_like(zf, 1e300)  # Lentz starts c at "infinity"
     d = 1.0 / b
-    h = d
-    k = 0
+    f = d
+    j = 2
     while pending.size:
-        k += 1
-        if k > _LENTZ_MAX_TERMS:
+        j += 1
+        if j > _LENTZ_MAX_TERMS:
             raise RuntimeError(
                 f"E1 continued fraction did not converge in {_LENTZ_MAX_TERMS} terms")
         b = b + 2.0
-        d = 1.0 / (b - k * k * d)
-        c = b - k * k / c
+        d = 1.0 / (b - j * j * d)
+        c = b - j * j / c
         delta = c * d
-        h = h * delta
+        f = f * delta
         done = np.abs(delta - 1.0) <= _LENTZ_TOL
         if done.any():
-            far[pending[done]] = h[done]
+            k_tail[pending[done]] = f[done]
             keep = ~done
-            pending, b, c, d, h = pending[keep], b[keep], c[keep], d[keep], h[keep]
-    out[~near] = far
-    return out
+            pending, b, c, d, f = pending[keep], b[keep], c[keep], d[keep], f[keep]
+    h = 1.0 / (zf + 3.0 - 4.0 * k_tail)
+    g = 1.0 / (zf + 1.0 - h)
+    forms[:, ~near] = (g * h, g * (1.0 - h), -g * h * (1.0 - 2.0 * k_tail))
+    return forms[0], forms[1], forms[2]
+
+
+def _exp_a_step(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """e^x [A(x) - A(x - i delta)] for x > 0 and |x - i delta| <= 1 (arrays), A of :func:`_exp_e1`.
+
+    This is A~(x) - e^{i delta} A~(x - i delta) in the form A~ = e^z A(z) of
+    :func:`_exp_e1`, whose two values nearly cancel when delta is small.  So
+    each factor of A(z) = E1(z) w(z) - (1 + z) e^{-z}/2, w = z + z^2/2, is
+    differenced on its own, with z = x - i delta:
+
+        w(x) - w(z) = i delta (1 + (x + z)/2),
+        E1(x) - E1(z) = ln(z/x) - sum_k (-1)^k (x^k - z^k) / (k k!),
+        (1 + x) e^{-x} - (1 + z) e^{-z} = e^{-x} [i delta - (1 + z) (e^{i delta} - 1)],
+
+    with ln(z/x) = ln(1 - i y), y = delta/x, and x^k - z^k = x (x^{k-1} - z^{k-1})
+    + i delta z^{k-1}; none of them cancels.
+    """
+    z = x - 1j * delta
+    y = delta / x
+    small = np.minimum(y, 1.0)
+    log_ratio = (np.where(y < 1.0, 0.5 * np.log1p(small * small), np.log(np.hypot(1.0, y)))
+                 - 1j * np.arctan(y))
+    power = np.ones_like(z)
+    gap = np.zeros_like(z)  # x^k - z^k
+    coefficient = 1.0
+    series = np.zeros_like(z)
+    for k in range(1, _E1_SERIES_TERMS + 1):
+        gap = x * gap + 1j * delta * power
+        power = power * z
+        coefficient = -coefficient / k
+        series = series + (coefficient / k) * gap
+    exp_x = np.exp(x)
+    exp_e1_x = exp_x * (-np.euler_gamma - np.log(x) - _e1_power_tail(x))
+    expm1 = -2.0 * np.sin(0.5 * delta) ** 2 + 1j * np.sin(delta)  # e^{i delta} - 1
+    return (exp_e1_x * 1j * delta * (1.0 + 0.5 * (x + z))
+            + exp_x * (log_ratio - series) * (z + 0.5 * z * z)
+            - 0.5 * (1j * delta - (1.0 + z) * expm1))
 
 
 def _re_lngamma(z: np.ndarray) -> np.ndarray:
@@ -195,160 +259,245 @@ def _re_lngamma(z: np.ndarray) -> np.ndarray:
     return np.where(near, stirling - recurrence, stirling)
 
 
-def _gap_transform(x0, s: np.ndarray) -> np.ndarray:
-    """F(s) = integral_0^inf u e^{-u} exp(i s (x0 + u)) / (x0 + u)^2 du for x0 > 0.
+def _bose_log_tail(n, x0, tau):
+    """ln of a bound on the damping terms of the Bose series after the first ``n + 1``.
 
-    In closed form, with z = x0 (1 - i s): F = e^{i s x0} [(1 + z) e^z E1(z) - 1].
-    At T = 0, gamma_R = 4 alpha Re(F(0) - F(s)) and gamma_I = 4 alpha Im F(s).
-    ``x0`` and ``s`` broadcast against each other.
+    With r = x0/tau and z_m = x0 + m r - i x0 s, damping term m >= 1 of
+    :func:`_bose_sums` is 2 e^{-m r} Re[G(x0 + m r) - e^{i s x0} G(z_m)], and
+    0 <= that <= 4 e^{-m r} G(x0 + m r) <= 4 e^{-m r} / (x0 + m r)^2.  The
+    terms after n therefore sum to at most
+    4 e^{-(n+1) r} / ((b_{n+1} x0)^2 (1 - e^{-r})), b_m = 1 + m/tau, which
+    decreases in n.  The arguments broadcast; the bound is -inf at T = 0,
+    where there are no such terms, and inf where r underflows to 0.
     """
-    z = x0 * (1.0 - 1j * s)
-    return np.exp(1j * x0 * s) * ((1.0 + z) * _exp_e1(z) - 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        r = x0 / tau
+        return (math.log(4.0) - (n + 1) * r - 2.0 * np.log((1.0 + (n + 1) / tau) * x0)
+                - np.log(-np.expm1(-r)))
 
 
-def _bose_log_tail(n_terms: int, x0: float, tau: float) -> float:
-    """ln of a bound on the Bose-series terms after the first ``n_terms + 1``.
+def _em_remainders(q, r, count: int) -> list:
+    """R_{-1}, R_1, R_3, ..., R_{2 count - 3}: the odd derivatives of the Euler-Maclaurin route.
 
-    With r = x0/tau and b_n = 1 + n/tau, damping term n >= 1 of :func:`_bose_pass`
-    is 2 e^{-n r} Re(F_X(0) - F_X(s/b_n)) at X = b_n x0, and
-    0 <= Re(F_X(0) - F_X(sigma)) <= 2 F_X(0) <= 2/X^2.  The terms after N
-    therefore sum to at most 4 e^{-(N+1) r} / ((b_{N+1} x0)^2 (1 - e^{-r})),
-    which decreases in N.  At T = 0 there are no such terms.
+    R_{-1} = q and, for m >= 0, R_m = sum_{i<=m} binom(m, i) (i+1)! r^(m-i) q^(i+2),
+    through R_m = q (S_m + m R_{m-1}) and S_m = q (r^m + m S_{m-1}), S_0 = q,
+    which add nonnegative terms when q and r are.  :func:`_bose_sums` says
+    which derivatives they are; the arrays broadcast.
     """
-    if tau == 0.0:
-        return -math.inf
-    r = x0 / tau
-    return (math.log(4.0) - (n_terms + 1) * r
-            - 2.0 * math.log((1.0 + (n_terms + 1) / tau) * x0) - math.log(-math.expm1(-r)))
+    out = [q]
+    s, rem, power = q, q * q, 1.0
+    for m in range(1, 2 * count - 2):
+        power = power * r
+        s = q * (power + m * s)
+        rem = q * (s + m * rem)
+        if m % 2:
+            out.append(rem)
+    return out
 
 
-def _bose_terms(x0: float, tau: float) -> int | None:
-    """Smallest N whose Bose-series tail bound is at most _SERIES_TAIL_TOL.
+def _bose_plan(x0, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route of each gapped Bose series, chosen before anything is evaluated.
 
-    Found by doubling and bisection over integers, O(log N) scalar
-    evaluations; 0 at T = 0; None when N would exceed _SERIES_MAX_WORK,
-    which no grid admits.
+    For gaps ``x0`` > 0 and temperatures ``tau`` (arrays) returns ``terms``,
+    ``order`` and ``bound``.  The direct route (order 0) sums the terms
+    n < terms = N + 1, N the first whose tail bound (:func:`_bose_log_tail`)
+    is at most _SERIES_TAIL_TOL.  The Euler-Maclaurin route (order K >= 1)
+    sums the terms n < M = terms and replaces the rest by the closed forms of
+    :func:`_bose_sums`.  With f(x) = 2 e^{-x r} G(x0 + x r), r = x0/tau, its
+    remainder is at most |B_2K|/(2K)! int_M^inf |f^(2K)|.  Since
+    G(z) = int_0^inf v e^{-z v} / (1 + v)^2 dv, the derivatives of the
+    time-dependent part 2 e^{-x r} e^{i s x0} G(z_x) are bounded in modulus
+    by those of f, and f^(2K) > 0, so the remainder of the damping sum at any
+    time is at most
+
+        bound = 2 |B_2K|/(2K)! |f^(2K-1)(M)| = 4 |B_2K|/(2K)! e^{-M r} R_{2K-3}
+
+    with R of :func:`_em_remainders` at q = 1/(tau + M) (R_{-1} = q bounds
+    the K = 1 case), and the plateau's at most half of that.  M is the
+    smallest in 1.._EM_MAX_TERMS for which some K <= len(_BERNOULLI) puts the
+    bound at most _SERIES_TAIL_TOL, K the smallest such.  A series keeps the
+    direct route when N <= M, which needs no more E1 values; ``bound`` is the
+    tail bound of the route taken.
+
+    Raises ``RuntimeError`` naming the first series that neither route
+    certifies: one whose r underflows, so that tau/x0 overflows.
     """
-    if tau > 0.0 and x0 / tau == 0.0:
-        return None
-    target = math.log(_SERIES_TAIL_TOL)
-    if _bose_log_tail(0, x0, tau) <= target:
-        return 0
-    low, high = 0, 1
-    while _bose_log_tail(high, x0, tau) > target:
-        if high > _SERIES_MAX_WORK:
-            return None
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if _bose_log_tail(mid, x0, tau) <= target:
-            high = mid
-        else:
-            low = mid
-    return high
+    x0 = np.asarray(x0, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    rows = np.arange(x0.size)
+    log_tail = _bose_log_tail(np.arange(_EM_MAX_TERMS + 1), x0[:, None], tau[:, None])
+    direct = log_tail <= math.log(_SERIES_TAIL_TOL)
+    n_last = np.argmax(direct, axis=1)
 
-
-def _bose_table(x0, tau, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decay rates b_n, arguments X = b_n x0 and weights c_n e^{-n r} of Bose terms n.
-
-    b_n = 1 + n/tau, r = x0/tau, c_0 = 1 and c_n = 2 for n >= 1; the
-    arguments broadcast.  The n = 0 term (b_0 = 1, weight 1) is the only one
-    at T = 0 and does not depend on tau, so tau = 0 is read as 1; at a
-    subnormal tau, r overflows to inf and the weights of n >= 1 to 0.
-    """
-    tau = np.where(tau > 0.0, tau, 1.0)
-    b = 1.0 + n / tau
+    m = np.arange(1, _EM_MAX_TERMS + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = x0 / tau
+        usable = (r > 0.0) & np.isfinite(r) & np.isfinite(4.0 / r)
+        r = np.where(usable, r, 0.0)[:, None]
+        q = 1.0 / (tau[:, None] + m)
+        decay = np.exp(-m * r)
+        bounds = np.stack([4.0 * abs(beta) * decay * rem for beta, rem
+                           in zip(_BERNOULLI, _em_remainders(q, r, len(_BERNOULLI)))], axis=-1)
+    certified = (bounds <= _SERIES_TAIL_TOL) & usable[:, None, None]
+    m_first = np.argmax(certified.any(axis=2), axis=1)
+    k_first = np.argmax(certified[rows, m_first], axis=1)
+    has_em = certified[rows, m_first, k_first]
+    use_direct = direct[rows, n_last] & (~has_em | (n_last <= m_first + 1))
+    refused = np.flatnonzero(~(use_direct | has_em))
+    if refused.size:
+        k = refused[0]
+        raise RuntimeError(
+            f"Bose series at gap {x0[k]:g}, temperature {tau[k]:g} has no certified route: "
+            f"temperature/gap overflows")
+    terms = np.where(use_direct, n_last + 1, m_first + 1)
+    order = np.where(use_direct, 0, k_first + 1)
     with np.errstate(over="ignore"):
-        weight = np.where(n > 0, 2.0 * np.exp(-(x0 / tau) * np.maximum(n, 1)), 1.0)
-    return b, b * x0, weight
+        bound = np.where(use_direct, np.exp(log_tail[rows, n_last]), bounds[rows, m_first, k_first])
+    return terms, order, bound
+
+
+def _em_corrections(forms, q, r, order):
+    """G/2 + sum_{k<=K} B_2k/(2k)! R_{2k-3}: the Euler-Maclaurin terms at z_M besides the integral.
+
+    ``forms`` are G, C, A of :func:`_exp_e1` at z_M, R_{-1} = C q and R_m
+    for m >= 1 those of :func:`_em_remainders`, at q = r/z_M (see
+    :func:`_bose_sums`).  ``q``, ``r`` and ``order`` = K broadcast.
+    """
+    G, C, _ = forms
+    rems = _em_remainders(q, r, int(np.max(order)))
+    total = _BERNOULLI[0] * C * q
+    for k, (beta, rem) in enumerate(zip(_BERNOULLI[1:], rems[1:]), start=2):
+        total = total + np.where(order >= k, beta, 0.0) * rem
+    return 0.5 * G + total
+
+
+def _bose_sums(x0, tau, terms, order, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plateau sums, damping sums and n = 0 columns of gapped Bose series on their routes.
+
+    Row k belongs to the spectrum (x0[k], tau[k]) with the route
+    (terms[k], order[k]) of :func:`_bose_plan`; all sums are in units of
+    4 alpha.  With r = x0/tau, z_n = x0 + n r - i x0 s and the forms G, C, A
+    of :func:`_exp_e1`, term n of the series is the T = 0 closed form at
+    decay rate b_n = 1 + n/tau (the substitution v = b_n u), weighted by
+    c_0 = 1, c_n = 2 e^{-n r}:
+
+        plateau  sum_n c_n G(x0 + n r),
+        damping  sum_n c_n Re[G(x0 + n r) - e^{i s x0} G(z_n)],
+        first    e^{i s x0} G(z_0), whose imaginary part is gamma_I / (4 alpha).
+
+    The direct route sums n < terms.  The Euler-Maclaurin route sums n < M
+    and replaces the rest of each series sum_n 2 e^{-n r} G(z_n) (s = 0 for
+    the plateau) by 2 e^{-M r} times
+
+        -A(z_M)/r + G(z_M)/2 + sum_{k<=K} B_2k/(2k)! R_{2k-3}:
+
+    e^{-n r} G(z_n) = e^{z_0} u(z_n) with u = e^{-z} G, so its integral from M
+    on is -(e^{-M r}/r) A(z_M), and its derivative of order j in n is
+    e^{-n r} r^j e^z u^(j)(z) at z_n, which is -r C/z for j = 1 and
+    (-1)^j r^j sum_{i<=j-2} binom(j-2, i) (i+1)! / z^(i+2) for j >= 2; at
+    q = r/z_M = 1/(tau + M - i tau s) the odd ones are -R of
+    :func:`_em_remainders` (R_{-1} = C q).  In the damping sum the two
+    integrals, each about 1/r, are differenced by :func:`_exp_a_step` where
+    z_M lies within the unit disc.  Each row is summed in index order on its
+    own, so it does not depend on the other rows; rows of at most
+    _EM_MAX_TERMS + 1 nodes are evaluated _SERIES_CHUNK_ROWS at a time.
+    """
+    cells = x0.size
+    em = order > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        r = np.where((terms > 1) | em, x0 / tau, 0.0)  # 0 where only n = 0 is summed
+    node = np.arange(int(terms.max(initial=1)))
+    x = x0[:, None] + node * r[:, None]
+    weight = np.where(node > 0, 2.0 * np.exp(-node * r[:, None]), 1.0)
+    x_m = x0 + terms * r
+    decay = 2.0 * np.exp(-terms * r)
+
+    # Row (k, j) is spectrum k at time (0, *s)[j]; rows run spectrum by
+    # spectrum, so each plateau row (j = 0) comes before its time rows.
+    times = np.concatenate([[0.0], s])
+    rows = cells * times.size
+    plateau = np.empty(cells)
+    damping = np.zeros((cells, s.size))
+    first = np.empty((cells, s.size), dtype=complex)
+    g0 = np.zeros(x.shape)       # G at the plateau nodes
+    corrections0 = np.zeros(cells)  # Euler-Maclaurin corrections of the plateau
+    integral0 = np.zeros(cells)     # and its integral
+    for low in range(0, rows, _SERIES_CHUNK_ROWS):
+        k, j = np.divmod(np.arange(low, min(low + _SERIES_CHUNK_ROWS, rows)), times.size)
+        delta = x0[k] * times[j]
+        live = node < terms[k, None]
+        z = x[k] - 1j * delta[:, None]
+        m = np.flatnonzero(em[k])
+        z_m = x_m[k[m]] - 1j * delta[m]
+        forms = _exp_e1(np.concatenate([z[live], z_m]))
+        split = np.count_nonzero(live)
+        g = np.zeros(z.shape, dtype=complex)
+        g[live] = forms[0][:split]
+        corrections = np.zeros(k.size, dtype=complex)
+        integral = np.zeros(k.size, dtype=complex)
+        if m.size:
+            km = k[m]
+            forms_m = [form[split:] for form in forms]
+            corrections[m] = _em_corrections(forms_m, r[km] / z_m, r[km], order[km])
+            integral[m] = -forms_m[2] / r[km]
+
+        top = j == 0
+        kt = k[top]
+        g0[kt] = g[top].real
+        corrections0[kt] = corrections[top].real
+        integral0[kt] = integral[top].real
+        plateau[kt] = (np.cumsum(weight[kt] * g0[kt], axis=1)[:, -1]
+                       + decay[kt] * (corrections0[kt] + integral0[kt]))
+
+        kr, jr = k[~top], j[~top] - 1
+        phase = np.exp(1j * delta[~top])
+        # The two integrals, each about 1/r, cancel at small x0 s; within the
+        # unit disc their difference is taken factor by factor.
+        step = integral0[kr] - (phase * integral[~top]).real
+        near = em[kr] & (np.abs(x_m[kr] - 1j * delta[~top]) <= 1.0)
+        if near.any():
+            step[near] = -_exp_a_step(x_m[kr][near], delta[~top][near]).real / r[kr][near]
+        damping[kr, jr] = (np.cumsum(weight[kr] * (g0[kr] - (phase[:, None] * g[~top]).real),
+                                     axis=1)[:, -1]
+                           + decay[kr] * (corrections0[kr] - (phase * corrections[~top]).real + step))
+        first[kr, jr] = phase * g[~top, 0]
+    return plateau, damping, first
 
 
 def _bose_pass(specs, s=None):
     """Plateaus of ``specs`` and, on times ``s``, their Bose series.
 
     ``plateaus`` holds :func:`gamma_R_infinity` of every spectrum: 0 at
-    alpha = 0, inf when gapless with coupling, else 4 alpha sum_n c_n e^{-n r}
-    F_X(0) over the terms of :func:`_bose_table`.  Row k of ``damping``,
-    ``first`` and ``tail`` belongs to the k-th gapped spectrum with coupling:
-    sum_n c_n e^{-n r} Re[F_X(0) - F_X(s/b_n)] = gamma_R / (4 alpha), the
-    n = 0 column F_{x0}(s) with Im = gamma_I / (4 alpha), and the bound of
-    :func:`_bose_log_tail` on the terms left out.  Term n is the T = 0 form
-    at decay rate b_n (the substitution v = b_n u), and each F_X(0) is
-    evaluated once.
-
-    The terms fill zero-padded rows of _SERIES_CHUNK_TERMS, evaluated in
-    blocks of _SERIES_CHUNK_TIMES rows.  A plateau sums its own padded row
-    sums, so it does not depend on the other spectra; the damping adds each
-    row's live terms on blocks of _SERIES_CHUNK_TIMES times, so every time
-    point is summed in the same order whatever the length of the grid.
-
-    Raises ``RuntimeError`` before any evaluation when one spectrum needs
-    more than _SERIES_MAX_WORK E1 values, N * (s.size + 1), or all of them
-    together more than _SERIES_MAX_WORK terms for their plateaus.
+    alpha = 0, inf when gapless with coupling, else 4 alpha times the plateau
+    sum of :func:`_bose_sums`.  Row k of ``damping``, ``first`` and ``tail``
+    belongs to the k-th gapped spectrum with coupling: the damping sum
+    gamma_R / (4 alpha), the n = 0 column F_{x0}(s) with Im = gamma_I / (4 alpha),
+    and the bound of its route on the remainder of the damping sum.  One
+    :func:`_bose_plan` picks every route before anything is evaluated (and
+    refuses a series that no route certifies), then one :func:`_bose_sums`
+    evaluates each plateau term once.
     """
-    s = np.empty(0) if s is None else s
+    s = np.empty(0) if s is None else np.asarray(s, dtype=float)
     plateaus = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
     gapped = [k for k, spec in enumerate(specs) if spec.alpha > 0.0 and spec.omega0 > 0.0]
-    cells = [specs[k] for k in gapped]
-    x0 = [spec.omega0 for spec in cells]
-    tau = [spec.temperature for spec in cells]
-    n_terms = [_bose_terms(*args) for args in zip(x0, tau)]
-    for spec, n in zip(cells, n_terms):
-        if n is None or n * (s.size + 1) > _SERIES_MAX_WORK:
-            needs = f"more than {_SERIES_MAX_WORK}" if n is None else f"N = {n}"
-            target = f"{s.size} times and the plateau" if s.size else "its plateau"
-            raise RuntimeError(
-                f"Bose series at gap {spec.omega0:g}, temperature {spec.temperature:g} "
-                f"needs {needs} terms for {target}, above the work cap of "
-                f"{_SERIES_MAX_WORK} E1 evaluations")
-    total = sum(n_terms) + len(n_terms)
-    if total > _SERIES_MAX_WORK:
-        raise RuntimeError(
-            f"Bose series of {len(cells)} gapped spectra need {total} terms together "
-            f"for their plateaus, above the work cap of {_SERIES_MAX_WORK} E1 evaluations")
-    tail = np.array([math.exp(_bose_log_tail(*args)) for args in zip(n_terms, x0, tau)])
-    n_terms, x0, tau = np.array(n_terms, dtype=int), np.array(x0), np.array(tau)
-    rows = n_terms // _SERIES_CHUNK_TERMS + 1
-    first_row = np.cumsum(rows) - rows
-    cell = np.repeat(np.arange(len(cells)), rows)
-    row_start = (np.arange(cell.size) - first_row[cell]) * _SERIES_CHUNK_TERMS
-    row_sums = np.empty(cell.size)
-    damping = np.zeros((len(cells), s.size))
-    first = np.empty((len(cells), s.size), dtype=complex)
-    for low in range(0, cell.size, _SERIES_CHUNK_TIMES):
-        block = slice(low, low + _SERIES_CHUNK_TIMES)
-        n = row_start[block, None] + np.arange(_SERIES_CHUNK_TERMS)
-        live = n <= n_terms[cell[block, None]]
-        k = np.broadcast_to(cell[block, None], n.shape)[live]
-        b, x, weight = _bose_table(x0[k], tau[k], n[live])
-        f0 = _gap_transform(x, 0.0).real
-        terms = np.zeros(n.shape)
-        terms[live] = weight * f0
-        row_sums[block] = np.sum(terms, axis=1)
-        counts = np.count_nonzero(live, axis=1)
-        for row, stop, count in zip(range(low, cell.size), np.cumsum(counts), counts):
-            part = slice(stop - count, stop)
-            for start in range(0, s.size, _SERIES_CHUNK_TIMES):
-                times = slice(start, start + _SERIES_CHUNK_TIMES)
-                f = _gap_transform(x[part], s[times, None] / b[part])
-                if row_start[row] == 0:
-                    first[cell[row], times] = f[:, 0]
-                damping[cell[row], times] += np.sum(weight[part] * (f0[part] - f.real), axis=1)
-    sums = np.array([np.sum(row_sums[a:a + m]) for a, m in zip(first_row, rows)])
-    plateaus[gapped] = 4.0 * np.array([spec.alpha for spec in cells]) * sums
+    x0 = np.array([specs[k].omega0 for k in gapped], dtype=float)
+    tau = np.array([specs[k].temperature for k in gapped], dtype=float)
+    terms, order, tail = _bose_plan(x0, tau)
+    sums, damping, first = _bose_sums(x0, tau, terms, order, s)
+    plateaus[gapped] = 4.0 * np.array([specs[k].alpha for k in gapped]) * sums
     return plateaus, damping, first, tail
 
 
 def effective_coupling(spec: OhmicGapSpectrum) -> float:
     """Induced qubit-qubit coupling 2 * integral J(omega)/omega domega.
 
-    Closed form 2 alpha (1 - x0 e^{x0} E1(x0)) with x0 = omega0, which is
-    2 alpha for a gapless spectrum.
+    Closed form 2 alpha (1 - x0 e^{x0} E1(x0)) with x0 = omega0, the form C
+    of :func:`_exp_e1` (g (1 - h) above x0 = 1, with no cancellation as the
+    coupling falls like 2 alpha / x0); 2 alpha for a gapless spectrum.
     """
     if spec.omega0 == 0.0:
         return 2.0 * spec.alpha
-    x0 = spec.omega0
-    return 2.0 * spec.alpha * (1.0 - x0 * float(_exp_e1(np.array([x0])).real[0]))
+    return 2.0 * spec.alpha * float(_exp_e1(np.array([spec.omega0]))[1].real[0])
 
 
 def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -363,18 +512,19 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
       - 2 Re ln Gamma(1 + tau + i tau s)] (Palma, Suominen & Ekert, Proc. R.
       Soc. A 452, 567 (1996)), gamma_I as at T = 0;
     - gapped: the Bose series, a weighted sum of the exponential-integral
-      form of :func:`_gap_transform` at decay rates 1 + n/tau, truncated at
-      the first N whose tail bound (:func:`_bose_log_tail`) is at most 1e-16,
-      which is N = 0 at T = 0; gamma_I is the n = 0 term, since it does not
-      depend on T.  One call of :func:`_bose_pass` gives the series, the
-      plateau and the tail bound.
+      forms of :func:`_exp_e1` at decay rates 1 + n/tau, along the route of
+      :func:`_bose_plan`: the direct sum up to the first N whose tail bound
+      (:func:`_bose_log_tail`) is at most 1e-16, which is N = 0 at T = 0, or
+      the Euler-Maclaurin formula with a remainder bound at most 1e-16;
+      gamma_I is the n = 0 term, since it does not depend on T.  One call
+      of :func:`_bose_pass` gives the series, the plateau and the bound.
 
     The error estimate is the rounding bound 1e-13 times the magnitude of the
     terms combined (twice the plateau plus the n = 0 term for the Bose
-    series), plus 4 alpha times the tail bound for the Bose series.
+    series), plus 4 alpha times the remainder bound for the Bose series.
 
-    Raises ``RuntimeError`` before any evaluation when the Bose series would
-    need more than 2^25 E1 values, N * (len(t_grid) + 1).
+    Raises ``RuntimeError`` before any evaluation when no route certifies
+    the Bose series (temperature/gap overflows).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
@@ -394,10 +544,10 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     tail = 0.0
 
     if x0 > 0.0:
-        plateau, damping, first, bound = _bose_pass([spec], t)
-        gamma_r[live] = a4 * damping[0, live]
-        gamma_i[live] = a4 * first[0, live].imag
-        magnitude = 2.0 * plateau[0] + a4 * np.abs(first[0, live])
+        plateau, damping, first, bound = _bose_pass([spec], t[live])
+        gamma_r[live] = a4 * damping[0]
+        gamma_i[live] = a4 * first[0].imag
+        magnitude = 2.0 * plateau[0] + a4 * np.abs(first[0])
         tail = a4 * bound[0]
     else:
         s = t[live]
@@ -423,9 +573,9 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     Returns ``math.inf`` when the limit diverges, which happens exactly for a
     gapless spectrum with nonzero coupling: the integrand then behaves as
     1/omega at the origin and the oscillatory term never stops contributing.
-    A gapped limit is the plateau 4 alpha sum_n c_n e^{-n r} F_X(0) of the
-    Bose series of :func:`bath_exponents` (F_X(s) -> 0), with the same term
-    count, tail bound and work cap as a grid with no times.
+    A gapped limit is the plateau 4 alpha sum_n c_n e^{-n r} G(x0 + n r) of
+    the Bose series of :func:`bath_exponents` (the time-dependent part
+    vanishes), on the same route as a grid with no times.
     """
     return float(_bose_pass([spec])[0][0])
 

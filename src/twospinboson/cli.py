@@ -6,10 +6,11 @@ their grids as arrays.
 
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
 2 on argument or validation errors and on an output path that cannot be
-written, 3 on a numerical failure such as a gapped T > 0 Bose series that
-would exceed its work cap (e.g. ``bath-series --gap 1e-5 --temperature 2``,
-or a ``steady-sweep`` cell at gap 1e-6 and temperature 2), a refusal made
-before any evaluation (2 and 3 with a one-line reason on stderr).
+written, 3 on a numerical failure, such as a continued fraction that does
+not converge or a gapped Bose series that no route certifies because
+temperature/gap overflows (refused before any evaluation); 2 and 3 print a
+one-line reason on stderr.  ``steady-sweep`` computes both tables before it
+writes either file, so a failure leaves no file behind.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
 """Closed-form bath exponents against independent references.
 
-Oracles: 30-digit mpmath for the E1 and ln Gamma helpers and for the defining
-integrals of a gapped bath at T > 0, and the defining integrals evaluated by
-the adaptive quadrature of ``quadrature.bath_exponents`` (and, for the
-plateau gamma_R(inf), of ``integrate_decaying``), run at a tolerance of 1e-13.
+Oracles: 40-digit mpmath for the E1 forms and 30-digit mpmath for the ln Gamma
+helper and for the defining integrals of a gapped bath at T > 0; the direct
+Bose sum for its Euler-Maclaurin route, where the direct sum is affordable;
+and the defining integrals evaluated by the adaptive quadrature of
+``quadrature.bath_exponents`` (and, for the plateau gamma_R(inf), of
+``integrate_decaying``), run at a tolerance of 1e-13.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twospinboson import bath, quadrature, sweeps
@@ -39,7 +41,8 @@ def _mp_rel_error(got, ref, floor=0.0):
 class TestSpecialFunctions:
     def test_exp_e1_against_mpmath(self):
         # z = x0 (1 - i s) as the gapped closed form uses it, plus points on
-        # both sides of the |z| = 1 switch from power series to continued fraction.
+        # both sides of the |z| = 1 switch from power series to continued
+        # fraction; each form G, C, A to 2e-14 relative, cancellation or not.
         x0 = np.geomspace(1e-6, 20.0, 25)[:, None]
         s = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 26)])[None, :]
         phases = np.linspace(-1.5, 1.5, 13)
@@ -47,10 +50,14 @@ class TestSpecialFunctions:
                                  (1.0 + 1e-12) * np.exp(1j * phases)])
         z = np.concatenate([(x0 * (1.0 - 1j * s)).ravel(), switch])
         got = bath._exp_e1(z)
-        with mpmath.workdps(30):
-            worst = max(_mp_rel_error(g, mpmath.exp(mpmath.mpc(zk)) * mpmath.e1(mpmath.mpc(zk)))
-                        for zk, g in zip(z, got))
-        assert worst <= 1e-13
+        with mpmath.workdps(40):
+            worst = 0.0
+            for k, zk in enumerate(z):
+                w = mpmath.mpc(zk)
+                g = mpmath.exp(w) * mpmath.e1(w)
+                refs = ((1 + w) * g - 1, 1 - w * g, w * (1 + w / 2) * g - (1 + w) / 2)
+                worst = max(worst, *(_mp_rel_error(form[k], ref) for form, ref in zip(got, refs)))
+        assert worst <= 2e-14
 
     def test_exp_e1_batch_matches_single_points(self):
         # Points leave the continued fraction as they converge; each value must
@@ -58,7 +65,26 @@ class TestSpecialFunctions:
         z = (np.geomspace(1e-3, 30.0, 12)[:, None]
              * (1.0 - 1j * np.geomspace(1e-2, 1e4, 12)[None, :])).ravel()
         batch = bath._exp_e1(z)
-        assert all(bath._exp_e1(z[k:k + 1])[0] == batch[k] for k in range(z.size))
+        for k in range(z.size):
+            alone = bath._exp_e1(z[k:k + 1])
+            assert all(form[0] == forms[k] for form, forms in zip(alone, batch))
+
+    def test_exp_a_step_against_mpmath(self):
+        # e^x [A(x) - A(x - i delta)], whose two terms cancel as delta -> 0.
+        x = np.array([1e-300, 1e-8, 1e-3, 0.1, 0.5, 0.99])[:, None]
+        delta = np.array([1e-12, 1e-6, 1e-3, 0.1, 0.14])[None, :]
+        x, delta = (v.ravel() for v in np.broadcast_arrays(x, delta))
+        got = bath._exp_a_step(x, delta)
+
+        def antiderivative(w):
+            return mpmath.e1(w) * (w + w * w / 2) - (1 + w) * mpmath.exp(-w) / 2
+
+        with mpmath.workdps(40):
+            for xk, dk, g in zip(x, delta, got):
+                ref = mpmath.exp(xk) * (antiderivative(mpmath.mpf(xk))
+                                        - antiderivative(mpmath.mpc(xk, -dk)))
+                assert _mp_rel_error(g, ref) <= 1e-13
+                assert abs(g.real - ref.real) <= 1e-13 * abs(ref.real)
 
     def test_re_lngamma_against_mpmath(self):
         # z = 1 + tau + i tau s as the gapless thermal closed form uses it,
@@ -116,35 +142,50 @@ def _mp_gapped_thermal(alpha, x0, tau, s):
 
 
 class TestBoseSeries:
-    # (alpha, gap, T, t); gap 1e-3 at T = 2 needs N = 77052 terms.
+    # (alpha, gap, T, t).  The direct sum would need N = 77052 terms at gap
+    # 1e-3 and T = 2, 8583054 at gap 1e-5 and about 8.6e7 at gap 1e-6.
     CASES = ((0.25, 0.1, 0.5, 1.0), (0.5, 0.1, 2.0, 0.1), (0.25, 0.1, 0.5, 300.0),
-             (0.5, 0.5, 0.25, 1000.0), (0.25, 0.01, 2.0, 10.0), (0.25, 1e-3, 2.0, 1000.0))
+             (0.5, 0.5, 0.25, 1000.0), (0.25, 0.01, 2.0, 10.0), (0.25, 1e-3, 2.0, 1000.0),
+             (0.25, 1e-5, 2.0, 2.5), (0.25, 1e-5, 2.0, 5.0), (0.25, 1e-5, 2.0, 1000.0),
+             (0.25, 1e-6, 2.0, 5.0))
 
     @pytest.mark.parametrize("alpha,gap,temperature,t", CASES)
     def test_against_mpmath(self, alpha, gap, temperature, t):
         ref_r, ref_i = _mp_gapped_thermal(alpha, gap, temperature, t)
         spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
         gamma_r, gamma_i, error = bath_exponents(spec, [t])
-        np.testing.assert_allclose(gamma_r[0], ref_r, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(gamma_i[0], ref_i, rtol=1e-13, atol=1e-14)
+        # 1.6e-14 is gamma_I at gap 1e-3, t = 1000, where z = x0 (1 - i s)
+        # sits just outside the unit disc, in the slowest continued fraction.
+        np.testing.assert_allclose(gamma_r[0], ref_r, rtol=3e-14, atol=0.0)
+        np.testing.assert_allclose(gamma_i[0], ref_i, rtol=3e-14, atol=0.0)
         assert abs(gamma_r[0] - ref_r) + abs(gamma_i[0] - ref_i) <= error[0]
 
     def test_term_count_is_smallest_under_tail_bound(self):
-        for gap, temperature, expected in ((1e-3, 2.0, 77052), (1e-4, 2.0, 814356),
-                                           (0.1, 0.5, 164), (0.1, 1e-6, 0)):
-            n_terms = bath._bose_terms(gap, temperature)
-            assert n_terms == expected
-            assert bath._bose_log_tail(n_terms, gap, temperature) <= math.log(1e-16)
-            if n_terms:
-                assert bath._bose_log_tail(n_terms - 1, gap, temperature) > math.log(1e-16)
+        # A series keeps the direct route where its N is at most the M of the
+        # Euler-Maclaurin route, and N is then the smallest under the tail
+        # bound; gap 2 at T 0.5 (N = 7) and gap 0.1 at T 0.5 (N = 164) do not.
+        gaps = np.array([0.1, 5.0, 3.0, 0.5, 2.0, 0.1])
+        temperatures = np.array([1e-6, 0.5, 0.5, 0.05, 0.5, 0.5])
+        terms, order, bound = bath._bose_plan(gaps, temperatures)
+        assert list(order == 0) == [True, True, True, True, False, False]
+        for gap, temperature, n_terms, tail in zip(gaps[:4], temperatures[:4], terms, bound):
+            log_tail = bath._bose_log_tail(np.arange(n_terms), gap, temperature)
+            assert log_tail[-1] <= math.log(1e-16) < min(log_tail[:-1], default=math.inf)
+            assert tail == math.exp(log_tail[-1])
+        assert list(terms) == [1, 4, 6, 4, 6, 7]
 
-    def test_work_cap_admits_small_gap_and_refuses_smaller(self):
-        assert 77052 * 401 <= bath._SERIES_MAX_WORK
-        cold = OhmicGapSpectrum(alpha=0.25, omega0=1e-5, temperature=2.0)
-        with pytest.raises(RuntimeError, match="N = 8583054 terms for 3 times"):
-            bath_exponents(cold, [0.0, 2.5, 5.0])
-        # Nothing to evaluate on an all-zero grid, so nothing is refused.
-        assert np.all(bath_exponents(cold, [0.0])[0] == 0.0)
+    def test_small_gaps_take_a_certified_route(self):
+        # The Euler-Maclaurin route takes at most _EM_MAX_TERMS direct terms
+        # and bounds its remainder by 1e-16, however large N would be.
+        gaps = np.array([1e-3, 1e-4, 1e-5, 1e-6, 1e-300])
+        terms, order, bound = bath._bose_plan(gaps, np.full(gaps.size, 2.0))
+        assert np.all(order > 0) and np.all(terms <= bath._EM_MAX_TERMS)
+        assert np.all(bound <= 1e-16)
+        hot = OhmicGapSpectrum(alpha=0.25, omega0=1e-5, temperature=2.0)
+        gamma_r, gamma_i, error = bath_exponents(hot, [0.0, 2.5, 5.0])
+        assert np.all(np.isfinite(gamma_r)) and np.all(error[1:] >= 4 * 0.25 * bound[2])
+        # Nothing to evaluate on an all-zero grid.
+        assert np.all(bath_exponents(hot, [0.0])[0] == 0.0)
 
     def test_subnormal_temperature_is_the_zero_temperature_series(self):
         # r = x0/tau overflows to inf, which leaves the n = 0 term alone.
@@ -174,32 +215,70 @@ class TestBoseSeries:
         assert calls == []
 
     def test_one_pass_evaluates_each_plateau_term_once(self, monkeypatch):
-        # gamma_R, gamma_I, the error estimate's plateau and its tail bound
-        # all come from one pass: N = 164 is found once, and each of the
-        # N + 1 plateau terms F_X(0) is evaluated once.
-        calls = {"_bose_pass": [], "_bose_terms": [], "plateau terms": []}
+        # gamma_R, gamma_I, the error estimate's plateau and its remainder
+        # bound all come from one pass: one plan, one evaluation, and each
+        # plateau node (the M = 7 direct terms and the Euler-Maclaurin node
+        # at M, all at real arguments) is evaluated once.
+        calls = {"_bose_pass": 0, "_bose_plan": 0, "_bose_sums": 0}
+        plateau_nodes = []
 
         def counting(name):
             real = getattr(bath, name)
 
             def wrapper(*args):
-                calls[name].append(args)
+                calls[name] += 1
                 return real(*args)
             return wrapper
 
-        def counting_transform(x, s, real=bath._gap_transform):
-            if np.ndim(s) == 0 and s == 0.0:
-                calls["plateau terms"].append(np.size(x))
-            return real(x, s)
+        def counting_e1(z, real=bath._exp_e1):
+            plateau_nodes.append(np.count_nonzero(np.imag(z) == 0.0))
+            return real(z)
 
-        monkeypatch.setattr(bath, "_bose_pass", counting("_bose_pass"))
-        monkeypatch.setattr(bath, "_bose_terms", counting("_bose_terms"))
-        monkeypatch.setattr(bath, "_gap_transform", counting_transform)
+        for name in calls:
+            monkeypatch.setattr(bath, name, counting(name))
+        monkeypatch.setattr(bath, "_exp_e1", counting_e1)
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         bath_exponents(spec, np.linspace(0.0, 300.0, 20))
-        assert len(calls["_bose_pass"]) == 1
-        assert len(calls["_bose_terms"]) == 1
-        assert sum(calls["plateau terms"]) == 165
+        assert calls == {"_bose_pass": 1, "_bose_plan": 1, "_bose_sums": 1}
+        assert sum(plateau_nodes) == 8
+
+    @pytest.mark.parametrize("points", (1, 20))
+    def test_e1_values_per_cell_do_not_grow_with_n(self, monkeypatch, points):
+        # N = 164, 77052, 8583054 and about 8.6e7 direct terms: each series
+        # costs at most _EM_MAX_TERMS + 1 E1 values per row (the plateau and
+        # each time), whatever its N.
+        values = []
+
+        def counting_e1(z, real=bath._exp_e1):
+            values[-1] += np.size(z)
+            return real(z)
+
+        monkeypatch.setattr(bath, "_exp_e1", counting_e1)
+        for gap, temperature in ((0.1, 0.5), (1e-3, 2.0), (1e-5, 2.0), (1e-6, 2.0)):
+            values.append(0)
+            bath_exponents(OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=temperature),
+                           np.linspace(1.0, 300.0, points))
+        assert max(values) <= (bath._EM_MAX_TERMS + 1) * (points + 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(x0=st.floats(1e-4, 2.0), tau=st.floats(0.05, 2.0), s=st.floats(0.0, 1e3))
+    def test_euler_maclaurin_matches_direct_sum(self, x0, tau, s):
+        # Where the direct sum is affordable (N <= 4000) it is the oracle of
+        # the Euler-Maclaurin route: plateau and damping sums agree within
+        # the rounding allowance of bath_exponents plus both remainder bounds.
+        log_tail = bath._bose_log_tail(np.arange(4001), x0, tau)
+        reached = np.flatnonzero(log_tail <= math.log(1e-16))
+        assume(reached.size)
+        x0s, taus, times = np.array([x0]), np.array([tau]), np.array([s])
+        terms, order, bound = bath._bose_plan(x0s, taus)
+        assume(order[0] > 0)
+        plateau, damping, first = bath._bose_sums(x0s, taus, terms, order, times)
+        direct = bath._bose_sums(x0s, taus, reached[:1] + 1, np.zeros(1, dtype=int), times)
+        allowance = (1e-13 * (2.0 * direct[0][0] + abs(direct[2][0, 0]))
+                     + bound[0] + math.exp(log_tail[reached[0]]))
+        assert abs(plateau[0] - direct[0][0]) <= allowance
+        assert abs(damping[0, 0] - direct[1][0, 0]) <= allowance
+        assert first[0, 0] == direct[2][0, 0]
 
 
 def _quadrature_plateau(x0, tau):
@@ -222,48 +301,54 @@ class TestPlateau:
                                    rtol=0.0, atol=1e-12)
 
     def test_against_mpmath_at_small_gap(self):
-        # N = 77052 terms; the quadrature of the seed did not converge here.
-        with mpmath.workdps(30):
-            x0, tau = mpmath.mpf("1e-3"), mpmath.mpf(2)
-            integral = mpmath.quad(
-                lambda u: u * mpmath.exp(-u) * mpmath.coth((x0 + u) / (2 * tau)) / (x0 + u) ** 2,
-                [0, x0, 10 * x0, 100 * x0, 1, 10, 40, mpmath.inf])
-        spec = OhmicGapSpectrum(alpha=0.25, omega0=1e-3, temperature=2.0)
-        np.testing.assert_allclose(gamma_R_infinity(spec), float(integral), rtol=1e-13, atol=0.0)
+        # The direct sum would need N = 77052, 8583054 and about 8.6e7 terms.
+        for gap in (1e-3, 1e-5, 1e-6):
+            with mpmath.workdps(30):
+                x0, tau = mpmath.mpf(gap), mpmath.mpf(2)
+                integral = mpmath.quad(
+                    lambda u: u * mpmath.exp(-u) * mpmath.coth((x0 + u) / (2 * tau)) / (x0 + u) ** 2,
+                    [0, x0, 10 * x0, 100 * x0, 1000 * x0, 1, 10, 40, mpmath.inf])
+            spec = OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=2.0)
+            np.testing.assert_allclose(gamma_R_infinity(spec), float(integral), rtol=1e-15, atol=0.0)
 
-    def test_work_cap_refuses_before_evaluation(self, monkeypatch):
-        # At gap 1e-6, T = 2 the series needs more than 2^25 terms even with no times.
+    def test_uncertified_series_is_refused_before_evaluation(self, monkeypatch):
+        # At gap 5e-324 and T = 2, x0/tau underflows to 0: no route certifies
+        # a sum of size tau/x0, and nothing is evaluated.
         def fail(*args, **kwargs):
             raise AssertionError("the series was evaluated")
 
-        monkeypatch.setattr(bath, "_gap_transform", fail)
-        hot = OhmicGapSpectrum(alpha=0.25, omega0=1e-6, temperature=2.0)
-        message = (r"^Bose series at gap 1e-06, temperature 2 needs more than 33554432 terms "
-                   r"for its plateau, above the work cap")
+        monkeypatch.setattr(bath, "_exp_e1", fail)
+        hot = OhmicGapSpectrum(alpha=0.25, omega0=5e-324, temperature=2.0)
+        message = (r"^Bose series at gap 4\.94066e-324, temperature 2 has no certified route: "
+                   r"temperature/gap overflows$")
         with pytest.raises(RuntimeError, match=message):
             gamma_R_infinity(hot)
         with pytest.raises(RuntimeError, match=message):
-            sweeps.thermal_overlap_table([0.0, 2.0], [1e-6, 0.1])
+            sweeps.thermal_overlap_table([0.0, 2.0], [5e-324, 0.1])
 
-    def test_work_cap_covers_a_whole_table(self, monkeypatch):
-        # Each cell near T = 2 passes on its own (N = 8583054 at gap 1e-5,
-        # T = 2), but the six cells of each table need more than 2^25 terms.
-        def fail(*args, **kwargs):
-            raise AssertionError("the series was evaluated")
+    def test_small_gap_tables_are_evaluated(self, monkeypatch):
+        # Gaps 1e-5 and 1.1e-5 near T = 2 need about 8.6e6 direct terms per
+        # cell; both tables evaluate them at most _EM_MAX_TERMS + 1 E1 values a cell.
+        values = []
 
-        monkeypatch.setattr(bath, "_gap_transform", fail)
-        message = (r"^Bose series of 6 gapped spectra need \d+ terms together for "
-                   r"their plateaus, above the work cap of 33554432 E1 evaluations$")
-        with pytest.raises(RuntimeError, match=message):
-            sweeps.thermal_overlap_table([1.9, 1.95, 2.0], [1e-5, 1.1e-5])
-        with pytest.raises(RuntimeError, match=message):
-            sweeps.steady_state_table([0.25, 0.5, 0.75], [1e-5, 1.1e-5],
-                                      QubitAmplitudes.uniform(), temperature=2.0)
+        def counting_e1(z, real=bath._exp_e1):
+            values.append(np.size(z))
+            return real(z)
+
+        monkeypatch.setattr(bath, "_exp_e1", counting_e1)
+        table = sweeps.thermal_overlap_table([1.9, 1.95, 2.0], [1e-5, 1.1e-5])
+        assert sum(values) <= 6 * (bath._EM_MAX_TERMS + 1)
+        assert np.all(table["has_steady_state"] == 1.0)
+        values.clear()
+        table = sweeps.steady_state_table([0.25, 0.5, 0.75], [1e-5, 1.1e-5],
+                                          QubitAmplitudes.uniform(), temperature=2.0)
+        assert sum(values) <= 6 * (bath._EM_MAX_TERMS + 1)
+        assert np.all(table["has_steady_state"] == 1.0)
 
     @pytest.mark.parametrize("temperatures,gaps", (
         (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.5, 4)),
-        # Gap 1e-3 at T = 2 alone fills 301 rows of 256 terms, more than one
-        # block of 2^16 terms, and the other cells follow it in the same pass.
+        # Gap 1e-3 at T = 2 takes the Euler-Maclaurin route, the other cells
+        # the direct one, in the same pass.
         ([0.0, 0.5, 2.0], [1e-3, 0.01, 0.1])))
     def test_table_cells_equal_scalar_plateau(self, temperatures, gaps):
         alpha = 0.25
@@ -324,6 +409,30 @@ class TestClosedFormsAgainstQuadrature:
         np.testing.assert_allclose(effective_coupling(spec), 0.5 * value, rtol=0.0, atol=1e-12)
 
 
+class TestLargeGaps:
+    # At T = 0 the coupling 2 alpha (1 - x e^x E1(x)) and the plateau
+    # 4 alpha ((1 + x) e^x E1(x) - 1) fall like 2 alpha/x and 4 alpha/x^2:
+    # their closed forms cancel, the tail forms g (1 - h) and g h do not.
+    # References to 40 digits (80-digit arithmetic covers the cancellation).
+    # Gap 1 is on the power series of E1, whose G still cancels fivefold.
+    @pytest.mark.parametrize("gap,rtol", ((1.0, 1e-14), (1e4, 5e-16), (1e7, 5e-16), (1e8, 5e-16),
+                                          (1e15, 5e-16), (1e16, 5e-16)))
+    def test_coupling_and_plateau_against_mpmath(self, gap, rtol):
+        spec = OhmicGapSpectrum(alpha=0.25, omega0=gap)
+        with mpmath.workdps(80):
+            x = mpmath.mpf(gap)
+            g = mpmath.exp(x) * mpmath.e1(x)
+            coupling, plateau = 0.5 * (1 - x * g), (1 + x) * g - 1
+        np.testing.assert_allclose(effective_coupling(spec), float(coupling), rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(gamma_R_infinity(spec), float(plateau), rtol=rtol, atol=0.0)
+
+    def test_signs_where_the_closed_forms_cancelled(self):
+        # The coupling at gap 1e16 is 5e-17, not 0; the plateau at gap 1e8 is
+        # +1.0e-16, not -1.1e-16.
+        assert effective_coupling(OhmicGapSpectrum(alpha=0.25, omega0=1e16)) > 0.0
+        assert gamma_R_infinity(OhmicGapSpectrum(alpha=0.25, omega0=1e8)) > 0.0
+
+
 class TestBathExponents:
     @pytest.mark.parametrize("gap,temperature", BRANCHES)
     def test_zero_time_is_exactly_zero(self, gap, temperature):
@@ -342,11 +451,13 @@ class TestBathExponents:
             gamma_r, gamma_i, _ = bath_exponents(spec, times)
             for k, t in enumerate(times):
                 assert bath.bath_gamma(spec, t)[:2] == (gamma_r[k], gamma_i[k])
-        # A grid longer than one block of the Bose series: entries on both
-        # sides of the block boundary still equal their one-point values.
-        long_grid = np.linspace(1.0, 300.0, bath._SERIES_CHUNK_TIMES + 44)
+        # A grid longer than one block of rows of the Bose series (the plateau
+        # row, then one row per time): entries on both sides of the block
+        # boundary still equal their one-point values.
+        rows = bath._SERIES_CHUNK_ROWS
+        long_grid = np.linspace(1.0, 300.0, rows + 44)
         gamma_r, gamma_i, _ = bath_exponents(spec, long_grid)
-        for k in (0, bath._SERIES_CHUNK_TIMES - 1, bath._SERIES_CHUNK_TIMES, long_grid.size - 1):
+        for k in (0, rows - 2, rows - 1, long_grid.size - 1):
             assert bath.bath_gamma(spec, long_grid[k])[:2] == (gamma_r[k], gamma_i[k])
 
     def test_rejects_bad_times(self):

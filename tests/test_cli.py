@@ -200,19 +200,50 @@ class TestBathSeries:
         assert list(columns["overlap"]) == [1.0, 0.0, 0.0]
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
-        # At gap 1e-5, T = 2 the Bose series needs N = 8583054 terms, so three
-        # times ask for 4N > 2^25 E1 values: the work cap refuses the grid
-        # before anything is evaluated.
-        def fail(*args, **kwargs):
+        # A numerical failure inside the evaluation (here an injected
+        # continued fraction that does not converge) exits 3 with one line.
+        def fail(z):
+            raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
+
+        monkeypatch.setattr(bath, "_exp_e1", fail)
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "0.1",
+                                 "--temperature", "0.5", "--t-max", "5", "--points", "3")
+        assert code == 3 and out == ""
+        assert err == "error: E1 continued fraction did not converge in 1000 terms\n"
+
+    def test_uncertified_series_exits_3_before_evaluation(self, capsys, monkeypatch):
+        # At gap 5e-324 and T = 2, gap/temperature underflows to 0: no route
+        # certifies the Bose series, and it is refused before any evaluation.
+        def fail(z):
             raise AssertionError("the series was evaluated")
 
-        monkeypatch.setattr(bath, "_gap_transform", fail)
-        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "1e-5",
+        monkeypatch.setattr(bath, "_bose_sums", fail)
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "5e-324",
                                  "--temperature", "2", "--t-max", "5", "--points", "3")
         assert code == 3 and out == ""
-        assert err.startswith("error: Bose series at gap 1e-05, temperature 2 needs N = 8583054")
-        assert "work cap" in err
-        assert len(err.splitlines()) == 1
+        assert err == ("error: Bose series at gap 4.94066e-324, temperature 2 has no "
+                       "certified route: temperature/gap overflows\n")
+
+    def test_small_gap_at_high_temperature(self, capsys):
+        # The direct Bose series would need N = 8583054 terms here; the
+        # printed values are the library's, which match 30-digit mpmath at
+        # t = 2.5 and 5 (test_bath_exponents.py, TestBoseSeries).
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "1e-5",
+                                 "--temperature", "2", "--t-max", "5", "--points", "3")
+        assert code == 0 and err == ""
+        columns, _ = csvio.parse_table(out)
+        spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=1e-5, temperature=2.0)
+        gamma_r = bath.bath_exponents(spec, columns["t"])[0]
+        np.testing.assert_allclose(columns["overlap"], np.exp(-gamma_r), rtol=1e-11, atol=0.0)
+
+    def test_large_gap_prints_the_induced_phase(self, capsys):
+        # theta t = 2 alpha (1 - x e^x E1(x)) t at x = 1e8 and t = 5e8 is
+        # 2.49999995 (40-digit mpmath); the cancelling closed form printed
+        # 2.49999998481.
+        code, out, _ = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "1e8",
+                               "--t-max", "1e9", "--points", "3")
+        assert code == 0
+        assert out.splitlines()[-2].split(",")[1] == "2.49999995"
 
 
 class TestSteadySweep:
@@ -267,47 +298,52 @@ class TestSteadySweep:
         overlap = thermal["overlap_infinity"]
         assert np.all(np.isfinite(overlap) & (overlap >= 0.0) & (overlap < 1.0))
 
-    def test_work_cap_exits_3_before_evaluation(self, capsys, tmp_path, monkeypatch):
-        # At gap 1e-6, T = 2 the plateau alone needs more than 2^25 terms.
-        def fail(*args, **kwargs):
-            raise AssertionError("the series was evaluated")
+    def test_numerical_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        # A numerical failure (an injected continued fraction that does not
+        # converge) exits 3 with one line and leaves no file behind.
+        def fail(z):
+            raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
 
-        monkeypatch.setattr(bath, "_gap_transform", fail)
+        monkeypatch.setattr(bath, "_exp_e1", fail)
         prefix = str(tmp_path / "sweep")
         code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
-                                 "--gap-grid", "1e-6:0.5:2", "--temperature", "2",
+                                 "--gap-grid", "0.1:0.5:2", "--temperature", "2",
                                  "--temperature-grid", "0:2:2", "--output-prefix", prefix)
         assert code == 3 and out == ""
-        assert err.startswith("error: Bose series at gap 1e-06, temperature 2 needs more than")
-        assert "work cap" in err and len(err.splitlines()) == 1
+        assert err == "error: E1 continued fraction did not converge in 1000 terms\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_whole_table_work_cap_exits_3_before_evaluation(self, capsys, tmp_path,
-                                                             monkeypatch):
-        # Each of the six cells at T = 2 passes the work cap on its own
-        # (N = 8583054 at gap 1e-5); together they need more than 2^25 terms.
-        def fail(*args, **kwargs):
-            raise AssertionError("the series was evaluated")
-
-        monkeypatch.setattr(bath, "_gap_transform", fail)
+    def test_small_gaps_at_high_temperature_exit_0(self, capsys, tmp_path):
+        # The six cells at gaps 1e-5 and 1.1e-5 and T = 2 would need about
+        # 8.6e6 direct terms each; each plateau matches 30-digit mpmath
+        # (test_bath_exponents.py, TestPlateau).
         prefix = str(tmp_path / "sweep")
         code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.75:3",
                                  "--gap-grid", "1e-5:1.1e-5:2", "--temperature", "2",
                                  "--temperature-grid", "0:2:2", "--output-prefix", prefix)
-        assert code == 3 and out == ""
-        assert err.startswith("error: Bose series of 6 gapped spectra need ")
-        assert "work cap" in err and len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        assert code == 0 and err == ""
+        for name in ("entanglement", "thermal"):
+            columns, _ = csvio.parse_table((tmp_path / f"sweep_{name}.csv").read_text())
+            assert np.all(columns["has_steady_state"] == 1.0)
 
-    def test_refused_thermal_table_writes_neither_file(self, capsys, tmp_path):
-        # The entanglement table at T = 0 succeeds; the thermal table then
-        # refuses gap 1e-6 at T = 2, and no file may be left behind.
+    def test_refused_thermal_table_writes_neither_file(self, capsys, tmp_path, monkeypatch):
+        # The entanglement table (one pass, one E1 call) succeeds; the
+        # thermal table's pass then fails, and no file may be left behind.
+        calls = []
+
+        def fail_after_first(z, real=bath._exp_e1):
+            calls.append(np.size(z))
+            if len(calls) > 1:
+                raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
+            return real(z)
+
+        monkeypatch.setattr(bath, "_exp_e1", fail_after_first)
         prefix = str(tmp_path / "sweep")
         code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
                                  "--gap-grid", "1e-6:0.5:2", "--temperature-grid", "0:2:2",
                                  "--output-prefix", prefix)
         assert code == 3 and out == ""
-        assert "work cap" in err
+        assert len(calls) == 2 and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_reversed_axis(self, capsys):
@@ -444,6 +480,13 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "no-such-command")
         assert code == 2
+
+    def test_cli_imports_neither_scipy_nor_mpmath(self):
+        # Start-up pays for numpy alone: the package's constants are literals.
+        code = ("import sys, twospinboson.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
