@@ -45,11 +45,13 @@ quadrature of the defining integrals that the closed forms and the series
 are checked against is the oracle module :mod:`twospinboson.quadrature`,
 which this module does not import.
 
-The steady state (gamma_R at its plateau, gamma_I = 0) is scanned over the
-induced phase by :func:`~twospinboson.single_mode._model_measures`: the
-entropy from the exact invariants of the Gram form, and per phase the closed
-form of the Wootters values that the index-flip symmetry of the model state
-gives, with no decomposition on ordinary inputs.
+The steady state (gamma_R at its plateau, gamma_I = 0) goes through
+:func:`~twospinboson.single_mode._model_measures`: the entropy from the exact
+invariants of the Gram form, and the closed form of the Wootters values that
+the index-flip symmetry of the model state gives, with no decomposition on
+ordinary inputs.  Its largest concurrence over a grid of induced phases is
+exactly the larger of the values at two grid phases, the same two for every
+cell (:func:`_steady_states`).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitAmplitudes, _require_amplitudes
-from .single_mode import GammaValue, _model_measures, reduced_density
+from .single_mode import GammaValue, _cross_term, _model_measures, reduced_density
 
 __all__ = [
     "OhmicGapSpectrum",
@@ -194,7 +196,9 @@ def _exp_e1(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = b - j * j / c
         delta = c * d
         f = f * delta
-        done = np.abs(delta - 1.0) <= _LENTZ_TOL
+        # Re and Im apart: at |z| ~ 1e18 the factor settles at 1 +- eps with
+        # |Im| ~ 1e-19, so that |delta - 1| stays just above eps.
+        done = (abs(delta.real - 1.0) <= _LENTZ_TOL) & (abs(delta.imag) <= _LENTZ_TOL)
         if done.any():
             k_tail[pending[done]] = f[done]
             keep = ~done
@@ -605,11 +609,14 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
 
     In the steady state gamma_R is pinned at its long-time limit and gamma_I
     has decayed to zero; only the induced phase theta*t keeps advancing.
-    ``c_max`` is the maximum concurrence over ``phase_points`` values of the
-    residual phase theta*t in [0, pi/2) (its full period up to local
-    unitaries), each in closed form by
-    :func:`~twospinboson.single_mode._model_measures` with no decomposition
-    per phase.  The entropy is exactly phase independent, since the phase
+    ``c_max`` is the maximum concurrence over the phase family: the
+    ``phase_points`` grid values of the residual phase theta*t in [0, pi/2)
+    (its full period up to local unitaries), each in closed form by
+    :func:`~twospinboson.single_mode._model_measures` with no decomposition.
+    It is a property of the family, not of one trajectory: where the induced
+    coupling theta is 0 (alpha = 0) the phase never advances and the state
+    stays at theta*t = 0, so it never reaches ``c_max`` unless the maximum
+    lies there.  The entropy is exactly phase independent, since the phase
     acts on the state as a diagonal unitary; it comes from the exact
     invariants of the cell's 3x3 Gram form.
 
@@ -627,15 +634,29 @@ def _steady_states(specs, psi0: QubitAmplitudes,
     The plateaus come from one :func:`_bose_pass`; c_max and the entropy are
     NaN where the plateau is infinite.  An invalid state is named by its
     index among the cells with a plateau.
+
+    c_max is the grid maximum, from two grid phases per cell.  In the closed
+    form only the cross term |z| + Re z
+    (:func:`~twospinboson.single_mode._cross_term`) depends on the phase, and
+    its computed value does not depend on gamma_R.  Every later operation is
+    monotone in it under round-to-nearest: a product with 4 e^{-2 gamma_R} >= 0,
+    sums with fixed terms, sqrt, and a difference with the fixed sigma_odd.
+    So the computed diff - sigma_odd does not decrease and sigma_odd - total
+    does not increase as the computed cross term grows, and the largest
+    C = max(0, diff - sigma_odd, sigma_odd - total) over the grid is, bit for
+    bit, the larger of C at the phase of the largest cross term and C at the
+    phase of the smallest.
     """
     vec = _require_amplitudes(psi0)
     if phase_points < 4:
         raise ValueError(f"phase_points must be at least 4, got {phase_points}")
-    theta_ts = np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
+    phases = 2.0 * np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
+    cross = _cross_term(vec, phases[None, :], np.zeros(1, dtype=bool))[0]
+    extremes = phases[[np.argmax(cross), np.argmin(cross)]]
     g_inf = _bose_pass(specs)[0]
     live = np.isfinite(g_inf)
     c_max, entropy = np.full(len(specs), math.nan), np.full(len(specs), math.nan)
     conc, entropy[live] = _model_measures(
-        vec, g_inf[live], np.broadcast_to(2.0 * theta_ts, (np.count_nonzero(live), phase_points)))
+        vec, g_inf[live], np.broadcast_to(extremes, (np.count_nonzero(live), 2)))
     c_max[live] = np.max(conc, axis=1)
     return g_inf, c_max, entropy

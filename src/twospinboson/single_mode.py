@@ -215,12 +215,11 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
         defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
         raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), k)
     entropy = _entropy_bits(evals)
-    bc2, ad = 2.0 * b * c, a * d
     conc = np.empty((n, m))
     step = max(1, _BLOCK // m)
     for low in range(0, n, step):
         rows = slice(low, low + step)
-        conc[rows] = _uhlmann_concurrence(bc2, ad, gamma[rows], phases[rows],
+        conc[rows] = _uhlmann_concurrence(vec, gamma[rows], phases[rows],
                                           peak[rows] > 0.5 * _MAX_FLOAT)
     return conc, entropy
 
@@ -283,21 +282,23 @@ def _gram_spectrum(root: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return evals
 
 
-def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray,
-                         huge: np.ndarray) -> np.ndarray:
-    """C = max(0, r_1 - r_2 - r_3) by the flip-symmetry form of :func:`_model_measures`.
+def _cross_term(vec, phases: np.ndarray, huge: np.ndarray) -> np.ndarray:
+    """|z| + Re z = |z| (1 + cos theta) at each phase, z = -ad conj(2bc) e^{2i phi}.
 
-    ``huge`` marks the rows holding a phase above half the largest float,
-    where 2 phi overflows; their e^{2i phi} is (e^{i phi})^2, equal to rounding.
+    It is the only term of :func:`_uhlmann_concurrence` that depends on the
+    phase, and it does not depend on gamma_r.  ``huge`` marks the rows holding
+    a phase above half the largest float, where 2 phi overflows; their
+    e^{2i phi} is (e^{i phi})^2, equal to rounding.
     """
-    # A validated gamma_r is >= 0 up to rounding; 1 - e^{-k gamma_r} needs it >= 0.
-    gamma = np.maximum(gamma, 0.0)[:, None]
-    mod_a, mod_bc = abs(ad), abs(bc2)
+    a, b, c, d = vec
     # z = |w| u e^{2i phi} with the unit u = w/|w|, rotated in real arithmetic:
     # adding arg(w) to a large phase would round it.
-    w = -ad * np.conj(bc2)
+    w = -(a * d) * np.conj(2.0 * b * c)
     mod_w = abs(w)
-    u = w / mod_w if mod_w else 0.0
+    # Dividing by a subnormal |w| overflows its reciprocal; a power-of-two
+    # scale is exact and leaves every other w as it is.
+    unit = w if mod_w >= sys.float_info.min else w * 2.0 ** 600
+    u = unit / abs(unit) if mod_w else 0.0
     if huge.any():
         rot = np.empty(phases.shape, dtype=complex)
         rot[~huge] = np.exp(2j * phases[~huge])
@@ -307,10 +308,22 @@ def _uhlmann_concurrence(bc2, ad, gamma: np.ndarray, phases: np.ndarray,
         rot = np.exp(2j * phases)
     cos_z = u.real * rot.real - u.imag * rot.imag
     sin_z = u.real * rot.imag + u.imag * rot.real
-    # |z| + Re z = |z| (1 + cos), as |z| sin^2 / (1 - cos) where cos < 0.
-    cross = mod_w * np.where(cos_z < 0.0, sin_z * sin_z / (1.0 + abs(cos_z)), 1.0 + cos_z)
+    # |z| (1 + cos) as |z| sin^2 / (1 - cos) where cos < 0.
+    return mod_w * np.where(cos_z < 0.0, sin_z * sin_z / (1.0 + abs(cos_z)), 1.0 + cos_z)
+
+
+def _uhlmann_concurrence(vec, gamma: np.ndarray, phases: np.ndarray,
+                         huge: np.ndarray) -> np.ndarray:
+    """C = max(0, r_1 - r_2 - r_3) by the flip-symmetry form of :func:`_model_measures`.
+
+    ``huge`` is as in :func:`_cross_term`.
+    """
+    a, b, c, d = vec
+    # A validated gamma_r is >= 0 up to rounding; 1 - e^{-k gamma_r} needs it >= 0.
+    gamma = np.maximum(gamma, 0.0)[:, None]
+    mod_a, mod_bc = abs(a * d), abs(2.0 * b * c)
     diff_sq = (((1.0 + np.exp(-4.0 * gamma)) * mod_a - mod_bc) ** 2
-               + 4.0 * np.exp(-2.0 * gamma) * cross)
+               + 4.0 * np.exp(-2.0 * gamma) * _cross_term(vec, phases, huge))
     diff = np.sqrt(diff_sq)
     total = np.sqrt(diff_sq + 4.0 * np.expm1(-2.0 * gamma) ** 2 * (mod_a * mod_bc))
     odd = -mod_a * np.expm1(-4.0 * gamma)

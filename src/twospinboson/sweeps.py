@@ -127,9 +127,15 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float =
     c_max_steady and s_steady columns.  One Bose-series pass gives
     every plateau, each bitwise ``gamma_R_infinity``, and every cell is
     bitwise :func:`~twospinboson.bath.steady_state_stats`: the entropy from
-    the exact invariants of the Gram form, and ``phase_points`` concurrences
-    in the closed form of the index-flip symmetry, no decomposition on
-    ordinary inputs.
+    the exact invariants of the Gram form, and c_max_steady the largest
+    concurrence over the phase family, the ``phase_points`` grid values of
+    theta*t in [0, pi/2), in the closed form of the index-flip symmetry with
+    no decomposition on ordinary inputs.  That maximum is exact from two grid
+    phases per cell, the same two for every cell
+    (:func:`~twospinboson.bath._steady_states`).  It belongs to the family,
+    not to one trajectory: at alpha = 0 the induced coupling theta is 0, the
+    state stays at theta*t = 0 and does not reach c_max_steady unless the
+    maximum lies there.
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")

@@ -59,6 +59,21 @@ class TestSpecialFunctions:
                 worst = max(worst, *(_mp_rel_error(form[k], ref) for form, ref in zip(got, refs)))
         assert worst <= 2e-14
 
+    @pytest.mark.parametrize("z", [2692923700986777 - 2.692923700986777e18j,
+                                   5.972540772109541e18 + 1.6894395314528846e16j,
+                                   2.7299386437827632e17 - 9.006549970390309e22j])
+    def test_exp_e1_converges_at_huge_modulus(self, z):
+        # The continued fraction's factor settles at 1 +- eps with |Im| ~ 1e-19
+        # here, so |delta - 1| never reaches eps.  A cancels by |z|^3 in its
+        # definition; 120-digit arithmetic leaves the references 40 digits.
+        got = bath._exp_e1(np.array([z]))
+        with mpmath.workdps(120):
+            w = mpmath.mpc(z)
+            g = mpmath.exp(w) * mpmath.e1(w)
+            refs = ((1 + w) * g - 1, 1 - w * g, w * (1 + w / 2) * g - (1 + w) / 2)
+            worst = max(_mp_rel_error(form[0], ref) for form, ref in zip(got, refs))
+        assert worst <= 1e-15
+
     def test_exp_e1_batch_matches_single_points(self):
         # Points leave the continued fraction as they converge; each value must
         # equal the one computed for that point alone, bit for bit.

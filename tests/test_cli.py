@@ -211,6 +211,16 @@ class TestBathSeries:
         assert code == 3 and out == ""
         assert err == "error: E1 continued fraction did not converge in 1000 terms\n"
 
+    def test_huge_gap_converges(self, capsys):
+        # At t = 1000 the Bose term's E1 argument is z = x0 (1 - 1000i), |z| ~ 2.7e18,
+        # where the continued fraction's factor settles at 1 +- eps with a tiny
+        # imaginary part (its forms against mpmath: test_bath_exponents.py).
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25",
+                                 "--gap", "2692923700986777", "--t-max", "1000", "--points", "2")
+        assert code == 0 and err == ""
+        columns, _ = csvio.parse_table(out)
+        assert all(np.isfinite(values).all() for values in columns.values())
+
     def test_uncertified_series_exits_3_before_evaluation(self, capsys, monkeypatch):
         # At gap 5e-324 and T = 2, gap/temperature underflows to 0: no route
         # certifies the Bose series, and it is refused before any evaluation.

@@ -16,6 +16,7 @@ Wootters formula at 40 digits.
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -190,6 +191,31 @@ _DOUBLE_TOP = (math.sqrt(0.4), math.sqrt(0.2), 1j * math.sqrt(0.2),
 ENTROPY_ATOL = 3e-16
 
 
+def _steady_c_max(monkeypatch, vec, gamma_rs, phase_points):
+    """c_max of ``bath._steady_states`` with its plateaus set to ``gamma_rs``."""
+    gamma_rs = np.asarray(gamma_rs, dtype=float)
+    monkeypatch.setattr(bath, "_bose_pass", lambda specs: (gamma_rs,))
+    return bath._steady_states([GAPPED] * gamma_rs.size, QubitAmplitudes(*vec), phase_points)[1]
+
+
+def _full_scan_c_max(vec, gamma_rs, phase_points):
+    """The largest concurrence over every (plateau, grid phase) pair: the oracle."""
+    theta_ts = np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
+    return np.max(_scan(vec, gamma_rs, theta_ts)[0], axis=1)
+
+
+# The plateaus of the edge cases: gamma_R = 0, tiny, large and near the largest float.
+_EDGE_PLATEAUS = [0.0, 1e-300, 1e-8, 0.3, 2.0, 40.0, 1e300]
+# a d = 0, b c = 0 and |a d| = |2 b c|.
+_EDGE_STATES = {
+    "ad=0": (0.0, 0.6 - 0.2j, -0.3 + 0.5j, -0.5 + 0.1j),
+    "bc=0": (0.4 + 0.3j, 0.0, 0.0, -0.5 + 0.1j),
+    "|ad|=|2bc|": (math.sqrt(1 / 3), math.sqrt(1 / 6), 1j * math.sqrt(1 / 6),
+                   math.sqrt(1 / 3) * np.exp(0.3j)),
+    "uniform": (0.5, 0.5, 0.5, 0.5),
+}
+
+
 class TestSteadyScan:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(moduli=_moduli, phases=_phases, gamma_r=st.floats(0.0, 50.0))
@@ -230,6 +256,47 @@ class TestSteadyScan:
         monkeypatch.setattr(single_mode, "_BLOCK", 1)
         blocked = bath._steady_states(specs, psi, 64)
         assert [v.tobytes() for v in blocked] == [v.tobytes() for v in whole]
+
+    # c_max from the two grid phases with the extreme cross terms equals, bit
+    # for bit, the maximum of the full (cells x phase_points) scan.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(moduli=_moduli, phases=_phases,
+           gamma_rs=st.lists(st.floats(0.0, 60.0) | st.floats(0.0, 1e300), min_size=1, max_size=6),
+           phase_points=st.integers(4, 300))
+    def test_two_phases_equal_the_full_scan(self, moduli, phases, gamma_rs, phase_points):
+        vec = _state(moduli, phases).vector()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got = _steady_c_max(monkeypatch, vec, gamma_rs, phase_points)
+        assert got.tobytes() == _full_scan_c_max(vec, gamma_rs, phase_points).tobytes()
+
+    @pytest.mark.parametrize("phase_points", [4, 5, 2048, 4097])
+    @pytest.mark.parametrize("name", _EDGE_STATES)
+    def test_two_phases_equal_the_full_scan_on_edge_cases(self, monkeypatch, name, phase_points):
+        vec = QubitAmplitudes.normalized(*_EDGE_STATES[name]).vector()
+        got = _steady_c_max(monkeypatch, vec, _EDGE_PLATEAUS, phase_points)
+        assert got.tobytes() == _full_scan_c_max(vec, _EDGE_PLATEAUS, phase_points).tobytes()
+
+    def test_no_array_spans_cells_and_phases(self, monkeypatch):
+        cells, phase_points = 500, 4097
+        shapes = []
+        measures = bath._model_measures
+
+        def recording(vec, gamma_rs, phases):
+            shapes.append(phases.shape)
+            return measures(vec, gamma_rs, phases)
+
+        monkeypatch.setattr(bath, "_model_measures", recording)
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        gamma_rs = np.linspace(0.0, 30.0, cells)
+        tracemalloc.start()
+        try:
+            _steady_c_max(monkeypatch, vec, gamma_rs, phase_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(cells, 2)]
+        # One float64 (cells x phase_points) array would take 16.4 MB.
+        assert peak < cells * phase_points * 8
 
 
 class TestModelMeasures:
@@ -318,15 +385,17 @@ class TestModelMeasures:
     # Nearly pure, nearly unentangled and rank-deficient states, where the
     # small Wootters values must not be taken from an eigenvalue: uniform;
     # b = c = 0 (C = 2|ad| e^{-4 gamma_R}, r_1 ~ r_2 at large gamma_R); a = d = 0;
-    # b tiny; a tiny; and the product state, where tau = 0.
+    # b tiny; a tiny; a d so small that ad conj(2bc) is subnormal, whose
+    # reciprocal modulus overflows; and the product state, where tau = 0.
     @pytest.mark.parametrize("amplitudes", [
         (0.5, 0.5, 0.5, 0.5),
         (0.4 + 0.3j, 0.0, 0.0, -0.5 + 0.1j),
         (0.0, 0.6 - 0.2j, -0.3 + 0.5j, 0.0),
         (0.5, 1.2e-7, 0.5, 0.5),
         (1e-8, 0.5, 0.5j, 0.5),
+        (1e-150, 0.7, 0.7j, 1e-160),
         (1.0, 0.0, 0.0, 0.0),
-    ], ids=["uniform", "b=c=0", "a=d=0", "b=1.2e-7", "a=1e-8", "product"])
+    ], ids=["uniform", "b=c=0", "a=d=0", "b=1.2e-7", "a=1e-8", "ad=1e-310", "product"])
     def test_edge_cases_match_mpmath(self, amplitudes):
         vec = QubitAmplitudes.normalized(*amplitudes).vector()
         gamma_rs = np.array([0.0, 1e-12, 1e-8, 1e-3, 0.5, 2.0, 5.0, 12.0])
