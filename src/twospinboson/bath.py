@@ -321,13 +321,21 @@ def _bose_plan(x0, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     smallest in 1.._EM_MAX_TERMS for which some K <= len(_BERNOULLI) puts the
     bound at most _SERIES_TAIL_TOL, K the smallest such.  A series keeps the
     direct route when N <= M, which needs no more E1 values; ``bound`` is the
-    tail bound of the route taken.
+    tail bound of the route taken.  At tau = 0 the series is its n = 0 term
+    alone (terms 1, order 0, bound 0), so only rows with tau > 0 are planned.
 
     Raises ``RuntimeError`` naming the first series that neither route
     certifies: one whose r underflows, so that tau/x0 overflows.
     """
     x0 = np.asarray(x0, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    terms = np.ones(x0.size, dtype=np.intp)
+    order = np.zeros(x0.size, dtype=np.intp)
+    bound = np.zeros(x0.size)
+    hot = np.flatnonzero(tau > 0.0)
+    if hot.size == 0:
+        return terms, order, bound
+    x0, tau = x0[hot], tau[hot]
     rows = np.arange(x0.size)
     log_tail = _bose_log_tail(np.arange(_EM_MAX_TERMS + 1), x0[:, None], tau[:, None])
     direct = log_tail <= math.log(_SERIES_TAIL_TOL)
@@ -353,10 +361,11 @@ def _bose_plan(x0, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise RuntimeError(
             f"Bose series at gap {x0[k]:g}, temperature {tau[k]:g} has no certified route: "
             f"temperature/gap overflows")
-    terms = np.where(use_direct, n_last + 1, m_first + 1)
-    order = np.where(use_direct, 0, k_first + 1)
+    terms[hot] = np.where(use_direct, n_last + 1, m_first + 1)
+    order[hot] = np.where(use_direct, 0, k_first + 1)
     with np.errstate(over="ignore"):
-        bound = np.where(use_direct, np.exp(log_tail[rows, n_last]), bounds[rows, m_first, k_first])
+        bound[hot] = np.where(use_direct, np.exp(log_tail[rows, n_last]),
+                              bounds[rows, m_first, k_first])
     return terms, order, bound
 
 

@@ -1,8 +1,13 @@
 """Command-line front end: parameter parsing, CSV emission, verification runner.
 
-The parser holds the paper's default grids, and :func:`_axis` is the one
-place a (min, max, points) range becomes a grid; the library tables take
-their grids as arrays.
+:data:`_COMMANDS` is the one table of subcommands and their options, and
+its defaults are the paper's grids; :func:`main` parses one subcommand's
+options from it with :func:`getopt.getopt` (long options, ``--opt value`` or
+``--opt=value``, unique prefixes) and builds ``--help`` from it too.
+:func:`_axis` is the one place a (min, max, points) range becomes a grid;
+the library tables take their grids as arrays.  ``verify`` and
+``oracle-check`` import :mod:`twospinboson.checks` when they run, so
+start-up does not load it or the quadrature oracle.
 
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
 2 on argument or validation errors and on an output path that cannot be
@@ -15,18 +20,19 @@ writes either file, so a failure leaves no file behind.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import math
 import sys
+import types
 
 import numpy as np
 
-from . import __version__, checks, csvio, sweeps
+from . import __version__, csvio, sweeps
 from .bath import OhmicGapSpectrum
 from .entanglement import QubitAmplitudes
 from .single_mode import SingleModeParams, time_series
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 
 def _parse_amplitudes(text: str) -> QubitAmplitudes:
@@ -177,6 +183,8 @@ def _print_results(results) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import checks
+
     results = checks.oracle_checks(tolerance=args.tolerance)
     failures = _print_results(results)
     print(f"{len(results) - failures}/{len(results)} oracle checks passed")
@@ -184,6 +192,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     failures = 0
     total = 0
     for suite, results in checks.all_checks().items():
@@ -194,85 +204,132 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twospinboson",
-        description="Entanglement dynamics of two qubits sharing a bosonic environment.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"twospinboson {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _show(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
 
-    p = sub.add_parser("single-mode",
-                       help="time series of C, C_ideal, S and overlap for one mode")
-    p.add_argument("--omega-over-lambda", type=float, required=True,
-                   help="oscillator frequency in units of the coupling")
-    p.add_argument("--theta-t-max", type=float, default=0.5 * math.pi,
-                   help="end of the induced-phase grid (default pi/2)")
-    p.add_argument("--points", type=int, default=629, help="grid points (default 629)")
-    p.add_argument("--amplitudes", default="0.5,0.5,0.5,0.5",
-                   help="initial amplitudes a,b,c,d (normalized on parse)")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_single_mode)
 
-    p = sub.add_parser("period-stats",
-                       help="C/S extrema and averages versus n = (omega/4 lambda)^2")
-    p.add_argument("--n-min", type=float, default=0.5, help="first n (default 0.5)")
-    p.add_argument("--n-max", type=float, default=12.0, help="last n (default 12)")
-    p.add_argument("--n-points", type=int, default=47,
-                   help="grid points (default 47: steps of 0.25)")
-    p.add_argument("--samples", type=int, default=2000,
-                   help="trapezoid samples per period (default 2000)")
-    p.add_argument("--amplitudes", default="0.5,0.5,0.5,0.5")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_period_stats)
+# Default of an option that must be given.
+_REQUIRED = object()
+_AMPLITUDES = ("amplitudes", str, "0.5,0.5,0.5,0.5",
+               "initial amplitudes a,b,c,d, normalized on parse")
+_OUTPUT = ("output", str, None, "CSV path (stdout if not given)")
 
-    p = sub.add_parser("bath-series",
-                       help="bath time series of C, S, 2S/3 and exp(-gamma_R)")
-    p.add_argument("--alpha", type=float, required=True, help="coupling strength")
-    p.add_argument("--gap", type=float, default=0.0, help="gap omega0 (units omega_c)")
-    p.add_argument("--temperature", type=float, default=0.0,
-                   help="bath temperature (units omega_c)")
-    p.add_argument("--t-max", type=float, required=True, help="end of the time grid")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--amplitudes", default="0.5,0.5,0.5,0.5")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_bath_series)
+# Subcommand -> (handler, help, options); an option is (name, type, default,
+# help), and the defaults are the paper's grids.
+_COMMANDS = {
+    "single-mode": (_cmd_single_mode, "time series of C, C_ideal, S and overlap for one mode", (
+        ("omega-over-lambda", float, _REQUIRED, "oscillator frequency in units of the coupling"),
+        ("theta-t-max", float, 0.5 * math.pi, "end of the induced-phase grid, pi/2"),
+        ("points", int, 629, "grid points"),
+        _AMPLITUDES,
+        _OUTPUT,
+    )),
+    "period-stats": (_cmd_period_stats,
+                     "C/S extrema and averages versus n = (omega/4 lambda)^2", (
+        ("n-min", float, 0.5, "first n"),
+        ("n-max", float, 12.0, "last n"),
+        ("n-points", int, 47, "grid points, steps of 0.25 by default"),
+        ("samples", int, 2000, "trapezoid samples per period"),
+        _AMPLITUDES,
+        _OUTPUT,
+    )),
+    "bath-series": (_cmd_bath_series, "bath time series of C, S, 2S/3 and exp(-gamma_R)", (
+        ("alpha", float, _REQUIRED, "coupling strength"),
+        ("gap", float, 0.0, "gap omega0 (units omega_c)"),
+        ("temperature", float, 0.0, "bath temperature (units omega_c)"),
+        ("t-max", float, _REQUIRED, "end of the time grid"),
+        ("points", int, 200, "grid points"),
+        _AMPLITUDES,
+        _OUTPUT,
+    )),
+    "steady-sweep": (_cmd_steady_sweep,
+                     "steady-state C/S over (alpha, gap) and overlap over (T, gap)", (
+        ("alpha-grid", str, "0.05:1:32", "min:max:points"),
+        ("gap-grid", str, "0:0.5:32", "min:max:points"),
+        ("temperature-grid", str, "0:2:33", "min:max:points"),
+        ("temperature", float, 0.0, "temperature for the entanglement table"),
+        ("thermal-alpha", float, 0.25, "coupling for the thermal overlap table"),
+        _AMPLITUDES,
+        ("output-prefix", str, "steady_sweep",
+         "the tables go to PREFIX_entanglement.csv and PREFIX_thermal.csv"),
+    )),
+    "oracle-check": (_cmd_oracle_check, "closed form vs truncated-Fock propagation", (
+        ("tolerance", float, 1e-7, "trace-distance bound per grid case"),
+    )),
+    "verify": (_cmd_verify, "re-run every property suite and the acceptance criteria", ()),
+}
 
-    p = sub.add_parser("steady-sweep",
-                       help="steady-state C/S over (alpha, gap) and overlap over (T, gap)")
-    p.add_argument("--alpha-grid", default="0.05:1:32", help="min:max:points")
-    p.add_argument("--gap-grid", default="0:0.5:32", help="min:max:points")
-    p.add_argument("--temperature-grid", default="0:2:33", help="min:max:points")
-    p.add_argument("--temperature", type=float, default=0.0,
-                   help="temperature for the entanglement table (default 0)")
-    p.add_argument("--thermal-alpha", type=float, default=0.25,
-                   help="coupling for the thermal overlap table (default 0.25)")
-    p.add_argument("--amplitudes", default="0.5,0.5,0.5,0.5")
-    p.add_argument("--output-prefix", default="steady_sweep")
-    p.set_defaults(func=_cmd_steady_sweep)
 
-    p = sub.add_parser("oracle-check",
-                       help="closed form vs truncated-Fock propagation")
-    p.add_argument("--tolerance", type=float, default=1e-7,
-                   help="trace-distance bound per grid case (default 1e-7)")
-    p.set_defaults(func=_cmd_oracle_check)
+def _rows(pairs) -> str:
+    width = max(len(left) for left, _ in pairs)
+    return "".join(f"  {left:<{width}}  {right}\n" for left, right in pairs)
 
-    p = sub.add_parser("verify", help="re-run every property suite and the acceptance criteria")
-    p.set_defaults(func=_cmd_verify)
-    return parser
+
+def _help(command: str | None = None) -> str:
+    """Help text built from :data:`_COMMANDS`: the subcommands, or one subcommand's options."""
+    if command is None:
+        return ("usage: twospinboson [-h] [--version] COMMAND [options]\n\n"
+                "Entanglement dynamics of two qubits sharing a bosonic environment.\n\n"
+                "commands:\n"
+                + _rows([(name, text) for name, (_, text, _) in _COMMANDS.items()])
+                + "\nRun 'twospinboson COMMAND --help' for the options of one command.\n")
+    _, text, options = _COMMANDS[command]
+    rows = [("-h, --help", "show this help and exit")]
+    for name, kind, default, about in options:
+        if default is _REQUIRED:
+            about += " (required)"
+        elif default is not None:
+            about += f" (default: {default})"
+        rows.append((f"--{name} {kind.__name__.upper()}", about))
+    return f"usage: twospinboson {command} [options]\n\n{text}\n\noptions:\n{_rows(rows)}"
+
+
+def _parse(argv: list[str]):
+    """The handler for ``argv`` and its argument; raises on a bad command line.
+
+    The handler is a ``_cmd_*`` function with a namespace that holds every
+    option of its subcommand, or :func:`_show` with the help or version text.
+    """
+    opts, rest = getopt.getopt(argv, "h", ["help", "version"])
+    if opts:
+        return _show, f"twospinboson {__version__}\n" if opts[0][0] == "--version" else _help()
+    choices = ", ".join(_COMMANDS)
+    if not rest:
+        raise ValueError(f"no command given (choose from {choices})")
+    command, *rest = rest
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r} (choose from {choices})")
+    handler, _, options = _COMMANDS[command]
+    opts, rest = getopt.getopt(rest, "h", ["help", *(f"{option[0]}=" for option in options)])
+    if rest:
+        raise ValueError(f"unexpected argument {rest[0]!r}")
+    given = dict(opts)
+    if "-h" in given or "--help" in given:
+        return _show, _help(command)
+    values = {}
+    missing = []
+    for name, kind, default, _ in options:
+        text = given.get(f"--{name}")
+        if text is None:
+            if default is _REQUIRED:
+                missing.append(f"--{name}")
+            values[name.replace("-", "_")] = default
+            continue
+        try:
+            values[name.replace("-", "_")] = kind(text)
+        except ValueError:
+            raise ValueError(f"invalid {kind.__name__} value for --{name}: {text!r}") from None
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    return handler, types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad arguments and 0 on --help/--version.
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
+    except (getopt.GetoptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

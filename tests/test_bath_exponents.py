@@ -189,6 +189,31 @@ class TestBoseSeries:
             assert tail == math.exp(log_tail[-1])
         assert list(terms) == [1, 4, 6, 4, 6, 7]
 
+    def test_mixed_plan_equals_the_row_by_row_plans(self):
+        # Rows at T = 0 skip the bound table: terms 1, order 0, bound 0.
+        # Every row's route and bound are bitwise those it gets alone.
+        gaps = np.array([0.1, 5.0, 0.1, 1e-5, 2.0, 0.5, 3.0, 1e-300])
+        temperatures = np.array([0.0, 0.5, 0.5, 2.0, 0.0, 5e-324, 0.0, 2.0])
+        plan = bath._bose_plan(gaps, temperatures)
+        for k in range(gaps.size):
+            alone = bath._bose_plan(gaps[k:k + 1], temperatures[k:k + 1])
+            for got, expected in zip(plan, alone):
+                assert got.dtype == expected.dtype and got[k] == expected[0]
+        cold = temperatures == 0.0
+        assert np.all(plan[0][cold] == 1) and np.all(plan[1][cold] == 0)
+        assert np.all(plan[2][cold] == 0.0)
+
+    def test_zero_temperature_plan_builds_no_bound_table(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the Euler-Maclaurin bound table was built")
+
+        monkeypatch.setattr(bath, "_em_remainders", fail)
+        terms, order, bound = bath._bose_plan(np.array([1e-6, 0.1, 3.0]), np.zeros(3))
+        assert list(terms) == [1, 1, 1] and list(order) == [0, 0, 0]
+        assert list(bound) == [0.0, 0.0, 0.0]
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 1e-6, 0.1], QubitAmplitudes.uniform(),
+                                  phase_points=16)
+
     def test_small_gaps_take_a_certified_route(self):
         # The Euler-Maclaurin route takes at most _EM_MAX_TERMS direct terms
         # and bounds its remainder by 1e-16, however large N would be.

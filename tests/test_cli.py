@@ -6,9 +6,10 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from twospinboson import bath, checks, cli, csvio, entanglement
-from twospinboson.cli import build_parser, main
+from twospinboson.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -430,9 +431,8 @@ class TestChecks:
 
 class TestGrids:
     def test_parser_defaults_are_the_paper_grids(self):
-        parser = build_parser()
-        sweep = parser.parse_args(["steady-sweep"])
-        stats = parser.parse_args(["period-stats"])
+        _, sweep = cli._parse(["steady-sweep"])
+        _, stats = cli._parse(["period-stats"])
         grids = {
             "alpha": cli._parse_axis(sweep.alpha_grid, "alpha grid"),
             "gap": cli._parse_axis(sweep.gap_grid, "gap grid"),
@@ -469,6 +469,57 @@ class TestGrids:
                                "alphas", "gaps", "temperatures", "gaps"]
 
 
+class TestParser:
+    """The option table :data:`cli._COMMANDS` as :func:`getopt.getopt` reads it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("single-mode", "--omega-over-lambda=4", "--points=5"),
+        ("single-mode", "--omega", "4", "--poi", "5"),
+        ("single-mode", "--omega=4", "--points", "5"),
+    ], ids=["equals", "prefix", "prefix-equals"])
+    def test_long_forms_parse_alike(self, argv):
+        full = cli._parse(["single-mode", "--omega-over-lambda", "4", "--points", "5"])
+        assert cli._parse(list(argv)) == full
+        assert full[1].omega_over_lambda == 4.0 and full[1].points == 5
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("single-mode", "--omega-over-lambda", "4", "--frequency", "2"),
+         "option --frequency not recognized"),
+        (("bath-series", "--alpha", "0.25", "--t", "5"), "option --t not a unique prefix"),
+        (("bath-series", "--alpha", "0.25", "--t-max", "5", "--points", "many"),
+         "invalid int value for --points: 'many'"),
+        (("single-mode", "--omega-over-lambda", "four"),
+         "invalid float value for --omega-over-lambda: 'four'"),
+        (("bath-series", "--alpha", "0.25"), "bath-series needs --t-max"),
+        (("bath-series",), "bath-series needs --alpha and --t-max"),
+        (("single-mode", "--omega-over-lambda"), "option --omega-over-lambda requires argument"),
+        (("single-mode", "--omega-over-lambda", "4", "extra"), "unexpected argument 'extra'"),
+        ((), "no command given"),
+        (("no-such-command",), "unknown command 'no-such-command'"),
+    ], ids=["unknown-option", "ambiguous-prefix", "bad-int", "bad-float", "missing-required",
+            "missing-two", "missing-value", "stray-positional", "no-command", "unknown-command"])
+    def test_argument_error_exits_2_with_one_line(self, capsys, argv, reason):
+        assert_rejected_quietly(capsys, argv, reason)
+
+    @pytest.mark.parametrize("argv", [
+        (flag,) for flag in ("--help", "-h")] + [
+        (command, flag) for command in cli._COMMANDS for flag in ("--help", "-h")],
+        ids=" ".join)
+    def test_help_names_every_choice(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if len(argv) == 1:
+            assert all(f"  {command}  " in out for command in cli._COMMANDS)
+            return
+        lines = out.splitlines()
+        for name, _, default, _ in cli._COMMANDS[argv[0]][2]:
+            [line] = [line for line in lines if line.startswith(f"  --{name} ")]
+            if default is cli._REQUIRED:
+                assert line.endswith("(required)")
+            elif default is not None:
+                assert line.endswith(f"(default: {default})")
+
+
 class TestTopLevel:
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing"
@@ -492,9 +543,13 @@ class TestTopLevel:
         assert code == 2
 
     def test_cli_imports_neither_scipy_nor_mpmath(self):
-        # Start-up pays for numpy alone: the package's constants are literals.
+        # Start-up pays for numpy alone: the package's constants are literals,
+        # getopt parses the arguments, and the verification modules load only
+        # when verify or oracle-check runs.
         code = ("import sys, twospinboson.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'mpmath', 'argparse') or m in "
+                "('twospinboson.checks', 'twospinboson.quadrature')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 
