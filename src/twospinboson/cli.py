@@ -11,11 +11,11 @@ start-up does not load it or the quadrature oracle.
 
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
 2 on argument or validation errors and on an output path that cannot be
-written, 3 on a numerical failure, such as a continued fraction that does
-not converge or a gapped Bose series that no route certifies because
-temperature/gap overflows (refused before any evaluation); 2 and 3 print a
-one-line reason on stderr.  ``steady-sweep`` computes both tables before it
-writes either file, so a failure leaves no file behind.
+written, 3 on a numerical failure, such as a gapped Bose series that no
+route certifies because temperature/gap overflows (refused before any
+evaluation); 2 and 3 print a one-line reason on stderr.  ``steady-sweep``
+computes both tables before it writes either file, so a failure leaves no
+file behind.
 """
 
 from __future__ import annotations

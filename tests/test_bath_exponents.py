@@ -38,6 +38,12 @@ def _mp_rel_error(got, ref, floor=0.0):
     return abs(mpmath.mpc(got) - ref) / max(abs(ref), floor)
 
 
+def _mp_e1_forms(w):
+    """G, C and A of ``bath._exp_e1`` at an mpmath complex w, at the working precision."""
+    g = mpmath.exp(w) * mpmath.e1(w)
+    return (1 + w) * g - 1, 1 - w * g, w * (1 + w / 2) * g - (1 + w) / 2
+
+
 class TestSpecialFunctions:
     def test_exp_e1_against_mpmath(self):
         # z = x0 (1 - i s) as the gapped closed form uses it, plus points on
@@ -63,9 +69,9 @@ class TestSpecialFunctions:
                                    5.972540772109541e18 + 1.6894395314528846e16j,
                                    2.7299386437827632e17 - 9.006549970390309e22j])
     def test_exp_e1_converges_at_huge_modulus(self, z):
-        # The continued fraction's factor settles at 1 +- eps with |Im| ~ 1e-19
-        # here, so |delta - 1| never reaches eps.  A cancels by |z|^3 in its
-        # definition; 120-digit arithmetic leaves the references 40 digits.
+        # Here the continued-fraction tail has its floor depth, 14.  A cancels
+        # by |z|^3 in its definition; 120-digit arithmetic leaves the
+        # references 40 digits.
         got = bath._exp_e1(np.array([z]))
         with mpmath.workdps(120):
             w = mpmath.mpc(z)
@@ -75,7 +81,7 @@ class TestSpecialFunctions:
         assert worst <= 1e-15
 
     def test_exp_e1_batch_matches_single_points(self):
-        # Points leave the continued fraction as they converge; each value must
+        # Each point's tail depth depends on that point alone; each value must
         # equal the one computed for that point alone, bit for bit.
         z = (np.geomspace(1e-3, 30.0, 12)[:, None]
              * (1.0 - 1j * np.geomspace(1e-2, 1e4, 12)[None, :])).ravel()
@@ -83,6 +89,52 @@ class TestSpecialFunctions:
         for k in range(z.size):
             alone = bath._exp_e1(z[k:k + 1])
             assert all(form[0] == forms[k] for form, forms in zip(alone, batch))
+
+    def test_exp_e1_just_outside_the_switch(self):
+        # Just outside the unit disc and near the imaginary axis the tail is
+        # deepest: |z| = 1 + 1e-12 at 50 arguments, and |z| = 1.5, 2, 4 near
+        # arg z = +-pi/2.  Each form G, C, A to 2e-15 relative.
+        phases = np.linspace(-(np.pi / 2 - 1e-6), np.pi / 2 - 1e-6, 50)
+        edge = np.pi / 2 - np.array([1e-6, 1e-3, 0.05])
+        edge = np.concatenate([edge, -edge])
+        z = np.concatenate([(1.0 + 1e-12) * np.exp(1j * phases),
+                            (np.array([1.5, 2.0, 4.0])[:, None] * np.exp(1j * edge)).ravel()])
+        got = bath._exp_e1(z)
+        with mpmath.workdps(40):
+            worst = max(_mp_rel_error(form[k], ref)
+                        for k, zk in enumerate(z)
+                        for form, ref in zip(got, _mp_e1_forms(mpmath.mpc(zk))))
+        assert worst <= 2e-15
+
+    def test_tail_depth_meets_the_truncation_bound(self):
+        # n = N + 1 levels give |g - g_n| <= 1/(|z| |L_n(-z)|^2) for Re z >= 0,
+        # and each form's relative error is |slope/form| times that, with
+        # slopes 1 + z, -z and z (1 + z/2) for G, C and A.  On a log-polar grid
+        # the rule's depth is never below the smallest that puts all three at
+        # eps/2.  |L_n(-z)| comes from (n + 1) L_{n+1} = (2n + 1 + z) L_n - n L_{n-1},
+        # rescaled by |L_n| at each step (it reaches |z|^n/n!).
+        z = (np.geomspace(1.0, 1e22, 133)[:, None]
+             * np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 41))[None, :]).ravel()
+        log_slope_ratio = np.empty(z.size)
+        for k, zk in enumerate(z):
+            # A cancels by |z|^3 in its definition.
+            with mpmath.workdps(20 + 3 * int(math.log10(abs(zk)))):
+                w = mpmath.mpc(zk)
+                ratios = (abs(slope / form) for slope, form
+                          in zip((1 + w, -w, w * (1 + w / 2)), _mp_e1_forms(w)))
+                log_slope_ratio[k] = float(mpmath.log(max(ratios)))
+        depth = bath._e1_tail_depth(z)
+        smallest = np.full(z.size, -1)
+        previous, current = np.ones_like(z), 1.0 + z  # L_0(-z), L_1(-z)
+        log_modulus = np.zeros(z.size)
+        for n in range(1, depth.max() + 2):
+            log_modulus += np.log(np.abs(current))
+            previous, current = previous / np.abs(current), current / np.abs(current)
+            met = log_slope_ratio - np.log(np.abs(z)) - 2.0 * log_modulus <= math.log(2.0**-53)
+            smallest[(smallest < 0) & met] = n - 1
+            previous, current = current, ((2 * n + 1 + z) * current - n * previous) / (n + 1)
+        assert np.all(smallest >= 0)
+        assert np.all(depth >= smallest)
 
     def test_exp_a_step_against_mpmath(self):
         # e^x [A(x) - A(x - i delta)], whose two terms cancel as delta -> 0.
@@ -169,8 +221,9 @@ class TestBoseSeries:
         ref_r, ref_i = _mp_gapped_thermal(alpha, gap, temperature, t)
         spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
         gamma_r, gamma_i, error = bath_exponents(spec, [t])
-        # 1.6e-14 is gamma_I at gap 1e-3, t = 1000, where z = x0 (1 - i s)
-        # sits just outside the unit disc, in the slowest continued fraction.
+        # The largest error, 3.1e-15, is gamma_R at gap 0.1, T 2, t 0.1.  At
+        # gap 1e-3, t = 1000, z = x0 (1 - i s) sits just outside the unit
+        # disc, where the continued-fraction tail is deepest.
         np.testing.assert_allclose(gamma_r[0], ref_r, rtol=3e-14, atol=0.0)
         np.testing.assert_allclose(gamma_i[0], ref_i, rtol=3e-14, atol=0.0)
         assert abs(gamma_r[0] - ref_r) + abs(gamma_i[0] - ref_i) <= error[0]

@@ -201,8 +201,8 @@ class TestBathSeries:
         assert list(columns["overlap"]) == [1.0, 0.0, 0.0]
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
-        # A numerical failure inside the evaluation (here an injected
-        # continued fraction that does not converge) exits 3 with one line.
+        # A numerical failure inside the evaluation (here a RuntimeError
+        # injected into the E1 forms) exits 3 with one line.
         def fail(z):
             raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
 
@@ -214,8 +214,8 @@ class TestBathSeries:
 
     def test_huge_gap_converges(self, capsys):
         # At t = 1000 the Bose term's E1 argument is z = x0 (1 - 1000i), |z| ~ 2.7e18,
-        # where the continued fraction's factor settles at 1 +- eps with a tiny
-        # imaginary part (its forms against mpmath: test_bath_exponents.py).
+        # where the continued-fraction tail is at its shallowest depth
+        # (its forms against mpmath: test_bath_exponents.py).
         code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25",
                                  "--gap", "2692923700986777", "--t-max", "1000", "--points", "2")
         assert code == 0 and err == ""
@@ -310,8 +310,8 @@ class TestSteadySweep:
         assert np.all(np.isfinite(overlap) & (overlap >= 0.0) & (overlap < 1.0))
 
     def test_numerical_failure_exits_3(self, capsys, tmp_path, monkeypatch):
-        # A numerical failure (an injected continued fraction that does not
-        # converge) exits 3 with one line and leaves no file behind.
+        # A numerical failure (a RuntimeError injected into the E1 forms)
+        # exits 3 with one line and leaves no file behind.
         def fail(z):
             raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
 
