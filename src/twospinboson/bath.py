@@ -38,9 +38,10 @@ the gap and the temperature:
 
 The effective coupling is a closed form through E1 for every spectrum, and
 the long-time limit gamma_R(inf) is the plateau of the Bose series.  One
-private pass, :func:`_bose_pass`, evaluates every Bose-series term: over a
-list of spectra it plans each route once, evaluates each plateau term once
-and returns the plateaus and, on a time grid, the damping sums, the n = 0
+private pass, :func:`_bose_pass`, evaluates every Bose-series term: over
+arrays of gaps and temperatures, one series per row that a row of couplings
+shares, it plans each route once, evaluates each plateau term once and
+returns the plateaus and, on a time grid, the damping sums, the n = 0
 column and the remainder bound.  No evaluation path integrates; the
 quadrature of the defining integrals that the closed forms and the series
 are checked against is the oracle module :mod:`twospinboson.quadrature`,
@@ -145,10 +146,11 @@ def _e1_power_tail(z):
 
     Twenty terms: at |z| = 1 the 20th is 2e-20.
     """
+    w = -z
     term = np.ones_like(z)
     tail = np.zeros_like(z)
     for k in range(1, _E1_SERIES_TERMS + 1):
-        term = term * (-z) / k
+        term = term * w / k
         tail = tail + term / k
     return tail
 
@@ -197,14 +199,17 @@ def _exp_e1(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zs = zf[order]
     reach = np.cumsum(np.bincount(depth)[::-1])[::-1].tolist()
     u = np.zeros_like(zs)
-    for j in range(len(reach) - 1, 2, -1):
-        w = zs[:reach[j]] - u[:reach[j]]
-        w += 2 * j + 1
-        np.divide(j * j, w, out=u[:reach[j]])
     k_tail = np.empty_like(zf)
-    k_tail[order] = 1.0 / (zs + 5.0 - u)
-    h = 1.0 / (zf + 3.0 - 4.0 * k_tail)
-    g = 1.0 / (zf + 1.0 - h)
+    # A divisor with both parts near the largest float overflows inside
+    # numpy's complex division, which returns 0: the quotient within 1e-308.
+    with np.errstate(over="ignore"):
+        for j in range(len(reach) - 1, 2, -1):
+            w = zs[:reach[j]] - u[:reach[j]]
+            w += 2 * j + 1
+            np.divide(j * j, w, out=u[:reach[j]])
+        k_tail[order] = 1.0 / (zs + 5.0 - u)
+        h = 1.0 / (zf + 3.0 - 4.0 * k_tail)
+        g = 1.0 / (zf + 1.0 - h)
     forms[:, ~near] = (g * h, g * (1.0 - h), -g * h * (1.0 - 2.0 * k_tail))
     return forms[0], forms[1], forms[2]
 
@@ -477,13 +482,17 @@ def _bose_sums(x0, tau, terms, order, s) -> tuple[np.ndarray, np.ndarray, np.nda
     return plateau, damping, first
 
 
-def _bose_pass(specs, s=None):
-    """Plateaus of ``specs`` and, on times ``s``, their Bose series.
+def _bose_pass(alphas, x0, tau, s=None):
+    """Plateaus of a grid of cells and, on times ``s``, their Bose series.
 
-    ``plateaus`` holds :func:`gamma_R_infinity` of every spectrum: 0 at
-    alpha = 0, inf when gapless with coupling, else 4 alpha times the plateau
-    sum of :func:`_bose_sums`.  Row k of ``damping``, ``first`` and ``tail``
-    belongs to the k-th gapped spectrum with coupling: the damping sum
+    Row k of ``x0`` and ``tau`` (scalars or 1-D arrays of one length) is one
+    Bose series, shared by the cells of every coupling in ``alphas`` (a
+    scalar or 1-D array, the same for each row).  ``plateaus`` has one row
+    per series and one column per coupling, each cell :func:`gamma_R_infinity`
+    of its spectrum: 0 at alpha = 0, inf when gapless with coupling, else
+    4 alpha times the plateau sum of :func:`_bose_sums`.  A series is summed
+    where its gap is positive and some alpha is, and row k of ``damping``,
+    ``first`` and ``tail`` belongs to the k-th such series: the damping sum
     gamma_R / (4 alpha), the n = 0 column F_{x0}(s) with Im = gamma_I / (4 alpha),
     and the bound of its route on the remainder of the damping sum.  One
     :func:`_bose_plan` picks every route before anything is evaluated (and
@@ -491,13 +500,15 @@ def _bose_pass(specs, s=None):
     evaluates each plateau term once.
     """
     s = np.empty(0) if s is None else np.asarray(s, dtype=float)
-    plateaus = np.array([0.0 if spec.alpha == 0.0 else math.inf for spec in specs])
-    gapped = [k for k, spec in enumerate(specs) if spec.alpha > 0.0 and spec.omega0 > 0.0]
-    x0 = np.array([specs[k].omega0 for k in gapped], dtype=float)
-    tau = np.array([specs[k].temperature for k in gapped], dtype=float)
-    terms, order, tail = _bose_plan(x0, tau)
-    sums, damping, first = _bose_sums(x0, tau, terms, order, s)
-    plateaus[gapped] = 4.0 * np.array([specs[k].alpha for k in gapped]) * sums
+    alphas, x0, tau = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (alphas, x0, tau))
+    coupled = alphas > 0.0
+    summed = np.flatnonzero(x0 > 0.0) if coupled.any() else np.empty(0, dtype=np.intp)
+    terms, order, tail = _bose_plan(x0[summed], tau[summed])
+    sums, damping, first = _bose_sums(x0[summed], tau[summed], terms, order, s)
+    # The alpha = 0 and gapless cells are set, not multiplied: 0 * inf is NaN.
+    plateaus = np.empty((x0.size, alphas.size))
+    plateaus[:] = np.where(coupled, math.inf, 0.0)
+    plateaus[summed[:, None], coupled] = 4.0 * alphas[coupled] * sums[:, None]
     return plateaus, damping, first, tail
 
 
@@ -557,10 +568,10 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     tail = 0.0
 
     if x0 > 0.0:
-        plateau, damping, first, bound = _bose_pass([spec], t[live])
+        plateau, damping, first, bound = _bose_pass(spec.alpha, x0, tau, t[live])
         gamma_r[live] = a4 * damping[0]
         gamma_i[live] = a4 * first[0].imag
-        magnitude = 2.0 * plateau[0] + a4 * np.abs(first[0])
+        magnitude = 2.0 * plateau[0, 0] + a4 * np.abs(first[0])
         tail = a4 * bound[0]
     else:
         s = t[live]
@@ -590,7 +601,7 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     the Bose series of :func:`bath_exponents` (the time-dependent part
     vanishes), on the same route as a grid with no times.
     """
-    return float(_bose_pass([spec])[0][0])
+    return float(_bose_pass(spec.alpha, spec.omega0, spec.temperature)[0][0, 0])
 
 
 def bath_gamma(spec: OhmicGapSpectrum, t: float) -> tuple[float, float, float]:
@@ -632,16 +643,17 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.
     """
-    g_inf, c_max, entropy = (float(v[0]) for v in _steady_states([spec], psi0, phase_points))
+    plateau = _bose_pass(spec.alpha, spec.omega0, spec.temperature)[0][0]
+    g_inf, c_max, entropy = (float(v[0]) for v in _steady_states(plateau, psi0, phase_points))
     return None if math.isinf(g_inf) else (g_inf, c_max, entropy)
 
 
-def _steady_states(specs, psi0: QubitAmplitudes,
+def _steady_states(g_inf, psi0: QubitAmplitudes,
                    phase_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns gamma_R(inf), c_max and entropy of :func:`steady_state_stats` over ``specs``.
+    """Columns gamma_R(inf), c_max and entropy of :func:`steady_state_stats` over ``g_inf``.
 
-    The plateaus come from one :func:`_bose_pass`; c_max and the entropy are
-    NaN where the plateau is infinite.  An invalid state is named by its
+    ``g_inf`` is a column of plateaus from :func:`_bose_pass`; c_max and the
+    entropy are NaN where it is infinite.  An invalid state is named by its
     index among the cells with a plateau.
 
     c_max is the grid maximum, from two grid phases per cell.  In the closed
@@ -662,9 +674,8 @@ def _steady_states(specs, psi0: QubitAmplitudes,
     phases = 2.0 * np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
     cross = _cross_term(vec, phases[None, :], np.zeros(1, dtype=bool))[0]
     extremes = phases[[np.argmax(cross), np.argmin(cross)]]
-    g_inf = _bose_pass(specs)[0]
     live = np.isfinite(g_inf)
-    c_max, entropy = np.full(len(specs), math.nan), np.full(len(specs), math.nan)
+    c_max, entropy = np.full(g_inf.size, math.nan), np.full(g_inf.size, math.nan)
     conc, entropy[live] = _model_measures(
         vec, g_inf[live], np.broadcast_to(extremes, (np.count_nonzero(live), 2)))
     c_max[live] = np.max(conc, axis=1)

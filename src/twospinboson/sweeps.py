@@ -16,6 +16,7 @@ produce bitwise identical tables.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -124,9 +125,11 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float =
     ``alphas`` and ``gaps`` (omega0 in omega_c) are required grids.  One row
     per cell, alpha varying fastest.  Cells without a steady state (gapless
     with coupling) carry ``has_steady_state = 0`` and the sentinel -1 in the
-    c_max_steady and s_steady columns.  One Bose-series pass gives
-    every plateau, each bitwise ``gamma_R_infinity``, and every cell is
-    bitwise :func:`~twospinboson.bath.steady_state_stats`: the entropy from
+    c_max_steady and s_steady columns.  The cells are arrays, not spectrum
+    objects: at the one temperature a plateau is 4 alpha S(omega0), so one
+    Bose-series pass sums one series per gap and gives every plateau, each
+    bitwise ``gamma_R_infinity``.  Every cell is bitwise
+    :func:`~twospinboson.bath.steady_state_stats`: the entropy from
     the exact invariants of the Gram form, and c_max_steady the largest
     concurrence over the phase family, the ``phase_points`` grid values of
     theta*t in [0, pi/2), in the closed form of the index-flip symmetry with
@@ -139,14 +142,19 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float =
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
+    # The grids are checked; one spectrum checks the temperature and 4 alpha.
+    # 4 alpha overflows exactly above max/4, so it is checked at the first
+    # alpha past that, if any: the first cell in table order that fails.
+    first = int(np.searchsorted(alphas, 0.25 * sys.float_info.max, side="right"))
+    OhmicGapSpectrum(alpha=float(alphas[min(first, alphas.size - 1)]), omega0=float(gaps[0]),
+                     temperature=temperature)
 
-    specs = [OhmicGapSpectrum(alpha=float(alpha), omega0=float(gap), temperature=temperature)
-             for gap in gaps for alpha in alphas]
-    g_inf, c_max, entropy = _steady_states(specs, psi0, phase_points)
+    plateaus = _bose_pass(alphas, gaps, np.full(gaps.size, temperature))[0]
+    g_inf, c_max, entropy = _steady_states(plateaus.ravel(), psi0, phase_points)
     steady = np.isfinite(g_inf)
     return {
-        "alpha": np.array([spec.alpha for spec in specs]),
-        "omega0": np.array([spec.omega0 for spec in specs]),
+        "alpha": np.tile(alphas, gaps.size),
+        "omega0": np.repeat(gaps, alphas.size),
         "has_steady_state": steady.astype(float),
         "c_max_steady": np.where(steady, c_max, NO_STEADY_STATE),
         "s_steady": np.where(steady, entropy, NO_STEADY_STATE),
@@ -160,17 +168,20 @@ def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, 
     enters gamma_R through the thermal occupation of the bath; raising it can
     only suppress the plateau further.  Gapless cells have no plateau and
     carry the -1 sentinel with ``has_steady_state = 0``.  One Bose-series
-    pass gives every plateau, each bitwise ``gamma_R_infinity``.
+    pass over the cell arrays, one series per cell, gives every plateau,
+    each bitwise ``gamma_R_infinity``.
     """
     temperatures = _require_grid(temperatures, "temperatures")
     gaps = _require_grid(gaps, "gaps")
+    # The grids are checked; one spectrum checks alpha, as the first cell would.
+    OhmicGapSpectrum(alpha=alpha, omega0=float(gaps[0]), temperature=float(temperatures[0]))
 
-    g_inf = _bose_pass([
-        OhmicGapSpectrum(alpha=alpha, omega0=float(gap), temperature=float(temp))
-        for gap in gaps for temp in temperatures])[0]
+    temperature = np.tile(temperatures, gaps.size)
+    omega0 = np.repeat(gaps, temperatures.size)
+    g_inf = _bose_pass(alpha, omega0, temperature)[0].ravel()
     return {
-        "temperature": np.tile(temperatures, gaps.size),
-        "omega0": np.repeat(gaps, temperatures.size),
+        "temperature": temperature,
+        "omega0": omega0,
         "has_steady_state": np.isfinite(g_inf).astype(float),
         "overlap_infinity": np.array([NO_STEADY_STATE if math.isinf(g) else math.exp(-g)
                                       for g in g_inf]),

@@ -45,6 +45,22 @@ def _mp_e1_forms(w):
 
 
 class TestSpecialFunctions:
+    def test_e1_power_tail_rounds_as_the_plain_loop(self):
+        # Negating z once keeps each rounding of term * (-z) / k and of the
+        # running sum, so the tail equals the plain loop bit for bit.
+        def plain(z):
+            term, tail = np.ones_like(z), np.zeros_like(z)
+            for k in range(1, 21):
+                term = term * (-z) / k
+                tail = tail + term / k
+            return tail
+
+        rng = np.random.default_rng(3)
+        x = rng.uniform(1e-9, 1.0, 300)
+        z = np.sqrt(x) * np.exp(1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 300))
+        for values in (x, z):
+            assert bath._e1_power_tail(values).tobytes() == plain(values).tobytes()
+
     def test_exp_e1_against_mpmath(self):
         # z = x0 (1 - i s) as the gapped closed form uses it, plus points on
         # both sides of the |z| = 1 switch from power series to continued

@@ -222,6 +222,16 @@ class TestBathSeries:
         columns, _ = csvio.parse_table(out)
         assert all(np.isfinite(values).all() for values in columns.values())
 
+    def test_gap_near_the_largest_float_is_quiet(self, capsys):
+        # At t = 1 both parts of the E1 argument x0 (1 - i) are 1.3e308, where
+        # numpy's complex division overflows in an intermediate and returns 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "1.3e308",
+                                     "--t-max", "1", "--points", "2")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-2:] == ["0,0,0,0,0,1", "1,3.84615384615e-309,0,0,0,1"]
+
     def test_uncertified_series_exits_3_before_evaluation(self, capsys, monkeypatch):
         # At gap 5e-324 and T = 2, gap/temperature underflows to 0: no route
         # certifies the Bose series, and it is refused before any evaluation.

@@ -191,11 +191,10 @@ _DOUBLE_TOP = (math.sqrt(0.4), math.sqrt(0.2), 1j * math.sqrt(0.2),
 ENTROPY_ATOL = 3e-16
 
 
-def _steady_c_max(monkeypatch, vec, gamma_rs, phase_points):
-    """c_max of ``bath._steady_states`` with its plateaus set to ``gamma_rs``."""
-    gamma_rs = np.asarray(gamma_rs, dtype=float)
-    monkeypatch.setattr(bath, "_bose_pass", lambda specs: (gamma_rs,))
-    return bath._steady_states([GAPPED] * gamma_rs.size, QubitAmplitudes(*vec), phase_points)[1]
+def _steady_c_max(vec, gamma_rs, phase_points):
+    """c_max of ``bath._steady_states`` on the plateaus ``gamma_rs``."""
+    return bath._steady_states(np.asarray(gamma_rs, dtype=float), QubitAmplitudes(*vec),
+                               phase_points)[1]
 
 
 def _full_scan_c_max(vec, gamma_rs, phase_points):
@@ -250,11 +249,11 @@ class TestSteadyScan:
             steady_state_stats(GAPPED, psi)
 
     def test_blocks_do_not_change_cells(self, monkeypatch):
-        specs = [OhmicGapSpectrum(alpha=alpha, omega0=0.1) for alpha in (0.1, 0.3, 0.7)]
+        plateaus = bath._bose_pass(np.array([0.1, 0.3, 0.7]), 0.1, 0.0)[0].ravel()
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-        whole = bath._steady_states(specs, psi, 64)
+        whole = bath._steady_states(plateaus, psi, 64)
         monkeypatch.setattr(single_mode, "_BLOCK", 1)
-        blocked = bath._steady_states(specs, psi, 64)
+        blocked = bath._steady_states(plateaus, psi, 64)
         assert [v.tobytes() for v in blocked] == [v.tobytes() for v in whole]
 
     # c_max from the two grid phases with the extreme cross terms equals, bit
@@ -265,15 +264,14 @@ class TestSteadyScan:
            phase_points=st.integers(4, 300))
     def test_two_phases_equal_the_full_scan(self, moduli, phases, gamma_rs, phase_points):
         vec = _state(moduli, phases).vector()
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            got = _steady_c_max(monkeypatch, vec, gamma_rs, phase_points)
+        got = _steady_c_max(vec, gamma_rs, phase_points)
         assert got.tobytes() == _full_scan_c_max(vec, gamma_rs, phase_points).tobytes()
 
     @pytest.mark.parametrize("phase_points", [4, 5, 2048, 4097])
     @pytest.mark.parametrize("name", _EDGE_STATES)
-    def test_two_phases_equal_the_full_scan_on_edge_cases(self, monkeypatch, name, phase_points):
+    def test_two_phases_equal_the_full_scan_on_edge_cases(self, name, phase_points):
         vec = QubitAmplitudes.normalized(*_EDGE_STATES[name]).vector()
-        got = _steady_c_max(monkeypatch, vec, _EDGE_PLATEAUS, phase_points)
+        got = _steady_c_max(vec, _EDGE_PLATEAUS, phase_points)
         assert got.tobytes() == _full_scan_c_max(vec, _EDGE_PLATEAUS, phase_points).tobytes()
 
     def test_no_array_spans_cells_and_phases(self, monkeypatch):
@@ -290,7 +288,7 @@ class TestSteadyScan:
         gamma_rs = np.linspace(0.0, 30.0, cells)
         tracemalloc.start()
         try:
-            _steady_c_max(monkeypatch, vec, gamma_rs, phase_points)
+            _steady_c_max(vec, gamma_rs, phase_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

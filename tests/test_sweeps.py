@@ -1,12 +1,13 @@
 """Sweep-table tests: shapes, physics trends, sentinels and determinism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity, steady_state_stats
-from twospinboson import sweeps
+from twospinboson import bath, sweeps
 from twospinboson.entanglement import QubitAmplitudes
 from twospinboson.single_mode import SingleModeParams, time_series
 from twospinboson.sweeps import (
@@ -209,27 +210,88 @@ class TestSteadyStateTable:
         for key in first:
             assert np.array_equal(first[key], second[key])
 
+    @pytest.mark.filterwarnings("error")
     def test_cells_equal_steady_state_stats(self):
-        # The batched plateaus give each cell exactly the single-spectrum figures.
-        alphas, gaps = np.array([0.25, 0.5]), np.array([0.0, 1e-3, 0.1])
-        table = steady_state_table(alphas, gaps, UNIFORM, temperature=0.5, phase_points=64)
-        k = 0
-        for gap in gaps:
-            for alpha in alphas:
-                stats = steady_state_stats(OhmicGapSpectrum(alpha=alpha, omega0=gap,
-                                                            temperature=0.5), UNIFORM, 64)
-                if stats is None:
-                    assert table["has_steady_state"][k] == 0.0
-                else:
-                    _, c_max, entropy = stats
-                    assert table["c_max_steady"][k] == c_max
-                    assert table["s_steady"][k] == entropy
-                k += 1
+        # The batched plateaus give each cell exactly the single-spectrum
+        # figures: 4.0 * alpha * S(gap) from one series per gap, with the
+        # alpha = 0 row (0) and the gapless column (inf) set, not multiplied.
+        alphas, gaps = np.array([0.0, 0.25, 0.5]), np.array([0.0, 1e-3, 0.1])
+        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
+        for temperature in (0.0, 0.5):
+            table = steady_state_table(alphas, gaps, psi, temperature=temperature,
+                                       phase_points=64)
+            plateaus = bath._bose_pass(alphas, gaps, np.full(gaps.size, temperature))[0].ravel()
+            k = 0
+            for gap in gaps:
+                for alpha in alphas:
+                    spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
+                    assert plateaus[k].tobytes() == np.float64(gamma_R_infinity(spec)).tobytes()
+                    stats = steady_state_stats(spec, psi, 64)
+                    if stats is None:
+                        assert table["has_steady_state"][k] == 0.0
+                    else:
+                        _, c_max, entropy = stats
+                        assert table["c_max_steady"][k].tobytes() == np.float64(c_max).tobytes()
+                        assert table["s_steady"][k].tobytes() == np.float64(entropy).tobytes()
+                    k += 1
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             steady_state_table(alphas=np.array([0.5, 0.1]),
                                gaps=np.array([0.1]), psi0=UNIFORM)
+
+    def test_one_series_per_gap(self, monkeypatch):
+        # At fixed temperature a cell's plateau is 4 alpha S(gap): 128 x 128
+        # cells, one gapless column, 127 series.
+        rows = {"_bose_plan": [], "_bose_sums": []}
+
+        def recording(name, real):
+            def wrapper(x0, *args):
+                rows[name].append(x0.size)
+                return real(x0, *args)
+            return wrapper
+
+        for name in rows:
+            monkeypatch.setattr(bath, name, recording(name, getattr(bath, name)))
+        table = steady_state_table(np.linspace(0.05, 1.0, 128), np.linspace(0.0, 0.5, 128),
+                                   UNIFORM, phase_points=64)
+        assert rows == {"_bose_plan": [127], "_bose_sums": [127]}
+        assert table["alpha"].size == 128 * 128
+
+    def test_refusal_names_the_first_failing_cell(self):
+        huge = sys.float_info.max
+        for kwargs, reason in (
+                (dict(alphas=[0.1, 1e308, 1.5e308], gaps=[0.2, 0.3], temperature=0.5),
+                 "4 alpha overflows at alpha 1e+308, omega0 0.2, temperature 0.5"),
+                (dict(alphas=[1e308], gaps=[0.0], temperature=0.0),
+                 "4 alpha overflows at alpha 1e+308, omega0 0, temperature 0"),
+                (dict(alphas=[0.1, 1e308], gaps=[0.2], temperature=-1.0),
+                 "temperature must be nonnegative, got -1.0"),
+                (dict(alphas=[0.1, 1e308], gaps=[0.2], temperature=math.nan),
+                 "temperature must be finite, got nan")):
+            with pytest.raises(ValueError) as excinfo:
+                steady_state_table(psi0=UNIFORM, phase_points=4, **kwargs)
+            assert str(excinfo.value) == reason
+        # 4 alpha is the largest float itself at alpha = max/4.
+        table = steady_state_table([0.0, 0.25 * huge], [1e300], UNIFORM, phase_points=4)
+        assert table["has_steady_state"].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("table, args", [
+    (steady_state_table, (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 0.5, 16), UNIFORM, 0.5, 64)),
+    (thermal_overlap_table, (np.linspace(0.0, 2.0, 16), np.linspace(0.0, 0.5, 16))),
+])
+def test_a_table_builds_at_most_one_spectrum(monkeypatch, table, args):
+    built = []
+    post_init = OhmicGapSpectrum.__post_init__
+
+    def counting(spec):
+        built.append(spec)
+        post_init(spec)
+
+    monkeypatch.setattr(OhmicGapSpectrum, "__post_init__", counting)
+    table(*args)
+    assert len(built) <= 1
 
 
 class TestThermalOverlapTable:
@@ -255,3 +317,23 @@ class TestThermalOverlapTable:
                                                                omega0=0.25)))
         np.testing.assert_allclose(table["overlap_infinity"][0], expected,
                                    rtol=1e-9)
+
+    def test_refusal_names_the_first_cell(self):
+        with pytest.raises(ValueError) as excinfo:
+            thermal_overlap_table([0.5, 1.0], [0.2, 0.3], alpha=1e308)
+        assert str(excinfo.value) == "4 alpha overflows at alpha 1e+308, omega0 0.2, temperature 0.5"
+        with pytest.raises(ValueError, match="^alpha must be nonnegative, got -0.1$"):
+            thermal_overlap_table([0.5, 1.0], [0.2, 0.3], alpha=-0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cells_equal_gamma_r_infinity(self):
+        temperatures, gaps = np.array([0.0, 1e-3, 0.5, 2.0]), np.array([0.0, 1e-3, 0.1, 2.0])
+        table = thermal_overlap_table(temperatures, gaps)
+        k = 0
+        for gap in gaps:
+            for temperature in temperatures:
+                g = gamma_R_infinity(OhmicGapSpectrum(alpha=0.25, omega0=gap,
+                                                      temperature=temperature))
+                expected = NO_STEADY_STATE if math.isinf(g) else math.exp(-g)
+                assert table["overlap_infinity"][k].tobytes() == np.float64(expected).tobytes()
+                k += 1
