@@ -36,7 +36,7 @@ __all__ = ["main"]
 
 
 def _parse_amplitudes(text: str) -> QubitAmplitudes:
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in csvio.require_one_line(text, "amplitudes").split(",")]
     if len(parts) != 4:
         raise ValueError("amplitudes must be four comma-separated complex numbers")
     try:
@@ -59,7 +59,7 @@ def _axis(lo: float, hi: float, points: int, name: str) -> np.ndarray:
 
 def _parse_axis(text: str, name: str) -> np.ndarray:
     """Parse a linear sweep axis given as min:max:points."""
-    parts = text.split(":")
+    parts = csvio.require_one_line(text, name).split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} {text!r} must have the form min:max:points")
     try:

@@ -72,6 +72,13 @@ class TestSingleMode:
         assert code == 2
         assert "four comma-separated" in err
 
+    def test_rejects_line_break_in_amplitudes(self, capsys):
+        # It used to exit 0 and write a file whose amplitudes line was split.
+        assert_rejected_quietly(
+            capsys, ("single-mode", "--omega-over-lambda", "4",
+                     "--amplitudes", "0.5\n,0.5,0.5,0.5"),
+            "amplitudes must not contain a line break, got '0.5\\n,0.5,0.5,0.5'")
+
     def test_rejects_zero_state(self, capsys):
         code, _, err = run_cli(capsys, "single-mode", "--omega-over-lambda", "4",
                                "--amplitudes", "0,0,0,0")
@@ -382,6 +389,21 @@ class TestSteadySweep:
             "4 alpha overflows at alpha 1e+308, omega0 0, temperature 0")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option, text", [
+        ("--amplitudes", "0.5\n,0.5,0.5,0.5"), ("--amplitudes", "0.5,0.5,0.5,0.5\r"),
+        ("--alpha-grid", "0.05:1:2\n"), ("--gap-grid", "0:0.5\n:2"),
+        ("--temperature-grid", "0:2:2\r\n")])
+    def test_rejects_line_break_before_computing(self, capsys, tmp_path, monkeypatch,
+                                                 option, text):
+        # The text would go into a metadata line and split it.
+        monkeypatch.setattr(cli.sweeps, "steady_state_table", None)
+        assert_rejected_quietly(
+            capsys, ("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.1:2",
+                     "--temperature-grid", "0:1:2", f"{option}={text}",
+                     "--output-prefix", str(tmp_path / "p")),
+            "must not contain a line break")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_nonfinite_axis(self, capsys):
         for axis in ("0.1:inf:3", "-inf:1:3", "nan:1:3", "0.1:nan:3"):
             assert_rejected_quietly(
@@ -554,12 +576,14 @@ class TestTopLevel:
 
     def test_cli_imports_neither_scipy_nor_mpmath(self):
         # Start-up pays for numpy alone: the package's constants are literals,
-        # getopt parses the arguments, and the verification modules load only
-        # when verify or oracle-check runs.
+        # getopt parses the arguments, the verification modules load only
+        # when verify or oracle-check runs, and the CSV byte kernel and its
+        # tables only when a block first needs it.
         code = ("import sys, twospinboson.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "
                 "('scipy', 'mpmath', 'argparse') or m in "
-                "('twospinboson.checks', 'twospinboson.quadrature')))")
+                "('twospinboson.checks', 'twospinboson.quadrature', "
+                "'twospinboson.csvkernel')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 

@@ -1,9 +1,46 @@
 """CSV round-trip tests: 12-significant-digit rendering and exact reparse."""
 
+import math
+import tracemalloc
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from twospinboson import csvio
+from twospinboson import csvio, csvkernel
+
+
+def _with_neighbours(values) -> np.ndarray:
+    values = np.array(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def _exact_ties() -> np.ndarray:
+    """Doubles whose 13th significant digit is an exact 5: N / 10^m for a
+    13-digit N ending in 5, held exactly as (N / 5^m) / 2^m, and N * 10, N * 100."""
+    multiples = [1234567890125, 9999999999995]
+    for m in range(1, 18):
+        multiples += [(-(-10**12 // 5**m) | 1) * 5**m, (((10**13 - 1) // 5**m - 1) | 1) * 5**m]
+    ties = [n // 5**m / 2**m for n in multiples for m in range(18) if n % 5**m == 0]
+    ties += [n * 10.0**p for n in multiples[:2] for p in (1, 2)]
+    for tie in ties:
+        digits = Decimal(tie).normalize().as_tuple().digits
+        assert len(digits) == 13 and digits[-1] == 5
+    return np.array(ties)
+
+
+# Every power of ten 1e-330 (which is 0) to 1e308 and both neighbours, the %g
+# switch points 1e-5, 1e-4, 1e11 and 1e12 among them; the neighbours of the
+# carry values 9.999999999995e<k>; exact ties of the 13th digit; zeros of both
+# signs, infinities, nan, the smallest subnormals and the extremes.
+_EDGE_VALUES = np.concatenate([
+    _with_neighbours([float(f"1e{k}") for k in range(-330, 309)]),
+    _with_neighbours([float(f"9.999999999995e{k}") for k in range(-330, 309)]),
+    _exact_ties(), -_exact_ties(),
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, np.pi, 1e-300,
+     123456789012345.0]])
 
 
 class TestFormatValue:
@@ -46,20 +83,57 @@ class TestRenderAndParse:
         np.testing.assert_allclose(parsed["t"], columns["t"], rtol=1e-11)
         assert meta["tool"] == "demo"
 
-    @pytest.mark.parametrize("block", [4096, 3])
-    def test_rows_render_as_format_value(self, monkeypatch, block):
-        # Signed zeros, infinities, nan, the smallest subnormals and the
-        # extremes print exactly as format_value prints each value, also
-        # when the rows are split across several blocks.
+    @pytest.mark.parametrize("block", [csvio._ROW_BLOCK, 3, 4096])
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(values=_EDGE_VALUES)
+    @given(values=st.lists(st.floats() | st.floats(-1e34, 1e34), min_size=1, max_size=60))
+    def test_rows_render_as_format_value(self, monkeypatch, block, values):
+        # Every float64 prints exactly as format_value prints it, through the
+        # byte kernel and through the % route, also when the rows are split
+        # across several blocks.
         monkeypatch.setattr(csvio, "_ROW_BLOCK", block)
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
-                            1e308, -1e308, np.pi, 1e-300, 123456789012345.0])
+        special = np.array(values, dtype=float)
         columns = {"x": special, "y": special[::-1], "z": -special}
         expected = "".join(
             ",".join(csvio.format_value(columns[name][k]) for name in columns) + "\n"
             for k in range(special.size))
-        text = csvio.render_table(columns, {})
-        assert text == "x,y,z\n" + expected
+        for threshold in (0, math.inf):
+            monkeypatch.setattr(csvio, "_KERNEL_MIN_VALUES", threshold)
+            assert csvio.render_table(columns, {}) == "x,y,z\n" + expected
+
+    def test_kernel_memory_stays_within_a_block(self, monkeypatch):
+        # A table of 10^5 rows costs its text twice (the pieces and the
+        # joined string) plus a fixed multiple of one 1024-row block, and no
+        # kernel call needs more than that multiple.  Blocks of 2048 rows need
+        # twice as much and took 8,800 page faults in a fresh process.
+        block_bytes, multiple = 1024 * 6 * 8, 40
+        render_rows, calls = csvkernel.render_rows, []
+
+        def recording(block):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            text = render_rows(block)
+            calls.append(tracemalloc.get_traced_memory()[1] - start)
+            return text
+
+        monkeypatch.setattr(csvkernel, "render_rows", recording)
+        rng = np.random.default_rng(7)
+        columns = {f"c{k}": rng.standard_normal(100_000) for k in range(6)}
+        tracemalloc.start()
+        try:
+            text = csvio.render_table(columns, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 98
+        assert max(calls) < multiple * block_bytes
+        assert peak < 2 * len(text) + multiple * block_bytes
+
+    @pytest.mark.parametrize("metadata", [{"a\nb": 1}, {"a": "x\ry"}, {"a": "0.5\n,0.5"}])
+    def test_rejects_line_break_in_metadata(self, metadata):
+        with pytest.raises(ValueError, match="must not contain a line break"):
+            csvio.render_table({"x": np.zeros(2)}, metadata)
 
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError, match="at least one column"):
