@@ -24,11 +24,16 @@ The blocks are 1024 rows because the kernel's temporaries then stay small
 enough for the allocator to reuse them from block to block: with 2048-row
 blocks a fresh process took about 8,800 page faults on a 30,000-row,
 6-column table, against about 1,300 for the ``%`` route alone.
+
+:func:`write_table` writes the file block by block: the metadata and header
+lines, then each row block as soon as it is rendered.  Its memory is one
+block's text plus the kernel's temporaries, not the whole text.
+:func:`render_table` joins the same blocks into one string.
 """
 
 from __future__ import annotations
 
-import io
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -52,12 +57,11 @@ def require_one_line(text: str, what: str) -> str:
     return text
 
 
-def render_table(columns: dict[str, np.ndarray], metadata: dict[str, object]) -> str:
-    """Render metadata lines, header and rows as one CSV string.
+def _render_blocks(columns: dict[str, np.ndarray], metadata: dict[str, object]) -> Iterator[bytes]:
+    """Yield the table as UTF-8 bytes: metadata and header lines, then each row block.
 
-    ``columns`` must be nonempty with equal-length values; insertion order
-    fixes the column order.  A metadata key or value with a line break is
-    refused, since it would split its line.
+    ``columns`` and ``metadata`` are checked as :func:`render_table` states,
+    all before the first chunk is yielded.
     """
     if not columns:
         raise ValueError("table must have at least one column")
@@ -67,29 +71,44 @@ def render_table(columns: dict[str, np.ndarray], metadata: dict[str, object]) ->
     for name, arr in zip(names, arrays):
         if arr.ndim != 1 or arr.shape[0] != length:
             raise ValueError(f"column {name!r} is not a 1-D column of length {length}")
+    head = [require_one_line(f"# {key}: {value}", "a metadata line") + "\n"
+            for key, value in metadata.items()]
+    yield ("".join(head) + ",".join(names) + "\n").encode("utf-8")
 
-    out = io.StringIO()
-    for key, value in metadata.items():
-        out.write(require_one_line(f"# {key}: {value}", "a metadata line") + "\n")
-    out.write(",".join(names) + "\n")
     row = ",".join(["%.12g"] * len(arrays)) + "\n"
     for low in range(0, length, _ROW_BLOCK):
         block = np.column_stack([arr[low:low + _ROW_BLOCK] for arr in arrays])
         if block.size < _KERNEL_MIN_VALUES:
             # One printf-style format per block, without a Python call per value.
-            out.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            yield (row * block.shape[0] % tuple(block.ravel().tolist())).encode("ascii")
         else:
             from .csvkernel import render_rows
 
-            out.write(render_rows(block).decode("ascii"))
-    return out.getvalue()
+            yield render_rows(block)
+
+
+def render_table(columns: dict[str, np.ndarray], metadata: dict[str, object]) -> str:
+    """Render metadata lines, header and rows as one CSV string.
+
+    ``columns`` must be nonempty with equal-length values; insertion order
+    fixes the column order.  A metadata key or value with a line break is
+    refused, since it would split its line.
+    """
+    return b"".join(_render_blocks(columns, metadata)).decode("utf-8")
 
 
 def write_table(path, columns: dict[str, np.ndarray], metadata: dict[str, object]) -> None:
-    """Write the rendered table to ``path`` in one shot."""
-    text = render_table(columns, metadata)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write the bytes of :func:`render_table` to ``path``, one row block at a time.
+
+    A table :func:`render_table` refuses raises ValueError before ``path``
+    is opened, so it creates no file.
+    """
+    chunks = _render_blocks(columns, metadata)
+    head = next(chunks)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def parse_table(text: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:

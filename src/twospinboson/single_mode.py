@@ -122,7 +122,10 @@ def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
 
 
 _MAX_FLOAT = sys.float_info.max
-_BLOCK = 1 << 12  # phases per block of _model_measures, 64 kB per complex temporary
+# Phases per row block of _model_measures: every temporary of the spectrum,
+# the validation, the entropy and the concurrence spans one block, 64 kB per
+# complex temporary, whatever the grid.
+_BLOCK = 1 << 12
 _EPS = sys.float_info.epsilon
 # A row's closed-form lambda_1 is kept when its forward-error bound is at most
 # _SPECTRUM_TOL tr H (256 ulps, the threshold of Kopp's hybrid 3x3 solver).
@@ -170,9 +173,10 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     Gram matrix of the (+, 0, -) oscillator branches (e^{-gamma_r} beside the
     unit diagonal, e^{-4 gamma_r} in the corners).  So rho has the spectrum
     of H = D^{1/2} G0 D^{1/2} plus an exact 0, which gives the entropy and the
-    smallest eigenvalue for validation.  :func:`_gram_spectrum` takes it, for
-    all n rows at once, from H's exact invariants; only a row whose lambda_1
-    it cannot certify (lambda_1 ~ lambda_2) costs a real 3x3 ``eigvalsh``.
+    smallest eigenvalue for validation.  :func:`_gram_spectrum` takes it, one
+    block of rows at a time, from H's exact invariants; only a row whose
+    lambda_1 it cannot certify (lambda_1 ~ lambda_2) costs a real 3x3
+    ``eigvalsh``.
 
     Concurrence.  The Wootters r_i (PRL 80, 2245 (1998)) are the singular
     values of Uhlmann's tau = G0^{1/2} N G0^{1/2} (PRA 62, 032307 (2000)),
@@ -197,30 +201,38 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     as NaN); the smallest eigenvalue is H's, lambda_3 = det H / (lambda_1
     lambda_2) with the sign of det H, or ``eigvalsh``'s on a row that falls
     back; a non-finite gamma_r or phase gives NaN defects.
+
+    The rows are taken in blocks of max(1, _BLOCK // m): each block gets its
+    spectrum, validation, entropy and concurrence before the next starts, so
+    the temporaries span one block, never the grid.  Every step is per row,
+    so the result is bitwise the same for any block size; a refusal names the
+    global row index, the block's first row plus the index within it, and
+    comes after the earlier blocks' rows have been measured.
     """
     n, m = phases.shape
     trace = abs(float(np.sum(np.abs(vec) ** 2)) - 1.0)
     if n and not trace <= TRACE_TOL:
         raise InvalidDensityMatrixError(DensityCheck(0.0, trace, math.nan), 0)
     a, b, c, d = vec
-    # max |phi| per row without an (n, m) temporary; NaN where a phase is NaN.
-    peak = np.maximum(phases.max(1), -phases.min(1))
-    finite = np.isfinite(np.exp(-4.0 * gamma_rs)) & (peak <= _MAX_FLOAT)
-    gamma = np.where(finite, gamma_rs, 0.0)
-    evals = _gram_spectrum(np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)]), gamma)
-    evals[~finite] = np.nan
-    failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
-    if failed.any():
-        k = int(np.argmax(failed))
-        defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
-        raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), k)
-    entropy = _entropy_bits(evals)
-    conc = np.empty((n, m))
+    root = np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)])
+    conc, entropy = np.empty((n, m)), np.empty(n)
     step = max(1, _BLOCK // m)
     for low in range(0, n, step):
         rows = slice(low, low + step)
-        conc[rows] = _uhlmann_concurrence(vec, gamma[rows], phases[rows],
-                                          peak[rows] > 0.5 * _MAX_FLOAT)
+        block = phases[rows]
+        # max |phi| per row without an |phi| temporary; NaN where a phase is NaN.
+        peak = np.maximum(block.max(1), -block.min(1))
+        finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & (peak <= _MAX_FLOAT)
+        gamma = np.where(finite, gamma_rs[rows], 0.0)
+        evals = _gram_spectrum(root, gamma)
+        evals[~finite] = np.nan
+        failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
+        if failed.any():
+            k = int(np.argmax(failed))
+            defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
+            raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), low + k)
+        entropy[rows] = _entropy_bits(evals)
+        conc[rows] = _uhlmann_concurrence(vec, gamma, block, peak > 0.5 * _MAX_FLOAT)
     return conc, entropy
 
 

@@ -54,7 +54,8 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes,
     theta*t in [0, pi/2] with ``samples_per_period`` trapezoid intervals (at
     least 100); an n whose omega t overflows on that grid is refused.
     Columns: n, omega_over_lambda, c_max, c_avg, s_max, s_avg (extrema and
-    trapezoid averages over the half period).
+    trapezoid averages over the half period).  One ``_model_measures`` call
+    takes all n_grid.size * (samples_per_period + 1) rows, block by block.
     """
     n_grid = _require_grid(n_grid, "n_grid")
     if n_grid[0] < 0.25:
@@ -66,23 +67,22 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes,
     theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
     span = theta_ts[-1] - theta_ts[0]
     omegas = 4.0 * np.sqrt(n_grid)
-    c_max, c_avg, s_max, s_avg = (np.empty(n_grid.size) for _ in range(4))
+    gamma_rs, phases = (np.empty((n_grid.size, theta_ts.size)) for _ in range(2))
     for k, omega in enumerate(omegas):
         params = SingleModeParams(float(omega))
         t = theta_ts / params.theta
         _require_single_mode_grid(params, t)
-        gamma_rs, gamma_is = _gammas(params, t)
-        conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
-        c_max[k], s_max[k] = np.max(conc), np.max(entropy)
-        c_avg[k] = np.trapezoid(conc[:, 0], theta_ts) / span
-        s_avg[k] = np.trapezoid(entropy, theta_ts) / span
+        gamma_rs[k], gamma_is = _gammas(params, t)
+        phases[k] = 2.0 * theta_ts - gamma_is
+    conc, entropy = _model_measures(vec, gamma_rs.ravel(), phases.reshape(-1, 1))
+    conc, entropy = conc.reshape(gamma_rs.shape), entropy.reshape(gamma_rs.shape)
     return {
         "n": n_grid,
         "omega_over_lambda": omegas,
-        "c_max": c_max,
-        "c_avg": c_avg,
-        "s_max": s_max,
-        "s_avg": s_avg,
+        "c_max": conc.max(axis=1),
+        "c_avg": np.trapezoid(conc, theta_ts, axis=1) / span,
+        "s_max": entropy.max(axis=1),
+        "s_avg": np.trapezoid(entropy, theta_ts, axis=1) / span,
     }
 
 

@@ -103,9 +103,10 @@ class TestRenderAndParse:
             assert csvio.render_table(columns, {}) == "x,y,z\n" + expected
 
     def test_kernel_memory_stays_within_a_block(self, monkeypatch):
-        # A table of 10^5 rows costs its text twice (the pieces and the
-        # joined string) plus a fixed multiple of one 1024-row block, and no
-        # kernel call needs more than that multiple.  Blocks of 2048 rows need
+        # A table of 10^5 rows rendered to one string costs its text twice
+        # (the pieces and the joined bytes, then those and the string) plus
+        # a fixed multiple of one 1024-row block, and no kernel call needs
+        # more than that multiple.  Blocks of 2048 rows need
         # twice as much and took 8,800 page faults in a fresh process.
         block_bytes, multiple = 1024 * 6 * 8, 40
         render_rows, calls = csvkernel.render_rows, []
@@ -129,6 +130,44 @@ class TestRenderAndParse:
         assert len(calls) == 98
         assert max(calls) < multiple * block_bytes
         assert peak < 2 * len(text) + multiple * block_bytes
+
+    def test_write_table_memory_stays_within_a_block(self, tmp_path):
+        # The file is written block by block: a table of 10^5 rows (a 9.1 MB
+        # text) costs a fixed multiple of one 1024-row block, not its text
+        # (about 30 blocks; with the text built whole, about 370).
+        block_bytes, multiple = 1024 * 6 * 8, 40
+        rng = np.random.default_rng(7)
+        columns = {f"c{k}": rng.standard_normal(100_000) for k in range(6)}
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            csvio.write_table(path, columns, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4 * multiple * block_bytes
+        assert peak < multiple * block_bytes
+
+    @pytest.mark.parametrize("rows", [3, 2100])
+    def test_write_table_bytes_equal_render_table(self, tmp_path, rows):
+        # 2100 rows of 3 columns: two kernel blocks, then 52 rows by %.
+        t = np.linspace(0.0, 7.0, rows)
+        columns = {"t": t, "sin": np.sin(t), "exp": np.exp(-t)}
+        metadata = {"tool": "demo", "units": "θ t in 1/λ, ω/λ = 4.5"}
+        path = tmp_path / "table.csv"
+        csvio.write_table(path, columns, metadata)
+        assert path.read_bytes() == csvio.render_table(columns, metadata).encode("utf-8")
+
+    @pytest.mark.parametrize("columns, metadata", [
+        ({"x": np.zeros(2)}, {"a": "x\ny"}),
+        ({"a": np.zeros(3), "b": np.zeros(2)}, {}),
+        ({}, {}),
+    ])
+    def test_refused_table_creates_no_file(self, tmp_path, columns, metadata):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError):
+            csvio.write_table(path, columns, metadata)
+        assert not path.exists()
 
     @pytest.mark.parametrize("metadata", [{"a\nb": 1}, {"a": "x\ry"}, {"a": "0.5\n,0.5"}])
     def test_rejects_line_break_in_metadata(self, metadata):

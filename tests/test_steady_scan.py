@@ -450,8 +450,26 @@ class TestModelMeasures:
         blocked = time_series(params, psi, t)
         for name in ("concurrence", "entropy"):
             assert blocked[name].tobytes() == whole[name].tobytes()
-        # The spectrum is taken once per call over all rows, not once per block.
-        assert spectrum_calls == [t.size, t.size]
+        # The spectrum is taken once per block, each block at most _BLOCK rows.
+        assert spectrum_calls == [t.size, *[3] * (t.size // 3), t.size % 3]
+
+    def test_memory_stays_within_a_block(self):
+        # 10^5 rows: beyond the two outputs, the block temporaries cost a
+        # fixed multiple of one _BLOCK-row float array, not of the grid
+        # (about 33 such arrays; taken over all rows at once, about 670).
+        rows, multiple = 100_000, 64
+        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
+        params = SingleModeParams(4.5)
+        t = np.linspace(0.0, 50.0, rows) / params.theta
+        gamma_rs, gamma_is = single_mode._gammas(params, t)
+        phases = (2.0 * (params.theta * t) - gamma_is)[:, None]
+        tracemalloc.start()
+        try:
+            _model_measures(psi.vector(), gamma_rs, phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows * 8 + multiple * single_mode._BLOCK * 8
 
     def test_model_state_paths_call_no_linalg(self, monkeypatch):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
@@ -520,6 +538,18 @@ class TestValidation:
             _SERIES_CALLS[name](QubitAmplitudes.uniform())
         assert err.value.index == 3
         assert math.isnan(err.value.check.trace_defect)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_refusal_in_a_later_block_names_the_global_row(self, monkeypatch, bad):
+        # Blocks of 3 rows: row 7 is row 1 of the third block.
+        monkeypatch.setattr(single_mode, "_BLOCK", 3)
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        gamma_rs = np.linspace(0.1, 1.0, 10)
+        gamma_rs[7] = bad
+        with pytest.raises(InvalidDensityMatrixError) as err:
+            _model_measures(vec, gamma_rs, np.linspace(0.0, 3.0, 10)[:, None])
+        assert err.value.index == 7
+        assert math.isnan(err.value.check.trace_defect) == math.isnan(bad)
 
     @pytest.mark.parametrize("gamma_rs, phases", [
         ([0.1, 0.2, -0.5, 0.3], [0.0, 1.0, 2.0, 3.0]),
