@@ -20,27 +20,34 @@ Euler-Maclaurin formula with a remainder bound of 1e-16 when that takes
 fewer terms, so it costs a fixed number of E1 values per time point; its
 plateau is gamma_R(infinity).
 
-The package re-exports the public names of its numerical modules; each
-module's ``__all__`` is the one list of what it makes public.  The
-oscillation-aware Gauss-Legendre quadrature the closed forms are checked
-against is the oracle module :mod:`twospinboson.quadrature`: it is not
-re-exported, and importing the package does not load it.
+The package is two layers with imports in one direction.  The model layer
+(:mod:`~twospinboson.single_mode`, :mod:`~twospinboson.bath`,
+:mod:`~twospinboson.sweeps`, :mod:`~twospinboson.csvio`,
+:mod:`~twospinboson.csvkernel` and :mod:`~twospinboson.cli`) computes every
+table.  The oracle layer checks it and shares no code with it: the 4x4
+Wootters kernel and the builders of the 4x4 model states
+(:mod:`twospinboson.entanglement`), truncated-Fock propagation
+(:mod:`twospinboson.fock`) and the quadrature of the defining bath integrals
+(:mod:`twospinboson.quadrature`).  An oracle takes from the model only input
+types, the amplitude check and the validity thresholds; no model module
+imports an oracle, and importing the package or the CLI loads none.
+
+The package re-exports the public names of the model modules
+``single_mode``, ``bath`` and ``sweeps``; each module's ``__all__`` is the
+one list of what it makes public.  The oracles are imported by module, for
+example ``from twospinboson import entanglement``.
 """
 
 __version__ = "0.1.0"
 
-from . import bath, entanglement, fock, single_mode, sweeps
-from .entanglement import *
+from . import bath, single_mode, sweeps
 from .single_mode import *
-from .fock import *
 from .bath import *
 from .sweeps import *
 
 __all__ = [
     "__version__",
-    *entanglement.__all__,
     *single_mode.__all__,
-    *fock.__all__,
     *bath.__all__,
     *sweeps.__all__,
 ]

@@ -1,10 +1,12 @@
-"""Gapped Ohmic environment: spectral density, decoherence exponents, steady state.
+"""Gapped Ohmic environment: decoherence exponents, induced coupling, steady state.
 
-The spectral density is
+The environment's spectral density is
 
     J(omega) = alpha * (omega - omega0) * exp(-(omega - omega0)/omega_c)
 
-for omega above the gap omega0 and zero below it (hbar = k_B = 1).  Everything
+for omega above the gap omega0 and zero below it (hbar = k_B = 1); no
+evaluation path needs J itself, and the quadrature oracle evaluates it
+(:func:`twospinboson.quadrature.spectral_density`).  Everything
 is in units of the cutoff omega_c: ``omega0`` is x0 = omega0/omega_c, the
 temperature is tau = T/omega_c and times are s = omega_c t.  The
 environment acts on the two qubits only through three numbers:
@@ -13,8 +15,10 @@ environment acts on the two qubits only through three numbers:
     gamma_R(t) = 4 * integral J/omega^2 * coth(omega/2T) * (1 - cos omega t)
     gamma_I(t) = 4 * integral J/omega^2 * sin(omega t)     (temperature free)
 
-so the reduced density matrix has the same structure as in the single-mode
-model and is delegated to :func:`twospinboson.single_mode.reduced_density`.
+so the reduced state has the same structure as in the single-mode model, and
+every table measures it through the model route of
+:func:`twospinboson.single_mode._model_measures`, fed the rows of
+:func:`bath_exponents` and :func:`effective_coupling`.
 
 :func:`bath_exponents` evaluates gamma_R and gamma_I on a whole time grid at
 once; every caller in the package takes them from it.  The method depends on
@@ -63,17 +67,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import QubitAmplitudes, _require_amplitudes
-from .single_mode import GammaValue, _cross_term, _model_measures, reduced_density
+from .single_mode import QubitAmplitudes, _cross_term, _model_measures, _require_amplitudes
 
 __all__ = [
     "OhmicGapSpectrum",
-    "spectral_density",
     "effective_coupling",
     "bath_exponents",
     "gamma_R_infinity",
     "bath_gamma",
-    "bath_reduced_density",
     "steady_state_stats",
 ]
 
@@ -130,15 +131,6 @@ class OhmicGapSpectrum:
         if not math.isfinite(4.0 * self.alpha):
             raise ValueError(f"4 alpha overflows at alpha {self.alpha:g}, omega0 "
                              f"{self.omega0:g}, temperature {self.temperature:g}")
-
-
-def spectral_density(spec: OhmicGapSpectrum, omega):
-    """J(omega); accepts scalars or arrays, zero at and below the gap."""
-    omega = np.asarray(omega, dtype=float)
-    x = omega - spec.omega0
-    dens = spec.alpha * x * np.exp(-np.clip(x, 0.0, None))
-    out = np.where(omega > spec.omega0, dens, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def _e1_power_tail(z):
@@ -609,18 +601,6 @@ def bath_gamma(spec: OhmicGapSpectrum, t: float) -> tuple[float, float, float]:
     # No module of the package calls this one-point view; it stays only
     # because the benchmark's tracer (perfbench/tracer.py) names it.
     return tuple(float(v[0]) for v in bath_exponents(spec, [t]))
-
-
-def bath_reduced_density(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t: float) -> np.ndarray:
-    """Reduced two-qubit density matrix under the bath at time ``t``.
-
-    Same matrix structure as the single-mode result, with theta*t given by
-    the effective coupling and the decoherence exponents by the bath
-    integrals.
-    """
-    gamma_r, gamma_i, _ = bath_exponents(spec, [t])
-    theta_t = effective_coupling(spec) * t
-    return reduced_density(psi0, theta_t, GammaValue(float(gamma_r[0]), float(gamma_i[0])))
 
 
 def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,

@@ -18,15 +18,16 @@ import numpy as np
 
 from . import bath, fock, quadrature, single_mode, sweeps
 from .entanglement import (
-    QubitAmplitudes,
+    _density_from_phases,
     concurrence,
     entanglement_measures,
     pure_concurrence,
     purity,
+    reduced_density,
     validate_density,
     von_neumann_entropy,
 )
-from .single_mode import GammaValue, SingleModeParams, gamma_single_mode
+from .single_mode import GammaValue, QubitAmplitudes, SingleModeParams, gamma_single_mode
 
 __all__ = [
     "CheckResult",
@@ -78,7 +79,7 @@ def _random_density(rng) -> np.ndarray:
 
 
 def _single_mode_rho(params: SingleModeParams, psi: QubitAmplitudes, t: float) -> np.ndarray:
-    return single_mode.reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
+    return reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
 
 
 def _rises(values) -> bool:
@@ -281,14 +282,16 @@ def bath_checks() -> list[CheckResult]:
         "wider gap preserves coherence", _falls(by_gap),
         f"gamma_R(inf) over omega0 = 0.01, 0.05, 0.1, 0.2: {[f'{p:.4f}' for p in by_gap]}"))
 
-    scan_defect = _model_measures_defect()
+    scan_defect, min_entropy = _model_measures_defect()
     closed_defect = _model_measures_closed_form_defect()
     results.append(CheckResult(
-        "steady-state scan oracle", scan_defect <= 1e-12 and closed_defect <= 1e-15,
+        "steady-state scan oracle",
+        scan_defect <= 1e-12 and closed_defect <= 1e-15 and min_entropy >= 0.0,
         f"max |C| and |S| difference {scan_defect:.2e} from the 4x4 kernel, 4 amplitude sets at "
         "256 phases x 4 plateaus and 256 series times with gamma_I != 0 (tol 1e-12); "
         f"max |C| difference {closed_defect:.2e} from the closed forms 2|ad| e^(-4 gamma_R) "
-        "(b = c = 0), 2|bc| (a = d = 0) and ideal_concurrence (gamma_R = 0) (tol 1e-15)"))
+        "(b = c = 0), 2|bc| (a = d = 0) and ideal_concurrence (gamma_R = 0) (tol 1e-15); "
+        f"min model S {min_entropy:.1e} over those states and 64 random pure ones (exact: >= 0)"))
     return results
 
 
@@ -300,7 +303,7 @@ def _closed_form_and_quadrature(spec: bath.OhmicGapSpectrum) -> tuple[np.ndarray
     return closed, quad
 
 
-def _model_measures_defect() -> float:
+def _model_measures_defect() -> tuple[float, float]:
     """Worst difference of C and S between the model-state closed form and the kernel.
 
     ``single_mode._model_measures`` (S from the certified invariant spectrum
@@ -310,6 +313,11 @@ def _model_measures_defect() -> float:
     b = c = 0 state: as a steady-state scan of 256 phases at the plateaus 0,
     0.05, 1.2 (alpha 0.25, gap 0.1) and 4, and through ``time_series`` on 256
     times at omega/lambda = 2.3 (gamma_I != 0).
+
+    Also returns the smallest model entropy over those states and 64 seeded
+    random pure states (gamma_r = 0).  It must be exactly nonnegative: every
+    model entropy is a sum of nonnegative terms, since a spectrum is clamped
+    at 1, and a pure state's top eigenvalue often comes out 1 + eps.
     """
     rng = np.random.default_rng(_SEED + 3)
     gamma_rs = np.array([0.0, 0.05, 1.2, 4.0])
@@ -318,20 +326,24 @@ def _model_measures_defect() -> float:
     series_ts = np.linspace(0.0, 12.0, 256)
     b, c, a, d = rng.normal(size=4) + 1j * rng.normal(size=4)
     worst = 0.0
+    entropies = []
     for psi in (_UNIFORM, _random_pure(rng),
                 QubitAmplitudes.normalized(0.0, b, c, 0.0),
                 QubitAmplitudes.normalized(a, 0.0, 0.0, d)):
         vec = psi.vector()
         conc, entropy = single_mode._model_measures(vec, gamma_rs, 2.0 * theta_ts)
         c_ref, s_ref = entanglement_measures(
-            single_mode._density_from_phases(vec, theta_ts, gamma_rs[:, None], 0.0))
+            _density_from_phases(vec, theta_ts, gamma_rs[:, None], 0.0))
         series = single_mode.time_series(params, psi, series_ts)
-        c_series, s_series = entanglement_measures(single_mode._density_from_phases(
+        c_series, s_series = entanglement_measures(_density_from_phases(
             vec, series["theta_t"], *single_mode._gammas(params, series_ts)))
         worst = max(worst, np.max(np.abs(conc - c_ref)), np.max(np.abs(entropy[:, None] - s_ref)),
                     np.max(np.abs(series["concurrence"] - c_series)),
                     np.max(np.abs(series["entropy"] - s_series)))
-    return float(worst)
+        entropies += [entropy, series["entropy"]]
+    entropies += [single_mode._model_measures(_random_pure(rng).vector(), np.zeros(1),
+                                              np.zeros((1, 1)))[1] for _ in range(64)]
+    return float(worst), float(np.min(np.concatenate(entropies)))
 
 
 def _model_measures_closed_form_defect() -> float:
@@ -493,7 +505,7 @@ def _criterion_6(track: _Tally) -> CheckResult:
     # The steady-state family measured with the 4x4 kernel: its entropy is
     # phase independent and equal to the structured figure.
     g = GammaValue(g_inf, 0.0)
-    entropies = [von_neumann_entropy(track(single_mode.reduced_density(_UNIFORM, theta_t, g)))
+    entropies = [von_neumann_entropy(track(reduced_density(_UNIFORM, theta_t, g)))
                  for theta_t in np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)]
     spread = max(entropies) - min(entropies)
     deviation = max(abs(s - entropy) for s in entropies)
@@ -550,7 +562,7 @@ def _criterion_8(track: _Tally) -> CheckResult:
         psi = dfs_state()
         rhos.append(track(_single_mode_rho(params, psi, float(rng.uniform(0.0, 20.0)))))
         theta_t, g = bath_states[k % 10]
-        rhos.append(track(single_mode.reduced_density(psi, theta_t, g)))
+        rhos.append(track(reduced_density(psi, theta_t, g)))
     for _ in range(25):
         random_params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         t = float(rng.uniform(0.0, 50.0))

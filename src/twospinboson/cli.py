@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__, csvio, sweeps
 from .bath import OhmicGapSpectrum
-from .entanglement import QubitAmplitudes
-from .single_mode import SingleModeParams, time_series
+from .single_mode import QubitAmplitudes, SingleModeParams, time_series
 
 __all__ = ["main"]
 
@@ -70,13 +69,6 @@ def _parse_axis(text: str, name: str) -> np.ndarray:
     return _axis(lo, hi, points, name)
 
 
-def _emit(columns, metadata, output) -> None:
-    if output is None:
-        sys.stdout.write(csvio.render_table(columns, metadata))
-    else:
-        csvio.write_table(output, columns, metadata)
-
-
 def _base_metadata(subcommand: str, **params) -> dict[str, object]:
     meta: dict[str, object] = {
         "tool": f"twospinboson {__version__}",
@@ -99,7 +91,7 @@ def _cmd_single_mode(args) -> int:
         amplitudes=args.amplitudes,
         units="t in 1/lambda (hbar = 1); entropy in bits",
     )
-    _emit(columns, meta, args.output)
+    csvio.write_table(args.output, columns, meta)
     return 0
 
 
@@ -116,7 +108,7 @@ def _cmd_period_stats(args) -> int:
         amplitudes=args.amplitudes,
         units="n = (omega / 4 lambda)^2, dimensionless; entropy in bits",
     )
-    _emit(table, meta, args.output)
+    csvio.write_table(args.output, table, meta)
     return 0
 
 
@@ -136,7 +128,7 @@ def _cmd_bath_series(args) -> int:
         amplitudes=args.amplitudes,
         units="t in 1/omega_c; temperature in omega_c; entropy in bits",
     )
-    _emit(table, meta, args.output)
+    csvio.write_table(args.output, table, meta)
     return 0
 
 

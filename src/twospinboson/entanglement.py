@@ -1,4 +1,4 @@
-"""Two-qubit state algebra: density-matrix validity, concurrence, entropy.
+"""The 4x4 oracle: density-matrix validity, concurrence, entropy of any two-qubit state.
 
 The computational basis is ordered {|00>, |01>, |10>, |11>} everywhere in
 this package.  Entropies are reported in bits (log base 2).
@@ -10,26 +10,29 @@ rho~ = S rho* S, with S = sigma_y (x) sigma_y, then has the square root
 S sqrt(rho)* S without a second decomposition, and the Wootters r_i are the
 singular values of sqrt(rho) sqrt(rho~) (Wootters, PRL 80, 2245 (1998)).
 
-This kernel is the public API and the oracle; the model's own states (every
-series, scan and period statistic) take the 3x3 Gram route and the
-closed-form concurrence of :func:`twospinboson.single_mode._model_measures`
-instead.
+This module is an oracle.  The model's own states (every series, scan and
+period statistic) take the 3x3 Gram route and the closed-form concurrence of
+:func:`twospinboson.single_mode._model_measures`, which shares no code with
+the kernel here: no model module imports this one, and its entropy sum is
+its own.  From the model this module takes only the input types and the
+validity thresholds (:class:`~twospinboson.single_mode.QubitAmplitudes`,
+:class:`~twospinboson.single_mode.GammaValue`, the amplitude check,
+:class:`~twospinboson.single_mode.DensityCheck`,
+:class:`~twospinboson.single_mode.InvalidDensityMatrixError` and the three
+tolerances).  It also builds the 4x4 model states the kernel checks:
+:func:`reduced_density` for one time, :func:`_density_from_phases` for
+arrays of phases and exponents.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .single_mode import (HERMITICITY_TOL, MIN_EIGENVALUE_TOL, TRACE_TOL, DensityCheck,
+                          GammaValue, InvalidDensityMatrixError, QubitAmplitudes,
+                          _require_amplitudes)
+
 __all__ = [
-    "HERMITICITY_TOL",
-    "TRACE_TOL",
-    "MIN_EIGENVALUE_TOL",
-    "QubitAmplitudes",
-    "DensityCheck",
-    "InvalidDensityMatrixError",
     "validate_density",
     "require_valid_density",
     "concurrence",
@@ -37,12 +40,8 @@ __all__ = [
     "von_neumann_entropy",
     "purity",
     "entanglement_measures",
+    "reduced_density",
 ]
-
-# Validity thresholds for a physical 4x4 density matrix.
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-MIN_EIGENVALUE_TOL = -1e-10
 
 # Eigenvalues below this are treated as exact zeros in entropy sums.
 _ENTROPY_CLIP = 1e-14
@@ -51,86 +50,6 @@ _ENTROPY_CLIP = 1e-14
 # (-1, 1, 1, -1), so S A S reverses both axes of A and multiplies entry
 # (i, j) by the product of the i-th and j-th of those signs.
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class QubitAmplitudes:
-    """Amplitudes (a, b, c, d) of a pure two-qubit state in the standard basis."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d], dtype=complex)
-
-    def norm_defect(self) -> float:
-        """|<psi|psi> - 1|, zero for a normalized state."""
-        return abs(float(np.sum(np.abs(self.vector()) ** 2)) - 1.0)
-
-    @classmethod
-    def uniform(cls) -> "QubitAmplitudes":
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    @classmethod
-    def normalized(cls, a, b, c, d) -> "QubitAmplitudes":
-        """Build amplitudes rescaled to unit norm.  Rejects the zero vector and NaN/inf.
-
-        The vector is first scaled by an exact power of two that brings its
-        largest real or imaginary part into [1/2, 1), so that the norm neither
-        overflows nor underflows.
-        """
-        vec = np.array([a, b, c, d], dtype=complex)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"amplitudes must be finite, got {a}, {b}, {c}, {d}")
-        peak = float(np.max(np.abs(vec.view(float))))
-        if peak == 0.0:
-            raise ValueError("cannot normalize the zero amplitude vector")
-        vec = np.ldexp(vec.view(float), -math.frexp(peak)[1]).view(complex)
-        vec = vec / float(np.linalg.norm(vec))
-        return cls(*(complex(z) for z in vec))
-
-
-@dataclass(frozen=True)
-class DensityCheck:
-    """Validity report for a candidate density matrix."""
-
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-    @property
-    def valid(self) -> bool:
-        return bool(_within_tolerances(self.hermiticity_defect, self.trace_defect,
-                                       self.min_eigenvalue))
-
-    def describe(self) -> str:
-        return (
-            f"hermiticity defect {self.hermiticity_defect:.3e} (tol {HERMITICITY_TOL:.0e}), "
-            f"trace defect {self.trace_defect:.3e} (tol {TRACE_TOL:.0e}), "
-            f"min eigenvalue {self.min_eigenvalue:.3e} (tol {MIN_EIGENVALUE_TOL:.0e})"
-        )
-
-
-class InvalidDensityMatrixError(ValueError):
-    """Raised when an operation receives a matrix that fails validation.
-
-    ``index`` is the position of the first failing matrix in the flattened
-    batch, or None when a single matrix was given.
-    """
-
-    def __init__(self, check: DensityCheck, index: int | None = None):
-        where = "" if index is None else f" at batch index {index}"
-        super().__init__(f"invalid density matrix{where}: {check.describe()}")
-        self.check = check
-        self.index = index
-
-
-def _within_tolerances(herm, trace, min_eigenvalue):
-    """The package tolerances, elementwise on arrays; NaN fails every one."""
-    return ((herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL)
-            & (min_eigenvalue >= MIN_EIGENVALUE_TOL))
 
 
 def _spectra(flat: np.ndarray):
@@ -187,18 +106,6 @@ def require_valid_density(rho) -> np.ndarray:
     if not check.valid:
         raise InvalidDensityMatrixError(check)
     return rho
-
-
-def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
-    if not isinstance(psi, QubitAmplitudes):
-        raise TypeError(f"amplitudes must be QubitAmplitudes, got {type(psi).__name__}")
-    defect = psi.norm_defect()
-    # Every state built from the amplitudes has this trace defect; a NaN is refused too.
-    if not defect <= TRACE_TOL:
-        raise ValueError(
-            f"amplitudes are not normalized: defect {defect:.3e} exceeds {TRACE_TOL:.0e}"
-        )
-    return psi.vector()
 
 
 def concurrence(rho) -> float:
@@ -265,7 +172,8 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected shape (..., 4, 4), got {rhos.shape}")
     shape = rhos.shape[:-2]
     herm, trace, evals, evecs = _spectra(rhos.reshape(-1, 4, 4))
-    ok = _within_tolerances(herm, trace, evals[:, 0])
+    # The package tolerances, elementwise; NaN fails every one.
+    ok = (herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL) & (evals[:, 0] >= MIN_EIGENVALUE_TOL)
     if not ok.all():
         k = int(np.argmin(ok))
         raise InvalidDensityMatrixError(
@@ -281,3 +189,61 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     r = np.linalg.svd(sqrt_rho @ sqrt_flipped, compute_uv=False)
     conc = np.maximum(0.0, r[:, 0] - r[:, 1] - r[:, 2] - r[:, 3])
     return conc.reshape(shape), entropy.reshape(shape)
+
+
+def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
+    """Stack of reduced density matrices for arrays of phases and exponents."""
+    a, b, c, d = psi0
+    theta_ts = np.asarray(theta_ts, dtype=float)
+    gamma_rs = np.asarray(gamma_rs, dtype=float)
+    gamma_is = np.asarray(gamma_is, dtype=float)
+
+    # Coherence factor between a displaced branch and an undisplaced one.
+    f = np.exp(-gamma_rs + 1j * (2.0 * theta_ts - gamma_is))
+    # Between the two oppositely displaced branches the overlap is exp(-4 gamma_r)
+    # and the branch phases cancel exactly.
+    g = np.exp(-4.0 * gamma_rs)
+
+    rho = np.empty(theta_ts.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = abs(a) ** 2
+    rho[..., 1, 1] = abs(b) ** 2
+    rho[..., 2, 2] = abs(c) ** 2
+    rho[..., 3, 3] = abs(d) ** 2
+    rho[..., 0, 1] = a * np.conj(b) * f
+    rho[..., 0, 2] = a * np.conj(c) * f
+    rho[..., 0, 3] = a * np.conj(d) * g
+    rho[..., 1, 2] = b * np.conj(c)
+    rho[..., 1, 3] = b * np.conj(d) * np.conj(f)
+    rho[..., 2, 3] = c * np.conj(d) * np.conj(f)
+    for i in range(4):
+        for j in range(i):
+            rho[..., i, j] = np.conj(rho[..., j, i])
+    return rho
+
+
+def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) -> np.ndarray:
+    """Reduced two-qubit density matrix after tracing out the environment.
+
+    The single mode and the bath give the same structure, with their own
+    theta*t and decoherence exponent.
+
+    Parameters
+    ----------
+    psi0 : QubitAmplitudes
+        Normalized initial amplitudes (the environment starts in its ground
+        state).
+    theta_t : float
+        Accumulated induced-coupling phase theta * t.
+    gamma : GammaValue
+        Decoherence exponent at the same time.
+
+    Returns
+    -------
+    ndarray, shape (4, 4)
+        Hermitian unit-trace matrix.  The |01>, |10> block is untouched by
+        the environment; coherences against |00> and |11> carry the factor
+        exp(-gamma_r) and the phase 2*theta_t - gamma_i; the |00>, |11>
+        coherence carries exp(-4 gamma_r) and no phase.
+    """
+    vec = _require_amplitudes(psi0)
+    return _density_from_phases(vec, float(theta_t), gamma.gamma_r, gamma.gamma_i)

@@ -12,7 +12,9 @@ exactly (dense symmetric eigendecomposition, no time stepping) and applied to
 the oscillator vacuum; the reduced matrix follows from the branch overlaps.
 Truncation is monitored through the population of the top two Fock levels,
 and the cutoff never exceeds :data:`MAX_N_CUT`, so that no dense block larger
-than (MAX_N_CUT + 1)^2 is ever built.
+than (MAX_N_CUT + 1)^2 is ever built.  From the model this oracle takes only
+the input types and the amplitude check; the mode scale (2/omega)^2 and the
+time check are its own.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import QubitAmplitudes, _require_amplitudes, require_valid_density
-from .single_mode import SingleModeParams, _mode_scale, _require_time
+from .entanglement import require_valid_density
+from .single_mode import QubitAmplitudes, SingleModeParams, _require_amplitudes
 
 __all__ = [
     "MAX_N_CUT",
@@ -83,7 +85,8 @@ def initial_cutoff(params: SingleModeParams) -> int:
     quanta on average at the far turning point; twice that plus a fixed
     margin keeps the Poisson tail below the leak tolerance.
     """
-    return max(8, math.ceil(8.0 * _mode_scale(params.omega) + 16.0))
+    theta = 2.0 / params.omega
+    return max(8, math.ceil(8.0 * (theta * theta) + 16.0))
 
 
 def oscillator_branch(params: SingleModeParams, shift: int, t: float, dim: int) -> np.ndarray:
@@ -124,7 +127,8 @@ def evolve_truncated(params: SingleModeParams, psi0: QubitAmplitudes, t: float,
         If the leak exceeds 1e-10.
     """
     vec = _require_amplitudes(psi0)
-    _require_time(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     dim = config.n_cut + 1
 
     branches = {}

@@ -4,7 +4,10 @@ No evaluation path imports this module.  :func:`bath_exponents` integrates
 the definitions of gamma_R(t) and gamma_I(t) (with :func:`thermal_kernel`
 for coth(omega/2T)) at one time, and :func:`discretize_modes` replaces the
 continuum by finite Gauss modes; the closed forms and the Bose series of
-:mod:`twospinboson.bath` are checked against both.
+:mod:`twospinboson.bath` are checked against both.  The spectral density
+J(omega) is evaluated here, by :func:`spectral_density`, and nowhere else in
+the package; from the model this module takes only the input type
+:class:`~twospinboson.bath.OhmicGapSpectrum`.
 
 The integrals all have the form integral_0^inf f(x) dx with f a smooth
 exponentially decaying envelope times cos(x * rate) or sin(x * rate).  The
@@ -20,10 +23,10 @@ import math
 
 import numpy as np
 
-from .bath import OhmicGapSpectrum, spectral_density
+from .bath import OhmicGapSpectrum
 
-__all__ = ["X_MAX", "QuadratureError", "panel_width", "composite_gauss", "integrate_decaying",
-           "thermal_kernel", "bath_exponents", "discretize_modes"]
+__all__ = ["X_MAX", "QuadratureError", "spectral_density", "panel_width", "composite_gauss",
+           "integrate_decaying", "thermal_kernel", "bath_exponents", "discretize_modes"]
 
 # Truncation of the integration variable u = omega - omega0; exp(-40) < 5e-18.
 X_MAX = 40.0
@@ -52,6 +55,18 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
         self.abs_tol = abs_tol
         self.n_panels = n_panels
+
+
+def spectral_density(spec: OhmicGapSpectrum, omega):
+    """J(omega) = alpha (omega - omega0) e^{-(omega - omega0)} in units of omega_c.
+
+    Accepts scalars or arrays; zero at and below the gap.
+    """
+    omega = np.asarray(omega, dtype=float)
+    x = omega - spec.omega0
+    dens = spec.alpha * x * np.exp(-np.clip(x, 0.0, None))
+    out = np.where(omega > spec.omega0, dens, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def panel_width(osc_rate: float) -> float:

@@ -12,6 +12,14 @@ All phases and decoherence exponents are expressed through
     theta      = 2 / omega                (induced qubit-qubit coupling)
     gamma_r(t) = (2 / omega)**2 * (1 - cos(omega t))
     gamma_i(t) = (2 / omega)**2 * sin(omega t)
+
+The module also holds what every table and every oracle take as input: the
+initial amplitudes :class:`QubitAmplitudes` and their check, and the
+validity report of a state, :class:`DensityCheck` with the three tolerances
+and :class:`InvalidDensityMatrixError`.  Every model state, of this model
+and of the bath, is measured by :func:`_model_measures` with the module's
+own entropy sum; the 4x4 kernel that checks it lives in the oracle module
+:mod:`twospinboson.entanglement`, which no model module imports.
 """
 
 from __future__ import annotations
@@ -22,18 +30,115 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (MIN_EIGENVALUE_TOL, TRACE_TOL, DensityCheck, InvalidDensityMatrixError,
-                           QubitAmplitudes, _entropy_bits, _require_amplitudes)
-
 __all__ = [
+    "HERMITICITY_TOL",
+    "TRACE_TOL",
+    "MIN_EIGENVALUE_TOL",
+    "QubitAmplitudes",
+    "DensityCheck",
+    "InvalidDensityMatrixError",
     "SingleModeParams",
     "GammaValue",
     "gamma_single_mode",
     "coherent_amplitude",
-    "reduced_density",
     "ideal_concurrence",
     "time_series",
 ]
+
+# Validity thresholds for a physical 4x4 density matrix.
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+MIN_EIGENVALUE_TOL = -1e-10
+
+# Eigenvalues below this are treated as exact zeros in entropy sums.
+_ENTROPY_CLIP = 1e-14
+
+
+@dataclass(frozen=True)
+class QubitAmplitudes:
+    """Amplitudes (a, b, c, d) of a pure two-qubit state in the standard basis."""
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.a, self.b, self.c, self.d], dtype=complex)
+
+    def norm_defect(self) -> float:
+        """|<psi|psi> - 1|, zero for a normalized state."""
+        return abs(float(np.sum(np.abs(self.vector()) ** 2)) - 1.0)
+
+    @classmethod
+    def uniform(cls) -> "QubitAmplitudes":
+        return cls(0.5, 0.5, 0.5, 0.5)
+
+    @classmethod
+    def normalized(cls, a, b, c, d) -> "QubitAmplitudes":
+        """Build amplitudes rescaled to unit norm.  Rejects the zero vector and NaN/inf.
+
+        The vector is first scaled by an exact power of two that brings its
+        largest real or imaginary part into [1/2, 1), so that the norm neither
+        overflows nor underflows.
+        """
+        vec = np.array([a, b, c, d], dtype=complex)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"amplitudes must be finite, got {a}, {b}, {c}, {d}")
+        peak = float(np.max(np.abs(vec.view(float))))
+        if peak == 0.0:
+            raise ValueError("cannot normalize the zero amplitude vector")
+        vec = np.ldexp(vec.view(float), -math.frexp(peak)[1]).view(complex)
+        vec = vec / float(np.linalg.norm(vec))
+        return cls(*(complex(z) for z in vec))
+
+
+def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
+    if not isinstance(psi, QubitAmplitudes):
+        raise TypeError(f"amplitudes must be QubitAmplitudes, got {type(psi).__name__}")
+    defect = psi.norm_defect()
+    # Every state built from the amplitudes has this trace defect; a NaN is refused too.
+    if not defect <= TRACE_TOL:
+        raise ValueError(
+            f"amplitudes are not normalized: defect {defect:.3e} exceeds {TRACE_TOL:.0e}"
+        )
+    return psi.vector()
+
+
+@dataclass(frozen=True)
+class DensityCheck:
+    """Validity report for a candidate density matrix."""
+
+    hermiticity_defect: float
+    trace_defect: float
+    min_eigenvalue: float
+
+    @property
+    def valid(self) -> bool:
+        """The package tolerances; a NaN defect fails every one."""
+        return bool(self.hermiticity_defect <= HERMITICITY_TOL and self.trace_defect <= TRACE_TOL
+                    and self.min_eigenvalue >= MIN_EIGENVALUE_TOL)
+
+    def describe(self) -> str:
+        return (
+            f"hermiticity defect {self.hermiticity_defect:.3e} (tol {HERMITICITY_TOL:.0e}), "
+            f"trace defect {self.trace_defect:.3e} (tol {TRACE_TOL:.0e}), "
+            f"min eigenvalue {self.min_eigenvalue:.3e} (tol {MIN_EIGENVALUE_TOL:.0e})"
+        )
+
+
+class InvalidDensityMatrixError(ValueError):
+    """Raised when an operation receives a matrix that fails validation.
+
+    ``index`` is the position of the first failing matrix in the flattened
+    batch, or None when a single matrix was given.
+    """
+
+    def __init__(self, check: DensityCheck, index: int | None = None):
+        where = "" if index is None else f" at batch index {index}"
+        super().__init__(f"invalid density matrix{where}: {check.describe()}")
+        self.check = check
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -132,42 +237,13 @@ _EPS = sys.float_info.epsilon
 _SPECTRUM_TOL = 256.0 * _EPS
 
 
-def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
-    """Stack of reduced density matrices for arrays of phases and exponents."""
-    a, b, c, d = psi0
-    theta_ts = np.asarray(theta_ts, dtype=float)
-    gamma_rs = np.asarray(gamma_rs, dtype=float)
-    gamma_is = np.asarray(gamma_is, dtype=float)
-
-    # Coherence factor between a displaced branch and an undisplaced one.
-    f = np.exp(-gamma_rs + 1j * (2.0 * theta_ts - gamma_is))
-    # Between the two oppositely displaced branches the overlap is exp(-4 gamma_r)
-    # and the branch phases cancel exactly.
-    g = np.exp(-4.0 * gamma_rs)
-
-    rho = np.empty(theta_ts.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = abs(a) ** 2
-    rho[..., 1, 1] = abs(b) ** 2
-    rho[..., 2, 2] = abs(c) ** 2
-    rho[..., 3, 3] = abs(d) ** 2
-    rho[..., 0, 1] = a * np.conj(b) * f
-    rho[..., 0, 2] = a * np.conj(c) * f
-    rho[..., 0, 3] = a * np.conj(d) * g
-    rho[..., 1, 2] = b * np.conj(c)
-    rho[..., 1, 3] = b * np.conj(d) * np.conj(f)
-    rho[..., 2, 3] = c * np.conj(d) * np.conj(f)
-    for i in range(4):
-        for j in range(i):
-            rho[..., i, j] = np.conj(rho[..., j, i])
-    return rho
-
-
 def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
                     phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence (n, m) and entropy (n,) of the model states at gamma_rs and phases.
 
-    Row k holds the states of :func:`_density_from_phases` at gamma_rs[k] and
-    phases[k, j] = 2 theta t - gamma_i: rho = M V G0 V+ M+ with M = [a e00,
+    Row k holds the states that the oracle
+    :func:`twospinboson.entanglement._density_from_phases` builds at
+    gamma_rs[k] and phases[k, j] = 2 theta t - gamma_i: rho = M V G0 V+ M+ with M = [a e00,
     b e01 + c e10, d e11] (orthogonal columns, M+ M = D = diag(|a|^2,
     |b|^2 + |c|^2, |d|^2)), V = diag(e^{i phi}, 1, e^{i phi}) and G0 the real
     Gram matrix of the (+, 0, -) oscillator branches (e^{-gamma_r} beside the
@@ -294,6 +370,16 @@ def _gram_spectrum(root: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return evals
 
 
+def _entropy_bits(evals: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis of a stack of spectra from :func:`_gram_spectrum`."""
+    # A valid spectrum lies in [0, 1]; without the upper clamp a pure state's
+    # eigenvalue 1 + eps would give the entropy -eps.
+    p = np.minimum(evals, 1.0)
+    kept = p > _ENTROPY_CLIP
+    # Summing the negated terms gives a pure state +0, not -0; negation is exact.
+    return np.sum(np.where(kept, -p * np.log2(np.where(kept, p, 1.0)), 0.0), axis=-1)
+
+
 def _cross_term(vec, phases: np.ndarray, huge: np.ndarray) -> np.ndarray:
     """|z| + Re z = |z| (1 + cos theta) at each phase, z = -ad conj(2bc) e^{2i phi}.
 
@@ -340,31 +426,6 @@ def _uhlmann_concurrence(vec, gamma: np.ndarray, phases: np.ndarray,
     total = np.sqrt(diff_sq + 4.0 * np.expm1(-2.0 * gamma) ** 2 * (mod_a * mod_bc))
     odd = -mod_a * np.expm1(-4.0 * gamma)
     return np.maximum(0.0, np.maximum(diff - odd, odd - total))
-
-
-def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) -> np.ndarray:
-    """Reduced two-qubit density matrix after tracing out the oscillator.
-
-    Parameters
-    ----------
-    psi0 : QubitAmplitudes
-        Normalized initial amplitudes (the oscillator starts in its ground
-        state).
-    theta_t : float
-        Accumulated induced-coupling phase theta * t.
-    gamma : GammaValue
-        Decoherence exponent at the same time.
-
-    Returns
-    -------
-    ndarray, shape (4, 4)
-        Hermitian unit-trace matrix.  The |01>, |10> block is untouched by
-        the environment; coherences against |00> and |11> carry the factor
-        exp(-gamma_r) and the phase 2*theta_t - gamma_i; the |00>, |11>
-        coherence carries exp(-4 gamma_r) and no phase.
-    """
-    vec = _require_amplitudes(psi0)
-    return _density_from_phases(vec, float(theta_t), gamma.gamma_r, gamma.gamma_i)
 
 
 def ideal_concurrence(psi0: QubitAmplitudes, theta_t) -> float | np.ndarray:

@@ -20,21 +20,20 @@ from twospinboson.bath import (
     OhmicGapSpectrum,
     bath_exponents,
     bath_gamma,
-    bath_reduced_density,
     effective_coupling,
     gamma_R_infinity,
-    spectral_density,
     steady_state_stats,
 )
 from twospinboson.entanglement import (
-    QubitAmplitudes,
+    _density_from_phases,
     concurrence,
     entanglement_measures,
+    reduced_density,
     validate_density,
     von_neumann_entropy,
 )
-from twospinboson.quadrature import discretize_modes, thermal_kernel
-from twospinboson.single_mode import GammaValue, _density_from_phases, reduced_density
+from twospinboson.quadrature import discretize_modes, spectral_density, thermal_kernel
+from twospinboson.single_mode import GammaValue, QubitAmplitudes
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 GAPLESS = OhmicGapSpectrum(alpha=0.25)
@@ -235,21 +234,28 @@ class TestGapped:
         np.testing.assert_allclose(g_i_sum, gamma_is, atol=1e-3)
 
 
+def bath_state(spec, t_grid, k):
+    """The 4x4 state at t_grid[k]: the rows of bath_exponents and effective_coupling."""
+    gamma_rs, gamma_is, _ = bath_exponents(spec, t_grid)
+    return reduced_density(UNIFORM, effective_coupling(spec) * t_grid[k],
+                           GammaValue(float(gamma_rs[k]), float(gamma_is[k])))
+
+
 class TestBathDensity:
     def test_overlap_closed_form(self):
         # Gapless alpha = 1/4 at t = 1: gamma_R = (1/2) ln 2, so the
         # magnitude of the decohered corner coherences is 2^{-1/2} / 4.
-        rho = bath_reduced_density(GAPLESS, UNIFORM, 1.0)
+        rho = bath_state(GAPLESS, [1.0], 0)
         assert validate_density(rho).valid
         np.testing.assert_allclose(abs(rho[0, 1]), 0.25 / math.sqrt(2.0),
                                    rtol=1e-6)
 
     def test_matches_manual_assembly(self):
-        for t in (0.5, 2.0):
+        for k, t in enumerate((0.5, 2.0)):
             gamma_r, gamma_i, _ = bath_gamma(GAPPED, t)
             manual = reduced_density(
                 UNIFORM, effective_coupling(GAPPED) * t, GammaValue(gamma_r, gamma_i))
-            rho = bath_reduced_density(GAPPED, UNIFORM, t)
+            rho = bath_state(GAPPED, [0.5, 2.0], k)
             np.testing.assert_allclose(rho, manual, atol=1e-12)
 
     def test_error_estimate_is_small(self):
@@ -262,7 +268,7 @@ class TestBathDensity:
     def test_entropy_grows_then_entanglement_dies(self):
         # Gapless bath: by omega_c t = 100 the corner coherences are gone
         # and the uniform state has decohered to entropy near 1.5 bits.
-        rho = bath_reduced_density(GAPLESS, UNIFORM, 100.0)
+        rho = bath_state(GAPLESS, [100.0], 0)
         assert concurrence(rho) < 0.05
         np.testing.assert_allclose(von_neumann_entropy(rho), 1.5, atol=0.05)
 

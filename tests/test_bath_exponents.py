@@ -22,7 +22,7 @@ from twospinboson.bath import (
     effective_coupling,
     gamma_R_infinity,
 )
-from twospinboson.entanglement import QubitAmplitudes
+from twospinboson.single_mode import QubitAmplitudes
 from twospinboson.quadrature import integrate_decaying
 
 mpmath = pytest.importorskip("mpmath")

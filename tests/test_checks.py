@@ -1,7 +1,8 @@
 """The built-in verification suites must pass on a correct build."""
 
 from twospinboson import bath, checks
-from twospinboson.entanglement import QubitAmplitudes, validate_density
+from twospinboson.entanglement import reduced_density, validate_density
+from twospinboson.single_mode import GammaValue, QubitAmplitudes
 
 
 class TestCheckResult:
@@ -66,6 +67,8 @@ class TestSuites:
         failed = [r.line() for r in checks.bath_checks() + checks.acceptance_checks()
                   if not r.passed]
         assert failed == []
-        rho = bath.bath_reduced_density(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1),
-                                        QubitAmplitudes.uniform(), 2.0)
+        spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
+        gamma_rs, gamma_is, _ = bath.bath_exponents(spec, [2.0])
+        rho = reduced_density(QubitAmplitudes.uniform(), bath.effective_coupling(spec) * 2.0,
+                              GammaValue(float(gamma_rs[0]), float(gamma_is[0])))
         assert validate_density(rho).valid

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, CSV output, determinism."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twospinboson import bath, checks, cli, csvio, entanglement
+from twospinboson import bath, checks, cli, csvio, single_mode
 from twospinboson.cli import main
 
 
@@ -446,8 +447,8 @@ class TestChecks:
                                 all_suites[suite])
 
         def broken(*args, **kwargs):
-            raise entanglement.InvalidDensityMatrixError(
-                entanglement.DensityCheck(0.0, 2e-10, 0.5), 7)
+            raise single_mode.InvalidDensityMatrixError(
+                single_mode.DensityCheck(0.0, 2e-10, 0.5), 7)
 
         monkeypatch.setattr(checks, "single_mode_checks", broken)
         code, out, err = run_cli(capsys, "verify")
@@ -583,9 +584,31 @@ class TestTopLevel:
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "
                 "('scipy', 'mpmath', 'argparse') or m in "
                 "('twospinboson.checks', 'twospinboson.quadrature', "
-                "'twospinboson.csvkernel')))")
+                "'twospinboson.csvkernel', 'twospinboson.entanglement', "
+                "'twospinboson.fock')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("unbuffered, status, err", [
+        (False, 2, "error: [Errno 32] Broken pipe\n"),
+        (True, 0, ""),
+    ], ids=["buffered", "unbuffered"])
+    def test_reader_closing_the_pipe_early(self, unbuffered, status, err):
+        # As `| head -c 10` on a 2.6 MB table.  Buffered, the write fails:
+        # exit 2 with one line.  Unbuffered (PYTHONUNBUFFERED), the first
+        # write comes back short and the table ends quietly, as one write of
+        # the whole text would.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twospinboson.cli", "single-mode", "--omega-over-lambda",
+             "4.5", "--theta-t-max", "50", "--points", "30000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert os.read(proc.stdout.fileno(), 10) == b"# tool: tw"
+        proc.stdout.close()
+        assert (proc.wait(), proc.stderr.read().decode()) == (status, err)
+        proc.stderr.close()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

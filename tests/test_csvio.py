@@ -1,6 +1,8 @@
 """CSV round-trip tests: 12-significant-digit rendering and exact reparse."""
 
+import io
 import math
+import sys
 import tracemalloc
 from decimal import Decimal
 
@@ -42,6 +44,18 @@ _EDGE_VALUES = np.concatenate([
     [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, np.pi, 1e-300,
      123456789012345.0]])
 
+
+class _CountingSink(io.RawIOBase):
+    """A binary stream that keeps only the count of the bytes written to it."""
+
+    size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
 
 class TestFormatValue:
     def test_twelve_significant_digits(self):
@@ -131,32 +145,42 @@ class TestRenderAndParse:
         assert max(calls) < multiple * block_bytes
         assert peak < 2 * len(text) + multiple * block_bytes
 
-    def test_write_table_memory_stays_within_a_block(self, tmp_path):
-        # The file is written block by block: a table of 10^5 rows (a 9.1 MB
-        # text) costs a fixed multiple of one 1024-row block, not its text
-        # (about 30 blocks; with the text built whole, about 370).
+    def test_write_table_memory_stays_within_a_block(self, tmp_path, monkeypatch):
+        # A file and standard output are written block by block: a table of
+        # 10^5 rows (a 9.1 MB text) costs a fixed multiple of one 1024-row
+        # block, not its text (about 30 blocks; with the text built whole,
+        # about 370).
         block_bytes, multiple = 1024 * 6 * 8, 40
         rng = np.random.default_rng(7)
         columns = {f"c{k}": rng.standard_normal(100_000) for k in range(6)}
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(sink)))
         path = tmp_path / "table.csv"
-        tracemalloc.start()
-        try:
-            csvio.write_table(path, columns, {})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert path.stat().st_size > 4 * multiple * block_bytes
-        assert peak < multiple * block_bytes
+        for target in (path, None):
+            tracemalloc.start()
+            try:
+                csvio.write_table(target, columns, {})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < multiple * block_bytes
+        assert sink.size == path.stat().st_size > 4 * multiple * block_bytes
 
     @pytest.mark.parametrize("rows", [3, 2100])
-    def test_write_table_bytes_equal_render_table(self, tmp_path, rows):
+    def test_write_table_bytes_equal_render_table(self, tmp_path, monkeypatch, rows):
         # 2100 rows of 3 columns: two kernel blocks, then 52 rows by %.
         t = np.linspace(0.0, 7.0, rows)
         columns = {"t": t, "sin": np.sin(t), "exp": np.exp(-t)}
         metadata = {"tool": "demo", "units": "θ t in 1/λ, ω/λ = 4.5"}
+        text = csvio.render_table(columns, metadata).encode("utf-8")
         path = tmp_path / "table.csv"
         csvio.write_table(path, columns, metadata)
-        assert path.read_bytes() == csvio.render_table(columns, metadata).encode("utf-8")
+        assert path.read_bytes() == text
+        # Standard output: text still pending in its text layer goes first.
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+        print("before")
+        csvio.write_table(None, columns, metadata)
+        assert sys.stdout.buffer.getvalue() == b"before\n" + text
 
     @pytest.mark.parametrize("columns, metadata", [
         ({"x": np.zeros(2)}, {"a": "x\ny"}),

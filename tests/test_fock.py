@@ -11,11 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twospinboson.entanglement import (
-    InvalidDensityMatrixError,
-    QubitAmplitudes,
-    validate_density,
-)
+from twospinboson.entanglement import reduced_density, validate_density
 from twospinboson import fock
 from twospinboson.fock import (
     MAX_N_CUT,
@@ -28,9 +24,10 @@ from twospinboson.fock import (
     trace_distance,
 )
 from twospinboson.single_mode import (
+    InvalidDensityMatrixError,
+    QubitAmplitudes,
     SingleModeParams,
     gamma_single_mode,
-    reduced_density,
 )
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)

@@ -100,7 +100,8 @@ class TestOracleModule:
         script = (
             "import sys, twospinboson, twospinboson.sweeps\n"
             "names = ('X_MAX', 'thermal_kernel', 'discretize_modes', 'QuadratureError',\n"
-            "         'panel_width', 'composite_gauss', 'integrate_decaying')\n"
+            "         'panel_width', 'composite_gauss', 'integrate_decaying',\n"
+            "         'spectral_density')\n"
             "print('twospinboson.quadrature' in sys.modules,\n"
             "      [n for n in names if hasattr(twospinboson, n)])\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

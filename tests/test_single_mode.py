@@ -12,18 +12,18 @@ import pytest
 
 from twospinboson import single_mode
 from twospinboson.entanglement import (
-    QubitAmplitudes,
     concurrence,
+    reduced_density,
     validate_density,
     von_neumann_entropy,
 )
 from twospinboson.single_mode import (
     GammaValue,
+    QubitAmplitudes,
     SingleModeParams,
     coherent_amplitude,
     gamma_single_mode,
     ideal_concurrence,
-    reduced_density,
     time_series,
 )
 

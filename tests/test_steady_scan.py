@@ -26,14 +26,11 @@ from hypothesis import strategies as st
 
 from twospinboson import bath, entanglement, single_mode, sweeps
 from twospinboson.bath import OhmicGapSpectrum, steady_state_stats
-from twospinboson.entanglement import (
+from twospinboson.entanglement import _density_from_phases, entanglement_measures
+from twospinboson.single_mode import (
     InvalidDensityMatrixError,
     QubitAmplitudes,
-    entanglement_measures,
-)
-from twospinboson.single_mode import (
     SingleModeParams,
-    _density_from_phases,
     _model_measures,
     time_series,
 )

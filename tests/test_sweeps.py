@@ -2,14 +2,16 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twospinboson.bath import OhmicGapSpectrum, gamma_R_infinity, steady_state_stats
-from twospinboson import bath, sweeps
-from twospinboson.entanglement import QubitAmplitudes
-from twospinboson.single_mode import SingleModeParams, time_series
+from twospinboson.bath import (OhmicGapSpectrum, bath_exponents, effective_coupling,
+                               gamma_R_infinity, steady_state_stats)
+from twospinboson import bath, single_mode, sweeps
+from twospinboson.single_mode import (GammaValue, InvalidDensityMatrixError, QubitAmplitudes,
+                                      SingleModeParams, time_series)
 from twospinboson.sweeps import (
     NO_STEADY_STATE,
     commensurability_table,
@@ -93,6 +95,40 @@ class TestCommensurabilityTable:
         with pytest.raises(ValueError, match="samples_per_period"):
             commensurability_table([0.25], UNIFORM, samples_per_period=50)
 
+    def test_memory_stays_within_a_group(self):
+        # The period-stats grid at --n-points 470: 470 * 2001 rows in groups
+        # of eight n (about four _BLOCK-row blocks).  Beyond the six columns,
+        # the temporaries cost a fixed multiple of one _BLOCK-row float array,
+        # not of the grid (about 60 such arrays; as one call over every n,
+        # about 1,380).
+        n_grid, multiple = np.linspace(0.5, 12.0, 470), 128
+        commensurability_table(n_grid[:2], UNIFORM)
+        tracemalloc.start()
+        try:
+            commensurability_table(n_grid, UNIFORM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n_grid.size * 8 + multiple * single_mode._BLOCK * 8
+
+    def test_refusal_names_the_row_of_the_whole_grid(self, monkeypatch):
+        # 101 rows per n, groups of 162 n: sample 7 of n number 200 (the 39th
+        # n of the second group) is row 200 * 101 + 7 of the whole grid.
+        gammas, calls = sweeps._gammas, []
+
+        def nan_in_the_201st_n(*args):
+            gamma_rs, gamma_is = gammas(*args)
+            calls.append(None)
+            if len(calls) == 201:
+                gamma_rs[7] = math.nan
+            return gamma_rs, gamma_is
+
+        monkeypatch.setattr(sweeps, "_gammas", nan_in_the_201st_n)
+        with pytest.raises(InvalidDensityMatrixError) as err:
+            commensurability_table(np.linspace(1.0, 3.0, 400), UNIFORM, 100)
+        assert err.value.index == 200 * 101 + 7
+        assert math.isnan(err.value.check.min_eigenvalue)
+
 
 class TestGrids:
     def test_every_table_checks_its_grids_with_the_one_validator(self, grid_checks):
@@ -168,13 +204,14 @@ class TestStateSeries:
             assert str(err.value) == reason
 
     def test_matches_single_point_evaluation(self):
-        from twospinboson.bath import bath_reduced_density
-        from twospinboson.entanglement import concurrence, von_neumann_entropy
+        from twospinboson.entanglement import concurrence, reduced_density, von_neumann_entropy
 
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1)
         table = state_series(spec, UNIFORM, np.array([0.7, 3.0]))
         for k, t in enumerate((0.7, 3.0)):
-            rho = bath_reduced_density(spec, UNIFORM, t)
+            gamma_r, gamma_i, _ = bath_exponents(spec, [t])
+            rho = reduced_density(UNIFORM, effective_coupling(spec) * t,
+                                  GammaValue(float(gamma_r[0]), float(gamma_i[0])))
             np.testing.assert_allclose(table["concurrence"][k],
                                        concurrence(rho), atol=1e-10)
             np.testing.assert_allclose(table["entropy"][k],
