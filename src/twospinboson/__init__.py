@@ -25,7 +25,7 @@ The package is two layers with imports in one direction.  The model layer
 :mod:`~twospinboson.sweeps`, :mod:`~twospinboson.csvio`,
 :mod:`~twospinboson.csvkernel` and :mod:`~twospinboson.cli`) computes every
 table.  The oracle layer checks it and shares no code with it: the 4x4
-Wootters kernel and the builders of the 4x4 model states
+Wootters kernel and the one builder of the 4x4 model states
 (:mod:`twospinboson.entanglement`), truncated-Fock propagation
 (:mod:`twospinboson.fock`) and the quadrature of the defining bath integrals
 (:mod:`twospinboson.quadrature`).  An oracle takes from the model only input

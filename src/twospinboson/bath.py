@@ -108,6 +108,11 @@ _STIRLING_COEFFS = (-3617.0 / 122400.0, 1.0 / 156.0, -691.0 / 360360.0, 1.0 / 11
                     -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
 _STIRLING_SHIFT = 10
 
+# Grid values of the residual phase theta*t in [0, pi/2) whose largest
+# steady-state concurrence is c_max (see _steady_states): two of them are
+# measured per cell, whatever the count.
+_PHASE_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class OhmicGapSpectrum:
@@ -158,7 +163,8 @@ def _e1_tail_depth(z: np.ndarray) -> np.ndarray:
     keeps all three at or below eps/2 for 1 <= |z| <= 1e22 (checked on a
     log-polar grid); by Perron's formula the bound falls as exp(-4 sqrt(n) Re sqrt z).
     """
-    return np.ceil(116.0 / np.sqrt(z).real ** 2 + 14.0).astype(int)
+    with np.errstate(over="ignore"):  # (Re sqrt z)^2 = inf past the largest float: depth 14
+        return np.ceil(116.0 / np.sqrt(z).real ** 2 + 14.0).astype(int)
 
 
 def _exp_e1(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -500,7 +506,8 @@ def _bose_pass(alphas, x0, tau, s=None):
     # The alpha = 0 and gapless cells are set, not multiplied: 0 * inf is NaN.
     plateaus = np.empty((x0.size, alphas.size))
     plateaus[:] = np.where(coupled, math.inf, 0.0)
-    plateaus[summed[:, None], coupled] = 4.0 * alphas[coupled] * sums[:, None]
+    with np.errstate(over="ignore"):  # past the largest float the plateau inf is the limit
+        plateaus[summed[:, None], coupled] = 4.0 * alphas[coupled] * sums[:, None]
     return plateaus, damping, first, tail
 
 
@@ -540,7 +547,9 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     series), plus 4 alpha times the remainder bound for the Bose series.
 
     Raises ``RuntimeError`` before any evaluation when no route certifies
-    the Bose series (temperature/gap overflows).
+    the Bose series (temperature/gap overflows), and when ln Gamma of the
+    gapless T > 0 form overflows (T near the largest float), whose difference
+    would be NaN.  A gamma_R past the largest float is inf, its limit.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
@@ -561,9 +570,11 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
 
     if x0 > 0.0:
         plateau, damping, first, bound = _bose_pass(spec.alpha, x0, tau, t[live])
-        gamma_r[live] = a4 * damping[0]
+        # Past the largest float gamma_R and its error estimate are inf, the limit.
+        with np.errstate(over="ignore"):
+            gamma_r[live] = a4 * damping[0]
+            magnitude = 2.0 * plateau[0, 0] + a4 * np.abs(first[0])
         gamma_i[live] = a4 * first[0].imag
-        magnitude = 2.0 * plateau[0, 0] + a4 * np.abs(first[0])
         tail = a4 * bound[0]
     else:
         s = t[live]
@@ -576,9 +587,15 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
         else:
             # ln Gamma(1 + tau) is the s = 0 entry of the same evaluation, so
             # the difference carries no offset between two methods as s -> 0.
-            lg = _re_lngamma(1.0 + tau + 1j * tau * np.append(s, 0.0))
-            gamma_r[live] = a4 * (log_term + 2.0 * (lg[-1] - lg[:-1]))
-            magnitude = a4 * (log_term + 2.0 * (abs(lg[-1]) + np.abs(lg[:-1]))) + gamma_i[live]
+            with np.errstate(over="ignore", invalid="ignore"):
+                lg = _re_lngamma(1.0 + tau + 1j * tau * np.append(s, 0.0))
+            if not np.all(np.isfinite(lg)):
+                raise RuntimeError(f"ln Gamma(1 + T + i T t) overflows at temperature {tau:g}, "
+                                   f"t {s.max():g}")
+            with np.errstate(over="ignore"):  # past the largest float gamma_R = inf is the limit
+                gamma_r[live] = a4 * (log_term + 2.0 * (lg[-1] - lg[:-1]))
+                magnitude = (a4 * (log_term + 2.0 * (abs(lg[-1]) + np.abs(lg[:-1])))
+                             + gamma_i[live])
     error[live] = _CLOSED_FORM_RTOL * magnitude + tail
     return np.maximum(gamma_r, 0.0), gamma_i, error
 
@@ -603,14 +620,14 @@ def bath_gamma(spec: OhmicGapSpectrum, t: float) -> tuple[float, float, float]:
     return tuple(float(v[0]) for v in bath_exponents(spec, [t]))
 
 
-def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
-                       phase_points: int = 2048) -> tuple[float, float, float] | None:
+def steady_state_stats(spec: OhmicGapSpectrum,
+                       psi0: QubitAmplitudes) -> tuple[float, float, float] | None:
     """(gamma_R(inf), c_max, entropy) in the saturated regime, or None if there is none.
 
     In the steady state gamma_R is pinned at its long-time limit and gamma_I
     has decayed to zero; only the induced phase theta*t keeps advancing.
     ``c_max`` is the maximum concurrence over the phase family: the
-    ``phase_points`` grid values of the residual phase theta*t in [0, pi/2)
+    ``_PHASE_POINTS`` grid values of the residual phase theta*t in [0, pi/2)
     (its full period up to local unitaries), each in closed form by
     :func:`~twospinboson.single_mode._model_measures` with no decomposition.
     It is a property of the family, not of one trajectory: where the induced
@@ -624,12 +641,11 @@ def steady_state_stats(spec: OhmicGapSpectrum, psi0: QubitAmplitudes,
     in which case no steady state exists.
     """
     plateau = _bose_pass(spec.alpha, spec.omega0, spec.temperature)[0][0]
-    g_inf, c_max, entropy = (float(v[0]) for v in _steady_states(plateau, psi0, phase_points))
+    g_inf, c_max, entropy = (float(v[0]) for v in _steady_states(plateau, psi0))
     return None if math.isinf(g_inf) else (g_inf, c_max, entropy)
 
 
-def _steady_states(g_inf, psi0: QubitAmplitudes,
-                   phase_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _steady_states(g_inf, psi0: QubitAmplitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns gamma_R(inf), c_max and entropy of :func:`steady_state_stats` over ``g_inf``.
 
     ``g_inf`` is a column of plateaus from :func:`_bose_pass`; c_max and the
@@ -649,9 +665,7 @@ def _steady_states(g_inf, psi0: QubitAmplitudes,
     phase of the smallest.
     """
     vec = _require_amplitudes(psi0)
-    if phase_points < 4:
-        raise ValueError(f"phase_points must be at least 4, got {phase_points}")
-    phases = 2.0 * np.linspace(0.0, 0.5 * math.pi, phase_points, endpoint=False)
+    phases = 2.0 * np.linspace(0.0, 0.5 * math.pi, _PHASE_POINTS, endpoint=False)
     cross = _cross_term(vec, phases[None, :], np.zeros(1, dtype=bool))[0]
     extremes = phases[[np.argmax(cross), np.argmin(cross)]]
     live = np.isfinite(g_inf)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bath, fock, quadrature, single_mode, sweeps
 from .entanglement import (
-    _density_from_phases,
     concurrence,
     entanglement_measures,
     pure_concurrence,
@@ -27,7 +26,7 @@ from .entanglement import (
     validate_density,
     von_neumann_entropy,
 )
-from .single_mode import GammaValue, QubitAmplitudes, SingleModeParams, gamma_single_mode
+from .single_mode import QubitAmplitudes, SingleModeParams
 
 __all__ = [
     "CheckResult",
@@ -79,7 +78,7 @@ def _random_density(rng) -> np.ndarray:
 
 
 def _single_mode_rho(params: SingleModeParams, psi: QubitAmplitudes, t: float) -> np.ndarray:
-    return reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
+    return reduced_density(psi, params.theta * t, *single_mode._gammas(params, t))
 
 
 def _rises(values) -> bool:
@@ -190,12 +189,12 @@ def single_mode_checks() -> list[CheckResult]:
     for _ in range(25):
         params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         t = float(rng.uniform(0.0, 10.0))
-        g1 = gamma_single_mode(params, t)
-        g2 = gamma_single_mode(params, t + 2.0 * math.pi / params.omega)
-        alpha = single_mode.coherent_amplitude(params, t)
-        worst_gamma = max(worst_gamma,
-                          abs(g1.gamma_r - g2.gamma_r), abs(g1.gamma_i - g2.gamma_i),
-                          abs(abs(alpha) ** 2 - 2.0 * g1.gamma_r))
+        g_r1, g_i1 = single_mode._gammas(params, t)
+        g_r2, g_i2 = single_mode._gammas(params, t + 2.0 * math.pi / params.omega)
+        # The displacement theta (e^{-i omega t} - 1) of the |00> branch.
+        alpha = params.theta * (np.exp(-1j * (params.omega * t)) - 1.0)
+        worst_gamma = max(worst_gamma, abs(g_r1 - g_r2), abs(g_i1 - g_i2),
+                          abs(abs(alpha) ** 2 - 2.0 * g_r1))
     results.append(CheckResult(
         "gamma periodicity and displacement", worst_gamma <= 1e-10,
         f"max periodicity defect and ||alpha|^2 - 2 gamma_r|: {worst_gamma:.2e}"))
@@ -333,10 +332,10 @@ def _model_measures_defect() -> tuple[float, float]:
         vec = psi.vector()
         conc, entropy = single_mode._model_measures(vec, gamma_rs, 2.0 * theta_ts)
         c_ref, s_ref = entanglement_measures(
-            _density_from_phases(vec, theta_ts, gamma_rs[:, None], 0.0))
+            reduced_density(psi, theta_ts, gamma_rs[:, None], 0.0))
         series = single_mode.time_series(params, psi, series_ts)
-        c_series, s_series = entanglement_measures(_density_from_phases(
-            vec, series["theta_t"], *single_mode._gammas(params, series_ts)))
+        c_series, s_series = entanglement_measures(reduced_density(
+            psi, series["theta_t"], *single_mode._gammas(params, series_ts)))
         worst = max(worst, np.max(np.abs(conc - c_ref)), np.max(np.abs(entropy[:, None] - s_ref)),
                     np.max(np.abs(series["concurrence"] - c_series)),
                     np.max(np.abs(series["entropy"] - s_series)))
@@ -387,8 +386,7 @@ def sweep_checks() -> list[CheckResult]:
         "repeated commensurability sweep is bitwise identical"))
 
     table = sweeps.steady_state_table(alphas=np.array([0.2, 0.6]),
-                                      gaps=np.array([0.0, 0.1]), psi0=_UNIFORM,
-                                      phase_points=256)
+                                      gaps=np.array([0.0, 0.1]), psi0=_UNIFORM)
     gapless_rows = table["omega0"] == 0.0
     sentinel_ok = (np.all(table["has_steady_state"][gapless_rows] == 0.0)
                    and np.all(table["c_max_steady"][gapless_rows] == sweeps.NO_STEADY_STATE)
@@ -504,8 +502,7 @@ def _criterion_6(track: _Tally) -> CheckResult:
     g_inf, c_max, entropy = stats
     # The steady-state family measured with the 4x4 kernel: its entropy is
     # phase independent and equal to the structured figure.
-    g = GammaValue(g_inf, 0.0)
-    entropies = [von_neumann_entropy(track(reduced_density(_UNIFORM, theta_t, g)))
+    entropies = [von_neumann_entropy(track(reduced_density(_UNIFORM, theta_t, g_inf, 0.0)))
                  for theta_t in np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)]
     spread = max(entropies) - min(entropies)
     deviation = max(abs(s - entropy) for s in entropies)
@@ -526,8 +523,7 @@ def _criterion_7(track: _Tally) -> CheckResult:
     trend_n = _rises(periods["c_avg"]) and _falls(periods["s_avg"])
 
     # Trend 2: steady-state entanglement versus coupling at fixed gap.
-    steady = sweeps.steady_state_table(np.linspace(0.05, 1.0, 8), [0.1], _UNIFORM,
-                                       phase_points=512)
+    steady = sweeps.steady_state_table(np.linspace(0.05, 1.0, 8), [0.1], _UNIFORM)
     trend_alpha = _falls(steady["c_max_steady"]) and _rises(steady["s_steady"])
 
     # Trend 3: heating lowers the saturated coherence exp(-gamma_R(inf)),
@@ -550,8 +546,7 @@ def _criterion_8(track: _Tally) -> CheckResult:
     theta = bath.effective_coupling(bath_spec)
     ts = rng.uniform(0.1, 20.0, size=10)
     gamma_rs, gamma_is, _ = bath.bath_exponents(bath_spec, ts)
-    bath_states = [(theta * float(t), GammaValue(float(g_r), float(g_i)))
-                   for t, g_r, g_i in zip(ts, gamma_rs, gamma_is)]
+    bath_states = list(zip(theta * ts, gamma_rs, gamma_is))
 
     def dfs_state():
         b, c = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -561,8 +556,7 @@ def _criterion_8(track: _Tally) -> CheckResult:
     for k in range(100):
         psi = dfs_state()
         rhos.append(track(_single_mode_rho(params, psi, float(rng.uniform(0.0, 20.0)))))
-        theta_t, g = bath_states[k % 10]
-        rhos.append(track(reduced_density(psi, theta_t, g)))
+        rhos.append(track(reduced_density(psi, *bath_states[k % 10])))
     for _ in range(25):
         random_params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         t = float(rng.uniform(0.0, 50.0))

@@ -82,6 +82,10 @@ def _cmd_single_mode(args) -> int:
     params = SingleModeParams(args.omega_over_lambda)
     psi0 = _parse_amplitudes(args.amplitudes)
     theta_ts = _axis(0.0, args.theta_t_max, args.points, "theta-t grid")
+    # The grid ends at theta-t-max exactly, so its quotient is the largest time.
+    if not math.isfinite(args.theta_t_max / params.theta):
+        raise ValueError(
+            f"t = theta t / theta = {args.theta_t_max:g} / {params.theta:g} overflows")
     columns = time_series(params, psi0, theta_ts / params.theta)
     meta = _base_metadata(
         "single-mode",

@@ -98,9 +98,9 @@ def render_table(columns: dict[str, np.ndarray], metadata: dict[str, object]) ->
     fixes the column order.  A metadata key or value with a line break is
     refused, since it would split its line.
     """
-    # The CLI writes through write_table on both routes; this whole-text view
-    # stays because the tests and the benchmark's tracer (perfbench/tracer.py)
-    # name it.
+    # The CLI writes through write_table on both routes.  This stays as the
+    # whole-text form that the tests compare write_table's bytes against, and
+    # the benchmark's tracer (perfbench/tracer.py) names it.
     return b"".join(_render_blocks(columns, metadata)).decode("utf-8")
 
 

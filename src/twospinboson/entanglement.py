@@ -16,12 +16,11 @@ period statistic) take the 3x3 Gram route and the closed-form concurrence of
 the kernel here: no model module imports this one, and its entropy sum is
 its own.  From the model this module takes only the input types and the
 validity thresholds (:class:`~twospinboson.single_mode.QubitAmplitudes`,
-:class:`~twospinboson.single_mode.GammaValue`, the amplitude check,
-:class:`~twospinboson.single_mode.DensityCheck`,
+the amplitude check, :class:`~twospinboson.single_mode.DensityCheck`,
 :class:`~twospinboson.single_mode.InvalidDensityMatrixError` and the three
-tolerances).  It also builds the 4x4 model states the kernel checks:
-:func:`reduced_density` for one time, :func:`_density_from_phases` for
-arrays of phases and exponents.
+tolerances).  It also builds the 4x4 model states the kernel checks, with
+one builder, :func:`reduced_density`, for one time or arrays of phases and
+exponents.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .single_mode import (HERMITICITY_TOL, MIN_EIGENVALUE_TOL, TRACE_TOL, DensityCheck,
-                          GammaValue, InvalidDensityMatrixError, QubitAmplitudes,
-                          _require_amplitudes)
+                          InvalidDensityMatrixError, QubitAmplitudes, _require_amplitudes)
 
 __all__ = [
     "validate_density",
@@ -191,12 +189,38 @@ def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
     return conc.reshape(shape), entropy.reshape(shape)
 
 
-def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
-    """Stack of reduced density matrices for arrays of phases and exponents."""
-    a, b, c, d = psi0
-    theta_ts = np.asarray(theta_ts, dtype=float)
-    gamma_rs = np.asarray(gamma_rs, dtype=float)
-    gamma_is = np.asarray(gamma_is, dtype=float)
+def reduced_density(psi0: QubitAmplitudes, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
+    """Reduced two-qubit density matrices after tracing out the environment.
+
+    The single mode and the bath give the same structure, with their own
+    theta*t and decoherence exponent gamma_R + i gamma_I.
+
+    Parameters
+    ----------
+    psi0 : QubitAmplitudes
+        Normalized initial amplitudes (the environment starts in its ground
+        state).
+    theta_ts, gamma_rs, gamma_is : float or array_like
+        Accumulated induced-coupling phase theta * t and the decoherence
+        exponent at the same times, broadcast against each other; gamma_rs
+        and gamma_is must be finite and gamma_rs nonnegative.
+
+    Returns
+    -------
+    ndarray, shape (..., 4, 4)
+        Hermitian unit-trace matrices, one per broadcast entry.  The |01>,
+        |10> block is untouched by the environment; coherences against |00>
+        and |11> carry the factor exp(-gamma_r) and the phase
+        2*theta_t - gamma_i; the |00>, |11> coherence carries exp(-4 gamma_r)
+        and no phase.
+    """
+    a, b, c, d = _require_amplitudes(psi0)
+    theta_ts, gamma_rs, gamma_is = (np.asarray(v, dtype=float)
+                                    for v in (theta_ts, gamma_rs, gamma_is))
+    if not (np.isfinite(gamma_rs).all() and np.isfinite(gamma_is).all()):
+        raise ValueError("gamma_r and gamma_i must be finite")
+    if (gamma_rs < 0.0).any():
+        raise ValueError(f"gamma_r must be nonnegative, got {gamma_rs.min()}")
 
     # Coherence factor between a displaced branch and an undisplaced one.
     f = np.exp(-gamma_rs + 1j * (2.0 * theta_ts - gamma_is))
@@ -204,7 +228,8 @@ def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
     # and the branch phases cancel exactly.
     g = np.exp(-4.0 * gamma_rs)
 
-    rho = np.empty(theta_ts.shape + (4, 4), dtype=complex)
+    shape = np.broadcast_shapes(theta_ts.shape, gamma_rs.shape, gamma_is.shape)
+    rho = np.empty(shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = abs(a) ** 2
     rho[..., 1, 1] = abs(b) ** 2
     rho[..., 2, 2] = abs(c) ** 2
@@ -219,31 +244,3 @@ def _density_from_phases(psi0, theta_ts, gamma_rs, gamma_is) -> np.ndarray:
         for j in range(i):
             rho[..., i, j] = np.conj(rho[..., j, i])
     return rho
-
-
-def reduced_density(psi0: QubitAmplitudes, theta_t: float, gamma: GammaValue) -> np.ndarray:
-    """Reduced two-qubit density matrix after tracing out the environment.
-
-    The single mode and the bath give the same structure, with their own
-    theta*t and decoherence exponent.
-
-    Parameters
-    ----------
-    psi0 : QubitAmplitudes
-        Normalized initial amplitudes (the environment starts in its ground
-        state).
-    theta_t : float
-        Accumulated induced-coupling phase theta * t.
-    gamma : GammaValue
-        Decoherence exponent at the same time.
-
-    Returns
-    -------
-    ndarray, shape (4, 4)
-        Hermitian unit-trace matrix.  The |01>, |10> block is untouched by
-        the environment; coherences against |00> and |11> carry the factor
-        exp(-gamma_r) and the phase 2*theta_t - gamma_i; the |00>, |11>
-        coherence carries exp(-4 gamma_r) and no phase.
-    """
-    vec = _require_amplitudes(psi0)
-    return _density_from_phases(vec, float(theta_t), gamma.gamma_r, gamma.gamma_i)

@@ -13,6 +13,7 @@ All phases and decoherence exponents are expressed through
     gamma_r(t) = (2 / omega)**2 * (1 - cos(omega t))
     gamma_i(t) = (2 / omega)**2 * sin(omega t)
 
+evaluated in one place, :func:`_gammas`, at a scalar time or on a grid.
 The module also holds what every table and every oracle take as input: the
 initial amplitudes :class:`QubitAmplitudes` and their check, and the
 validity report of a state, :class:`DensityCheck` with the three tolerances
@@ -38,9 +39,6 @@ __all__ = [
     "DensityCheck",
     "InvalidDensityMatrixError",
     "SingleModeParams",
-    "GammaValue",
-    "gamma_single_mode",
-    "coherent_amplitude",
     "ideal_concurrence",
     "time_series",
 ]
@@ -145,7 +143,7 @@ class InvalidDensityMatrixError(ValueError):
 class SingleModeParams:
     """Oscillator frequency omega/lambda, in units of the coupling lambda (hbar = 1).
 
-    ``omega`` must be positive and finite, and (2 / omega)^2 must not overflow.
+    ``omega`` must be positive and finite, and 2 (2 / omega)^2 must not overflow.
     """
 
     omega: float
@@ -155,31 +153,15 @@ class SingleModeParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not math.isfinite(_mode_scale(self.omega)):
             raise ValueError(f"omega {self.omega:g} overflows (2 / omega)^2")
+        # gamma_r peaks at 2 (2 / omega)^2, the first product _gammas forms.
+        if not math.isfinite(2.0 * _mode_scale(self.omega)):
+            raise ValueError(
+                f"omega {self.omega:g} overflows 2 (2 / omega)^2, the peak of gamma_r")
 
     @property
     def theta(self) -> float:
         """Induced qubit-qubit coupling 2 / omega."""
         return 2.0 / self.omega
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """Decoherence exponent split into damping (gamma_r) and phase (gamma_i)."""
-
-    gamma_r: float
-    gamma_i: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma_r) and math.isfinite(self.gamma_i)):
-            raise ValueError(
-                f"gamma_r and gamma_i must be finite, got {self.gamma_r}, {self.gamma_i}")
-        if self.gamma_r < 0.0:
-            raise ValueError(f"gamma_r must be nonnegative, got {self.gamma_r}")
-
-    @property
-    def overlap(self) -> float:
-        """exp(-gamma_r), the coherence suppression factor."""
-        return math.exp(-self.gamma_r)
 
 
 def _mode_scale(omega: float) -> float:
@@ -191,39 +173,12 @@ def _mode_scale(omega: float) -> float:
     return theta * theta
 
 
-def gamma_single_mode(params: SingleModeParams, t: float) -> GammaValue:
-    """Decoherence exponent of the single mode at time ``t >= 0``.
-
-    gamma_r = (2 / omega)**2 (1 - cos omega t), gamma_i the matching
-    sine term.  Both vanish at every full period omega t = 2 pi k.
-    """
-    _require_time(t)
-    gamma_r, gamma_i = _gammas(params, t)
-    return GammaValue(float(gamma_r), float(gamma_i))
-
-
-def _require_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-
-
 def _gammas(params: SingleModeParams, t):
     """gamma_r and gamma_i at a scalar or an array of times."""
     x = params.omega * np.asarray(t, dtype=float)
     pref = _mode_scale(params.omega)
     # 2 sin^2(x/2) instead of 1 - cos x: immune to cancellation at small x.
     return pref * 2.0 * np.sin(0.5 * x) ** 2, pref * np.sin(x)
-
-
-def coherent_amplitude(params: SingleModeParams, t: float) -> complex:
-    """Oscillator displacement (2 / omega) (e^{-i omega t} - 1).
-
-    The |00> branch drags the mode to +amplitude, the |11> branch to
-    -amplitude; |amplitude|^2 equals 2 * gamma_r at all times.
-    """
-    _require_time(t)
-    x = params.omega * t
-    return params.theta * (np.exp(-1j * x) - 1.0)
 
 
 _MAX_FLOAT = sys.float_info.max
@@ -242,7 +197,7 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     """Concurrence (n, m) and entropy (n,) of the model states at gamma_rs and phases.
 
     Row k holds the states that the oracle
-    :func:`twospinboson.entanglement._density_from_phases` builds at
+    :func:`twospinboson.entanglement.reduced_density` builds at
     gamma_rs[k] and phases[k, j] = 2 theta t - gamma_i: rho = M V G0 V+ M+ with M = [a e00,
     b e01 + c e10, d e11] (orthogonal columns, M+ M = D = diag(|a|^2,
     |b|^2 + |c|^2, |d|^2)), V = diag(e^{i phi}, 1, e^{i phi}) and G0 the real
@@ -298,8 +253,11 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
         block = phases[rows]
         # max |phi| per row without an |phi| temporary; NaN where a phase is NaN.
         peak = np.maximum(block.max(1), -block.min(1))
-        finite = np.isfinite(np.exp(-4.0 * gamma_rs[rows])) & (peak <= _MAX_FLOAT)
-        gamma = np.where(finite, gamma_rs[rows], 0.0)
+        # Past 745 every e^{-k gamma_r} is 0 and 1 - e^{-k gamma_r} is 1, so the
+        # cap changes no value; it keeps -8 gamma_r finite (NaN stays NaN).
+        gamma = np.minimum(gamma_rs[rows], _MAX_FLOAT / 8.0)
+        finite = np.isfinite(np.exp(-4.0 * gamma)) & (peak <= _MAX_FLOAT)
+        gamma = np.where(finite, gamma, 0.0)
         evals = _gram_spectrum(root, gamma)
         evals[~finite] = np.nan
         failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)

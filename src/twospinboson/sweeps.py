@@ -135,8 +135,8 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     }
 
 
-def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float = 0.0,
-                       phase_points: int = 2048) -> dict[str, np.ndarray]:
+def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
+                       temperature: float = 0.0) -> dict[str, np.ndarray]:
     """Steady-state concurrence and entropy over a (alpha, omega0) grid.
 
     ``alphas`` and ``gaps`` (omega0 in omega_c) are required grids.  One row
@@ -148,10 +148,10 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float =
     bitwise ``gamma_R_infinity``.  Every cell is bitwise
     :func:`~twospinboson.bath.steady_state_stats`: the entropy from
     the exact invariants of the Gram form, and c_max_steady the largest
-    concurrence over the phase family, the ``phase_points`` grid values of
-    theta*t in [0, pi/2), in the closed form of the index-flip symmetry with
-    no decomposition on ordinary inputs.  That maximum is exact from two grid
-    phases per cell, the same two for every cell
+    concurrence over the phase family, the 2048 grid values of theta*t in
+    [0, pi/2) (``bath._PHASE_POINTS``), in the closed form of the index-flip
+    symmetry with no decomposition on ordinary inputs.  That maximum is exact
+    from two grid phases per cell, the same two for every cell
     (:func:`~twospinboson.bath._steady_states`).  It belongs to the family,
     not to one trajectory: at alpha = 0 the induced coupling theta is 0, the
     state stays at theta*t = 0 and does not reach c_max_steady unless the
@@ -167,7 +167,7 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes, temperature: float =
                      temperature=temperature)
 
     plateaus = _bose_pass(alphas, gaps, np.full(gaps.size, temperature))[0]
-    g_inf, c_max, entropy = _steady_states(plateaus.ravel(), psi0, phase_points)
+    g_inf, c_max, entropy = _steady_states(plateaus.ravel(), psi0)
     steady = np.isfinite(g_inf)
     return {
         "alpha": np.tile(alphas, gaps.size),

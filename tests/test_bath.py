@@ -25,7 +25,6 @@ from twospinboson.bath import (
     steady_state_stats,
 )
 from twospinboson.entanglement import (
-    _density_from_phases,
     concurrence,
     entanglement_measures,
     reduced_density,
@@ -33,7 +32,7 @@ from twospinboson.entanglement import (
     von_neumann_entropy,
 )
 from twospinboson.quadrature import discretize_modes, spectral_density, thermal_kernel
-from twospinboson.single_mode import GammaValue, QubitAmplitudes
+from twospinboson.single_mode import QubitAmplitudes
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 GAPLESS = OhmicGapSpectrum(alpha=0.25)
@@ -237,8 +236,8 @@ class TestGapped:
 def bath_state(spec, t_grid, k):
     """The 4x4 state at t_grid[k]: the rows of bath_exponents and effective_coupling."""
     gamma_rs, gamma_is, _ = bath_exponents(spec, t_grid)
-    return reduced_density(UNIFORM, effective_coupling(spec) * t_grid[k],
-                           GammaValue(float(gamma_rs[k]), float(gamma_is[k])))
+    return reduced_density(UNIFORM, effective_coupling(spec) * t_grid[k], gamma_rs[k],
+                           gamma_is[k])
 
 
 class TestBathDensity:
@@ -253,8 +252,7 @@ class TestBathDensity:
     def test_matches_manual_assembly(self):
         for k, t in enumerate((0.5, 2.0)):
             gamma_r, gamma_i, _ = bath_gamma(GAPPED, t)
-            manual = reduced_density(
-                UNIFORM, effective_coupling(GAPPED) * t, GammaValue(gamma_r, gamma_i))
+            manual = reduced_density(UNIFORM, effective_coupling(GAPPED) * t, gamma_r, gamma_i)
             rho = bath_state(GAPPED, [0.5, 2.0], k)
             np.testing.assert_allclose(rho, manual, atol=1e-12)
 
@@ -291,8 +289,7 @@ class TestSteadyState:
         # The 4x4 kernel on the same phase grid: S is phase independent and
         # equal to the structured figure, and the scan's maximum is its maximum.
         theta_ts = np.linspace(0.0, 0.5 * math.pi, 2048, endpoint=False)
-        conc, entropy = entanglement_measures(_density_from_phases(
-            UNIFORM.vector(), theta_ts, np.full(2048, g_inf), np.zeros(2048)))
+        conc, entropy = entanglement_measures(reduced_density(UNIFORM, theta_ts, g_inf, 0.0))
         assert np.ptp(entropy) < 1e-6
         np.testing.assert_allclose(entropy, s_steady, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(c_max, np.max(conc), rtol=0.0, atol=1e-12)
@@ -305,6 +302,3 @@ class TestSteadyState:
         assert deep_g < shallow_g
         assert deep_c > shallow_c
 
-    def test_rejects_tiny_phase_scan(self):
-        with pytest.raises(ValueError, match="phase_points"):
-            steady_state_stats(GAPPED, UNIFORM, phase_points=2)

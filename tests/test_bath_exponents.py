@@ -280,8 +280,7 @@ class TestBoseSeries:
         terms, order, bound = bath._bose_plan(np.array([1e-6, 0.1, 3.0]), np.zeros(3))
         assert list(terms) == [1, 1, 1] and list(order) == [0, 0, 0]
         assert list(bound) == [0.0, 0.0, 0.0]
-        sweeps.steady_state_table([0.25, 0.5], [0.0, 1e-6, 0.1], QubitAmplitudes.uniform(),
-                                  phase_points=16)
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 1e-6, 0.1], QubitAmplitudes.uniform())
 
     def test_small_gaps_take_a_certified_route(self):
         # The Euler-Maclaurin route takes at most _EM_MAX_TERMS direct terms
@@ -320,7 +319,7 @@ class TestBoseSeries:
         gamma_R_infinity(spec)
         sweeps.thermal_overlap_table(np.linspace(0.0, 2.0, 3), np.linspace(0.0, 0.5, 3))
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], QubitAmplitudes.uniform(),
-                                  temperature=0.5, phase_points=16)
+                                  temperature=0.5)
         assert calls == []
 
     def test_one_pass_evaluates_each_plateau_term_once(self, monkeypatch):

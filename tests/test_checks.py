@@ -2,7 +2,7 @@
 
 from twospinboson import bath, checks
 from twospinboson.entanglement import reduced_density, validate_density
-from twospinboson.single_mode import GammaValue, QubitAmplitudes
+from twospinboson.single_mode import QubitAmplitudes
 
 
 class TestCheckResult:
@@ -70,5 +70,5 @@ class TestSuites:
         spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
         gamma_rs, gamma_is, _ = bath.bath_exponents(spec, [2.0])
         rho = reduced_density(QubitAmplitudes.uniform(), bath.effective_coupling(spec) * 2.0,
-                              GammaValue(float(gamma_rs[0]), float(gamma_is[0])))
+                              gamma_rs[0], gamma_is[0])
         assert validate_density(rho).valid

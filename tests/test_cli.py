@@ -115,6 +115,14 @@ class TestSingleMode:
             capsys, ("single-mode", "--omega-over-lambda", "1e160", "--points", "5"),
             "omega t = 1e+160 * 7.85398e+159 overflows")
 
+    def test_rejects_overflowing_time_quotient(self, capsys):
+        # The last time theta-t-max / theta overflows: refused before the grid
+        # is divided, with no RuntimeWarning ahead of the reason.
+        assert_rejected_quietly(
+            capsys, ("single-mode", "--omega-over-lambda", "4", "--theta-t-max", "1e308",
+                     "--points", "3"),
+            "t = theta t / theta = 1e+308 / 0.5 overflows")
+
     def test_rejects_nonfinite_parameters(self, capsys):
         for extra, reason in ((("--omega-over-lambda", "inf"), "omega must be positive and finite"),
                               (("--omega-over-lambda", "4", "--theta-t-max", "inf"),
@@ -239,6 +247,40 @@ class TestBathSeries:
                                      "--t-max", "1", "--points", "2")
         assert code == 0 and err == ""
         assert out.splitlines()[-2:] == ["0,0,0,0,0,1", "1,3.84615384615e-309,0,0,0,1"]
+
+    def test_gap_past_the_largest_float_in_the_tail_depth_is_quiet(self, capsys):
+        # At t = 1 (Re sqrt z)^2 of the E1 argument 1.7e308 (1 - i) overflows;
+        # inf gives the shallowest tail depth, which is the right one there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bath-series", "--alpha", "1", "--gap", "1.7e308",
+                                     "--t-max", "1", "--points", "2")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "1,1.17647058824e-308,0,0,0,1"
+
+    @pytest.mark.parametrize("extra", [
+        ("--alpha", "1.3e28", "--gap", "5.9", "--temperature", "1e308", "--t-max", "4"),
+        ("--alpha", "1e4", "--gap", "3.4e-264", "--temperature", "1e40", "--t-max", "4")])
+    def test_overflowing_damping_saturates_quietly(self, capsys, extra):
+        # 4 alpha times the Bose sums, and the error estimate's twice the
+        # plateau, pass the largest float: gamma_R = inf, the right limit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bath-series", *extra, "--points", "3")
+        assert code == 0 and err == ""
+        columns, _ = csvio.parse_table(out)
+        assert list(columns["overlap"]) == [1.0, 0.0, 0.0]
+        assert list(columns["entropy"]) == [0.0, 1.5, 1.5]
+
+    def test_overflowing_ln_gamma_exits_3(self, capsys):
+        # Gapless at T = 1.7e308: ln Gamma(1 + T) overflows, and the difference
+        # that gives gamma_R would be NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bath-series", "--alpha", "2.5", "--temperature",
+                                     "1.7e308", "--t-max", "1", "--points", "3")
+        assert code == 3 and out == ""
+        assert err == "error: ln Gamma(1 + T + i T t) overflows at temperature 1.7e+308, t 1\n"
 
     def test_uncertified_series_exits_3_before_evaluation(self, capsys, monkeypatch):
         # At gap 5e-324 and T = 2, gap/temperature underflows to 0: no route

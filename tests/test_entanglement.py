@@ -176,7 +176,7 @@ class TestPureConcurrence:
 
     @pytest.mark.parametrize("call", [
         pure_concurrence,
-        lambda psi: reduced_density(psi, 0.3, single_mode.GammaValue(0.1, 0.2)),
+        lambda psi: reduced_density(psi, 0.3, 0.1, 0.2),
         lambda psi: single_mode.ideal_concurrence(psi, 0.3),
         lambda psi: single_mode.time_series(single_mode.SingleModeParams(4.0), psi, [0.0, 1.0]),
         lambda psi: bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1), psi),

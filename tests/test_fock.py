@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from twospinboson.entanglement import reduced_density, validate_density
-from twospinboson import fock
+from twospinboson import fock, single_mode
 from twospinboson.fock import (
     MAX_N_CUT,
     FockConfig,
@@ -27,7 +27,6 @@ from twospinboson.single_mode import (
     InvalidDensityMatrixError,
     QubitAmplitudes,
     SingleModeParams,
-    gamma_single_mode,
 )
 
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
@@ -50,7 +49,7 @@ def assert_time_rejected_before_eigh(monkeypatch, evolve, *extra):
 
 
 def closed_form(params, psi, t):
-    return reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
+    return reduced_density(psi, params.theta * t, *single_mode._gammas(params, t))
 
 
 class TestConfig:

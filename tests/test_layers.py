@@ -20,7 +20,7 @@ MODEL = {"__init__", "single_mode", "bath", "sweeps", "csvio", "csvkernel", "cli
 # The registry that runs both layers; `cli` imports it inside verify and oracle-check.
 REGISTRY = {"checks"}
 # What an oracle may take from a model module.
-ORACLE_INPUTS = {"QubitAmplitudes", "_require_amplitudes", "SingleModeParams", "GammaValue",
+ORACLE_INPUTS = {"QubitAmplitudes", "_require_amplitudes", "SingleModeParams",
                  "OhmicGapSpectrum", "DensityCheck", "InvalidDensityMatrixError",
                  "HERMITICITY_TOL", "TRACE_TOL", "MIN_EIGENVALUE_TOL"}
 

@@ -18,11 +18,9 @@ from twospinboson.entanglement import (
     von_neumann_entropy,
 )
 from twospinboson.single_mode import (
-    GammaValue,
     QubitAmplitudes,
     SingleModeParams,
-    coherent_amplitude,
-    gamma_single_mode,
+    _gammas,
     ideal_concurrence,
     time_series,
 )
@@ -42,7 +40,7 @@ def _refuse(*args, **kwargs):
 
 def evolve(params, psi, t):
     """Reduced state of the single-mode model at time t (in 1/lambda)."""
-    return reduced_density(psi, params.theta * t, gamma_single_mode(params, t))
+    return reduced_density(psi, params.theta * t, *_gammas(params, t))
 
 
 class TestParams:
@@ -70,35 +68,43 @@ class TestParams:
             assert str(err.value) == f"{shown} overflows (2 / omega)^2"
         params = SingleModeParams(1e-150)
         assert math.isfinite(params.theta)
-        assert math.isfinite(gamma_single_mode(params, 1.0).gamma_r)
+        assert math.isfinite(_gammas(params, 1.0)[0])
+
+    def test_rejects_an_overflowing_peak_of_gamma_r(self):
+        # (2 / omega)^2 = 1.78e308 is finite, but gamma_r's factor 2 (2 / omega)^2
+        # is not: at t = 0 it would give inf * 0 = NaN.
+        with pytest.raises(ValueError) as err:
+            SingleModeParams(1.5e-154)
+        assert str(err.value) == "omega 1.5e-154 overflows 2 (2 / omega)^2, the peak of gamma_r"
+        params = SingleModeParams(2.2e-154)
+        with np.errstate(all="raise"):
+            gamma_r, _ = _gammas(params, np.array([0.0, math.pi / params.omega]))
+        assert gamma_r[0] == 0.0 and math.isfinite(gamma_r[1])
 
 
 class TestGamma:
     def test_zero_time(self):
-        g = gamma_single_mode(SingleModeParams(2.0), 0.0)
-        assert g.gamma_r == 0.0
-        assert g.gamma_i == 0.0
-        assert g.overlap == 1.0
+        assert _gammas(SingleModeParams(2.0), 0.0) == (0.0, 0.0)
 
     def test_half_period_maximum(self):
         # At omega t = pi: gamma_r = 2 (2/omega)^2, gamma_i = 0.
         params = SingleModeParams(omega=2.0)
-        g = gamma_single_mode(params, 0.5 * math.pi)
-        np.testing.assert_allclose(g.gamma_r, 2.0, atol=1e-12)
-        np.testing.assert_allclose(g.gamma_i, 0.0, atol=1e-12)
+        gamma_r, gamma_i = _gammas(params, 0.5 * math.pi)
+        np.testing.assert_allclose(gamma_r, 2.0, atol=1e-12)
+        np.testing.assert_allclose(gamma_i, 0.0, atol=1e-12)
 
     def test_full_period_revival(self):
         params = SingleModeParams(omega=2.0)
-        g = gamma_single_mode(params, math.pi)
-        assert abs(g.gamma_r) <= 1e-12
-        assert abs(g.gamma_i) <= 1e-12
+        gamma_r, gamma_i = _gammas(params, math.pi)
+        assert abs(gamma_r) <= 1e-12
+        assert abs(gamma_i) <= 1e-12
 
     def test_quarter_period(self):
         # omega t = pi/2: 1 - cos = 1 and sin = 1, both gammas (2/omega)^2.
         params = SingleModeParams(omega=4.0)
-        g = gamma_single_mode(params, math.pi / 8.0)
-        np.testing.assert_allclose(g.gamma_r, 0.25, atol=1e-12)
-        np.testing.assert_allclose(g.gamma_i, 0.25, atol=1e-12)
+        gamma_r, gamma_i = _gammas(params, math.pi / 8.0)
+        np.testing.assert_allclose(gamma_r, 0.25, atol=1e-12)
+        np.testing.assert_allclose(gamma_i, 0.25, atol=1e-12)
 
     def test_periodicity_and_positivity(self):
         # omega = 1.3 at lambda = 0.4, times scaled by lambda.
@@ -106,41 +112,21 @@ class TestGamma:
         period = 2.0 * math.pi / params.omega
         rng = np.random.default_rng(23)
         for t in 0.4 * rng.uniform(0.0, 50.0, size=40):
-            g = gamma_single_mode(params, t)
-            g_shift = gamma_single_mode(params, t + period)
-            assert g.gamma_r >= 0.0
-            np.testing.assert_allclose(g_shift.gamma_r, g.gamma_r, atol=1e-10)
-            np.testing.assert_allclose(g_shift.gamma_i, g.gamma_i, atol=1e-10)
+            gamma_r, gamma_i = _gammas(params, t)
+            shifted_r, shifted_i = _gammas(params, t + period)
+            assert gamma_r >= 0.0
+            np.testing.assert_allclose(shifted_r, gamma_r, atol=1e-10)
+            np.testing.assert_allclose(shifted_i, gamma_i, atol=1e-10)
 
-    def test_overlap_property(self):
-        g = GammaValue(gamma_r=2.0, gamma_i=0.7)
-        np.testing.assert_allclose(g.overlap, math.exp(-2.0), atol=1e-15)
-        with pytest.raises(ValueError, match="gamma_r"):
-            GammaValue(gamma_r=-0.1, gamma_i=0.0)
-
-    def test_rejects_nonfinite_time(self):
-        params = SingleModeParams(2.0)
-        for bad in (math.nan, math.inf, -1.0):
-            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
-                gamma_single_mode(params, bad)
-            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
-                coherent_amplitude(params, bad)
-
-    def test_gamma_value_rejects_nonfinite(self):
-        for gamma_r, gamma_i in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
-                                 (0.5, -math.inf)):
-            with pytest.raises(ValueError, match="must be finite"):
-                GammaValue(gamma_r=gamma_r, gamma_i=gamma_i)
-
-    def test_coherent_amplitude_magnitude(self):
+    def test_displacement_magnitude(self):
+        # The |00> branch is displaced by alpha(t) = theta (e^{-i omega t} - 1):
         # |alpha(t)|^2 equals 2 gamma_r at every time, and vanishes at t = 0.
         params = SingleModeParams(omega=1.0 / 0.3)
-        assert coherent_amplitude(params, 0.0) == 0.0
-        for t in 0.3 * np.array([0.3, 1.0, 2.5, 7.0]):
-            alpha = coherent_amplitude(params, t)
-            g = gamma_single_mode(params, t)
-            np.testing.assert_allclose(abs(alpha) ** 2, 2.0 * g.gamma_r,
-                                       atol=1e-12)
+        times = 0.3 * np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+        alpha = params.theta * (np.exp(-1j * params.omega * times) - 1.0)
+        assert alpha[0] == 0.0
+        np.testing.assert_allclose(np.abs(alpha) ** 2, 2.0 * _gammas(params, times)[0],
+                                   atol=1e-12)
 
 
 class TestReducedDensity:
@@ -155,7 +141,7 @@ class TestReducedDensity:
         # different displacement dies and the exact pattern
         # (1/4) [[1,0,0,0],[0,1,1,0],[0,1,1,0],[0,0,0,1]] survives, with
         # entropy exactly 1.5 bits.
-        rho = reduced_density(UNIFORM, 0.0, GammaValue(50.0, 0.0))
+        rho = reduced_density(UNIFORM, 0.0, 50.0, 0.0)
         np.testing.assert_allclose(rho, DECOHERED_UNIFORM, atol=1e-12)
         np.testing.assert_allclose(von_neumann_entropy(rho), 1.5, atol=1e-10)
 
@@ -189,8 +175,33 @@ class TestReducedDensity:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            reduced_density(QubitAmplitudes(1.0, 1.0, 0.0, 0.0), 0.3,
-                            GammaValue(0.1, 0.0))
+            reduced_density(QubitAmplitudes(1.0, 1.0, 0.0, 0.0), 0.3, 0.1, 0.0)
+
+    def test_rejects_bad_exponents(self):
+        # A non-finite exponent anywhere in the stack, or a negative gamma_r,
+        # is refused with one line before any state is built.
+        for gamma_r, gamma_i in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
+                                 (0.5, -math.inf), ([0.1, math.nan], 0.0), (0.1, [0.0, math.inf])):
+            with pytest.raises(ValueError, match="must be finite"):
+                reduced_density(UNIFORM, 0.3, gamma_r, gamma_i)
+        for gamma_r in (-0.1, [0.2, -1e-300]):
+            with pytest.raises(ValueError, match="gamma_r must be nonnegative"):
+                reduced_density(UNIFORM, 0.3, gamma_r, 0.0)
+
+    def test_stack_equals_single_states(self):
+        # Scalars and arrays broadcast to one stack; each entry is, bit for
+        # bit, the state built from its own scalars.
+        params = SingleModeParams(2.3)
+        times = np.linspace(0.0, 4.0, 6)
+        theta_ts = params.theta * times
+        gamma_rs, gamma_is = _gammas(params, times)
+        stack = reduced_density(UNIFORM, theta_ts, gamma_rs, gamma_is)
+        assert stack.shape == (6, 4, 4)
+        for k in range(6):
+            single = reduced_density(UNIFORM, theta_ts[k], gamma_rs[k], gamma_is[k])
+            assert single.shape == (4, 4)
+            assert stack[k].tobytes() == single.tobytes()
+        assert reduced_density(UNIFORM, theta_ts[:, None], gamma_rs, 0.0).shape == (6, 6, 4, 4)
 
 
 class TestIdealConcurrence:
@@ -244,8 +255,8 @@ class TestTimeSeries:
             np.testing.assert_allclose(series["ideal_concurrence"][k],
                                        ideal_concurrence(UNIFORM, params.theta * t),
                                        atol=1e-12)
-            g = gamma_single_mode(params, t)
-            np.testing.assert_allclose(series["overlap"][k], g.overlap, atol=1e-12)
+            np.testing.assert_allclose(series["overlap"][k], math.exp(-_gammas(params, t)[0]),
+                                       atol=1e-12)
 
     def test_initial_entropy_is_exactly_zero(self):
         # The t = 0 state is a projector.  For the second state the top

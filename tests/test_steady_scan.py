@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from twospinboson import bath, entanglement, single_mode, sweeps
 from twospinboson.bath import OhmicGapSpectrum, steady_state_stats
-from twospinboson.entanglement import _density_from_phases, entanglement_measures
+from twospinboson.entanglement import entanglement_measures, reduced_density
 from twospinboson.single_mode import (
     InvalidDensityMatrixError,
     QubitAmplitudes,
@@ -42,9 +42,14 @@ PHASES = np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)
 GAPPED = OhmicGapSpectrum(alpha=0.25, omega0=0.1)
 
 
+def _states(vec, theta_ts, gamma_rs, gamma_is):
+    """The 4x4 model states of the amplitude vector ``vec``, by the oracle's builder."""
+    return reduced_density(QubitAmplitudes(*vec), theta_ts, gamma_rs, gamma_is)
+
+
 def _kernel(vec, gamma_r, theta_ts):
     """Per-phase C and S of the 4x4 steady states by the general kernel."""
-    return entanglement_measures(_density_from_phases(
+    return entanglement_measures(_states(
         vec, theta_ts, np.full_like(theta_ts, gamma_r), np.zeros_like(theta_ts)))
 
 
@@ -189,9 +194,10 @@ ENTROPY_ATOL = 3e-16
 
 
 def _steady_c_max(vec, gamma_rs, phase_points):
-    """c_max of ``bath._steady_states`` on the plateaus ``gamma_rs``."""
-    return bath._steady_states(np.asarray(gamma_rs, dtype=float), QubitAmplitudes(*vec),
-                               phase_points)[1]
+    """c_max of ``bath._steady_states`` on the plateaus ``gamma_rs``, ``phase_points`` phases."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bath, "_PHASE_POINTS", phase_points)
+        return bath._steady_states(np.asarray(gamma_rs, dtype=float), QubitAmplitudes(*vec))[1]
 
 
 def _full_scan_c_max(vec, gamma_rs, phase_points):
@@ -234,7 +240,7 @@ class TestSteadyScan:
 
     def test_table_and_stats_never_call_the_kernel(self, kernel_calls):
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], QubitAmplitudes.uniform(),
-                                  temperature=0.5, phase_points=16)
+                                  temperature=0.5)
         steady_state_stats(GAPPED, QubitAmplitudes.uniform())
         assert kernel_calls == []
 
@@ -248,9 +254,9 @@ class TestSteadyScan:
     def test_blocks_do_not_change_cells(self, monkeypatch):
         plateaus = bath._bose_pass(np.array([0.1, 0.3, 0.7]), 0.1, 0.0)[0].ravel()
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-        whole = bath._steady_states(plateaus, psi, 64)
+        whole = bath._steady_states(plateaus, psi)
         monkeypatch.setattr(single_mode, "_BLOCK", 1)
-        blocked = bath._steady_states(plateaus, psi, 64)
+        blocked = bath._steady_states(plateaus, psi)
         assert [v.tobytes() for v in blocked] == [v.tobytes() for v in whole]
 
     # c_max from the two grid phases with the extreme cross terms equals, bit
@@ -304,7 +310,7 @@ class TestModelMeasures:
         gamma_rs, gamma_is, theta_ts = (np.array(v) for v in zip(*points))
         conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])
         c_ref, s_ref = entanglement_measures(
-            _density_from_phases(vec, theta_ts, gamma_rs, gamma_is))
+            _states(vec, theta_ts, gamma_rs, gamma_is))
         np.testing.assert_allclose(conc[:, 0], c_ref, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(entropy, s_ref, rtol=0.0, atol=1e-12)
 
@@ -322,9 +328,8 @@ class TestModelMeasures:
     def test_no_lapack_call_on_certified_rows(self, lapack_calls):
         vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
         _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (3, 1)))
-        # Four gapped cells of 16 phases; the gapless cells have no plateau.
-        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], QubitAmplitudes.uniform(),
-                                  phase_points=16)
+        # Four gapped cells; the gapless cells have no plateau.
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], QubitAmplitudes.uniform())
         assert lapack_calls == []
 
     def test_double_top_rows_fall_back_alone(self, lapack_calls):
@@ -336,7 +341,7 @@ class TestModelMeasures:
         phases = np.tile(2.0 * PHASES[:4], (gamma_rs.size, 1))
         conc, entropy = _model_measures(vec, gamma_rs, phases)
         assert lapack_calls == [("real eigvalsh", 2)]
-        c_ref, s_ref = entanglement_measures(_density_from_phases(
+        c_ref, s_ref = entanglement_measures(_states(
             vec, np.tile(PHASES[:4], gamma_rs.size), np.repeat(gamma_rs, 4), np.zeros(4 * gamma_rs.size)))
         np.testing.assert_allclose(conc.ravel(), c_ref, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(entropy, s_ref[::4], rtol=0.0, atol=1e-12)
@@ -414,6 +419,16 @@ class TestModelMeasures:
         np.testing.assert_allclose(conc[0, 0], _mp_concurrence(vec, gamma_r, theta_t),
                                    rtol=0.0, atol=1e-15)
 
+    def test_huge_gamma_r_is_the_decohered_state_quietly(self):
+        # Past 745 every e^{-k gamma_r} is 0: a gamma_r up to the largest float
+        # gives the bits of gamma_r = 1e4, with no overflow in -k gamma_r.
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        gamma_rs = np.array([1e4, 3e307, 1e308, sys.float_info.max, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            conc, entropy = _model_measures(vec, gamma_rs, np.full((5, 3), 0.7))
+        assert np.all(conc == conc[0]) and np.all(entropy == entropy[0])
+
     def test_phase_past_half_the_largest_float_matches_the_kernel(self):
         # 2 phi overflows above 8.99e307; such rows take e^{2i phi} as (e^{i phi})^2.
         vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
@@ -422,7 +437,7 @@ class TestModelMeasures:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             conc, entropy = _model_measures(vec, gamma_rs, phases)
-            kernel = entanglement_measures(_density_from_phases(
+            kernel = entanglement_measures(_states(
                 vec, 0.5 * phases[:, 0], gamma_rs, np.zeros_like(gamma_rs)))
         np.testing.assert_allclose(conc[:, 0], kernel[0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(entropy, kernel[1], rtol=0.0, atol=1e-12)
@@ -481,7 +496,7 @@ class TestModelMeasures:
         time_series(params, psi, np.linspace(0.0, 40.0, 200))
         commensurability_table([1.265625], psi, 100)
         state_series(GAPPED, psi, np.linspace(0.0, 30.0, 50))
-        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], psi, phase_points=16)
+        sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], psi)
 
 
 # Norm defect 4e-10: every state built from these amplitudes would have a
@@ -495,6 +510,16 @@ _SERIES_CALLS = {
     "period_stats": lambda psi: commensurability_table([1.265625], psi, 100),
     "state_series": lambda psi: state_series(GAPPED, psi, _TIMES),
 }
+
+
+def _unchecked_states(vec, theta_ts, gamma_rs):
+    """The 4x4 states at gamma_I = 0 for any gamma_R, which ``reduced_density`` refuses
+    when negative: psi psi+ times the overlaps e^{-gamma_R} e^{2i theta t} and e^{-4 gamma_R}."""
+    f = np.exp(-gamma_rs + 2j * theta_ts)
+    g, one = np.exp(-4.0 * gamma_rs), np.ones_like(f)
+    overlaps = np.array([[one, f, f, g], [f.conj(), one, one, f.conj()],
+                         [f.conj(), one, one, f.conj()], [g, f, f, one]])
+    return np.outer(vec, vec.conj()) * np.moveaxis(overlaps, -1, 0)
 
 
 class TestValidation:
@@ -560,8 +585,7 @@ class TestValidation:
             with pytest.raises(InvalidDensityMatrixError) as ours:
                 _model_measures(vec, gamma_rs, phases[:, None])
             with pytest.raises(InvalidDensityMatrixError) as kernel:
-                entanglement_measures(_density_from_phases(
-                    vec, 0.5 * phases, gamma_rs, np.zeros_like(phases)))
+                entanglement_measures(_unchecked_states(vec, 0.5 * phases, gamma_rs))
         assert ours.value.index == kernel.value.index
         np.testing.assert_allclose(ours.value.check.min_eigenvalue,
                                    kernel.value.check.min_eigenvalue, rtol=1e-9)

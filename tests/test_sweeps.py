@@ -10,7 +10,7 @@ import pytest
 from twospinboson.bath import (OhmicGapSpectrum, bath_exponents, effective_coupling,
                                gamma_R_infinity, steady_state_stats)
 from twospinboson import bath, single_mode, sweeps
-from twospinboson.single_mode import (GammaValue, InvalidDensityMatrixError, QubitAmplitudes,
+from twospinboson.single_mode import (InvalidDensityMatrixError, QubitAmplitudes,
                                       SingleModeParams, time_series)
 from twospinboson.sweeps import (
     NO_STEADY_STATE,
@@ -136,7 +136,7 @@ class TestGrids:
         time_series(SingleModeParams(4.0), UNIFORM, t)
         state_series(OhmicGapSpectrum(alpha=0.25, omega0=0.1), UNIFORM, t)
         commensurability_table([1.0, 2.0], UNIFORM, samples_per_period=100)
-        steady_state_table([0.25], [0.1], UNIFORM, phase_points=16)
+        steady_state_table([0.25], [0.1], UNIFORM)
         thermal_overlap_table([0.0], [0.1])
         assert grid_checks == ["t_grid", "t_grid", "n_grid",
                                "alphas", "gaps", "temperatures", "gaps"]
@@ -210,8 +210,7 @@ class TestStateSeries:
         table = state_series(spec, UNIFORM, np.array([0.7, 3.0]))
         for k, t in enumerate((0.7, 3.0)):
             gamma_r, gamma_i, _ = bath_exponents(spec, [t])
-            rho = reduced_density(UNIFORM, effective_coupling(spec) * t,
-                                  GammaValue(float(gamma_r[0]), float(gamma_i[0])))
+            rho = reduced_density(UNIFORM, effective_coupling(spec) * t, gamma_r[0], gamma_i[0])
             np.testing.assert_allclose(table["concurrence"][k],
                                        concurrence(rho), atol=1e-10)
             np.testing.assert_allclose(table["entropy"][k],
@@ -221,8 +220,7 @@ class TestStateSeries:
 class TestSteadyStateTable:
     def test_sentinel_for_gapless_rows(self):
         table = steady_state_table(alphas=np.array([0.25, 0.5]),
-                                   gaps=np.array([0.0, 0.1]), psi0=UNIFORM,
-                                   phase_points=256)
+                                   gaps=np.array([0.0, 0.1]), psi0=UNIFORM)
         assert len(table["alpha"]) == 4
         # alpha varies fastest; the first two rows are the gapless ones.
         np.testing.assert_allclose(table["omega0"][:2], 0.0)
@@ -234,14 +232,12 @@ class TestSteadyStateTable:
 
     def test_weaker_coupling_retains_more(self):
         table = steady_state_table(alphas=np.array([0.1, 0.8]),
-                                   gaps=np.array([0.2]), psi0=UNIFORM,
-                                   phase_points=256)
+                                   gaps=np.array([0.2]), psi0=UNIFORM)
         assert table["c_max_steady"][0] > table["c_max_steady"][1]
         assert table["s_steady"][0] < table["s_steady"][1]
 
     def test_deterministic(self):
-        kwargs = dict(alphas=np.array([0.3]), gaps=np.array([0.0, 0.3]), psi0=UNIFORM,
-                      phase_points=128)
+        kwargs = dict(alphas=np.array([0.3]), gaps=np.array([0.0, 0.3]), psi0=UNIFORM)
         first = steady_state_table(**kwargs)
         second = steady_state_table(**kwargs)
         for key in first:
@@ -255,15 +251,14 @@ class TestSteadyStateTable:
         alphas, gaps = np.array([0.0, 0.25, 0.5]), np.array([0.0, 1e-3, 0.1])
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         for temperature in (0.0, 0.5):
-            table = steady_state_table(alphas, gaps, psi, temperature=temperature,
-                                       phase_points=64)
+            table = steady_state_table(alphas, gaps, psi, temperature=temperature)
             plateaus = bath._bose_pass(alphas, gaps, np.full(gaps.size, temperature))[0].ravel()
             k = 0
             for gap in gaps:
                 for alpha in alphas:
                     spec = OhmicGapSpectrum(alpha=alpha, omega0=gap, temperature=temperature)
                     assert plateaus[k].tobytes() == np.float64(gamma_R_infinity(spec)).tobytes()
-                    stats = steady_state_stats(spec, psi, 64)
+                    stats = steady_state_stats(spec, psi)
                     if stats is None:
                         assert table["has_steady_state"][k] == 0.0
                     else:
@@ -291,7 +286,7 @@ class TestSteadyStateTable:
         for name in rows:
             monkeypatch.setattr(bath, name, recording(name, getattr(bath, name)))
         table = steady_state_table(np.linspace(0.05, 1.0, 128), np.linspace(0.0, 0.5, 128),
-                                   UNIFORM, phase_points=64)
+                                   UNIFORM)
         assert rows == {"_bose_plan": [127], "_bose_sums": [127]}
         assert table["alpha"].size == 128 * 128
 
@@ -307,15 +302,15 @@ class TestSteadyStateTable:
                 (dict(alphas=[0.1, 1e308], gaps=[0.2], temperature=math.nan),
                  "temperature must be finite, got nan")):
             with pytest.raises(ValueError) as excinfo:
-                steady_state_table(psi0=UNIFORM, phase_points=4, **kwargs)
+                steady_state_table(psi0=UNIFORM, **kwargs)
             assert str(excinfo.value) == reason
         # 4 alpha is the largest float itself at alpha = max/4.
-        table = steady_state_table([0.0, 0.25 * huge], [1e300], UNIFORM, phase_points=4)
+        table = steady_state_table([0.0, 0.25 * huge], [1e300], UNIFORM)
         assert table["has_steady_state"].tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("table, args", [
-    (steady_state_table, (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 0.5, 16), UNIFORM, 0.5, 64)),
+    (steady_state_table, (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 0.5, 16), UNIFORM, 0.5)),
     (thermal_overlap_table, (np.linspace(0.0, 2.0, 16), np.linspace(0.0, 0.5, 16))),
 ])
 def test_a_table_builds_at_most_one_spectrum(monkeypatch, table, args):
