@@ -128,6 +128,20 @@ class TestGamma:
         np.testing.assert_allclose(np.abs(alpha) ** 2, 2.0 * _gammas(params, times)[0],
                                    atol=1e-12)
 
+    def test_overlap_property(self):
+        # A displaced branch overlaps an undisplaced one by exp(-gamma_r) in
+        # magnitude; gamma_i only turns the phase.
+        rho = reduced_density(UNIFORM, 0.0, 2.0, 0.7)
+        np.testing.assert_allclose(abs(rho[0, 1]) / 0.25, math.exp(-2.0), atol=1e-15)
+        with pytest.raises(ValueError, match="gamma_r"):
+            reduced_density(UNIFORM, 0.0, -0.1, 0.0)
+
+    def test_gamma_value_rejects_nonfinite(self):
+        for gamma_r, gamma_i in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
+                                 (0.5, -math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                reduced_density(UNIFORM, 0.0, gamma_r, gamma_i)
+
 
 class TestReducedDensity:
     def test_initial_time_is_projector(self):
@@ -180,11 +194,10 @@ class TestReducedDensity:
     def test_rejects_bad_exponents(self):
         # A non-finite exponent anywhere in the stack, or a negative gamma_r,
         # is refused with one line before any state is built.
-        for gamma_r, gamma_i in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
-                                 (0.5, -math.inf), ([0.1, math.nan], 0.0), (0.1, [0.0, math.inf])):
+        for gamma_r, gamma_i in (([0.1, math.nan], 0.0), (0.1, [0.0, math.inf])):
             with pytest.raises(ValueError, match="must be finite"):
                 reduced_density(UNIFORM, 0.3, gamma_r, gamma_i)
-        for gamma_r in (-0.1, [0.2, -1e-300]):
+        for gamma_r in ([0.2, -1e-300], [[0.0], [-0.1]]):
             with pytest.raises(ValueError, match="gamma_r must be nonnegative"):
                 reduced_density(UNIFORM, 0.3, gamma_r, 0.0)
 
