@@ -9,12 +9,12 @@ sweeps behind the headline results (commensurate entanglement revivals,
 power-law coherence decay, gap-protected steady-state entanglement).
 
 The bath decoherence exponents gamma_R(t), gamma_I(t) are evaluated over a
-whole time grid without quadrature: log1p/arctan for a gapless bath at
-T = 0, Re ln Gamma (recurrence plus Stirling series) for a gapless bath at
-T > 0, and for a gapped bath the Bose series coth(w/2T) = 1 + 2 sum_n
-e^{-n w/T}, a weighted sum of complex exponential integrals E1 (power series,
-or the continued fraction evaluated bottom-up from a depth that its
-Gauss-Laguerre error bound fixes), which is its n = 0 term alone at T = 0.
+whole time grid without quadrature: log1p/arctan for a gapless bath, plus
+at T > 0 twice the ln Gamma drop taken term by term, and for a gapped bath
+the Bose series coth(w/2T) = 1 + 2 sum_n e^{-n w/T}, a weighted sum of
+complex exponential integrals E1 (power series, or the continued fraction
+evaluated bottom-up from a depth that its Gauss-Laguerre error bound
+fixes), which is its n = 0 term alone at T = 0.
 The series is summed directly up to a proven tail bound of 1e-16, or by the
 Euler-Maclaurin formula with a remainder bound of 1e-16 when that takes
 fewer terms, so it costs a fixed number of E1 values per time point; its

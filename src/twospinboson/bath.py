@@ -25,8 +25,8 @@ once; every caller in the package takes them from it.  The method depends on
 the gap and the temperature:
 
 - gapless, T = 0: 2 alpha ln(1 + t^2) and 4 alpha arctan t;
-- gapless, T > 0: the same gamma_I, and gamma_R through Re ln Gamma of a
-  complex argument (recurrence, then the Stirling series);
+- gapless, T > 0: the same gamma_I, and gamma_R plus twice the drop
+  ln Gamma(1 + T) - Re ln Gamma(1 + T + i T t) of :func:`_thermal_drop`;
 - gapped, any T: the Bose series coth(omega/2T) = 1 + 2 sum_n e^{-n omega/T}.
   Each term is the exponential integral E1 of a complex argument (power
   series for |z| <= 1; above, its continued fraction evaluated bottom-up
@@ -78,8 +78,8 @@ __all__ = [
     "steady_state_stats",
 ]
 
-# Relative accuracy of the special-function closed forms (the E1 and ln Gamma
-# helpers are tested against 30-digit references at this level).
+# Relative accuracy of the special-function closed forms (the E1 forms and
+# the ln Gamma drop are tested against high-precision references at this level).
 _CLOSED_FORM_RTOL = 1e-13
 
 # Bose series of a gapped bath: the remainder of every route (see _bose_plan)
@@ -212,6 +212,12 @@ def _exp_e1(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return forms[0], forms[1], forms[2]
 
 
+def _half_log1p_sq(x: np.ndarray) -> np.ndarray:
+    """ln sqrt(1 + x^2) for an array of x >= 0, finite for finite x: x^2 is formed only below 1."""
+    small = np.minimum(x, 1.0)
+    return np.where(x < 1.0, 0.5 * np.log1p(small * small), np.log(np.hypot(1.0, x)))
+
+
 def _exp_a_step(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """e^x [A(x) - A(x - i delta)] for x > 0 and |x - i delta| <= 1 (arrays), A of :func:`_exp_e1`.
 
@@ -229,9 +235,7 @@ def _exp_a_step(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """
     z = x - 1j * delta
     y = delta / x
-    small = np.minimum(y, 1.0)
-    log_ratio = (np.where(y < 1.0, 0.5 * np.log1p(small * small), np.log(np.hypot(1.0, y)))
-                 - 1j * np.arctan(y))
+    log_ratio = _half_log1p_sq(y) - 1j * np.arctan(y)
     power = np.ones_like(z)
     gap = np.zeros_like(z)  # x^k - z^k
     coefficient = 1.0
@@ -249,21 +253,33 @@ def _exp_a_step(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
             - 0.5 * (1j * delta - (1.0 + z) * expm1))
 
 
-def _re_lngamma(z: np.ndarray) -> np.ndarray:
-    """Re ln Gamma(z) for complex z with Re z >= 1.
+def _thermal_drop(tau: float, s: np.ndarray) -> np.ndarray:
+    """ln Gamma(1 + tau) - Re ln Gamma(1 + tau + i tau s) >= 0 for tau > 0 and an array of s >= 0.
 
-    Points with |z| < 10 are shifted by ten steps of the recurrence
-    ln Gamma(z) = ln Gamma(z + 10) - sum_{k<10} ln(z + k); the Stirling series
-    to 1/w^15 then errs by under 1e-17 at |w| >= 11.
+    Taken term by term, never as a difference of two ln Gamma values, so it
+    keeps its relative accuracy as s -> 0.  Below 1 + tau = 10 each of ten
+    recurrence steps adds ln|1 + i y_k|, y_k = s tau / (1 + tau + k).  At the
+    real W = 1 + tau (plus 10 if shifted), with e = s tau / W and phi = arctan e,
+    the Stirling leading terms give W (e phi - (1 - 1/(2W)) ln|1 + i e|), and
+    the term c / w^m gives -c W^-m (expm1(-m ln|1 + i e|) cos(m phi) - 2 sin^2(m phi / 2)).
+    Past the largest float the drop is inf, never NaN.
     """
-    z = np.asarray(z, dtype=complex)
-    near = np.abs(z) < _STIRLING_SHIFT
-    w = np.where(near, z + _STIRLING_SHIFT, z)
+    shifted = 1.0 + tau < _STIRLING_SHIFT
+    drop = np.zeros_like(s)
+    if shifted:
+        for k in range(_STIRLING_SHIFT):
+            drop += _half_log1p_sq(s * (tau / (1.0 + tau + k)))
+    w = 1.0 + tau + (_STIRLING_SHIFT if shifted else 0.0)
+    e = s * (tau / w)
+    phi = np.arctan(e)
+    log_mod = _half_log1p_sq(e)
     inv = 1.0 / w
-    series = (inv * np.polyval(_STIRLING_COEFFS, inv * inv)).real
-    stirling = ((w - 0.5) * np.log(w) - w).real + 0.5 * math.log(2.0 * math.pi) + series
-    recurrence = sum(np.log(np.abs(z + k)) for k in range(_STIRLING_SHIFT))
-    return np.where(near, stirling - recurrence, stirling)
+    for k, c in enumerate(reversed(_STIRLING_COEFFS)):
+        m = 2 * k + 1
+        drop -= c * inv**m * (np.expm1(-m * log_mod) * np.cos(m * phi)
+                              - 2.0 * np.sin(0.5 * m * phi) ** 2)
+    with np.errstate(over="ignore"):  # e phi, or W times it, past the largest float: inf
+        return drop + w * (e * phi - (1.0 - 0.5 * inv) * log_mod)
 
 
 def _bose_log_tail(n, x0, tau):
@@ -531,9 +547,9 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     omega_c, s = t, x0 = omega0 and tau = T:
 
     - gapless, T = 0: gamma_R = 2 alpha ln(1 + s^2), gamma_I = 4 alpha arctan s;
-    - gapless, T > 0: gamma_R = 4 alpha [ln(1 + s^2)/2 + 2 ln Gamma(1 + tau)
-      - 2 Re ln Gamma(1 + tau + i tau s)] (Palma, Suominen & Ekert, Proc. R.
-      Soc. A 452, 567 (1996)), gamma_I as at T = 0;
+    - gapless, T > 0: gamma_R = 4 alpha [ln(1 + s^2)/2 + 2 D], the drop
+      D = ln Gamma(1 + tau) - Re ln Gamma(1 + tau + i tau s) of :func:`_thermal_drop`
+      (Palma, Suominen & Ekert, Proc. R. Soc. A 452, 567 (1996)), gamma_I as at T = 0;
     - gapped: the Bose series, a weighted sum of the exponential-integral
       forms of :func:`_exp_e1` at decay rates 1 + n/tau, along the route of
       :func:`_bose_plan`: the direct sum up to the first N whose tail bound
@@ -547,9 +563,8 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     series), plus 4 alpha times the remainder bound for the Bose series.
 
     Raises ``RuntimeError`` before any evaluation when no route certifies
-    the Bose series (temperature/gap overflows), and when ln Gamma of the
-    gapless T > 0 form overflows (T near the largest float), whose difference
-    would be NaN.  A gamma_R past the largest float is inf, its limit.
+    the Bose series (temperature/gap overflows).  A gamma_R past the largest
+    float is inf, its limit.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
@@ -581,21 +596,11 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
         with np.errstate(over="ignore"):  # s * s = inf past 1e154: gamma_R = inf is the limit
             log_term = 0.5 * np.log1p(s * s)
         gamma_i[live] = a4 * np.arctan(s)
-        if tau == 0.0:
-            gamma_r[live] = a4 * log_term
+        drop = _thermal_drop(tau, s) if tau > 0.0 else 0.0  # exactly 0 at T = 0
+        # Past the largest float gamma_R and its error estimate are inf, the limit.
+        with np.errstate(over="ignore"):
+            gamma_r[live] = a4 * (log_term + 2.0 * drop)
             magnitude = gamma_r[live] + gamma_i[live]
-        else:
-            # ln Gamma(1 + tau) is the s = 0 entry of the same evaluation, so
-            # the difference carries no offset between two methods as s -> 0.
-            with np.errstate(over="ignore", invalid="ignore"):
-                lg = _re_lngamma(1.0 + tau + 1j * tau * np.append(s, 0.0))
-            if not np.all(np.isfinite(lg)):
-                raise RuntimeError(f"ln Gamma(1 + T + i T t) overflows at temperature {tau:g}, "
-                                   f"t {s.max():g}")
-            with np.errstate(over="ignore"):  # past the largest float gamma_R = inf is the limit
-                gamma_r[live] = a4 * (log_term + 2.0 * (lg[-1] - lg[:-1]))
-                magnitude = (a4 * (log_term + 2.0 * (abs(lg[-1]) + np.abs(lg[:-1])))
-                             + gamma_i[live])
     error[live] = _CLOSED_FORM_RTOL * magnitude + tail
     return np.maximum(gamma_r, 0.0), gamma_i, error
 

@@ -241,7 +241,7 @@ def bath_checks() -> list[CheckResult]:
         worst_abs = max(worst_abs, np.max(np.abs(closed - quad)))
     results.append(CheckResult(
         "thermal and gapped closed forms", worst_abs <= 1e-9,
-        f"worst absolute error {worst_abs:.2e} of the ln Gamma, E1 and Bose-series forms "
+        f"worst absolute error {worst_abs:.2e} of the ln Gamma drop, E1 and Bose-series forms "
         "against quadrature"))
 
     spec = bath.OhmicGapSpectrum(alpha=0.25)

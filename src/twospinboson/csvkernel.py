@@ -69,41 +69,30 @@ def _words(chars: np.ndarray) -> np.ndarray:
 def _last_digits() -> np.ndarray:
     """Per 4-digit chunk (rows: first, middle, last) and value, the position of
     its last nonzero digit within the 12 digits; 0 for a chunk of zeros."""
-    nonzero = _QUADS != ord("0")
-    last = 3 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), last + np.array([[0], [4], [8]]), 0)
+    chunk = np.arange(10_000)[:, None]
+    zeros = np.count_nonzero(chunk % 10 ** np.arange(1, 4) == 0, axis=1)
+    return np.where(chunk[:, 0] > 0, 3 - zeros + np.array([[0], [4], [8]]), 0)
 
 
 def _masks() -> np.ndarray:
-    masks = np.zeros((_FALLBACK_ROW + _FALLBACK_WIDTH, _WIDTH), dtype=bool)
-    for neg in (0, 1):
-        for layout in range(_ZERO_LAYOUT + 1):
-            for last in range(12):
-                keep = masks[neg * _ROWS_PER_SIGN + layout * 12 + last]
-                keep[2] = neg
-                keep[36] = True
-                if layout == _ZERO_LAYOUT:
-                    keep[3] = True
-                elif layout < 4:  # 0.[000]digits
-                    keep[3:5] = True
-                    keep[5:8 - layout] = True
-                    keep[8:9 + last] = True
-                elif layout < _EXP_LAYOUT:  # integer digits[.digits]
-                    point = layout - 4
-                    keep[8:9 + point] = True
-                    if last > point:
-                        keep[20] = True
-                        keep[21 + point:21 + last] = True
-                else:  # d[.digits]e+dd
-                    keep[8] = True
-                    if last > 0:
-                        keep[20] = True
-                        keep[21:21 + last] = True
-                    keep[32:36] = True
-    for length in range(1, _FALLBACK_WIDTH):
-        masks[_FALLBACK_ROW + length, :length] = True
-        masks[_FALLBACK_ROW + length, 36] = True
-    return masks
+    """Keep-mask rows by (sign, layout, last digit), then the fallback rows by text length."""
+    neg, layout, last, j = np.ix_(range(2), range(_ZERO_LAYOUT + 1), range(12), range(_WIDTH))
+
+    def between(lo, hi):
+        return (lo <= j) & (j < hi)
+
+    # Exponent notation keeps the digits of fixed notation with the point at 0.
+    point = np.where(layout < _EXP_LAYOUT, layout - 4, 0)
+    fraction = (last > point) & ((j == 20) | between(21 + point, 21 + last))
+    masks = (((j == 2) & (neg == 1)) | (j == 36)
+             | ((layout < 4) & (between(3, 8 - layout) | between(8, 9 + last)))  # 0.[000]digits
+             | ((layout >= 4) & (layout <= _EXP_LAYOUT)  # digits[.digits]
+                & (between(8, 9 + point) | fraction))
+             | ((layout == _EXP_LAYOUT) & between(32, 36))  # e+dd
+             | ((layout == _ZERO_LAYOUT) & (j == 3)))
+    length = np.arange(_FALLBACK_WIDTH).reshape(-1, 1, 1, 1)
+    fallback = (j < length) | ((j == 36) & (length > 0))
+    return np.concatenate([masks.reshape(-1, _WIDTH), fallback.reshape(-1, _WIDTH)])
 
 
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:

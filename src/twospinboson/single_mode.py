@@ -256,9 +256,15 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
         # Past 745 every e^{-k gamma_r} is 0 and 1 - e^{-k gamma_r} is 1, so the
         # cap changes no value; it keeps -8 gamma_r finite (NaN stays NaN).
         gamma = np.minimum(gamma_rs[rows], _MAX_FLOAT / 8.0)
-        finite = np.isfinite(np.exp(-4.0 * gamma)) & (peak <= _MAX_FLOAT)
+        e4 = np.exp(-4.0 * gamma)
+        finite = np.isfinite(e4) & (peak <= _MAX_FLOAT)
         gamma = np.where(finite, gamma, 0.0)
-        evals = _gram_spectrum(root, gamma)
+        # e^{-k gamma_r} and 1 - e^{-k gamma_r}, k = 2, 4, 8, once per block; a row
+        # whose e^{-8 gamma_r} overflows (gamma_r <= -88.7) falls back to the matrix.
+        with np.errstate(over="ignore"):
+            decay = (np.exp(-2.0 * gamma), np.where(finite, e4, 1.0), np.exp(-8.0 * gamma),
+                     *(-np.expm1(-k * gamma) for k in (2.0, 4.0, 8.0)))
+        evals = _gram_spectrum(root, gamma, decay)
         evals[~finite] = np.nan
         failed = ~(evals[:, 0] >= MIN_EIGENVALUE_TOL)
         if failed.any():
@@ -266,16 +272,17 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
             defects = (0.0, trace) if finite[k] else (math.nan, math.nan)
             raise InvalidDensityMatrixError(DensityCheck(*defects, float(evals[k, 0])), low + k)
         entropy[rows] = _entropy_bits(evals)
-        conc[rows] = _uhlmann_concurrence(vec, gamma, block, peak > 0.5 * _MAX_FLOAT)
+        conc[rows] = _uhlmann_concurrence(vec, decay, block, peak > 0.5 * _MAX_FLOAT)
     return conc, entropy
 
 
-def _gram_spectrum(root: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _gram_spectrum(root: np.ndarray, gamma: np.ndarray, decay: tuple) -> np.ndarray:
     """Ascending spectra (n, 3) of H = D^{1/2} G0 D^{1/2}, D = root^2, at gamma_r = gamma.
 
-    H's invariants are exact products: tr H = sum D; with s_k = 1 - e^{-k gamma_r}
-    from ``expm1``, e_2 = (D0 D1 + D1 D2) s_2 + D0 D2 s_8 (its principal 2x2
-    minors) and det H = D0 D1 D2 s_2^2 s_4.  lambda_1 is the trigonometric root
+    ``decay`` holds the rows' e^{-k gamma_r}, k = 2, 4, 8, and s_k = 1 - e^{-k gamma_r}
+    from ``expm1``.  H's invariants are exact products: tr H = sum D,
+    e_2 = (D0 D1 + D1 D2) s_2 + D0 D2 s_8 (its principal 2x2 minors) and
+    det H = D0 D1 D2 s_2^2 s_4.  lambda_1 is the trigonometric root
     q + 2 sqrt(p) cos(phi) of B = H - q, q = tr H / 3 (Kopp, Int. J. Mod.
     Phys. C 19, 523 (2008), arXiv:physics/0610206), with p = tr B^2 / 6 and
     det B summed from H's entries, so that p has no cancellation.  Then
@@ -291,11 +298,8 @@ def _gram_spectrum(root: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """
     d0, d1, d2 = root * root
     trace = d0 + d1 + d2
-    # Only a gamma_r <= -88.7 overflows e^{-8 gamma_r}; such a row fails the
-    # bound and falls back to the matrix, which needs only e and e^4.
+    e_sq, e_4, e_8, s2, s4, s8 = decay
     with np.errstate(over="ignore", invalid="ignore"):
-        s2, s4, s8 = (-np.expm1(-k * gamma) for k in (2.0, 4.0, 8.0))
-        e_sq, e_8 = np.exp(-2.0 * gamma), np.exp(-8.0 * gamma)
         e2 = (d0 * d1 + d1 * d2) * s2 + d0 * d2 * s8
         det = d0 * d1 * d2 * (s2 * s2) * s4
         q = trace / 3.0
@@ -320,10 +324,10 @@ def _gram_spectrum(root: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     evals[:, 0], evals[:, 1], evals[:, 2] = np.minimum(big, small), np.maximum(big, small), top
     fallback = ~certified
     if fallback.any():
-        e, e4 = np.exp(-gamma[fallback]), np.exp(-4.0 * gamma[fallback])
+        e = np.exp(-gamma[fallback])
         gram = np.ones(e.shape + (3, 3))
         gram[:, 0, 1] = gram[:, 1, 0] = gram[:, 1, 2] = gram[:, 2, 1] = e
-        gram[:, 0, 2] = gram[:, 2, 0] = e4
+        gram[:, 0, 2] = gram[:, 2, 0] = e_4[fallback]
         evals[fallback] = np.linalg.eigvalsh(root[:, None] * gram * root)
     return evals
 
@@ -368,21 +372,22 @@ def _cross_term(vec, phases: np.ndarray, huge: np.ndarray) -> np.ndarray:
     return mod_w * np.where(cos_z < 0.0, sin_z * sin_z / (1.0 + abs(cos_z)), 1.0 + cos_z)
 
 
-def _uhlmann_concurrence(vec, gamma: np.ndarray, phases: np.ndarray,
+def _uhlmann_concurrence(vec, decay: tuple, phases: np.ndarray,
                          huge: np.ndarray) -> np.ndarray:
     """C = max(0, r_1 - r_2 - r_3) by the flip-symmetry form of :func:`_model_measures`.
 
-    ``huge`` is as in :func:`_cross_term`.
+    ``decay`` is as in :func:`_gram_spectrum`, ``huge`` as in :func:`_cross_term`.
     """
     a, b, c, d = vec
-    # A validated gamma_r is >= 0 up to rounding; 1 - e^{-k gamma_r} needs it >= 0.
-    gamma = np.maximum(gamma, 0.0)[:, None]
+    e_sq, e_4, _, s2, s4, _ = decay
+    # A validated gamma_r is >= 0 up to rounding; below 0 each factor takes its value at 0.
+    e_sq, e_4 = np.minimum(e_sq, 1.0)[:, None], np.minimum(e_4, 1.0)[:, None]
+    s2, s4 = np.maximum(s2, 0.0)[:, None], np.maximum(s4, 0.0)[:, None]
     mod_a, mod_bc = abs(a * d), abs(2.0 * b * c)
-    diff_sq = (((1.0 + np.exp(-4.0 * gamma)) * mod_a - mod_bc) ** 2
-               + 4.0 * np.exp(-2.0 * gamma) * _cross_term(vec, phases, huge))
+    diff_sq = ((1.0 + e_4) * mod_a - mod_bc) ** 2 + 4.0 * e_sq * _cross_term(vec, phases, huge)
     diff = np.sqrt(diff_sq)
-    total = np.sqrt(diff_sq + 4.0 * np.expm1(-2.0 * gamma) ** 2 * (mod_a * mod_bc))
-    odd = -mod_a * np.expm1(-4.0 * gamma)
+    total = np.sqrt(diff_sq + 4.0 * s2**2 * (mod_a * mod_bc))
+    odd = mod_a * s4
     return np.maximum(0.0, np.maximum(diff - odd, odd - total))
 
 

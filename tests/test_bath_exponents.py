@@ -1,9 +1,10 @@
 """Closed-form bath exponents against independent references.
 
-Oracles: 40-digit mpmath for the E1 forms and 30-digit mpmath for the ln Gamma
-helper and for the defining integrals of a gapped bath at T > 0; the direct
-Bose sum for its Euler-Maclaurin route, where the direct sum is affordable;
-and the defining integrals evaluated by the adaptive quadrature of
+Oracles: 40-digit mpmath for the E1 forms, 60-digit mpmath for the ln Gamma
+drop of a gapless bath at T > 0, and 30-digit mpmath for the defining
+integrals of a gapped bath at T > 0; the direct Bose sum for its
+Euler-Maclaurin route, where the direct sum is affordable; and the defining
+integrals evaluated by the adaptive quadrature of
 ``quadrature.bath_exponents`` (and, for the plateau gamma_R(inf), of
 ``integrate_decaying``), run at a tolerance of 1e-13.
 """
@@ -28,7 +29,7 @@ from twospinboson.quadrature import integrate_decaying
 mpmath = pytest.importorskip("mpmath")
 
 ALPHAS = (0.25, 0.5)
-# Every (gap, temperature) branch: log1p/arctan, ln Gamma, E1 and the Bose series.
+# Every (gap, temperature) branch: log1p/arctan, the ln Gamma drop, E1 and the Bose series.
 BRANCHES = ((0.0, 0.0), (0.0, 0.5), (0.0, 2.0), (0.01, 0.0), (0.1, 0.0), (0.5, 0.0),
             (0.1, 0.5), (0.5, 2.0))
 TIMES = np.array([0.0, 1e-3, 1.0, 100.0, 1000.0])
@@ -169,21 +170,26 @@ class TestSpecialFunctions:
                 assert _mp_rel_error(g, ref) <= 1e-13
                 assert abs(g.real - ref.real) <= 1e-13 * abs(ref.real)
 
-    def test_re_lngamma_against_mpmath(self):
-        # z = 1 + tau + i tau s as the gapless thermal closed form uses it,
-        # plus points around the |z| = 10 switch from recurrence to Stirling.
-        # Re ln Gamma vanishes at z = 1 and 2, so the relative error has a
-        # floor of 1 there; the closed form only uses differences of it.
-        tau = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0])[:, None]
-        s = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 20)])[None, :]
-        switch = np.array([1.0 + 1j * math.sqrt(99.9999), 1.0 + 1j * math.sqrt(99.0001),
-                           9.9999999, 10.0, 10.0000001, 6.0 + 8.0j])
-        z = np.concatenate([(1.0 + tau + 1j * tau * s).ravel(), switch])
-        got = bath._re_lngamma(z)
-        with mpmath.workdps(30):
-            worst = max(_mp_rel_error(g, mpmath.re(mpmath.loggamma(mpmath.mpc(zk))), floor=1.0)
-                        for zk, g in zip(z, got))
-        assert worst <= 1e-13
+    def test_thermal_drop_against_mpmath(self):
+        # D = ln Gamma(1 + tau) - Re ln Gamma(1 + tau + i tau s), the T > 0 part
+        # of the gapless gamma_R, from tau 1e-6 to 1e15 (8.9 and 9.5 straddle
+        # the recurrence's switch at 1 + tau = 10) and s 1e-9 to 1e6, where a
+        # difference of two ln Gamma values of size tau ln tau loses its digits.
+        taus = (1e-6, 1e-3, 0.1, 0.5, 2.0, 8.9, 9.5, 30.0, 1e3, 1e6, 1e9, 1e15)
+        s = np.array([1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6])
+        alpha = 0.25
+        with mpmath.workdps(60):
+            for tau in taus:
+                drop = bath._thermal_drop(tau, s)
+                gamma_r, _, error = bath_exponents(
+                    OhmicGapSpectrum(alpha=alpha, temperature=tau), s)
+                for sk, got, g_r, err in zip(s, drop, gamma_r, error):
+                    t, x = mpmath.mpf(tau), mpmath.mpf(sk)
+                    ref = (mpmath.loggamma(1 + t)
+                           - mpmath.re(mpmath.loggamma(mpmath.mpc(1 + t, t * x))))
+                    assert abs(got - ref) <= 1e-14 * ref, (tau, sk)
+                    ref_r = 4 * alpha * (mpmath.log1p(x * x) / 2 + 2 * ref)
+                    assert abs(g_r - ref_r) <= err, (tau, sk)
 
 
 def _mp_gapped_thermal(alpha, x0, tau, s):

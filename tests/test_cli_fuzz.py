@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 
 from twospinboson import cli, csvio
 
-# Squares overflow past 1.34e154, and (2 / x)^2 and its double near 1.5e-154.
-_EDGES = (0.0, -0.0, 5e-324, 2.2e-308, 1.5e-154, 1.4e154, 1e308, 1.7e308, math.inf, math.nan,
-          -1.0)
+# Squares overflow past 1.34e154, and (2 / x)^2 and its double near 1.5e-154;
+# 4e307 is just below a quarter of the largest float, where 4 alpha is finite.
+_EDGES = (0.0, -0.0, 5e-324, 2.2e-308, 1.5e-154, 1.4e154, 4e307, 1e308, 1.7e308, math.inf,
+          math.nan, -1.0)
 _NUMBERS = st.one_of(st.floats(-12.0, 40.0).map(lambda e: 10.0 ** e), st.floats(0.0, 5.0),
                      st.sampled_from(_EDGES))
 _PARTS = st.one_of(st.just(0.0), st.floats(-200.0, 2.0).map(lambda e: 10.0 ** e),

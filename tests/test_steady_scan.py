@@ -133,9 +133,9 @@ def spectrum_calls(monkeypatch):
     calls = []
     spectrum = single_mode._gram_spectrum
 
-    def counting(root, gamma):
+    def counting(root, gamma, decay):
         calls.append(gamma.size)
-        return spectrum(root, gamma)
+        return spectrum(root, gamma, decay)
 
     monkeypatch.setattr(single_mode, "_gram_spectrum", counting)
     return calls
@@ -428,6 +428,34 @@ class TestModelMeasures:
             warnings.simplefilter("error")
             conc, entropy = _model_measures(vec, gamma_rs, np.full((5, 3), 0.7))
         assert np.all(conc == conc[0]) and np.all(entropy == entropy[0])
+
+    def test_shared_decay_factors_keep_the_bits(self, lapack_calls):
+        # Each e^{-k gamma_r} and 1 - e^{-k gamma_r} is formed once per block.
+        # C and S keep the bits of each helper forming its own factors from
+        # gamma_r, the concurrence from max(gamma_r, 0).  At gamma_r = 745 and
+        # 1e300 the top eigenvalue is nearly double, so the spectrum falls back.
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        gamma = np.array([-1e-17, -0.0, 0.0, 1e-300, 1.0, 745.0, 1e300])
+        phases = np.tile([0.0, 0.7, 2.0], (gamma.size, 1))
+        conc, entropy = _model_measures(vec, gamma, phases)
+
+        a, b, c, d = vec
+        root = np.array([abs(a), math.hypot(abs(b), abs(c)), abs(d)])
+        factors = (np.exp(-2.0 * gamma), np.exp(-4.0 * gamma), np.exp(-8.0 * gamma),
+                   *(-np.expm1(-k * gamma) for k in (2.0, 4.0, 8.0)))
+        evals = single_mode._gram_spectrum(root, gamma, factors)
+        assert entropy.tobytes() == single_mode._entropy_bits(evals).tobytes()
+
+        g = np.maximum(gamma, 0.0)[:, None]
+        mod_a, mod_bc = abs(a * d), abs(2.0 * b * c)
+        diff_sq = (((1.0 + np.exp(-4.0 * g)) * mod_a - mod_bc) ** 2
+                   + 4.0 * np.exp(-2.0 * g)
+                   * single_mode._cross_term(vec, phases, np.zeros(gamma.size, dtype=bool)))
+        total = np.sqrt(diff_sq + 4.0 * np.expm1(-2.0 * g) ** 2 * (mod_a * mod_bc))
+        odd = -mod_a * np.expm1(-4.0 * g)
+        expected = np.maximum(0.0, np.maximum(np.sqrt(diff_sq) - odd, odd - total))
+        assert conc.tobytes() == expected.tobytes()
+        assert lapack_calls == [("real eigvalsh", 2)] * 2
 
     def test_phase_past_half_the_largest_float_matches_the_kernel(self):
         # 2 phi overflows above 8.99e307; such rows take e^{2i phi} as (e^{i phi})^2.
