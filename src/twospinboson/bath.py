@@ -46,7 +46,8 @@ private pass, :func:`_bose_pass`, evaluates every Bose-series term: over
 arrays of gaps and temperatures, one series per row that a row of couplings
 shares, it plans each route once, evaluates each plateau term once and
 returns the plateaus and, on a time grid, the damping sums, the n = 0
-column and the remainder bound.  No evaluation path integrates; the
+column and the remainder bound.  :func:`_bose_grids` makes that one pass
+over several grids of cells at once.  No evaluation path integrates; the
 quadrature of the defining integrals that the closed forms and the series
 are checked against is the oracle module :mod:`twospinboson.quadrature`,
 which this module does not import.
@@ -508,22 +509,44 @@ def _bose_pass(alphas, x0, tau, s=None):
     where its gap is positive and some alpha is, and row k of ``damping``,
     ``first`` and ``tail`` belongs to the k-th such series: the damping sum
     gamma_R / (4 alpha), the n = 0 column F_{x0}(s) with Im = gamma_I / (4 alpha),
-    and the bound of its route on the remainder of the damping sum.  One
-    :func:`_bose_plan` picks every route before anything is evaluated (and
-    refuses a series that no route certifies), then one :func:`_bose_sums`
-    evaluates each plateau term once.
+    and the bound of its route on the remainder of the damping sum.  This is
+    :func:`_bose_grids` on the one grid.
+    """
+    (plateaus,), damping, first, tail = _bose_grids([(alphas, x0, tau)], s)
+    return plateaus, damping, first, tail
+
+
+def _bose_grids(grids, s=None):
+    """:func:`_bose_pass` over several grids of cells at once.
+
+    ``grids`` is a sequence of (alphas, x0, tau), each a grid as
+    :func:`_bose_pass` takes it; returns the list of their ``plateaus`` and
+    the ``damping``, ``first`` and ``tail`` rows of every summed series, grid
+    by grid.  A grid whose couplings are all 0 adds no series, so its
+    plateaus are 0 whatever its temperatures.  One :func:`_bose_plan` picks
+    every route before anything is evaluated (and refuses a series that no
+    route certifies), then one :func:`_bose_sums` evaluates each plateau term
+    once.  Both treat each row on its own, so every grid's plateaus are bit
+    for bit those of a pass over that grid alone.
     """
     s = np.empty(0) if s is None else np.asarray(s, dtype=float)
-    alphas, x0, tau = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (alphas, x0, tau))
-    coupled = alphas > 0.0
-    summed = np.flatnonzero(x0 > 0.0) if coupled.any() else np.empty(0, dtype=np.intp)
-    terms, order, tail = _bose_plan(x0[summed], tau[summed])
-    sums, damping, first = _bose_sums(x0[summed], tau[summed], terms, order, s)
-    # The alpha = 0 and gapless cells are set, not multiplied: 0 * inf is NaN.
-    plateaus = np.empty((x0.size, alphas.size))
-    plateaus[:] = np.where(coupled, math.inf, 0.0)
-    with np.errstate(over="ignore"):  # past the largest float the plateau inf is the limit
-        plateaus[summed[:, None], coupled] = 4.0 * alphas[coupled] * sums[:, None]
+    grids = [tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in grid) for grid in grids]
+    summed = [np.flatnonzero(x0 > 0.0) if (alphas > 0.0).any() else np.empty(0, dtype=np.intp)
+              for alphas, x0, _ in grids]
+    x0, tau = (np.concatenate([grid[i][rows] for grid, rows in zip(grids, summed)])
+               for i in (1, 2))
+    terms, order, tail = _bose_plan(x0, tau)
+    sums, damping, first = _bose_sums(x0, tau, terms, order, s)
+    plateaus = []
+    for (alphas, x0, _), rows in zip(grids, summed):
+        coupled = alphas > 0.0
+        # The alpha = 0 and gapless cells are set, not multiplied: 0 * inf is NaN.
+        cells = np.empty((x0.size, alphas.size))
+        cells[:] = np.where(coupled, math.inf, 0.0)
+        with np.errstate(over="ignore"):  # past the largest float the plateau inf is the limit
+            cells[rows[:, None], coupled] = 4.0 * alphas[coupled] * sums[:rows.size, None]
+        sums = sums[rows.size:]
+        plateaus.append(cells)
     return plateaus, damping, first, tail
 
 

@@ -13,9 +13,11 @@ Exit codes: 0 on success, 1 when a verification or oracle check fails,
 2 on argument or validation errors and on an output path that cannot be
 written, 3 on a numerical failure, such as a gapped Bose series that no
 route certifies because temperature/gap overflows (refused before any
-evaluation); 2 and 3 print a one-line reason on stderr.  ``steady-sweep``
-computes both tables before it writes either file, so a failure leaves no
-file behind.
+evaluation); 2 and 3 print a one-line reason on stderr.  Argument errors
+come before numerical failures: ``steady-sweep`` checks both tables'
+arguments, then computes both tables in one Bose-series pass
+(:func:`~twospinboson.sweeps.steady_sweep_tables`), and only then writes
+either file, so a failure leaves no file behind.
 """
 
 from __future__ import annotations
@@ -144,9 +146,9 @@ def _cmd_steady_sweep(args) -> int:
 
     # Both tables are computed before either file is written, so a refused
     # table leaves no output behind.
-    entanglement = sweeps.steady_state_table(alphas, gaps, psi0,
-                                             temperature=args.temperature)
-    thermal = sweeps.thermal_overlap_table(temperatures, gaps, alpha=args.thermal_alpha)
+    entanglement, thermal = sweeps.steady_sweep_tables(
+        alphas, gaps, temperatures, psi0,
+        temperature=args.temperature, thermal_alpha=args.thermal_alpha)
     meta = _base_metadata(
         "steady-sweep",
         alpha_grid=args.alpha_grid,

@@ -8,9 +8,11 @@ are in units of the coupling lambda (omega as omega/lambda); bath quantities
 are in units of the cutoff omega_c: gaps and temperatures in omega_c, times in
 1/omega_c.
 
-Every function returns an ordered ``dict`` of equal-length numpy columns,
-ready for CSV emission.  The sweeps are deterministic: the same inputs
-produce bitwise identical tables.
+Every table is an ordered ``dict`` of equal-length numpy columns, ready for
+CSV emission.  The sweeps are deterministic: the same inputs produce bitwise
+identical tables.  ``steady-sweep`` runs :func:`steady_sweep_tables`, which
+returns :func:`steady_state_table` and :func:`thermal_overlap_table` bit for
+bit from one Bose-series pass over both tables' cells.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .bath import (
     OhmicGapSpectrum,
+    _bose_grids,
     _bose_pass,
     _steady_states,
     bath_exponents,
@@ -36,6 +39,7 @@ __all__ = [
     "commensurability_table",
     "state_series",
     "steady_state_table",
+    "steady_sweep_tables",
     "thermal_overlap_table",
 ]
 
@@ -144,8 +148,10 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
     with coupling) carry ``has_steady_state = 0`` and the sentinel -1 in the
     c_max_steady and s_steady columns.  The cells are arrays, not spectrum
     objects: at the one temperature a plateau is 4 alpha S(omega0), so one
-    Bose-series pass sums one series per gap and gives every plateau, each
-    bitwise ``gamma_R_infinity``.  Every cell is bitwise
+    Bose-series pass over this table's rows sums one series per gap and gives
+    every plateau, each bitwise ``gamma_R_infinity``
+    (:func:`steady_sweep_tables` makes that pass together with the thermal
+    table's).  Every cell is bitwise
     :func:`~twospinboson.bath.steady_state_stats`: the entropy from
     the exact invariants of the Gram form, and c_max_steady the largest
     concurrence over the phase family, the 2048 grid values of theta*t in
@@ -159,14 +165,68 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
-    # The grids are checked; one spectrum checks the temperature and 4 alpha.
-    # 4 alpha overflows exactly above max/4, so it is checked at the first
-    # alpha past that, if any: the first cell in table order that fails.
+    cells = _steady_cells(alphas, gaps, temperature)
+    return _steady_columns(cells, _bose_pass(*cells)[0], psi0)
+
+
+def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, np.ndarray]:
+    """Saturated coherence exp(-gamma_R(inf)) over a (temperature, gap) grid.
+
+    ``temperatures`` and ``gaps`` are required grids in omega_c.  Temperature
+    enters gamma_R through the thermal occupation of the bath; raising it can
+    only suppress the plateau further.  Gapless cells have no plateau and
+    carry the -1 sentinel with ``has_steady_state = 0``.  One Bose-series
+    pass over this table's cells, one series per cell, gives every plateau,
+    each bitwise ``gamma_R_infinity`` (:func:`steady_sweep_tables` makes that
+    pass together with the entanglement table's).
+    """
+    temperatures = _require_grid(temperatures, "temperatures")
+    gaps = _require_grid(gaps, "gaps")
+    cells = _thermal_cells(temperatures, gaps, alpha)
+    return _thermal_columns(cells, _bose_pass(*cells)[0])
+
+
+def steady_sweep_tables(alphas, gaps, temperatures, psi0: QubitAmplitudes,
+                        temperature: float = 0.0, thermal_alpha: float = 0.25
+                        ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Both tables of ``steady-sweep`` from one Bose-series pass.
+
+    Returns ``steady_state_table(alphas, gaps, psi0, temperature)`` and
+    ``thermal_overlap_table(temperatures, gaps, thermal_alpha)``, bit for
+    bit.  Both tables' arguments are checked, in that order, before anything
+    is evaluated; then one :func:`~twospinboson.bath._bose_grids` pass plans
+    and sums the entanglement table's series (one per gap at
+    ``temperature``) followed by the thermal table's (one per cell).  Each
+    series is planned and summed on its own, so neither table depends on
+    the other.  A table whose couplings are all 0 adds no series to the
+    pass: its plateaus are 0, and none of its series can be refused.
+    """
+    alphas = _require_grid(alphas, "alphas")
+    gaps = _require_grid(gaps, "gaps")
+    steady = _steady_cells(alphas, gaps, temperature)
+    temperatures = _require_grid(temperatures, "temperatures")
+    thermal = _thermal_cells(temperatures, gaps, thermal_alpha)
+    steady_plateaus, thermal_plateaus = _bose_grids([steady, thermal])[0]
+    return (_steady_columns(steady, steady_plateaus, psi0),
+            _thermal_columns(thermal, thermal_plateaus))
+
+
+def _steady_cells(alphas, gaps, temperature: float):
+    """(alphas, gaps, temperatures): the Bose-pass grid of :func:`steady_state_table`.
+
+    The grids are checked; one spectrum checks the temperature and 4 alpha.
+    4 alpha overflows exactly above max/4, so it is checked at the first
+    alpha past that, if any: the first cell in table order that fails.
+    """
     first = int(np.searchsorted(alphas, 0.25 * sys.float_info.max, side="right"))
     OhmicGapSpectrum(alpha=float(alphas[min(first, alphas.size - 1)]), omega0=float(gaps[0]),
                      temperature=temperature)
+    return alphas, gaps, np.full(gaps.size, temperature)
 
-    plateaus = _bose_pass(alphas, gaps, np.full(gaps.size, temperature))[0]
+
+def _steady_columns(cells, plateaus, psi0: QubitAmplitudes) -> dict[str, np.ndarray]:
+    """The columns of :func:`steady_state_table` from its cells' plateaus."""
+    alphas, gaps, _ = cells
     g_inf, c_max, entropy = _steady_states(plateaus.ravel(), psi0)
     steady = np.isfinite(g_inf)
     return {
@@ -178,24 +238,19 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
     }
 
 
-def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, np.ndarray]:
-    """Saturated coherence exp(-gamma_R(inf)) over a (temperature, gap) grid.
+def _thermal_cells(temperatures, gaps, alpha: float):
+    """(alpha, gaps, temperatures) per cell: the Bose-pass grid of :func:`thermal_overlap_table`.
 
-    ``temperatures`` and ``gaps`` are required grids in omega_c.  Temperature
-    enters gamma_R through the thermal occupation of the bath; raising it can
-    only suppress the plateau further.  Gapless cells have no plateau and
-    carry the -1 sentinel with ``has_steady_state = 0``.  One Bose-series
-    pass over the cell arrays, one series per cell, gives every plateau,
-    each bitwise ``gamma_R_infinity``.
+    The grids are checked; one spectrum checks alpha, as the first cell would.
     """
-    temperatures = _require_grid(temperatures, "temperatures")
-    gaps = _require_grid(gaps, "gaps")
-    # The grids are checked; one spectrum checks alpha, as the first cell would.
     OhmicGapSpectrum(alpha=alpha, omega0=float(gaps[0]), temperature=float(temperatures[0]))
+    return alpha, np.repeat(gaps, temperatures.size), np.tile(temperatures, gaps.size)
 
-    temperature = np.tile(temperatures, gaps.size)
-    omega0 = np.repeat(gaps, temperatures.size)
-    g_inf = _bose_pass(alpha, omega0, temperature)[0].ravel()
+
+def _thermal_columns(cells, plateaus) -> dict[str, np.ndarray]:
+    """The columns of :func:`thermal_overlap_table` from its cells' plateaus."""
+    _, omega0, temperature = cells
+    g_inf = plateaus.ravel()
     return {
         "temperature": temperature,
         "omega0": omega0,

@@ -395,23 +395,63 @@ class TestSteadySweep:
             assert np.all(columns["has_steady_state"] == 1.0)
 
     def test_refused_thermal_table_writes_neither_file(self, capsys, tmp_path, monkeypatch):
-        # The entanglement table (one pass, one E1 call) succeeds; the
-        # thermal table's pass then fails, and no file may be left behind.
+        # The one Bose-series pass of both tables and the entanglement table
+        # succeed; the thermal table then fails, and no file may be left behind.
         calls = []
 
-        def fail_after_first(z, real=bath._exp_e1):
-            calls.append(np.size(z))
-            if len(calls) > 1:
-                raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
-            return real(z)
+        def refuse(cells, plateaus):
+            calls.append(plateaus.size)
+            raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
 
-        monkeypatch.setattr(bath, "_exp_e1", fail_after_first)
+        monkeypatch.setattr(cli.sweeps, "_thermal_columns", refuse)
         prefix = str(tmp_path / "sweep")
         code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
                                  "--gap-grid", "1e-6:0.5:2", "--temperature-grid", "0:2:2",
                                  "--output-prefix", prefix)
         assert code == 3 and out == ""
-        assert len(calls) == 2 and len(err.splitlines()) == 1
+        assert calls == [4] and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_bose_pass_per_run(self, capsys, tmp_path, monkeypatch):
+        # Both tables' series go through one plan and one evaluation: 9 gapped
+        # gaps of the entanglement table, then the 9 x 9 gapped thermal cells.
+        rows = {"_bose_plan": [], "_bose_sums": []}
+
+        def recording(name, real):
+            def wrapper(x0, *args):
+                rows[name].append(x0.size)
+                return real(x0, *args)
+            return wrapper
+
+        for name in rows:
+            monkeypatch.setattr(bath, name, recording(name, getattr(bath, name)))
+        code, _, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.05:1:3",
+                               "--gap-grid", "0:0.5:10", "--temperature-grid", "0:2:9",
+                               "--output-prefix", str(tmp_path / "p"))
+        assert code == 0 and err == ""
+        assert rows == {"_bose_plan": [90], "_bose_sums": [90]}
+
+    def test_uncoupled_thermal_table_sums_no_series(self, capsys, tmp_path):
+        # At T 1e10 and gap 1e-300 no route certifies the series; at thermal
+        # alpha 0 the table needs none, and every overlap is 1.
+        prefix = tmp_path / "p"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "steady-sweep", "--thermal-alpha", "0",
+                                   "--alpha-grid", "0.25:0.5:2", "--gap-grid", "1e-300:1e-299:2",
+                                   "--temperature-grid", "0:1e10:2",
+                                   "--output-prefix", str(prefix))
+        assert code == 0 and err == ""
+        columns, _ = csvio.parse_table((tmp_path / "p_thermal.csv").read_text())
+        assert columns["overlap_infinity"].tolist() == [1.0] * 4
+
+    def test_argument_error_comes_before_numerical_failure(self, capsys, tmp_path):
+        # The entanglement series at T 1e10 and gap 1e-300 has no certified
+        # route (exit 3), but the thermal table's alpha is refused first.
+        assert_rejected_quietly(
+            capsys, ("steady-sweep", "--temperature", "1e10", "--gap-grid", "1e-300:1e-299:2",
+                     "--thermal-alpha", "-1", "--output-prefix", str(tmp_path / "p")),
+            "alpha must be nonnegative, got -1.0")
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_reversed_axis(self, capsys):
@@ -436,7 +476,7 @@ class TestSteadySweep:
     def test_rejects_line_break_before_computing(self, capsys, tmp_path, monkeypatch,
                                                  option, text):
         # The text would go into a metadata line and split it.
-        monkeypatch.setattr(cli.sweeps, "steady_state_table", None)
+        monkeypatch.setattr(cli.sweeps, "steady_sweep_tables", None)
         assert_rejected_quietly(
             capsys, ("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.1:2",
                      "--temperature-grid", "0:1:2", f"{option}={text}",
@@ -537,8 +577,7 @@ class TestGrids:
             assert run_cli(capsys, *argv)[0] == 0
         assert built == ["theta-t grid", "n grid", "t grid",
                          "alpha grid", "gap grid", "temperature grid"]
-        assert grid_checks == ["t_grid", "n_grid", "t_grid",
-                               "alphas", "gaps", "temperatures", "gaps"]
+        assert grid_checks == ["t_grid", "n_grid", "t_grid", "alphas", "gaps", "temperatures"]
 
 
 class TestParser:

@@ -17,6 +17,7 @@ from twospinboson.sweeps import (
     commensurability_table,
     state_series,
     steady_state_table,
+    steady_sweep_tables,
     thermal_overlap_table,
 )
 
@@ -369,3 +370,49 @@ class TestThermalOverlapTable:
                 expected = NO_STEADY_STATE if math.isinf(g) else math.exp(-g)
                 assert table["overlap_infinity"][k].tobytes() == np.float64(expected).tobytes()
                 k += 1
+
+
+class TestSteadySweepTables:
+    """Both steady-sweep tables from one Bose-series pass."""
+
+    @pytest.mark.parametrize("alphas, gaps, temperatures, temperature", [
+        ((0.05, 1.0, 3), (0.0, 0.5, 10), (0.0, 2.0, 9), 0.0),
+        ((0.05, 1.0, 32), (0.0, 0.5, 32), (0.0, 2.0, 33), 0.0),
+        ((0.05, 1.0, 32), (0.0, 0.5, 32), (0.0, 2.0, 33), 0.5),
+        ((0.0, 0.1, 2), (0.0, 0.1, 2), (0.0, 1.0, 2), 0.0),
+        ((0.05, 1.0, 32), (1e-3, 0.5, 2), (0.0, 2.0, 2), 2.0),
+        ((0.25, 0.75, 3), (1e-5, 1.1e-5, 2), (0.0, 2.0, 2), 2.0),
+    ], ids=["benchmark", "defaults", "defaults-T0.5", "alpha-0", "gap-1e-3-T2", "gap-1e-5-T2"])
+    def test_tables_are_those_of_each_table_alone(self, alphas, gaps, temperatures, temperature):
+        alphas, gaps, temperatures = (np.linspace(*axis) for axis in (alphas, gaps, temperatures))
+        psi = QubitAmplitudes.normalized(0.3 + 0.1j, -0.5, 0.2j, 0.7)
+        entanglement, thermal = steady_sweep_tables(alphas, gaps, temperatures, psi,
+                                                    temperature=temperature)
+        for table, alone in (
+                (entanglement, steady_state_table(alphas, gaps, psi, temperature=temperature)),
+                (thermal, thermal_overlap_table(temperatures, gaps))):
+            assert list(table) == list(alone)
+            for name in table:
+                assert table[name].tobytes() == alone[name].tobytes(), name
+
+    def test_uncoupled_table_adds_no_series(self):
+        # At T 1e10 and gap 1e-300 no route certifies the series, but alpha = 0
+        # needs none: the row is that of steady_state_table alone.
+        entanglement, thermal = steady_sweep_tables([0.0], [1e-300], [0.0, 2.0], UNIFORM,
+                                                    temperature=1e10)
+        assert {name: column.tolist() for name, column in entanglement.items()} == {
+            "alpha": [0.0], "omega0": [1e-300], "has_steady_state": [1.0],
+            "c_max_steady": [1.0], "s_steady": [0.0]}
+        alone = thermal_overlap_table([0.0, 2.0], [1e-300])
+        assert thermal["overlap_infinity"].tobytes() == alone["overlap_infinity"].tobytes()
+        _, thermal = steady_sweep_tables([0.25, 0.5], [1e-300, 1e-299], [0.0, 1e10], UNIFORM,
+                                         thermal_alpha=0.0)
+        assert thermal["overlap_infinity"].tolist() == [1.0] * 4
+
+    def test_checks_both_tables_before_the_pass(self, monkeypatch):
+        # The entanglement series at T 1e10 and gap 1e-300 would be refused;
+        # the thermal table's negative alpha is refused first.
+        monkeypatch.setattr(sweeps, "_bose_grids", _refuse)
+        with pytest.raises(ValueError, match="^alpha must be nonnegative, got -1.0$"):
+            steady_sweep_tables([0.25], [1e-300], [0.0, 1.0], UNIFORM, temperature=1e10,
+                                thermal_alpha=-1.0)
