@@ -48,14 +48,33 @@ def _parse_amplitudes(text: str) -> QubitAmplitudes:
 
 
 def _axis(lo: float, hi: float, points: int, name: str) -> np.ndarray:
-    """The one grid builder: ``points`` >= 2 evenly spaced values from lo to hi < inf."""
+    """The one grid builder: ``points`` >= 2 evenly spaced values from lo to hi < inf.
+
+    Every grid of every subcommand comes from here, with the bits of
+    ``np.linspace(lo, hi, points)``: lo + k step with step = (hi - lo) /
+    (points - 1), or (k / (points - 1)) (hi - lo) where that step rounds to 0,
+    and the last point hi itself.  A span hi - lo that overflows is refused.
+    """
     if points < 2:
         raise ValueError(f"{name} needs at least 2 points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} needs a finite min and max, got {lo:g} and {hi:g}")
     if not lo < hi:
         raise ValueError(f"{name} needs min < max, got {lo:g} and {hi:g}")
-    return np.linspace(lo, hi, points)
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"{name} span max - min overflows, got {lo:g} and {hi:g}")
+    div = points - 1
+    step = span / div
+    grid = np.arange(points, dtype=float)
+    if step == 0.0:
+        grid /= div
+        grid *= span
+    else:
+        grid *= step
+    grid += lo
+    grid[-1] = hi
+    return grid
 
 
 def _parse_axis(text: str, name: str) -> np.ndarray:

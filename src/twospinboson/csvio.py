@@ -81,14 +81,17 @@ def _render_blocks(columns: dict[str, np.ndarray], metadata: dict[str, object]) 
 
     row = ",".join(["%.12g"] * len(arrays)) + "\n"
     for low in range(0, length, _ROW_BLOCK):
-        block = np.column_stack([arr[low:low + _ROW_BLOCK] for arr in arrays])
-        if block.size < _KERNEL_MIN_VALUES:
-            # One printf-style format per block, without a Python call per value.
-            yield (row * block.shape[0] % tuple(block.ravel().tolist())).encode("ascii")
+        parts = [arr[low:low + _ROW_BLOCK] for arr in arrays]
+        rows = parts[0].shape[0]
+        if rows * len(parts) < _KERNEL_MIN_VALUES:
+            # One printf-style format per block, without a Python call per value;
+            # the values in row order, zipped from the columns.
+            values = tuple(chain.from_iterable(zip(*(part.tolist() for part in parts))))
+            yield (row * rows % values).encode("ascii")
         else:
             from .csvkernel import render_rows
 
-            yield render_rows(block)
+            yield render_rows(np.column_stack(parts))
 
 
 def render_table(columns: dict[str, np.ndarray], metadata: dict[str, object]) -> str:

@@ -69,9 +69,14 @@ def _words(chars: np.ndarray) -> np.ndarray:
 def _last_digits() -> np.ndarray:
     """Per 4-digit chunk (rows: first, middle, last) and value, the position of
     its last nonzero digit within the 12 digits; 0 for a chunk of zeros."""
-    chunk = np.arange(10_000)[:, None]
-    zeros = np.count_nonzero(chunk % 10 ** np.arange(1, 4) == 0, axis=1)
-    return np.where(chunk[:, 0] > 0, 3 - zeros + np.array([[0], [4], [8]]), 0)
+    # Trailing zeros of each value, up to three: one more at each tenth, hundredth, thousandth.
+    zeros = np.zeros(10_000, dtype=np.int64)
+    zeros[::10] += 1
+    zeros[::100] += 1
+    zeros[::1000] += 1
+    last = 3 - zeros + np.array([[0], [4], [8]])
+    last[:, 0] = 0
+    return last
 
 
 def _masks() -> np.ndarray:

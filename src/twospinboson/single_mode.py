@@ -66,7 +66,7 @@ class QubitAmplitudes:
 
     def norm_defect(self) -> float:
         """|<psi|psi> - 1|, zero for a normalized state."""
-        return abs(float(np.sum(np.abs(self.vector()) ** 2)) - 1.0)
+        return _norm_defect((self.a, self.b, self.c, self.d))
 
     @classmethod
     def uniform(cls) -> "QubitAmplitudes":
@@ -76,19 +76,39 @@ class QubitAmplitudes:
     def normalized(cls, a, b, c, d) -> "QubitAmplitudes":
         """Build amplitudes rescaled to unit norm.  Rejects the zero vector and NaN/inf.
 
-        The vector is first scaled by an exact power of two that brings its
-        largest real or imaginary part into [1/2, 1), so that the norm neither
-        overflows nor underflows.
+        The eight real and imaginary parts are plain floats.  They are first
+        scaled by an exact power of two that brings the largest of them into
+        [1/2, 1), so that the norm neither overflows nor underflows.  Each
+        amplitude x + iy is then divided by the norm r as numpy divides a
+        complex array by a real number: ((x + 0 y) s, (y - 0 x) s) with
+        s = 1 / r.  Multiplying by the reciprocal keeps the bits of
+        ``vec / r``, where x / r would move some parts by an ulp; the zero
+        products fix the signs of zero parts.
         """
-        vec = np.array([a, b, c, d], dtype=complex)
-        if not np.all(np.isfinite(vec)):
+        parts = [p for z in map(complex, (a, b, c, d)) for p in (z.real, z.imag)]
+        if not all(map(math.isfinite, parts)):
             raise ValueError(f"amplitudes must be finite, got {a}, {b}, {c}, {d}")
-        peak = float(np.max(np.abs(vec.view(float))))
+        peak = max(map(abs, parts))
         if peak == 0.0:
             raise ValueError("cannot normalize the zero amplitude vector")
-        vec = np.ldexp(vec.view(float), -math.frexp(peak)[1]).view(complex)
-        vec = vec / float(np.linalg.norm(vec))
-        return cls(*(complex(z) for z in vec))
+        shift = -math.frexp(peak)[1]
+        parts = [math.ldexp(p, shift) for p in parts]
+        s = 1.0 / float(np.linalg.norm(np.array(parts).view(complex)))
+        return cls(*(complex((x + y * 0.0) * s, (y - x * 0.0) * s)
+                     for x, y in zip(parts[0::2], parts[1::2])))
+
+
+def _norm_defect(amplitudes) -> float:
+    """|sum |z|^2 - 1| over four complex amplitudes: the trace defect of their pure state.
+
+    Plain floats summed in index order; each |z|^2 is Re^2 + Im^2, so the last
+    bit can differ from ``np.abs(vec) ** 2``.  Past the largest float it is
+    inf, and a NaN part gives NaN; both fail every tolerance.
+    """
+    total = 0.0
+    for z in amplitudes:
+        total += z.real * z.real + z.imag * z.imag
+    return abs(total - 1.0)
 
 
 def _require_amplitudes(psi: QubitAmplitudes) -> np.ndarray:
@@ -241,7 +261,7 @@ def _model_measures(vec: np.ndarray, gamma_rs: np.ndarray,
     comes after the earlier blocks' rows have been measured.
     """
     n, m = phases.shape
-    trace = abs(float(np.sum(np.abs(vec) ** 2)) - 1.0)
+    trace = _norm_defect(vec.tolist())
     if n and not trace <= TRACE_TOL:
         raise InvalidDensityMatrixError(DensityCheck(0.0, trace, math.nan), 0)
     a, b, c, d = vec
@@ -411,11 +431,12 @@ def _require_grid(values, name: str = "t_grid") -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ValueError(f"{name} entries must be finite")
     if grid[0] < 0.0:
         raise ValueError(f"{name} entries must be nonnegative")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+    # A comparison, not np.diff: the difference of two finite entries can overflow.
+    if not (grid[1:] > grid[:-1]).all():
         raise ValueError(f"{name} must be strictly increasing")
     return grid
 

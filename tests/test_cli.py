@@ -154,6 +154,11 @@ class TestPeriodStats:
         assert code == 2
         assert "n_grid entries must be at least 0.25, got 0.1" in err
 
+    def test_rejects_overflowing_span(self, capsys):
+        # n-max - n-min overflows: refused before any grid arithmetic.
+        assert_rejected_quietly(capsys, ("period-stats", "--n-min=-1.7e308", "--n-max", "1.7e308"),
+                                "n grid span max - min overflows, got -1.7e+308 and 1.7e+308")
+
 
 class TestBathSeries:
     def test_gapless_series(self, capsys):
@@ -491,6 +496,17 @@ class TestSteadySweep:
                          "--temperature-grid", "0:1:2"),
                 "needs a finite min and max")
 
+    def test_rejects_overflowing_axis_span(self, capsys, tmp_path):
+        # max - min overflows although both ends are finite; the run used to
+        # warn twice and then blame the grid's entries.
+        for axis in ("-1.7e308:1.7e308:3", "-1.7e308:1e308:2", "-1e308:1e308:2"):
+            lo, hi, _ = axis.split(":")
+            assert_rejected_quietly(
+                capsys, ("steady-sweep", f"--alpha-grid={axis}", "--gap-grid", "0:0.5:2",
+                         "--temperature-grid", "0:1:2", "--output-prefix", str(tmp_path / "p")),
+                f"alpha grid span max - min overflows, got {float(lo):g} and {float(hi):g}")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestChecks:
     def test_oracle_check_passes(self, capsys):
@@ -578,6 +594,29 @@ class TestGrids:
         assert built == ["theta-t grid", "n grid", "t grid",
                          "alpha grid", "gap grid", "temperature grid"]
         assert grid_checks == ["t_grid", "n_grid", "t_grid", "alphas", "gaps", "temperatures"]
+
+
+    def test_axis_keeps_the_bits_of_linspace(self):
+        rng = np.random.default_rng(29)
+        cases = [(0.0, 5e-324, 3), (5e-324, 1e-323, 7), (-1e-323, 1e-323, 30_000),
+                 (0.0, 50.0, 30_000), (-1e308, 7e307, 5), (0.5, 12.0, 47)]
+        for _ in range(20_000):
+            scale = 10.0 ** rng.uniform(-320.0, 300.0)
+            lo = scale * rng.uniform(-10.0, 10.0)
+            hi = lo + abs(lo) * 10.0 ** rng.uniform(-17.0, 1.0) + scale * rng.uniform(0.0, 2.0)
+            cases.append((lo, hi, int(rng.choice([2, 3, 4, 10, 75, 629, rng.integers(2, 3000)]))))
+        # The subnormal spans take linspace's branch for a step that rounds to 0.
+        assert (5e-324 - 0.0) / 2 == 0.0 and (1e-323 - 5e-324) / 6 == 0.0
+        tested = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi, points in cases:
+                if not (lo < hi and math.isfinite(hi - lo)):
+                    continue
+                grid = cli._axis(lo, hi, points, "grid")
+                assert grid.tobytes() == np.linspace(lo, hi, points).tobytes(), (lo, hi, points)
+                tested += 1
+        assert tested >= 19_000
 
 
 class TestParser:

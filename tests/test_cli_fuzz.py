@@ -3,7 +3,7 @@
 Each example calls ``cli.main`` in-process, writes to a temporary directory
 and turns every warning into an error; no process is started.  Numbers are
 drawn log-uniform from 1e-12 to 1e40, from [0, 5], and from the edge values
-0, -0, subnormals, 1.5e-154, 1.4e154, 1e308, 1.7e308, inf, nan and -1;
+0, -0, subnormals, 1.5e-154, 1.4e154, 1e308, 1.7e308, inf, nan, -1 and -1.7e308;
 amplitudes are complex values down to 1e-200.  The contract: exit 0 with
 tables that ``parse_table`` reads, or exit 2 or 3 with exactly one
 ``error:`` line; never a traceback or a warning.  In a table every column is
@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 from twospinboson import cli, csvio
 
 # Squares overflow past 1.34e154, and (2 / x)^2 and its double near 1.5e-154;
-# 4e307 is just below a quarter of the largest float, where 4 alpha is finite.
+# 4e307 is just below a quarter of the largest float, where 4 alpha is finite;
+# max - min overflows from -1.7e308 to 1e308 and past.
 _EDGES = (0.0, -0.0, 5e-324, 2.2e-308, 1.5e-154, 1.4e154, 4e307, 1e308, 1.7e308, math.inf,
-          math.nan, -1.0)
+          math.nan, -1.0, -1.7e308)
 _NUMBERS = st.one_of(st.floats(-12.0, 40.0).map(lambda e: 10.0 ** e), st.floats(0.0, 5.0),
                      st.sampled_from(_EDGES))
 _PARTS = st.one_of(st.just(0.0), st.floats(-200.0, 2.0).map(lambda e: 10.0 ** e),

@@ -69,6 +69,18 @@ class TestFormatValue:
         assert csvio.format_value(123456789012345.0) == "1.23456789012e+14"
 
 
+class TestKernelTables:
+    def test_last_digit_table_is_the_modulo_table(self):
+        # _LAST counts trailing zeros by strided adds; the table of % and
+        # count_nonzero it replaces, value for value, dtype and shape.
+        chunk = np.arange(10_000)[:, None]
+        zeros = np.count_nonzero(chunk % 10 ** np.arange(1, 4) == 0, axis=1)
+        expected = np.where(chunk[:, 0] > 0, 3 - zeros + np.array([[0], [4], [8]]), 0)
+        assert csvkernel._LAST.dtype == expected.dtype == np.int64
+        assert csvkernel._LAST.shape == expected.shape == (3, 10_000)
+        assert np.array_equal(csvkernel._LAST, expected)
+
+
 class TestRenderAndParse:
     def test_round_trip_values(self):
         columns = {"x": np.array([0.0, 0.5, 1.0]),

@@ -6,6 +6,7 @@ decohered limit of the uniform state.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from twospinboson.single_mode import (
     QubitAmplitudes,
     SingleModeParams,
     _gammas,
+    _require_grid,
     ideal_concurrence,
     time_series,
 )
@@ -326,3 +328,89 @@ class TestTimeSeries:
         with pytest.raises(ValueError) as err:
             time_series(SingleModeParams(1e-100), UNIFORM, np.array([0.0, 1e208]))
         assert str(err.value) == "2 theta t = 4e+100 * 1e+208 overflows"
+
+
+def _normalized_by_arrays(a, b, c, d) -> np.ndarray:
+    """QubitAmplitudes.normalized as numpy array arithmetic: scale, norm, divide."""
+    vec = np.array([a, b, c, d], dtype=complex)
+    peak = float(np.max(np.abs(vec.view(float))))
+    vec = np.ldexp(vec.view(float), -math.frexp(peak)[1]).view(complex)
+    return vec / float(np.linalg.norm(vec))
+
+
+def _require_grid_by_arrays(values, name):
+    """_require_grid's checks as np.all, np.isfinite and np.diff."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D array")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} entries must be finite")
+    if grid[0] < 0.0:
+        raise ValueError(f"{name} entries must be nonnegative")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
+
+
+class TestSetUpBits:
+    """The per-run set-up in plain floats against its numpy array form."""
+
+    def test_normalized_keeps_the_bits_of_the_array_division(self):
+        rng = np.random.default_rng(20)
+        parts = np.copysign(10.0 ** rng.uniform(-300.0, 300.0, (10_000, 8)),
+                            rng.uniform(-1.0, 1.0, (10_000, 8)))
+        kind = rng.integers(0, 10, parts.shape)
+        parts[kind == 0] = 0.0
+        parts[kind == 1] = -0.0
+        # Parts many decades below the largest underflow when it is scaled to
+        # [1/2, 1); rows of one decade keep every part.
+        parts[:1000] = np.copysign(10.0 ** rng.uniform(-1.0, 0.0, (1000, 8)), parts[:1000])
+        parts[0] = [-0.0, 0.0, 0.0, -0.0, 5e-324, -0.0, 0.0, -5e-324]
+        parts[1] = [1e300, -0.0, -0.0, 1e-300, 0.0, -0.0, -1e300, 0.0]
+        tested = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in parts.view(complex):
+                if not row.any():
+                    continue
+                values = [complex(z) for z in row]
+                psi = QubitAmplitudes.normalized(*values)
+                assert psi.vector().tobytes() == _normalized_by_arrays(*values).tobytes(), values
+                tested += 1
+        assert tested >= 9_990
+
+    def test_norm_defect_is_the_array_sum_to_rounding(self):
+        # Plain floats, |z|^2 as Re^2 + Im^2: within a few ulps of the numpy
+        # sum, and inf or NaN past the largest float without a warning.
+        rng = np.random.default_rng(21)
+        parts = rng.normal(size=(2000, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1))
+        for row in parts.view(complex):
+            psi = QubitAmplitudes(*(complex(z) for z in row))
+            total = float(np.sum(np.abs(psi.vector()) ** 2))
+            assert abs(psi.norm_defect() - abs(total - 1.0)) <= 4.0 * np.finfo(float).eps * max(total, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert QubitAmplitudes(1e200, 0.0, 0.0, 0.0).norm_defect() == math.inf
+            assert math.isnan(QubitAmplitudes(complex(0.0, math.nan), 0.0, 0.0, 0.0).norm_defect())
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, math.nan], [math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0],
+        [-1.0, 0.0, 1.0], [-1.0, math.nan], [-1.0, -2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0],
+        [0.0, 1.7e308, -1.7e308], [1.0, 1.0], [0.0, 0.0, math.nan], [0.0, -0.0], [],
+        [[0.0, 1.0]], [2.0], [0.0, 5e-324, 1e-323], [-0.0, 1.7e308]])
+    def test_require_grid_gives_the_messages_of_the_array_checks(self, grid):
+        with np.errstate(over="ignore"):
+            try:
+                expected = _require_grid_by_arrays(grid, "grid")
+            except ValueError as err:
+                expected = str(err)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = _require_grid(grid, "grid")
+            except ValueError as err:
+                got = str(err)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.tobytes() == expected.tobytes()
