@@ -254,6 +254,13 @@ def _exp_a_step(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
             - 0.5 * (1j * delta - (1.0 + z) * expm1))
 
 
+def _times_ratio(s: np.ndarray, tau: float, d: float) -> np.ndarray:
+    """s tau / d for d >= 1, as s (tau / d); where that quotient is subnormal
+    and would drop digits, as (s tau) / d, whose product cannot overflow there."""
+    ratio = tau / d
+    return s * ratio if ratio >= 2.0**-1022 else (s * tau) / d
+
+
 def _thermal_drop(tau: float, s: np.ndarray) -> np.ndarray:
     """ln Gamma(1 + tau) - Re ln Gamma(1 + tau + i tau s) >= 0 for tau > 0 and an array of s >= 0.
 
@@ -269,9 +276,9 @@ def _thermal_drop(tau: float, s: np.ndarray) -> np.ndarray:
     drop = np.zeros_like(s)
     if shifted:
         for k in range(_STIRLING_SHIFT):
-            drop += _half_log1p_sq(s * (tau / (1.0 + tau + k)))
+            drop += _half_log1p_sq(_times_ratio(s, tau, 1.0 + tau + k))
     w = 1.0 + tau + (_STIRLING_SHIFT if shifted else 0.0)
-    e = s * (tau / w)
+    e = _times_ratio(s, tau, w)
     phi = np.arctan(e)
     log_mod = _half_log1p_sq(e)
     inv = 1.0 / w

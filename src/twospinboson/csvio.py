@@ -10,26 +10,30 @@ Rows are rendered in blocks of 1024, each by one of two routes that print
 the same bytes as ``'%.12g' % x`` for every value:
 
 - a block of fewer than 512 values goes through one printf-style ``%``
-  format, whose cost is about 0.3 us per value;
+  format;
 - a larger block goes through the byte kernel of
-  :mod:`twospinboson.csvkernel`, imported on first use, which has a fixed
-  cost of about 55 us and then takes under half the time per value.  It
-  scales each value by an exact power of ten and *certifies* its 12 digits
-  when the product's fraction is more than 2^-11 from a rounding tie, four
-  times the product's worst error; it prints every value it cannot certify
-  (zero aside: inf, nan, exponents past the exact powers, near-ties) with
-  ``%``.
+  :mod:`twospinboson.csvkernel`, imported on first use, with one word
+  template per table.  It scales each value by an exact power of ten and
+  *certifies* its 12 digits when the product's fraction is more than 2^-11
+  from a rounding tie, four times the product's worst error; it prints
+  every value it cannot certify (zero aside: inf, nan, exponents past the
+  exact powers, near-ties) with ``%``.  Warm, on a 2-vCPU x86_64 host, a
+  1024 x 6 block of values in [0, 1) took 0.36 ms against 0.78 ms by ``%``.
 
-The blocks are 1024 rows because the kernel's temporaries then stay small
-enough for the allocator to reuse them from block to block: with 2048-row
-blocks a fresh process took about 8,800 page faults on a 30,000-row,
-6-column table, against about 1,300 for the ``%`` route alone.
+Why 512 values and 1024 rows: past about 250 values the kernel is the
+faster route once imported, but its import costs about 1.2 ms in a fresh
+process, so a lower threshold would make a 75-point ``bath-series``
+(450 values, well under 0.1 ms by ``%``) pay it.  With 2048-row blocks
+the kernel's temporaries no longer stay small enough for the allocator
+to reuse them from block to block: in a fresh process, writing a
+30,000-row, 6-column table took 1,430 page faults against 550, and 8.6
+against 8.4 ms (medians of 15, the kernel's import included).
 
 :func:`write_table` writes a file, or standard output, block by block: the
 metadata and header lines with the first row block, then each row block as
 soon as it is rendered.  Its memory is one block's text plus the kernel's
-temporaries, not the whole text.  :func:`render_table` joins the same blocks
-into one string.
+template and temporaries, not the whole text.  :func:`render_table` joins
+the same blocks into one string.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ def _render_blocks(columns: dict[str, np.ndarray], metadata: dict[str, object]) 
     yield ("".join(head) + ",".join(names) + "\n").encode("utf-8")
 
     row = ",".join(["%.12g"] * len(arrays)) + "\n"
+    # The kernel's word template, made for the first (largest) kernel block
+    # and used by every later one: this table's own, never shared.
+    template = None
     for low in range(0, length, _ROW_BLOCK):
         parts = [arr[low:low + _ROW_BLOCK] for arr in arrays]
         rows = parts[0].shape[0]
@@ -89,9 +96,11 @@ def _render_blocks(columns: dict[str, np.ndarray], metadata: dict[str, object]) 
             values = tuple(chain.from_iterable(zip(*(part.tolist() for part in parts))))
             yield (row * rows % values).encode("ascii")
         else:
-            from .csvkernel import render_rows
+            from . import csvkernel
 
-            yield render_rows(np.column_stack(parts))
+            if template is None:
+                template = csvkernel.block_template(rows, len(parts))
+            yield csvkernel.render_rows(np.column_stack(parts), template)
 
 
 def render_table(columns: dict[str, np.ndarray], metadata: dict[str, object]) -> str:

@@ -20,26 +20,37 @@ Each value fills a fixed 40-byte template, 10 ``uint32`` words:
 ======  =========================================================
 bytes   content
 ======  =========================================================
+0-1     NUL, never kept
 2       ``-``
 3-7     ``0.000``
 8-19    the 12 digits, three 4-digit words from :data:`_QUADS`
 20-31   ``.`` and digits 2 to 12, the part after a point
 32-35   ``e``, the exponent's sign and its two digits (certified
         values have exponents -11 to 34)
-36      the separator, ``,`` or ``\\n``
+36      the separator, ``,`` or ``\\n``; 37-39 NUL
 ======  =========================================================
 
-A keep-mask row picked by (sign, layout, last nonzero digit) selects the
-bytes of the value's ``%g`` text; a value printed by ``%`` is written over
-bytes 0-19 and its row keeps its length.  The block's text is the kept bytes
-in order.
+A mask row picked by (sign, layout, last nonzero digit) holds 0xFF in each
+byte of the value's ``%g`` text and 0 elsewhere; a value printed by ``%``
+takes the row that keeps its text's length and the separator.  The block's
+words ANDed with their mask rows are a masked copy in which every dropped
+byte is NUL, and the ``%`` text, NUL-padded to 20 bytes, is written over
+bytes 0-19 of that copy.  No kept byte is NUL, so one pass that deletes the
+NUL bytes (``bytes.translate``) leaves exactly the kept bytes, in order: the
+block's text.
+
+:func:`block_template` makes the words once per table, with the prefix and
+separator words set; :func:`render_rows` rewrites words 2-8 of the leading
+rows a block uses and writes nothing else there, so no ``%`` text reaches a
+later block.  The caller owns the template, and this module keeps no
+mutable state: two tables rendered at once never share one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["render_rows"]
+__all__ = ["block_template", "render_rows"]
 
 _WIDTH = 40
 # Layouts: fixed notation for exponents -4..11 is layout exponent + 4,
@@ -119,7 +130,8 @@ _DIGIT_WORDS = _words(_QUADS)
 # The first chunk of the digits' second copy: its first digit becomes the point.
 _POINT_WORDS = _words(np.column_stack([np.full(10_000, ord("."), np.uint8), _QUADS[:, 1:]]))
 _LAST = _last_digits()
-_MASKS = _masks()
+# The keep-mask rows as words: 0xFF in each kept byte, 0 in each dropped one.
+_MASK_WORDS = (_masks().astype(np.uint8) * np.uint8(0xFF)).view(np.uint32)
 _LAYOUT_ROW, _EXP_WORDS = _exponent_tables()
 # Slot 34 - e of these holds 10^k, k = 11 - e, as y = |x| * _UP / _DOWN: one
 # factor is 1 and the other exact.  Slots off |k| <= 22 give nan.
@@ -129,9 +141,26 @@ _PREFIX = _words(np.frombuffer(b"\0\0-0.000", dtype=np.uint8).reshape(2, 4))
 _COMMA, _NEWLINE = _words([[ord(","), 0, 0, 0], [ord("\n"), 0, 0, 0]])
 
 
-def render_rows(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 block as ASCII CSV lines, each value as ``'%.12g' % x``."""
-    rows, columns = block.shape
+def block_template(rows: int, columns: int) -> np.ndarray:
+    """A new word template for blocks of up to ``rows`` rows of ``columns`` values.
+
+    Its shape is (rows * columns, 10): the prefix words 0-1 and the separator
+    word 9 are written here, once per table; :func:`render_rows` rewrites
+    words 2-8 of the leading rows each block uses.
+    """
+    template = np.empty((rows, columns, _WIDTH // 4), dtype=np.uint32)
+    template[:, :, :2] = _PREFIX
+    template[:, :, 9] = _COMMA
+    template[:, -1, 9] = _NEWLINE
+    return template.reshape(rows * columns, _WIDTH // 4)
+
+
+def render_rows(block: np.ndarray, template: np.ndarray) -> bytes:
+    """The rows of a 2-D float64 block as ASCII CSV lines, each value as ``'%.12g' % x``.
+
+    ``template`` is a :func:`block_template` for at least as many rows and
+    the same number of columns; its words 2-8 are overwritten.
+    """
     x = block.ravel()
     n = x.size
     a = np.abs(x)
@@ -161,23 +190,22 @@ def render_rows(block: np.ndarray) -> bytes:
     row = _LAYOUT_ROW.take(slot, mode="clip") + last
     row += np.signbit(x) * _ROWS_PER_SIGN
 
-    buf = np.empty((rows, columns, _WIDTH // 4), dtype=np.uint32)
-    buf[:, :, 9] = _COMMA
-    buf[:, -1, 9] = _NEWLINE
-    buf = buf.reshape(n, _WIDTH // 4)
-    buf[:, 0], buf[:, 1] = _PREFIX
+    buf = template[:n]
     words = _DIGIT_WORDS.take(chunks, mode="clip")
     buf[:, 2], buf[:, 3], buf[:, 4] = words
     buf[:, 5] = _POINT_WORDS.take(chunks[0], mode="clip")
     buf[:, 6], buf[:, 7] = words[1:]
     buf[:, 8] = _EXP_WORDS.take(slot, mode="clip")
-    text = buf.view(np.uint8)
 
     fallback = np.flatnonzero(~certified & (a != 0.0))
     if fallback.size:
         printed = ["%.12g" % value for value in x[fallback].tolist()]
-        text[fallback, :_FALLBACK_WIDTH] = (
+        row[fallback] = _FALLBACK_ROW + np.array([len(s) for s in printed])
+    masked = _MASK_WORDS.take(row, axis=0)
+    masked &= buf
+    if fallback.size:
+        # Into the masked copy only: the template serves the table's next block.
+        masked.view(np.uint8)[fallback, :_FALLBACK_WIDTH] = (
             np.array(printed, dtype=f"S{_FALLBACK_WIDTH}").view(np.uint8)
             .reshape(-1, _FALLBACK_WIDTH))
-        row[fallback] = _FALLBACK_ROW + np.array([len(s) for s in printed])
-    return text[_MASKS.take(row, axis=0)].tobytes()
+    return masked.tobytes().translate(None, b"\0")

@@ -191,6 +191,16 @@ class TestSpecialFunctions:
                     ref_r = 4 * alpha * (mpmath.log1p(x * x) / 2 + 2 * ref)
                     assert abs(g_r - ref_r) <= err, (tau, sk)
 
+    @pytest.mark.parametrize("tau, s", [(5e-324, 1.7e308), (1e-310, 1e300), (3e-308, 1e300)])
+    def test_thermal_drop_keeps_its_digits_at_subnormal_temperature(self, tau, s):
+        # tau / (1 + tau + k) is subnormal here and would round to a few
+        # digits (relative error 0.39 at tau = 5e-324); s tau is formed first.
+        got = bath._thermal_drop(tau, np.array([s]))[0]
+        with mpmath.workdps(60):
+            t, x = mpmath.mpf(tau), mpmath.mpf(s)
+            ref = mpmath.loggamma(1 + t) - mpmath.re(mpmath.loggamma(mpmath.mpc(1 + t, t * x)))
+            assert abs(got - ref) <= 1e-15 * ref
+
 
 def _mp_gapped_thermal(alpha, x0, tau, s):
     """gamma_R and gamma_I of a gapped bath at T > 0 from their defining integrals.

@@ -128,6 +128,35 @@ class TestRenderAndParse:
             monkeypatch.setattr(csvio, "_KERNEL_MIN_VALUES", threshold)
             assert csvio.render_table(columns, {}) == "x,y,z\n" + expected
 
+    def test_fallback_text_stays_out_of_the_shared_template(self, monkeypatch):
+        # Every kernel block of a table reuses one word template and rewrites
+        # only its digit words.  The first block's %-printed values (and the
+        # zeros) sit in the rows where later blocks print "-0.000..." from the
+        # template's own bytes, and the last block is shorter; text written
+        # into the template would show in those rows.
+        monkeypatch.setattr(csvio, "_KERNEL_MIN_VALUES", 0)
+        monkeypatch.setattr(csvio, "_ROW_BLOCK", 4)
+        first = [np.inf, np.nan, 5e-324, 1e300, -0.0, 0.0,
+                 -np.inf, 1e-300, -1e300, 0.0, -0.0, -5e-324]
+        later = -np.linspace(1.0e-4, 9.9e-4, 12)
+        last = [-0.25, -1.5e-4, -0.0, -0.75, -9.87654321e-4, -0.5]
+        values = np.concatenate([first, later, last]).reshape(-1, 3)
+        columns = {"x": values[:, 0], "y": values[:, 1], "z": values[:, 2]}
+        calls = []
+        render_rows = csvkernel.render_rows
+
+        def recording(block, template):
+            calls.append((block.shape, template))
+            return render_rows(block, template)
+
+        monkeypatch.setattr(csvkernel, "render_rows", recording)
+        lines = csvio.render_table(columns, {}).splitlines()
+        assert [shape for shape, _ in calls] == [(4, 3), (4, 3), (2, 3)]
+        assert calls[0][1].shape == (12, 10)
+        assert all(template is calls[0][1] for _, template in calls)
+        assert lines[0] == "x,y,z"
+        assert lines[1:] == [",".join(csvio.format_value(v) for v in row) for row in values]
+
     def test_kernel_memory_stays_within_a_block(self, monkeypatch):
         # A table of 10^5 rows rendered to one string costs its text twice
         # (the pieces and the joined bytes, then those and the string) plus
@@ -137,10 +166,10 @@ class TestRenderAndParse:
         block_bytes, multiple = 1024 * 6 * 8, 40
         render_rows, calls = csvkernel.render_rows, []
 
-        def recording(block):
+        def recording(block, template):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            text = render_rows(block)
+            text = render_rows(block, template)
             calls.append(tracemalloc.get_traced_memory()[1] - start)
             return text
 
