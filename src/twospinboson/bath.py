@@ -42,12 +42,11 @@ the gap and the temperature:
 
 The effective coupling is a closed form through E1 for every spectrum, and
 the long-time limit gamma_R(inf) is the plateau of the Bose series.  One
-private pass, :func:`_bose_pass`, evaluates every Bose-series term: over
-arrays of gaps and temperatures, one series per row that a row of couplings
+private pass, :func:`_bose_grids`, evaluates every Bose-series term: over
+grids of gaps and temperatures, one series per row that a row of couplings
 shares, it plans each route once, evaluates each plateau term once and
 returns the plateaus and, on a time grid, the damping sums, the n = 0
-column and the remainder bound.  :func:`_bose_grids` makes that one pass
-over several grids of cells at once.  No evaluation path integrates; the
+column and the remainder bound.  No evaluation path integrates; the
 quadrature of the defining integrals that the closed forms and the series
 are checked against is the oracle module :mod:`twospinboson.quadrature`,
 which this module does not import.
@@ -504,33 +503,21 @@ def _bose_sums(x0, tau, terms, order, s) -> tuple[np.ndarray, np.ndarray, np.nda
     return plateau, damping, first
 
 
-def _bose_pass(alphas, x0, tau, s=None):
-    """Plateaus of a grid of cells and, on times ``s``, their Bose series.
-
-    Row k of ``x0`` and ``tau`` (scalars or 1-D arrays of one length) is one
-    Bose series, shared by the cells of every coupling in ``alphas`` (a
-    scalar or 1-D array, the same for each row).  ``plateaus`` has one row
-    per series and one column per coupling, each cell :func:`gamma_R_infinity`
-    of its spectrum: 0 at alpha = 0, inf when gapless with coupling, else
-    4 alpha times the plateau sum of :func:`_bose_sums`.  A series is summed
-    where its gap is positive and some alpha is, and row k of ``damping``,
-    ``first`` and ``tail`` belongs to the k-th such series: the damping sum
-    gamma_R / (4 alpha), the n = 0 column F_{x0}(s) with Im = gamma_I / (4 alpha),
-    and the bound of its route on the remainder of the damping sum.  This is
-    :func:`_bose_grids` on the one grid.
-    """
-    (plateaus,), damping, first, tail = _bose_grids([(alphas, x0, tau)], s)
-    return plateaus, damping, first, tail
-
-
 def _bose_grids(grids, s=None):
-    """:func:`_bose_pass` over several grids of cells at once.
+    """Plateaus of grids of cells and, on times ``s``, their Bose series.
 
-    ``grids`` is a sequence of (alphas, x0, tau), each a grid as
-    :func:`_bose_pass` takes it; returns the list of their ``plateaus`` and
-    the ``damping``, ``first`` and ``tail`` rows of every summed series, grid
-    by grid.  A grid whose couplings are all 0 adds no series, so its
-    plateaus are 0 whatever its temperatures.  One :func:`_bose_plan` picks
+    ``grids`` is a sequence of (alphas, x0, tau).  Row k of ``x0`` and ``tau``
+    (scalars or 1-D arrays of one length) is one Bose series, shared by the
+    cells of every coupling in ``alphas`` (a scalar or 1-D array).  Returns
+    the list of the grids' ``plateaus``, one row per series and one column
+    per coupling, each cell :func:`gamma_R_infinity` of its spectrum: 0 at
+    alpha = 0, inf when gapless with coupling, else 4 alpha times the plateau
+    sum of :func:`_bose_sums`.  A series is summed where its gap is positive
+    and some alpha of its grid is, so an uncoupled grid adds none.  Row k of
+    ``damping``, ``first`` and ``tail`` belongs to the k-th summed series:
+    the damping sum gamma_R / (4 alpha), the n = 0 column F_{x0}(s) with
+    Im = gamma_I / (4 alpha), and the bound of its route on the remainder of
+    the damping sum.  One :func:`_bose_plan` picks
     every route before anything is evaluated (and refuses a series that no
     route certifies), then one :func:`_bose_sums` evaluates each plateau term
     once.  Both treat each row on its own, so every grid's plateaus are bit
@@ -586,7 +573,7 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
       (:func:`_bose_log_tail`) is at most 1e-16, which is N = 0 at T = 0, or
       the Euler-Maclaurin formula with a remainder bound at most 1e-16;
       gamma_I is the n = 0 term, since it does not depend on T.  One call
-      of :func:`_bose_pass` gives the series, the plateau and the bound.
+      of :func:`_bose_grids` gives the series, the plateau and the bound.
 
     The error estimate is the rounding bound 1e-13 times the magnitude of the
     terms combined (twice the plateau plus the n = 0 term for the Bose
@@ -614,7 +601,7 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     tail = 0.0
 
     if x0 > 0.0:
-        plateau, damping, first, bound = _bose_pass(spec.alpha, x0, tau, t[live])
+        (plateau,), damping, first, bound = _bose_grids([(spec.alpha, x0, tau)], t[live])
         # Past the largest float gamma_R and its error estimate are inf, the limit.
         with np.errstate(over="ignore"):
             gamma_r[live] = a4 * damping[0]
@@ -645,7 +632,8 @@ def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
     the Bose series of :func:`bath_exponents` (the time-dependent part
     vanishes), on the same route as a grid with no times.
     """
-    return float(_bose_pass(spec.alpha, spec.omega0, spec.temperature)[0][0, 0])
+    (plateau,) = _bose_grids([(spec.alpha, spec.omega0, spec.temperature)])[0]
+    return float(plateau[0, 0])
 
 
 def bath_gamma(spec: OhmicGapSpectrum, t: float) -> tuple[float, float, float]:
@@ -675,17 +663,22 @@ def steady_state_stats(spec: OhmicGapSpectrum,
     Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
     in which case no steady state exists.
     """
-    plateau = _bose_pass(spec.alpha, spec.omega0, spec.temperature)[0][0]
-    g_inf, c_max, entropy = (float(v[0]) for v in _steady_states(plateau, psi0))
-    return None if math.isinf(g_inf) else (g_inf, c_max, entropy)
+    vec = _require_amplitudes(psi0)
+    (plateau,) = _bose_grids([(spec.alpha, spec.omega0, spec.temperature)])[0]
+    g_inf = float(plateau[0, 0])
+    if math.isinf(g_inf):
+        return None
+    c_max, entropy = _steady_states(vec, plateau[0])
+    return g_inf, float(c_max[0]), float(entropy[0])
 
 
-def _steady_states(g_inf, psi0: QubitAmplitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns gamma_R(inf), c_max and entropy of :func:`steady_state_stats` over ``g_inf``.
+def _steady_states(vec: np.ndarray, g_inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns c_max and entropy of :func:`steady_state_stats` over the plateaus ``g_inf``.
 
-    ``g_inf`` is a column of plateaus from :func:`_bose_pass`; c_max and the
-    entropy are NaN where it is infinite.  An invalid state is named by its
-    index among the cells with a plateau.
+    ``vec`` is the checked amplitude vector and ``g_inf`` a column of
+    plateaus from :func:`_bose_grids`; c_max and the entropy are NaN where it
+    is infinite.  An invalid state is named by its index among the cells
+    with a plateau.
 
     c_max is the grid maximum, from two grid phases per cell.  In the closed
     form only the cross term |z| + Re z
@@ -699,7 +692,6 @@ def _steady_states(g_inf, psi0: QubitAmplitudes) -> tuple[np.ndarray, np.ndarray
     bit, the larger of C at the phase of the largest cross term and C at the
     phase of the smallest.
     """
-    vec = _require_amplitudes(psi0)
     phases = 2.0 * np.linspace(0.0, 0.5 * math.pi, _PHASE_POINTS, endpoint=False)
     cross = _cross_term(vec, phases[None, :], np.zeros(1, dtype=bool))[0]
     extremes = phases[[np.argmax(cross), np.argmin(cross)]]
@@ -708,4 +700,4 @@ def _steady_states(g_inf, psi0: QubitAmplitudes) -> tuple[np.ndarray, np.ndarray
     conc, entropy[live] = _model_measures(
         vec, g_inf[live], np.broadcast_to(extremes, (np.count_nonzero(live), 2)))
     c_max[live] = np.max(conc, axis=1)
-    return g_inf, c_max, entropy
+    return c_max, entropy

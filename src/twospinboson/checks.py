@@ -78,7 +78,7 @@ def _random_density(rng) -> np.ndarray:
 
 
 def _single_mode_rho(params: SingleModeParams, psi: QubitAmplitudes, t: float) -> np.ndarray:
-    return reduced_density(psi, params.theta * t, *single_mode._gammas(params, t))
+    return reduced_density(psi, params.theta * t, *single_mode._gammas(params.omega, t))
 
 
 def _rises(values) -> bool:
@@ -189,8 +189,8 @@ def single_mode_checks() -> list[CheckResult]:
     for _ in range(25):
         params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         t = float(rng.uniform(0.0, 10.0))
-        g_r1, g_i1 = single_mode._gammas(params, t)
-        g_r2, g_i2 = single_mode._gammas(params, t + 2.0 * math.pi / params.omega)
+        g_r1, g_i1 = single_mode._gammas(params.omega, t)
+        g_r2, g_i2 = single_mode._gammas(params.omega, t + 2.0 * math.pi / params.omega)
         # The displacement theta (e^{-i omega t} - 1) of the |00> branch.
         alpha = params.theta * (np.exp(-1j * (params.omega * t)) - 1.0)
         worst_gamma = max(worst_gamma, abs(g_r1 - g_r2), abs(g_i1 - g_i2),
@@ -335,7 +335,7 @@ def _model_measures_defect() -> tuple[float, float]:
             reduced_density(psi, theta_ts, gamma_rs[:, None], 0.0))
         series = single_mode.time_series(params, psi, series_ts)
         c_series, s_series = entanglement_measures(reduced_density(
-            psi, series["theta_t"], *single_mode._gammas(params, series_ts)))
+            psi, series["theta_t"], *single_mode._gammas(params.omega, series_ts)))
         worst = max(worst, np.max(np.abs(conc - c_ref)), np.max(np.abs(entropy[:, None] - s_ref)),
                     np.max(np.abs(series["concurrence"] - c_series)),
                     np.max(np.abs(series["entropy"] - s_series)))

@@ -1,7 +1,8 @@
 """Byte kernel that prints a block of floats exactly as ``'%.12g' % x``.
 
 :func:`render_rows` is the large-block route of
-:func:`twospinboson.csvio.render_table`; ``csvio`` imports this module on
+:func:`twospinboson.csvio._render_blocks`, the block writer that
+``write_table`` uses; ``csvio`` imports this module on
 the first block large enough to use it, so its tables are built then and
 start-up neither compiles nor builds them.
 

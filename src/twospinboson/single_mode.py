@@ -13,7 +13,7 @@ All phases and decoherence exponents are expressed through
     gamma_r(t) = (2 / omega)**2 * (1 - cos(omega t))
     gamma_i(t) = (2 / omega)**2 * sin(omega t)
 
-evaluated in one place, :func:`_gammas`, at a scalar time or on a grid.
+evaluated in one place, :func:`_gammas`, on scalars or broadcast arrays.
 The module also holds what every table and every oracle take as input: the
 initial amplitudes :class:`QubitAmplitudes` and their check, and the
 validity report of a state, :class:`DensityCheck` with the three tolerances
@@ -193,10 +193,10 @@ def _mode_scale(omega: float) -> float:
     return theta * theta
 
 
-def _gammas(params: SingleModeParams, t):
-    """gamma_r and gamma_i at a scalar or an array of times."""
-    x = params.omega * np.asarray(t, dtype=float)
-    pref = _mode_scale(params.omega)
+def _gammas(omega, t):
+    """gamma_r and gamma_i at ``omega`` and times ``t``, which broadcast; each element bitwise."""
+    x = omega * np.asarray(t, dtype=float)
+    pref = _mode_scale(omega)
     # 2 sin^2(x/2) instead of 1 - cos x: immune to cancellation at small x.
     return pref * 2.0 * np.sin(0.5 * x) ** 2, pref * np.sin(x)
 
@@ -447,12 +447,6 @@ def _require_product(scale: float, t_max: float, name: str) -> None:
         raise ValueError(f"{name} = {scale:g} * {t_max:g} overflows")
 
 
-def _require_single_mode_grid(params: SingleModeParams, t: np.ndarray) -> None:
-    """Refuse a time grid whose omega t or induced phase 2 theta t overflows."""
-    _require_product(params.omega, float(t[-1]), "omega t")
-    _require_product(2.0 * params.theta, float(t[-1]), "2 theta t")
-
-
 def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
                 t_grid) -> dict[str, np.ndarray]:
     """Observables on a strictly increasing grid of finite nonnegative times.
@@ -465,8 +459,9 @@ def time_series(params: SingleModeParams, psi0: QubitAmplitudes,
     """
     vec = _require_amplitudes(psi0)
     t = _require_grid(t_grid)
-    _require_single_mode_grid(params, t)
-    gamma_rs, gamma_is = _gammas(params, t)
+    _require_product(params.omega, float(t[-1]), "omega t")
+    _require_product(2.0 * params.theta, float(t[-1]), "2 theta t")
+    gamma_rs, gamma_is = _gammas(params.omega, t)
     theta_ts = params.theta * t
 
     conc, entropy = _model_measures(vec, gamma_rs, (2.0 * theta_ts - gamma_is)[:, None])

@@ -18,21 +18,14 @@ bit from one Bose-series pass over both tables' cells.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
 
-from .bath import (
-    OhmicGapSpectrum,
-    _bose_grids,
-    _bose_pass,
-    _steady_states,
-    bath_exponents,
-    effective_coupling,
-)
-from .single_mode import (_BLOCK, InvalidDensityMatrixError, QubitAmplitudes, SingleModeParams,
-                          _gammas, _model_measures, _require_amplitudes, _require_grid,
-                          _require_product, _require_single_mode_grid)
+from .bath import OhmicGapSpectrum, _bose_grids, _steady_states, bath_exponents, effective_coupling
+from .single_mode import (_BLOCK, InvalidDensityMatrixError, QubitAmplitudes, _gammas,
+                          _model_measures, _require_amplitudes, _require_grid, _require_product)
 
 __all__ = [
     "NO_STEADY_STATE",
@@ -53,16 +46,17 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes,
 
     At integer n the oscillator period and the induced half-period of the
     phase coincide, so the concurrence recovers its decoherence-free maximum.
-    ``n_grid`` is a strictly increasing grid with every n >= 0.25.  Per n, C
-    and S come from :func:`~twospinboson.single_mode._model_measures` on
-    theta*t in [0, pi/2] with ``samples_per_period`` trapezoid intervals (at
-    least 100); an n whose omega t overflows on that grid is refused.
-    Columns: n, omega_over_lambda, c_max, c_avg, s_max, s_avg (extrema and
-    trapezoid averages over the half period).  Every n is checked before any
-    is measured.  The n are then measured in groups of
+    ``n_grid`` is a strictly increasing grid with every n >= 0.25 (omega >= 2).
+    Per n, C and S come from :func:`~twospinboson.single_mode._model_measures`
+    on theta*t in [0, pi/2] with ``samples_per_period`` trapezoid intervals
+    (an integer, at least 100); the first n whose omega t overflows on that
+    grid is refused.  Columns: n, omega_over_lambda, c_max, c_avg, s_max,
+    s_avg (extrema and trapezoid averages over the half period).  Every n is
+    checked before any is measured.  The n are then measured in groups of
     max(1, 4 _BLOCK // (samples_per_period + 1)), four row blocks of
-    ``_model_measures``, and each group's extrema and averages are taken
-    before the next group is built, so memory does not grow with the grid.
+    ``_model_measures``, each from one broadcast ``_gammas`` call, and each
+    group's extrema and averages are taken before the next group is built,
+    so memory does not grow with the grid.
     No row's arithmetic depends on the grouping, and a refused state is named
     by its row in the whole n_grid.size * (samples_per_period + 1) grid.
     """
@@ -70,17 +64,20 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes,
     if n_grid[0] < 0.25:
         raise ValueError(f"n_grid entries must be at least 0.25, got {n_grid[0]:g}")
     vec = _require_amplitudes(psi0)
-    if samples_per_period < 100:
+    try:
+        samples = operator.index(samples_per_period)
+    except TypeError:
+        raise ValueError(
+            f"samples_per_period must be an integer, got {samples_per_period!r}") from None
+    if samples < 100:
         raise ValueError(f"samples_per_period must be at least 100, got {samples_per_period}")
 
-    theta_ts = np.linspace(0.0, 0.5 * math.pi, samples_per_period + 1)
+    theta_ts = np.linspace(0.0, 0.5 * math.pi, samples + 1)
     span = theta_ts[-1] - theta_ts[0]
     omegas = 4.0 * np.sqrt(n_grid)
-    modes = []
-    for omega in omegas:
-        params = SingleModeParams(float(omega))
-        _require_single_mode_grid(params, theta_ts / params.theta)
-        modes.append(params)
+    thetas = 2.0 / omegas
+    for omega, t_max in zip(omegas.tolist(), (theta_ts[-1] / thetas).tolist()):
+        _require_product(omega, t_max, "omega t")
     table = {"n": n_grid, "omega_over_lambda": omegas,
              **{name: np.empty(n_grid.size) for name in ("c_max", "c_avg", "s_max", "s_avg")}}
     # Four _BLOCK rows a group, not one: the allocator then hands more of the
@@ -90,10 +87,8 @@ def commensurability_table(n_grid, psi0: QubitAmplitudes,
     group = max(1, 4 * _BLOCK // theta_ts.size)
     for low in range(0, n_grid.size, group):
         rows = slice(low, low + group)
-        gamma_rs, phases = (np.empty((len(modes[rows]), theta_ts.size)) for _ in range(2))
-        for k, params in enumerate(modes[rows]):
-            gamma_rs[k], gamma_is = _gammas(params, theta_ts / params.theta)
-            phases[k] = 2.0 * theta_ts - gamma_is
+        gamma_rs, gamma_is = _gammas(omegas[rows, None], theta_ts / thetas[rows, None])
+        phases = 2.0 * theta_ts - gamma_is
         try:
             conc, entropy = _model_measures(vec, gamma_rs.ravel(), phases.reshape(-1, 1))
         except InvalidDensityMatrixError as err:
@@ -152,21 +147,21 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
     every plateau, each bitwise ``gamma_R_infinity``
     (:func:`steady_sweep_tables` makes that pass together with the thermal
     table's).  Every cell is bitwise
-    :func:`~twospinboson.bath.steady_state_stats`: the entropy from
-    the exact invariants of the Gram form, and c_max_steady the largest
-    concurrence over the phase family, the 2048 grid values of theta*t in
-    [0, pi/2) (``bath._PHASE_POINTS``), in the closed form of the index-flip
-    symmetry with no decomposition on ordinary inputs.  That maximum is exact
-    from two grid phases per cell, the same two for every cell
-    (:func:`~twospinboson.bath._steady_states`).  It belongs to the family,
-    not to one trajectory: at alpha = 0 the induced coupling theta is 0, the
-    state stays at theta*t = 0 and does not reach c_max_steady unless the
-    maximum lies there.
+    :func:`~twospinboson.bath.steady_state_stats`: the entropy and
+    c_max_steady, the largest concurrence over the phase family of theta*t
+    in [0, pi/2), come from :func:`~twospinboson.bath._steady_states`, which
+    also shows why two grid phases per cell give that maximum exactly.  It
+    belongs to the family, not to one trajectory: at alpha = 0 the induced
+    coupling theta is 0, the state stays at theta*t = 0 and does not reach
+    c_max_steady unless the maximum lies there.  The amplitudes are checked
+    before the pass.
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
     cells = _steady_cells(alphas, gaps, temperature)
-    return _steady_columns(cells, _bose_pass(*cells)[0], psi0)
+    vec = _require_amplitudes(psi0)
+    (plateaus,) = _bose_grids([cells])[0]
+    return _steady_columns(cells, plateaus, vec)
 
 
 def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, np.ndarray]:
@@ -183,7 +178,8 @@ def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, 
     temperatures = _require_grid(temperatures, "temperatures")
     gaps = _require_grid(gaps, "gaps")
     cells = _thermal_cells(temperatures, gaps, alpha)
-    return _thermal_columns(cells, _bose_pass(*cells)[0])
+    (plateaus,) = _bose_grids([cells])[0]
+    return _thermal_columns(cells, plateaus)
 
 
 def steady_sweep_tables(alphas, gaps, temperatures, psi0: QubitAmplitudes,
@@ -204,10 +200,11 @@ def steady_sweep_tables(alphas, gaps, temperatures, psi0: QubitAmplitudes,
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
     steady = _steady_cells(alphas, gaps, temperature)
+    vec = _require_amplitudes(psi0)
     temperatures = _require_grid(temperatures, "temperatures")
     thermal = _thermal_cells(temperatures, gaps, thermal_alpha)
     steady_plateaus, thermal_plateaus = _bose_grids([steady, thermal])[0]
-    return (_steady_columns(steady, steady_plateaus, psi0),
+    return (_steady_columns(steady, steady_plateaus, vec),
             _thermal_columns(thermal, thermal_plateaus))
 
 
@@ -224,10 +221,11 @@ def _steady_cells(alphas, gaps, temperature: float):
     return alphas, gaps, np.full(gaps.size, temperature)
 
 
-def _steady_columns(cells, plateaus, psi0: QubitAmplitudes) -> dict[str, np.ndarray]:
+def _steady_columns(cells, plateaus, vec: np.ndarray) -> dict[str, np.ndarray]:
     """The columns of :func:`steady_state_table` from its cells' plateaus."""
     alphas, gaps, _ = cells
-    g_inf, c_max, entropy = _steady_states(plateaus.ravel(), psi0)
+    g_inf = plateaus.ravel()
+    c_max, entropy = _steady_states(vec, g_inf)
     steady = np.isfinite(g_inf)
     return {
         "alpha": np.tile(alphas, gaps.size),

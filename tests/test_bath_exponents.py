@@ -343,7 +343,7 @@ class TestBoseSeries:
         # bound all come from one pass: one plan, one evaluation, and each
         # plateau node (the M = 7 direct terms and the Euler-Maclaurin node
         # at M, all at real arguments) is evaluated once.
-        calls = {"_bose_pass": 0, "_bose_plan": 0, "_bose_sums": 0}
+        calls = {"_bose_grids": 0, "_bose_plan": 0, "_bose_sums": 0}
         plateau_nodes = []
 
         def counting(name):
@@ -363,7 +363,7 @@ class TestBoseSeries:
         monkeypatch.setattr(bath, "_exp_e1", counting_e1)
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         bath_exponents(spec, np.linspace(0.0, 300.0, 20))
-        assert calls == {"_bose_pass": 1, "_bose_plan": 1, "_bose_sums": 1}
+        assert calls == {"_bose_grids": 1, "_bose_plan": 1, "_bose_sums": 1}
         assert sum(plateau_nodes) == 8
 
     @pytest.mark.parametrize("points", (1, 20))

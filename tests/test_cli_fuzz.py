@@ -9,15 +9,24 @@ tables that ``parse_table`` reads, or exit 2 or 3 with exactly one
 ``error:`` line; never a traceback or a warning.  In a table every column is
 finite, the concurrences lie in [0, 1] and the entropies in [0, 2] bits, and
 a cell without a steady state carries the sentinel -1 and nothing else does.
+
+The tier-1 test draws 300 derandomized argvs.  Run as a script, the module
+draws argvs from a given seed with no example database, through the same
+contract check::
+
+    python tests/test_cli_fuzz.py --seed 12345 --examples 600
 """
 
+import argparse
 import contextlib
 import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from twospinboson import cli, csvio
@@ -110,15 +119,13 @@ def _check_table(text):
         assert np.all((values >= low) & (values <= high)), (name, values)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_argvs())
-def test_every_argv_exits_with_a_table_or_one_error_line(tmp_path, argv):
-    for path in tmp_path.iterdir():
+def check_argv(argv, workdir: Path) -> None:
+    """Run ``argv`` through ``cli.main`` with its output in ``workdir`` and check the contract."""
+    for path in workdir.iterdir():
         path.unlink()
-    output = tmp_path / "out"
-    argv += ([f"--output-prefix={output}"] if argv[0] == "steady-sweep"
-             else [f"--output={output}.csv"])
+    output = workdir / "out"
+    argv = argv + ([f"--output-prefix={output}"] if argv[0] == "steady-sweep"
+                   else [f"--output={output}.csv"])
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -128,8 +135,36 @@ def test_every_argv_exits_with_a_table_or_one_error_line(tmp_path, argv):
         assert err.getvalue() == ""
         names = ["_entanglement", "_thermal"] if argv[0] == "steady-sweep" else [""]
         for name in names:
-            _check_table((tmp_path / f"out{name}.csv").read_text())
+            _check_table((workdir / f"out{name}.csv").read_text())
     else:
         assert code in (2, 3)
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_every_argv_exits_with_a_table_or_one_error_line(tmp_path, argv):
+    check_argv(argv, tmp_path)
+
+
+def fuzz(seed_value: int, examples: int) -> None:
+    """Check ``examples`` argvs drawn from ``seed_value``, keeping no example database."""
+    with tempfile.TemporaryDirectory() as workdir:
+        @seed(seed_value)
+        @settings(max_examples=examples, deadline=None, database=None)
+        @given(argv=_argvs())
+        def run(argv):
+            check_argv(argv, Path(workdir))
+
+        run()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Fuzz the command line at one seed.")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--examples", type=int, default=600)
+    args = parser.parse_args()
+    print(f"fuzz seed {args.seed}, {args.examples} examples", flush=True)
+    fuzz(args.seed, args.examples)

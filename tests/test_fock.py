@@ -49,7 +49,7 @@ def assert_time_rejected_before_eigh(monkeypatch, evolve, *extra):
 
 
 def closed_form(params, psi, t):
-    return reduced_density(psi, params.theta * t, *single_mode._gammas(params, t))
+    return reduced_density(psi, params.theta * t, *single_mode._gammas(params.omega, t))
 
 
 class TestConfig:

@@ -42,7 +42,7 @@ def _refuse(*args, **kwargs):
 
 def evolve(params, psi, t):
     """Reduced state of the single-mode model at time t (in 1/lambda)."""
-    return reduced_density(psi, params.theta * t, *_gammas(params, t))
+    return reduced_density(psi, params.theta * t, *_gammas(params.omega, t))
 
 
 class TestParams:
@@ -70,7 +70,7 @@ class TestParams:
             assert str(err.value) == f"{shown} overflows (2 / omega)^2"
         params = SingleModeParams(1e-150)
         assert math.isfinite(params.theta)
-        assert math.isfinite(_gammas(params, 1.0)[0])
+        assert math.isfinite(_gammas(params.omega, 1.0)[0])
 
     def test_rejects_an_overflowing_peak_of_gamma_r(self):
         # (2 / omega)^2 = 1.78e308 is finite, but gamma_r's factor 2 (2 / omega)^2
@@ -80,31 +80,44 @@ class TestParams:
         assert str(err.value) == "omega 1.5e-154 overflows 2 (2 / omega)^2, the peak of gamma_r"
         params = SingleModeParams(2.2e-154)
         with np.errstate(all="raise"):
-            gamma_r, _ = _gammas(params, np.array([0.0, math.pi / params.omega]))
+            gamma_r, _ = _gammas(params.omega, np.array([0.0, math.pi / params.omega]))
         assert gamma_r[0] == 0.0 and math.isfinite(gamma_r[1])
 
 
 class TestGamma:
     def test_zero_time(self):
-        assert _gammas(SingleModeParams(2.0), 0.0) == (0.0, 0.0)
+        assert _gammas(2.0, 0.0) == (0.0, 0.0)
+
+    def test_omega_column_equals_its_rows(self):
+        # One broadcast call over an (n, 1) column of omegas gives, bit for
+        # bit, the rows of one call per omega, as period-stats relies on.
+        omegas = 4.0 * np.sqrt(np.linspace(0.25, 12.0, 47))
+        theta_ts = np.linspace(0.0, 0.5 * math.pi, 2001)
+        thetas = 2.0 / omegas
+        gamma_rs, gamma_is = _gammas(omegas[:, None], theta_ts / thetas[:, None])
+        for k, omega in enumerate(omegas.tolist()):
+            params = SingleModeParams(omega)
+            row_r, row_i = _gammas(params.omega, theta_ts / params.theta)
+            assert gamma_rs[k].tobytes() == row_r.tobytes()
+            assert gamma_is[k].tobytes() == row_i.tobytes()
 
     def test_half_period_maximum(self):
         # At omega t = pi: gamma_r = 2 (2/omega)^2, gamma_i = 0.
         params = SingleModeParams(omega=2.0)
-        gamma_r, gamma_i = _gammas(params, 0.5 * math.pi)
+        gamma_r, gamma_i = _gammas(params.omega, 0.5 * math.pi)
         np.testing.assert_allclose(gamma_r, 2.0, atol=1e-12)
         np.testing.assert_allclose(gamma_i, 0.0, atol=1e-12)
 
     def test_full_period_revival(self):
         params = SingleModeParams(omega=2.0)
-        gamma_r, gamma_i = _gammas(params, math.pi)
+        gamma_r, gamma_i = _gammas(params.omega, math.pi)
         assert abs(gamma_r) <= 1e-12
         assert abs(gamma_i) <= 1e-12
 
     def test_quarter_period(self):
         # omega t = pi/2: 1 - cos = 1 and sin = 1, both gammas (2/omega)^2.
         params = SingleModeParams(omega=4.0)
-        gamma_r, gamma_i = _gammas(params, math.pi / 8.0)
+        gamma_r, gamma_i = _gammas(params.omega, math.pi / 8.0)
         np.testing.assert_allclose(gamma_r, 0.25, atol=1e-12)
         np.testing.assert_allclose(gamma_i, 0.25, atol=1e-12)
 
@@ -114,8 +127,8 @@ class TestGamma:
         period = 2.0 * math.pi / params.omega
         rng = np.random.default_rng(23)
         for t in 0.4 * rng.uniform(0.0, 50.0, size=40):
-            gamma_r, gamma_i = _gammas(params, t)
-            shifted_r, shifted_i = _gammas(params, t + period)
+            gamma_r, gamma_i = _gammas(params.omega, t)
+            shifted_r, shifted_i = _gammas(params.omega, t + period)
             assert gamma_r >= 0.0
             np.testing.assert_allclose(shifted_r, gamma_r, atol=1e-10)
             np.testing.assert_allclose(shifted_i, gamma_i, atol=1e-10)
@@ -127,7 +140,7 @@ class TestGamma:
         times = 0.3 * np.array([0.0, 0.3, 1.0, 2.5, 7.0])
         alpha = params.theta * (np.exp(-1j * params.omega * times) - 1.0)
         assert alpha[0] == 0.0
-        np.testing.assert_allclose(np.abs(alpha) ** 2, 2.0 * _gammas(params, times)[0],
+        np.testing.assert_allclose(np.abs(alpha) ** 2, 2.0 * _gammas(params.omega, times)[0],
                                    atol=1e-12)
 
     def test_overlap_property(self):
@@ -209,7 +222,7 @@ class TestReducedDensity:
         params = SingleModeParams(2.3)
         times = np.linspace(0.0, 4.0, 6)
         theta_ts = params.theta * times
-        gamma_rs, gamma_is = _gammas(params, times)
+        gamma_rs, gamma_is = _gammas(params.omega, times)
         stack = reduced_density(UNIFORM, theta_ts, gamma_rs, gamma_is)
         assert stack.shape == (6, 4, 4)
         for k in range(6):
@@ -270,7 +283,7 @@ class TestTimeSeries:
             np.testing.assert_allclose(series["ideal_concurrence"][k],
                                        ideal_concurrence(UNIFORM, params.theta * t),
                                        atol=1e-12)
-            np.testing.assert_allclose(series["overlap"][k], math.exp(-_gammas(params, t)[0]),
+            np.testing.assert_allclose(series["overlap"][k], math.exp(-_gammas(params.omega, t)[0]),
                                        atol=1e-12)
 
     def test_initial_entropy_is_exactly_zero(self):

@@ -197,7 +197,8 @@ def _steady_c_max(vec, gamma_rs, phase_points):
     """c_max of ``bath._steady_states`` on the plateaus ``gamma_rs``, ``phase_points`` phases."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bath, "_PHASE_POINTS", phase_points)
-        return bath._steady_states(np.asarray(gamma_rs, dtype=float), QubitAmplitudes(*vec))[1]
+        return bath._steady_states(single_mode._require_amplitudes(QubitAmplitudes(*vec)),
+                                   np.asarray(gamma_rs, dtype=float))[0]
 
 
 def _full_scan_c_max(vec, gamma_rs, phase_points):
@@ -252,11 +253,11 @@ class TestSteadyScan:
             steady_state_stats(GAPPED, psi)
 
     def test_blocks_do_not_change_cells(self, monkeypatch):
-        plateaus = bath._bose_pass(np.array([0.1, 0.3, 0.7]), 0.1, 0.0)[0].ravel()
-        psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-        whole = bath._steady_states(plateaus, psi)
+        plateaus = bath._bose_grids([(np.array([0.1, 0.3, 0.7]), 0.1, 0.0)])[0][0].ravel()
+        vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
+        whole = bath._steady_states(vec, plateaus)
         monkeypatch.setattr(single_mode, "_BLOCK", 1)
-        blocked = bath._steady_states(plateaus, psi)
+        blocked = bath._steady_states(vec, plateaus)
         assert [v.tobytes() for v in blocked] == [v.tobytes() for v in whole]
 
     # c_max from the two grid phases with the extreme cross terms equals, bit
@@ -320,7 +321,7 @@ class TestModelMeasures:
         params = SingleModeParams(2.3)
         t = np.linspace(0.0, 9.0, 13)
         series = time_series(params, psi, t)
-        gamma_rs, gamma_is = single_mode._gammas(params, t)
+        gamma_rs, gamma_is = single_mode._gammas(params.omega, t)
         exact = [_mp_concurrence(psi.vector(), g_r, th, g_i)
                  for g_r, g_i, th in zip(gamma_rs, gamma_is, series["theta_t"])]
         np.testing.assert_allclose(series["concurrence"], exact, rtol=0.0, atol=1e-14)
@@ -376,7 +377,7 @@ class TestModelMeasures:
         params = SingleModeParams(4.5)
         t = np.linspace(0.0, 50.0, 30000) / params.theta
         conc = time_series(params, psi, t)["concurrence"]
-        gamma_rs, gamma_is = single_mode._gammas(params, t)
+        gamma_rs, gamma_is = single_mode._gammas(params.omega, t)
         phases = 2.0 * (params.theta * t) - gamma_is
         rows = np.arange(0, t.size, 750)
         exact = [_mp_concurrence(psi.vector(), gamma_rs[k], 0.5 * phases[k]) for k in rows]
@@ -501,7 +502,7 @@ class TestModelMeasures:
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         params = SingleModeParams(4.5)
         t = np.linspace(0.0, 50.0, rows) / params.theta
-        gamma_rs, gamma_is = single_mode._gammas(params, t)
+        gamma_rs, gamma_is = single_mode._gammas(params.omega, t)
         phases = (2.0 * (params.theta * t) - gamma_is)[:, None]
         tracemalloc.start()
         try:
@@ -575,7 +576,7 @@ class TestValidation:
 
         def nan_at_3(values):
             values = np.array(values)
-            values[3] = math.nan
+            values.flat[3] = math.nan
             return values
 
         for module in (single_mode, sweeps):

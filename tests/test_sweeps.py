@@ -96,6 +96,25 @@ class TestCommensurabilityTable:
         with pytest.raises(ValueError, match="samples_per_period"):
             commensurability_table([0.25], UNIFORM, samples_per_period=50)
 
+    def test_rejects_a_non_integer_sample_count(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_gammas", _refuse)
+        for bad, shown in ((100.5, "100.5"), ("200", "'200'"), (None, "None")):
+            with pytest.raises(ValueError) as err:
+                commensurability_table([1.0], UNIFORM, bad)
+            assert str(err.value) == f"samples_per_period must be an integer, got {shown}"
+
+    def test_takes_any_integer_sample_count(self):
+        first = commensurability_table([1.0, 2.25], UNIFORM, 100)
+        second = commensurability_table([1.0, 2.25], UNIFORM, np.int64(100))
+        assert all(first[name].tobytes() == second[name].tobytes() for name in first)
+
+    def test_refuses_the_first_overflowing_n(self, monkeypatch):
+        # omega t at n = 1e307 is 1.25e308, still finite; at n = 1.7e308 it is not.
+        monkeypatch.setattr(sweeps, "_gammas", _refuse)
+        with pytest.raises(ValueError) as err:
+            commensurability_table([1.0, 1e307, 1.7e308], UNIFORM, 100)
+        assert str(err.value) == "omega t = 5.21536e+154 * 4.09614e+154 overflows"
+
     def test_memory_stays_within_a_group(self):
         # The period-stats grid at --n-points 470: 470 * 2001 rows in groups
         # of eight n (about four _BLOCK-row blocks).  Beyond the six columns,
@@ -113,15 +132,15 @@ class TestCommensurabilityTable:
         assert peak < 6 * n_grid.size * 8 + multiple * single_mode._BLOCK * 8
 
     def test_refusal_names_the_row_of_the_whole_grid(self, monkeypatch):
-        # 101 rows per n, groups of 162 n: sample 7 of n number 200 (the 39th
-        # n of the second group) is row 200 * 101 + 7 of the whole grid.
+        # 101 rows per n, groups of 162 n: sample 7 of n number 200 (row 38 of
+        # the second group's call) is row 200 * 101 + 7 of the whole grid.
         gammas, calls = sweeps._gammas, []
 
         def nan_in_the_201st_n(*args):
             gamma_rs, gamma_is = gammas(*args)
-            calls.append(None)
-            if len(calls) == 201:
-                gamma_rs[7] = math.nan
+            calls.append(gamma_rs.shape)
+            if len(calls) == 2:
+                gamma_rs[38, 7] = math.nan
             return gamma_rs, gamma_is
 
         monkeypatch.setattr(sweeps, "_gammas", nan_in_the_201st_n)
@@ -129,6 +148,7 @@ class TestCommensurabilityTable:
             commensurability_table(np.linspace(1.0, 3.0, 400), UNIFORM, 100)
         assert err.value.index == 200 * 101 + 7
         assert math.isnan(err.value.check.min_eigenvalue)
+        assert calls == [(162, 101), (162, 101)]
 
 
 class TestGrids:
@@ -253,7 +273,8 @@ class TestSteadyStateTable:
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
         for temperature in (0.0, 0.5):
             table = steady_state_table(alphas, gaps, psi, temperature=temperature)
-            plateaus = bath._bose_pass(alphas, gaps, np.full(gaps.size, temperature))[0].ravel()
+            (plateaus,) = bath._bose_grids([(alphas, gaps, np.full(gaps.size, temperature))])[0]
+            plateaus = plateaus.ravel()
             k = 0
             for gap in gaps:
                 for alpha in alphas:
@@ -408,6 +429,21 @@ class TestSteadySweepTables:
         _, thermal = steady_sweep_tables([0.25, 0.5], [1e-300, 1e-299], [0.0, 1e10], UNIFORM,
                                          thermal_alpha=0.0)
         assert thermal["overlap_infinity"].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("psi, error", [
+        (QubitAmplitudes(1.0, 1.0, 1.0, 1.0), ValueError), ("x", TypeError)])
+    def test_checks_the_amplitudes_before_the_pass(self, monkeypatch, psi, error):
+        # At T 1e10 and gap 1e-300 no route certifies the series; the
+        # amplitudes are refused before any series is planned.
+        monkeypatch.setattr(sweeps, "_bose_grids", _refuse)
+        monkeypatch.setattr(bath, "_bose_grids", _refuse)
+        spec = OhmicGapSpectrum(alpha=0.25, omega0=1e-300, temperature=1e10)
+        for call in (
+                lambda: steady_sweep_tables([0.25], [1e-300], [0.0, 1.0], psi, temperature=1e10),
+                lambda: steady_state_table([0.25], [1e-300], psi, temperature=1e10),
+                lambda: steady_state_stats(spec, psi)):
+            with pytest.raises(error, match="^amplitudes "):
+                call()
 
     def test_checks_both_tables_before_the_pass(self, monkeypatch):
         # The entanglement series at T 1e10 and gap 1e-300 would be refused;
