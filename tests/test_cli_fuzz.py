@@ -14,7 +14,7 @@ The tier-1 test draws 300 derandomized argvs.  Run as a script, the module
 draws argvs from a given seed with no example database, through the same
 contract check::
 
-    python tests/test_cli_fuzz.py --seed 12345 --examples 600
+    python tests/test_cli_fuzz.py --seed 12345
 """
 
 import argparse
@@ -149,11 +149,14 @@ def test_every_argv_exits_with_a_table_or_one_error_line(tmp_path, argv):
     check_argv(argv, tmp_path)
 
 
-def fuzz(seed_value: int, examples: int) -> None:
-    """Check ``examples`` argvs drawn from ``seed_value``, keeping no example database."""
+_FUZZ_EXAMPLES = 600
+
+
+def fuzz(seed_value: int) -> None:
+    """Check ``_FUZZ_EXAMPLES`` argvs drawn from ``seed_value``, keeping no example database."""
     with tempfile.TemporaryDirectory() as workdir:
         @seed(seed_value)
-        @settings(max_examples=examples, deadline=None, database=None)
+        @settings(max_examples=_FUZZ_EXAMPLES, deadline=None, database=None)
         @given(argv=_argvs())
         def run(argv):
             check_argv(argv, Path(workdir))
@@ -164,7 +167,6 @@ def fuzz(seed_value: int, examples: int) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Fuzz the command line at one seed.")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--examples", type=int, default=600)
     args = parser.parse_args()
-    print(f"fuzz seed {args.seed}, {args.examples} examples", flush=True)
-    fuzz(args.seed, args.examples)
+    print(f"fuzz seed {args.seed}, {_FUZZ_EXAMPLES} examples", flush=True)
+    fuzz(args.seed)
