@@ -111,8 +111,7 @@ def state_algebra_checks() -> list[CheckResult]:
     worst_sqrt = 0.0
     for _ in range(50):
         rho = _random_density(rng)
-        c = concurrence(rho)
-        s = von_neumann_entropy(rho)
+        c, s = map(float, entanglement_measures(rho))
         worst_range = max(worst_range, -c, c - 1.0, -s, s - 2.0)
 
         flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
@@ -142,9 +141,8 @@ def state_algebra_checks() -> list[CheckResult]:
     for _ in range(50):
         psi = _random_pure(rng)
         vec = psi.vector()
-        rho = np.outer(vec, vec.conj())
-        worst_pure = max(worst_pure, abs(concurrence(rho) - pure_concurrence(psi)),
-                         von_neumann_entropy(rho))
+        c, s = map(float, entanglement_measures(np.outer(vec, vec.conj())))
+        worst_pure = max(worst_pure, abs(c - pure_concurrence(psi)), s)
     results.append(CheckResult(
         "pure states", worst_pure <= 1e-7,
         f"max |C - 2|ad-bc|| or S over 50 random pure states: {worst_pure:.2e}"))
@@ -172,9 +170,9 @@ def single_mode_checks() -> list[CheckResult]:
         k = int(rng.integers(1, 6))
         t = 2.0 * math.pi * k / params.omega
         psi = _random_pure(rng)
-        rho = _single_mode_rho(params, psi, t)
-        diff = abs(concurrence(rho) - single_mode.ideal_concurrence(psi, params.theta * t))
-        worst_revival = max(worst_revival, diff, von_neumann_entropy(rho))
+        c, s = map(float, entanglement_measures(_single_mode_rho(params, psi, t)))
+        diff = abs(c - single_mode.ideal_concurrence(psi, params.theta * t))
+        worst_revival = max(worst_revival, diff, s)
     results.append(CheckResult(
         "full-period revival", worst_revival <= 1e-10,
         f"max |C - C_ideal| and S at omega t = 2 pi k: {worst_revival:.2e}"))
@@ -437,9 +435,10 @@ def _criterion_2(track: _Tally) -> CheckResult:
     params = SingleModeParams(100.0)
     gap = s_max = 0.0
     for theta_t in np.linspace(0.0, 0.5 * math.pi, 401, endpoint=False):
-        rho = track(_single_mode_rho(params, _UNIFORM, theta_t / params.theta))
-        gap = max(gap, abs(concurrence(rho) - single_mode.ideal_concurrence(_UNIFORM, theta_t)))
-        s_max = max(s_max, von_neumann_entropy(rho))
+        c, s = map(float, entanglement_measures(
+            track(_single_mode_rho(params, _UNIFORM, theta_t / params.theta))))
+        gap = max(gap, abs(c - single_mode.ideal_concurrence(_UNIFORM, theta_t)))
+        s_max = max(s_max, s)
     return CheckResult(
         "criterion 2", gap <= 5e-3 and s_max <= 0.02,
         f"omega/lambda = 100: max |C - C_ideal| = {gap:.2e} (tol 5e-3), "

@@ -10,14 +10,17 @@ the library tables take their grids as arrays.  ``verify`` and
 start-up does not load it or the quadrature oracle.
 
 Exit codes: 0 on success, 1 when a verification or oracle check fails,
-2 on argument or validation errors and on an output path that cannot be
-written, 3 on a numerical failure, such as a gapped Bose series that no
-route certifies because temperature/gap overflows (refused before any
-evaluation); 2 and 3 print a one-line reason on stderr.  Argument errors
-come before numerical failures: ``steady-sweep`` checks both tables'
-arguments, then computes both tables in one Bose-series pass
+2 on argument or validation errors, on an output path that cannot be
+written, and on a MemoryError (an array too large to allocate), 3 on a
+numerical failure, such as a gapped Bose series that no route certifies
+because temperature/gap overflows (refused before any evaluation); 2 and 3
+print a one-line reason on stderr.  A run whose pages run out after they
+were allocated can still be ended by the kernel's OOM killer (ROADMAP item
+4).  Argument errors come before numerical failures: ``steady-sweep`` checks
+both tables' arguments, then computes both tables in one Bose-series pass
 (:func:`~twospinboson.sweeps.steady_sweep_tables`), and only then writes
-either file, so a failure leaves no file behind.
+the files, so a refused or failed computation writes neither file; a write
+error on the second file leaves the first one complete.
 """
 
 from __future__ import annotations
@@ -348,6 +351,10 @@ def main(argv=None) -> int:
         return handler(args)
     except (getopt.GetoptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,14 +42,23 @@ class TestSingleMode:
         assert abs(columns["concurrence"][peak] - 1.0) <= 1e-6
         assert abs(columns["theta_t"][peak] - math.pi / 4.0) <= 2e-3
 
-    def test_output_file_round_trip(self, capsys, tmp_path):
+    @pytest.mark.parametrize("extra", [
+        ("--omega-over-lambda", "4", "--points", "11"),
+        # The kernel route full of % fallbacks: 1,200 values, 597 of them
+        # printed by % and 403 zeros.
+        ("--omega-over-lambda", "4.5", "--theta-t-max", "1e-300", "--points", "200")],
+        ids=["11-points", "fallbacks"])
+    def test_output_file_round_trip(self, capsys, tmp_path, extra):
         path = tmp_path / "series.csv"
-        code, out, _ = run_cli(capsys, "single-mode", "--omega-over-lambda", "4",
-                               "--points", "11", "--output", str(path))
+        code, out, _ = run_cli(capsys, "single-mode", *extra, "--output", str(path))
         assert code == 0 and out == ""
         text = path.read_text()
         columns, meta = csvio.parse_table(text)
         assert csvio.render_table(columns, meta) == text
+        # Standard output gets the same bytes as the file.
+        code, out, err = run_cli(capsys, "single-mode", *extra)
+        assert code == 0 and err == ""
+        assert out.encode() == path.read_bytes()
 
     def test_custom_amplitudes_and_grid(self, capsys):
         code, out, _ = run_cli(capsys, "single-mode", "--omega-over-lambda", "8",
@@ -133,17 +142,20 @@ class TestSingleMode:
 
 
 class TestPeriodStats:
-    def test_integer_n_peak(self, capsys):
-        code, out, _ = run_cli(capsys, "period-stats", "--n-min", "1",
-                               "--n-max", "2", "--n-points", "3",
-                               "--samples", "500")
+    @pytest.mark.parametrize("extra, peak", [
+        (("--n-min", "1", "--n-max", "2", "--n-points", "3", "--samples", "500"), 0),
+        # n = 0.5, 3.375, 6.25, 9.125 and 12 at the default samples.
+        (("--n-points", "5"), 4)], ids=["n-1-to-2", "default-n-range"])
+    def test_integer_n_peak(self, capsys, extra, peak):
+        code, out, _ = run_cli(capsys, "period-stats", *extra)
         assert code == 0
         columns, meta = csvio.parse_table(out)
         assert list(columns) == ["n", "omega_over_lambda", "c_max", "c_avg",
                                  "s_max", "s_avg"]
-        assert abs(columns["c_max"][0] - 1.0) <= 1e-6
-        assert columns["c_max"][1] < columns["c_max"][0]
-        assert meta["n_points"] == "3"
+        assert columns["n"][peak] == round(columns["n"][peak])
+        assert abs(columns["c_max"][peak] - 1.0) <= 1e-6
+        assert columns["c_max"][1] < columns["c_max"][peak]
+        assert meta["n_points"] == str(columns["n"].size)
 
     def test_rejects_overflowing_omega_t(self, capsys):
         assert_rejected_quietly(capsys, ("period-stats", "--n-max", "1e308"),
@@ -297,15 +309,19 @@ class TestBathSeries:
         assert err == ("error: Bose series at gap 4.94066e-324, temperature 2 has no "
                        "certified route: temperature/gap overflows\n")
 
-    def test_small_gap_at_high_temperature(self, capsys):
-        # The direct Bose series would need N = 8583054 terms here; the
+    @pytest.mark.parametrize("extra, gap", [
+        (("--gap", "1e-5", "--temperature", "2", "--t-max", "5"), 1e-5),
+        (("--temperature", "2", "--t-max", "1e-5"), 0.0)], ids=["small-gap", "gapless-small-t"])
+    def test_small_gap_at_high_temperature(self, capsys, extra, gap):
+        # At gap 1e-5 the direct Bose series would need N = 8583054 terms; the
         # printed values are the library's, which match 30-digit mpmath at
-        # t = 2.5 and 5 (test_bath_exponents.py, TestBoseSeries).
-        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--gap", "1e-5",
-                                 "--temperature", "2", "--t-max", "5", "--points", "3")
+        # t = 2.5 and 5 (test_bath_exponents.py, TestBoseSeries).  Gapless at
+        # t <= 1e-5, the ln Gamma drop keeps its digits (60-digit mpmath:
+        # test_thermal_drop_against_mpmath there).
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", *extra, "--points", "3")
         assert code == 0 and err == ""
         columns, _ = csvio.parse_table(out)
-        spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=1e-5, temperature=2.0)
+        spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=2.0)
         gamma_r = bath.bath_exponents(spec, columns["t"])[0]
         np.testing.assert_allclose(columns["overlap"], np.exp(-gamma_r), rtol=1e-11, atol=0.0)
 
@@ -320,14 +336,17 @@ class TestBathSeries:
 
 
 class TestSteadySweep:
-    def test_writes_both_tables(self, capsys, tmp_path):
+    @pytest.mark.parametrize("extra, thermal_rows", [
+        (("--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.2:2", "--temperature-grid", "0:1:2"),
+         4),
+        # alpha = 0 and gapless cells on the T > 0 route, with the default
+        # temperature grid of 33 points.
+        (("--alpha-grid", "0:0.1:2", "--gap-grid", "0:0.1:2", "--temperature", "0.5"), 66)],
+        ids=["T-0", "alpha-0-at-T-0.5"])
+    def test_writes_both_tables(self, capsys, tmp_path, extra, thermal_rows):
         prefix = str(tmp_path / "sweep")
-        code, out, _ = run_cli(capsys, "steady-sweep",
-                               "--alpha-grid", "0.25:0.5:2",
-                               "--gap-grid", "0:0.2:2",
-                               "--temperature-grid", "0:1:2",
-                               "--output-prefix", prefix)
-        assert code == 0
+        code, out, err = run_cli(capsys, "steady-sweep", *extra, "--output-prefix", prefix)
+        assert code == 0 and err == ""
         assert "sweep_entanglement.csv" in out
 
         ent, meta = csvio.parse_table((tmp_path / "sweep_entanglement.csv").read_text())
@@ -342,7 +361,7 @@ class TestSteadySweep:
         thermal, _ = csvio.parse_table((tmp_path / "sweep_thermal.csv").read_text())
         assert list(thermal) == ["temperature", "omega0", "has_steady_state",
                                  "overlap_infinity"]
-        assert thermal["temperature"].shape == (4,)
+        assert thermal["temperature"].shape == (thermal_rows,)
 
     def test_deterministic_output(self, capsys, tmp_path):
         texts = []
@@ -416,6 +435,22 @@ class TestSteadySweep:
         assert code == 3 and out == ""
         assert calls == [4] and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_second_file_leaves_the_first_complete(self, capsys, tmp_path):
+        # Both tables are computed before either file is written; the second
+        # file cannot be opened, so the run exits 2 after writing the first.
+        argv = ("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.2:2",
+                "--temperature-grid", "0:1:2", "--output-prefix")
+        (tmp_path / "p_thermal.csv").mkdir()
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "p"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert len(err.splitlines()) == 1
+        text = (tmp_path / "p_entanglement.csv").read_text()
+        columns, _ = csvio.parse_table(text)
+        assert columns["alpha"].shape == (4,)
+        assert run_cli(capsys, *argv, str(tmp_path / "q"))[0] == 0
+        assert (tmp_path / "q_entanglement.csv").read_text() == text
 
     def test_one_bose_pass_per_run(self, capsys, tmp_path, monkeypatch):
         # Both tables' series go through one plan and one evaluation: 9 gapped
@@ -682,6 +717,23 @@ class TestTopLevel:
             assert err.startswith("error: [Errno 2] No such file or directory: ")
             assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc, reason", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                     "and data type float64"),
+         "error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type float64\n"),
+        (MemoryError(), "error: out of memory\n")], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch, exc, reason):
+        # As numpy's _ArrayMemoryError from a grid too large to allocate; the
+        # table function raises it here, and nothing is allocated for real.
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.sweeps, "state_series", refuse)
+        code, out, err = run_cli(capsys, "bath-series", "--alpha", "0.25", "--t-max", "5",
+                                 "--points", "3")
+        assert (code, out, err) == (2, "", reason)
 
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
