@@ -142,20 +142,23 @@ class TestSingleMode:
 
 
 class TestPeriodStats:
-    @pytest.mark.parametrize("extra, peak", [
-        (("--n-min", "1", "--n-max", "2", "--n-points", "3", "--samples", "500"), 0),
+    @pytest.mark.parametrize("extra, peak, n_points", [
+        (("--n-min", "1", "--n-max", "2", "--n-points", "3", "--samples", "500"), 0, "3"),
         # n = 0.5, 3.375, 6.25, 9.125 and 12 at the default samples.
-        (("--n-points", "5"), 4)], ids=["n-1-to-2", "default-n-range"])
-    def test_integer_n_peak(self, capsys, extra, peak):
-        code, out, _ = run_cli(capsys, "period-stats", *extra)
-        assert code == 0
+        (("--n-points", "5"), 4, "5"),
+        # The defaults: n = 0.5 to 12 in steps of 0.25, 2000 samples.
+        ((), 2, "47")], ids=["n-1-to-2", "default-n-range", "defaults"])
+    def test_integer_n_peak(self, capsys, extra, peak, n_points):
+        code, out, err = run_cli(capsys, "period-stats", *extra)
+        assert code == 0 and err == ""
         columns, meta = csvio.parse_table(out)
         assert list(columns) == ["n", "omega_over_lambda", "c_max", "c_avg",
                                  "s_max", "s_avg"]
         assert columns["n"][peak] == round(columns["n"][peak])
         assert abs(columns["c_max"][peak] - 1.0) <= 1e-6
         assert columns["c_max"][1] < columns["c_max"][peak]
-        assert meta["n_points"] == str(columns["n"].size)
+        assert meta["n_points"] == n_points
+        assert columns["n"].size == int(n_points)
 
     def test_rejects_overflowing_omega_t(self, capsys):
         assert_rejected_quietly(capsys, ("period-stats", "--n-max", "1e308"),
@@ -336,14 +339,16 @@ class TestBathSeries:
 
 
 class TestSteadySweep:
-    @pytest.mark.parametrize("extra, thermal_rows", [
+    @pytest.mark.parametrize("extra, entanglement_rows, thermal_rows", [
         (("--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.2:2", "--temperature-grid", "0:1:2"),
-         4),
+         4, 4),
         # alpha = 0 and gapless cells on the T > 0 route, with the default
         # temperature grid of 33 points.
-        (("--alpha-grid", "0:0.1:2", "--gap-grid", "0:0.1:2", "--temperature", "0.5"), 66)],
-        ids=["T-0", "alpha-0-at-T-0.5"])
-    def test_writes_both_tables(self, capsys, tmp_path, extra, thermal_rows):
+        (("--alpha-grid", "0:0.1:2", "--gap-grid", "0:0.1:2", "--temperature", "0.5"), 4, 66),
+        # The defaults: 32 alphas x 32 gaps, and 33 temperatures x 32 gaps.
+        ((), 1024, 1056)],
+        ids=["T-0", "alpha-0-at-T-0.5", "defaults"])
+    def test_writes_both_tables(self, capsys, tmp_path, extra, entanglement_rows, thermal_rows):
         prefix = str(tmp_path / "sweep")
         code, out, err = run_cli(capsys, "steady-sweep", *extra, "--output-prefix", prefix)
         assert code == 0 and err == ""
@@ -352,7 +357,7 @@ class TestSteadySweep:
         ent, meta = csvio.parse_table((tmp_path / "sweep_entanglement.csv").read_text())
         assert list(ent) == ["alpha", "omega0", "has_steady_state",
                              "c_max_steady", "s_steady"]
-        assert ent["alpha"].shape == (4,)
+        assert ent["alpha"].shape == (entanglement_rows,)
         gapless = ent["has_steady_state"] == 0.0
         assert np.all(ent["omega0"][gapless] == 0.0)
         assert np.all(ent["c_max_steady"][gapless] == -1.0)
