@@ -510,10 +510,12 @@ def _bose_grids(grids, s=None):
     (scalars or 1-D arrays of one length) is one Bose series, shared by the
     cells of every coupling in ``alphas`` (a scalar or 1-D array).  Returns
     the list of the grids' ``plateaus``, one row per series and one column
-    per coupling, each cell :func:`gamma_R_infinity` of its spectrum: 0 at
-    alpha = 0, inf when gapless with coupling, else 4 alpha times the plateau
-    sum of :func:`_bose_sums`.  A series is summed where its gap is positive
-    and some alpha of its grid is, so an uncoupled grid adds none.  Row k of
+    per coupling, each cell gamma_R(inf) of its spectrum: 0 at alpha = 0,
+    inf when gapless with coupling (the integrand of gamma_R then behaves as
+    1/omega at the origin and its oscillatory part never stops
+    contributing), else 4 alpha times the plateau sum of :func:`_bose_sums`.
+    A series is summed where its gap is positive and some alpha of its grid
+    is, so an uncoupled grid adds none.  Row k of
     ``damping``, ``first`` and ``tail`` belongs to the k-th summed series:
     the damping sum gamma_R / (4 alpha), the n = 0 column F_{x0}(s) with
     Im = gamma_I / (4 alpha), and the bound of its route on the remainder of
@@ -623,46 +625,19 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
 
 
 def gamma_R_infinity(spec: OhmicGapSpectrum) -> float:
-    """Long-time limit of gamma_R.
-
-    Returns ``math.inf`` when the limit diverges, which happens exactly for a
-    gapless spectrum with nonzero coupling: the integrand then behaves as
-    1/omega at the origin and the oscillatory term never stops contributing.
-    A gapped limit is the plateau 4 alpha sum_n c_n e^{-n r} G(x0 + n r) of
-    the Bose series of :func:`bath_exponents` (the time-dependent part
-    vanishes), on the same route as a grid with no times.
-    """
+    """gamma_R(inf) of a spectrum; unused in the package, kept while perfbench's tracer names it."""
     (plateau,) = _bose_grids([(spec.alpha, spec.omega0, spec.temperature)])[0]
     return float(plateau[0, 0])
 
 
 def bath_gamma(spec: OhmicGapSpectrum, t: float) -> tuple[float, float, float]:
-    """(gamma_R, gamma_I, error estimate) at time ``t``: one row of :func:`bath_exponents`."""
-    # No module of the package calls this one-point view; it stays only
-    # because the benchmark's tracer (perfbench/tracer.py) names it.
+    """One row of bath_exponents; unused in the package, kept while perfbench's tracer names it."""
     return tuple(float(v[0]) for v in bath_exponents(spec, [t]))
 
 
 def steady_state_stats(spec: OhmicGapSpectrum,
                        psi0: QubitAmplitudes) -> tuple[float, float, float] | None:
-    """(gamma_R(inf), c_max, entropy) in the saturated regime, or None if there is none.
-
-    In the steady state gamma_R is pinned at its long-time limit and gamma_I
-    has decayed to zero; only the induced phase theta*t keeps advancing.
-    ``c_max`` is the maximum concurrence over the phase family: the
-    ``_PHASE_POINTS`` grid values of the residual phase theta*t in [0, pi/2)
-    (its full period up to local unitaries), each in closed form by
-    :func:`~twospinboson.single_mode._model_measures` with no decomposition.
-    It is a property of the family, not of one trajectory: where the induced
-    coupling theta is 0 (alpha = 0) the phase never advances and the state
-    stays at theta*t = 0, so it never reaches ``c_max`` unless the maximum
-    lies there.  The entropy is exactly phase independent, since the phase
-    acts on the state as a diagonal unitary; it comes from the exact
-    invariants of the cell's 3x3 Gram form.
-
-    Returns ``None`` when gamma_R diverges (gapless spectrum with coupling),
-    in which case no steady state exists.
-    """
+    """One steady-sweep cell; unused in the package, kept while perfbench's tracer names it."""
     vec = _require_amplitudes(psi0)
     (plateau,) = _bose_grids([(spec.alpha, spec.omega0, spec.temperature)])[0]
     g_inf = float(plateau[0, 0])
@@ -673,7 +648,7 @@ def steady_state_stats(spec: OhmicGapSpectrum,
 
 
 def _steady_states(vec: np.ndarray, g_inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns c_max and entropy of :func:`steady_state_stats` over the plateaus ``g_inf``.
+    """Columns c_max and entropy of the steady states at the plateaus ``g_inf``.
 
     ``vec`` is the checked amplitude vector and ``g_inf`` a column of
     plateaus from :func:`_bose_grids`; c_max and the entropy are NaN where it
@@ -690,7 +665,9 @@ def _steady_states(vec: np.ndarray, g_inf: np.ndarray) -> tuple[np.ndarray, np.n
     does not increase as the computed cross term grows, and the largest
     C = max(0, diff - sigma_odd, sigma_odd - total) over the grid is, bit for
     bit, the larger of C at the phase of the largest cross term and C at the
-    phase of the smallest.
+    phase of the smallest.  The entropy is exactly phase independent, since
+    the phase acts on the state as a diagonal unitary; it comes from the
+    exact invariants of the cell's 3x3 Gram form.
     """
     phases = 2.0 * np.linspace(0.0, 0.5 * math.pi, _PHASE_POINTS, endpoint=False)
     cross = _cross_term(vec, phases[None, :], np.zeros(1, dtype=bool))[0]

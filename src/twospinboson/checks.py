@@ -17,16 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bath, fock, quadrature, single_mode, sweeps
-from .entanglement import (
-    concurrence,
-    entanglement_measures,
-    pure_concurrence,
-    purity,
-    reduced_density,
-    validate_density,
-    von_neumann_entropy,
-)
-from .single_mode import QubitAmplitudes, SingleModeParams
+from .entanglement import (_spectra, entanglement_measures, pure_concurrence, reduced_density,
+                           validate_density)
+from .single_mode import DensityCheck, QubitAmplitudes, SingleModeParams
 
 __all__ = [
     "CheckResult",
@@ -105,25 +98,25 @@ def state_algebra_checks() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
     results = []
 
-    worst_range = 0.0
     worst_imag = 0.0
-    worst_unitary = 0.0
-    worst_sqrt = 0.0
+    rhos, rotated, eigvals_routes = [], [], []
     for _ in range(50):
         rho = _random_density(rng)
-        c, s = map(float, entanglement_measures(rho))
-        worst_range = max(worst_range, -c, c - 1.0, -s, s - 2.0)
-
         flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
         lam = np.linalg.eigvals(rho @ flipped)
         worst_imag = max(worst_imag, float(np.max(np.abs(lam.imag))))
 
         u = _random_local_unitary(rng)
-        worst_unitary = max(worst_unitary, abs(concurrence(u @ rho @ u.conj().T) - c))
+        rhos.append(rho)
+        rotated.append(u @ rho @ u.conj().T)
 
         r = np.sqrt(np.clip(lam.real, 0.0, None))
         r = np.sort(r)[::-1]
-        worst_sqrt = max(worst_sqrt, abs(max(0.0, r[0] - r[1] - r[2] - r[3]) - c))
+        eigvals_routes.append(max(0.0, r[0] - r[1] - r[2] - r[3]))
+    (c, c_rotated), (s, _) = entanglement_measures(np.array([rhos, rotated]))
+    worst_range = float(max(0.0, np.max(-c), np.max(c - 1.0), np.max(-s), np.max(s - 2.0)))
+    worst_unitary = float(np.max(np.abs(c_rotated - c)))
+    worst_sqrt = float(np.max(np.abs(np.array(eigvals_routes) - c)))
     results.append(CheckResult(
         "measure ranges", worst_range <= 1e-12,
         f"worst range excess {worst_range:.2e} over 50 random mixed states"))
@@ -137,12 +130,11 @@ def state_algebra_checks() -> list[CheckResult]:
         "general-eigensolver route agrees", worst_sqrt <= 1e-9,
         f"max concurrence difference {worst_sqrt:.2e} between eigenvalue routes"))
 
-    worst_pure = 0.0
-    for _ in range(50):
-        psi = _random_pure(rng)
-        vec = psi.vector()
-        c, s = map(float, entanglement_measures(np.outer(vec, vec.conj())))
-        worst_pure = max(worst_pure, abs(c - pure_concurrence(psi)), s)
+    states = [_random_pure(rng) for _ in range(50)]
+    vecs = np.array([psi.vector() for psi in states])
+    c, s = entanglement_measures(vecs[:, :, None] * vecs[:, None, :].conj())
+    worst_pure = float(max(0.0, np.max(np.abs(c - [pure_concurrence(psi) for psi in states])),
+                           np.max(s)))
     results.append(CheckResult(
         "pure states", worst_pure <= 1e-7,
         f"max |C - 2|ad-bc|| or S over 50 random pure states: {worst_pure:.2e}"))
@@ -164,15 +156,16 @@ def single_mode_checks() -> list[CheckResult]:
         "reduced state validity", all_valid,
         "25 random (omega, t, psi0) reduced states pass validation"))
 
-    worst_revival = 0.0
+    rhos, ideal = [], []
     for _ in range(25):
         params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         k = int(rng.integers(1, 6))
         t = 2.0 * math.pi * k / params.omega
         psi = _random_pure(rng)
-        c, s = map(float, entanglement_measures(_single_mode_rho(params, psi, t)))
-        diff = abs(c - single_mode.ideal_concurrence(psi, params.theta * t))
-        worst_revival = max(worst_revival, diff, s)
+        rhos.append(_single_mode_rho(params, psi, t))
+        ideal.append(single_mode.ideal_concurrence(psi, params.theta * t))
+    c, s = entanglement_measures(np.array(rhos))
+    worst_revival = float(max(0.0, np.max(np.abs(c - ideal)), np.max(s)))
     results.append(CheckResult(
         "full-period revival", worst_revival <= 1e-10,
         f"max |C - C_ideal| and S at omega t = 2 pi k: {worst_revival:.2e}"))
@@ -273,8 +266,8 @@ def bath_checks() -> list[CheckResult]:
         "cold bath matches zero temperature", rel_cold <= 1e-4,
         f"relative difference {rel_cold:.2e} at T = 1e-6"))
 
-    by_gap = [bath.gamma_R_infinity(bath.OhmicGapSpectrum(alpha=0.25, omega0=gap))
-              for gap in (0.01, 0.05, 0.1, 0.2)]
+    by_gap = _plateaus(sweeps.steady_sweep_tables([0.25], [0.01, 0.05, 0.1, 0.2], [0.0],
+                                                  _UNIFORM)[1])
     results.append(CheckResult(
         "wider gap preserves coherence", _falls(by_gap),
         f"gamma_R(inf) over omega0 = 0.01, 0.05, 0.1, 0.2: {[f'{p:.4f}' for p in by_gap]}"))
@@ -290,6 +283,15 @@ def bath_checks() -> list[CheckResult]:
         "(b = c = 0), 2|bc| (a = d = 0) and ideal_concurrence (gamma_R = 0) (tol 1e-15); "
         f"min model S {min_entropy:.1e} over those states and 64 random pure ones (exact: >= 0)"))
     return results
+
+
+def _plateaus(thermal: dict[str, np.ndarray]) -> list[float]:
+    """gamma_R(inf) of each cell of a ``steady_sweep_tables`` thermal table: -ln overlap_infinity.
+
+    A cell without a steady state, which carries the sentinel, has the limit inf.
+    """
+    return [-math.log(p) if p != sweeps.NO_STEADY_STATE else math.inf
+            for p in thermal["overlap_infinity"].tolist()]
 
 
 def _closed_form_and_quadrature(spec: bath.OhmicGapSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +385,7 @@ def sweep_checks() -> list[CheckResult]:
         "sweep determinism", identical,
         "repeated commensurability sweep is bitwise identical"))
 
-    table = sweeps.steady_state_table(alphas=np.array([0.2, 0.6]),
-                                      gaps=np.array([0.0, 0.1]), psi0=_UNIFORM)
+    table, _ = sweeps.steady_sweep_tables([0.2, 0.6], [0.0, 0.1], [0.0], _UNIFORM)
     gapless_rows = table["omega0"] == 0.0
     sentinel_ok = (np.all(table["has_steady_state"][gapless_rows] == 0.0)
                    and np.all(table["c_max_steady"][gapless_rows] == sweeps.NO_STEADY_STATE)
@@ -403,26 +404,28 @@ class _Tally:
         self.count = 0
         self.failures: list[str] = []
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        check = validate_density(rho)
-        self.count += 1
-        if not check.valid:
-            self.failures.append(check.describe())
-        return rho
+    def __call__(self, rhos: np.ndarray) -> np.ndarray:
+        """Validates each matrix of a (..., 4, 4) stack, from one decomposition, and returns it."""
+        herm, trace, evals, _ = _spectra(rhos.reshape(-1, 4, 4))
+        for check in map(DensityCheck, herm.tolist(), trace.tolist(), evals[:, 0].tolist()):
+            self.count += 1
+            if not check.valid:
+                self.failures.append(check.describe())
+        return rhos
 
 
 def _criterion_1(track: _Tally) -> CheckResult:
     # omega/lambda = 4 sqrt(n): C(theta t = pi/4) = 1 and C(pi/2) = 0,
     # both within 1e-9.
-    worst_peak = worst_zero = 0.0
+    rhos = []
     for n in (1, 2, 3, 4, 5):
         params = SingleModeParams(4.0 * math.sqrt(n))
         t_quarter = math.pi / (4.0 * params.theta)
         t_half = math.pi / (2.0 * params.theta)
-        c_peak = concurrence(track(_single_mode_rho(params, _UNIFORM, t_quarter)))
-        c_zero = concurrence(track(_single_mode_rho(params, _UNIFORM, t_half)))
-        worst_peak = max(worst_peak, abs(c_peak - 1.0))
-        worst_zero = max(worst_zero, abs(c_zero))
+        rhos.append(_single_mode_rho(params, _UNIFORM, np.array([t_quarter, t_half])))
+    c_peak, c_zero = entanglement_measures(track(np.array(rhos)))[0].T
+    worst_peak = float(np.max(np.abs(c_peak - 1.0)))
+    worst_zero = float(np.max(np.abs(c_zero)))
     return CheckResult(
         "criterion 1", worst_peak <= 1e-9 and worst_zero <= 1e-9,
         f"n in 1..5: max |C(pi/4) - 1| = {worst_peak:.2e}, "
@@ -433,12 +436,10 @@ def _criterion_2(track: _Tally) -> CheckResult:
     # omega/lambda = 100: C tracks the decoherence-free curve and the
     # entropy stays near zero over theta t in [0, pi/2).
     params = SingleModeParams(100.0)
-    gap = s_max = 0.0
-    for theta_t in np.linspace(0.0, 0.5 * math.pi, 401, endpoint=False):
-        c, s = map(float, entanglement_measures(
-            track(_single_mode_rho(params, _UNIFORM, theta_t / params.theta))))
-        gap = max(gap, abs(c - single_mode.ideal_concurrence(_UNIFORM, theta_t)))
-        s_max = max(s_max, s)
+    theta_ts = np.linspace(0.0, 0.5 * math.pi, 401, endpoint=False)
+    c, s = entanglement_measures(track(_single_mode_rho(params, _UNIFORM, theta_ts / params.theta)))
+    gap = float(np.max(np.abs(c - single_mode.ideal_concurrence(_UNIFORM, theta_ts))))
+    s_max = float(np.max(s))
     return CheckResult(
         "criterion 2", gap <= 5e-3 and s_max <= 0.02,
         f"omega/lambda = 100: max |C - C_ideal| = {gap:.2e} (tol 5e-3), "
@@ -451,11 +452,10 @@ def _criterion_3(track: _Tally) -> CheckResult:
     worst = 0.0
     for ratio in ORACLE_GRID_RATIOS:
         params = SingleModeParams(ratio)
-        for theta_t in ORACLE_GRID_PHASES:
-            t = theta_t / params.theta
-            exact = track(_single_mode_rho(params, _UNIFORM, t))
-            numeric = track(fock.evolve_auto(params, _UNIFORM, t)[0])
-            worst = max(worst, fock.trace_distance(numeric, exact))
+        ts = np.array(ORACLE_GRID_PHASES) / params.theta
+        exact = track(_single_mode_rho(params, _UNIFORM, ts))
+        numeric = track(np.array([fock.evolve_auto(params, _UNIFORM, t)[0] for t in ts.tolist()]))
+        worst = max(worst, *map(fock.trace_distance, numeric, exact))
     cases = len(ORACLE_GRID_RATIOS) * len(ORACLE_GRID_PHASES)
     return CheckResult(
         "criterion 3", worst < 1e-7,
@@ -494,26 +494,26 @@ def _criterion_5(track: _Tally) -> CheckResult:
 def _criterion_6(track: _Tally) -> CheckResult:
     # (omega0, alpha) = (0.1, 0.25): finite plateau with residual
     # entanglement; the gapless pipeline reports no steady state.
-    stats = bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1), _UNIFORM)
-    gapless = bath.steady_state_stats(bath.OhmicGapSpectrum(alpha=0.25), _UNIFORM)
-    if stats is None or not math.isfinite(stats[0]):
+    steady, thermal = sweeps.steady_sweep_tables([0.25], [0.0, 0.1], [0.0], _UNIFORM)
+    gapless_none = bool(steady["has_steady_state"][0] == 0.0)
+    g_inf = _plateaus(thermal)[1]
+    if not math.isfinite(g_inf):
         return CheckResult("criterion 6", False, "gapped pipeline returned no steady state")
-    g_inf, c_max, entropy = stats
+    c_max, entropy = float(steady["c_max_steady"][1]), float(steady["s_steady"][1])
     # The steady-state family measured with the 4x4 kernel: its entropy is
     # phase independent and equal to the structured figure.
-    entropies = [von_neumann_entropy(track(reduced_density(_UNIFORM, theta_t, g_inf, 0.0)))
-                 for theta_t in np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False)]
-    spread = max(entropies) - min(entropies)
-    deviation = max(abs(s - entropy) for s in entropies)
+    entropies = entanglement_measures(track(reduced_density(
+        _UNIFORM, np.linspace(0.0, 0.5 * math.pi, 64, endpoint=False), g_inf, 0.0)))[1]
+    spread = float(np.max(entropies) - np.min(entropies))
+    deviation = float(np.max(np.abs(entropies - entropy)))
     overlap = math.exp(-g_inf)
     return CheckResult(
         "criterion 6",
-        overlap > 0.0 and c_max > 0.0 and spread < 1e-6 and deviation <= 1e-12
-        and gapless is None,
+        overlap > 0.0 and c_max > 0.0 and spread < 1e-6 and deviation <= 1e-12 and gapless_none,
         f"gamma_R(inf) = {g_inf:.4f}, overlap = {overlap:.4f}, "
         f"C_max = {c_max:.4f}, kernel S spread over 64 phases = {spread:.1e} (tol 1e-6), "
         f"max |S_kernel - S| = {deviation:.1e} (tol 1e-12); "
-        f"gapless reports none: {gapless is None}")
+        f"gapless reports none: {gapless_none}")
 
 
 def _criterion_7(track: _Tally) -> CheckResult:
@@ -522,13 +522,13 @@ def _criterion_7(track: _Tally) -> CheckResult:
     trend_n = _rises(periods["c_avg"]) and _falls(periods["s_avg"])
 
     # Trend 2: steady-state entanglement versus coupling at fixed gap.
-    steady = sweeps.steady_state_table(np.linspace(0.05, 1.0, 8), [0.1], _UNIFORM)
+    steady, thermal = sweeps.steady_sweep_tables(np.linspace(0.05, 1.0, 8), [0.1],
+                                                 np.linspace(0.0, 2.0, 9), _UNIFORM)
     trend_alpha = _falls(steady["c_max_steady"]) and _rises(steady["s_steady"])
 
     # Trend 3: heating lowers the saturated coherence exp(-gamma_R(inf)),
     # compared on gamma_R(inf), whose slack bounds that of the overlap.
-    trend_temp = _rises([bath.gamma_R_infinity(bath.OhmicGapSpectrum(
-        alpha=0.25, omega0=0.1, temperature=float(temp))) for temp in np.linspace(0.0, 2.0, 9)])
+    trend_temp = _rises(_plateaus(thermal))
 
     return CheckResult(
         "criterion 7", trend_n and trend_alpha and trend_temp,
@@ -554,14 +554,15 @@ def _criterion_8(track: _Tally) -> CheckResult:
     rhos = []
     for k in range(100):
         psi = dfs_state()
-        rhos.append(track(_single_mode_rho(params, psi, float(rng.uniform(0.0, 20.0)))))
-        rhos.append(track(reduced_density(psi, *bath_states[k % 10])))
+        rhos.append(_single_mode_rho(params, psi, float(rng.uniform(0.0, 20.0))))
+        rhos.append(reduced_density(psi, *bath_states[k % 10]))
     for _ in range(25):
         random_params = SingleModeParams(omega=float(rng.uniform(0.5, 10.0)))
         t = float(rng.uniform(0.0, 50.0))
-        rhos.append(track(_single_mode_rho(random_params, dfs_state(), t)))
-    worst_s = max(von_neumann_entropy(rho) for rho in rhos)
-    worst_p = max(abs(purity(rho) - 1.0) for rho in rhos)
+        rhos.append(_single_mode_rho(random_params, dfs_state(), t))
+    rhos = track(np.array(rhos))
+    worst_s = float(np.max(entanglement_measures(rhos)[1]))
+    worst_p = float(np.max(np.abs(np.trace(rhos @ rhos, axis1=1, axis2=2).real - 1.0)))
     return CheckResult(
         "criterion 8", worst_s < 1e-10 and worst_p <= 1e-10,
         f"100 random a = d = 0 states, single-mode and bath, and 25 single-mode at random "

@@ -33,10 +33,7 @@ from .single_mode import (HERMITICITY_TOL, MIN_EIGENVALUE_TOL, TRACE_TOL, Densit
 __all__ = [
     "validate_density",
     "require_valid_density",
-    "concurrence",
     "pure_concurrence",
-    "von_neumann_entropy",
-    "purity",
     "entanglement_measures",
     "reduced_density",
 ]
@@ -106,40 +103,10 @@ def require_valid_density(rho) -> np.ndarray:
     return rho
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
-
-    Computes the square roots r_1 >= r_2 >= r_3 >= r_4 of the eigenvalues of
-    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y) and returns
-    max(0, r_1 - r_2 - r_3 - r_4).
-
-    Raises
-    ------
-    InvalidDensityMatrixError
-        If ``rho`` fails the validity check.
-    """
-    return float(entanglement_measures(_as_state_matrix(rho))[0])
-
-
 def pure_concurrence(psi: QubitAmplitudes) -> float:
     """Concurrence 2|ad - bc| of a pure state with amplitudes (a, b, c, d)."""
     a, b, c, d = _require_amplitudes(psi)
     return 2.0 * abs(a * d - b * c)
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy -Tr[rho log2 rho] in bits.
-
-    Eigenvalues below 1e-14 are clamped to zero and those above 1 to one
-    before taking logs, so pure states return exactly 0.
-    """
-    return float(entanglement_measures(_as_state_matrix(rho))[1])
-
-
-def purity(rho) -> float:
-    """Tr[rho^2], equal to 1 exactly for pure states."""
-    rho = require_valid_density(rho)
-    return float(np.real(np.trace(rho @ rho)))
 
 
 def _entropy_bits(evals: np.ndarray) -> np.ndarray:
@@ -153,7 +120,14 @@ def _entropy_bits(evals: np.ndarray) -> np.ndarray:
 
 
 def entanglement_measures(rhos) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrence and entropy for a stack of density matrices.
+    """Concurrence and entropy for a stack of density matrices: the oracle's one measure entry.
+
+    The concurrence is Wootters' max(0, r_1 - r_2 - r_3 - r_4), with r_i the
+    square roots, in decreasing order, of the eigenvalues of
+    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  The entropy is
+    -Tr[rho log2 rho] in bits, with eigenvalues below 1e-14 taken as zero and
+    those above 1 as one, so a pure state gives exactly 0.  Each matrix's
+    measures do not depend on the rest of the batch.
 
     Parameters
     ----------

@@ -10,9 +10,9 @@ are in units of the cutoff omega_c: gaps and temperatures in omega_c, times in
 
 Every table is an ordered ``dict`` of equal-length numpy columns, ready for
 CSV emission.  The sweeps are deterministic: the same inputs produce bitwise
-identical tables.  ``steady-sweep`` runs :func:`steady_sweep_tables`, which
-returns :func:`steady_state_table` and :func:`thermal_overlap_table` bit for
-bit from one Bose-series pass over both tables' cells.
+identical tables.  ``steady-sweep`` and the check registry run
+:func:`steady_sweep_tables`, which computes both steady-state tables from one
+Bose-series pass over their cells.
 """
 
 from __future__ import annotations
@@ -136,26 +136,7 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
 
 def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
                        temperature: float = 0.0) -> dict[str, np.ndarray]:
-    """Steady-state concurrence and entropy over a (alpha, omega0) grid.
-
-    ``alphas`` and ``gaps`` (omega0 in omega_c) are required grids.  One row
-    per cell, alpha varying fastest.  Cells without a steady state (gapless
-    with coupling) carry ``has_steady_state = 0`` and the sentinel -1 in the
-    c_max_steady and s_steady columns.  The cells are arrays, not spectrum
-    objects: at the one temperature a plateau is 4 alpha S(omega0), so one
-    Bose-series pass over this table's rows sums one series per gap and gives
-    every plateau, each bitwise ``gamma_R_infinity``
-    (:func:`steady_sweep_tables` makes that pass together with the thermal
-    table's).  Every cell is bitwise
-    :func:`~twospinboson.bath.steady_state_stats`: the entropy and
-    c_max_steady, the largest concurrence over the phase family of theta*t
-    in [0, pi/2), come from :func:`~twospinboson.bath._steady_states`, which
-    also shows why two grid phases per cell give that maximum exactly.  It
-    belongs to the family, not to one trajectory: at alpha = 0 the induced
-    coupling theta is 0, the state stays at theta*t = 0 and does not reach
-    c_max_steady unless the maximum lies there.  The amplitudes are checked
-    before the pass.
-    """
+    """Entanglement table alone; unused in the package, kept while perfbench's tracer names it."""
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
     cells = _steady_cells(alphas, gaps, temperature)
@@ -165,16 +146,7 @@ def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
 
 
 def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, np.ndarray]:
-    """Saturated coherence exp(-gamma_R(inf)) over a (temperature, gap) grid.
-
-    ``temperatures`` and ``gaps`` are required grids in omega_c.  Temperature
-    enters gamma_R through the thermal occupation of the bath; raising it can
-    only suppress the plateau further.  Gapless cells have no plateau and
-    carry the -1 sentinel with ``has_steady_state = 0``.  One Bose-series
-    pass over this table's cells, one series per cell, gives every plateau,
-    each bitwise ``gamma_R_infinity`` (:func:`steady_sweep_tables` makes that
-    pass together with the entanglement table's).
-    """
+    """Thermal table alone; unused in the package, kept while perfbench's tracer names it."""
     temperatures = _require_grid(temperatures, "temperatures")
     gaps = _require_grid(gaps, "gaps")
     cells = _thermal_cells(temperatures, gaps, alpha)
@@ -185,17 +157,42 @@ def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, 
 def steady_sweep_tables(alphas, gaps, temperatures, psi0: QubitAmplitudes,
                         temperature: float = 0.0, thermal_alpha: float = 0.25
                         ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Both tables of ``steady-sweep`` from one Bose-series pass.
+    """Both tables of ``steady-sweep``: the entanglement table and the thermal table.
 
-    Returns ``steady_state_table(alphas, gaps, psi0, temperature)`` and
-    ``thermal_overlap_table(temperatures, gaps, thermal_alpha)``, bit for
-    bit.  Both tables' arguments are checked, in that order, before anything
-    is evaluated; then one :func:`~twospinboson.bath._bose_grids` pass plans
-    and sums the entanglement table's series (one per gap at
-    ``temperature``) followed by the thermal table's (one per cell).  Each
-    series is planned and summed on its own, so neither table depends on
-    the other.  A table whose couplings are all 0 adds no series to the
-    pass: its plateaus are 0, and none of its series can be refused.
+    The entanglement table has one row per (alpha, omega0) cell of the
+    required grids ``alphas`` and ``gaps`` (omega0 in omega_c), alpha varying
+    fastest, at ``temperature``.  Columns: alpha, omega0, has_steady_state,
+    c_max_steady and s_steady.  In the steady state gamma_R is pinned at its
+    long-time limit gamma_R(inf) and gamma_I has decayed to zero; only the
+    induced phase theta*t keeps advancing.  c_max_steady is the largest
+    concurrence over the family of 2048 grid phases theta*t in [0, pi/2)
+    (the full period up to local unitaries), each in closed form by
+    :func:`~twospinboson.single_mode._model_measures`;
+    :func:`~twospinboson.bath._steady_states` shows why two grid phases per
+    cell give that maximum exactly.  It belongs to the family, not to one
+    trajectory: at alpha = 0 the induced coupling theta is 0, the state stays
+    at theta*t = 0 and does not reach c_max_steady unless the maximum lies
+    there.  s_steady, the entropy, does not depend on the phase.
+
+    The thermal table has one row per (temperature, omega0) cell of
+    ``temperatures`` and ``gaps``, temperature varying fastest, at the
+    coupling ``thermal_alpha``.  Columns: temperature, omega0,
+    has_steady_state and overlap_infinity, the saturated coherence
+    exp(-gamma_R(inf)).  Temperature enters gamma_R through the thermal
+    occupation of the bath; raising it can only suppress the plateau further.
+
+    A cell without a steady state (gapless with coupling, where gamma_R
+    diverges) carries ``has_steady_state = 0`` and the sentinel -1 in every
+    other measured column.  Both tables' arguments are checked, in that
+    order, before anything is evaluated; then one
+    :func:`~twospinboson.bath._bose_grids` pass plans and sums the
+    entanglement table's series (one per gap at ``temperature``: at one
+    temperature a plateau is 4 alpha S(omega0)) followed by the thermal
+    table's (one per cell).  Each series is planned and summed on its own,
+    so neither table depends on the other, and each table is bit for bit
+    :func:`steady_state_table` or :func:`thermal_overlap_table` of its own
+    grids.  A table whose couplings are all 0 adds no series to the pass:
+    its plateaus are 0, and none of its series can be refused.
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")

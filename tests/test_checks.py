@@ -1,6 +1,8 @@
 """The built-in verification suites must pass on a correct build."""
 
-from twospinboson import bath, checks
+import sys
+
+from twospinboson import bath, checks, cli, csvio, sweeps
 from twospinboson.entanglement import reduced_density, validate_density
 from twospinboson.single_mode import QubitAmplitudes
 
@@ -56,17 +58,44 @@ class TestSuites:
         results = checks.oracle_checks(tolerance=1e-18)
         assert any(not r.passed for r in results)
 
-    def test_checks_never_use_the_one_point_bath_view(self, monkeypatch):
-        # Every bath exponent in the registry comes from a whole-grid
-        # bath_exponents call; bath_gamma stays only because the benchmark's
-        # tracer (perfbench/tracer.py) names it.
-        def refuse(*args, **kwargs):
-            raise AssertionError("bath.bath_gamma was called")
+    def test_checks_never_use_the_one_point_bath_view(self, monkeypatch, tmp_path):
+        # No package module calls the six pinned model views; each stays only
+        # because the benchmark's tracer (perfbench/tracer.py) names it.  With
+        # every module attribute that holds one raising, the registry still
+        # passes and each table subcommand still writes its tables.
+        pinned = {id(view): f"{view.__module__}.{view.__name__}" for view in (
+            bath.bath_gamma, bath.gamma_R_infinity, bath.steady_state_stats,
+            sweeps.steady_state_table, sweeps.thermal_overlap_table, csvio.render_table)}
 
-        monkeypatch.setattr(bath, "bath_gamma", refuse)
-        failed = [r.line() for r in checks.bath_checks() + checks.acceptance_checks()
+        def refuse(name):
+            def raising(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return raising
+
+        patched = set()
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "twospinboson":
+                continue
+            for attribute, value in list(vars(module).items()):
+                if id(value) in pinned:
+                    monkeypatch.setattr(module, attribute, refuse(pinned[id(value)]))
+                    patched.add(f"{module_name}.{attribute}")
+        assert set(pinned.values()) <= patched
+
+        failed = [r.line() for results in checks.all_checks().values() for r in results
                   if not r.passed]
         assert failed == []
+        for argv in (["single-mode", "--omega-over-lambda=4", "--points=5"],
+                     ["period-stats", "--n-points=2", "--samples=100"],
+                     ["bath-series", "--alpha=0.25", "--gap=0.1", "--temperature=0.5",
+                      "--t-max=5", "--points=5"],
+                     ["steady-sweep", "--alpha-grid=0.05:1:2", "--gap-grid=0:0.5:2",
+                      "--temperature-grid=0:2:2"]):
+            output = tmp_path / argv[0]
+            argv += ([f"--output-prefix={output}"] if argv[0] == "steady-sweep"
+                     else [f"--output={output}.csv"])
+            assert cli.main(argv) == 0, argv
+
         spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
         gamma_rs, gamma_is, _ = bath.bath_exponents(spec, [2.0])
         rho = reduced_density(QubitAmplitudes.uniform(), bath.effective_coupling(spec) * 2.0,

@@ -68,7 +68,8 @@ def _amplitudes():
 
 # Subcommand -> its options; each is given or left at its default, but the
 # required ones (omega-over-lambda, alpha and t-max) are always given.
-_REQUIRED = {"omega-over-lambda", "alpha", "t-max"}
+_REQUIRED = {name for _, _, options in cli._COMMANDS.values()
+             for name, _, default, _ in options if default is cli._REQUIRED}
 _OPTIONS = {
     "single-mode": {"omega-over-lambda": _number(), "theta-t-max": _number(),
                     "points": _count(-1, 6), "amplitudes": _amplitudes()},
@@ -147,6 +148,17 @@ def check_argv(argv, workdir: Path) -> None:
 @given(argv=_argvs())
 def test_every_argv_exits_with_a_table_or_one_error_line(tmp_path, argv):
     check_argv(argv, tmp_path)
+
+
+def test_options_are_every_table_option():
+    # A new option of a table subcommand must be fuzzed too; the output
+    # paths are the ones check_argv sets.
+    outputs = {"output", "output-prefix"}
+    tables = {command: {option[0] for option in options} - outputs
+              for command, (_, _, options) in cli._COMMANDS.items()
+              if outputs & {option[0] for option in options}}
+    assert len(tables) == 4
+    assert {command: set(options) for command, options in _OPTIONS.items()} == tables
 
 
 _FUZZ_EXAMPLES = 600

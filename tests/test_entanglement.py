@@ -13,13 +13,10 @@ import pytest
 
 from twospinboson import bath, fock, single_mode
 from twospinboson.entanglement import (
-    concurrence,
     entanglement_measures,
     pure_concurrence,
-    purity,
     reduced_density,
     validate_density,
-    von_neumann_entropy,
 )
 from twospinboson.single_mode import InvalidDensityMatrixError, QubitAmplitudes
 
@@ -84,30 +81,30 @@ class TestValidateDensity:
             assert not check.valid
             assert np.isnan(check.min_eigenvalue)
             with pytest.raises(InvalidDensityMatrixError, match="nan"):
-                concurrence(bad)
+                entanglement_measures(bad)[0]
 
 
 class TestConcurrence:
     def test_bell_state(self):
-        np.testing.assert_allclose(concurrence(BELL), 1.0, atol=1e-12)
+        np.testing.assert_allclose(entanglement_measures(BELL)[0], 1.0, atol=1e-12)
 
     def test_maximally_mixed(self):
-        assert concurrence(MIXED) == 0.0
+        assert entanglement_measures(MIXED)[0] == 0.0
 
     def test_werner_half(self):
         # Frozen: closed form max{0, (3p-1)/2} at p = 1/2 gives exactly 1/4.
         werner = 0.5 * BELL + 0.5 * MIXED
-        np.testing.assert_allclose(concurrence(werner), 0.25, atol=1e-12)
+        np.testing.assert_allclose(entanglement_measures(werner)[0], 0.25, atol=1e-12)
 
     def test_werner_closed_form(self):
         for p in (0.0, 0.2, 1.0 / 3.0, 0.6, 1.0):
             werner = p * BELL + (1.0 - p) * MIXED
             expected = max(0.0, (3.0 * p - 1.0) / 2.0)
-            np.testing.assert_allclose(concurrence(werner), expected, atol=1e-12)
+            np.testing.assert_allclose(entanglement_measures(werner)[0], expected, atol=1e-12)
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDensityMatrixError) as excinfo:
-            concurrence(1.1 * MIXED)
+            entanglement_measures(1.1 * MIXED)[0]
         assert excinfo.value.check.trace_defect > 0.09
 
     def test_matches_general_eigensolver_route(self):
@@ -120,7 +117,7 @@ class TestConcurrence:
             assert np.max(np.abs(lam.imag)) < 1e-10
             r = np.sort(np.sqrt(np.clip(lam.real, 0.0, None)))[::-1]
             reference = max(0.0, r[0] - r[1] - r[2] - r[3])
-            np.testing.assert_allclose(concurrence(rho), reference, atol=1e-9)
+            np.testing.assert_allclose(entanglement_measures(rho)[0], reference, atol=1e-9)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(11)
@@ -133,17 +130,17 @@ class TestConcurrence:
                 us.append(q * (np.diag(r) / np.abs(np.diag(r))))
             u = np.kron(us[0], us[1])
             rotated = u @ rho @ u.conj().T
-            np.testing.assert_allclose(concurrence(rotated), concurrence(rho),
-                                       atol=1e-9)
-            np.testing.assert_allclose(von_neumann_entropy(rotated),
-                                       von_neumann_entropy(rho), atol=1e-9)
+            np.testing.assert_allclose(entanglement_measures(rotated)[0],
+                                       entanglement_measures(rho)[0], atol=1e-9)
+            np.testing.assert_allclose(entanglement_measures(rotated)[1],
+                                       entanglement_measures(rho)[1], atol=1e-9)
 
     def test_ranges(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             rho = random_density(rng)
-            assert 0.0 <= concurrence(rho) <= 1.0
-            assert 0.0 <= von_neumann_entropy(rho) <= 2.0
+            assert 0.0 <= entanglement_measures(rho)[0] <= 1.0
+            assert 0.0 <= entanglement_measures(rho)[1] <= 2.0
 
 
 class TestPureConcurrence:
@@ -167,7 +164,7 @@ class TestPureConcurrence:
             psi = random_pure(rng)
             vec = psi.vector()
             rho = np.outer(vec, vec.conj())
-            np.testing.assert_allclose(concurrence(rho), pure_concurrence(psi),
+            np.testing.assert_allclose(entanglement_measures(rho)[0], pure_concurrence(psi),
                                        atol=1e-10)
 
     def test_rejects_unnormalized(self):
@@ -228,10 +225,10 @@ class TestPureConcurrence:
 
 class TestEntropy:
     def test_pure_projector(self):
-        assert von_neumann_entropy(BELL) <= 1e-12
+        assert entanglement_measures(BELL)[1] <= 1e-12
 
     def test_maximally_mixed(self):
-        np.testing.assert_allclose(von_neumann_entropy(MIXED), 2.0, atol=1e-12)
+        np.testing.assert_allclose(entanglement_measures(MIXED)[1], 2.0, atol=1e-12)
 
     def test_pure_state_entropy_is_positive_zero(self):
         product = np.zeros((4, 4))
@@ -243,22 +240,24 @@ class TestEntropy:
         # Frozen: eigenvalues {1/2, 1/4, 1/4, 0} give 0.5 + 2*(0.25*2) bits.
         eigs = np.sort(np.linalg.eigvalsh(DECOHERED))
         np.testing.assert_allclose(eigs, [0.0, 0.25, 0.25, 0.5], atol=1e-14)
-        np.testing.assert_allclose(von_neumann_entropy(DECOHERED), 1.5, atol=1e-12)
+        np.testing.assert_allclose(entanglement_measures(DECOHERED)[1], 1.5, atol=1e-12)
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDensityMatrixError):
-            von_neumann_entropy(np.diag([1.2, 0.1, -0.3, 0.0]))
+            entanglement_measures(np.diag([1.2, 0.1, -0.3, 0.0]))[1]
 
 
 class TestBatchMeasures:
     def test_matches_scalar_ops(self):
+        # Bit for bit: the registry measures whole stacks, and its printed
+        # figures must not depend on how the states are batched.
         rng = np.random.default_rng(19)
         rhos = np.array([random_density(rng) for _ in range(12)])
         conc, entropy = entanglement_measures(rhos)
         for k in range(12):
-            np.testing.assert_allclose(conc[k], concurrence(rhos[k]), atol=1e-12)
-            np.testing.assert_allclose(entropy[k], von_neumann_entropy(rhos[k]),
-                                       atol=1e-12)
+            one_conc, one_entropy = entanglement_measures(rhos[k])
+            assert conc[k].tobytes() == one_conc.tobytes()
+            assert entropy[k].tobytes() == one_entropy.tobytes()
 
     def test_invalid_member_rejected(self):
         rhos = np.array([MIXED, 1.1 * MIXED])
@@ -290,7 +289,3 @@ class TestBatchMeasures:
         _, entropy = entanglement_measures(rhos)
         assert np.all(entropy >= 0.0)
         assert np.all(entropy <= 1e-14)
-
-    def test_purity(self):
-        assert abs(purity(BELL) - 1.0) <= 1e-12
-        np.testing.assert_allclose(purity(MIXED), 0.25, atol=1e-14)

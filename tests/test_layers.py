@@ -91,13 +91,13 @@ def test_the_rule_sees_each_form_of_import(tmp_path):
         "import twospinboson.fock\n"
         "from twospinboson import entanglement\n"
         "from . import fock\n"
-        "from .entanglement import concurrence\n"
+        "from .entanglement import entanglement_measures\n"
         "from .single_mode import _model_measures\n"
         "from . import __version__\n"
         "def later():\n"
         "    from . import quadrature\n")
     assert _imports(probe, module_level=True) == [
         ("fock", None), ("entanglement", None), ("fock", None),
-        ("entanglement", "concurrence"), ("single_mode", "_model_measures"),
+        ("entanglement", "entanglement_measures"), ("single_mode", "_model_measures"),
         ("__init__", "__version__")]
     assert _imports(probe, module_level=False)[-1] == ("quadrature", None)

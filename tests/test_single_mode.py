@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from twospinboson import single_mode
-from twospinboson.entanglement import (
-    concurrence,
-    reduced_density,
-    validate_density,
-    von_neumann_entropy,
-)
+from twospinboson.entanglement import entanglement_measures, reduced_density, validate_density
 from twospinboson.single_mode import (
     QubitAmplitudes,
     SingleModeParams,
@@ -172,7 +167,7 @@ class TestReducedDensity:
         # entropy exactly 1.5 bits.
         rho = reduced_density(UNIFORM, 0.0, 50.0, 0.0)
         np.testing.assert_allclose(rho, DECOHERED_UNIFORM, atol=1e-12)
-        np.testing.assert_allclose(von_neumann_entropy(rho), 1.5, atol=1e-10)
+        np.testing.assert_allclose(entanglement_measures(rho)[1], 1.5, atol=1e-10)
 
     def test_always_valid(self):
         rng = np.random.default_rng(29)
@@ -192,7 +187,7 @@ class TestReducedDensity:
             psi = QubitAmplitudes.normalized(*vec)
             rho = evolve(params, psi, t)
             expected = ideal_concurrence(psi, params.theta * t)
-            np.testing.assert_allclose(concurrence(rho), expected, atol=1e-10)
+            np.testing.assert_allclose(entanglement_measures(rho)[0], expected, atol=1e-10)
 
     def test_decoherence_free_pair_untouched(self):
         # States supported on the zero-displacement subspace never decohere.
@@ -200,7 +195,7 @@ class TestReducedDensity:
         params = SingleModeParams(omega=1.0 / 3.0)
         for t in (1.5, 3.0 * math.pi, 12.0):
             rho = evolve(params, psi, t)
-            np.testing.assert_allclose(concurrence(rho), 1.0, atol=1e-10)
+            np.testing.assert_allclose(entanglement_measures(rho)[0], 1.0, atol=1e-10)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -258,7 +253,7 @@ class TestIdealConcurrence:
             t = 2.0 * math.pi * rng.integers(1, 6) / params.omega
             rho = evolve(params, psi, t)
             np.testing.assert_allclose(
-                concurrence(rho), ideal_concurrence(psi, params.theta * t),
+                entanglement_measures(rho)[0], ideal_concurrence(psi, params.theta * t),
                 atol=1e-9)
 
 
@@ -274,9 +269,9 @@ class TestTimeSeries:
         for k in (0, 7, -1):
             t = series["t"][k]
             rho = evolve(params, UNIFORM, t)
-            np.testing.assert_allclose(series["concurrence"][k], concurrence(rho),
+            np.testing.assert_allclose(series["concurrence"][k], entanglement_measures(rho)[0],
                                        atol=1e-12)
-            np.testing.assert_allclose(series["entropy"][k], von_neumann_entropy(rho),
+            np.testing.assert_allclose(series["entropy"][k], entanglement_measures(rho)[1],
                                        atol=1e-12)
             np.testing.assert_allclose(series["theta_t"][k], params.theta * t,
                                        atol=1e-12)

@@ -225,7 +225,7 @@ class TestStateSeries:
             assert str(err.value) == reason
 
     def test_matches_single_point_evaluation(self):
-        from twospinboson.entanglement import concurrence, reduced_density, von_neumann_entropy
+        from twospinboson.entanglement import entanglement_measures, reduced_density
 
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1)
         table = state_series(spec, UNIFORM, np.array([0.7, 3.0]))
@@ -233,9 +233,9 @@ class TestStateSeries:
             gamma_r, gamma_i, _ = bath_exponents(spec, [t])
             rho = reduced_density(UNIFORM, effective_coupling(spec) * t, gamma_r[0], gamma_i[0])
             np.testing.assert_allclose(table["concurrence"][k],
-                                       concurrence(rho), atol=1e-10)
+                                       entanglement_measures(rho)[0], atol=1e-10)
             np.testing.assert_allclose(table["entropy"][k],
-                                       von_neumann_entropy(rho), atol=1e-10)
+                                       entanglement_measures(rho)[1], atol=1e-10)
 
 
 class TestSteadyStateTable:
