@@ -138,6 +138,18 @@ class OhmicGapSpectrum:
                              f"{self.omega0:g}, temperature {self.temperature:g}")
 
 
+def _operands(values, dtype) -> list:
+    """``values`` as 0-d arrays of ``dtype``: scalar operands for ufuncs on arrays of that dtype.
+
+    A ufunc converts a Python number to the array's dtype on every call.  A
+    0-d array of that dtype holds the same value, so every result rounds the
+    same, and skips the conversion, which on a few elements is a large part of
+    the call's cost.
+    """
+    column = np.array(values, dtype=dtype)
+    return [column[i, ...] for i in range(column.size)]
+
+
 def _e1_power_tail(z):
     """sum_{k>=1} (-z)^k / (k k!), so that E1(z) = -gamma - ln z - this; |z| <= 1.
 
@@ -146,7 +158,7 @@ def _e1_power_tail(z):
     w = -z
     term = np.ones_like(z)
     tail = np.zeros_like(z)
-    for k in range(1, _E1_SERIES_TERMS + 1):
+    for k in _operands(range(1, _E1_SERIES_TERMS + 1), term.dtype):
         term = term * w / k
         tail = tail + term / k
     return tail
@@ -184,27 +196,39 @@ def _exp_e1(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=complex)
     forms = np.empty((3, *z.shape), dtype=complex)
     near = np.abs(z) <= 1.0
+    count = np.count_nonzero(near)
 
-    zn = z[near]
-    g = np.exp(zn) * (-np.euler_gamma - np.log(zn) - _e1_power_tail(zn))
-    forms[:, near] = ((1.0 + zn) * g - 1.0, 1.0 - zn * g, zn * (1.0 + 0.5 * zn) * g - 0.5 * (1.0 + zn))
+    if count:
+        zn = z[near]
+        g = np.exp(zn) * (-np.euler_gamma - np.log(zn) - _e1_power_tail(zn))
+        forms[:, near] = ((1.0 + zn) * g - 1.0, 1.0 - zn * g, zn * (1.0 + 0.5 * zn) * g - 0.5 * (1.0 + zn))
+    if count == z.size:
+        return forms[0], forms[1], forms[2]
 
     zf = z[~near]
     depth = _e1_tail_depth(zf)
     # Deepest points first: those whose depth reaches level j are a prefix,
-    # of length reach[j].  u is j^2 times the tail from level j on.
+    # of length reach[j].  u is j^2 times the tail from level j on; each level
+    # writes w and u in place, on views cut again only where reach changes.
     order = np.argsort(-depth)
     zs = zf[order]
     reach = np.cumsum(np.bincount(depth)[::-1])[::-1].tolist()
+    levels = range(len(reach) - 1, 2, -1)
     u = np.zeros_like(zs)
+    w = np.empty_like(zs)
     k_tail = np.empty_like(zf)
+    n = 0
     # A divisor with both parts near the largest float overflows inside
     # numpy's complex division, which returns 0: the quotient within 1e-308.
     with np.errstate(over="ignore"):
-        for j in range(len(reach) - 1, 2, -1):
-            w = zs[:reach[j]] - u[:reach[j]]
-            w += 2 * j + 1
-            np.divide(j * j, w, out=u[:reach[j]])
+        for j, odd, square in zip(levels, _operands([2 * j + 1 for j in levels], complex),
+                                  _operands([j * j for j in levels], complex)):
+            if reach[j] != n:
+                n = reach[j]
+                z_n, u_n, w_n = zs[:n], u[:n], w[:n]
+            np.subtract(z_n, u_n, out=w_n)
+            np.add(w_n, odd, out=w_n)
+            np.divide(square, w_n, out=u_n)
         k_tail[order] = 1.0 / (zs + 5.0 - u)
         h = 1.0 / (zf + 3.0 - 4.0 * k_tail)
         g = 1.0 / (zf + 1.0 - h)
@@ -316,10 +340,11 @@ def _em_remainders(q, r, count: int) -> list:
     """
     out = [q]
     s, rem, power = q, q * q, 1.0
-    for m in range(1, 2 * count - 2):
+    steps = range(1, 2 * count - 2)
+    for m, factor in zip(steps, _operands(steps, np.result_type(q, r))):
         power = power * r
-        s = q * (power + m * s)
-        rem = q * (s + m * rem)
+        s = q * (power + factor * s)
+        rem = q * (s + factor * rem)
         if m % 2:
             out.append(rem)
     return out
@@ -374,8 +399,9 @@ def _bose_plan(x0, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = np.where(usable, r, 0.0)[:, None]
         q = 1.0 / (tau[:, None] + m)
         decay = np.exp(-m * r)
-        bounds = np.stack([4.0 * abs(beta) * decay * rem for beta, rem
-                           in zip(_BERNOULLI, _em_remainders(q, r, len(_BERNOULLI)))], axis=-1)
+        # Each column is (4 |B_2K|/(2K)! e^{-M r}) R_{2K-3}, rounded in that order.
+        bounds = ((decay[..., None] * (4.0 * np.abs(_BERNOULLI)))
+                  * np.stack(_em_remainders(q, r, len(_BERNOULLI)), axis=-1))
     certified = (bounds <= _SERIES_TAIL_TOL) & usable[:, None, None]
     m_first = np.argmax(certified.any(axis=2), axis=1)
     k_first = np.argmax(certified[rows, m_first], axis=1)
@@ -403,10 +429,14 @@ def _em_corrections(forms, q, r, order):
     :func:`_bose_sums`).  ``q``, ``r`` and ``order`` = K broadcast.
     """
     G, C, _ = forms
-    rems = _em_remainders(q, r, int(np.max(order)))
+    top = int(np.max(order))
+    rems = _em_remainders(q, r, top)
     total = _BERNOULLI[0] * C * q
-    for k, (beta, rem) in enumerate(zip(_BERNOULLI[1:], rems[1:]), start=2):
-        total = total + np.where(order >= k, beta, 0.0) * rem
+    # Row k - 2 of the mask holds B_2k/(2k)! where order >= k, else 0.
+    levels = np.arange(2, top + 1).reshape((-1,) + (1,) * np.ndim(order))
+    betas = np.array(_BERNOULLI[1:top]).reshape(levels.shape)
+    for beta, rem in zip(np.where(levels <= order, betas, 0.0), rems[1:]):
+        total = total + beta * rem
     return 0.5 * G + total
 
 

@@ -107,6 +107,34 @@ class TestSpecialFunctions:
             alone = bath._exp_e1(z[k:k + 1])
             assert all(form[0] == forms[k] for form, forms in zip(alone, batch))
 
+    @pytest.mark.parametrize("z", [
+        np.empty(0, dtype=complex),
+        np.empty((0, 3), dtype=complex),
+        np.array([0.1, 0.5 - 0.5j, 1e-300 + 0.9j]),
+        np.array([1.5, 0.1 - 1.579j, 3.0 + 40.0j, 1e20 - 1e22j]),
+        np.array([1.0 - 1e-12j, 1.0 + 1e-12 - 1e-12j]),
+        np.array([1.0 + 0.0j, 0.6 - 0.8j]),
+        np.array([[0.5, 2.0 - 2.0j], [1.0, 0.3 + 5.0j]]),
+    ], ids=["empty", "empty-2d", "all-near", "all-far", "both-sides", "modulus-1", "mixed-2d"])
+    def test_exp_e1_early_exits_keep_shape_and_bits(self, z, monkeypatch):
+        # A batch with no point in the unit disc evaluates no power series, and
+        # one with no point outside it no continued fraction.  Each form keeps
+        # the batch's shape and each value is the one of that point alone.
+        calls = []
+        for name in ("_e1_power_tail", "_e1_tail_depth"):
+            real = getattr(bath, name)
+            monkeypatch.setattr(bath, name,
+                                lambda v, name=name, real=real: calls.append(name) or real(v))
+        batch = bath._exp_e1(z)
+        near = np.abs(z) <= 1.0
+        expected = ["_e1_power_tail"] * bool(near.any()) + ["_e1_tail_depth"] * bool((~near).any())
+        assert calls == expected
+        assert all(form.shape == z.shape and form.dtype == complex for form in batch)
+        for k, zk in enumerate(z.ravel()):
+            alone = bath._exp_e1(np.array([zk]))
+            assert all(form.ravel()[k:k + 1].tobytes() == value.tobytes()
+                       for form, value in zip(batch, alone))
+
     def test_exp_e1_just_outside_the_switch(self):
         # Just outside the unit disc and near the imaginary axis the tail is
         # deepest: |z| = 1 + 1e-12 at 50 arguments, and |z| = 1.5, 2, 4 near
@@ -403,6 +431,83 @@ class TestBoseSeries:
         assert abs(plateau[0] - direct[0][0]) <= allowance
         assert abs(damping[0, 0] - direct[1][0, 0]) <= allowance
         assert first[0, 0] == direct[2][0, 0]
+
+
+def _plain_em_remainders(q, r, count):
+    """The recurrence of ``bath._em_remainders`` with Python-int multipliers."""
+    out = [q]
+    s, rem, power = q, q * q, 1.0
+    for m in range(1, 2 * count - 2):
+        power = power * r
+        s = q * (power + m * s)
+        rem = q * (s + m * rem)
+        if m % 2:
+            out.append(rem)
+    return out
+
+
+def _plan_inputs(rows, seed):
+    """Gaps and temperatures of seeded series, most on the Euler-Maclaurin route."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-6.0, 1.0, rows), 10.0 ** rng.uniform(-2.0, 3.0, rows)
+
+
+class TestEulerMaclaurinRounding:
+    """The array forms of the remainders, their bound table and the order
+    mask round exactly as the loops they replace."""
+
+    @pytest.mark.parametrize("count", range(1, 13))
+    def test_em_remainders_round_as_the_plain_loop(self, count):
+        # Real inputs as the plan forms them, (rows, M) against (rows, 1), and
+        # complex ones as the sums do, q = r/z_M with z_M = x0 + M r - i x0 s.
+        x0, tau = _plan_inputs(40, count)
+        r = (x0 / tau)[:, None]
+        plan_q = 1.0 / (tau[:, None] + np.arange(1, bath._EM_MAX_TERMS + 1))
+        s = np.random.default_rng(100 + count).uniform(0.0, 300.0, x0.size)
+        sums_q = r[:, 0] / (x0 + 4 * r[:, 0] - 1j * x0 * s)
+        for q, rr in ((plan_q, r), (sums_q, r[:, 0])):
+            got, expected = bath._em_remainders(q, rr, count), _plain_em_remainders(q, rr, count)
+            assert len(got) == len(expected) == count
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("mixed", [True, False], ids=["orders-1-to-12", "all-order-1"])
+    def test_em_corrections_round_as_the_per_order_loop(self, mixed):
+        def plain(forms, q, r, order):
+            G, C, _ = forms
+            rems = _plain_em_remainders(q, r, int(np.max(order)))
+            total = bath._BERNOULLI[0] * C * q
+            for k, (beta, rem) in enumerate(zip(bath._BERNOULLI[1:], rems[1:]), start=2):
+                total = total + np.where(order >= k, beta, 0.0) * rem
+            return 0.5 * G + total
+
+        rng = np.random.default_rng(11)
+        x0, tau = _plan_inputs(60, 12)
+        r = x0 / tau
+        z_m = x0 + 3 * r - 1j * x0 * rng.uniform(0.0, 300.0, x0.size)
+        order = rng.permutation(np.arange(60) % 12 + 1) if mixed else np.ones(60, dtype=np.intp)
+        args = (bath._exp_e1(z_m), r / z_m, r, order)
+        assert bath._em_corrections(*args).tobytes() == plain(*args).tobytes()
+
+    def test_bose_plan_bound_rounds_as_per_order_products(self):
+        # The bound table, 4 |B_2K|/(2K)! e^{-M r} R_{2K-3} at every (M, K),
+        # formed one order at a time: each Euler-Maclaurin row takes its first
+        # certified (M, K) and that entry's bits.
+        x0, tau = _plan_inputs(200, 0)
+        terms, order, bound = bath._bose_plan(x0, tau)
+        m = np.arange(1, bath._EM_MAX_TERMS + 1)
+        r = (x0 / tau)[:, None]
+        decay = np.exp(-m * r)
+        rems = _plain_em_remainders(1.0 / (tau[:, None] + m), r, len(bath._BERNOULLI))
+        table = np.stack([4.0 * abs(beta) * decay * rem
+                          for beta, rem in zip(bath._BERNOULLI, rems)], axis=-1)
+        em = np.flatnonzero(order > 0)
+        assert em.size > 150 and np.unique(order[em]).size >= 8
+        for k in em:
+            M, K = terms[k], order[k]
+            assert np.all(table[k, :M - 1] > bath._SERIES_TAIL_TOL)
+            assert np.all(table[k, M - 1, :K - 1] > bath._SERIES_TAIL_TOL)
+            assert table[k, M - 1, K - 1].tobytes() == bound[k].tobytes()
 
 
 def _quadrature_plateau(x0, tau):
