@@ -193,9 +193,13 @@ def single_mode_checks() -> list[CheckResult]:
 
 
 def oracle_checks(tolerance: float = 1e-7) -> list[CheckResult]:
-    """Closed form versus truncated-Fock propagation on the equivalence grid."""
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    """Closed form versus truncated-Fock propagation on the equivalence grid.
+
+    ``tolerance``, the trace-distance bound per case, must be positive and
+    finite: an infinite bound would pass every case.
+    """
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(_SEED + 2)
     results = []
     worst = 0.0

@@ -12,7 +12,7 @@ Every table is an ordered ``dict`` of equal-length numpy columns, ready for
 CSV emission.  The sweeps are deterministic: the same inputs produce bitwise
 identical tables.  ``steady-sweep`` and the check registry run
 :func:`steady_sweep_tables`, which computes both steady-state tables from one
-Bose-series pass over their cells.
+Bose-series pass over their cells; each one-table view is one call of it.
 """
 
 from __future__ import annotations
@@ -137,21 +137,14 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
 def steady_state_table(alphas, gaps, psi0: QubitAmplitudes,
                        temperature: float = 0.0) -> dict[str, np.ndarray]:
     """Entanglement table alone; unused in the package, kept while perfbench's tracer names it."""
-    alphas = _require_grid(alphas, "alphas")
-    gaps = _require_grid(gaps, "gaps")
-    cells = _steady_cells(alphas, gaps, temperature)
-    vec = _require_amplitudes(psi0)
-    (plateaus,) = _bose_grids([cells])[0]
-    return _steady_columns(cells, plateaus, vec)
+    return steady_sweep_tables(alphas, gaps, [0.0], psi0, temperature=temperature,
+                               thermal_alpha=0.0)[0]
 
 
 def thermal_overlap_table(temperatures, gaps, alpha: float = 0.25) -> dict[str, np.ndarray]:
     """Thermal table alone; unused in the package, kept while perfbench's tracer names it."""
-    temperatures = _require_grid(temperatures, "temperatures")
-    gaps = _require_grid(gaps, "gaps")
-    cells = _thermal_cells(temperatures, gaps, alpha)
-    (plateaus,) = _bose_grids([cells])[0]
-    return _thermal_columns(cells, plateaus)
+    return steady_sweep_tables([0.0], gaps, temperatures, QubitAmplitudes.uniform(),
+                               thermal_alpha=alpha)[1]
 
 
 def steady_sweep_tables(alphas, gaps, temperatures, psi0: QubitAmplitudes,
@@ -183,73 +176,47 @@ def steady_sweep_tables(alphas, gaps, temperatures, psi0: QubitAmplitudes,
 
     A cell without a steady state (gapless with coupling, where gamma_R
     diverges) carries ``has_steady_state = 0`` and the sentinel -1 in every
-    other measured column.  Both tables' arguments are checked, in that
-    order, before anything is evaluated; then one
+    other measured column.  Every argument is checked before anything is
+    evaluated, in this order: the grids ``alphas`` and ``gaps``; one
+    spectrum for ``temperature`` and 4 alpha; the amplitudes; the grid
+    ``temperatures``; one spectrum for ``thermal_alpha``.  Then one
     :func:`~twospinboson.bath._bose_grids` pass plans and sums the
     entanglement table's series (one per gap at ``temperature``: at one
     temperature a plateau is 4 alpha S(omega0)) followed by the thermal
     table's (one per cell).  Each series is planned and summed on its own,
-    so neither table depends on the other, and each table is bit for bit
-    :func:`steady_state_table` or :func:`thermal_overlap_table` of its own
-    grids.  A table whose couplings are all 0 adds no series to the pass:
-    its plateaus are 0, and none of its series can be refused.
+    so neither table depends on the other table's grid.  A table whose
+    couplings are all 0 adds no series to the pass: its plateaus are 0, and
+    none of its series can be refused; each one-table view passes such a
+    table as the other one.
     """
     alphas = _require_grid(alphas, "alphas")
     gaps = _require_grid(gaps, "gaps")
-    steady = _steady_cells(alphas, gaps, temperature)
-    vec = _require_amplitudes(psi0)
-    temperatures = _require_grid(temperatures, "temperatures")
-    thermal = _thermal_cells(temperatures, gaps, thermal_alpha)
-    steady_plateaus, thermal_plateaus = _bose_grids([steady, thermal])[0]
-    return (_steady_columns(steady, steady_plateaus, vec),
-            _thermal_columns(thermal, thermal_plateaus))
-
-
-def _steady_cells(alphas, gaps, temperature: float):
-    """(alphas, gaps, temperatures): the Bose-pass grid of :func:`steady_state_table`.
-
-    The grids are checked; one spectrum checks the temperature and 4 alpha.
-    4 alpha overflows exactly above max/4, so it is checked at the first
-    alpha past that, if any: the first cell in table order that fails.
-    """
+    # 4 alpha overflows exactly above max/4: check the first alpha past that, if any.
     first = int(np.searchsorted(alphas, 0.25 * sys.float_info.max, side="right"))
     OhmicGapSpectrum(alpha=float(alphas[min(first, alphas.size - 1)]), omega0=float(gaps[0]),
                      temperature=temperature)
-    return alphas, gaps, np.full(gaps.size, temperature)
-
-
-def _steady_columns(cells, plateaus, vec: np.ndarray) -> dict[str, np.ndarray]:
-    """The columns of :func:`steady_state_table` from its cells' plateaus."""
-    alphas, gaps, _ = cells
-    g_inf = plateaus.ravel()
+    vec = _require_amplitudes(psi0)
+    temperatures = _require_grid(temperatures, "temperatures")
+    OhmicGapSpectrum(alpha=thermal_alpha, omega0=float(gaps[0]), temperature=float(temperatures[0]))
+    omega0s = np.repeat(gaps, temperatures.size)
+    thermal_ts = np.tile(temperatures, gaps.size)
+    steady_plateaus, thermal_plateaus = _bose_grids(
+        [(alphas, gaps, np.full(gaps.size, temperature)),
+         (thermal_alpha, omega0s, thermal_ts)])[0]
+    g_inf = steady_plateaus.ravel()
     c_max, entropy = _steady_states(vec, g_inf)
     steady = np.isfinite(g_inf)
-    return {
+    thermal_g_inf = thermal_plateaus.ravel()
+    return ({
         "alpha": np.tile(alphas, gaps.size),
         "omega0": np.repeat(gaps, alphas.size),
         "has_steady_state": steady.astype(float),
         "c_max_steady": np.where(steady, c_max, NO_STEADY_STATE),
         "s_steady": np.where(steady, entropy, NO_STEADY_STATE),
-    }
-
-
-def _thermal_cells(temperatures, gaps, alpha: float):
-    """(alpha, gaps, temperatures) per cell: the Bose-pass grid of :func:`thermal_overlap_table`.
-
-    The grids are checked; one spectrum checks alpha, as the first cell would.
-    """
-    OhmicGapSpectrum(alpha=alpha, omega0=float(gaps[0]), temperature=float(temperatures[0]))
-    return alpha, np.repeat(gaps, temperatures.size), np.tile(temperatures, gaps.size)
-
-
-def _thermal_columns(cells, plateaus) -> dict[str, np.ndarray]:
-    """The columns of :func:`thermal_overlap_table` from its cells' plateaus."""
-    _, omega0, temperature = cells
-    g_inf = plateaus.ravel()
-    return {
-        "temperature": temperature,
-        "omega0": omega0,
-        "has_steady_state": np.isfinite(g_inf).astype(float),
+    }, {
+        "temperature": thermal_ts,
+        "omega0": omega0s,
+        "has_steady_state": np.isfinite(thermal_g_inf).astype(float),
         "overlap_infinity": np.array([NO_STEADY_STATE if math.isinf(g) else math.exp(-g)
-                                      for g in g_inf]),
-    }
+                                      for g in thermal_g_inf]),
+    })

@@ -2,6 +2,8 @@
 
 import sys
 
+import numpy as np
+
 from twospinboson import bath, checks, cli, csvio, sweeps
 from twospinboson.entanglement import reduced_density, validate_density
 from twospinboson.single_mode import QubitAmplitudes
@@ -41,6 +43,37 @@ class TestSuites:
         lines = [r.line() for r in checks.acceptance_checks()]
         assert lines[2] == "FAIL criterion 3: raised ZeroDivisionError: division by zero"
         assert all(line.startswith("PASS") for line in lines[:2] + lines[3:8])
+
+    def test_criterion_9_reports_an_invalid_tracked_matrix(self, monkeypatch):
+        # Criterion 2 passes a trace-1.1 matrix through the tally; criterion 9
+        # names its defect.
+        def criterion(track, k):
+            if k == 2:
+                track(np.array([np.eye(4) / 4.0, 1.1 * np.eye(4) / 4.0]))
+            return checks.CheckResult(f"criterion {k}", True, "")
+
+        for k in range(1, 9):
+            monkeypatch.setattr(checks, f"_criterion_{k}",
+                                lambda track, k=k: criterion(track, k))
+        results = checks.acceptance_checks()
+        assert all(r.passed for r in results[:8])
+        assert not results[8].passed
+        assert results[8].detail.startswith(
+            "2 density matrices validated across criteria 1-8, 1 failures: ['hermiticity")
+        assert "trace defect 1.000e-01" in results[8].detail
+
+    def test_criterion_6_fails_without_a_gapped_steady_state(self, monkeypatch):
+        # The gapped cell's overlap carries the sentinel, as a gapless one would.
+        tables = sweeps.steady_sweep_tables
+
+        def no_plateau(*args, **kwargs):
+            steady, thermal = tables(*args, **kwargs)
+            thermal["overlap_infinity"][:] = sweeps.NO_STEADY_STATE
+            return steady, thermal
+
+        monkeypatch.setattr(sweeps, "steady_sweep_tables", no_plateau)
+        result = checks._criterion_6(checks._Tally())
+        assert result.line() == "FAIL criterion 6: gapped pipeline returned no steady state"
 
     def test_deterministic_seed(self):
         first = [r.line() for r in checks.state_algebra_checks()]

@@ -423,16 +423,17 @@ class TestSteadySweep:
             columns, _ = csvio.parse_table((tmp_path / f"sweep_{name}.csv").read_text())
             assert np.all(columns["has_steady_state"] == 1.0)
 
-    def test_refused_thermal_table_writes_neither_file(self, capsys, tmp_path, monkeypatch):
-        # The one Bose-series pass of both tables and the entanglement table
-        # succeed; the thermal table then fails, and no file may be left behind.
+    def test_refused_table_after_the_bose_pass_writes_neither_file(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        # The one Bose-series pass of both tables succeeds; the tables then
+        # fail, and no file may be left behind.
         calls = []
 
-        def refuse(cells, plateaus):
-            calls.append(plateaus.size)
+        def refuse(vec, g_inf):
+            calls.append(g_inf.size)
             raise RuntimeError("E1 continued fraction did not converge in 1000 terms")
 
-        monkeypatch.setattr(cli.sweeps, "_thermal_columns", refuse)
+        monkeypatch.setattr(cli.sweeps, "_steady_states", refuse)
         prefix = str(tmp_path / "sweep")
         code, out, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.25:0.5:2",
                                  "--gap-grid", "1e-6:0.5:2", "--temperature-grid", "0:2:2",
@@ -686,8 +687,22 @@ class TestParser:
         (("single-mode", "--omega-over-lambda", "4", "extra"), "unexpected argument 'extra'"),
         ((), "no command given"),
         (("no-such-command",), "unknown command 'no-such-command'"),
+        (("steady-sweep", "--alpha-grid", "0:1"),
+         "alpha grid '0:1' must have the form min:max:points"),
+        (("steady-sweep", "--gap-grid", "0:1:2.5"), "could not parse gap grid '0:1:2.5'"),
+        (("single-mode", "--omega-over-lambda", "4", "--amplitudes", "1,2,x,4"),
+         "could not parse amplitudes '1,2,x,4' as complex numbers"),
+        (("oracle-check", "--tolerance", "0"), "tolerance must be positive and finite, got 0.0"),
+        (("oracle-check", "--tolerance", "nan"),
+         "tolerance must be positive and finite, got nan"),
+        (("oracle-check", "--tolerance", "inf"),
+         "tolerance must be positive and finite, got inf"),
+        (("oracle-check", "--tolerance", "1e309"),
+         "tolerance must be positive and finite, got inf"),
     ], ids=["unknown-option", "ambiguous-prefix", "bad-int", "bad-float", "missing-required",
-            "missing-two", "missing-value", "stray-positional", "no-command", "unknown-command"])
+            "missing-two", "missing-value", "stray-positional", "no-command", "unknown-command",
+            "axis-form", "axis-parse", "amplitudes-parse", "tolerance-0", "tolerance-nan",
+            "tolerance-inf", "tolerance-1e309"])
     def test_argument_error_exits_2_with_one_line(self, capsys, argv, reason):
         assert_rejected_quietly(capsys, argv, reason)
 

@@ -255,6 +255,12 @@ class TestRenderAndParse:
         with pytest.raises(ValueError, match="row length"):
             csvio.parse_table("a,b\n1,2\n3\n")
 
+    def test_parse_skips_blank_lines(self):
+        text = "# tool: demo\n\na,b\n  \n1,2\n\n3,4\n"
+        parsed, meta = csvio.parse_table(text)
+        assert meta == {"tool": "demo"}
+        assert parsed["a"].tolist() == [1.0, 3.0] and parsed["b"].tolist() == [2.0, 4.0]
+
     def test_empty_data_section(self):
         parsed, _ = csvio.parse_table("a,b\n")
         assert parsed["a"].shape == (0,)

@@ -280,6 +280,10 @@ class TestBatchMeasures:
             entanglement_measures(rhos)
         assert not excinfo.value.check.valid
 
+    def test_rejects_a_stack_not_of_4x4_matrices(self):
+        with pytest.raises(ValueError, match=r"4, 4\), got \(2, 3, 3\)$"):
+            entanglement_measures(np.zeros((2, 3, 3)))
+
     def test_pure_states_have_zero_entropy(self):
         # A pure state's top eigenvalue can come out as 1 + eps; the entropy
         # must still be nonnegative and at rounding level.

@@ -40,6 +40,12 @@ class TestCompositeGauss:
         value = composite_gauss(lambda x: x, 1.0, n_panels=(1 << 17) + 3)
         np.testing.assert_allclose(value, 0.5, rtol=1e-12)
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="^upper must be positive, got 0.0$"):
+            composite_gauss(np.exp, 0.0, 1)
+        with pytest.raises(ValueError, match="^n_panels must be at least 1, got 0$"):
+            composite_gauss(np.exp, 1.0, 0)
+
 
 class TestIntegrateDecaying:
     def test_exponential(self):
@@ -91,6 +97,10 @@ class TestPanelWidth:
         rates = [0.0, 10.0, 100.0, 1000.0, 10000.0]
         widths = [panel_width(r) for r in rates]
         assert all(w1 >= w2 for w1, w2 in zip(widths, widths[1:]))
+
+    def test_rejects_negative_rate(self):
+        with pytest.raises(ValueError, match="^osc_rate must be nonnegative, got -1.0$"):
+            panel_width(-1.0)
 
 
 class TestOracleModule:
