@@ -11,6 +11,7 @@ integrals evaluated by the adaptive quadrature of
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,8 +26,6 @@ from twospinboson.bath import (
 )
 from twospinboson.single_mode import QubitAmplitudes
 from twospinboson.quadrature import integrate_decaying
-
-mpmath = pytest.importorskip("mpmath")
 
 ALPHAS = (0.25, 0.5)
 # Every (gap, temperature) branch: log1p/arctan, the ln Gamma drop, E1 and the Bose series.

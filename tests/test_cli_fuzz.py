@@ -6,9 +6,11 @@ drawn log-uniform from 1e-12 to 1e40, from [0, 5], and from the edge values
 0, -0, subnormals, 1.5e-154, 1.4e154, 1e308, 1.7e308, inf, nan, -1 and -1.7e308;
 amplitudes are complex values down to 1e-200.  The contract: exit 0 with
 tables that ``parse_table`` reads, or exit 2 or 3 with exactly one
-``error:`` line; never a traceback or a warning.  In a table every column is
-finite, the concurrences lie in [0, 1] and the entropies in [0, 2] bits, and
-a cell without a steady state carries the sentinel -1 and nothing else does.
+``error:`` line, nothing on stdout and no file left behind; never a traceback
+or a warning.  :func:`check_cli` checks it, for the refusal table of
+``test_cli.py`` too.  In a table every column is finite, the concurrences lie
+in [0, 1] and the entropies in [0, 2] bits, and a cell without a steady state
+carries the sentinel -1 and nothing else does.
 
 The tier-1 test draws 300 derandomized argvs.  Run as a script, the module
 draws argvs from a given seed with no example database, through the same
@@ -21,6 +23,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -120,27 +123,50 @@ def _check_table(text):
         assert np.all((values >= low) & (values <= high)), (name, values)
 
 
+def check_cli(argv, workdir: Path, code=None, reason=None) -> int:
+    """Run ``cli.main(argv)`` in ``workdir``, every warning an error, and check its contract.
+
+    An exit of 0, when ``code`` is None, must print nothing to stderr.  Any
+    other exit is a refusal: the code must be ``code`` (2 or 3 when None),
+    stdout empty, stderr the one line ``error: <reason>`` (any one ``error:``
+    line when ``reason`` is None), and ``workdir`` left empty.  Returns the
+    exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            status = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    if status == 0 and code is None:
+        assert err.getvalue() == ""
+        return status
+    assert status == code if code is not None else status in (2, 3)
+    assert out.getvalue() == ""
+    if reason is not None:
+        assert err.getvalue() == f"error: {reason}\n"
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert list(workdir.iterdir()) == []
+    return status
+
+
 def check_argv(argv, workdir: Path) -> None:
-    """Run ``argv`` through ``cli.main`` with its output in ``workdir`` and check the contract."""
+    """Run ``argv`` with its output in ``workdir`` through :func:`check_cli`, and check its tables."""
     for path in workdir.iterdir():
         path.unlink()
     output = workdir / "out"
     argv = argv + ([f"--output-prefix={output}"] if argv[0] == "steady-sweep"
                    else [f"--output={output}.csv"])
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
-    if code == 0:
-        assert err.getvalue() == ""
+    if check_cli(argv, workdir) == 0:
         names = ["_entanglement", "_thermal"] if argv[0] == "steady-sweep" else [""]
         for name in names:
             _check_table((workdir / f"out{name}.csv").read_text())
-    else:
-        assert code in (2, 3)
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,

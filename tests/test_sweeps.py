@@ -267,7 +267,6 @@ class TestSteadyStateTable:
         for key in first:
             assert np.array_equal(first[key], second[key])
 
-    @pytest.mark.filterwarnings("error")
     def test_cells_equal_steady_state_stats(self):
         # The batched plateaus give each cell exactly the single-spectrum
         # figures: 4.0 * alpha * S(gap) from one series per gap, with the
@@ -381,7 +380,6 @@ class TestThermalOverlapTable:
         with pytest.raises(ValueError, match="^alpha must be nonnegative, got -0.1$"):
             thermal_overlap_table([0.5, 1.0], [0.2, 0.3], alpha=-0.1)
 
-    @pytest.mark.filterwarnings("error")
     def test_cells_equal_gamma_r_infinity(self):
         temperatures, gaps = np.array([0.0, 1e-3, 0.5, 2.0]), np.array([0.0, 1e-3, 0.1, 2.0])
         table = thermal_overlap_table(temperatures, gaps)
