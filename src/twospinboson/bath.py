@@ -67,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .single_mode import QubitAmplitudes, _cross_term, _model_measures, _require_amplitudes
+from .single_mode import (QubitAmplitudes, _cross_term, _model_measures, _require_amplitudes,
+                          _require_product)
 
 __all__ = [
     "OhmicGapSpectrum",
@@ -611,8 +612,9 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     terms combined (twice the plateau plus the n = 0 term for the Bose
     series), plus 4 alpha times the remainder bound for the Bose series.
 
-    Raises ``RuntimeError`` before any evaluation when no route certifies
-    the Bose series (temperature/gap overflows).  A gamma_R past the largest
+    Raises ``ValueError`` when omega0 t (x0 s) overflows at the largest t,
+    and ``RuntimeError`` before any evaluation when no route certifies the
+    Bose series (temperature/gap overflows).  A gamma_R past the largest
     float is inf, its limit.
     """
     t = np.asarray(t_grid, dtype=float)
@@ -621,6 +623,8 @@ def bath_exponents(spec: OhmicGapSpectrum, t_grid) -> tuple[np.ndarray, np.ndarr
     valid = np.isfinite(t) & (t >= 0.0)
     if not valid.all():
         raise ValueError(f"t must be finite and nonnegative, got {t[~valid][0]}")
+    if t.size:
+        _require_product(spec.omega0, float(t.max()), "omega0 t (x0 s)")
     gamma_r = np.zeros_like(t)
     gamma_i = np.zeros_like(t)
     error = np.zeros_like(t)

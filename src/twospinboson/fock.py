@@ -20,6 +20,7 @@ time check are its own.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,10 @@ class FockConfig:
     n_cut: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_cut)
+        except TypeError:
+            raise ValueError(f"n_cut must be an integer, got {self.n_cut!r}") from None
         if not 8 <= self.n_cut <= MAX_N_CUT:
             raise ValueError(f"n_cut must lie in [8, {MAX_N_CUT}], got {self.n_cut}")
 

@@ -20,6 +20,7 @@ successive values agree; the last change is reported as the error estimate.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -88,8 +89,11 @@ def composite_gauss(f, upper: float, n_panels: int) -> float:
     ``f`` must accept ndarray input.  Panel contributions are accumulated
     with numpy's pairwise summation.
     """
-    if upper <= 0.0:
-        raise ValueError(f"upper must be positive, got {upper}")
+    _require_upper(upper)
+    try:
+        n_panels = operator.index(n_panels)
+    except TypeError:
+        raise ValueError(f"n_panels must be an integer, got {n_panels!r}") from None
     if n_panels < 1:
         raise ValueError(f"n_panels must be at least 1, got {n_panels}")
     h = upper / n_panels
@@ -130,6 +134,7 @@ def integrate_decaying(f, upper: float, osc_rate: float = 0.0,
     QuadratureError
         If six doublings never agree within ``abs_tol``.
     """
+    _require_upper(upper)
     if abs_tol <= 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
     n_panels = max(1, math.ceil(upper / panel_width(osc_rate)))
@@ -143,6 +148,12 @@ def integrate_decaying(f, upper: float, osc_rate: float = 0.0,
             return current, change
         previous = current
     raise QuadratureError(change, abs_tol, n_panels)
+
+
+def _require_upper(upper: float) -> None:
+    """Refuse an integration range [0, upper] that is empty or not finite."""
+    if not 0.0 < upper < math.inf:
+        raise ValueError(f"upper must be positive and finite, got {upper}")
 
 
 def thermal_kernel(omega, temperature: float):

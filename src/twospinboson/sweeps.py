@@ -111,13 +111,13 @@ def state_series(spec: OhmicGapSpectrum, psi0: QubitAmplitudes, t_grid) -> dict[
     the 3x3 Gram route of :func:`~twospinboson.single_mode._model_measures`:
     S from H's exact invariants per time point, and C in the closed form of
     the index-flip symmetry, with no decomposition on ordinary inputs.  A
-    grid whose omega0 t (x0 s, equal in cutoff units) or 2 theta t overflows
-    is refused.
+    grid whose 2 theta t overflows is refused, and then, by
+    :func:`~twospinboson.bath.bath_exponents`, one whose omega0 t (x0 s,
+    equal in cutoff units) overflows.
     """
     vec = _require_amplitudes(psi0)
     t = _require_grid(t_grid)
     theta = effective_coupling(spec)
-    _require_product(spec.omega0, float(t[-1]), "omega0 t (x0 s)")
     _require_product(2.0 * theta, float(t[-1]), "2 theta t")
 
     gamma_rs, gamma_is, _ = bath_exponents(spec, t)

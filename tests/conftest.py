@@ -1,4 +1,6 @@
-"""Shared fixtures; echo acceptance-criterion result lines even while output capture is on."""
+"""Shared fixtures, among them ``spy``, the one call probe of every test that counts,
+records or refuses calls; echo acceptance-criterion result lines even while output
+capture is on."""
 
 import sys
 
@@ -14,21 +16,40 @@ def all_suites():
 
 
 @pytest.fixture
-def grid_checks(monkeypatch):
+def spy(monkeypatch):
+    """``spy(owner, name, record=None, raises=None)``: the list of calls to ``owner.name``.
+
+    Replaces ``owner.name``, and every ``twospinboson`` module attribute bound
+    to the same function, with one wrapper.  Each call appends
+    ``record(*args, **kwargs)`` (the positional arguments by default), then
+    raises ``raises`` if it is given and otherwise returns the function's
+    result.  Calls through a name the test imported itself are not seen.
+    """
+    def install(owner, name, record=None, raises=None):
+        real = getattr(owner, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args if record is None else record(*args, **kwargs))
+            if raises is not None:
+                raise raises
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "twospinboson":
+                for attribute, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attribute, wrapper)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def grid_checks(spy):
     """Names of the grids ``_require_grid`` checks, through any ``twospinboson`` module."""
-    names = []
-    require_grid = single_mode._require_grid
-
-    def counting(values, name="t_grid"):
-        names.append(name)
-        return require_grid(values, name)
-
-    for module_name, module in list(sys.modules.items()):
-        if (module_name.startswith("twospinboson")
-                and getattr(module, "_require_grid", None) is require_grid):
-            monkeypatch.setattr(module, "_require_grid", counting)
-    assert single_mode._require_grid is counting
-    return names
+    return spy(single_mode, "_require_grid", record=lambda values, name="t_grid": name)
 
 
 def pytest_runtest_logreport(report):

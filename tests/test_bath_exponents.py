@@ -115,19 +115,14 @@ class TestSpecialFunctions:
         np.array([1.0 + 0.0j, 0.6 - 0.8j]),
         np.array([[0.5, 2.0 - 2.0j], [1.0, 0.3 + 5.0j]]),
     ], ids=["empty", "empty-2d", "all-near", "all-far", "both-sides", "modulus-1", "mixed-2d"])
-    def test_exp_e1_early_exits_keep_shape_and_bits(self, z, monkeypatch):
+    def test_exp_e1_early_exits_keep_shape_and_bits(self, z, spy):
         # A batch with no point in the unit disc evaluates no power series, and
         # one with no point outside it no continued fraction.  Each form keeps
         # the batch's shape and each value is the one of that point alone.
-        calls = []
-        for name in ("_e1_power_tail", "_e1_tail_depth"):
-            real = getattr(bath, name)
-            monkeypatch.setattr(bath, name,
-                                lambda v, name=name, real=real: calls.append(name) or real(v))
+        power, depth = (spy(bath, name) for name in ("_e1_power_tail", "_e1_tail_depth"))
         batch = bath._exp_e1(z)
         near = np.abs(z) <= 1.0
-        expected = ["_e1_power_tail"] * bool(near.any()) + ["_e1_tail_depth"] * bool((~near).any())
-        assert calls == expected
+        assert (len(power), len(depth)) == (near.any(), (~near).any())
         assert all(form.shape == z.shape and form.dtype == complex for form in batch)
         for k, zk in enumerate(z.ravel()):
             alone = bath._exp_e1(np.array([zk]))
@@ -315,15 +310,14 @@ class TestBoseSeries:
         assert np.all(plan[0][cold] == 1) and np.all(plan[1][cold] == 0)
         assert np.all(plan[2][cold] == 0.0)
 
-    def test_zero_temperature_plan_builds_no_bound_table(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the Euler-Maclaurin bound table was built")
-
-        monkeypatch.setattr(bath, "_em_remainders", fail)
+    def test_zero_temperature_plan_builds_no_bound_table(self, spy):
+        spy(bath, "_em_remainders",
+            raises=AssertionError("the Euler-Maclaurin bound table was built"))
         terms, order, bound = bath._bose_plan(np.array([1e-6, 0.1, 3.0]), np.zeros(3))
         assert list(terms) == [1, 1, 1] and list(order) == [0, 0, 0]
         assert list(bound) == [0.0, 0.0, 0.0]
         sweeps.steady_state_table([0.25, 0.5], [0.0, 1e-6, 0.1], QubitAmplitudes.uniform())
+        sweeps.steady_sweep_tables([0.25, 0.5], [0.0, 1e-6, 0.1], [0.0], QubitAmplitudes.uniform())
 
     def test_small_gaps_take_a_certified_route(self):
         # The Euler-Maclaurin route takes at most _EM_MAX_TERMS direct terms
@@ -346,70 +340,41 @@ class TestBoseSeries:
             assert np.array_equal(got, expected)
         assert gamma_R_infinity(tiny) == gamma_R_infinity(cold)
 
-    def test_no_quadrature_calls(self, monkeypatch):
-        calls = []
-
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(quadrature, "integrate_decaying", counting(integrate_decaying))
-        monkeypatch.setattr(quadrature, "composite_gauss", counting(quadrature.composite_gauss))
+    def test_no_quadrature_calls(self, spy):
+        calls = {name: spy(quadrature, name) for name in ("integrate_decaying", "composite_gauss")}
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         bath_exponents(spec, np.linspace(0.0, 300.0, 20))
         gamma_R_infinity(spec)
         sweeps.thermal_overlap_table(np.linspace(0.0, 2.0, 3), np.linspace(0.0, 0.5, 3))
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], QubitAmplitudes.uniform(),
                                   temperature=0.5)
-        assert calls == []
+        sweeps.steady_sweep_tables([0.25, 0.5], [0.0, 0.1], np.linspace(0.0, 2.0, 3),
+                                   QubitAmplitudes.uniform(), temperature=0.5)
+        assert calls == {"integrate_decaying": [], "composite_gauss": []}
 
-    def test_one_pass_evaluates_each_plateau_term_once(self, monkeypatch):
+    def test_one_pass_evaluates_each_plateau_term_once(self, spy):
         # gamma_R, gamma_I, the error estimate's plateau and its remainder
         # bound all come from one pass: one plan, one evaluation, and each
         # plateau node (the M = 7 direct terms and the Euler-Maclaurin node
         # at M, all at real arguments) is evaluated once.
-        calls = {"_bose_grids": 0, "_bose_plan": 0, "_bose_sums": 0}
-        plateau_nodes = []
-
-        def counting(name):
-            real = getattr(bath, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        def counting_e1(z, real=bath._exp_e1):
-            plateau_nodes.append(np.count_nonzero(np.imag(z) == 0.0))
-            return real(z)
-
-        for name in calls:
-            monkeypatch.setattr(bath, name, counting(name))
-        monkeypatch.setattr(bath, "_exp_e1", counting_e1)
+        calls = [spy(bath, name) for name in ("_bose_grids", "_bose_plan", "_bose_sums")]
+        plateau_nodes = spy(bath, "_exp_e1", record=lambda z: np.count_nonzero(np.imag(z) == 0.0))
         spec = OhmicGapSpectrum(alpha=0.25, omega0=0.1, temperature=0.5)
         bath_exponents(spec, np.linspace(0.0, 300.0, 20))
-        assert calls == {"_bose_grids": 1, "_bose_plan": 1, "_bose_sums": 1}
+        assert [len(c) for c in calls] == [1, 1, 1]
         assert sum(plateau_nodes) == 8
 
     @pytest.mark.parametrize("points", (1, 20))
-    def test_e1_values_per_cell_do_not_grow_with_n(self, monkeypatch, points):
+    def test_e1_values_per_cell_do_not_grow_with_n(self, spy, points):
         # N = 164, 77052, 8583054 and about 8.6e7 direct terms: each series
         # costs at most _EM_MAX_TERMS + 1 E1 values per row (the plateau and
         # each time), whatever its N.
-        values = []
-
-        def counting_e1(z, real=bath._exp_e1):
-            values[-1] += np.size(z)
-            return real(z)
-
-        monkeypatch.setattr(bath, "_exp_e1", counting_e1)
+        sizes = spy(bath, "_exp_e1", record=np.size)
         for gap, temperature in ((0.1, 0.5), (1e-3, 2.0), (1e-5, 2.0), (1e-6, 2.0)):
-            values.append(0)
+            sizes.clear()
             bath_exponents(OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=temperature),
                            np.linspace(1.0, 300.0, points))
-        assert max(values) <= (bath._EM_MAX_TERMS + 1) * (points + 1)
+            assert sum(sizes) <= (bath._EM_MAX_TERMS + 1) * (points + 1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(x0=st.floats(1e-4, 2.0), tau=st.floats(0.05, 2.0), s=st.floats(0.0, 1e3))
@@ -539,13 +504,10 @@ class TestPlateau:
             spec = OhmicGapSpectrum(alpha=0.25, omega0=gap, temperature=2.0)
             np.testing.assert_allclose(gamma_R_infinity(spec), float(integral), rtol=1e-15, atol=0.0)
 
-    def test_uncertified_series_is_refused_before_evaluation(self, monkeypatch):
+    def test_uncertified_series_is_refused_before_evaluation(self, spy):
         # At gap 5e-324 and T = 2, x0/tau underflows to 0: no route certifies
         # a sum of size tau/x0, and nothing is evaluated.
-        def fail(*args, **kwargs):
-            raise AssertionError("the series was evaluated")
-
-        monkeypatch.setattr(bath, "_exp_e1", fail)
+        spy(bath, "_exp_e1", raises=AssertionError("the series was evaluated"))
         hot = OhmicGapSpectrum(alpha=0.25, omega0=5e-324, temperature=2.0)
         message = (r"^Bose series at gap 4\.94066e-324, temperature 2 has no certified route: "
                    r"temperature/gap overflows$")
@@ -554,16 +516,11 @@ class TestPlateau:
         with pytest.raises(RuntimeError, match=message):
             sweeps.thermal_overlap_table([0.0, 2.0], [5e-324, 0.1])
 
-    def test_small_gap_tables_are_evaluated(self, monkeypatch):
+    def test_small_gap_tables_are_evaluated(self, spy):
         # Gaps 1e-5 and 1.1e-5 near T = 2 need about 8.6e6 direct terms per
-        # cell; both tables evaluate them at most _EM_MAX_TERMS + 1 E1 values a cell.
-        values = []
-
-        def counting_e1(z, real=bath._exp_e1):
-            values.append(np.size(z))
-            return real(z)
-
-        monkeypatch.setattr(bath, "_exp_e1", counting_e1)
+        # cell; both tables evaluate them at most _EM_MAX_TERMS + 1 E1 values
+        # a series, and the live route sums 8: one per gap and 6 thermal cells.
+        values = spy(bath, "_exp_e1", record=np.size)
         table = sweeps.thermal_overlap_table([1.9, 1.95, 2.0], [1e-5, 1.1e-5])
         assert sum(values) <= 6 * (bath._EM_MAX_TERMS + 1)
         assert np.all(table["has_steady_state"] == 1.0)
@@ -572,6 +529,11 @@ class TestPlateau:
                                           QubitAmplitudes.uniform(), temperature=2.0)
         assert sum(values) <= 6 * (bath._EM_MAX_TERMS + 1)
         assert np.all(table["has_steady_state"] == 1.0)
+        values.clear()
+        tables = sweeps.steady_sweep_tables([0.25, 0.5, 0.75], [1e-5, 1.1e-5], [1.9, 1.95, 2.0],
+                                            QubitAmplitudes.uniform(), temperature=2.0)
+        assert sum(values) <= 8 * (bath._EM_MAX_TERMS + 1)
+        assert all(np.all(table["has_steady_state"] == 1.0) for table in tables)
 
     @pytest.mark.parametrize("temperatures,gaps", (
         (np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.5, 4)),
@@ -694,3 +656,12 @@ class TestBathExponents:
                 bath_exponents(OhmicGapSpectrum(alpha=0.25), bad)
         with pytest.raises(ValueError, match="1-D"):
             bath_exponents(OhmicGapSpectrum(alpha=0.25), [[1.0]])
+
+    def test_rejects_an_overflowing_omega0_t(self, spy):
+        # x0 s overflows at the largest t, whatever the order of the grid and
+        # even at alpha = 0: one line, no warning, nothing evaluated.
+        spy(bath, "_bose_grids", raises=AssertionError("the series was evaluated"))
+        for alpha in (0.25, 0.0):
+            with pytest.raises(ValueError) as err:
+                bath_exponents(OhmicGapSpectrum(alpha, 1e200, 0.5), [1e200, 2.0])
+            assert str(err.value) == "omega0 t (x0 s) = 1e+200 * 1e+200 overflows"

@@ -1,7 +1,5 @@
 """The built-in verification suites must pass on a correct build."""
 
-import sys
-
 import numpy as np
 
 from twospinboson import bath, checks, cli, csvio, sweeps
@@ -91,29 +89,15 @@ class TestSuites:
         results = checks.oracle_checks(tolerance=1e-18)
         assert any(not r.passed for r in results)
 
-    def test_checks_never_use_the_one_point_bath_view(self, monkeypatch, tmp_path):
+    def test_checks_never_use_the_one_point_bath_view(self, spy, tmp_path):
         # No package module calls the six pinned model views; each stays only
         # because the benchmark's tracer (perfbench/tracer.py) names it.  With
         # every module attribute that holds one raising, the registry still
         # passes and each table subcommand still writes its tables.
-        pinned = {id(view): f"{view.__module__}.{view.__name__}" for view in (
-            bath.bath_gamma, bath.gamma_R_infinity, bath.steady_state_stats,
-            sweeps.steady_state_table, sweeps.thermal_overlap_table, csvio.render_table)}
-
-        def refuse(name):
-            def raising(*args, **kwargs):
-                raise AssertionError(f"{name} was called")
-            return raising
-
-        patched = set()
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] != "twospinboson":
-                continue
-            for attribute, value in list(vars(module).items()):
-                if id(value) in pinned:
-                    monkeypatch.setattr(module, attribute, refuse(pinned[id(value)]))
-                    patched.add(f"{module_name}.{attribute}")
-        assert set(pinned.values()) <= patched
+        calls = [spy(module, name, raises=AssertionError(f"{module.__name__}.{name} was called"))
+                 for module, name in ((bath, "bath_gamma"), (bath, "gamma_R_infinity"),
+                                      (bath, "steady_state_stats"), (sweeps, "steady_state_table"),
+                                      (sweeps, "thermal_overlap_table"), (csvio, "render_table"))]
 
         failed = [r.line() for results in checks.all_checks().values() for r in results
                   if not r.passed]
@@ -128,6 +112,7 @@ class TestSuites:
             argv += ([f"--output-prefix={output}"] if argv[0] == "steady-sweep"
                      else [f"--output={output}.csv"])
             assert cli.main(argv) == 0, argv
+        assert calls == [[]] * 6
 
         spec = bath.OhmicGapSpectrum(alpha=0.25, omega0=0.1)
         gamma_rs, gamma_is, _ = bath.bath_exponents(spec, [2.0])

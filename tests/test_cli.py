@@ -285,13 +285,10 @@ class TestBathSeries:
         assert list(columns["concurrence"]) == [0.0, 0.0, 0.0]
         assert list(columns["overlap"]) == [1.0, 0.0, 0.0]
 
-    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
+    def test_numerical_failure_exits_3(self, tmp_path, spy):
         # A numerical failure inside the evaluation (here a RuntimeError
         # injected into the E1 forms) exits 3 with one line.
-        def fail(z):
-            raise RuntimeError(_E1_FAILURE)
-
-        monkeypatch.setattr(bath, "_exp_e1", fail)
+        spy(bath, "_exp_e1", raises=RuntimeError(_E1_FAILURE))
         check_cli(("bath-series", "--alpha", "0.25", "--gap", "0.1", "--temperature", "0.5",
                    "--t-max", "5", "--points", "3"), tmp_path, 3, _E1_FAILURE)
 
@@ -340,12 +337,9 @@ class TestBathSeries:
         assert list(columns["overlap"]) == [1.0, 0.0, 0.0]
         assert list(columns["entropy"]) == [0.0, 1.5, 1.5]
 
-    def test_uncertified_series_exits_3_before_evaluation(self, tmp_path, monkeypatch):
+    def test_uncertified_series_exits_3_before_evaluation(self, tmp_path, spy):
         # The uncertified-series row of REFUSALS is refused before any evaluation.
-        def fail(z):
-            raise AssertionError("the series was evaluated")
-
-        monkeypatch.setattr(bath, "_bose_sums", fail)
+        spy(bath, "_bose_sums", raises=AssertionError("the series was evaluated"))
         check_cli(("bath-series", "--alpha", "0.25", "--gap", "5e-324", "--temperature", "2",
                    "--t-max", "5", "--points", "3"), tmp_path, 3,
                   "Bose series at gap 4.94066e-324, temperature 2 has no certified route: "
@@ -434,13 +428,10 @@ class TestSteadySweep:
         overlap = thermal["overlap_infinity"]
         assert np.all(np.isfinite(overlap) & (overlap >= 0.0) & (overlap < 1.0))
 
-    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
+    def test_numerical_failure_exits_3(self, tmp_path, spy):
         # A numerical failure (a RuntimeError injected into the E1 forms)
         # exits 3 with one line and leaves no file behind.
-        def fail(z):
-            raise RuntimeError(_E1_FAILURE)
-
-        monkeypatch.setattr(bath, "_exp_e1", fail)
+        spy(bath, "_exp_e1", raises=RuntimeError(_E1_FAILURE))
         check_cli(("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0.1:0.5:2",
                    "--temperature", "2", "--temperature-grid", "0:2:2",
                    "--output-prefix", str(tmp_path / "sweep")), tmp_path, 3, _E1_FAILURE)
@@ -458,16 +449,11 @@ class TestSteadySweep:
             columns, _ = csvio.parse_table((tmp_path / f"sweep_{name}.csv").read_text())
             assert np.all(columns["has_steady_state"] == 1.0)
 
-    def test_refused_table_after_the_bose_pass_writes_neither_file(self, tmp_path, monkeypatch):
+    def test_refused_table_after_the_bose_pass_writes_neither_file(self, tmp_path, spy):
         # The one Bose-series pass of both tables succeeds; the tables then
         # fail, and no file may be left behind.
-        calls = []
-
-        def refuse(vec, g_inf):
-            calls.append(g_inf.size)
-            raise RuntimeError(_E1_FAILURE)
-
-        monkeypatch.setattr(cli.sweeps, "_steady_states", refuse)
+        calls = spy(cli.sweeps, "_steady_states", record=lambda vec, g_inf: g_inf.size,
+                    raises=RuntimeError(_E1_FAILURE))
         check_cli(("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "1e-6:0.5:2",
                    "--temperature-grid", "0:2:2", "--output-prefix", str(tmp_path / "sweep")),
                   tmp_path, 3, _E1_FAILURE)
@@ -489,19 +475,11 @@ class TestSteadySweep:
         assert run_cli(capsys, *argv, str(tmp_path / "q"))[0] == 0
         assert (tmp_path / "q_entanglement.csv").read_text() == text
 
-    def test_one_bose_pass_per_run(self, capsys, tmp_path, monkeypatch):
+    def test_one_bose_pass_per_run(self, capsys, tmp_path, spy):
         # Both tables' series go through one plan and one evaluation: 9 gapped
         # gaps of the entanglement table, then the 9 x 9 gapped thermal cells.
-        rows = {"_bose_plan": [], "_bose_sums": []}
-
-        def recording(name, real):
-            def wrapper(x0, *args):
-                rows[name].append(x0.size)
-                return real(x0, *args)
-            return wrapper
-
-        for name in rows:
-            monkeypatch.setattr(bath, name, recording(name, getattr(bath, name)))
+        rows = {name: spy(bath, name, record=lambda x0, *args: x0.size)
+                for name in ("_bose_plan", "_bose_sums")}
         code, _, err = run_cli(capsys, "steady-sweep", "--alpha-grid", "0.05:1:3",
                                "--gap-grid", "0:0.5:10", "--temperature-grid", "0:2:9",
                                "--output-prefix", str(tmp_path / "p"))
@@ -523,9 +501,9 @@ class TestSteadySweep:
         ("--amplitudes", "0.5\n,0.5,0.5,0.5"), ("--amplitudes", "0.5,0.5,0.5,0.5\r"),
         ("--alpha-grid", "0.05:1:2\n"), ("--gap-grid", "0:0.5\n:2"),
         ("--temperature-grid", "0:2:2\r\n")])
-    def test_rejects_line_break_before_computing(self, tmp_path, monkeypatch, option, text):
+    def test_rejects_line_break_before_computing(self, tmp_path, spy, option, text):
         # The text would go into a metadata line and split it.
-        monkeypatch.setattr(cli.sweeps, "steady_sweep_tables", None)
+        spy(cli.sweeps, "steady_sweep_tables", raises=AssertionError("the tables were computed"))
         check_cli(("steady-sweep", "--alpha-grid", "0.25:0.5:2", "--gap-grid", "0:0.1:2",
                    "--temperature-grid", "0:1:2", f"{option}={text}",
                    "--output-prefix", str(tmp_path / "p")), tmp_path, 2,
@@ -598,16 +576,8 @@ class TestGrids:
             assert (grid.size, grid[0], grid[-1]) == (points, lo, hi), name
         np.testing.assert_allclose(np.diff(grids["n"]), 0.25, rtol=1e-12)
 
-    def test_every_grid_comes_from_the_one_axis(self, capsys, tmp_path, monkeypatch,
-                                                grid_checks):
-        built = []
-        axis = cli._axis
-
-        def recording(lo, hi, points, name):
-            built.append(name)
-            return axis(lo, hi, points, name)
-
-        monkeypatch.setattr(cli, "_axis", recording)
+    def test_every_grid_comes_from_the_one_axis(self, capsys, tmp_path, spy, grid_checks):
+        built = spy(cli, "_axis", record=lambda lo, hi, points, name: name)
         for argv in (("single-mode", "--omega-over-lambda", "4", "--points", "3"),
                      ("period-stats", "--n-min", "1", "--n-max", "2", "--n-points", "2",
                       "--samples", "100"),
@@ -680,13 +650,10 @@ class TestTopLevel:
          "out of memory: Unable to allocate 7.28 TiB for an array with shape "
          "(1000000000000,) and data type float64"),
         (MemoryError(), "out of memory")], ids=["numpy", "bare"])
-    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, exc, reason):
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, spy, exc, reason):
         # As numpy's _ArrayMemoryError from a grid too large to allocate; the
         # table function raises it here, and nothing is allocated for real.
-        def refuse(*args, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(cli.sweeps, "state_series", refuse)
+        spy(cli.sweeps, "state_series", raises=exc)
         check_cli(("bath-series", "--alpha", "0.25", "--t-max", "5", "--points", "3"),
                   tmp_path, 2, reason)
 

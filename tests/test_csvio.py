@@ -128,7 +128,7 @@ class TestRenderAndParse:
             monkeypatch.setattr(csvio, "_KERNEL_MIN_VALUES", threshold)
             assert csvio.render_table(columns, {}) == "x,y,z\n" + expected
 
-    def test_fallback_text_stays_out_of_the_shared_template(self, monkeypatch):
+    def test_fallback_text_stays_out_of_the_shared_template(self, monkeypatch, spy):
         # Every kernel block of a table reuses one word template and rewrites
         # only its digit words.  The first block's %-printed values (and the
         # zeros) sit in the rows where later blocks print "-0.000..." from the
@@ -142,14 +142,8 @@ class TestRenderAndParse:
         last = [-0.25, -1.5e-4, -0.0, -0.75, -9.87654321e-4, -0.5]
         values = np.concatenate([first, later, last]).reshape(-1, 3)
         columns = {"x": values[:, 0], "y": values[:, 1], "z": values[:, 2]}
-        calls = []
-        render_rows = csvkernel.render_rows
-
-        def recording(block, template):
-            calls.append((block.shape, template))
-            return render_rows(block, template)
-
-        monkeypatch.setattr(csvkernel, "render_rows", recording)
+        calls = spy(csvkernel, "render_rows",
+                    record=lambda block, template: (block.shape, template))
         lines = csvio.render_table(columns, {}).splitlines()
         assert [shape for shape, _ in calls] == [(4, 3), (4, 3), (2, 3)]
         assert calls[0][1].shape == (12, 10)

@@ -31,13 +31,10 @@ from twospinboson.single_mode import (
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 
 
-def assert_time_rejected_before_eigh(monkeypatch, evolve, *extra):
+def assert_time_rejected_before_eigh(spy, evolve, *extra):
     # A NaN or infinite time is refused with one line, before any eigh and
     # without a numpy warning.
-    def fail(*args, **kwargs):
-        raise AssertionError("eigh was called")
-
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    spy(np.linalg, "eigh", raises=AssertionError("eigh was called"))
     params = SingleModeParams(omega=4.0)
     for t in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t must be finite and nonnegative") as excinfo:
@@ -53,6 +50,9 @@ class TestConfig:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError, match="n_cut"):
             FockConfig(n_cut=4)
+        # A fractional cutoff would propagate in np.arange(n_cut + 1) levels.
+        with pytest.raises(ValueError, match=r"^n_cut must be an integer, got 8\.5$"):
+            FockConfig(n_cut=8.5)
 
     def test_initial_cutoff_scales_with_coupling(self):
         weak = initial_cutoff(SingleModeParams(omega=4.0))
@@ -132,8 +132,8 @@ class TestEvolveTruncated:
             assert leak < fock._LEAK_TOL
             assert validate_density(rho).valid
 
-    def test_rejects_nonfinite_time(self, monkeypatch):
-        assert_time_rejected_before_eigh(monkeypatch, evolve_truncated, FockConfig(n_cut=16))
+    def test_rejects_nonfinite_time(self, spy):
+        assert_time_rejected_before_eigh(spy, evolve_truncated, FockConfig(n_cut=16))
 
 
 class TestEvolveAuto:
@@ -152,15 +152,12 @@ class TestEvolveAuto:
             exact = closed_form(params, UNIFORM, t)
             assert trace_distance(rho, exact) < 1e-8
 
-    def test_rejects_nonfinite_time(self, monkeypatch):
-        assert_time_rejected_before_eigh(monkeypatch, evolve_auto)
+    def test_rejects_nonfinite_time(self, spy):
+        assert_time_rejected_before_eigh(spy, evolve_auto)
 
-    def test_refuses_cutoff_above_ceiling_before_eigh(self, monkeypatch):
+    def test_refuses_cutoff_above_ceiling_before_eigh(self, spy):
         # omega/lambda = 0.05 starts at n_cut = 12816, a dense 12817^2 block.
-        def fail(*args, **kwargs):
-            raise AssertionError("eigh was called")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        spy(np.linalg, "eigh", raises=AssertionError("eigh was called"))
         params = SingleModeParams(0.05)
         assert initial_cutoff(params) == 12816 > MAX_N_CUT
         with pytest.raises(TruncationError, match="above the ceiling") as excinfo:
@@ -169,21 +166,14 @@ class TestEvolveAuto:
         with pytest.raises(ValueError, match="n_cut"):
             FockConfig(n_cut=MAX_N_CUT + 1)
 
-    def test_escalation_stops_at_ceiling(self, monkeypatch):
+    def test_escalation_stops_at_ceiling(self, monkeypatch, spy):
         # The ceiling is tried once, not doubled past; a leak tolerance of
         # 1e-300 cannot be met, so the last attempt is at the ceiling itself.
         monkeypatch.setattr(fock, "MAX_N_CUT", 24)
         monkeypatch.setattr(fock, "_LEAK_TOL", 1e-300)
         params = SingleModeParams(omega=4.0)
         assert initial_cutoff(params) == 18
-        tried = []
-        real_branch = fock.oscillator_branch
-
-        def spy(params, shift, t, dim):
-            tried.append(dim - 1)
-            return real_branch(params, shift, t, dim)
-
-        monkeypatch.setattr(fock, "oscillator_branch", spy)
+        tried = spy(fock, "oscillator_branch", record=lambda params, shift, t, dim: dim - 1)
         with pytest.raises(TruncationError, match="ceiling n_cut=24") as excinfo:
             evolve_auto(params, UNIFORM, 1.0)
         assert excinfo.value.n_cut == 24

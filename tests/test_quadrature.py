@@ -15,6 +15,8 @@ from twospinboson.quadrature import (
     panel_width,
 )
 
+_BAD_UPPER = "^upper must be positive and finite, got {}$"
+
 
 class TestCompositeGauss:
     def test_polynomial_exact(self):
@@ -41,10 +43,14 @@ class TestCompositeGauss:
         np.testing.assert_allclose(value, 0.5, rtol=1e-12)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="^upper must be positive, got 0.0$"):
-            composite_gauss(np.exp, 0.0, 1)
+        for upper in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=_BAD_UPPER.format(upper)):
+                composite_gauss(np.exp, upper, 1)
         with pytest.raises(ValueError, match="^n_panels must be at least 1, got 0$"):
             composite_gauss(np.exp, 1.0, 0)
+        with pytest.raises(ValueError, match=r"^n_panels must be an integer, got 2\.5$"):
+            composite_gauss(np.exp, 1.0, 2.5)
+        assert composite_gauss(np.exp, 1.0, np.int64(2)) == composite_gauss(np.exp, 1.0, 2)
 
 
 class TestIntegrateDecaying:
@@ -77,8 +83,9 @@ class TestIntegrateDecaying:
         assert excinfo.value.n_panels > 0
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="upper"):
-            integrate_decaying(lambda x: np.exp(-x), 0.0)
+        for upper in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=_BAD_UPPER.format(upper)):
+                integrate_decaying(lambda x: np.exp(-x), upper)
         with pytest.raises(ValueError, match="abs_tol"):
             integrate_decaying(lambda x: np.exp(-x), 40.0, abs_tol=0.0)
 

@@ -30,10 +30,6 @@ DECOHERED_UNIFORM = np.array(
      [0, 0, 0, 1]], dtype=float) / 4.0
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("evaluated an overflowing grid")
-
-
 def evolve(params, psi, t):
     """Reduced state of the single-mode model at time t (in 1/lambda)."""
     return reduced_density(psi, params.theta * t, *_gammas(params.omega, t))
@@ -326,8 +322,8 @@ class TestTimeSeries:
             with pytest.raises(ValueError, match="finite"):
                 time_series(params, UNIFORM, np.array([0.0, bad]))
 
-    def test_rejects_an_overflowing_grid(self, monkeypatch):
-        monkeypatch.setattr(single_mode, "_gammas", _refuse)
+    def test_rejects_an_overflowing_grid(self, spy):
+        spy(single_mode, "_gammas", raises=AssertionError("evaluated an overflowing grid"))
         with pytest.raises(ValueError) as err:
             time_series(SingleModeParams(1e160), UNIFORM, np.array([0.0, 1e150, 1e155]))
         assert str(err.value) == "omega t = 1e+160 * 1e+155 overflows"

@@ -96,64 +96,39 @@ def _mp_concurrence(vec, gamma_r, theta_t, gamma_i=0.0):
     return _mp_measures(vec, gamma_r, theta_t, gamma_i)[0]
 
 
+_DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
+
+
+def _matrices(a, *args, **kwargs):
+    """(dtype kind, matrix count) of a call's stack of matrices."""
+    a = np.asarray(a)
+    return ("complex" if np.iscomplexobj(a) else "real", a.size // (a.shape[-1] * a.shape[-2]))
+
+
 @pytest.fixture
-def lapack_calls(monkeypatch):
-    """(name, matrices) of each ``np.linalg`` decomposition called, eigvalsh split by dtype."""
-    calls = []
-
-    def counting(name, func):
-        def wrapper(a, *args, **kwargs):
-            kind = "complex " if np.iscomplexobj(a) else "real "
-            a = np.asarray(a)
-            calls.append(((kind if name == "eigvalsh" else "") + name,
-                          a.size // (a.shape[-1] * a.shape[-2])))
-            return func(a, *args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    return calls
+def lapack_calls(spy):
+    """(dtype kind, matrices) of each call, per ``np.linalg`` decomposition."""
+    return {name: spy(np.linalg, name, record=_matrices) for name in _DECOMPOSITIONS}
 
 
-def _forbid_decompositions(monkeypatch):
+def _forbid_decompositions(spy):
     """Make every ``np.linalg`` decomposition and the spectrum of H fail."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("decomposed an invalid state")
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, refuse)
-    monkeypatch.setattr(single_mode, "_gram_spectrum", refuse)
+    refusal = AssertionError("decomposed an invalid state")
+    for name in _DECOMPOSITIONS:
+        spy(np.linalg, name, raises=refusal)
+    spy(single_mode, "_gram_spectrum", raises=refusal)
 
 
 @pytest.fixture
-def spectrum_calls(monkeypatch):
+def spectrum_calls(spy):
     """Row counts of the calls to ``single_mode._gram_spectrum``."""
-    calls = []
-    spectrum = single_mode._gram_spectrum
-
-    def counting(root, gamma, decay):
-        calls.append(gamma.size)
-        return spectrum(root, gamma, decay)
-
-    monkeypatch.setattr(single_mode, "_gram_spectrum", counting)
-    return calls
+    return spy(single_mode, "_gram_spectrum", record=lambda root, gamma, decay: gamma.size)
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
+def kernel_calls(spy):
     """Calls to ``entanglement_measures`` made through any ``twospinboson`` module."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return entanglement_measures(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("twospinboson")
-                and getattr(module, "entanglement_measures", None) is entanglement_measures):
-            monkeypatch.setattr(module, "entanglement_measures", counting)
-    assert entanglement.entanglement_measures is counting
-    return calls
+    return spy(entanglement, "entanglement_measures")
 
 
 # Moduli are 0 or at least 0.1.  When one of b, c is much smaller than the
@@ -240,6 +215,8 @@ class TestSteadyScan:
     def test_table_and_stats_never_call_the_kernel(self, kernel_calls):
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1], QubitAmplitudes.uniform(),
                                   temperature=0.5)
+        sweeps.steady_sweep_tables([0.25, 0.5], [0.0, 0.1], [0.0, 2.0],
+                                   QubitAmplitudes.uniform(), temperature=0.5)
         steady_state_stats(GAPPED, QubitAmplitudes.uniform())
         assert kernel_calls == []
 
@@ -276,16 +253,9 @@ class TestSteadyScan:
         got = _steady_c_max(vec, _EDGE_PLATEAUS, phase_points)
         assert got.tobytes() == _full_scan_c_max(vec, _EDGE_PLATEAUS, phase_points).tobytes()
 
-    def test_no_array_spans_cells_and_phases(self, monkeypatch):
+    def test_no_array_spans_cells_and_phases(self, spy):
         cells, phase_points = 500, 4097
-        shapes = []
-        measures = bath._model_measures
-
-        def recording(vec, gamma_rs, phases):
-            shapes.append(phases.shape)
-            return measures(vec, gamma_rs, phases)
-
-        monkeypatch.setattr(bath, "_model_measures", recording)
+        shapes = spy(bath, "_model_measures", record=lambda vec, gamma_rs, phases: phases.shape)
         vec = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j).vector()
         gamma_rs = np.linspace(0.0, 30.0, cells)
         tracemalloc.start()
@@ -329,7 +299,9 @@ class TestModelMeasures:
         _model_measures(vec, np.array([0.0, 0.4, 3.0]), np.tile(2.0 * PHASES, (3, 1)))
         # Four gapped cells; the gapless cells have no plateau.
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], QubitAmplitudes.uniform())
-        assert lapack_calls == []
+        sweeps.steady_sweep_tables([0.25, 0.5], [0.0, 0.1, 0.2], [0.0, 2.0],
+                                   QubitAmplitudes.uniform())
+        assert lapack_calls == {"eigh": [], "eigvalsh": [], "svd": []}
 
     def test_double_top_rows_fall_back_alone(self, lapack_calls):
         # |a|^2 = |b|^2 + |c|^2: at large gamma_R, H tends to diag(D) with an
@@ -339,7 +311,7 @@ class TestModelMeasures:
         gamma_rs = np.array([0.4, 30.0, 2.0, 12.0, 0.0])
         phases = np.tile(2.0 * PHASES[:4], (gamma_rs.size, 1))
         conc, entropy = _model_measures(vec, gamma_rs, phases)
-        assert lapack_calls == [("real eigvalsh", 2)]
+        assert lapack_calls == {"eigh": [], "eigvalsh": [("real", 2)], "svd": []}
         c_ref, s_ref = entanglement_measures(_states(
             vec, np.tile(PHASES[:4], gamma_rs.size), np.repeat(gamma_rs, 4), np.zeros(4 * gamma_rs.size)))
         np.testing.assert_allclose(conc.ravel(), c_ref, rtol=0.0, atol=1e-12)
@@ -452,7 +424,7 @@ class TestModelMeasures:
         odd = -mod_a * np.expm1(-4.0 * g)
         expected = np.maximum(0.0, np.maximum(np.sqrt(diff_sq) - odd, odd - total))
         assert conc.tobytes() == expected.tobytes()
-        assert lapack_calls == [("real eigvalsh", 2)] * 2
+        assert lapack_calls == {"eigh": [], "eigvalsh": [("real", 2)] * 2, "svd": []}
 
     def test_phase_past_half_the_largest_float_matches_the_kernel(self):
         # 2 phi overflows above 8.99e307; such rows take e^{2i phi} as (e^{i phi})^2.
@@ -506,20 +478,18 @@ class TestModelMeasures:
             tracemalloc.stop()
         assert peak < 2 * rows * 8 + multiple * single_mode._BLOCK * 8
 
-    def test_model_state_paths_call_no_linalg(self, monkeypatch):
+    def test_model_state_paths_call_no_linalg(self, spy):
         psi = QubitAmplitudes.normalized(0.3, 0.5j, -0.4, 0.2 + 0.6j)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("called np.linalg")
-
+        refusal = AssertionError("called np.linalg")
         for name in dir(np.linalg):
             if not name.startswith("_") and callable(getattr(np.linalg, name)):
-                monkeypatch.setattr(np.linalg, name, refuse)
+                spy(np.linalg, name, raises=refusal)
         params = SingleModeParams(4.5)
         time_series(params, psi, np.linspace(0.0, 40.0, 200))
         commensurability_table([1.265625], psi, 100)
         state_series(GAPPED, psi, np.linspace(0.0, 30.0, 50))
         sweeps.steady_state_table([0.25, 0.5], [0.0, 0.1, 0.2], psi)
+        sweeps.steady_sweep_tables([0.25, 0.5], [0.0, 0.1, 0.2], [0.0, 2.0], psi)
 
 
 # Norm defect 4e-10: every state built from these amplitudes would have a
@@ -549,16 +519,16 @@ class TestValidation:
     @pytest.mark.parametrize("call", [*_SERIES_CALLS.values(),
                                       lambda psi: steady_state_stats(GAPPED, psi)],
                              ids=[*_SERIES_CALLS, "steady_state_stats"])
-    def test_trace_defect_is_refused_before_any_decomposition(self, monkeypatch, call):
+    def test_trace_defect_is_refused_before_any_decomposition(self, spy, call):
         assert 3e-10 < _OFF_NORM.norm_defect() < 1e-9
-        _forbid_decompositions(monkeypatch)
+        _forbid_decompositions(spy)
         with pytest.raises(ValueError, match="amplitudes are not normalized: defect 4.0"):
             call(_OFF_NORM)
 
-    def test_model_measures_checks_the_trace(self, monkeypatch):
+    def test_model_measures_checks_the_trace(self, spy):
         # The helper's own check, reached only by a caller that skips the
         # amplitude check, refuses the state before any decomposition.
-        _forbid_decompositions(monkeypatch)
+        _forbid_decompositions(spy)
         with pytest.raises(InvalidDensityMatrixError, match="trace defect 4.0") as err:
             _model_measures(_OFF_NORM.vector(), np.array([0.1]), np.zeros((1, 3)))
         assert err.value.index == 0

@@ -24,8 +24,7 @@ from twospinboson.sweeps import (
 UNIFORM = QubitAmplitudes(0.5, 0.5, 0.5, 0.5)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("evaluated an overflowing grid")
+_OVERFLOW = AssertionError("evaluated an overflowing grid")
 
 
 class TestCommensurabilityTable:
@@ -86,9 +85,9 @@ class TestCommensurabilityTable:
         assert 0.0 < table["c_avg"][0] < table["c_max"][0] <= 1.0
         assert 0.0 < table["s_avg"][0] < table["s_max"][0] <= 2.0
 
-    def test_rejects_overflowing_omega_t(self, monkeypatch):
+    def test_rejects_overflowing_omega_t(self, spy):
         # n = 1e308: omega = 4 sqrt(n) and t = (pi/2) / theta reach omega t ~ 2e308.
-        monkeypatch.setattr(sweeps, "_gammas", _refuse)
+        spy(sweeps, "_gammas", raises=_OVERFLOW)
         with pytest.raises(ValueError, match=r"^omega t = 4e\+154 \* .* overflows$"):
             commensurability_table([1e308], UNIFORM, 100)
 
@@ -96,8 +95,8 @@ class TestCommensurabilityTable:
         with pytest.raises(ValueError, match="samples_per_period"):
             commensurability_table([0.25], UNIFORM, samples_per_period=50)
 
-    def test_rejects_a_non_integer_sample_count(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "_gammas", _refuse)
+    def test_rejects_a_non_integer_sample_count(self, spy):
+        spy(sweeps, "_gammas", raises=_OVERFLOW)
         for bad, shown in ((100.5, "100.5"), ("200", "'200'"), (None, "None")):
             with pytest.raises(ValueError) as err:
                 commensurability_table([1.0], UNIFORM, bad)
@@ -108,9 +107,9 @@ class TestCommensurabilityTable:
         second = commensurability_table([1.0, 2.25], UNIFORM, np.int64(100))
         assert all(first[name].tobytes() == second[name].tobytes() for name in first)
 
-    def test_refuses_the_first_overflowing_n(self, monkeypatch):
+    def test_refuses_the_first_overflowing_n(self, spy):
         # omega t at n = 1e307 is 1.25e308, still finite; at n = 1.7e308 it is not.
-        monkeypatch.setattr(sweeps, "_gammas", _refuse)
+        spy(sweeps, "_gammas", raises=_OVERFLOW)
         with pytest.raises(ValueError) as err:
             commensurability_table([1.0, 1e307, 1.7e308], UNIFORM, 100)
         assert str(err.value) == "omega t = 5.21536e+154 * 4.09614e+154 overflows"
@@ -209,13 +208,8 @@ class TestStateSeries:
                                                               omega0=0.1)))
         np.testing.assert_allclose(gapped[-1], plateau, rtol=1e-2)
 
-    def test_rejects_an_overflowing_grid_before_evaluation(self, monkeypatch):
-        from twospinboson import sweeps
-
-        def fail(*args, **kwargs):
-            raise AssertionError("the series was evaluated")
-
-        monkeypatch.setattr(sweeps, "bath_exponents", fail)
+    def test_rejects_an_overflowing_grid_before_evaluation(self, spy):
+        spy(bath, "_bose_grids", raises=AssertionError("the series was evaluated"))
         # x0 s = omega0 t and the induced phase 2 theta t, at the last grid time.
         for spec, t_max, reason in (
                 (OhmicGapSpectrum(alpha=0.25, omega0=1e200), 1e200,
@@ -296,19 +290,11 @@ class TestSteadyStateTable:
             steady_state_table(alphas=np.array([0.5, 0.1]),
                                gaps=np.array([0.1]), psi0=UNIFORM)
 
-    def test_one_series_per_gap(self, monkeypatch):
+    def test_one_series_per_gap(self, spy):
         # At fixed temperature a cell's plateau is 4 alpha S(gap): 128 x 128
         # cells, one gapless column, 127 series.
-        rows = {"_bose_plan": [], "_bose_sums": []}
-
-        def recording(name, real):
-            def wrapper(x0, *args):
-                rows[name].append(x0.size)
-                return real(x0, *args)
-            return wrapper
-
-        for name in rows:
-            monkeypatch.setattr(bath, name, recording(name, getattr(bath, name)))
+        rows = {name: spy(bath, name, record=lambda x0, *args: x0.size)
+                for name in ("_bose_plan", "_bose_sums")}
         table = steady_state_table(np.linspace(0.05, 1.0, 128), np.linspace(0.0, 0.5, 128),
                                    UNIFORM)
         assert rows == {"_bose_plan": [127], "_bose_sums": [127]}
@@ -334,16 +320,9 @@ class TestSteadyStateTable:
 
 
 @pytest.mark.parametrize("points", [2, 16])
-def test_a_table_builds_at_most_one_spectrum(monkeypatch, points):
+def test_a_table_builds_at_most_one_spectrum(spy, points):
     # One spectrum checks each table's arguments, whatever the cell count.
-    built = []
-    post_init = OhmicGapSpectrum.__post_init__
-
-    def counting(spec):
-        built.append(spec)
-        post_init(spec)
-
-    monkeypatch.setattr(OhmicGapSpectrum, "__post_init__", counting)
+    built = spy(OhmicGapSpectrum, "__post_init__")
     steady_sweep_tables(np.linspace(0.0, 1.0, points), np.linspace(0.0, 0.5, points),
                         np.linspace(0.0, 2.0, points), UNIFORM, temperature=0.5)
     assert len(built) <= 2
@@ -432,11 +411,10 @@ class TestSteadySweepTables:
 
     @pytest.mark.parametrize("psi, error", [
         (QubitAmplitudes(1.0, 1.0, 1.0, 1.0), ValueError), ("x", TypeError)])
-    def test_checks_the_amplitudes_before_the_pass(self, monkeypatch, psi, error):
+    def test_checks_the_amplitudes_before_the_pass(self, spy, psi, error):
         # At T 1e10 and gap 1e-300 no route certifies the series; the
         # amplitudes are refused before any series is planned.
-        monkeypatch.setattr(sweeps, "_bose_grids", _refuse)
-        monkeypatch.setattr(bath, "_bose_grids", _refuse)
+        spy(bath, "_bose_grids", raises=_OVERFLOW)
         spec = OhmicGapSpectrum(alpha=0.25, omega0=1e-300, temperature=1e10)
         for call in (
                 lambda: steady_sweep_tables([0.25], [1e-300], [0.0, 1.0], psi, temperature=1e10),
@@ -445,10 +423,10 @@ class TestSteadySweepTables:
             with pytest.raises(error, match="^amplitudes "):
                 call()
 
-    def test_checks_both_tables_before_the_pass(self, monkeypatch):
+    def test_checks_both_tables_before_the_pass(self, spy):
         # The entanglement series at T 1e10 and gap 1e-300 would be refused;
         # the thermal table's negative alpha is refused first.
-        monkeypatch.setattr(sweeps, "_bose_grids", _refuse)
+        spy(bath, "_bose_grids", raises=_OVERFLOW)
         with pytest.raises(ValueError, match="^alpha must be nonnegative, got -1.0$"):
             steady_sweep_tables([0.25], [1e-300], [0.0, 1.0], UNIFORM, temperature=1e10,
                                 thermal_alpha=-1.0)
